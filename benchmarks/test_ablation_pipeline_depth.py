@@ -8,7 +8,7 @@ exists to cover the longest stage chain, not to add raw parallelism).
 import pytest
 
 from repro.core import RunConfig
-from repro.pipeline import simulate_epoch
+from repro.pipeline import simulate_trace
 from conftest import publish, run_once
 from repro.utils import Table
 
@@ -22,7 +22,7 @@ def run_depth_sweep(artifacts):
     system = artifacts.system(DATASET, cfg)
     report = system.trainer.train_epoch(0, dry_run=True)
     return {
-        d: simulate_epoch(report, system.cost_model, depth=d).epoch_time
+        d: simulate_trace(report.events, system.cost_model, depth=d).epoch_time
         for d in DEPTHS
     }
 

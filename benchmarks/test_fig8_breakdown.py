@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import RunConfig
-from repro.pipeline import PipelineMode, simulate_epoch
+from repro.pipeline import PipelineMode, simulate_trace
 from conftest import publish, run_once
 from repro.utils import Table
 
@@ -27,7 +27,7 @@ def run_fig8(artifacts):
         system = artifacts.system(DATASET, cfg)
         report = system.trainer.train_epoch(0, dry_run=True)
         for mode in (PipelineMode.OFF, PipelineMode.FULL):
-            res = simulate_epoch(report, system.cost_model, mode=mode,
+            res = simulate_trace(report.events, system.cost_model, mode=mode,
                                  depth=cfg.pipeline_depth)
             out[(mode.value, alpha)] = res
     return out

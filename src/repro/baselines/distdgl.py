@@ -32,9 +32,10 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.system import SalientPP
-from repro.distributed.executor import StepRecord
+from repro.distributed.records import StepRecord
 from repro.graph.datasets import GraphDataset
 from repro.pipeline.costmodel import CostModel, StageTimes
+from repro.pipeline.events import Stage
 from repro.pipeline.simulator import PipelineMode
 
 
@@ -87,8 +88,6 @@ class DistDGLCostModel(CostModel):
     def event_duration(self, ev) -> float:
         """Event-path pricing with the same deratings as :meth:`stage_times`
         (the engine-emitted trace must cost the same as the record replay)."""
-        from repro.pipeline.events import Stage
-
         base = super().event_duration(ev)
         m = self.cluster.machine
         net = self.cluster.network

@@ -42,7 +42,7 @@ from repro.partition.interface import Partition
 from repro.partition.registry import make_partition  # noqa: F401  (re-export)
 from repro.partition.reorder import ReorderedDataset
 from repro.pipeline.costmodel import CostModel, ModelDims
-from repro.pipeline.simulator import PipelineResult, simulate_epoch, simulate_trace
+from repro.pipeline.simulator import PipelineResult, simulate_trace
 
 
 @dataclass
@@ -155,30 +155,20 @@ class SalientPP:
     def train_epoch(self, epoch: int = 0, *, dry_run: bool = False) -> EpochResult:
         """One functional epoch + its simulated wall time.
 
-        The engine's emitted stage-event schedule is priced directly
-        (:func:`simulate_trace`) — identical to the record-based
-        :func:`simulate_epoch` for the lock-step ``bsp`` engine, and the
-        only faithful option for engines whose schedule differs from what
-        step records alone imply (coalesced comm windows, thinned
-        allreduce barriers).  Reports without a trace fall back to the
-        record-based reconstruction.
+        The report's stage-event schedule — the one the engine actually
+        executed: per-step windows for ``bsp``, coalesced comm windows for
+        ``pipelined``, thinned allreduce barriers for ``async`` — is priced
+        directly by :func:`simulate_trace`.
         """
         with OBS.span("system.train_epoch", epoch=epoch, dry_run=dry_run,
                       backend=self.config.backend):
             report = self.backend().run_epoch(epoch, dry_run=dry_run)
             with OBS.span("system.simulate"):
-                if report.events is not None:
-                    timing = simulate_trace(
-                        report.events, self.cost_model,
-                        mode=self.config.pipeline,
-                        depth=self.config.pipeline_depth,
-                    )
-                else:
-                    timing = simulate_epoch(
-                        report, self.cost_model,
-                        mode=self.config.pipeline,
-                        depth=self.config.pipeline_depth,
-                    )
+                timing = simulate_trace(
+                    report.events, self.cost_model,
+                    mode=self.config.pipeline,
+                    depth=self.config.pipeline_depth,
+                )
             return EpochResult(report=report, timing=timing)
 
     def train(self, epochs: int, *, dry_run: bool = False) -> List[EpochResult]:

@@ -28,6 +28,7 @@ from repro.distributed.engine import (
     ExecutionEngine,
     PipelinedEngine,
     PrefetchIterator,
+    assemble_report,
     make_engine,
     train_batch,
 )
@@ -47,19 +48,15 @@ from repro.distributed.feature_store import (
     PartitionedFeatureStore,
     StaticCache,
 )
-from repro.distributed.executor import (
-    DistributedTrainer,
-    EpochReport,
-    InProcessBackend,
-    StepRecord,
-)
+from repro.distributed.executor import DistributedTrainer, InProcessBackend
 from repro.distributed.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.distributed.multiproc import (  # must import after executor
+from repro.distributed.multiproc import (
     WORKER_POOL,
     MultiprocBackend,
     WorkerFailedError,
     WorkerPool,
 )
+from repro.distributed.records import EpochReport, StepRecord
 from repro.distributed.recovery import (
     RecoveryManager,
     RecoveryPolicy,
@@ -113,6 +110,7 @@ __all__ = [
     "ExecutionEngine",
     "PipelinedEngine",
     "PrefetchIterator",
+    "assemble_report",
     "make_engine",
     "train_batch",
     "DYNAMIC_CACHE_POLICIES",

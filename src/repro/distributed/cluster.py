@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distributed.executor import EpochReport
+    from repro.distributed.records import EpochReport
 
 
 GBPS = 1e9 / 8  # bytes/s per Gbit/s
@@ -159,7 +159,7 @@ class ClusterBackend:
     feature store layout, config).  Contract:
 
     * :meth:`run_epoch` returns an
-      :class:`~repro.distributed.executor.EpochReport` that is functionally
+      :class:`~repro.distributed.records.EpochReport` that is functionally
       identical across backends: same per-step losses, same
       :class:`StepRecord` volumes, same ledger bytes, and an event trace
       with the same shape (the parity suite compares them with

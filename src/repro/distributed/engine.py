@@ -1,41 +1,65 @@
-"""Pluggable execution engines: how one functional epoch actually runs.
+"""Execution engines: the one epoch loop, and the report assembled from it.
 
-The trainer used to hard-code one schedule — a strictly lock-step double
-loop (sample, gather, train, all-reduce, next step).  This module makes the
-schedule a first-class, registered strategy over the plan/execute gather
-split of :class:`~repro.distributed.feature_store.PartitionedFeatureStore`:
+The paper's §4.3 / Appendix D describe *one* per-machine pipeline — sample,
+slice, request exchange, feature all-to-all, H2D, train, all-reduce — and
+this module writes it once.  :meth:`ExecutionEngine.run_machines` is the
+only epoch loop in the repo: a loop over *comm windows* that, per window,
+samples and gathers every in-flight batch of every machine in its **machine
+set**, then trains the window's steps in order.  The registered engines are
+parameter choices over that loop, not loops of their own:
 
 ``bsp``
-    Bulk-synchronous parallel — the paper's (and the seed trainer's)
-    semantics, byte-for-byte: one batch in flight per machine, a gradient
-    all-reduce closing every step.
+    Bulk-synchronous parallel — the paper's semantics: windows of one step,
+    a gradient all-reduce closing every step.
 
 ``pipelined``
-    §4.3 made *functional* instead of merely simulated: each machine keeps
-    up to ``depth`` minibatches in flight, drawn ahead through a shared
-    prefetch iterator over :meth:`NeighborSampler.batches`.  The in-flight
-    batches' :class:`FetchPlan`\\ s are coalesced — remote vertex ids
-    needed by several of them are fetched from peers exactly once — so
-    deep pipelines reduce real communication, not just hide it.  Training
-    math is step-for-step identical to ``bsp`` (same sample streams, same
+    §4.3 made *functional*: windows of ``depth`` steps per machine, drawn
+    ahead through a :class:`PrefetchIterator`.  The window's
+    :class:`FetchPlan`\\ s are coalesced — remote vertex ids needed by
+    several in-flight batches are fetched from peers exactly once — so deep
+    pipelines reduce real communication, not just hide it.  Training math
+    is step-for-step identical to ``bsp`` (same sample streams, same
     per-step all-reduce), so losses match bit-for-bit while comm shrinks.
 
 ``async``
-    Bounded-staleness data parallelism: replicas apply their own gradients
-    immediately and re-converge by parameter averaging every
-    ``staleness + 1`` steps, trading gradient freshness for fewer
-    synchronization barriers (the allreduce events thin out accordingly).
+    Bounded-staleness data parallelism: windows of one step, each replica
+    applies its own gradient immediately, and replicas re-converge by
+    parameter averaging every ``staleness + 1`` steps — fewer
+    synchronization barriers, and the allreduce events thin out to match.
 
-Every engine emits the :class:`~repro.pipeline.events.EventTrace` of the
-schedule it actually executed; the discrete-event simulator prices that
-trace directly instead of re-deriving a hypothetical schedule from step
-records.  Register new engines with ``@ENGINES.register(name)`` — the name
+The machine set and the collective
+----------------------------------
+The in-process backend runs the loop over all ``K`` machines; a multiproc
+worker runs the *same* loop over ``{k}``.  The loop reaches its peers only
+through a two-method **collective**:
+
+``fetched(w0, w1, plans, first_request)``
+    called once per machine after it gathered window ``[w0, w1)`` (the
+    executed plans and, for coalesced windows, their first-request masks);
+``sync(step)``
+    closes a training step: on return every replica in the machine set
+    holds the synchronized gradients (or parameters, for ``async``).
+
+:class:`InProcessCollective` is the all-``K`` implementation (a no-op and
+:func:`all_reduce_gradients` / :func:`average_parameters`); the worker's
+(:mod:`repro.distributed.multiproc.worker`) audits its plans, fires
+scheduled faults and exchanges control tokens and gradient slabs with the
+coordinator.
+
+The loop produces only machine-local output — each machine's
+:class:`StepRecord`\\ s.  Everything cross-machine — ``(step, machine)``
+record order, :class:`CommLedger` bytes, who served whom, the
+:class:`EventTrace` the simulator prices — is derived afterwards by the pure
+:func:`assemble_report`, which both backends call on the K record lists.
+Backend parity therefore holds by construction, not by a second copy of the
+schedule.  Register new engines with ``@ENGINES.register(name)`` — the name
 immediately becomes valid for ``RunConfig.engine``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,23 +67,25 @@ from repro.distributed.comm import (
     CommLedger,
     all_reduce_gradients,
     average_parameters,
+    gradient_nbytes,
 )
 from repro.distributed.feature_store import FetchPlan, GatherArena
+from repro.distributed.records import (
+    EpochReport,
+    StepRecord,
+    _candidate_edges,
+    served_rows_matrix,
+)
 from repro.nn.functional import cross_entropy
 from repro.obs import OBS
+from repro.pipeline.events import (
+    EventTrace,
+    Stage,
+    emit_step_events,
+    emit_window_comm_events,
+)
 from repro.sampling.mfg import MFG
 from repro.utils.registry import Registry
-from repro.utils.rng import machine_stream_seed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.distributed.executor import DistributedTrainer, EpochReport
-    from repro.pipeline.events import EventTrace
-
-# NOTE: repro.pipeline modules are imported lazily inside methods.  This
-# module is loaded by ``repro/distributed/__init__``, and the pipeline
-# package's modules import ``repro.distributed.*`` — an eager import here
-# would make ``import repro.pipeline`` (as the first repro import) re-enter
-# a half-initialized module.
 
 #: Execution engine registry (``RunConfig.engine``).  Entries are engine
 #: classes; construct through :func:`make_engine` so per-engine knobs
@@ -67,8 +93,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 ENGINES = Registry("execution engine")
 
 
-def make_engine(name: str, trainer: "DistributedTrainer", *,
-                pipeline_depth: int = 10, staleness: int = 0) -> "ExecutionEngine":
+def make_engine(name: str, trainer, *, pipeline_depth: int = 10,
+                staleness: int = 0) -> "ExecutionEngine":
     """Build the named engine for ``trainer``.
 
     ``pipeline_depth`` configures ``pipelined`` (ignored by others);
@@ -84,11 +110,9 @@ def train_batch(model, feats: np.ndarray, mfg: MFG,
                 labels: np.ndarray) -> float:
     """Forward/backward one minibatch on one replica; returns the loss.
 
-    The single sequence of floating-point operations every cluster backend
-    runs per (machine, step): the in-process engines call it through
-    :meth:`ExecutionEngine._train_batch`, and multiproc workers call it
-    directly — which is what makes distributed losses bit-identical to the
-    in-process baseline rather than merely close.
+    The single sequence of floating-point operations run per (machine,
+    step), whichever cluster backend hosts the machine — its one call site
+    is the epoch loop (:meth:`ExecutionEngine.run_machines`).
     """
     model.train()
     logits = model(feats, mfg)
@@ -130,18 +154,59 @@ class PrefetchIterator:
         return out
 
 
-class ExecutionEngine:
-    """Base engine: shared batch-step plumbing over a trainer's state.
+@dataclass(frozen=True)
+class Schedule:
+    """The shape of one epoch under one engine: ``windows`` tile
+    ``range(steps)`` into comm windows (half-open pairs); ``sync_steps``
+    are the steps closed by a collective synchronization."""
 
-    Subclasses implement :meth:`run_epoch` and are registered in
-    :data:`ENGINES`.  The engine owns *scheduling* only — model math,
-    storage, and collectives live in the trainer's components, so all
-    engines train the same model on the same sample streams.
+    engine: str
+    steps: int
+    windows: Tuple[Tuple[int, int], ...]
+    sync_steps: Tuple[int, ...]
+
+
+class InProcessCollective:
+    """The collective over all K replicas inside this interpreter: nothing
+    to tell anyone about a gather, and a step closes by reducing the model
+    replicas directly (``reduce`` is :func:`all_reduce_gradients`, or
+    :func:`average_parameters` for ``async``)."""
+
+    def __init__(self, models, reduce):
+        self._models = models
+        self._reduce = reduce
+
+    def fetched(self, w0: int, w1: int, plans, first_request) -> None:
+        pass
+
+    def sync(self, step: int) -> None:
+        self._reduce(self._models)
+
+
+class ExecutionEngine:
+    """The epoch loop over a trainer's state, parameterised by the class
+    attributes the registered engines set.
+
+    The engine owns *scheduling* only — model math, storage, and the
+    collective live in the trainer's components, so all engines train the
+    same model on the same sample streams.  ``trainer`` is a
+    :class:`~repro.distributed.executor.DistributedTrainer` or anything
+    with its machine-indexed surface (``models`` / ``optimizers`` indexable
+    by machine, ``batches(machine, epoch)``, ``steps_per_epoch()``,
+    ``store``, ``ds.labels``, ``ds.graph``) — a multiproc worker passes
+    one holding only its own machine.
     """
 
     name: str = "?"
+    #: Batches each machine keeps in flight = steps per comm window.
+    depth: int = 1
+    #: Coalesce a window's fetch plans into one deduplicated peer exchange.
+    coalesce: bool = False
+    #: Apply each replica's own gradient every step; ``sync`` then averages
+    #: parameters instead of gradients.
+    local_apply: bool = False
 
-    def __init__(self, trainer: "DistributedTrainer"):
+    def __init__(self, trainer):
         self.trainer = trainer
         # Reusable gather outputs, keyed by (machine, in-flight slot): a
         # batch's features are consumed (trained on) before the same slot
@@ -149,165 +214,213 @@ class ExecutionEngine:
         # hot path's largest — happens only at the high-water mark.
         self._gather_arena = GatherArena()
 
-    def _gather_out(self, machine: int, rows: int, slot: int = 0) -> np.ndarray:
+    @classmethod
+    def _build(cls, trainer, **_knobs) -> "ExecutionEngine":
+        return cls(trainer)
+
+    def sync_steps(self, steps: int) -> List[int]:
+        """Steps closed by a synchronization (every step unless overridden)."""
+        return list(range(steps))
+
+    def schedule(self, steps: int) -> Schedule:
+        """This engine's window tiling and sync points for ``steps`` steps."""
+        return Schedule(
+            engine=self.name, steps=steps,
+            windows=tuple((w, min(w + self.depth, steps))
+                          for w in range(0, steps, self.depth)),
+            sync_steps=tuple(self.sync_steps(steps)),
+        )
+
+    def _gather_out(self, machine: int, rows: int, slot: int) -> np.ndarray:
         store = self.trainer.store
         return self._gather_arena.out(
             (machine, slot), rows, store.feature_dim,
             store.stores[machine].local_features.dtype,
         )
 
-    @classmethod
-    def _build(cls, trainer: "DistributedTrainer", **_knobs) -> "ExecutionEngine":
-        return cls(trainer)
-
-    # -- shared helpers -------------------------------------------------
-    def _iterators(self, epoch: int) -> List[Iterator[MFG]]:
-        """Per-machine minibatch iterators, seeded exactly as the seed
-        trainer's epoch loop (same shuffle order for every engine)."""
+    def _gather_window(self, k: int, w0: int, mfgs: List[MFG], collective):
+        """Plan, fetch and record one machine's window; returns
+        ``(features per batch, records)``."""
         tr = self.trainer
-        return [
-            tr.samplers[k].batches(
-                tr.local_train[k], tr.batch_size,
-                drop_last=True, epoch=epoch,
-                seed=machine_stream_seed(tr.seed, "order", k),
+        plans = [tr.store.plan_gather(k, mfg.n_id) for mfg in mfgs]
+        outs = [self._gather_out(k, len(p.ids), slot=i)
+                for i, p in enumerate(plans)]
+        if self.coalesce:
+            cplan = FetchPlan.coalesce(plans)
+            results = tr.store.execute_coalesced(cplan, outs=outs)
+            first_request = cplan.first_request
+        else:
+            results = [tr.store.execute(plans[0], out=outs[0])]
+            first_request = [None]
+        collective.fetched(w0, w0 + len(mfgs), plans, first_request)
+        degrees = tr.ds.graph.degrees
+        records = [
+            StepRecord(
+                machine=k,
+                step=w0 + i,
+                batch_size=mfg.batch_size,
+                mfg_vertices=mfg.num_vertices,
+                mfg_edges=mfg.num_edges,
+                candidate_edges=_candidate_edges(degrees, mfg),
+                block_sizes=tuple(
+                    (b.num_src, b.num_dst, b.num_edges) for b in mfg.blocks
+                ),
+                gather=stats,
             )
-            for k in range(tr.num_machines)
+            for i, (mfg, (_feats, stats)) in enumerate(zip(mfgs, results))
         ]
+        return [feats for feats, _stats in results], records
 
-    def _dims_tuple(self):
+    def run_machines(self, epoch: int, machines: Iterable[int], collective,
+                     *, dry_run: bool = False) -> List[List[StepRecord]]:
+        """Run one epoch for ``machines`` — *the* epoch loop.
+
+        Per comm window: every machine samples its in-flight batches,
+        gathers them (coalesced across the window for ``pipelined``) and
+        reports to ``collective.fetched``; then, unless ``dry_run``, the
+        window's steps train in order, each sync step closed by
+        ``collective.sync`` and the optimizer step.  Returns each machine's
+        step records, in ``machines`` order — machine-local output only;
+        :func:`assemble_report` derives the rest.
+        """
         tr = self.trainer
-        return (tr.ds.feature_dim, tr.hidden_dim, tr.ds.num_classes)
+        machines = list(machines)
+        steps = tr.steps_per_epoch()
+        sched = self.schedule(steps)
+        sync_at = set(sched.sync_steps)
+        streams = {k: PrefetchIterator(tr.batches(k, epoch), self.depth)
+                   for k in machines}
+        records: dict = {k: [] for k in machines}
+        span, key = (("engine.window", "window") if self.coalesce
+                     else ("engine.step", "step"))
+        with OBS.span("engine.epoch", engine=self.name, epoch=epoch,
+                      steps=steps, machines=len(machines), depth=self.depth):
+            for w0, w1 in sched.windows:
+                with OBS.span(span, hist=f"{span}_wall_s", **{key: w0}):
+                    window = {}
+                    for k in machines:
+                        mfgs = streams[k].next_window(w1 - w0)
+                        if len(mfgs) != w1 - w0:
+                            raise RuntimeError(
+                                f"machine {k} batch stream ended early "
+                                f"({len(mfgs)}/{w1 - w0} batches in window "
+                                f"{w0})"
+                            )
+                        feats, recs = self._gather_window(k, w0, mfgs,
+                                                          collective)
+                        records[k].extend(recs)
+                        window[k] = (mfgs, feats, recs)
+                    if dry_run:
+                        continue
+                    for i, step in enumerate(range(w0, w1)):
+                        for k in machines:
+                            mfgs, feats, recs = window[k]
+                            recs[i].loss = train_batch(
+                                tr.models[k], feats[i], mfgs[i],
+                                tr.ds.labels[mfgs[i].seeds])
+                            if self.local_apply:
+                                tr.optimizers[k].step()
+                        if step in sync_at:
+                            collective.sync(step)
+                            if not self.local_apply:
+                                for k in machines:
+                                    tr.optimizers[k].step()
+            if OBS.enabled:
+                OBS.metrics.counter("engine.steps").inc(steps)
+        return [records[k] for k in machines]
 
-    def _record_fetch(self, ledger: CommLedger, machine: int, stats) -> None:
+    def report(self, epoch: int, per_machine: Sequence[List[StepRecord]],
+               cache_churn=None) -> EpochReport:
+        """:func:`assemble_report` with this engine's schedule and its
+        trainer's row size, model widths and gradient size."""
         tr = self.trainer
-        ledger.record_feature_fetch(machine, stats.remote_per_peer,
-                                    tr.store.bytes_per_row)
-        if stats.refresh_fetch_per_peer is not None:
-            ledger.record_feature_fetch(machine, stats.refresh_fetch_per_peer,
-                                        tr.store.bytes_per_row)
-
-    def _train_batch(self, machine: int, feats: np.ndarray, mfg: MFG) -> float:
-        """Forward/backward one batch on one replica; returns the loss."""
-        tr = self.trainer
-        return train_batch(tr.models[machine], feats, mfg,
-                           tr.ds.labels[mfg.seeds])
-
-    def _make_record(self, machine: int, step: int, mfg: MFG, stats,
-                     loss: Optional[float]):
-        from repro.distributed.executor import StepRecord, _candidate_edges
-
-        tr = self.trainer
-        return StepRecord(
-            machine=machine,
-            step=step,
-            batch_size=mfg.batch_size,
-            mfg_vertices=mfg.num_vertices,
-            mfg_edges=mfg.num_edges,
-            candidate_edges=_candidate_edges(tr.ds.graph.degrees, mfg),
-            block_sizes=tuple(
-                (b.num_src, b.num_dst, b.num_edges) for b in mfg.blocks
-            ),
-            gather=stats,
-            loss=loss,
+        return assemble_report(
+            self.schedule(tr.steps_per_epoch()), per_machine, epoch=epoch,
+            bytes_per_row=tr.store.bytes_per_row,
+            dims=(tr.ds.feature_dim, tr.hidden_dim, tr.ds.num_classes),
+            grad_nbytes=gradient_nbytes(tr.models[0]),
+            cache_churn=cache_churn,
         )
 
-    def _finish_report(self, epoch: int, records, ledger, losses, steps,
-                       churn_before, trace: EventTrace) -> "EpochReport":
-        from repro.distributed.executor import EpochReport
-
+    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> EpochReport:
+        """One epoch over all K in-process machines, assembled."""
         tr = self.trainer
+        churn_before = tr.store.cache_churn()
+        collective = InProcessCollective(
+            tr.models,
+            average_parameters if self.local_apply else all_reduce_gradients)
+        per_machine = self.run_machines(epoch, range(tr.num_machines),
+                                        collective, dry_run=dry_run)
         churn = None
         if churn_before is not None:
             churn = [after.delta(before) for after, before
                      in zip(tr.store.cache_churn(), churn_before)]
-        return EpochReport(
-            epoch=epoch,
-            records=records,
-            ledger=ledger,
-            mean_loss=float(np.mean(losses)) if losses else None,
-            steps_per_machine=steps,
-            cache_churn=churn,
-            events=trace.validate(),
-        )
+        return self.report(epoch, per_machine, cache_churn=churn)
 
-    def _run_stepwise(self, epoch: int, *, dry_run: bool,
-                      sync_steps: Sequence[int],
-                      local_apply: bool) -> "EpochReport":
-        """One-batch-in-flight epoch loop shared by ``bsp`` and ``async``.
 
-        ``sync_steps`` are the steps that end with a synchronization
-        barrier; ``local_apply`` selects the sync flavor — ``False`` is the
-        seed loop (gradient all-reduce then a lock-step optimizer step at
-        every sync point), ``True`` applies each replica's own gradient
-        immediately and re-converges by parameter averaging at sync points.
-        """
-        from repro.pipeline.costmodel import served_rows_matrix
-        from repro.pipeline.events import EventTrace, Stage, emit_step_events
+def assemble_report(schedule: Schedule,
+                    per_machine: Sequence[List[StepRecord]], *, epoch: int,
+                    bytes_per_row: int, dims: Tuple[int, int, int],
+                    grad_nbytes: int, cache_churn=None) -> EpochReport:
+    """Everything cross-machine about one epoch, from the K machines' step
+    records alone (``per_machine[k][s]`` is machine ``k``'s record of step
+    ``s``).
 
-        tr = self.trainer
-        K = tr.num_machines
-        steps = tr.steps_per_epoch()
-        ledger = CommLedger(K)
-        records = []
-        churn_before = tr.store.cache_churn()
-        iterators = self._iterators(epoch)
-        dims = self._dims_tuple()
-        sync_at = set(sync_steps)
-        trace = EventTrace(
-            engine=self.name, num_machines=K, num_steps=steps,
-            windows=[(s, s + 1) for s in range(steps)],
-            allreduce_steps=sorted(sync_at),
-        )
-
-        losses: List[float] = []
-        with OBS.span("engine.epoch", engine=self.name, epoch=epoch,
-                      steps=steps, machines=K):
-            for step in range(steps):
-                with OBS.span("engine.step", step=step,
-                              hist="engine.step_wall_s"):
-                    step_records = []
-                    step_losses = []
-                    for k in range(K):
-                        mfg = next(iterators[k])
-                        feats, stats = tr.store.execute(
-                            tr.store.plan_gather(k, mfg.n_id),
-                            out=self._gather_out(k, len(mfg.n_id)),
-                        )
-                        self._record_fetch(ledger, k, stats)
-                        loss_val = None
-                        if not dry_run:
-                            loss_val = self._train_batch(k, feats, mfg)
-                            if local_apply:
-                                # stale local apply, no barrier
-                                tr.optimizers[k].step()
-                                losses.append(loss_val)
-                            else:
-                                step_losses.append(loss_val)
-                        rec = self._make_record(k, step, mfg, stats, loss_val)
-                        records.append(rec)
-                        step_records.append(rec)
-                    served = served_rows_matrix(step_records, K)
-                    for k, rec in enumerate(step_records):
-                        emit_step_events(trace, rec, int(served[k]), dims)
-                    if step in sync_at:
-                        trace.add(Stage.ALLREDUCE, -1, step)
-                        if not dry_run:
-                            if local_apply:
-                                average_parameters(tr.models, ledger)
-                            else:
-                                all_reduce_gradients(tr.models, ledger)
-                                for opt in tr.optimizers:
-                                    opt.step()
-                                losses.extend(step_losses)
-            if OBS.enabled:
-                OBS.metrics.counter("engine.steps").inc(steps)
-
-        return self._finish_report(epoch, records, ledger, losses, steps,
-                                   churn_before, trace)
-
-    # -- interface ------------------------------------------------------
-    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> "EpochReport":
-        raise NotImplementedError
+    Pure: records in ``(step, machine)`` order, the :class:`CommLedger`
+    (feature/request bytes per record, one ring all-reduce per sync step of
+    a trained epoch), who served whom per window, the per-step and
+    per-window stage events plus an ``ALLREDUCE`` per sync step — validated
+    — and the mean loss in record order.  The in-process engine calls it
+    after its loop and the multiproc coordinator after collecting its
+    workers' records, which is what makes their reports identical.
+    """
+    K = len(per_machine)
+    ledger = CommLedger(K)
+    trace = EventTrace(
+        engine=schedule.engine, num_machines=K, num_steps=schedule.steps,
+        windows=list(schedule.windows),
+        allreduce_steps=list(schedule.sync_steps),
+    )
+    sync_at = set(schedule.sync_steps)
+    records: List[StepRecord] = []
+    for w0, w1 in schedule.windows:
+        served = np.zeros(K, dtype=np.int64)
+        for step in range(w0, w1):
+            row = [per_machine[k][step] for k in range(K)]
+            records.extend(row)
+            served += served_rows_matrix(row, K)
+            for rec in row:
+                emit_step_events(trace, rec, dims)
+            if step in sync_at:
+                trace.add(Stage.ALLREDUCE, -1, step)
+        for k in range(K):
+            recs = per_machine[k][w0:w1]
+            for rec in recs:
+                g = rec.gather
+                ledger.record_feature_fetch(k, g.remote_per_peer,
+                                            bytes_per_row)
+                if g.refresh_fetch_per_peer is not None:
+                    ledger.record_feature_fetch(k, g.refresh_fetch_per_peer,
+                                                bytes_per_row)
+            emit_window_comm_events(
+                trace, w0, k,
+                int(sum(rec.gather.comm_rows() for rec in recs)),
+                int(served[k]),
+                mfg_edges=int(sum(rec.mfg_edges for rec in recs)),
+            )
+    losses = [rec.loss for rec in records if rec.loss is not None]
+    if losses and K > 1:
+        for _step in schedule.sync_steps:
+            ledger.record_all_reduce(2.0 * (K - 1) / K * grad_nbytes)
+    return EpochReport(
+        epoch=epoch,
+        records=records,
+        ledger=ledger,
+        mean_loss=float(np.mean(losses)) if losses else None,
+        steps_per_machine=schedule.steps,
+        events=trace.validate(),
+        cache_churn=cache_churn,
+    )
 
 
 @ENGINES.register("bsp")
@@ -317,16 +430,11 @@ class BSPEngine(ExecutionEngine):
     One batch in flight per machine; every step gathers through the
     plan/execute path (``execute(plan_gather(...))`` ≡ the monolithic
     ``gather``), trains each replica, and closes with a gradient
-    all-reduce.  The emitted trace has one comm window and one allreduce
-    barrier per step.
+    all-reduce.  The trace has one comm window and one allreduce barrier
+    per step.
     """
 
     name = "bsp"
-
-    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> "EpochReport":
-        steps = self.trainer.steps_per_epoch()
-        return self._run_stepwise(epoch, dry_run=dry_run,
-                                  sync_steps=range(steps), local_apply=False)
 
 
 @ENGINES.register("pipelined")
@@ -344,8 +452,9 @@ class PipelinedEngine(ExecutionEngine):
     """
 
     name = "pipelined"
+    coalesce = True
 
-    def __init__(self, trainer: "DistributedTrainer", depth: int = 10):
+    def __init__(self, trainer, depth: int = 10):
         super().__init__(trainer)
         if depth < 1:
             raise ValueError(f"pipeline depth must be >= 1, got {depth}")
@@ -354,120 +463,6 @@ class PipelinedEngine(ExecutionEngine):
     @classmethod
     def _build(cls, trainer, *, pipeline_depth: int = 10, **_knobs):
         return cls(trainer, depth=pipeline_depth)
-
-    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> "EpochReport":
-        from repro.pipeline.events import EventTrace
-
-        tr = self.trainer
-        K = tr.num_machines
-        steps = tr.steps_per_epoch()
-        depth = self.depth
-        ledger = CommLedger(K)
-        records = []
-        churn_before = tr.store.cache_churn()
-        prefetchers = [PrefetchIterator(it, depth)
-                       for it in self._iterators(epoch)]
-        dims = self._dims_tuple()
-        windows = [(w, min(w + depth, steps)) for w in range(0, steps, depth)]
-        trace = EventTrace(
-            engine=self.name, num_machines=K, num_steps=steps,
-            windows=windows, allreduce_steps=list(range(steps)),
-        )
-
-        losses: List[float] = []
-        with OBS.span("engine.epoch", engine=self.name, epoch=epoch,
-                      steps=steps, machines=K, depth=depth):
-            for w0, w1 in windows:
-                with OBS.span("engine.window", window=w0,
-                              hist="engine.window_wall_s"):
-                    self._run_window(w0, w1, prefetchers, trace, ledger,
-                                     records, losses, dims, dry_run=dry_run)
-            if OBS.enabled:
-                OBS.metrics.counter("engine.steps").inc(steps)
-
-        return self._finish_report(epoch, records, ledger, losses, steps,
-                                   churn_before, trace)
-
-    def _run_window(self, w0: int, w1: int, prefetchers, trace, ledger,
-                    records, losses, dims, *, dry_run: bool) -> None:
-        """Prefetch, coalesce-fetch, record, and train one window."""
-        from repro.pipeline.costmodel import served_rows_matrix
-        from repro.pipeline.events import (
-            Stage,
-            emit_step_events,
-            emit_window_comm_events,
-        )
-
-        tr = self.trainer
-        K = tr.num_machines
-        width = w1 - w0
-        # --- prefetch + plan + coalesce + fetch, per machine. ---
-        batches: List[List[MFG]] = []
-        gathered = []  # [k][i] -> (feats, stats)
-        for k in range(K):
-            mfgs = prefetchers[k].next_window(width)
-            if len(mfgs) != width:
-                raise RuntimeError(
-                    f"machine {k} batch stream ended early "
-                    f"({len(mfgs)}/{width} batches in window {w0})"
-                )
-            plans = [tr.store.plan_gather(k, mfg.n_id) for mfg in mfgs]
-            results = tr.store.execute_coalesced(
-                FetchPlan.coalesce(plans),
-                outs=[self._gather_out(k, len(p.ids), slot=i)
-                      for i, p in enumerate(plans)],
-            )
-            for _feats, stats in results:
-                self._record_fetch(ledger, k, stats)
-            batches.append(mfgs)
-            gathered.append(results)
-
-        # --- records, in (step, machine) order like bsp. ---
-        window_records: List[List] = []
-        for i, s in enumerate(range(w0, w1)):
-            step_records = []
-            for k in range(K):
-                rec = self._make_record(
-                    k, s, batches[k][i], gathered[k][i][1], None
-                )
-                records.append(rec)
-                step_records.append(rec)
-            window_records.append(step_records)
-
-        # --- events: per-step stages + one coalesced comm window. ---
-        window_served = np.zeros(K, dtype=np.int64)
-        for step_records in window_records:
-            window_served += served_rows_matrix(step_records, K)
-        for i, s in enumerate(range(w0, w1)):
-            for rec in window_records[i]:
-                emit_step_events(trace, rec, 0, dims, window_start=w0)
-            trace.add(Stage.ALLREDUCE, -1, s)
-        for k in range(K):
-            machine_recs = [r for sr in window_records for r in sr
-                            if r.machine == k]
-            request_rows = int(sum(
-                r.gather.remote_rows + r.gather.refresh_fetch_rows
-                for r in machine_recs
-            ))
-            emit_window_comm_events(
-                trace, w0, k, request_rows, int(window_served[k]),
-                mfg_edges=int(sum(r.mfg_edges for r in machine_recs)),
-            )
-
-        # --- train the window's steps in bsp order. ---
-        if not dry_run:
-            for i, s in enumerate(range(w0, w1)):
-                step_losses = []
-                for k in range(K):
-                    loss_val = self._train_batch(
-                        k, gathered[k][i][0], batches[k][i]
-                    )
-                    window_records[i][k].loss = loss_val
-                    step_losses.append(loss_val)
-                all_reduce_gradients(tr.models, ledger)
-                for opt in tr.optimizers:
-                    opt.step()
-                losses.extend(step_losses)
 
 
 @ENGINES.register("async")
@@ -479,14 +474,15 @@ class AsyncEngine(ExecutionEngine):
     ``staleness + 1`` steps and at epoch end, so no replica's weights ever
     lag the slowest peer by more than ``staleness`` local updates.
     ``staleness = 0`` synchronizes every step (BSP cadence with parameter
-    instead of gradient averaging).  The emitted allreduce events exist
-    only at the sync points — the simulator sees the thinner barrier
-    structure, which is the mode's entire performance argument.
+    instead of gradient averaging).  The allreduce events exist only at
+    the sync points — the simulator sees the thinner barrier structure,
+    which is the mode's entire performance argument.
     """
 
     name = "async"
+    local_apply = True
 
-    def __init__(self, trainer: "DistributedTrainer", staleness: int = 0):
+    def __init__(self, trainer, staleness: int = 0):
         super().__init__(trainer)
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
@@ -502,9 +498,3 @@ class AsyncEngine(ExecutionEngine):
         if steps and (steps - 1) not in out:
             out.append(steps - 1)  # epoch end always re-converges
         return out
-
-    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> "EpochReport":
-        steps = self.trainer.steps_per_epoch()
-        return self._run_stepwise(epoch, dry_run=dry_run,
-                                  sync_steps=self.sync_steps(steps),
-                                  local_apply=True)

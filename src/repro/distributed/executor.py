@@ -13,138 +13,31 @@ engine.  Non-stationary workloads swap the active training set between
 epochs via :meth:`DistributedTrainer.update_training_set`, and
 dynamic-cache churn is attributed per epoch in the report.
 
-Every step produces a :class:`StepRecord` with the exact workload volumes
-(MFG sizes, candidate edges examined by the sampler, per-category feature
-rows, per-peer remote rows, model FLOPs), and every report carries the
-engine's emitted :class:`~repro.pipeline.events.EventTrace` — the schedule
-the discrete-event performance model prices.  ``dry_run`` epochs skip the
-numpy GNN math but record identical volumes, which keeps big timing sweeps
-cheap.
+Every step produces a :class:`~repro.distributed.records.StepRecord` with
+the exact workload volumes, and every report carries the
+:class:`~repro.pipeline.events.EventTrace` of the schedule the engine
+executed — what the discrete-event performance model prices.  ``dry_run``
+epochs skip the numpy GNN math but record identical volumes, which keeps
+big timing sweeps cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.distributed.cluster import CLUSTER_BACKENDS, ClusterBackend
-from repro.distributed.comm import (
-    CommLedger,
-    broadcast_state,
-    gradient_nbytes,
-)
-from repro.distributed.dynamic_cache import CacheChurnStats
-from repro.distributed.feature_store import GatherStats, PartitionedFeatureStore
+from repro.distributed.comm import broadcast_state, gradient_nbytes
+from repro.distributed.engine import make_engine
+from repro.distributed.feature_store import PartitionedFeatureStore
+from repro.distributed.records import EpochReport, StepRecord  # noqa: F401  (re-export)
 from repro.nn.models import MFGModel, build_model
 from repro.nn.optim import Adam
 from repro.partition.reorder import ReorderedDataset
 from repro.sampling.mfg import MFG
 from repro.sampling.neighbor import NeighborSampler
 from repro.utils.rng import SeedLike, derive_seed, machine_stream_seed
-
-
-def sage_forward_flops(
-    block_sizes: Sequence[Tuple[int, int, int]],
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-) -> float:
-    """Forward-pass GEMM FLOPs of a SAGE stack over ``(num_src, num_dst,
-    num_edges)`` blocks — the single cost formula both training
-    (:meth:`StepRecord.flops`, at 3x for fwd+bwd) and inference serving
-    (:func:`repro.serving.forward_flops`) price with.
-
-    Per block: two dense (rows × d_in × d_out) products (self + neighbor
-    branches) plus the mean aggregation over sampled edges.
-    """
-    dims = [in_dim] + [hidden_dim] * (len(block_sizes) - 1) + [out_dim]
-    total = 0.0
-    # blocks are stored hop-1-first; layer i consumes block L-1-i.
-    for layer, (_num_src, num_dst, edges) in enumerate(reversed(block_sizes)):
-        d_in, d_out = dims[layer], dims[layer + 1]
-        gemm = 2.0 * num_dst * d_in * d_out * 2  # self + neighbor branch
-        agg = 2.0 * edges * d_in                 # mean aggregation
-        total += gemm + agg
-    return total
-
-
-@dataclass
-class StepRecord:
-    """Workload volumes for one machine's minibatch step."""
-
-    machine: int
-    step: int
-    batch_size: int
-    mfg_vertices: int
-    mfg_edges: int
-    candidate_edges: int  # adjacency entries the sampler examined
-    block_sizes: Tuple[Tuple[int, int, int], ...]  # (num_src, num_dst, edges)
-    gather: GatherStats
-    loss: Optional[float] = None
-
-    def flops(self, in_dim: int, hidden_dim: int, out_dim: int) -> float:
-        """Forward+backward GEMM FLOPs of a SAGE stack on this MFG
-        (backward costs ~2x forward)."""
-        return 3.0 * sage_forward_flops(self.block_sizes, in_dim, hidden_dim,
-                                        out_dim)
-
-
-@dataclass
-class EpochReport:
-    """One training epoch's functional results and workload trace.
-
-    ``cache_churn`` holds per-machine dynamic-cache churn attributed to this
-    epoch (``None`` when the feature store uses static caches).  ``events``
-    is the executing engine's emitted stage-event schedule (an
-    :class:`~repro.pipeline.events.EventTrace`), which the simulator prices
-    directly; ``None`` only for reports constructed by hand.
-    """
-
-    epoch: int
-    records: List[StepRecord]
-    ledger: CommLedger
-    mean_loss: Optional[float]
-    steps_per_machine: int
-    cache_churn: Optional[List[CacheChurnStats]] = None
-    events: Optional["EventTrace"] = None  # noqa: F821 - see pipeline.events
-
-    def records_for(self, machine: int) -> List[StepRecord]:
-        return [r for r in self.records if r.machine == machine]
-
-    def total_remote_rows(self) -> int:
-        return int(sum(r.gather.remote_rows for r in self.records))
-
-    def total_cached_rows(self) -> int:
-        return int(sum(r.gather.cached_rows for r in self.records))
-
-    def total_refresh_rows(self) -> int:
-        """Rows fetched by ``vip-refresh`` cache swaps this epoch."""
-        return int(sum(r.gather.refresh_fetch_rows for r in self.records))
-
-    def total_coalesced_rows(self) -> int:
-        """Rows deduplicated against another in-flight batch (pipelined
-        execution): needed again, but never re-fetched over the wire."""
-        return int(sum(r.gather.coalesced_rows for r in self.records))
-
-    def total_comm_rows(self) -> int:
-        """All feature rows moved over the network (demand + cache updates)."""
-        return self.total_remote_rows() + self.total_refresh_rows()
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of non-local feature rows served by the cache."""
-        cached = self.total_cached_rows()
-        return cached / max(cached + self.total_remote_rows(), 1)
-
-
-def _candidate_edges(degrees: np.ndarray, mfg: MFG) -> int:
-    """Adjacency entries examined while sampling this MFG: every hop scans
-    the full neighbor list of every destination."""
-    total = 0
-    for block in mfg.blocks:
-        total += int(degrees[mfg.n_id[:block.num_dst]].sum())
-    return total
 
 
 class DistributedTrainer:
@@ -183,10 +76,6 @@ class DistributedTrainer:
         pipeline_depth: int = 10,
         staleness: int = 0,
     ):
-        # Local import: the engine module needs the record/report types
-        # defined above, so the dependency must stay one-way at import time.
-        from repro.distributed.engine import make_engine
-
         if store.num_machines != reordered.num_parts:
             raise ValueError("store and reordered dataset disagree on machine count")
         self.reordered = reordered
@@ -229,25 +118,41 @@ class DistributedTrainer:
         train_idx = np.asarray(train_idx, dtype=np.int64)
         owner = self.reordered.owner_of(train_idx)
         local = [np.sort(train_idx[owner == k]) for k in range(self.num_machines)]
-        short = [k for k in range(self.num_machines)
-                 if len(local[k]) < self.batch_size]
-        if short:
-            raise ValueError(
-                f"machines {short} would have fewer than one batch "
-                f"({self.batch_size} vertices) of training data"
-            )
+        self._full_batches(local)
         self.local_train = local
         # A training-set swap is a *known* workload change: refreshing
         # caches re-score at their next gather instead of waiting out the
         # periodic interval.
         self.store.request_refresh()
 
+    def _full_batches(self, local_train: Sequence[np.ndarray]) -> int:
+        """Full batches every machine can draw from ``local_train``; a
+        machine with none would stall the lock-step schedule, so that is an
+        error here rather than a stream running dry mid-epoch."""
+        counts = [len(ids) // self.batch_size for ids in local_train]
+        short = [k for k, count in enumerate(counts) if count == 0]
+        if short:
+            raise ValueError(
+                f"machines {short} would have fewer than one batch "
+                f"({self.batch_size} vertices) of training data"
+            )
+        return min(counts)
+
     def steps_per_epoch(self) -> int:
         """Lock-step step count: the minimum full-batch count across
         machines (the paper's partitioner balances training vertices, so
-        machines lose at most one partial batch each)."""
-        counts = [len(ids) // self.batch_size for ids in self.local_train]
-        return max(1, min(counts)) if min(counts) > 0 else 1
+        machines lose at most one partial batch each).  Raises
+        ``ValueError`` when some machine cannot fill a single batch."""
+        return self._full_batches(self.local_train)
+
+    def batches(self, machine: int, epoch: int) -> Iterator[MFG]:
+        """``machine``'s minibatch stream for ``epoch`` — the same shuffle
+        order and sampler stream under every engine and cluster backend."""
+        return self.samplers[machine].batches(
+            self.local_train[machine], self.batch_size,
+            drop_last=True, epoch=epoch,
+            seed=machine_stream_seed(self.seed, "order", machine),
+        )
 
     def gradient_nbytes(self) -> int:
         return gradient_nbytes(self.models[0])

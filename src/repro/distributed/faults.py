@@ -1,16 +1,14 @@
 """Chaos-injection harness: declarative fault schedules for worker clusters.
 
-The multiproc backend's original fault hook was a single kill switch —
-``fault_injection={machine: (epoch, step)}`` hard-exited one worker at one
-point.  Real clusters fail in more ways than that, and the recovery
-subsystem (:mod:`repro.distributed.recovery`) has to be exercised against
-all of them.  A :class:`FaultPlan` is a validated schedule of
+Real clusters fail in more ways than a clean process death, and the
+recovery subsystem (:mod:`repro.distributed.recovery`) has to be exercised
+against all of them.  A :class:`FaultPlan` is a validated schedule of
 :class:`FaultSpec` entries, each naming a machine, an injection point
 ``(epoch, step)``, and one of four fault kinds:
 
 ``kill``
     Hard process death (``os._exit``) mid-epoch, before the step is
-    reported — no cleanup, no goodbye.  The original ``fail_at`` semantics.
+    reported — no cleanup, no goodbye.
 ``hang``
     The worker sleeps ``duration_s`` seconds at the injection point — past
     any reasonable coordinator ``timeout_s`` — modeling a wedged process,
@@ -28,8 +26,9 @@ all of them.  A :class:`FaultPlan` is a validated schedule of
     coordinator's :meth:`GradientPlane.average` must surface it as a
     machine-attributed :class:`SlabStateError`.
 
-Plans are plain data: wire-encodable (they ride inside each
-:class:`~repro.distributed.multiproc.WorkerSpec`), validated before a
+Plans are plain data: each machine's :class:`FaultSpec` slice rides inside
+its :class:`~repro.distributed.multiproc.WorkerSpec` through the wire
+format's dataclass codec, validated before a
 cluster starts, and usable identically from tests, benchmarks, and the CI
 chaos-smoke job.  A plan never enters the cluster fingerprint — workers
 are generic until bound — but a backend with a non-empty plan is never
@@ -39,7 +38,7 @@ parked into the warm pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 #: Valid fault kinds, in documentation order.
 FAULT_KINDS = ("kill", "hang", "corrupt", "torn")
@@ -53,9 +52,8 @@ _DEFAULT_HANG_S = 3600.0
 class FaultSpec:
     """One scheduled fault: ``kind`` on ``machine`` at ``(epoch, step)``.
 
-    ``step`` indexes the machine's local step stream (the same coordinates
-    the old kill-at-(epoch, step) dict used); for the pipelined engine the
-    fault fires in the window containing ``step``.  ``duration_s`` only
+    ``step`` indexes the machine's local step stream; for the pipelined
+    engine the fault fires in the window containing ``step``.  ``duration_s`` only
     applies to ``hang``.
     """
 
@@ -92,10 +90,8 @@ class FaultSpec:
 class FaultPlan:
     """A validated, immutable schedule of :class:`FaultSpec` entries.
 
-    Construct directly from specs, from the legacy kill dict
-    (:meth:`from_kill_points`), or decode one off the wire
-    (:meth:`decode`).  Iteration order is deterministic: sorted by
-    ``(epoch, step, machine, kind)``.
+    Construct directly from specs or with :meth:`single`.  Iteration order
+    is deterministic: sorted by ``(epoch, step, machine, kind)``.
     """
 
     def __init__(self, faults: Iterable[FaultSpec] = ()):
@@ -104,19 +100,6 @@ class FaultPlan:
         self.faults: Tuple[FaultSpec, ...] = tuple(specs)
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_kill_points(
-        cls, fault_injection: Optional[Dict[int, Tuple[int, int]]]
-    ) -> "FaultPlan":
-        """The legacy ``{machine: (epoch, step)}`` dict as a kill-only plan."""
-        if not fault_injection:
-            return cls()
-        return cls(
-            FaultSpec(kind="kill", machine=int(machine),
-                      epoch=int(point[0]), step=int(point[1]))
-            for machine, point in fault_injection.items()
-        )
-
     @classmethod
     def single(cls, kind: str, machine: int, epoch: int, step: int,
                duration_s: float = _DEFAULT_HANG_S) -> "FaultPlan":
@@ -171,30 +154,3 @@ class FaultPlan:
             f"{f.kind}@m{f.machine}(e{f.epoch},s{f.step})" for f in self.faults
         )
         return f"FaultPlan([{inner}])"
-
-    # -- wire codec -----------------------------------------------------
-    def encode(self) -> list:
-        """Wire-ready payload (plain lists/dicts; rides in a WorkerSpec)."""
-        return [
-            {"kind": f.kind, "machine": f.machine, "epoch": f.epoch,
-             "step": f.step, "duration_s": float(f.duration_s)}
-            for f in self.faults
-        ]
-
-    @classmethod
-    def decode(cls, payload) -> "FaultPlan":
-        from repro.distributed.wire import WireError
-
-        if payload is None:
-            return cls()
-        if not isinstance(payload, (list, tuple)):
-            raise WireError("fault plan payload must be a list")
-        try:
-            return cls(
-                FaultSpec(kind=str(f["kind"]), machine=int(f["machine"]),
-                          epoch=int(f["epoch"]), step=int(f["step"]),
-                          duration_s=float(f["duration_s"]))
-                for f in payload
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireError(f"malformed fault plan: {exc}") from None

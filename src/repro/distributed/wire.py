@@ -28,15 +28,24 @@ format cannot represent exactly — object arrays, ints beyond 64 bits,
 unknown types — raises :class:`WireError` at *encode* time rather than
 producing a lossy payload.
 
-:func:`encode_fetch_plan` / :func:`encode_coalesced_plan` serialize gather
-plans as tagged field dicts, so decoded plans are plain
+**Dataclasses** are the one structured type: an instance encodes as the
+dict of its fields (enum members as their values), and
+:func:`decode_dataclass` rebuilds it from the class's own field annotations
+— nested dataclasses, ``Optional``/``List``/``Tuple``/``Dict`` of them, and
+enums included.  Step records, worker specs, fault schedules and fetch
+plans all cross the wire this way; there is no per-type codec to keep in
+step with a field list.  Decoded plans are plain
 :class:`~repro.distributed.feature_store.FetchPlan` objects the store can
 execute directly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import struct
+import typing
 import zlib
 from typing import Any, Optional, Tuple
 
@@ -167,6 +176,11 @@ def _pack_value(obj: Any, out: bytearray) -> None:
                 raise WireError(f"dict keys must be str, got {type(key).__name__}")
             _pack_value(key, out)
             _pack_value(val, out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _pack_value({f.name: getattr(obj, f.name)
+                     for f in dataclasses.fields(obj)}, out)
+    elif isinstance(obj, enum.Enum):
+        _pack_value(obj.value, out)
     else:
         raise WireError(f"cannot encode {type(obj).__name__} on the wire")
 
@@ -351,43 +365,64 @@ def _unpack_message(data: bytes) -> Tuple[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# fetch-plan codecs
+# dataclass codec
 # ----------------------------------------------------------------------
 
-_PLAN_ARRAY_FIELDS = ("ids", "local_pos", "local_ids", "cached_pos",
-                      "cached_ids", "remote_pos", "remote_ids", "nonlocal_ids")
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def _plan_dict(plan: FetchPlan) -> dict:
-    out = {"machine": plan.machine, "gpu_rows": plan.gpu_rows,
-           "cpu_rows": plan.cpu_rows}
-    for name in _PLAN_ARRAY_FIELDS:
-        out[name] = getattr(plan, name)
-    return out
+def _from_wire(hint, value):
+    """Rebuild ``value`` as the annotated type ``hint`` describes: only
+    dataclasses and enums need rebuilding (everything else the wire already
+    round-trips exactly), wherever containers nest them."""
+    if dataclasses.is_dataclass(hint):
+        return decode_dataclass(hint, value)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint(value)
+    if value is None:
+        return None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        inner = [a for a in args if a is not type(None)]
+        return _from_wire(inner[0], value) if len(inner) == 1 else value
+    if origin is dict:
+        return {key: _from_wire(args[1], val) for key, val in value.items()}
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        return origin(_from_wire(args[0], item) for item in value)
+    return value
 
 
-def _plan_from_dict(fields: dict) -> FetchPlan:
-    try:
-        return FetchPlan(
-            machine=fields["machine"],
-            gpu_rows=fields["gpu_rows"],
-            cpu_rows=fields["cpu_rows"],
-            **{name: fields[name] for name in _PLAN_ARRAY_FIELDS},
-        )
-    except KeyError as exc:
-        raise WireError(f"fetch plan missing field {exc.args[0]!r}") from None
+def decode_dataclass(cls, fields):
+    """Rebuild a ``cls`` instance from its wire form (the dict of its
+    fields); fields with a default may be absent.  Anything that is not
+    such a dict — wrong container, missing field, a value that does not fit
+    its annotation — raises :class:`WireError`, never a garbage object."""
+    if not isinstance(fields, dict):
+        raise WireError(f"{cls.__name__} payload must be a dict")
+    hints = _field_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in fields:
+            try:
+                kwargs[f.name] = _from_wire(hints[f.name], fields[f.name])
+            except (TypeError, ValueError, AttributeError, IndexError) as exc:
+                raise WireError(
+                    f"malformed {cls.__name__}.{f.name}: {exc}") from None
+        elif (f.default is dataclasses.MISSING
+              and f.default_factory is dataclasses.MISSING):
+            raise WireError(f"{cls.__name__} missing field {f.name!r}")
+    return cls(**kwargs)
 
 
 def encode_fetch_plan(plan: FetchPlan) -> bytes:
     """Serialize one :class:`FetchPlan` (bit-identical round trip)."""
-    return pack_obj(_plan_dict(plan))
+    return pack_obj(plan)
 
 
 def decode_fetch_plan(data: bytes) -> FetchPlan:
-    fields = unpack_obj(data)
-    if not isinstance(fields, dict):
-        raise WireError("fetch plan payload must be a dict")
-    return _plan_from_dict(fields)
+    return decode_dataclass(FetchPlan, unpack_obj(data))
 
 
 def encode_coalesced_plan(cplan: CoalescedFetchPlan) -> bytes:
@@ -397,26 +432,8 @@ def encode_coalesced_plan(cplan: CoalescedFetchPlan) -> bytes:
     the round trip, so execution falls back to ``searchsorted`` exactly when
     it would have locally.
     """
-    return pack_obj({
-        "machine": cplan.machine,
-        "plans": [_plan_dict(p) for p in cplan.plans],
-        "unique_remote_ids": cplan.unique_remote_ids,
-        "first_request": list(cplan.first_request),
-        "slots": None if cplan.slots is None else list(cplan.slots),
-    })
+    return pack_obj(cplan)
 
 
 def decode_coalesced_plan(data: bytes) -> CoalescedFetchPlan:
-    fields = unpack_obj(data)
-    if not isinstance(fields, dict):
-        raise WireError("coalesced plan payload must be a dict")
-    try:
-        return CoalescedFetchPlan(
-            machine=fields["machine"],
-            plans=[_plan_from_dict(f) for f in fields["plans"]],
-            unique_remote_ids=fields["unique_remote_ids"],
-            first_request=list(fields["first_request"]),
-            slots=None if fields["slots"] is None else list(fields["slots"]),
-        )
-    except KeyError as exc:
-        raise WireError(f"coalesced plan missing field {exc.args[0]!r}") from None
+    return decode_dataclass(CoalescedFetchPlan, unpack_obj(data))

@@ -19,14 +19,12 @@ from repro.pipeline.events import (
     Stage,
     StageEvent,
     assert_trace_shape_equal,
-    trace_from_report,
     trace_shape,
     trace_shape_diff,
 )
 from repro.pipeline.simulator import (
     PipelineMode,
     PipelineResult,
-    simulate_epoch,
     simulate_trace,
 )
 
@@ -39,11 +37,9 @@ __all__ = [
     "Stage",
     "StageEvent",
     "assert_trace_shape_equal",
-    "trace_from_report",
     "trace_shape",
     "trace_shape_diff",
     "PipelineMode",
     "PipelineResult",
-    "simulate_epoch",
     "simulate_trace",
 ]

@@ -1,7 +1,7 @@
 """Cost model: workload volumes → per-stage durations.
 
 Translates the exact per-step volumes recorded by the functional executor
-(:class:`~repro.distributed.executor.StepRecord`) into stage durations on the
+(:class:`~repro.distributed.records.StepRecord`) into stage durations on the
 :class:`~repro.distributed.cluster.ClusterSpec` resources.  The discrete-event
 simulator schedules these durations; nothing here depends on wall-clock
 measurements, so results are deterministic and machine-independent.
@@ -26,12 +26,9 @@ ALLREDUCE             NET        gradient ring all-reduce (with the model update
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
-
 from repro.distributed.cluster import ClusterSpec
-from repro.distributed.executor import StepRecord
+from repro.distributed.records import StepRecord, served_rows_matrix  # noqa: F401  (re-export)
+from repro.pipeline.events import Stage
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,6 @@ class CostModel:
         event trace prices identically to the record-based path (the parity
         tests assert exact float equality).
         """
-        from repro.pipeline.events import Stage
-
         m = self.cluster.machine
         net = self.cluster.network
         bpr = self.bytes_per_row
@@ -196,14 +191,3 @@ class CostModel:
             return (2 * net.latency + rows * 8 / net.effective_bandwidth
                     + rows * bpr / net.effective_bandwidth)
         raise ValueError(f"unknown stage {stage!r}")
-
-
-def served_rows_matrix(step_records: Sequence[StepRecord], num_machines: int) -> np.ndarray:
-    """Rows each machine serves in one step: ``served[k] = Σ_j requests j→k``
-    (demand fetches plus any cache-refresh fetches issued that step)."""
-    served = np.zeros(num_machines, dtype=np.int64)
-    for rec in step_records:
-        served += rec.gather.remote_per_peer
-        if rec.gather.refresh_fetch_per_peer is not None:
-            served += rec.gather.refresh_fetch_per_peer
-    return served

@@ -25,19 +25,20 @@ ALLREDUCE               per step (all machines)     —
 
 A *comm window* is the engine's unit of communication: one step for ``bsp``
 and ``async``, up to ``depth`` steps for ``pipelined`` (whose in-flight
-batches share one deduplicated peer exchange).  :func:`trace_from_report`
-builds the per-step (window size 1) trace from recorded volumes, so legacy
-reports and engine-emitted traces flow through one pricing path.
+batches share one deduplicated peer exchange).  Training traces are built in
+exactly one place — :func:`repro.distributed.engine.assemble_report`, from
+the K machines' step records — so every engine and cluster backend flows
+through one pricing path.
+
+This module imports nothing from ``repro``: it is the vocabulary both the
+distributed runtime and the performance model are written in.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.distributed.executor import EpochReport
+from typing import Dict, List, Optional, Tuple
 
 
 class Stage(enum.Enum):
@@ -194,67 +195,23 @@ class EventTrace:
         return self
 
 
-def trace_from_report(report: EpochReport, dims,
-                      engine: str = "bsp") -> EventTrace:
-    """Reconstruct the per-step (window size 1) trace from recorded volumes.
-
-    This is the legacy adapter: a report produced without an event trace
-    (or by code predating engines) gets the lock-step BSP schedule its
-    records imply.  ``dims`` is a :class:`~repro.pipeline.costmodel.ModelDims`
-    (the TRAIN events need FLOPs, which depend on model widths).
-    """
-    from repro.pipeline.costmodel import served_rows_matrix
-
-    K = report.ledger.num_machines
-    steps = report.steps_per_machine
-    by_step: List[List] = [[] for _ in range(steps)]
-    for rec in report.records:
-        by_step[rec.step].append(rec)
-    for s, recs in enumerate(by_step):
-        recs.sort(key=lambda r: r.machine)
-        if len(recs) != K:
-            raise ValueError(f"step {s} has {len(recs)} records, expected {K}")
-
-    trace = EventTrace(
-        engine=engine, num_machines=K, num_steps=steps,
-        windows=[(s, s + 1) for s in range(steps)],
-        allreduce_steps=list(range(steps)),
-    )
-    for s, recs in enumerate(by_step):
-        served = served_rows_matrix(recs, K)
-        for k, rec in enumerate(recs):
-            emit_step_events(trace, rec, int(served[k]), dims)
-        trace.add(Stage.ALLREDUCE, -1, s)
-    return trace
-
-
-def emit_step_events(trace: EventTrace, rec, served_rows: int, dims,
-                     window_start: Optional[int] = None) -> None:
+def emit_step_events(trace: EventTrace, rec, dims) -> None:
     """Emit the per-step stage events for one machine-step record.
 
-    When ``window_start`` is given, the comm stages (request exchange,
-    serve slice, feature comm) are *not* emitted — the engine emits those
-    once per window via :func:`emit_window_comm_events` — otherwise the
-    step is its own window and they are emitted here.
+    The comm stages (request exchange, serve slice, feature comm) are per
+    *window*, not per step: :func:`emit_window_comm_events` emits those.
+    ``dims`` is the model's ``(in, hidden, out)`` widths (the TRAIN event
+    needs FLOPs).
     """
     g = rec.gather
     k, s = rec.machine, rec.step
-    dims_tuple = dims.as_tuple if hasattr(dims, "as_tuple") else tuple(dims)
     host_rows = g.cpu_rows + g.cached_rows + g.coalesced_rows
     trace.add(Stage.SAMPLE, k, s, candidate_edges=rec.candidate_edges)
     trace.add(Stage.LOCAL_SLICE, k, s, rows=host_rows + g.cache_insertions)
     trace.add(Stage.H2D, k, s, rows=host_rows + g.remote_rows)
     trace.add(Stage.GPU_GATHER, k, s, gpu_rows=g.gpu_rows,
               total_rows=g.total_rows)
-    trace.add(Stage.TRAIN, k, s, flops=rec.flops(*dims_tuple))
-    if window_start is None:
-        remote = g.remote_rows + g.refresh_fetch_rows
-        trace.add(Stage.REQUEST_EXCHANGE, k, s,
-                  request_rows=remote, serve_rows=served_rows,
-                  mfg_edges=rec.mfg_edges)
-        trace.add(Stage.SERVE_SLICE, k, s, rows=served_rows)
-        trace.add(Stage.FEATURE_COMM, k, s,
-                  in_rows=remote, out_rows=served_rows)
+    trace.add(Stage.TRAIN, k, s, flops=rec.flops(*dims))
 
 
 def emit_window_comm_events(trace: EventTrace, window_start: int, machine: int,

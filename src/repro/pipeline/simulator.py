@@ -27,9 +27,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.distributed.executor import EpochReport
 from repro.pipeline.costmodel import CostModel
-from repro.pipeline.events import EventTrace, Stage, trace_from_report
+from repro.pipeline.events import EventTrace, Stage
 
 
 class PipelineMode(enum.Enum):
@@ -81,9 +80,9 @@ def simulate_trace(
     ``pipelined``, allreduce only at sync points for ``async``) and this
     scheduler prices them on the cluster's CPU / GPU / PCIe / NIC resources,
     honoring stage dependencies, depth gating, mode, and the collective
-    rendezvous per comm window.  :func:`simulate_epoch` is a thin wrapper
-    that reconstructs a per-step trace from an :class:`EpochReport`'s
-    records and prices it here.
+    rendezvous per comm window.  Returns the epoch makespan (including
+    pipeline warm-up, as the paper's reported runtimes do) and per-category
+    time attribution.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -272,28 +271,3 @@ def simulate_trace(
         resource_busy=busy,
         first_train_start=startup,
     )
-
-
-def simulate_epoch(
-    report: EpochReport,
-    cost_model: CostModel,
-    *,
-    mode: PipelineMode = PipelineMode.FULL,
-    depth: int = 10,
-    include_allreduce: bool = True,
-) -> PipelineResult:
-    """Simulate one epoch from a functional :class:`EpochReport`.
-
-    Returns the epoch makespan (including pipeline warm-up, as the paper's
-    reported runtimes do) and per-category time attribution.
-
-    This is the record-based path: the lock-step BSP schedule is re-derived
-    from :class:`StepRecord` volumes.  Reports produced by an execution
-    engine carry the engine's own schedule (``report.events``), which
-    :func:`simulate_trace` prices directly — identical to this function for
-    per-step traces, and the only correct option for engines that coalesce
-    communication windows or skip allreduce barriers.
-    """
-    trace = trace_from_report(report, cost_model.dims)
-    return simulate_trace(trace, cost_model, mode=mode, depth=depth,
-                          include_allreduce=include_allreduce)

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.distributed.executor import _candidate_edges, sage_forward_flops
+from repro.distributed.records import _candidate_edges, sage_forward_flops
 from repro.obs import OBS
 from repro.distributed.feature_store import (
     FetchPlan,

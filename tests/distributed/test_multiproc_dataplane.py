@@ -221,13 +221,14 @@ def test_fingerprint_is_deterministic_and_name_independent(
 
 
 def test_faulted_cluster_is_never_parked(papers_mini, planner):
+    from repro.distributed import FaultPlan
     from repro.distributed.multiproc import WorkerFailedError
 
     mp_cfg = _config(engine="bsp", backend="multiproc")
     system = SalientPP.build(papers_mini, mp_cfg, planner=planner)
     # Two steps per epoch at this scale: fail machine 1 at the last one.
     backend = MultiprocBackend(system, timeout_s=30.0, keep_warm=True,
-                               fault_injection={1: (0, 1)})
+                               faults=FaultPlan.single("kill", 1, 0, 1))
     with pytest.raises(WorkerFailedError):
         backend.run_epoch(0)
     assert WORKER_POOL.num_parked == 0

@@ -47,8 +47,9 @@ def _assert_fully_torn_down(backend):
 
 def test_worker_killed_mid_epoch_raises_and_tears_down():
     system = _build_system()
-    backend = MultiprocBackend(system, timeout_s=30.0,
-                               fault_injection={1: (0, 2)})
+    backend = MultiprocBackend(
+        system, timeout_s=30.0,
+        faults=FaultPlan.single("kill", machine=1, epoch=0, step=2))
     with pytest.raises(WorkerFailedError) as excinfo:
         backend.run_epoch(0)
     assert excinfo.value.machine == 1

@@ -149,7 +149,7 @@ class TestMultiprocAcceptance:
         assert snap["mp.wire_sent_bytes"]["value"] > 0
         assert snap["mp.wire_received_bytes"]["value"] > 0
         assert snap["mp.workers_alive"]["value"] == K
-        assert snap["worker.step_wall_s"]["count"] == \
+        assert snap["engine.step_wall_s"]["count"] == \
             K * len({r.step for r in mp.report.records})
 
     def test_disabled_run_records_nothing(self, papers_mini):

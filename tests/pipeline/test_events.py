@@ -1,19 +1,23 @@
-"""Unified event path tests: engine-emitted traces price exactly like the
-record-based reconstruction, and windowed/thinned schedules behave."""
+"""Unified event path tests: a report's step records alone reproduce (and
+price exactly like) its event trace, and windowed/thinned schedules
+behave."""
 
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedTrainer, PartitionedFeatureStore
+from repro.distributed import (
+    DistributedTrainer,
+    PartitionedFeatureStore,
+    assemble_report,
+)
 from repro.distributed.cluster import ClusterSpec
 from repro.pipeline import (
     CostModel,
     ModelDims,
     PipelineMode,
     Stage,
-    simulate_epoch,
+    assert_trace_shape_equal,
     simulate_trace,
-    trace_from_report,
 )
 from repro.pipeline.events import EventTrace
 
@@ -34,14 +38,26 @@ def substrate(request):
     return report, cm, tr
 
 
+def _rebuilt_from_records(report, cm, tr):
+    """``assemble_report`` over nothing but the report's step records."""
+    K = report.ledger.num_machines
+    return assemble_report(
+        tr.engine.schedule(report.steps_per_machine),
+        [report.records_for(k) for k in range(K)],
+        epoch=report.epoch, bytes_per_row=cm.bytes_per_row,
+        dims=cm.dims.as_tuple, grad_nbytes=cm.grad_nbytes,
+    )
+
+
 class TestTraceRecordParity:
     @pytest.mark.parametrize("mode", list(PipelineMode))
     @pytest.mark.parametrize("depth", [1, 3, 10])
     def test_engine_trace_prices_like_records(self, substrate, mode, depth):
-        """The bsp engine's emitted trace must cost exactly what the
-        record-based reconstruction costs, in every mode and depth."""
-        report, cm, _ = substrate
-        rec = simulate_epoch(report, cm, mode=mode, depth=depth)
+        """The report's trace must cost exactly what the trace rebuilt from
+        its step records costs, in every mode and depth."""
+        report, cm, tr = substrate
+        rebuilt = _rebuilt_from_records(report, cm, tr)
+        rec = simulate_trace(rebuilt.events, cm, mode=mode, depth=depth)
         ev = simulate_trace(report.events, cm, mode=mode, depth=depth)
         assert ev.epoch_time == rec.epoch_time
         for key in rec.breakdown:
@@ -50,18 +66,17 @@ class TestTraceRecordParity:
             assert np.array_equal(ev.resource_busy[res],
                                   rec.resource_busy[res])
 
-    def test_trace_from_report_reconstruction(self, substrate):
-        """A hand-built report (no events) reconstructs the same per-step
-        trace the bsp engine emits."""
-        report, cm, _ = substrate
-        rebuilt = trace_from_report(report, cm.dims)
-        emitted = report.events
-        assert rebuilt.windows == emitted.windows
-        assert rebuilt.allreduce_steps == emitted.allreduce_steps
-        ri, ei = rebuilt.index(), emitted.index()
-        assert set(ri) == set(ei)
-        for key in ri:
-            assert cm.event_duration(ri[key]) == cm.event_duration(ei[key])
+    def test_assemble_report_reproduces_events(self, substrate):
+        """``assemble_report`` over ``report.records`` reproduces
+        ``report.events`` (and the record order and ledger with it)."""
+        report, cm, tr = substrate
+        rebuilt = _rebuilt_from_records(report, cm, tr)
+        assert_trace_shape_equal(rebuilt.events, report.events)
+        assert rebuilt.records == report.records
+        assert np.array_equal(rebuilt.ledger.feature_bytes,
+                              report.ledger.feature_bytes)
+        assert np.array_equal(rebuilt.ledger.request_bytes,
+                              report.ledger.request_bytes)
 
     def test_event_durations_match_stage_times(self, substrate):
         """Per-event pricing agrees with StageTimes field by field."""

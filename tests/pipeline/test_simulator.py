@@ -5,7 +5,7 @@ import pytest
 
 from repro.distributed import DistributedTrainer, PartitionedFeatureStore
 from repro.distributed.cluster import ClusterSpec, MachineSpec, NetworkSpec
-from repro.pipeline import CostModel, ModelDims, PipelineMode, simulate_epoch
+from repro.pipeline import CostModel, ModelDims, PipelineMode, simulate_trace
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def report_and_model(request):
 class TestInvariants:
     def test_epoch_bounded_by_busy_resources(self, report_and_model):
         report, cm, *_ = report_and_model
-        res = simulate_epoch(report, cm)
+        res = simulate_trace(report.events, cm)
         lower = max(float(v.max()) for v in res.resource_busy.values())
         total = sum(float(v.sum()) for v in res.resource_busy.values())
         assert res.epoch_time >= lower - 1e-12
@@ -35,9 +35,9 @@ class TestInvariants:
 
     def test_mode_ordering(self, report_and_model):
         report, cm, *_ = report_and_model
-        t_full = simulate_epoch(report, cm, mode=PipelineMode.FULL).epoch_time
-        t_block = simulate_epoch(report, cm, mode=PipelineMode.BLOCKING_COMM).epoch_time
-        t_off = simulate_epoch(report, cm, mode=PipelineMode.OFF).epoch_time
+        t_full = simulate_trace(report.events, cm, mode=PipelineMode.FULL).epoch_time
+        t_block = simulate_trace(report.events, cm, mode=PipelineMode.BLOCKING_COMM).epoch_time
+        t_off = simulate_trace(report.events, cm, mode=PipelineMode.OFF).epoch_time
         assert t_full <= t_block + 1e-12
         assert t_block <= t_off + 1e-12
 
@@ -46,32 +46,32 @@ class TestInvariants:
         def with_bw(gbps):
             cluster = ClusterSpec(4, MachineSpec(), NetworkSpec().with_bandwidth(gbps))
             cm2 = CostModel(cluster, store.bytes_per_row, cm.dims, cm.grad_nbytes)
-            return simulate_epoch(report, cm2).epoch_time
+            return simulate_trace(report.events, cm2).epoch_time
         assert with_bw(4) >= with_bw(8) >= with_bw(25)
 
     def test_monotone_in_depth(self, report_and_model):
         report, cm, *_ = report_and_model
-        t1 = simulate_epoch(report, cm, depth=1).epoch_time
-        t3 = simulate_epoch(report, cm, depth=3).epoch_time
-        t10 = simulate_epoch(report, cm, depth=10).epoch_time
+        t1 = simulate_trace(report.events, cm, depth=1).epoch_time
+        t3 = simulate_trace(report.events, cm, depth=3).epoch_time
+        t10 = simulate_trace(report.events, cm, depth=10).epoch_time
         assert t1 >= t3 >= t10
 
     def test_rejects_bad_depth(self, report_and_model):
         report, cm, *_ = report_and_model
         with pytest.raises(ValueError, match="depth"):
-            simulate_epoch(report, cm, depth=0)
+            simulate_trace(report.events, cm, depth=0)
 
     def test_deterministic(self, report_and_model):
         report, cm, *_ = report_and_model
-        a = simulate_epoch(report, cm).epoch_time
-        b = simulate_epoch(report, cm).epoch_time
+        a = simulate_trace(report.events, cm).epoch_time
+        b = simulate_trace(report.events, cm).epoch_time
         assert a == b
 
 
 class TestBreakdown:
     def test_categories_present_and_positive(self, report_and_model):
         report, cm, *_ = report_and_model
-        res = simulate_epoch(report, cm, mode=PipelineMode.OFF)
+        res = simulate_trace(report.events, cm, mode=PipelineMode.OFF)
         for key in ("train", "train_sync", "startup", "batch_prep_comp",
                     "batch_prep_comm"):
             assert key in res.breakdown
@@ -80,7 +80,7 @@ class TestBreakdown:
     def test_off_mode_breakdown_accounts_for_epoch(self, report_and_model):
         """Without pipelining, category times roughly add to the epoch."""
         report, cm, *_ = report_and_model
-        res = simulate_epoch(report, cm, mode=PipelineMode.OFF)
+        res = simulate_trace(report.events, cm, mode=PipelineMode.OFF)
         parts = (res.breakdown["train"] + res.breakdown["train_sync"]
                  + res.breakdown["batch_prep_comp"] + res.breakdown["batch_prep_comm"])
         assert parts <= res.epoch_time * 1.05
@@ -88,7 +88,7 @@ class TestBreakdown:
 
     def test_bottleneck_resource_reported(self, report_and_model):
         report, cm, *_ = report_and_model
-        res = simulate_epoch(report, cm)
+        res = simulate_trace(report.events, cm)
         assert res.bottleneck_resource() in res.resource_busy
 
 
