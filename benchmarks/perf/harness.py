@@ -15,6 +15,9 @@ exists.
 
 Tracked stages
 --------------
+``preprocess.load_dataset``
+    Cold ``load_dataset("papers-mini")``: graph generation, two
+    ``CSRGraph.from_edges`` builds (one deduplicating), features, splits.
 ``preprocess.partition / vip / reorder / cache_select / store_build``
     The §4.1–4.2 preprocessing pipeline on papers-mini, 8 partitions.
     ``preprocess.vip`` is the headline: active-set Proposition 1 with the
@@ -30,8 +33,9 @@ Tracked stages
     (``dense_wall_s``), asserted loss-identical before timing is reported.
     Extra keys carry the one-time spawn/handshake wall time.
 ``serving.latency``
-    An open-loop Poisson serving run (deadline batcher, static VIP cache);
-    extra keys carry the simulated p50/p99 for context.
+    An open-loop Poisson serving run (deadline batcher, static VIP cache),
+    the request list generated before the timer starts; extra keys carry
+    the simulated p50/p99 for context.
 ``serving.cache_refresh``
     Wall time the vip-refresh score provider (request-VIP through
     Proposition 1) spends recomputing during a drifting serving run — the
@@ -358,9 +362,11 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
     planner = Planner()
 
     # -- serving.latency: static VIP cache, no refresh machinery. -------
+    # The request list exists before the timer starts: poisson_requests is
+    # several times the cost of serving what it generates.
+    requests = _serving_requests(ds, num_requests)
     service = planner.build_service(ds, _serving_config("vip"))
-    wall, report = _timed(
-        lambda: service.run(_serving_requests(ds, num_requests)))
+    wall, report = _timed(lambda: service.run(requests))
     summary = report.summary()
     stages["serving.latency"] = _entry(
         wall, rows=report.gather.total_rows,
@@ -380,7 +386,7 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
         return scores
 
     service.store.set_refresh_score_provider(timed_provider)
-    service.run(_serving_requests(ds, num_requests))
+    service.run(requests)
     if not refresh_walls:
         raise AssertionError("no vip-refresh recomputation was triggered")
 
@@ -576,7 +582,8 @@ def coalesce_stages(stages: dict, *, dataset=None, reordered=None, depth=16,
 def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dict:
     """Run every tracked stage; returns the BENCH_PERF document."""
     stages: dict = {}
-    dataset = load_dataset(DATASET)
+    wall, dataset = _timed(lambda: load_dataset(DATASET))
+    stages["preprocess.load_dataset"] = _entry(wall, rows=dataset.num_vertices)
     reordered = preprocessing_stages(stages, dataset=dataset)
     engine_stages(stages, engines=engines, dataset=dataset)
     multiproc_stages(stages, dataset=dataset)

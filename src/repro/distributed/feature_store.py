@@ -771,9 +771,8 @@ class PartitionedFeatureStore:
             slots = cplan.plan_slots(i)
             _rows_into(out, plan.remote_pos, pool_rows, slots)
 
-            per_peer = np.zeros(self.num_machines, dtype=np.int64)
-            if fresh.any():
-                np.add.at(per_peer, owners[slots[fresh]], 1)
+            per_peer = np.bincount(owners[slots[fresh]],
+                                   minlength=self.num_machines)
             results.append((out, GatherStats(
                 total_rows=len(plan.ids),
                 gpu_rows=plan.gpu_rows,

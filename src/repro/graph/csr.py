@@ -19,6 +19,21 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+#: Largest vertex count whose packed edge keys ``src * n + dst`` fit int64.
+MAX_PACKED_VERTICES = 3_037_000_499
+
+
+def sorted_edge_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Ascending packed keys ``src * num_vertices + dst``.  ``np.divmod`` by
+    ``num_vertices`` turns them back into the edge list ordered by source,
+    then destination — a two-key ``lexsort`` for the cost of one value sort."""
+    if num_vertices > MAX_PACKED_VERTICES:
+        raise ValueError(f"num_vertices {num_vertices} exceeds {MAX_PACKED_VERTICES}: "
+                         "src * num_vertices + dst would overflow int64")
+    keys = src * num_vertices + dst
+    keys.sort()
+    return keys
+
 
 class CSRGraph:
     """A directed graph in CSR form (use :meth:`to_undirected` to symmetrize).
@@ -94,14 +109,14 @@ class CSRGraph:
                          src.max() >= num_vertices or dst.max() >= num_vertices):
             raise ValueError("edge endpoints out of range")
 
-        order = np.lexsort((dst, src)) if (sort_neighbors or dedup) else np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        if dedup and src.size:
-            keep = np.empty(src.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(src[1:], src[:-1], out=keep[1:])
-            keep[1:] |= dst[1:] != dst[:-1]
-            src, dst = src[keep], dst[keep]
+        if sort_neighbors or dedup:
+            keys = sorted_edge_keys(src, dst, num_vertices)
+            if dedup and keys.size:
+                keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+            src, dst = np.divmod(keys, num_vertices)
+        else:
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
         counts = np.bincount(src, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

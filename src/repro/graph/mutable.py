@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_edge_keys
 
 #: Default overlay-size cutoff (fraction of base directed edges) past which
 #: :meth:`MutableGraph.apply` compacts automatically.
@@ -112,6 +112,15 @@ class DeltaRecord:
     prior_num_vertices: int
     edges_added: int
     edges_removed: int
+
+
+def id_union(num_vertices: int, *ids: np.ndarray) -> np.ndarray:
+    """Sorted union of vertex-id arrays: ``np.unique`` of their concatenation,
+    from one boolean scatter per array instead of a hash and a sort."""
+    seen = np.zeros(num_vertices, dtype=bool)
+    for arr in ids:
+        seen[arr] = True
+    return np.flatnonzero(seen)
 
 
 class MutableGraph:
@@ -298,8 +307,7 @@ class MutableGraph:
         applied = 0
         if not len(src):
             return applied
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        src, dst = np.divmod(sorted_edge_keys(src, dst, self._n), self._n)
         bounds = np.flatnonzero(np.diff(src)) + 1
         starts = np.concatenate([[0], bounds, [len(src)]])
         for i in range(len(starts) - 1):
@@ -477,7 +485,7 @@ class MutableGraph:
             return _EMPTY
         if self.undirected:
             _, flat = self.rows_concat(vertices)
-            return np.unique(flat)
+            return id_union(self._n, flat)
         starts, pool, indeg = self._freeze_incoming()
         counts = indeg[vertices]
         if not counts.sum():
@@ -486,14 +494,14 @@ class MutableGraph:
         gin = self._incoming_base()
         m0 = gin.num_edges
         if not len(pool):
-            return np.unique(gin.indices[pos])
+            return id_union(self._n, gin.indices[pos])
         over = pos >= m0
         safe = np.where(over, 0, pos)
         flat = (gin.indices[safe] if m0
                 else np.zeros(len(pos), dtype=np.int64))
         if over.any():
             flat[over] = pool[pos[over] - m0]
-        return np.unique(flat)
+        return id_union(self._n, flat)
 
     def rows_concat(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(counts, flat)``: effective adjacency of ``rows`` concatenated

@@ -121,10 +121,8 @@ def ldg_partition(
 
     for v in order:
         nbrs = graph.neighbors(int(v))
-        conn = np.zeros(num_parts, dtype=np.float64)
         placed = assignment[nbrs] >= 0
-        if placed.any():
-            np.add.at(conn, assignment[nbrs[placed]], 1.0)
+        conn = np.bincount(assignment[nbrs[placed]], minlength=num_parts)
         score = conn * np.maximum(1.0 - sizes / capacity, 0.0)
         if np.all(score <= 0):
             k = int(np.argmin(sizes))

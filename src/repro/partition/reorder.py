@@ -104,7 +104,7 @@ def reorder_dataset(
 
     # Order = partition id major; then descending score (stable) or old id.
     if within_part_score is None:
-        order = np.lexsort((np.arange(n), partition.assignment))
+        order = np.argsort(partition.assignment, kind="stable")
     else:
         order = np.lexsort((-within_part_score, partition.assignment))
     return apply_reorder(dataset, partition, order)

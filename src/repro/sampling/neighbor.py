@@ -73,14 +73,12 @@ class SampleArena:
 
 
 def _segment_ids(arena: SampleArena, offsets: np.ndarray, total: int) -> np.ndarray:
-    """``repeat(arange(len(offsets) - 1), diff(offsets))`` without the
-    repeat allocation: ones scattered at segment boundaries, cumulative-
-    summed in place (duplicate boundaries from empty segments accumulate
-    via ``np.add.at``)."""
+    """``repeat(arange(len(offsets) - 1), diff(offsets))`` into the arena:
+    segment boundaries counted per position (``bincount``, so duplicate
+    boundaries from empty segments accumulate), cumulative-summed in place."""
     seg = arena.i64("seg", total)
-    seg[:] = 0
     bounds = offsets[1:-1]
-    np.add.at(seg, bounds[bounds < total], 1)
+    seg[:] = np.bincount(bounds[bounds < total], minlength=total)
     np.cumsum(seg, out=seg)
     return seg
 

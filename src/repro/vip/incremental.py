@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.mutable import MutableGraph
+from repro.graph.mutable import MutableGraph, id_union
 from repro.vip.analytic import (VIPResult, _normalize_fanout,
                                 transition_table, vip_probabilities)
 
@@ -336,9 +336,8 @@ def incremental_vip(
                                    | (old_prev[deg_changed] != 0.0)]
         else:
             t_active = deg_changed
-        rows = np.union1d(
-            np.union1d(dirty, mgraph.in_rows_union(t_active)),
-            mgraph.in_rows_union(changed_prev))
+        rows = id_union(n, dirty, mgraph.in_rows_union(t_active),
+                        mgraph.in_rows_union(changed_prev))
         old_h = _padded(snapshot.result.hopwise[h], n)
         if not len(rows):
             hop_arrays.append(old_h)
@@ -366,7 +365,7 @@ def incremental_vip(
             new_h = old_h.copy()
             new_h[changed] = values[moved]
             hop_arrays.append(new_h)
-            changed_union = np.union1d(changed_union, changed)
+            changed_union = id_union(n, changed_union, changed)
         else:
             hop_arrays.append(old_h)
         changed_prev = changed

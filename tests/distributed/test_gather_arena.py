@@ -196,6 +196,31 @@ class TestCoalesceRewrite:
             assert b[0] is out
             assert_same_gather(a, b)
 
+    def test_coalesced_per_peer_counts_first_requests_by_owner(self, reordered):
+        """Each plan's ``remote_per_peer`` is one count per remote row it
+        is first in its window to request, at the row's owner."""
+        rd = reordered
+        store = build_store(rd, alpha=0.2)
+        rng = np.random.default_rng(9)
+        ids = [np.sort(rng.choice(rd.dataset.num_vertices, size=80,
+                                  replace=False)) for _ in range(5)]
+        plans = [store.plan_gather(2, i) for i in ids]
+        seen = set()
+        for plan, (_, stats) in zip(
+                plans, store.execute_coalesced(FetchPlan.coalesce(plans))):
+            want = np.zeros(rd.num_parts, dtype=np.int64)
+            for v in plan.remote_ids.tolist():
+                if v not in seen:
+                    seen.add(v)
+                    want[rd.owner_of(np.array([v]))[0]] += 1
+            assert stats.remote_per_peer.dtype == np.int64
+            assert np.array_equal(stats.remote_per_peer, want)
+            assert stats.remote_rows == want.sum()
+        empty = store.execute_coalesced(FetchPlan.coalesce(
+            [store.plan_gather(2, np.arange(*rd.part_range(2))[:7])]))
+        assert np.array_equal(empty[0][1].remote_per_peer,
+                              np.zeros(rd.num_parts, dtype=np.int64))
+
     def test_outs_length_mismatch_raises(self, reordered):
         store = build_store(reordered, alpha=0.0)
         ids = np.arange(20, dtype=np.int64)

@@ -17,32 +17,17 @@ scheme from scratch:
    vertices with positive cut gain to their most connected feasible part,
    respecting every balance constraint.
 
-Matching, contraction and each refinement pass's preparation (boundary set,
-per-part connection weights, gains, the ordered mover list) are array
-operations over the level's edges.  Two loops stay in Python because every
-step depends on the one before: greedy growth on the coarsest graph, and the
-application of a pass's moves, where each move changes the part loads the
-next mover's balance checks read.  The second is long — on papers-mini, K=8,
-the passes queue 310k movers and 28k of them move — so :func:`_apply_moves`
-does not step through all of it: a mover that fails its checks keeps failing
-until some move changes the loads, so one vectorised evaluation decides a
-whole stretch of movers, the walk jumps to the first that can move, and a
-pass in which none can (the finest level: 58k queued) ends without a step.
-
-The assignment and the generator's draw sequence are pinned bit for bit
-against a verbatim copy of the original loops (``tests/partition/
-reference_multilevel.py``).  An equally good cut would not do as the
-contract: partition randomness alone moves communication volume by ±12 %.
+All heavy loops are vectorized; only the coarsest-level initial partition and
+the per-pass move application (over the handful of positive-gain boundary
+vertices) iterate in Python, in line with the repo's numpy-first idiom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, gt, lt, sub
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph
 from repro.partition.interface import Partition
@@ -62,11 +47,6 @@ class _Level:
     @property
     def num_vertices(self) -> int:
         return len(self.indptr) - 1
-
-    def edge_sources(self) -> np.ndarray:
-        """Source of every CSR entry (not stored: +90 MB resident on papers-mini)."""
-        return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
-                         np.diff(self.indptr))
 
 
 def metis_like_partition(
@@ -181,9 +161,8 @@ def _coarsen(
     )
     levels = [level]
     while level.num_vertices > coarsen_until:
-        src = level.edge_sources()
-        matched = _heavy_edge_matching(level, src, matching_rounds, rng)
-        coarse, reduction = _contract(level, src, matched)
+        matched = _heavy_edge_matching(level, matching_rounds, rng)
+        coarse, reduction = _contract(level, matched)
         if reduction > 0.95:  # matching stalled; further levels won't help
             break
         levels.append(coarse)
@@ -191,8 +170,7 @@ def _coarsen(
     return levels
 
 
-def _heavy_edge_matching(level: _Level, src: np.ndarray, rounds: int,
-                         rng: np.random.Generator) -> np.ndarray:
+def _heavy_edge_matching(level: _Level, rounds: int, rng: np.random.Generator) -> np.ndarray:
     """Randomized heavy-edge matching via weighted proposals + acceptance.
 
     Per round: every unmatched vertex proposes to one unmatched neighbor,
@@ -205,36 +183,49 @@ def _heavy_edge_matching(level: _Level, src: np.ndarray, rounds: int,
     and stalls.
     """
     n = level.num_vertices
-    indices, ew = level.indices, level.edge_weights
+    indptr, indices, ew = level.indptr, level.indices, level.edge_weights
+    m = len(indices)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     mate = np.full(n, -1, dtype=np.int64)
-    not_loop = src != indices
+    nonempty_rows = np.flatnonzero(np.diff(indptr) > 0)
+    # Starts of non-empty CSR segments; because skipped segments are empty,
+    # reduceat over these starts reduces exactly each vertex's edge range.
+    seg_starts = indptr[nonempty_rows]
 
     for _ in range(rounds):
         unmatched = mate < 0
         if not unmatched.any():
             break
-        # Eligible edges (both endpoints unmatched, not a self loop), in CSR
-        # order, so each proposer's edges stay one contiguous run.
-        edge = np.flatnonzero(unmatched[src] & unmatched[indices] & not_loop)
+        # Eligible edges: both endpoints unmatched, not a self loop.
+        elig = unmatched[src] & unmatched[indices] & (src != indices)
         # Exponential race: argmax of ew/Exp(1) samples a neighbor with
         # probability proportional to edge weight.
-        race = (ew / rng.exponential(1.0, size=len(ew)))[edge]
-        if len(edge) == 0:  # checked after the draw: the stream must not shift
+        race = ew / rng.exponential(1.0, size=m)
+        key = np.where(elig, race, -1.0)
+        cand = np.full(n, -1, dtype=np.int64)
+        if len(seg_starts):
+            seg_len = np.diff(indptr)[nonempty_rows]
+            seg_max = np.maximum.reduceat(key, seg_starts)
+            # Every edge lies in some non-empty segment, so broadcasting the
+            # per-segment max back over edges covers the whole edge array.
+            seg_max_per_edge = np.repeat(seg_max, seg_len)
+            # Position of the per-segment argmax: min edge index attaining it.
+            pos_of_max = np.where(key == seg_max_per_edge,
+                                  np.arange(m, dtype=np.int64), m)
+            best_pos = np.minimum.reduceat(pos_of_max, seg_starts)
+            valid = (seg_max > 0) & (best_pos < m)
+            cand[nonempty_rows[valid]] = indices[best_pos[valid]]
+
+        proposers = np.flatnonzero(cand >= 0)
+        if len(proposers) == 0:
             break
-        owner = src[edge]
-        run_start = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        run_max = np.maximum.reduceat(race, run_start)
-        run_len = np.diff(np.r_[run_start, len(edge)])
-        # A vertex proposes along the first edge attaining its run's max.
-        hit = np.flatnonzero(race == np.repeat(run_max, run_len))
-        hit = hit[np.r_[True, owner[hit[1:]] != owner[hit[:-1]]]]
-        proposers, targets = owner[hit], indices[edge[hit]]
+        targets = cand[proposers]
         # Acceptance: each target keeps its max-priority proposer.
         prio = rng.random(n)
         max_prio = np.zeros(n)
         np.maximum.at(max_prio, targets, prio[proposers])
-        accepted = prio[proposers] == max_prio[targets]
-        pa, pb = proposers[accepted], targets[accepted]
+        accepted = proposers[prio[proposers] == max_prio[targets]]
+        pa, pb = accepted, cand[accepted]
         # Conflict resolution: a vertex may sit in two tentative pairs (as
         # proposer and as acceptor); keep pairs that are max-priority at both
         # endpoints.
@@ -249,14 +240,7 @@ def _heavy_edge_matching(level: _Level, src: np.ndarray, rounds: int,
     return mate
 
 
-def _segment_sums(ids: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
-    """``out[ids[i]] += rows[i]`` for ``i`` ascending, into ``(num, C)`` zeros:
-    one weighted ``bincount`` per column accumulates in that same order."""
-    return np.column_stack([np.bincount(ids, weights=col, minlength=num)
-                            for col in rows.T])
-
-
-def _contract(level: _Level, src: np.ndarray, mate: np.ndarray) -> Tuple[_Level, float]:
+def _contract(level: _Level, mate: np.ndarray) -> Tuple[_Level, float]:
     """Contract matched pairs into coarse vertices; returns (level, n_c/n)."""
     n = level.num_vertices
     # Representative of each vertex: min(v, mate) for matched, self otherwise.
@@ -266,22 +250,28 @@ def _contract(level: _Level, src: np.ndarray, mate: np.ndarray) -> Tuple[_Level,
     fine_to_coarse = coarse_of_rep[rep]
     nc = int(is_rep.sum())
 
-    cvw = _segment_sums(fine_to_coarse, level.vertex_weights, nc)
+    # Aggregate multi-constraint vertex weights.
+    cvw = np.zeros((nc, level.vertex_weights.shape[1]), dtype=np.float64)
+    np.add.at(cvw, fine_to_coarse, level.vertex_weights)
 
     # Contract edges: relabel endpoints, drop self loops, sum parallels.
-    # Edge weights are integer-valued (ones at the finest level, sums of
-    # them above), so float64 adds them exactly in whatever order scipy's
-    # duplicate summation visits them.
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(level.indptr))
     csrc = fine_to_coarse[src]
     cdst = fine_to_coarse[level.indices]
-    edge = np.flatnonzero(csrc != cdst)
-    adj = sp.coo_matrix((level.edge_weights[edge], (csrc[edge], cdst[edge])),
-                        shape=(nc, nc)).tocsr()
+    keep = csrc != cdst
+    csrc, cdst, cew = csrc[keep], cdst[keep], level.edge_weights[keep]
+    key = csrc * nc + cdst
+    uniq, inverse = np.unique(key, return_inverse=True)
+    weights = np.bincount(inverse, weights=cew)
+    usrc = (uniq // nc).astype(np.int64)
+    udst = (uniq % nc).astype(np.int64)
+    indptr = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(usrc, minlength=nc), out=indptr[1:])
 
     coarse = _Level(
-        indptr=adj.indptr.astype(np.int64),
-        indices=adj.indices.astype(np.int64),
-        edge_weights=adj.data,
+        indptr=indptr,
+        indices=udst,
+        edge_weights=weights,
         vertex_weights=cvw,
         fine_to_coarse=fine_to_coarse,
     )
@@ -311,7 +301,7 @@ def _initial_partition(
     loads = np.zeros((k, vw.shape[1]), dtype=np.float64)
     part = np.full(n, -1, dtype=np.int64)
     indptr, indices, ew = level.indptr, level.indices, level.edge_weights
-    conn = [0.0] * n  # connection to the current region
+    conn = np.zeros(n, dtype=np.float64)  # connection to the current region
 
     unassigned_order = rng.permutation(n)
     cursor = 0
@@ -331,22 +321,22 @@ def _initial_partition(
                 continue  # stale entry
             part[v] = p
             loads[p] += vw[v]
-            row = slice(indptr[v], indptr[v + 1])
-            for u, w in zip(indices[row].tolist(), ew[row].tolist()):
+            for pos in range(indptr[v], indptr[v + 1]):
+                u = int(indices[pos])
                 if part[u] < 0:
-                    conn[u] += w
+                    conn[u] += ew[pos]
                     heapq.heappush(heap, (-conn[u], u))
 
     # Remaining vertices: the last part, unless it would blow past the cap,
     # in which case spill to the least-loaded (normalized) part.
     rest = np.flatnonzero(part < 0)
-    cap, ideal0, loads_py = (tol * ideal).tolist(), float(ideal[0]), loads.tolist()
-    for v, w in zip(rest.tolist(), vw[rest].tolist()):
+    cap = tol * ideal
+    for v in rest:
         p = k - 1
-        if any(map(gt, map(add, loads_py[p], w), cap)):
-            p = min(range(k), key=lambda q: loads_py[q][0] / ideal0)
+        if np.any(loads[p] + vw[v] > cap):
+            p = int(np.argmin(loads[:, 0] / ideal[0]))
         part[v] = p
-        loads_py[p] = list(map(add, loads_py[p], w))
+        loads[p] += vw[v]
     return part
 
 
@@ -375,113 +365,84 @@ def _refine(
     vw = level.vertex_weights
     ideal = np.maximum(vw.sum(axis=0) / k, 1e-12)
     cap = tol * ideal
-    over_cap = cap * (1 + 1e-9)
     floor = max(2.0 - tol, 0.25) * ideal  # keep source parts from draining
-    loads = _segment_sums(part, vw, k)
-    src, indices, ew = level.edge_sources(), level.indices, level.edge_weights
+    loads = np.zeros((k, vw.shape[1]), dtype=np.float64)
+    np.add.at(loads, part, vw)
+
+    indptr, indices, ew = level.indptr, level.indices, level.edge_weights
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
 
     for _ in range(passes):
-        nbr_part = part[indices]
-        is_boundary = np.zeros(n, dtype=bool)
-        is_boundary[src[np.flatnonzero(part[src] != nbr_part)]] = True
-        boundary = np.flatnonzero(is_boundary)
-        if len(boundary) == 0:
+        crossing = part[src] != part[indices]
+        if not crossing.any():
             break
-        # Connection weight of each boundary vertex to every part; interior
-        # vertices' edges all land in one spare row that is dropped.
-        row = np.where(is_boundary, np.cumsum(is_boundary) - 1, len(boundary))
-        conn = np.bincount((row * k)[src] + nbr_part, weights=ew,
-                           minlength=(len(boundary) + 1) * k)
-        conn = conn[:len(boundary) * k].reshape(-1, k)
+        boundary = np.unique(src[crossing])
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[boundary] = np.arange(len(boundary))
+
+        # Connection weight of each boundary vertex to every part.
+        conn = np.zeros((len(boundary), k), dtype=np.float64)
+        on_b = pos[src] >= 0
+        np.add.at(conn, (pos[src[on_b]], part[indices[on_b]]), ew[on_b])
 
         own_part = part[boundary]
-        rows = np.arange(len(boundary))
-        gains = conn - conn[rows, own_part][:, None]
-        gains[rows, own_part] = -np.inf
+        own = conn[np.arange(len(boundary)), own_part]
+        gains = conn - own[:, None]
+        gains[np.arange(len(boundary)), own_part] = -np.inf
         best_gain = gains.max(axis=1)
 
-        src_over = np.any(loads > over_cap, axis=1)[own_part]
+        src_over = np.any(loads[own_part] > cap[None, :] * (1 + 1e-9), axis=1)
         movers = np.flatnonzero((best_gain > 1e-12) | src_over)
         if len(movers) == 0:
             break
         # Apply in descending-gain order; gains are not recomputed within the
         # pass (standard one-sided FM approximation), so only strictly
         # positive moves are taken for balanced sources and the outer loop
-        # re-evaluates.
+        # re-evaluates.  The loop body uses plain Python scalars: per-mover
+        # numpy calls would dominate the partitioner's runtime.
         order = movers[np.argsort(-best_gain[movers], kind="stable")]
-        vertex, gain = boundary[order], gains[order]
-        loads, moved = _apply_moves(
-            part, loads, cap, over_cap, floor, vertex=vertex, cur=own_part[order],
-            weight=vw[vertex], gainful=gain > 1e-12,
-            targets=np.argsort(-gain, axis=1, kind="stable"))
+        target_rank = np.argsort(-gains[order], axis=1, kind="stable")
+        gains_ord = gains[order]
+        vs = boundary[order]
+        vw_rows = vw[vs].tolist()
+        loads_py = loads.tolist()
+        cap_py = cap.tolist()
+        floor_py = floor.tolist()
+        ncon = vw.shape[1]
+        part_py = part  # direct int64 array access is fine for scalar reads
+
+        moved = 0
+        for j in range(len(order)):
+            v = int(vs[j])
+            cur = int(part_py[v])
+            w = vw_rows[j]
+            lcur = loads_py[cur]
+            over = any(lcur[c] > cap_py[c] * (1 + 1e-9) for c in range(ncon))
+            # Try targets in descending-gain order; for balanced sources only
+            # strictly positive gains qualify, over-cap sources may move at a
+            # loss to restore balance.
+            grow = gains_ord[j]
+            for tgt in target_rank[j]:
+                tgt = int(tgt)
+                g = grow[tgt]
+                if tgt == cur or g == -np.inf:
+                    break
+                if g <= 1e-12 and not over:
+                    break
+                ltgt = loads_py[tgt]
+                if any(ltgt[c] + w[c] > cap_py[c] for c in range(ncon)):
+                    continue
+                if not over and any(
+                    lcur[c] - w[c] < min(floor_py[c], lcur[c]) for c in range(ncon)
+                ):
+                    continue
+                part_py[v] = tgt
+                for c in range(ncon):
+                    ltgt[c] += w[c]
+                    lcur[c] -= w[c]
+                moved += 1
+                break
+        loads = np.asarray(loads_py)
         if moved == 0:
             break
     return part
-
-
-_STUCK_RUN = 24     # consecutive no-op visits before the move walk rescans
-_MAX_WINDOW = 8192  # most movers per scan: (window, k, C) temporaries stay MBs
-
-
-def _apply_moves(part, loads, cap, over_cap, floor, *, vertex, cur, weight,
-                 targets, gainful) -> Tuple[np.ndarray, int]:
-    """Walk the pass's movers in order, moving each to the first part of its
-    descending-gain ``targets`` row that stays within ``cap`` on every
-    constraint.  A source within ``over_cap`` tries only its ``gainful``
-    (strictly positive gain) targets and must stay above ``floor``; an
-    over-cap source tries every other part, at a loss if need be.
-
-    Whether a mover moves depends only on the current loads, so a run of
-    movers that fail under loads that no move has changed can be decided in
-    one vectorised evaluation: the walk starts at, and after ``_STUCK_RUN``
-    consecutive no-ops jumps to, the next mover that evaluation finds.
-    Mutates ``part``; returns ``(loads, moves applied)``.
-    """
-    k, num = len(loads), len(vertex)
-    loads_py, cap_py, over_py, floor_py = (
-        a.tolist() for a in (loads, cap, over_cap, floor))
-    others = np.arange(k) != cur[:, None]
-    num_gainful = gainful.sum(axis=1)
-
-    def next_mover(lo: int) -> int:
-        """First position ``>= lo`` that moves under the current loads."""
-        now = np.array(loads_py)
-        over_part = (now > over_cap).any(axis=1)
-        width = 64
-        while lo < num:
-            sl = slice(lo, lo + width)
-            w, lcur = weight[sl], now[cur[sl]]
-            over = over_part[cur[sl]]
-            fits = ~(now + w[:, None, :] > cap).any(axis=2)  # (mover, part)
-            ok = (fits & np.where(over[:, None], others[sl], gainful[sl])).any(axis=1)
-            ok &= over | ~(lcur - w < np.minimum(floor, lcur)).any(axis=1)
-            if ok.any():
-                return lo + int(ok.argmax())
-            lo, width = lo + width, min(4 * width, _MAX_WINDOW)
-        return num
-
-    moved = stuck = 0
-    j = next_mover(0)
-    while j < num:
-        c = int(cur[j])
-        lcur, w = loads_py[c], weight[j].tolist()
-        if any(map(gt, lcur, over_py)):
-            tries = k - 1
-        elif any(map(lt, map(sub, lcur, w), map(min, floor_py, lcur))):
-            tries = 0
-        else:
-            tries = num_gainful[j]
-        for t in targets[j, :tries].tolist():
-            if not any(map(gt, map(add, loads_py[t], w), cap_py)):
-                part[vertex[j]] = t
-                loads_py[t] = list(map(add, loads_py[t], w))
-                loads_py[c] = list(map(sub, lcur, w))
-                moved += 1
-                stuck = 0
-                break
-        else:
-            stuck += 1
-            if stuck == _STUCK_RUN:
-                j, stuck = next_mover(j + 1) - 1, 0
-        j += 1
-    return np.array(loads_py), moved

@@ -58,6 +58,26 @@ class TestLDG:
             g, random_partition(g.num_vertices, 4, seed=0)).edge_cut_fraction
         assert cut_ldg < cut_rnd
 
+    def test_matches_per_neighbour_counting(self, community_graph):
+        """The vectorised neighbour count places every vertex where the
+        textbook loop (one increment per placed neighbour) does."""
+        g, _ = community_graph
+        k, n = 5, g.num_vertices
+        order = np.random.default_rng(2).permutation(n)
+        want = np.full(n, -1, dtype=np.int64)
+        sizes, capacity = np.zeros(k), max(1.0, 1.1 * n / k)
+        for v in order:
+            conn = np.zeros(k)
+            for u in g.neighbors(int(v)):
+                if want[u] >= 0:
+                    conn[want[u]] += 1.0
+            score = conn * np.maximum(1.0 - sizes / capacity, 0.0)
+            p = int(np.argmin(sizes) if np.all(score <= 0) else np.argmax(score))
+            want[v] = p
+            sizes[p] += 1.0
+        got = ldg_partition(g, k, order=order)
+        assert np.array_equal(got.assignment, want)
+
     def test_too_many_parts(self, tiny_graph):
         with pytest.raises(ValueError, match="cannot split"):
             ldg_partition(tiny_graph, tiny_graph.num_vertices + 1)

@@ -70,6 +70,9 @@ class TestScoreOrdering:
 
     def test_no_score_keeps_id_order(self, tiny_dataset, tiny_partition):
         rd = reorder_dataset(tiny_dataset, tiny_partition)
+        n = tiny_dataset.num_vertices
+        assert np.array_equal(  # partition id major, old id minor
+            rd.old_of_new, np.lexsort((np.arange(n), tiny_partition.assignment)))
         for k in range(4):
             lo, hi = rd.part_range(k)
             assert np.all(np.diff(rd.old_of_new[lo:hi]) > 0)
