@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.system import SalientPP
-from repro.distributed.records import StepRecord
 from repro.graph.datasets import GraphDataset
-from repro.pipeline.costmodel import CostModel, StageTimes
+from repro.pipeline.costmodel import CostModel
 from repro.pipeline.events import Stage
 from repro.pipeline.simulator import PipelineMode
 
@@ -60,34 +59,10 @@ class DistDGLCostModel(CostModel):
         self.num_hops = num_hops
         self.remote_frontier_fraction = remote_frontier_fraction
 
-    def stage_times(self, rec: StepRecord, served_rows: int) -> StageTimes:
-        base = super().stage_times(rec, served_rows)
-        m = self.cluster.machine
-        net = self.cluster.network
-        p = self.params
-
-        sample = (rec.candidate_edges / (m.sample_rate * p.sampler_derate)
-                  + m.overhead_per_batch + p.per_batch_overhead)
-        # Remote sampling RPCs: one id/adjacency round-trip per hop for the
-        # frontier portion owned by other machines.
-        remote_edges = rec.mfg_edges * self.remote_frontier_fraction
-        rpc = (2 * self.num_hops * net.latency
-               + remote_edges * p.bytes_per_remote_edge / net.bandwidth)
-
-        return StageTimes(
-            sample=sample,
-            request_exchange=base.request_exchange + rpc,
-            local_slice=base.local_slice / p.kvstore_derate,
-            serve_slice=base.serve_slice / p.kvstore_derate,
-            feature_comm=base.feature_comm,
-            h2d=base.h2d,
-            gpu_gather=base.gpu_gather,
-            train=base.train,
-        )
-
     def event_duration(self, ev) -> float:
-        """Event-path pricing with the same deratings as :meth:`stage_times`
-        (the engine-emitted trace must cost the same as the record replay)."""
+        """SALIENT++ pricing with DistDGL's deratings: a slower sampler
+        with per-batch RPC overhead, KVStore slicing, and one id/adjacency
+        round-trip per hop for the remotely owned frontier."""
         base = super().event_duration(ev)
         m = self.cluster.machine
         net = self.cluster.network

@@ -9,6 +9,7 @@ from repro.core.config import (
     table1_alpha,
 )
 from repro.core.planner import (
+    ARTIFACT_KINDS,
     ArtifactCache,
     PREPROCESS_STAGES,
     Plan,
@@ -34,6 +35,7 @@ __all__ = [
     "StreamingConfig",
     "progressive_variants",
     "table1_alpha",
+    "ARTIFACT_KINDS",
     "ArtifactCache",
     "PREPROCESS_STAGES",
     "Plan",

@@ -21,9 +21,13 @@ explicit API:
   structurally instead of by hand-threading ``partition=`` kwargs.
 
 * a :class:`Planner` executes plans through an :class:`ArtifactCache`
-  (in-memory, plus optional on-disk npz/JSON persistence for the four
-  preprocessing artifacts: :class:`Partition`, VIP matrices, reorder maps,
-  cache selections).  Building the four-variant Table-1 ladder computes
+  (in-memory, plus an optional on-disk tier for the four preprocessing
+  artifacts: :class:`Partition`, VIP matrices, reorder maps, cache
+  selections).  A disk entry is one file holding one
+  :func:`~repro.distributed.wire.pack_message` frame — the wire format is
+  the package's only serializer, so there is no per-kind codec here — and
+  fingerprints are :func:`~repro.distributed.wire.content_hash` digests.
+  Building the four-variant Table-1 ladder computes
   partition / VIP / reorder exactly once; a warm on-disk cache rebuilds a
   variant without recomputing any preprocessing stage, byte-identically.
 
@@ -34,12 +38,10 @@ planner, and stays exactly as before when it does not.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +50,13 @@ from repro.distributed.dynamic_cache import DynamicCacheSpec, is_dynamic_policy
 from repro.obs import OBS
 from repro.distributed.executor import DistributedTrainer
 from repro.distributed.feature_store import PartitionedFeatureStore
+from repro.distributed.wire import (
+    WireError,
+    content_hash,
+    decode_dataclass,
+    pack_message,
+    unpack_message,
+)
 from repro.partition.interface import Partition
 from repro.partition.registry import make_partition
 from repro.partition.reorder import ReorderedDataset, apply_reorder, reorder_dataset
@@ -90,26 +99,14 @@ STAGE_CONFIG_FIELDS: Dict[str, Tuple[str, ...]] = {
                 "batch_size", "seed", "engine", "pipeline_depth", "staleness"),
 }
 
-_SCHEMA_VERSION = 1
-
 
 # ----------------------------------------------------------------------
 # Fingerprints.
 
 def _digest(*parts) -> str:
-    """16-hex-char SHA-256 digest over heterogeneous parts (arrays by
-    dtype + shape + raw bytes; everything else by ``repr``)."""
-    h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, np.ndarray):
-            arr = np.ascontiguousarray(p)
-            h.update(str(arr.dtype).encode())
-            h.update(str(arr.shape).encode())
-            h.update(arr.tobytes())
-        else:
-            h.update(repr(p).encode())
-        h.update(b"|")
-    return h.hexdigest()[:16]
+    """16-hex-char :func:`~repro.distributed.wire.content_hash` of ``parts``
+    (scalars, strings, tuples, ndarrays by dtype + shape + raw bytes)."""
+    return content_hash(parts)[:16]
 
 
 def dataset_fingerprint(dataset) -> str:
@@ -187,80 +184,50 @@ class StageStats:
 
 
 # ----------------------------------------------------------------------
-# Artifact serialization (npz arrays + JSON sidecar metadata).
+# Artifact serialization: one wire frame per artifact.
 
-def _encode_partition(p: Partition):
-    return {"assignment": p.assignment}, {"num_parts": int(p.num_parts)}
+#: Everything the disk tier stores.  The on-disk artifact of ``reorder`` is
+#: the ``old_of_new`` order map (the :class:`ReorderedDataset` is rebuilt from
+#: it with :func:`apply_reorder`); ``vip`` is the (K, N) matrix in *old* ids;
+#: ``checkpoint`` is :mod:`repro.distributed.recovery`'s epoch-boundary dict.
+ARTIFACT_KINDS: Tuple[str, ...] = PREPROCESS_STAGES + ("checkpoint",)
 
-
-def _decode_partition(arrays, meta) -> Partition:
-    return Partition(arrays["assignment"], int(meta["num_parts"]))
-
-
-def _encode_array(a: np.ndarray):
-    return {"matrix": np.asarray(a)}, {}
-
-
-def _decode_array(arrays, meta) -> np.ndarray:
-    return arrays["matrix"]
-
-
-def _encode_cache_selection(caches: Sequence[np.ndarray]):
-    arrays = {f"cache_{k}": np.asarray(c, dtype=np.int64)
-              for k, c in enumerate(caches)}
-    return arrays, {"num_machines": len(caches)}
-
-
-def _decode_cache_selection(arrays, meta) -> List[np.ndarray]:
-    return [arrays[f"cache_{k}"] for k in range(int(meta["num_machines"]))]
-
-
-#: kind -> (encode, decode).  The on-disk artifact of ``reorder`` is the
-#: ``old_of_new`` order map (the :class:`ReorderedDataset` is rebuilt from it
-#: with :func:`apply_reorder`); ``vip`` is the (K, N) matrix in *old* ids.
-_CODECS: Dict[str, Tuple[Callable, Callable]] = {
-    "partition": (_encode_partition, _decode_partition),
-    "vip": (_encode_array, _decode_array),
-    "reorder": (_encode_array, _decode_array),
-    "cache-select": (_encode_cache_selection, _decode_cache_selection),
-}
+_SUFFIX = ".rpwf"
 
 
 def save_artifact(path: str, kind: str, artifact) -> None:
-    """Serialize a preprocessing artifact to ``path.npz`` + ``path.json``.
+    """Serialize an artifact to ``path.rpwf``: one
+    :func:`~repro.distributed.wire.pack_message` frame of ``kind``.
 
-    ``kind`` is one of :data:`PREPROCESS_STAGES`; for ``reorder`` pass the
-    ``old_of_new`` order array.  The JSON sidecar records kind and schema
-    version so stale or mismatched files are rejected on load.
+    ``kind`` is one of :data:`ARTIFACT_KINDS`; for ``reorder`` pass the
+    ``old_of_new`` order array.  The frame is written to a temporary file
+    and published by a single ``os.replace``, so a crash at any point
+    leaves either the previous entry or the new one — never a mix.
     """
-    if kind not in _CODECS:
-        raise ValueError(f"unknown artifact kind {kind!r}; valid: {sorted(_CODECS)}")
-    encode, _ = _CODECS[kind]
-    arrays, meta = encode(artifact)
-    # Atomic-rename writes (npz first, json last): a crash mid-save leaves
-    # either nothing or an entry missing its sidecar, never a torn file.
-    tmp_npz, tmp_json = path + ".tmp.npz", path + ".tmp.json"
-    np.savez_compressed(tmp_npz, **arrays)
-    os.replace(tmp_npz, path + ".npz")
-    with open(tmp_json, "w") as fh:
-        json.dump({"kind": kind, "version": _SCHEMA_VERSION, **meta}, fh)
-    os.replace(tmp_json, path + ".json")
+    if kind not in ARTIFACT_KINDS:
+        raise ValueError(
+            f"unknown artifact kind {kind!r}; valid: {sorted(ARTIFACT_KINDS)}")
+    frame = pack_message(kind, artifact)  # before any file exists
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(frame)
+    os.replace(tmp, path + _SUFFIX)
 
 
 def load_artifact(path: str, kind: str):
-    """Inverse of :func:`save_artifact`; round-trips byte-identically."""
-    if kind not in _CODECS:
-        raise ValueError(f"unknown artifact kind {kind!r}; valid: {sorted(_CODECS)}")
-    _, decode = _CODECS[kind]
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != kind:
-        raise ValueError(f"artifact at {path} is {meta.get('kind')!r}, not {kind!r}")
-    if meta.get("version") != _SCHEMA_VERSION:
-        raise ValueError(f"artifact schema v{meta.get('version')} != v{_SCHEMA_VERSION}")
-    with np.load(path + ".npz") as z:
-        arrays = {k: z[k] for k in z.files}
-    return decode(arrays, meta)
+    """Inverse of :func:`save_artifact`; round-trips byte-identically.
+
+    Raises :class:`~repro.distributed.wire.WireError` (a ``ValueError``) on
+    a truncated, corrupt, or wrong-kind frame."""
+    with open(path + _SUFFIX, "rb") as fh:
+        got, payload = unpack_message(fh.read())
+    if got != kind:
+        raise WireError(f"artifact at {path} is {got!r}, not {kind!r}")
+    # The one artifact that is a dataclass; the rest are plain wire data
+    # (an ndarray, a list of ndarrays, a dict).
+    if kind == "partition":
+        return decode_dataclass(Partition, payload)
+    return payload
 
 
 #: Default per-kind caps on the memory tier.  ``reorder`` entries pin a full
@@ -271,7 +238,7 @@ _DEFAULT_MEMORY_CAPS: Dict[str, int] = {"reorder": 8, "vip": 16}
 
 class ArtifactCache:
     """Two-tier artifact store: an in-memory memo plus an optional on-disk
-    directory (``<dir>/<kind>-<fingerprint>.npz`` + ``.json``).
+    directory (one wire frame per entry, ``<dir>/<kind>-<fingerprint>.rpwf``).
 
     The memory tier holds live objects (for ``reorder``, the full
     :class:`ReorderedDataset`) with per-kind FIFO caps so heavyweight
@@ -312,17 +279,14 @@ class ArtifactCache:
     def load_disk(self, kind: str, fingerprint: str):
         """Deserialized artifact, or ``None`` if disk is disabled/missing.
 
-        Requires *both* files of an entry, and treats any unreadable /
-        mismatched entry as a miss (healed by the recompute's save) rather
-        than an error — a cache must degrade, not wedge."""
+        Any unreadable entry — absent, truncated, failing a checksum, or
+        of another kind — is a miss (healed by the recompute's save)
+        rather than an error: a cache must degrade, not wedge."""
         if self.cache_dir is None:
             return None
-        path = self._disk_path(kind, fingerprint)
-        if not (os.path.exists(path + ".npz") and os.path.exists(path + ".json")):
-            return None
         try:
-            return load_artifact(path, kind)
-        except Exception:  # corrupt entry (torn write, stale schema, ...)
+            return load_artifact(self._disk_path(kind, fingerprint), kind)
+        except (OSError, ValueError):  # WireError is a ValueError
             return None
 
     def save_disk(self, kind: str, fingerprint: str, artifact) -> None:

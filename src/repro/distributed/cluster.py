@@ -117,6 +117,12 @@ class NetworkSpec:
         return self.latency + num_bytes / self.effective_bandwidth
 
 
+def ring_all_reduce_bytes(num_machines: int, num_bytes: float) -> float:
+    """Bytes each NIC moves in a ring all-reduce of a ``num_bytes``
+    payload: 2(K-1)/K of it (zero for a single machine)."""
+    return 2.0 * (num_machines - 1) / num_machines * num_bytes
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """A homogeneous cluster of single-GPU machines (the paper's setting:
@@ -141,7 +147,7 @@ class ClusterSpec:
         k = self.num_machines
         if k == 1:
             return 0.0
-        wire_bytes = 2.0 * (k - 1) / k * num_bytes
+        wire_bytes = ring_all_reduce_bytes(k, num_bytes)
         return 2 * self.network.latency + wire_bytes / self.network.bandwidth
 
 

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.distributed.cluster import ring_all_reduce_bytes
 from repro.nn.module import Module
 
 
@@ -155,8 +156,8 @@ def all_reduce_gradients(
             nd[key].grad = np.array(avg, copy=True)
 
     if ledger is not None and k > 1:
-        nbytes = gradient_nbytes(models[0])
-        ledger.record_all_reduce(2.0 * (k - 1) / k * nbytes)
+        ledger.record_all_reduce(
+            ring_all_reduce_bytes(k, gradient_nbytes(models[0])))
 
 
 def average_parameters(
@@ -192,8 +193,8 @@ def average_parameters(
             p.data[...] = avg
 
     if ledger is not None and k > 1:
-        nbytes = gradient_nbytes(models[0])
-        ledger.record_all_reduce(2.0 * (k - 1) / k * nbytes)
+        ledger.record_all_reduce(
+            ring_all_reduce_bytes(k, gradient_nbytes(models[0])))
 
 
 def broadcast_state(models: List[Module], source: int = 0) -> None:

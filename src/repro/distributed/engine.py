@@ -63,6 +63,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.distributed.cluster import ring_all_reduce_bytes
 from repro.distributed.comm import (
     CommLedger,
     all_reduce_gradients,
@@ -411,7 +412,7 @@ def assemble_report(schedule: Schedule,
     losses = [rec.loss for rec in records if rec.loss is not None]
     if losses and K > 1:
         for _step in schedule.sync_steps:
-            ledger.record_all_reduce(2.0 * (K - 1) / K * grad_nbytes)
+            ledger.record_all_reduce(ring_all_reduce_bytes(K, grad_nbytes))
     return EpochReport(
         epoch=epoch,
         records=records,

@@ -721,10 +721,7 @@ class PartitionedFeatureStore:
             remote_per_peer=remote_per_peer,
         )
         if store.has_dynamic_cache:
-            self._maintain_dynamic_cache(
-                store, stats, plan.cached_ids, plan.remote_ids, out,
-                plan.remote_pos, plan.nonlocal_ids,
-            )
+            self._maintain_dynamic_cache(store, stats, plan, out)
         if OBS.enabled:
             _note_gather(stats)
         return out, stats
@@ -785,26 +782,28 @@ class PartitionedFeatureStore:
 
         if store.has_dynamic_cache:
             for plan, (out, stats) in zip(cplan.plans, results):
-                self._maintain_dynamic_cache_in_flight(store, stats, plan, out)
+                self._maintain_dynamic_cache(store, stats, plan, out)
         if OBS.enabled:
             for _out, stats in results:
                 _note_gather(stats)
         return results
 
-    def _maintain_dynamic_cache_in_flight(
+    def _maintain_dynamic_cache(
         self,
         store: MachineStore,
         stats: GatherStats,
         plan: FetchPlan,
         out: np.ndarray,
     ) -> None:
-        """Dynamic-cache maintenance for one sub-plan of a coalesced window.
+        """Post-gather cache update for one plan: hits, admissions, and
+        due refreshes.
 
-        The plan's classification may be stale by now (an earlier sub-plan's
-        maintenance can admit or evict), so membership is re-checked against
-        the *current* cache: still-cached planned hits and since-admitted
-        planned misses count as hits; the rest of the planned misses are
-        admission candidates.
+        Inside a coalesced window the plan's classification may be stale by
+        now (an earlier sub-plan's maintenance can admit or evict), so
+        membership is re-checked against the *current* cache: still-cached
+        planned hits and since-admitted planned misses count as hits; the
+        rest of the planned misses are admission candidates.  For a plan
+        executed on its own the re-checks change nothing.
         """
         cache: DynamicCache = store.cache
         evictions_before = cache.churn.evictions
@@ -822,7 +821,7 @@ class PartitionedFeatureStore:
                 ).copy()
             else:
                 scores = cache.observed_scores()
-            scores[store.lo:store.hi] = 0.0
+            scores[store.lo:store.hi] = 0.0  # locals never need caching
             refresh_plan = cache.plan_refresh(
                 scores, horizon=cache.spec.refresh_interval
             )
@@ -832,39 +831,6 @@ class PartitionedFeatureStore:
             cache.commit_refresh(refresh_plan, new_rows)
             stats.refresh_fetch_per_peer = fetch_per_peer
             stats.cache_insertions += len(refresh_plan.new_ids)
-        stats.cache_evictions = cache.churn.evictions - evictions_before
-
-    def _maintain_dynamic_cache(
-        self,
-        store: MachineStore,
-        stats: GatherStats,
-        cached_ids: np.ndarray,
-        remote_ids: np.ndarray,
-        out: np.ndarray,
-        remote_pos: np.ndarray,
-        accessed_remote_ids: np.ndarray,
-    ) -> None:
-        """Post-gather cache update: hits, admissions, and due refreshes."""
-        cache: DynamicCache = store.cache
-        evictions_before = cache.churn.evictions
-        cache.note_hits(cached_ids)
-        stats.cache_insertions += cache.admit(remote_ids, out[remote_pos])
-        if cache.end_batch(accessed_remote_ids):
-            if self._refresh_score_fn is not None:
-                scores = np.asarray(
-                    self._refresh_score_fn(store.part_id), dtype=np.float64
-                ).copy()
-            else:
-                scores = cache.observed_scores()
-            scores[store.lo:store.hi] = 0.0  # locals never need caching
-            plan = cache.plan_refresh(scores,
-                                      horizon=cache.spec.refresh_interval)
-            new_rows, fetch_per_peer = self._fetch_remote_rows(
-                store.part_id, plan.new_ids
-            )
-            cache.commit_refresh(plan, new_rows)
-            stats.refresh_fetch_per_peer = fetch_per_peer
-            stats.cache_insertions += len(plan.new_ids)
         stats.cache_evictions = cache.churn.evictions - evictions_before
 
     def _fetch_remote_rows(self, machine: int, ids: np.ndarray):

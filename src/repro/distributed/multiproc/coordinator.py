@@ -12,7 +12,6 @@ in-process engine calls on the same records.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import secrets
 import time
 import weakref
@@ -46,11 +45,12 @@ from repro.distributed.shm_plane import (
 )
 from repro.distributed.wire import (
     WireError,
+    content_hash,
     decode_dataclass,
     pack_message,
     unpack_message,
 )
-from repro.obs import OBS, clock_anchor, spans_from_wire
+from repro.obs import OBS, SpanRecord, clock_anchor
 from repro.utils.rng import derive_seed, machine_stream_seed
 
 #: Engines the multiproc backend can schedule (async applies local updates
@@ -542,12 +542,8 @@ class MultiprocBackend(ClusterBackend):
         """Hash of every machine's static cache selection — recorded in
         checkpoints so a snapshot can never be restored into a cluster
         whose resident cache contents differ."""
-        h = hashlib.sha256()
-        for spec in self.worker_specs:
-            ids = np.ascontiguousarray(np.asarray(spec.cache_ids,
-                                                  dtype=np.int64))
-            h.update(ids.tobytes())
-        return h.hexdigest()
+        return content_hash([np.asarray(spec.cache_ids, dtype=np.int64)
+                             for spec in self.worker_specs])
 
     def capture_checkpoint(self, epoch: int) -> dict:
         """Snapshot the cluster's training state at an epoch boundary.
@@ -833,7 +829,8 @@ class MultiprocBackend(ClusterBackend):
                 # trace, rebasing their perf_counter timestamps through
                 # the worker's (perf, wall) clock anchor.
                 try:
-                    remote = spans_from_wire(payload["spans"])
+                    remote = [decode_dataclass(SpanRecord, s)
+                              for s in payload["spans"]]
                     anchor = tuple(int(t) for t in payload["clock"])
                     OBS.tracer.merge_remote(remote, anchor, clock_anchor())
                     snap = payload.get("metrics")

@@ -10,7 +10,6 @@ to keep in step with its fields.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
@@ -19,6 +18,7 @@ import numpy as np
 
 from repro.distributed.faults import FaultSpec
 from repro.distributed.feature_store import FetchPlan, GatherStats
+from repro.distributed.wire import content_hash
 
 #: Leading columns of a fetch-plan audit digest row (before the per-peer
 #: remote counts): total, gpu, cpu, cached, remote, coalesced.
@@ -89,23 +89,15 @@ def _cluster_fingerprint(specs: List[WorkerSpec]) -> str:
     segment shapes/dtypes, every seed, every id array, and every
     hyperparameter are included.
     """
-    h = hashlib.sha256()
-    for spec in specs:
-        for f in sorted(dataclasses.fields(spec), key=lambda f: f.name):
-            if f.name == "faults":
-                continue
-            val = getattr(spec, f.name)
-            h.update(f.name.encode("utf8"))
-            if f.name == "segments":
-                for key in sorted(val):
-                    h.update(f"{key}:{tuple(val[key].shape)}:"
-                             f"{val[key].dtype};".encode("utf8"))
-            elif isinstance(val, np.ndarray):
-                h.update(f"{val.dtype}:{val.shape}:".encode("utf8"))
-                h.update(np.ascontiguousarray(val).tobytes())
-            else:
-                h.update(repr(val).encode("utf8"))
-    return h.hexdigest()
+    def view(spec: WorkerSpec) -> dict:
+        fields = {f.name: getattr(spec, f.name)
+                  for f in dataclasses.fields(spec)}
+        del fields["faults"]
+        fields["segments"] = {key: (seg.shape, seg.dtype)
+                              for key, seg in spec.segments.items()}
+        return fields
+
+    return content_hash([view(spec) for spec in specs])
 
 
 # ----------------------------------------------------------------------

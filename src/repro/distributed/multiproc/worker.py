@@ -36,7 +36,7 @@ from repro.distributed.wire import decode_dataclass, pack_message, unpack_messag
 from repro.graph.csr import CSRGraph
 from repro.nn.models import build_model
 from repro.nn.optim import Adam
-from repro.obs import OBS, clock_anchor, spans_to_wire
+from repro.obs import OBS, clock_anchor
 from repro.sampling.neighbor import NeighborSampler
 
 
@@ -316,7 +316,7 @@ class _WorkerRuntime:
             "state": None if dry_run else dict(self.models[k].state_dict()),
         }
         if trace_ctx:
-            done["spans"] = spans_to_wire(OBS.tracer.drain())
+            done["spans"] = OBS.tracer.drain()
             done["clock"] = list(clock_anchor())
             done["metrics"] = OBS.metrics.snapshot()
             OBS.disable()

@@ -21,10 +21,14 @@ giving up the backend's bit-identity guarantee:
   cursors, the replayed epoch's losses are bit-identical to a fault-free
   run's.
 - :func:`save_checkpoint` / :func:`load_checkpoint` persist checkpoints
-  through the existing :class:`~repro.core.planner.ArtifactCache` (npz +
-  JSON sidecar, atomic renames, schema-versioned), registering a
-  ``"checkpoint"`` artifact codec on first use.  A run killed outright —
-  coordinator and all — can warm-start from disk.
+  through the existing :class:`~repro.core.planner.ArtifactCache` as its
+  ``"checkpoint"`` kind.  The checkpoint dict is plain wire data, so the
+  disk entry is one :mod:`~repro.distributed.wire` frame (CRC32 per array
+  and over the whole frame) published by a single atomic rename: weights,
+  epoch, Adam step and RNG cursors can only ever come from the same epoch,
+  and a damaged file is a miss, not a wrong restore.  A run killed
+  outright — coordinator and all, even mid-persist — can warm-start from
+  disk.
 
 Every recovery is logged in :attr:`RecoveryManager.recoveries` with its
 detection / backoff / respawn / replay walls, which is what the perf
@@ -36,8 +40,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
-
-import numpy as np
 
 from repro.distributed.multiproc import MultiprocBackend, WorkerFailedError
 from repro.obs import OBS
@@ -118,61 +120,6 @@ class RecoveryPolicy:
 # ----------------------------------------------------------------------
 # Checkpoint persistence through the ArtifactCache.
 
-def _encode_checkpoint(ckpt: dict):
-    """Checkpoint dict -> (arrays, meta) for the planner's npz+JSON codec.
-
-    Arrays carry the model parameters (in sorted-name order, names listed
-    in the meta) and the optimizer's moment estimates; everything else —
-    epoch, step count, RNG cursors (``repr`` strings), cache fingerprint —
-    is JSON-safe metadata.
-    """
-    arrays = {}
-    names = sorted(ckpt["model"])
-    for i, name in enumerate(names):
-        arrays[f"model_{i}"] = np.asarray(ckpt["model"][name])
-    for i, a in enumerate(ckpt["adam"]["m"]):
-        arrays[f"adam_m_{i}"] = np.asarray(a)
-    for i, a in enumerate(ckpt["adam"]["v"]):
-        arrays[f"adam_v_{i}"] = np.asarray(a)
-    meta = {
-        "epoch": int(ckpt["epoch"]),
-        "model_names": names,
-        "num_moments": len(ckpt["adam"]["m"]),
-        "adam_t": int(ckpt["adam"]["t"]),
-        "samplers": list(ckpt["samplers"]),
-        "layer_rngs": [list(states) for states in ckpt["layer_rngs"]],
-        "cache_fp": ckpt.get("cache_fp"),
-    }
-    return arrays, meta
-
-
-def _decode_checkpoint(arrays, meta) -> dict:
-    names = list(meta["model_names"])
-    n = int(meta["num_moments"])
-    return {
-        "epoch": int(meta["epoch"]),
-        "model": {name: arrays[f"model_{i}"] for i, name in enumerate(names)},
-        "adam": {
-            "m": [arrays[f"adam_m_{i}"] for i in range(n)],
-            "v": [arrays[f"adam_v_{i}"] for i in range(n)],
-            "t": int(meta["adam_t"]),
-        },
-        "samplers": list(meta["samplers"]),
-        "layer_rngs": [list(states) for states in meta["layer_rngs"]],
-        "cache_fp": meta.get("cache_fp"),
-    }
-
-
-def _ensure_checkpoint_codec() -> None:
-    """Register the ``"checkpoint"`` artifact kind with the planner's codec
-    table (idempotent; lazy so importing this module never drags the
-    planner in, and no import cycle forms through ``repro.core``)."""
-    from repro.core import planner
-
-    planner._CODECS.setdefault(
-        "checkpoint", (_encode_checkpoint, _decode_checkpoint))
-
-
 def save_checkpoint(cache, fingerprint: str, ckpt: dict) -> None:
     """Persist a checkpoint through an :class:`ArtifactCache` (both tiers).
 
@@ -180,9 +127,10 @@ def save_checkpoint(cache, fingerprint: str, ckpt: dict) -> None:
     cluster fingerprint, so a checkpoint can only ever be restored into a
     cluster with the identical topology, training set, and cache layout.
     Successive epochs overwrite the same entry: only the newest checkpoint
-    is ever needed.
+    is ever needed, and the disk entry is one wire frame swapped in by a
+    single rename — a crash mid-persist leaves the previous epoch's
+    checkpoint whole.
     """
-    _ensure_checkpoint_codec()
     cache.put_memory("checkpoint", fingerprint, ckpt)
     cache.save_disk("checkpoint", fingerprint, ckpt)
 
@@ -191,7 +139,6 @@ def load_checkpoint(cache, fingerprint: str) -> Optional[dict]:
     """The newest persisted checkpoint for ``fingerprint``, or ``None``
     (no entry, disk disabled, or a corrupt file — the cache degrades to a
     miss, and training starts from epoch 0)."""
-    _ensure_checkpoint_codec()
     hit = cache.get_memory("checkpoint", fingerprint)
     if hit is not None:
         return hit

@@ -1,14 +1,20 @@
-"""Compact wire format for coordinator/worker messages.
+"""The wire format: the one encoder for everything that leaves a process
+or touches disk.
 
 The multiproc cluster backend ships :class:`FetchPlan`\\ s, gradients, step
-records, and stage events between the coordinator and its worker processes
-over pipes.  Pickle would work, but it is neither compact (every ndarray
-drags protocol framing and dtype objects along) nor auditable; this module
-defines a small explicit format instead:
+records, spans and stage events between the coordinator and its worker
+processes over pipes; the planner's :class:`~repro.core.planner.
+ArtifactCache` persists preprocessing artifacts and recovery checkpoints
+as files; and every fingerprint in the package (:func:`content_hash`) is a
+digest of an encoding.  A general-purpose object serializer would work,
+but it is neither compact (every ndarray drags protocol framing and dtype
+objects along) nor auditable; this module defines a small explicit format
+instead:
 
 * a **message** is ``MAGIC | version | kind | value`` — ``MAGIC`` is the
-  4-byte tag ``b"RPWF"``, ``kind`` is a short ASCII verb (``"step"``,
-  ``"avg"``, ...), and ``value`` is one encoded value;
+  4-byte tag ``b"RPWF"``, ``kind`` is a short ASCII name (a verb such as
+  ``"step"`` or ``"avg"`` on a pipe, an artifact kind such as ``"vip"`` in
+  a file), and ``value`` is one encoded value;
 * a **value** is a one-byte type tag followed by its payload.  Scalars
   (``None``, bools, 64-bit ints, doubles, strings, bytes) and containers
   (list, tuple, dict with string keys) nest arbitrarily;
@@ -29,7 +35,8 @@ unknown types — raises :class:`WireError` at *encode* time rather than
 producing a lossy payload.
 
 **Dataclasses** are the one structured type: an instance encodes as the
-dict of its fields (enum members as their values), and
+dict of its fields (enum members as their values; ``compare=False`` fields,
+which only memoize the others, are left out), and
 :func:`decode_dataclass` rebuilds it from the class's own field annotations
 — nested dataclasses, ``Optional``/``List``/``Tuple``/``Dict`` of them, and
 enums included.  Step records, worker specs, fault schedules and fetch
@@ -44,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import hashlib
 import struct
 import typing
 import zlib
@@ -132,7 +140,7 @@ def pack_ndarray(arr: np.ndarray, out: bytearray) -> None:
     out += struct.pack("<I", zlib.crc32(payload))
 
 
-def _pack_value(obj: Any, out: bytearray) -> None:
+def _pack_value(obj: Any, out: bytearray, sort_keys: bool = False) -> None:
     if obj is None:
         out.append(_T_NONE)
     elif isinstance(obj, (bool, np.bool_)):
@@ -167,18 +175,21 @@ def _pack_value(obj: Any, out: bytearray) -> None:
         out.append(_T_LIST if isinstance(obj, list) else _T_TUPLE)
         out += struct.pack("<I", len(obj))
         for item in obj:
-            _pack_value(item, out)
+            _pack_value(item, out, sort_keys)
     elif isinstance(obj, dict):
         out.append(_T_DICT)
         out += struct.pack("<I", len(obj))
-        for key, val in obj.items():
+        for key, val in (sorted(obj.items()) if sort_keys else obj.items()):
             if not isinstance(key, str):
                 raise WireError(f"dict keys must be str, got {type(key).__name__}")
             _pack_value(key, out)
-            _pack_value(val, out)
+            _pack_value(val, out, sort_keys)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # compare=False fields are memoized derivations of the others
+        # (Partition._members): not part of the value, so they stay home.
         _pack_value({f.name: getattr(obj, f.name)
-                     for f in dataclasses.fields(obj)}, out)
+                     for f in dataclasses.fields(obj) if f.compare},
+                    out, sort_keys)
     elif isinstance(obj, enum.Enum):
         _pack_value(obj.value, out)
     else:
@@ -190,6 +201,16 @@ def pack_obj(obj: Any) -> bytes:
     out = bytearray()
     _pack_value(obj, out)
     return bytes(out)
+
+
+def content_hash(obj: Any) -> str:
+    """SHA-256 hex digest of ``obj``'s canonical wire encoding (dict keys
+    sorted) — the one fingerprint primitive: equal values hash equal
+    whatever their dict insertion order, and anything the wire cannot
+    represent exactly cannot be fingerprinted either."""
+    out = bytearray()
+    _pack_value(obj, out, sort_keys=True)
+    return hashlib.sha256(out).hexdigest()
 
 
 def pack_message(kind: str, payload: Any) -> bytes:

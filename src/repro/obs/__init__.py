@@ -33,8 +33,6 @@ from repro.obs.span import (
     Tracer,
     clock_anchor,
     rebase_ns,
-    spans_from_wire,
-    spans_to_wire,
 )
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "Tracer",
     "clock_anchor",
     "rebase_ns",
-    "spans_from_wire",
-    "spans_to_wire",
     "enable",
     "disable",
 ]

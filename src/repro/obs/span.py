@@ -34,8 +34,6 @@ __all__ = [
     "NULL_SPAN",
     "clock_anchor",
     "rebase_ns",
-    "spans_to_wire",
-    "spans_from_wire",
 ]
 
 #: Process-wide span-id source.  ``itertools.count`` is atomic under the
@@ -69,10 +67,23 @@ def rebase_ns(t_ns: int, remote_anchor: tuple, local_anchor: tuple) -> int:
     return int(t_ns) - int(r_perf) + int(r_wall) - int(l_wall) + int(l_perf)
 
 
+_WIRE_SCALARS = (str, int, float, bool, type(None))
+
+
+def _wire_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """Clamp attribute values to wire-safe scalars (``repr`` anything
+    exotic) as they are set, so a finished span is plain data for the wire
+    format and every exporter alike."""
+    return {k: v if isinstance(v, _WIRE_SCALARS) else repr(v)
+            for k, v in attrs.items()}
+
+
 @dataclass
 class SpanRecord:
     """One finished span.  ``end_ns >= start_ns`` always holds for wall
-    spans; sim-clock spans leave both at 0 and fill ``sim_start/sim_end``."""
+    spans; sim-clock spans leave both at 0 and fill ``sim_start/sim_end``.
+    Plain data: it crosses the multiproc pipe through the wire format's
+    dataclass codec."""
 
     name: str
     span_id: int
@@ -131,14 +142,14 @@ class _LiveSpan:
         self.name = name
         self.span_id = _next_span_id()
         self.parent_id = 0
-        self.attrs = attrs
+        self.attrs = _wire_attrs(attrs)
         self.start_ns = 0
         self.end_ns = 0
         self._hist = hist
 
     def set(self, **attrs) -> "_LiveSpan":
         """Attach attributes after the span has started."""
-        self.attrs.update(attrs)
+        self.attrs.update(_wire_attrs(attrs))
         return self
 
     def __bool__(self) -> bool:
@@ -230,8 +241,8 @@ class Tracer:
         rec = SpanRecord(
             name=name, span_id=_next_span_id(), parent_id=parent_id,
             trace_id=self.trace_id, lane=lane or self.lane,
-            start_ns=int(start_ns), end_ns=int(end_ns), attrs=attrs,
-            sim_start=sim_start, sim_end=sim_end,
+            start_ns=int(start_ns), end_ns=int(end_ns),
+            attrs=_wire_attrs(attrs), sim_start=sim_start, sim_end=sim_end,
         )
         self.spans.append(rec)
         return rec
@@ -285,47 +296,3 @@ class _ExplicitParent:
 
     def __exit__(self, *exc) -> bool:
         return self._span.__exit__(*exc)
-
-
-# ----------------------------------------------------------------------
-# wire codec (plain dicts; the multiproc wire format packs them directly)
-# ----------------------------------------------------------------------
-
-_WIRE_SCALARS = (str, int, float, bool, type(None))
-
-
-def _wire_attr(value: Any) -> Any:
-    """Clamp an attribute to wire-safe scalars (repr anything exotic)."""
-    if isinstance(value, _WIRE_SCALARS):
-        return value
-    return repr(value)
-
-
-def spans_to_wire(spans: Iterable[SpanRecord]) -> List[dict]:
-    """Encode spans as plain dicts for the multiproc wire format."""
-    out = []
-    for rec in spans:
-        out.append({
-            "name": rec.name,
-            "span_id": rec.span_id,
-            "parent_id": rec.parent_id,
-            "trace_id": rec.trace_id,
-            "lane": rec.lane,
-            "start_ns": rec.start_ns,
-            "end_ns": rec.end_ns,
-            "attrs": {k: _wire_attr(v) for k, v in rec.attrs.items()},
-            "sim_start": rec.sim_start,
-            "sim_end": rec.sim_end,
-        })
-    return out
-
-
-def spans_from_wire(raw: Iterable[dict]) -> List[SpanRecord]:
-    """Decode :func:`spans_to_wire` output back into records."""
-    return [SpanRecord(
-        name=d["name"], span_id=int(d["span_id"]),
-        parent_id=int(d["parent_id"]), trace_id=d["trace_id"],
-        lane=d["lane"], start_ns=int(d["start_ns"]), end_ns=int(d["end_ns"]),
-        attrs=dict(d.get("attrs") or {}),
-        sim_start=d.get("sim_start"), sim_end=d.get("sim_end"),
-    ) for d in raw]

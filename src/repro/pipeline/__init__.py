@@ -11,7 +11,6 @@ fetches) is charged on the same resources.
 from repro.pipeline.costmodel import (
     CostModel,
     ModelDims,
-    StageTimes,
     served_rows_matrix,
 )
 from repro.pipeline.events import (
@@ -31,7 +30,6 @@ from repro.pipeline.simulator import (
 __all__ = [
     "CostModel",
     "ModelDims",
-    "StageTimes",
     "served_rows_matrix",
     "EventTrace",
     "Stage",

@@ -44,26 +44,6 @@ class ModelDims:
         return (self.in_dim, self.hidden_dim, self.out_dim)
 
 
-@dataclass
-class StageTimes:
-    """Durations (seconds) of one machine's stages for one minibatch."""
-
-    sample: float
-    request_exchange: float
-    local_slice: float
-    serve_slice: float
-    feature_comm: float
-    h2d: float
-    gpu_gather: float
-    train: float
-
-    def preparation_compute(self) -> float:
-        return self.sample + self.local_slice + self.serve_slice + self.gpu_gather
-
-    def preparation_comm(self) -> float:
-        return self.request_exchange + self.feature_comm
-
-
 class CostModel:
     """Prices :class:`StepRecord` volumes on a :class:`ClusterSpec`.
 
@@ -84,62 +64,6 @@ class CostModel:
         self.dims = dims
         self.grad_nbytes = int(grad_nbytes)
 
-    # ------------------------------------------------------------------
-    def stage_times(self, rec: StepRecord, served_rows: int) -> StageTimes:
-        """Durations for one machine-step.
-
-        ``served_rows`` is the number of rows this machine must slice and
-        send to peers in the same step (computed by the simulator from all
-        machines' records, since a machine cannot know it locally).
-        """
-        m = self.cluster.machine
-        net = self.cluster.network
-        bpr = self.bytes_per_row
-        g = rec.gather
-
-        sample = rec.candidate_edges / m.sample_rate + m.overhead_per_batch
-        # Coalesced rows (deduplicated against another in-flight batch) are
-        # host-resident by the time this batch assembles, like cached rows.
-        host_rows = g.cpu_rows + g.cached_rows + g.coalesced_rows
-        # Dynamic-cache maintenance is CPU work: every admitted or refreshed
-        # row is one extra memcpy into the cache slab.
-        cache_update_rows = g.cache_insertions
-        local_slice = (host_rows + cache_update_rows) * bpr / m.cpu_slice_rate
-        serve = served_rows * bpr / m.cpu_slice_rate
-
-        # Cache-update traffic (vip-refresh swaps) rides the same wire as
-        # demand fetches, so it is added to this machine's inbound volume.
-        remote_rows = g.remote_rows + g.refresh_fetch_rows
-        if remote_rows == 0 and served_rows == 0:
-            request_exchange = 0.0
-            feature_comm = 0.0
-        else:
-            # Stages 2-5: two metadata/id all-to-all rounds.
-            id_bytes = (remote_rows + served_rows) * 8
-            request_exchange = 2 * net.latency + id_bytes / net.effective_bandwidth
-            # Stage 9: feature payload; full duplex, so the max of the two
-            # directions bounds this machine's wire time.
-            in_bytes = remote_rows * bpr
-            out_bytes = served_rows * bpr
-            feature_comm = net.latency + max(in_bytes, out_bytes) / net.effective_bandwidth
-
-        # Only demand rows cross PCIe; refreshed cache rows stay host-side.
-        h2d_rows = host_rows + g.remote_rows
-        h2d = h2d_rows * bpr / m.pcie_bandwidth
-        gpu_gather = (g.gpu_rows + g.total_rows) * bpr / m.gpu_slice_rate
-        train = rec.flops(*self.dims.as_tuple) / m.gpu_flops
-
-        return StageTimes(
-            sample=sample,
-            request_exchange=request_exchange,
-            local_slice=local_slice,
-            serve_slice=serve,
-            feature_comm=feature_comm,
-            h2d=h2d,
-            gpu_gather=gpu_gather,
-            train=train,
-        )
-
     def allreduce_time(self) -> float:
         return self.cluster.all_reduce_time(self.grad_nbytes)
 
@@ -147,9 +71,14 @@ class CostModel:
     def event_duration(self, ev) -> float:
         """Price one :class:`~repro.pipeline.events.StageEvent` (seconds).
 
-        Uses the same rate formulas as :meth:`stage_times`, so a per-step
-        event trace prices identically to the record-based path (the parity
-        tests assert exact float equality).
+        The volumes are the ones
+        :func:`~repro.pipeline.events.emit_step_events` and
+        :func:`~repro.pipeline.events.emit_window_comm_events` put on the
+        event: local-slice rows include coalesced rows (host-resident by the time
+        the batch assembles) and dynamic-cache insertions (one memcpy into
+        the cache slab each); inbound feature rows include ``vip-refresh``
+        traffic, which rides the same wire as demand fetches but never
+        crosses PCIe.
         """
         m = self.cluster.machine
         net = self.cluster.network
@@ -165,12 +94,15 @@ class CostModel:
             request, serve = ev.volume("request_rows"), ev.volume("serve_rows")
             if request == 0 and serve == 0:
                 return 0.0
+            # Stages 2-5: two metadata/id all-to-all rounds.
             id_bytes = (request + serve) * 8
             return 2 * net.latency + id_bytes / net.effective_bandwidth
         if stage is Stage.FEATURE_COMM:
             in_rows, out_rows = ev.volume("in_rows"), ev.volume("out_rows")
             if in_rows == 0 and out_rows == 0:
                 return 0.0
+            # Stage 9: feature payload; full duplex, so the max of the two
+            # directions bounds this machine's wire time.
             in_bytes = in_rows * bpr
             out_bytes = out_rows * bpr
             return net.latency + max(in_bytes, out_bytes) / net.effective_bandwidth

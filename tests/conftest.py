@@ -54,3 +54,27 @@ def tiny_reordered(tiny_dataset, tiny_partition):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def make_checkpoint():
+    """``make_checkpoint(epoch)``: a checkpoint-shaped dict (the layout
+    ``MultiprocBackend.capture_checkpoint`` returns) in which every field —
+    weights, epoch, Adam moments and step, sampler and layer RNG cursors —
+    is a function of ``epoch`` alone, so a tear between two epochs shows."""
+    def make(epoch: int) -> dict:
+        gen = np.random.default_rng(epoch)
+        cursors = [repr(np.random.default_rng((epoch, k)).bit_generator.state)
+                   for k in range(2)]
+        return {
+            "epoch": epoch,
+            "model": {"l0.weight": gen.normal(size=(8, 4)).astype(np.float32),
+                      "l0.bias": gen.normal(size=4).astype(np.float32)},
+            "adam": {"m": [gen.normal(size=(8, 4)), gen.normal(size=4)],
+                     "v": [gen.random(size=(8, 4)), gen.random(size=4)],
+                     "t": 10 * epoch},
+            "samplers": cursors,
+            "layer_rngs": [[c[::-1]] for c in cursors],
+            "cache_fp": "c" * 64,
+        }
+    return make

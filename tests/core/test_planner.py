@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ARTIFACT_KINDS,
     ArtifactCache,
     PREPROCESS_STAGES,
     Planner,
@@ -16,12 +17,42 @@ from repro.core import (
     progressive_variants,
     save_artifact,
 )
+from repro.distributed.recovery import load_checkpoint, save_checkpoint
+from repro.distributed.wire import MAGIC, pack_message, pack_obj, unpack_message
 
 
 @pytest.fixture()
 def cfg():
     return RunConfig(num_machines=2, fanouts=(4, 3), batch_size=16,
                      hidden_dim=16, replication_factor=0.2, gpu_fraction=0.5)
+
+
+def _flip(raw, offset):
+    out = bytearray(raw)
+    out[offset] ^= 0x01
+    return bytes(out)
+
+
+def _as_other_kind(raw):
+    kind, payload = unpack_message(raw)
+    return pack_message("vip" if kind != "vip" else "reorder", payload)
+
+
+#: Ways a disk entry can be damaged: bytes of a good frame -> bad bytes.
+_DAMAGE = {
+    "truncated-to-nothing": lambda raw: b"",
+    "truncated-in-magic": lambda raw: raw[:3],
+    "truncated-in-header": lambda raw: raw[:len(MAGIC) + 3],
+    "truncated-mid-payload": lambda raw: raw[:len(raw) // 2],
+    "truncated-before-trailer": lambda raw: raw[:-4],
+    "truncated-in-trailer": lambda raw: raw[:-1],
+    "flip-in-header": lambda raw: _flip(raw, len(MAGIC)),  # version byte
+    # Every artifact is dominated by its arrays, so the midpoint of the
+    # frame is inside an ndarray payload.
+    "flip-in-array-payload": lambda raw: _flip(raw, len(raw) // 2),
+    "flip-in-trailer": lambda raw: _flip(raw, len(raw) - 1),
+    "frame-of-another-kind": _as_other_kind,
+}
 
 
 def _volumes(report):
@@ -148,32 +179,44 @@ class TestWarmDiskRebuild:
         assert _volumes(rep_cold) == _volumes(rep_warm)
         assert rep_cold.mean_loss == rep_warm.mean_loss
 
-    def test_half_written_disk_entry_is_a_miss(self, tiny_dataset, cfg,
-                                               tmp_path):
-        """A crash between the npz and JSON writes must degrade to a
-        recompute, not poison the cache."""
-        import os
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
+    def test_damaged_disk_entry_is_a_miss(self, tiny_dataset, cfg, tmp_path,
+                                          make_checkpoint, kind, damage):
+        """A truncated, bit-flipped, or wrong-kind entry of any kind is a
+        miss: the stage recomputes, its save heals the entry, and the next
+        planner hits it.  Never an error, never a wrong artifact."""
+        cache_dir = str(tmp_path)
+        if kind == "checkpoint":
+            fp, ckpt = "f" * 64, make_checkpoint(3)
+            save_checkpoint(ArtifactCache(cache_dir), fp, ckpt)
+        else:
+            cold = Planner(ArtifactCache(cache_dir))
+            cold.build(tiny_dataset, cfg)
+            fp = cold.plan(tiny_dataset, cfg).fingerprint(kind)
+        (entry,) = tmp_path.glob(f"{kind}-*")
+        good = entry.read_bytes()
+        entry.write_bytes(_DAMAGE[damage](good))
 
-        Planner(ArtifactCache(str(tmp_path))).build(tiny_dataset, cfg)
-        for f in os.listdir(tmp_path):
-            if f.endswith(".json"):
-                os.remove(tmp_path / f)
-        p = Planner(ArtifactCache(str(tmp_path)))
-        p.build(tiny_dataset, cfg)
-        assert p.stats["partition"].computed == 1
-        assert p.stats["partition"].disk_hits == 0
-
-    def test_corrupt_disk_entry_is_a_miss(self, tiny_dataset, cfg, tmp_path):
-        """A torn/garbage sidecar degrades to a recompute, never an error."""
-        import os
-
-        Planner(ArtifactCache(str(tmp_path))).build(tiny_dataset, cfg)
-        for f in os.listdir(tmp_path):
-            if f.endswith(".json"):
-                (tmp_path / f).write_text("{ not json")
-        p = Planner(ArtifactCache(str(tmp_path)))
-        p.build(tiny_dataset, cfg)
-        assert all(p.stats[s].disk_hits == 0 for s in PREPROCESS_STAGES)
+        assert ArtifactCache(cache_dir).load_disk(kind, fp) is None
+        if kind == "checkpoint":
+            assert load_checkpoint(ArtifactCache(cache_dir), fp) is None
+            save_checkpoint(ArtifactCache(cache_dir), fp, ckpt)
+            healed = load_checkpoint(ArtifactCache(cache_dir), fp)
+            assert pack_obj(healed) == pack_obj(ckpt)
+        else:
+            redo = Planner(ArtifactCache(cache_dir))
+            redo.build(tiny_dataset, cfg)
+            for stage in PREPROCESS_STAGES:
+                assert redo.stats[stage].computed == (stage == kind), stage
+                assert redo.stats[stage].disk_hits == (stage != kind), stage
+            warm = Planner(ArtifactCache(cache_dir))
+            warm.build(tiny_dataset, cfg)
+            assert warm.stats[kind].computed == 0
+            assert warm.stats[kind].disk_hits == 1
+        assert entry.read_bytes() == good  # healed byte for byte
+        assert [f.name for f in tmp_path.iterdir()
+                if not f.name.endswith(".rpwf")] == []  # no tmp left behind
 
     def test_build_wrapper_matches_planner(self, tiny_dataset, cfg):
         """SalientPP.build stays a thin, equivalent wrapper."""

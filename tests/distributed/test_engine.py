@@ -96,8 +96,14 @@ def reference_gather(store: PartitionedFeatureStore, machine: int,
         remote_per_peer=remote_per_peer,
     )
     if ms.has_dynamic_cache:
-        store._maintain_dynamic_cache(ms, stats, cached_ids, remote_ids, out,
-                                      remote_pos, nl_ids)
+        nl_pos = np.flatnonzero(nonlocal_mask)
+        store._maintain_dynamic_cache(ms, stats, FetchPlan(
+            machine=machine, ids=ids, local_pos=np.flatnonzero(local_mask),
+            local_ids=local_ids, gpu_rows=gpu_rows,
+            cpu_rows=len(local_ids) - gpu_rows,
+            cached_pos=nl_pos[cached_mask_nl], cached_ids=cached_ids,
+            remote_pos=remote_pos, remote_ids=remote_ids,
+            nonlocal_ids=nl_ids), out)
     return out, stats
 
 

@@ -3,14 +3,14 @@ wire codec, and cross-process clock rebasing."""
 
 import pytest
 
+from repro.distributed.wire import decode_dataclass, pack_obj, unpack_obj
 from repro.obs import OBS, ObsRuntime
 from repro.obs.span import (
     NULL_SPAN,
+    SpanRecord,
     Tracer,
     clock_anchor,
     rebase_ns,
-    spans_from_wire,
-    spans_to_wire,
 )
 
 
@@ -100,8 +100,8 @@ class TestWireCodec:
         with tracer.span("w", step=4, note="x"):
             pass
         tracer.add_sim_span("sim", 0.1, 0.2)
-        wired = spans_to_wire(tracer.drain())
-        back = spans_from_wire(wired)
+        wired = unpack_obj(pack_obj(tracer.drain()))
+        back = [decode_dataclass(SpanRecord, d) for d in wired]
         assert [s.name for s in back] == ["w", "sim"]
         assert back[0].attrs == {"step": 4, "note": "x"}
         assert back[0].lane == "worker-3"
@@ -112,7 +112,7 @@ class TestWireCodec:
         tracer.enabled = True
         with tracer.span("w", arr=[1, 2, 3]):
             pass
-        wired = spans_to_wire(tracer.drain())
+        wired = unpack_obj(pack_obj(tracer.drain()))
         assert wired[0]["attrs"]["arr"] == "[1, 2, 3]"
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.distributed import DistributedTrainer, PartitionedFeatureStore
 from repro.distributed.cluster import ClusterSpec, MachineSpec, NetworkSpec
-from repro.pipeline import CostModel, ModelDims, PipelineMode, simulate_trace
+from repro.pipeline import CostModel, ModelDims, PipelineMode, Stage, simulate_trace
+from repro.pipeline.events import EventTrace, emit_window_comm_events
 
 
 @pytest.fixture(scope="module")
@@ -92,29 +93,32 @@ class TestBreakdown:
         assert res.bottleneck_resource() in res.resource_busy
 
 
+def _comm_durations(cm, request_rows, serve_rows):
+    """Priced comm stages of one machine's window with the given rows."""
+    trace = EventTrace(engine="bsp", num_machines=4, num_steps=1,
+                       windows=[(0, 1)])
+    events = emit_window_comm_events(trace, 0, 0, request_rows, serve_rows)
+    return {ev.stage: cm.event_duration(ev) for ev in events}
+
+
 class TestCostModel:
     def test_stage_times_positive(self, report_and_model):
         report, cm, *_ = report_and_model
-        rec = report.records[0]
-        st = cm.stage_times(rec, served_rows=10)
-        for field in ("sample", "local_slice", "h2d", "gpu_gather", "train"):
-            assert getattr(st, field) >= 0
+        idx = report.events.index()
+        for stage in (Stage.SAMPLE, Stage.LOCAL_SLICE, Stage.H2D,
+                      Stage.GPU_GATHER, Stage.TRAIN):
+            assert cm.event_duration(idx[(stage, 0, 0)]) >= 0
 
     def test_no_comm_when_no_remote(self, report_and_model):
-        report, cm, *_ = report_and_model
-        rec = report.records[0]
-        # Zero out the remote request: comm stages must vanish.
-        from dataclasses import replace as dc_replace
-        g = dc_replace(rec.gather, remote_rows=0,
-                       remote_per_peer=np.zeros(4, dtype=np.int64))
-        rec2 = dc_replace(rec, gather=g)
-        st = cm.stage_times(rec2, served_rows=0)
-        assert st.request_exchange == 0.0
-        assert st.feature_comm == 0.0
+        # Nothing requested and nothing served: comm stages must vanish.
+        _, cm, *_ = report_and_model
+        priced = _comm_durations(cm, request_rows=0, serve_rows=0)
+        assert priced[Stage.REQUEST_EXCHANGE] == 0.0
+        assert priced[Stage.FEATURE_COMM] == 0.0
 
     def test_comm_scales_with_rows(self, report_and_model):
         report, cm, *_ = report_and_model
-        rec = report.records[0]
-        t_small = cm.stage_times(rec, served_rows=10).feature_comm
-        t_large = cm.stage_times(rec, served_rows=10000).feature_comm
+        request = report.records[0].gather.comm_rows()
+        t_small = _comm_durations(cm, request, 10)[Stage.FEATURE_COMM]
+        t_large = _comm_durations(cm, request, 10000)[Stage.FEATURE_COMM]
         assert t_large > t_small
