@@ -76,7 +76,7 @@ import numpy as np
 from repro.core import Planner, RunConfig, ServingConfig
 from repro.distributed import FetchPlan, GatherArena
 from repro.graph import load_dataset
-from repro.serving import poisson_requests
+from repro.serving import InferenceService, poisson_requests
 from repro.vip import (
     partitionwise_vip,
     partitionwise_vip_dense,
@@ -375,31 +375,40 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
     )
 
     # -- serving.cache_refresh: time the refresh-score provider. --------
-    service = planner.build_service(ds, _serving_config("vip-refresh"))
-    provider = service.store._refresh_score_fn
+    # The store's public provider seam is wrapped before the service
+    # installs its provider (the way benchmarks/e2e/layers.py times it),
+    # and the service tracker's ``access`` is wrapped to keep the p0 it was
+    # last asked about for the dense counterpart below.
+    system = planner.build(ds, _serving_config("vip-refresh"))
+    install = system.store.set_refresh_score_provider
     refresh_walls = []
 
-    def timed_provider(machine: int) -> np.ndarray:
-        t0 = time.perf_counter()
-        scores = provider(machine)
-        refresh_walls.append(time.perf_counter() - t0)
-        return scores
+    def timing_install(provider):
+        def timed_provider(machine: int) -> np.ndarray:
+            t0 = time.perf_counter()
+            scores = provider(machine)
+            refresh_walls.append(time.perf_counter() - t0)
+            return scores
+        install(timed_provider)
 
-    service.store.set_refresh_score_provider(timed_provider)
+    system.store.set_refresh_score_provider = timing_install
+    service = InferenceService.from_system(system)
+    asked = []
+    access = service.tracker.access
+
+    def recording_access(consumer, p0):
+        asked.append(p0)
+        return access(consumer, p0)
+
+    service.tracker.access = recording_access
     service.run(requests)
     if not refresh_walls:
         raise AssertionError("no vip-refresh recomputation was triggered")
 
-    # Dense counterpart on the same observed traffic: rebuild the request
-    # p0 exactly as InferenceService._request_vip_scores does and run the
-    # seed recursion on it.
+    # Dense counterpart on the same observed traffic: the seed recursion
+    # on the last request p0 the service actually scored.
     graph = service.graph
-    machine = int(np.argmax([len(r) for r in service._recent_seeds]))
-    recent = service._recent_seeds[machine]
-    counts = np.zeros(graph.num_vertices, dtype=np.float64)
-    for seeds in recent:
-        counts[seeds] += 1.0
-    p0 = counts / max(len(recent), 1)
+    p0 = asked[-1]
     active_wall, res_a = _best_of(
         lambda: vip_probabilities(graph, p0, service.fanouts))
     dense_wall, res_d = _best_of(

@@ -11,9 +11,10 @@ streaming extension that lifts that assumption:
    :func:`~repro.vip.incremental.incremental_vip`, comparing wall time and
    verifying **bit-identity** against a full Proposition-1 sweep on the
    rebuilt (materialized) graph every window.
-3. **Continual training** — push churn into a built system with
-   :meth:`SalientPP.apply_graph_updates`; the per-partition VIP matrix
-   follows the graph and the next epoch trains on the mutated topology.
+3. **Continual training** — push churn into a built ``vip-refresh`` system
+   with :meth:`SalientPP.apply_graph_updates`; the next epoch samples the
+   mutated topology and its caches re-rank on Proposition 1 evaluated on
+   that same overlay (``system.tracker``).
 4. **Serving under churn** — play the same mutation stream against an
    ``InferenceService`` between request windows.
 
@@ -92,20 +93,26 @@ def incremental_refresh(ds):
 def continual_training(ds):
     print("\n== Continual training across churn ==")
     cfg = RunConfig(num_machines=K, replication_factor=0.1,
-                    cache_policy="vip", batch_size=32, fanouts=FANOUTS,
-                    seed=0)
+                    cache_policy="vip-refresh", batch_size=32,
+                    fanouts=FANOUTS, seed=0)
     system = SalientPP.build(ds, cfg)
     rng = np.random.default_rng(7)
     n = ds.num_vertices
-    for epoch in range(2):
+    for epoch in range(3):
         result = system.train_epoch(epoch, dry_run=True)
-        print(f"epoch {epoch}: comm rows "
-              f"{result.report.total_comm_rows()}")
+        graph = system.tracker.graph
+        modes = sorted(snap.stats.mode
+                       for snap in system.tracker.snapshots.values())
+        print(f"epoch {epoch}: comm rows {result.report.total_comm_rows()}, "
+              f"{sum(c.refreshes for c in result.report.cache_churn)} cache "
+              f"re-ranks scored on {type(graph).__name__} "
+              f"v{graph.version} ({graph.num_edges} edges)"
+              + (f", last refresh per machine: {modes}" if modes else ""))
         rec = system.apply_graph_updates(EdgeBatch(
             add_src=rng.integers(0, n, 300),
             add_dst=rng.integers(0, n, 300)))
-        print(f"  churn -> version {rec.version}: VIP matrix refreshed "
-              "(bit-identical to a from-scratch recompute)")
+        print(f"  churn -> overlay v{rec.version} (+{rec.edges_added} "
+              "entries); caches re-rank on it at their next gather")
 
 
 def serving_under_churn(ds):

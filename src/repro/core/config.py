@@ -134,49 +134,23 @@ class ServingConfig:
 class StreamingConfig:
     """Streaming-graph knobs (the ``config.streaming`` slice).
 
-    Consumed wherever a :class:`repro.graph.mutable.MutableGraph` backs a
-    live system — serving on a mutating graph
-    (:meth:`repro.serving.InferenceService.run` with ``mutations``) and
-    continual training (:meth:`repro.core.system.SalientPP.
-    apply_graph_updates`).  Like :class:`ServingConfig`, no preprocessing
-    stage fingerprints it.
+    A live system mutates through :func:`repro.graph.mutable.land_batch`
+    and scores ``vip-refresh`` through a
+    :class:`repro.vip.incremental.VIPTracker`; the compaction and churn
+    cutoffs are those modules' defaults, not configuration.  Like
+    :class:`ServingConfig`, no preprocessing stage fingerprints this slice.
 
     Attributes
     ----------
-    churn_cutoff:
-        Fraction of the dense sweep's total edge volume
-        (``num_hops * num_edges``) an incremental VIP refresh may touch
-        before it falls back to a full Proposition-1 recompute on the
-        materialized graph (see :func:`repro.vip.incremental.
-        incremental_vip`).  0 forces full recomputes, 1 never falls back.
-    compact_cutoff:
-        Overlay size (fraction of base directed edges) past which the
-        delta-CSR overlay is compacted into a clean base CSR
-        (:meth:`repro.graph.mutable.MutableGraph.compact`); ``0`` compacts
-        after every batch.
     refresh_on_mutation:
-        Serving only: invalidate per-machine VIP snapshots as soon as a
-        mutation batch lands (the next refresh window recomputes from the
-        dirty frontier).  ``False`` keeps serving rankings stale until the
-        next scheduled vip-refresh — the stale-cache baseline the
+        Serving only: point the service's tracker at the overlay when a
+        mutation lands, so later refreshes score the mutated graph.
+        ``False`` leaves it on the pre-churn graph — sampling follows the
+        churn, cache rankings do not: the stale-cache baseline the
         streaming benchmark measures against.
     """
 
-    churn_cutoff: float = 0.5
-    compact_cutoff: float = 0.25
     refresh_on_mutation: bool = True
-
-    def validate(self) -> "StreamingConfig":
-        """Fail fast on malformed streaming knobs; returns ``self``."""
-        if not 0.0 <= self.churn_cutoff <= 1.0:
-            raise ValueError(
-                f"churn_cutoff must be in [0, 1], got {self.churn_cutoff}"
-            )
-        if self.compact_cutoff < 0:
-            raise ValueError(
-                f"compact_cutoff must be non-negative, got {self.compact_cutoff}"
-            )
-        return self
 
 
 @dataclass(frozen=True)
@@ -425,7 +399,6 @@ class RunConfig:
                 f"network_gbps must be positive, got {self.network_gbps}"
             )
         self.serving.validate()
-        self.streaming.validate()
         self.recovery.validate()
         if self.recovery.enabled and self.backend != "multiproc":
             raise ValueError(

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import os
 import weakref
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,11 +63,7 @@ from repro.partition.registry import make_partition
 from repro.partition.reorder import ReorderedDataset, apply_reorder, reorder_dataset
 from repro.pipeline.costmodel import ModelDims
 from repro.utils.rng import derive_seed
-from repro.vip.analytic import (
-    partitionwise_vip,
-    transition_table,
-    vip_for_training_set,
-)
+from repro.vip.analytic import partitionwise_vip, transition_table
 from repro.vip.policies import (
     CacheContext,
     OraclePolicy,
@@ -623,9 +620,11 @@ class Planner:
         dataset, config = plan.dataset, plan.config
         K = config.num_machines
         arts = self._preprocess(plan, partition=partition, vip_matrix=vip_matrix)
-        part: Partition = arts["partition"]
         vip: Optional[np.ndarray] = arts["vip"]
-        reordered: ReorderedDataset = arts["reorder"]
+        # A per-system shell (arrays shared): apply_graph_updates swaps in an
+        # overlay, and the cached artifact belongs to every sibling build.
+        cached: ReorderedDataset = arts["reorder"]
+        reordered = replace(cached, dataset=copy(cached.dataset))
         caches = arts["cache-select"]
 
         # store (always rebuilt: holds per-system mutable cache state) --
@@ -673,11 +672,12 @@ class Planner:
             staleness=config.staleness,
         )
         self.stats["trainer"].computed += 1
+        dims = ModelDims(dataset.feature_dim, config.hidden_dim,
+                         dataset.num_classes)
+        cost_model = system_cls._cost_model_for(config, store, dims, trainer)
+        system = system_cls(dataset, config, reordered, store, trainer,
+                            cost_model, vip)
         if config.cache_policy == "vip-refresh" and dynamic_spec is not None:
-            # Refreshes re-run Proposition 1 against the machine's *current*
-            # training set (it may have drifted via update_training_set), so
-            # the cache tracks the workload instead of the build-time one.
-            graph = reordered.dataset.graph
             # Prime the graph's shared TransitionTable for the configured
             # fanouts — transitions, the structure memos (incoming
             # adjacency, reduceat row starts), and the edge scratch — so
@@ -685,23 +685,11 @@ class Planner:
             # request-VIP provider InferenceService swaps in) reuses cached
             # state instead of paying the one-time O(N+M) passes on the
             # serving/refresh critical path.
-            table = transition_table(graph)
+            table = transition_table(reordered.dataset.graph)
             for fanout in config.fanouts:
                 table.vertex_transition(fanout)
             table.incoming()
             table.nonempty_rows()
             table.edge_scratch()
-
-            def refresh_scores(machine: int) -> np.ndarray:
-                return vip_for_training_set(
-                    graph, trainer.local_train[machine],
-                    config.fanouts, config.batch_size,
-                ).access
-
-            store.set_refresh_score_provider(refresh_scores)
-
-        dims = ModelDims(dataset.feature_dim, config.hidden_dim,
-                         dataset.num_classes)
-        cost_model = system_cls._cost_model_for(config, store, dims, trainer)
-        return system_cls(dataset, config, reordered, store, trainer,
-                          cost_model, vip)
+            store.set_refresh_score_provider(system.training_vip_scores)
+        return system

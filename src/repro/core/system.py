@@ -37,12 +37,15 @@ from repro.core.planner import Planner
 from repro.distributed.executor import DistributedTrainer, EpochReport
 from repro.distributed.feature_store import PartitionedFeatureStore
 from repro.graph.datasets import GraphDataset
+from repro.graph.mutable import land_batch
 from repro.obs import OBS
 from repro.partition.interface import Partition
 from repro.partition.registry import make_partition  # noqa: F401  (re-export)
 from repro.partition.reorder import ReorderedDataset
 from repro.pipeline.costmodel import CostModel, ModelDims
 from repro.pipeline.simulator import PipelineResult, simulate_trace
+from repro.vip.analytic import uniform_minibatch_probability
+from repro.vip.incremental import VIPTracker
 
 
 @dataclass
@@ -89,9 +92,9 @@ class SalientPP:
         self.cost_model = cost_model
         self.vip_matrix = vip_matrix
         self._backend = None
-        # Per-partition VIP snapshots for streaming-graph refreshes
-        # (populated lazily by apply_graph_updates).
-        self._vip_snapshots = {}
+        #: Scores ``vip-refresh`` re-ranks on: Proposition 1 on the graph
+        #: the samplers read.  ``vip_matrix`` stays the build-time artifact.
+        self.tracker = VIPTracker(reordered.dataset.graph, trainer.fanouts)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -183,107 +186,61 @@ class SalientPP:
     def evaluate(self, split: str = "test", **kwargs) -> float:
         return self.trainer.evaluate(split, **kwargs)
 
+    def _refuse_while_live(self, action: str) -> None:
+        """A live external backend's workers hold their own copies of the
+        training split and the graph; a coordinator-side change would
+        silently diverge from what they sample."""
+        if self._backend is not None and self._backend.is_live:
+            raise RuntimeError(
+                f"cannot {action} while a live cluster backend is running; "
+                f"call shutdown() first"
+            )
+
     def update_training_set(self, train_idx: np.ndarray) -> None:
         """Swap the active training vertices (reordered ids) — the
         non-stationary-workload hook; see
         :meth:`repro.distributed.DistributedTrainer.update_training_set`.
-
-        Refused while a live external backend is running: its workers hold
-        their own copies of the training split, so a coordinator-side swap
-        would silently diverge from what the workers sample.  Call
-        :meth:`shutdown` first."""
-        if self._backend is not None and self._backend.is_live:
-            raise RuntimeError(
-                "cannot swap the training set while a live cluster backend "
-                "is running; call shutdown() first"
-            )
+        Refused while a live external backend is running (call
+        :meth:`shutdown` first)."""
+        self._refuse_while_live("swap the training set")
         self.trainer.update_training_set(train_idx)
 
-    def apply_graph_updates(self, batch, *, refresh_vip: bool = True):
+    def training_vip_scores(self, machine: int) -> np.ndarray:
+        """The ``vip-refresh`` score provider for training: Proposition 1
+        seeded by ``machine``'s *current* training set (it may have drifted
+        via :meth:`update_training_set`) on the graph its sampler reads."""
+        p0 = uniform_minibatch_probability(
+            self.tracker.graph.num_vertices,
+            self.trainer.local_train[machine], self.trainer.batch_size)
+        return self.tracker.access(machine, p0)
+
+    def apply_graph_updates(self, batch):
         """Apply a streaming edge batch to the training graph (continual
         training over a mutating graph).
 
-        On the first call the reordered dataset's graph is wrapped in a
-        :class:`~repro.graph.mutable.MutableGraph` (delta-CSR overlay) and
-        the trainer's samplers are re-pointed at it; subsequent calls apply
-        straight to the overlay.  Endpoints are in **reordered** numbering —
-        the same vocabulary as :meth:`update_training_set` — and must name
-        existing vertices: the feature store has no rows for vertices the
-        dataset has never seen, so vertex additions go through
-        :meth:`~repro.graph.mutable.MutableGraph.add_vertices` on the graph
-        directly (with features handled by the caller) rather than here.
+        The first call wraps this system's graph in a
+        :class:`~repro.graph.mutable.MutableGraph` overlay
+        (:func:`~repro.graph.mutable.land_batch`) and re-points the
+        trainer's samplers and :attr:`tracker` at it; sibling systems built
+        from the same planner keep the base graph.  Endpoints are in
+        **reordered** numbering — the vocabulary of
+        :meth:`update_training_set` — and must name existing vertices.
 
-        With ``refresh_vip`` (the default) each partition's row of
-        :attr:`vip_matrix` is refreshed through a per-partition
-        :class:`~repro.vip.incremental.VIPSnapshot` — a full Proposition-1
-        evaluation the first time, dirty-frontier incremental afterwards —
-        and the feature store is asked to re-rank its dynamic caches at the
-        next epoch boundary (``store.request_refresh()``), mirroring the
-        non-stationary-workload hook.
+        No VIP is evaluated here: ``store.request_refresh()`` makes every
+        ``vip-refresh`` cache re-rank at its next gather, and that refresh
+        scores the mutated graph through :attr:`tracker`.
 
-        Refused while a live external backend is running, for the same
-        reason as :meth:`update_training_set`: workers hold their own graph
-        copies, and a coordinator-side mutation would silently diverge from
-        what they sample.  Call :meth:`shutdown` first.
-
-        Returns the :class:`~repro.graph.mutable.DeltaRecord` describing
-        the applied batch.
+        Refused while a live external backend is running (call
+        :meth:`shutdown` first).  Returns the
+        :class:`~repro.graph.mutable.DeltaRecord` of the applied batch.
         """
-        if self._backend is not None and self._backend.is_live:
-            raise RuntimeError(
-                "cannot mutate the graph while a live cluster backend is "
-                "running; call shutdown() first"
-            )
-        from repro.graph.mutable import MutableGraph
-        from repro.vip.analytic import uniform_minibatch_probability
-        from repro.vip.incremental import incremental_vip, snapshot_vip
-
+        self._refuse_while_live("mutate the graph")
         ds = self.reordered.dataset
-        graph = ds.graph
-        if not isinstance(graph, MutableGraph):
-            graph = MutableGraph(
-                graph, compact_cutoff=self.config.streaming.compact_cutoff)
-            ds.graph = graph
-            for sampler in self.trainer.samplers:
-                sampler.graph = graph
-            self._vip_snapshots = {}
-        n = graph.num_vertices
-        for arr in (batch.add_src, batch.add_dst, batch.del_src,
-                    batch.del_dst):
-            if len(arr) and (arr.min() < 0 or arr.max() >= n):
-                raise ValueError(
-                    f"edge endpoints must be existing reordered vertex ids "
-                    f"in [0, {n}); use MutableGraph.add_vertices to grow "
-                    f"the graph"
-                )
-        graph.apply(batch)
-        if refresh_vip and self.vip_matrix is not None:
-            # The trainer holds the dataset-resolved hyperparameters (the
-            # config's may still be None placeholders).
-            fanouts = self.trainer.fanouts
-            batch_size = self.trainer.batch_size
-            cutoff = self.config.streaming.churn_cutoff
-            for k in range(len(self.trainer.local_train)):
-                local = self.trainer.local_train[k]
-                if len(local) == 0:
-                    continue
-                p0 = uniform_minibatch_probability(
-                    graph.num_vertices, local, batch_size)
-                snap = self._vip_snapshots.get(k)
-                if snap is None:
-                    snap = snapshot_vip(graph, p0, fanouts)
-                else:
-                    snap = incremental_vip(graph, snap, p0,
-                                           churn_cutoff=cutoff)
-                self._vip_snapshots[k] = snap
-                access = snap.access
-                if self.vip_matrix.shape[1] < len(access):
-                    pad = np.zeros(
-                        (self.vip_matrix.shape[0],
-                         len(access) - self.vip_matrix.shape[1]))
-                    self.vip_matrix = np.hstack([self.vip_matrix, pad])
-                self.vip_matrix[k, : len(access)] = access
-            self.store.request_refresh()
+        ds.graph = graph = land_batch(ds.graph, batch)
+        for sampler in self.trainer.samplers:
+            sampler.graph = graph
+        self.tracker.graph = graph
+        self.store.request_refresh()
         return graph.log[-1]
 
     # ------------------------------------------------------------------

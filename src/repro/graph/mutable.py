@@ -284,7 +284,8 @@ class MutableGraph:
     def _check_range(self, arr: np.ndarray) -> None:
         if len(arr) and (arr.min() < 0 or arr.max() >= self._n):
             raise ValueError(
-                f"edge endpoint out of range [0, {self._n})"
+                f"edge endpoint out of range [0, {self._n}); use "
+                f"add_vertices to grow the graph"
             )
 
     def _touch(self, prior: Dict[int, np.ndarray], v: int) -> None:
@@ -643,3 +644,24 @@ class MutableGraph:
         self._frozen = None
         self._frozen_in = None
         return self.base
+
+
+def land_batch(graph, batch: EdgeBatch, *,
+               new_of_old: Optional[np.ndarray] = None) -> MutableGraph:
+    """Land one edge-churn batch on a live system's graph — the one way
+    training (``SalientPP.apply_graph_updates``) and serving
+    (``InferenceService.run(mutations=)``) mutate.  A :class:`CSRGraph` is
+    wrapped in a :class:`MutableGraph` on first use; the overlay is
+    returned for the caller to re-point its samplers at.  Endpoints must
+    name existing vertices (the feature store has rows for no others; grow
+    with :meth:`MutableGraph.add_vertices`); ``new_of_old`` translates a
+    batch given in the caller's original numbering."""
+    if not isinstance(graph, MutableGraph):
+        graph = MutableGraph(graph)
+    if new_of_old is not None:
+        arrays = (batch.add_src, batch.add_dst, batch.del_src, batch.del_dst)
+        for arr in arrays:  # apply() checks too, but only after this lookup
+            graph._check_range(arr)
+        batch = EdgeBatch(*(new_of_old[arr] for arr in arrays))
+    graph.apply(batch)
+    return graph

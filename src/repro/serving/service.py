@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.distributed.records import _candidate_edges, sage_forward_flops
+from repro.graph.mutable import land_batch
 from repro.obs import OBS
 from repro.distributed.feature_store import (
     FetchPlan,
@@ -64,6 +65,7 @@ from repro.serving.metrics import (
 )
 from repro.serving.workload import ClosedLoopWorkload, Request
 from repro.utils.rng import SeedLike, derive_seed
+from repro.vip.incremental import VIPTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.config import RunConfig, ServingConfig, StreamingConfig
@@ -162,8 +164,7 @@ class InferenceService:
         self.model = model
         self.cost_model = cost_model
         self.spec = serving.validate()
-        self.streaming = (streaming if streaming is not None
-                          else StreamingConfig()).validate()
+        self.streaming = streaming or StreamingConfig()
         self.fanouts = tuple(int(f) for f in fanouts)
         self.graph = store.reordered.dataset.graph
         self.num_machines = store.num_machines
@@ -205,16 +206,9 @@ class InferenceService:
         self._recent_seeds: List[deque] = [
             deque(maxlen=window) for _ in range(self.num_machines)
         ]
-        # Streaming-graph state: lazily filled on the first mutation batch.
-        # Each machine keeps its own VIPSnapshot so refresh scores are
-        # produced by the dirty-frontier incremental recursion instead of a
-        # full Proposition-1 recompute per refresh; with
-        # streaming.refresh_on_mutation=False the pre-churn base graph is
-        # frozen instead and scores stay deliberately stale (the baseline
-        # the streaming benchmark measures against).
-        self._vip_snapshots: List[Optional[object]] = (
-            [None] * self.num_machines)
-        self._stale_vip_graph = None
+        #: Scores refreshes rank on: Proposition 1 on the graph the samplers
+        #: read (the pre-churn one with streaming.refresh_on_mutation off).
+        self.tracker = VIPTracker(self.graph, self.fanouts)
         self.mutations_applied = 0
 
     # ------------------------------------------------------------------
@@ -235,41 +229,16 @@ class InferenceService:
         scores are zero and the cost-aware swap planner keeps the
         warm-start contents.
 
-        On a mutating graph (``run`` with ``mutations``) the refresh runs
-        the dirty-frontier incremental recursion against this machine's
-        :class:`~repro.vip.incremental.VIPSnapshot` — O(churn + seed
-        drift) instead of a full recompute — unless
-        ``streaming.refresh_on_mutation`` is off, in which case scores
-        are computed on the frozen pre-churn graph (deliberately stale).
+        :attr:`tracker` runs the recursion on the graph it follows —
+        O(churn + seed drift) once that is a mutating overlay.
         """
-        from repro.vip.analytic import vip_probabilities
-
         recent = self._recent_seeds[machine]
         if not recent:
             return np.zeros(self.graph.num_vertices)
         counts = np.zeros(self.graph.num_vertices, dtype=np.float64)
         for seeds in recent:  # seeds are unique within a micro-batch
             counts[seeds] += 1.0
-        p0 = counts / len(recent)
-        if self._stale_vip_graph is not None:
-            return vip_probabilities(self._stale_vip_graph, p0,
-                                     self.fanouts).access
-        from repro.graph.mutable import MutableGraph
-
-        if isinstance(self.graph, MutableGraph):
-            from repro.vip.incremental import incremental_vip, snapshot_vip
-
-            snap = self._vip_snapshots[machine]
-            if snap is None or snap.fanouts != self.fanouts:
-                snap = snapshot_vip(self.graph, p0, self.fanouts)
-            else:
-                snap = incremental_vip(
-                    self.graph, snap, p0,
-                    churn_cutoff=self.streaming.churn_cutoff,
-                )
-            self._vip_snapshots[machine] = snap
-            return snap.access
-        return vip_probabilities(self.graph, p0, self.fanouts).access
+        return self.tracker.access(machine, counts / len(recent))
 
     @classmethod
     def from_system(cls, system: "SalientPP") -> "InferenceService":
@@ -518,39 +487,18 @@ class InferenceService:
     def _apply_mutation(self, batch: "EdgeBatch") -> None:
         """Land one edge-churn batch on the serving graph.
 
-        Lazily wraps the (reordered) base CSR in a
-        :class:`~repro.graph.mutable.MutableGraph` and re-points every
-        machine's sampler at it — from here on all sampling reads through
-        the overlay.  Endpoints arrive in the original dataset numbering
-        (the only one callers know) and are translated exactly like
-        request seeds.  Vertex-set changes are out of scope for serving:
-        the feature store has no rows for vertices that did not exist at
-        build time, so ``EdgeBatch`` (edges only) is the full vocabulary.
+        The first batch wraps the (reordered) base CSR in a
+        :class:`~repro.graph.mutable.MutableGraph`; every sampler reads
+        through it from then on.  Endpoints arrive in the original dataset
+        numbering and are translated exactly like request seeds.  Edges
+        only: the feature store has no rows for new vertices.
         """
-        from repro.graph.mutable import EdgeBatch, MutableGraph
-
-        if not isinstance(self.graph, MutableGraph):
-            base = self.graph
-            if not self.streaming.refresh_on_mutation:
-                self._stale_vip_graph = base
-            self.graph = MutableGraph(
-                base, compact_cutoff=self.streaming.compact_cutoff)
-            for sampler in self.samplers:
-                sampler.graph = self.graph
-        n = self.graph.num_vertices
-        new_of_old = self.store.reordered.new_of_old
-        for arr in (batch.add_src, batch.add_dst,
-                    batch.del_src, batch.del_dst):
-            if len(arr) and (arr.min() < 0 or arr.max() >= n):
-                raise ValueError(
-                    f"mutation batch names vertices outside [0, {n})"
-                )
-        self.graph.apply(EdgeBatch(
-            add_src=new_of_old[batch.add_src],
-            add_dst=new_of_old[batch.add_dst],
-            del_src=new_of_old[batch.del_src],
-            del_dst=new_of_old[batch.del_dst],
-        ))
+        self.graph = land_batch(self.graph, batch,
+                                new_of_old=self.store.reordered.new_of_old)
+        for sampler in self.samplers:
+            sampler.graph = self.graph
+        if self.streaming.refresh_on_mutation:
+            self.tracker.graph = self.graph
         self.mutations_applied += 1
 
     def _on_health(self, payload: Tuple[int, bool], now: float) -> None:

@@ -24,6 +24,7 @@ from repro.vip.analytic import (
 from repro.vip.incremental import (
     RefreshStats,
     VIPSnapshot,
+    VIPTracker,
     incremental_vip,
     snapshot_vip,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "vip_probabilities_dense",
     "RefreshStats",
     "VIPSnapshot",
+    "VIPTracker",
     "incremental_vip",
     "snapshot_vip",
     "montecarlo_inclusion_frequency",

@@ -56,9 +56,8 @@ with ``==`` per element across random churn, both directednesses, and
 Past a churn cutoff (cumulative touched edge volume as a fraction of the
 dense sweep's total, ``num_hops * num_edges``) the wave is no longer
 cheaper than a sweep and the refresh falls back to the full evaluation on
-the materialized graph — same output, full cost — after pre-populating
-that graph's :class:`~repro.vip.analytic.TransitionTable` from the patched
-snapshot entries.
+the materialized graph (a fresh :func:`snapshot_vip`) — same output, full
+cost.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ import numpy as np
 
 from repro.graph.mutable import MutableGraph, id_union
 from repro.vip.analytic import (VIPResult, _normalize_fanout,
-                                transition_table, vip_probabilities)
+                                vip_probabilities)
 
 #: Default fraction of the dense sweep's total edge volume
 #: (``num_hops * num_edges``) a refresh may touch, cumulatively across hops,
@@ -113,7 +112,6 @@ class VIPSnapshot:
     fanouts: Tuple[int, ...]
     result: VIPResult
     vertex_transitions: Dict[int, np.ndarray]
-    num_vertices: int
     stats: RefreshStats = field(
         default_factory=lambda: RefreshStats(mode="full"))
 
@@ -155,7 +153,6 @@ def snapshot_vip(
         fanouts=tuple(int(f) for f in fanouts),
         result=result,
         vertex_transitions=_capture_transitions(mgraph, fanouts),
-        num_vertices=mgraph.num_vertices,
     )
 
 
@@ -191,7 +188,7 @@ def _patch_transitions(snapshot: VIPSnapshot, mgraph: MutableGraph,
 
 
 def _recompute_rows(mgraph: MutableGraph, rows: np.ndarray, tv: np.ndarray,
-                    p_prev: np.ndarray) -> Tuple[np.ndarray, int]:
+                    p_prev: np.ndarray) -> np.ndarray:
     """Hop values of ``rows`` on the current graph — the dense sweep's
     arithmetic restricted to those rows.
 
@@ -218,33 +215,7 @@ def _recompute_rows(mgraph: MutableGraph, rows: np.ndarray, tv: np.ndarray,
         np.subtract(1.0, row_log, out=row_log)
         values[nonempty] = row_log
     np.clip(values, 0.0, 1.0, out=values)
-    return values, int(counts.sum())
-
-
-def _full_refresh(mgraph: MutableGraph, initial: np.ndarray,
-                  fanouts: Tuple[int, ...],
-                  vtrans: Dict[int, np.ndarray],
-                  stats: RefreshStats) -> VIPSnapshot:
-    """Cutoff fallback: full evaluation on the materialized graph, with its
-    transition table pre-populated from the patched snapshot entries (they
-    are bit-identical to what the table would compute)."""
-    graph = mgraph.materialize()
-    table = transition_table(graph)
-    for key, tv in vtrans.items():
-        if key not in table._vertex:
-            entry = tv.copy()
-            entry.flags.writeable = False
-            table._vertex[key] = entry
-    result = vip_probabilities(graph, initial, fanouts)
-    return VIPSnapshot(
-        version=mgraph.version,
-        initial=np.asarray(initial, dtype=np.float64),
-        fanouts=fanouts,
-        result=result,
-        vertex_transitions=vtrans,
-        num_vertices=mgraph.num_vertices,
-        stats=stats,
-    )
+    return values
 
 
 def incremental_vip(
@@ -313,7 +284,7 @@ def incremental_vip(
                              hopwise=[_padded(h, n)
                                       for h in snapshot.result.hopwise],
                              initial=p0),
-            vertex_transitions=vtrans, num_vertices=n, stats=stats,
+            vertex_transitions=vtrans, stats=stats,
         )
 
     hop_arrays: List[np.ndarray] = []
@@ -345,16 +316,19 @@ def incremental_vip(
             p_prev = old_h
             old_prev = old_h
             continue
-        tv = vtrans[_normalize_fanout(fanout)]
-        values, edge_volume = _recompute_rows(mgraph, rows, tv, p_prev)
         stats.rows_recomputed += len(rows)
-        stats.edges_touched += edge_volume
-        # Cumulative gate against the dense sweep's total volume: per-hop
-        # volume is bounded by m, so cutoff 1.0 can never trip and 0.0
-        # trips on the first touched edge.
+        stats.edges_touched += int(mgraph.degrees[rows].sum())
+        # Cumulative gate against the dense sweep's total volume, taken
+        # before the hop's rows are read: per-hop volume is bounded by m,
+        # so cutoff 1.0 can never trip and 0.0 trips on the first touched
+        # edge.
         if stats.edges_touched > churn_cutoff * (len(fanouts) * m):
             stats.mode = "full"
-            return _full_refresh(mgraph, p0, fanouts, vtrans, stats)
+            snapshot = snapshot_vip(mgraph, p0, fanouts)
+            snapshot.stats = stats
+            return snapshot
+        tv = vtrans[_normalize_fanout(fanout)]
+        values = _recompute_rows(mgraph, rows, tv, p_prev)
         # Bitwise filter: only rows whose value actually moved propagate.
         moved = values != old_h[rows]
         changed = rows[moved]
@@ -389,5 +363,40 @@ def incremental_vip(
     return VIPSnapshot(
         version=mgraph.version, initial=p0, fanouts=fanouts,
         result=VIPResult(total=total, hopwise=hop_arrays, initial=p0),
-        vertex_transitions=vtrans, num_vertices=n, stats=stats,
+        vertex_transitions=vtrans, stats=stats,
     )
+
+
+class VIPTracker:
+    """Proposition-1 access scores on the graph a live system samples —
+    the one refresh path behind every ``vip-refresh`` score provider (a
+    provider builds its consumer's ``p[0]`` and asks :meth:`access`).
+
+    The evaluation is chosen from the type of :attr:`graph`: a full
+    :func:`vip_probabilities` on a static ``CSRGraph``; on a
+    :class:`MutableGraph`, one :class:`VIPSnapshot` per consumer, taken at
+    its first refresh and carried forward by :func:`incremental_vip`.
+    Either way the result equals ``vip_probabilities(materialized graph,
+    p0, fanouts).access`` bit for bit.
+    """
+
+    def __init__(self, graph, fanouts: Sequence[int]):
+        #: The graph scored.  Whoever lands a batch re-points it at the
+        #: overlay; a tracker left untold keeps scoring the graph it has.
+        self.graph = graph
+        self.fanouts = tuple(int(f) for f in fanouts)
+        #: Latest snapshot per consumer while following an overlay
+        #: (``.stats.mode`` says how its last refresh was computed).
+        self.snapshots: Dict[object, VIPSnapshot] = {}
+
+    def access(self, consumer, p0: np.ndarray) -> np.ndarray:
+        """Per-vertex access probability under ``consumer``'s ``p0``."""
+        if not isinstance(self.graph, MutableGraph):
+            return vip_probabilities(self.graph, p0, self.fanouts).access
+        snap = self.snapshots.get(consumer)
+        if snap is None:
+            snap = snapshot_vip(self.graph, p0, self.fanouts)
+        else:
+            snap = incremental_vip(self.graph, snap, p0)
+        self.snapshots[consumer] = snap
+        return snap.access

@@ -222,11 +222,17 @@ class TestPlannerIntegration:
                         cache_policy="vip-refresh", refresh_interval=5,
                         serving=ServingConfig(max_batch=4, max_wait_ms=5.0))
         svc = Planner().build_service(tiny_dataset, cfg)
-        assert svc.store._refresh_score_fn is not None
+        asked, access = [], svc.tracker.access
+        svc.tracker.access = lambda k, p0: asked.append(p0) or access(k, p0)
         rep = svc.run(make_requests(tiny_dataset, n=40))
         churn = svc.store.cache_churn()
         assert sum(c.refreshes for c in churn) > 0
         assert rep.num_requests == 40
+        # Refreshes were scored on observed request frequencies, not on the
+        # training set the build-time provider ranks by.
+        assert asked and all(0 < p0.max() <= 1.0 for p0 in asked)
+        train = svc.store.reordered.dataset.train_idx
+        assert any(p0.sum() > p0[train].sum() for p0 in asked)
 
 
 class TestForwardFlops:

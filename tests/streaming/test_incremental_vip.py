@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.vip import (
+    VIPTracker,
     incremental_vip,
     snapshot_vip,
     transition_table,
@@ -109,20 +110,37 @@ class TestIncrementalParity:
     @given(churn_case())
     def test_bit_identical_with_p0_drift(self, case):
         """Seed-distribution drift (the training-set swap case) rides the
-        same refresh and must stay exact."""
+        same refresh and must stay exact — called directly, and through a
+        :class:`VIPTracker` serving two consumers that starts on the static
+        base, is re-pointed at the overlay, and whose second consumer
+        refreshes only every other round (its snapshot lags the log)."""
         (g, directed, fanouts, p0_seed, support, churn_seed, rounds,
          cutoff) = case
         rng = np.random.default_rng(churn_seed)
         mg = MutableGraph(g, undirected=not directed, compact_cutoff=None)
-        snap = snapshot_vip(mg, sparse_p0(mg.num_vertices, support, p0_seed),
-                            fanouts)
+        n = mg.num_vertices
+        p0 = sparse_p0(n, support, p0_seed)
+        snap = snapshot_vip(mg, p0, fanouts)
+        tracker = VIPTracker(mg.base, fanouts)
+
+        def assert_tracker_matches_full(consumer, p0):
+            ref = vip_probabilities(mg.materialize(), p0, fanouts)
+            assert np.array_equal(tracker.access(consumer, p0), ref.access)
+
+        assert_tracker_matches_full("a", p0)
+        assert not tracker.snapshots  # static graph: nothing to carry
+        tracker.graph = mg
         for i in range(rounds):
-            alive = [v for v in range(mg.num_vertices)
-                     if not mg.is_tombstoned(v)]
+            alive = [v for v in range(n) if not mg.is_tombstoned(v)]
             mg.apply(random_batch(rng, alive, int(rng.integers(1, 6))))
-            p0 = sparse_p0(mg.num_vertices, support, p0_seed + i + 1)
+            p0 = sparse_p0(n, support, p0_seed + i + 1)
             snap = incremental_vip(mg, snap, p0, churn_cutoff=cutoff)
             assert_snapshot_matches_full(snap, mg)
+            assert_tracker_matches_full("a", p0)
+            if i % 2:
+                assert_tracker_matches_full(
+                    "b", sparse_p0(n, support, p0_seed + 2**16 + i))
+            assert tracker.snapshots["a"].version == mg.version
 
     @settings(max_examples=20, deadline=None)
     @given(churn_case())

@@ -1,19 +1,20 @@
 """End-to-end streaming wiring: config, generator, serving, and training.
 
 The overlay and the incremental refresh are exercised in isolation by their
-own suites; this file checks the seams — :class:`StreamingConfig`
-validation through :meth:`RunConfig.validate`, the :func:`edge_stream`
-live-mutation contract, ``InferenceService.run(..., mutations=...)`` in
-both refresh modes, and :meth:`SalientPP.apply_graph_updates` keeping the
-per-partition VIP matrix bit-identical to a from-scratch recompute on the
-compacted graph.
+own suites; this file checks the seams — the :func:`edge_stream`
+live-mutation contract, and that after a mutation lands
+(``InferenceService.run(..., mutations=...)`` in both refresh modes,
+:meth:`SalientPP.apply_graph_updates` in training) the scores a
+``vip-refresh`` cache re-ranks on are Proposition 1 on the graph being
+sampled, while the planner-cached artifacts sibling systems share stay
+untouched.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import RunConfig, StreamingConfig
-from repro.graph import erdos_renyi, load_dataset, power_law_community_graph
+from repro.core import Planner, RunConfig, StreamingConfig
+from repro.graph import CSRGraph, erdos_renyi, power_law_community_graph
 from repro.graph.generators import edge_stream
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.vip.analytic import (
@@ -25,15 +26,6 @@ from repro.vip.analytic import (
 class TestStreamingConfig:
     def test_defaults_validate(self):
         RunConfig(streaming=StreamingConfig()).validate()
-
-    def test_bad_churn_cutoff_rejected(self):
-        with pytest.raises(ValueError, match="churn_cutoff"):
-            RunConfig(streaming=StreamingConfig(churn_cutoff=1.5)).validate()
-
-    def test_bad_compact_cutoff_rejected(self):
-        with pytest.raises(ValueError, match="compact_cutoff"):
-            RunConfig(
-                streaming=StreamingConfig(compact_cutoff=-0.1)).validate()
 
 
 class TestEdgeStream:
@@ -77,91 +69,171 @@ class TestEdgeStream:
 
 
 @pytest.fixture(scope="module")
-def built_system():
-    from repro import SalientPP
+def planner():
+    """Shared by every build below: a system mutating its graph must leave
+    the cached artifacts clean for the builds that follow."""
+    return Planner()
 
-    ds = load_dataset("tiny", seed=0)
-    cfg = RunConfig(num_machines=2, replication_factor=0.2, batch_size=16)
-    return SalientPP.build(ds, cfg), ds
+
+def build_system(planner, ds, *, refresh_on_mutation=True):
+    cfg = RunConfig(num_machines=2, replication_factor=0.2, batch_size=16,
+                    cache_policy="vip-refresh", refresh_interval=4,
+                    streaming=StreamingConfig(
+                        refresh_on_mutation=refresh_on_mutation))
+    return planner.build(ds, cfg)
+
+
+def random_batch(rng, n, adds, dels=0):
+    return EdgeBatch(add_src=rng.integers(0, n, adds),
+                     add_dst=rng.integers(0, n, adds),
+                     del_src=rng.integers(0, n, dels),
+                     del_dst=rng.integers(0, n, dels))
+
+
+def spy_on_plan_refresh(cache):
+    """Record (a copy of) every score vector the store hands ``cache``."""
+    seen, plan_refresh = [], cache.plan_refresh
+
+    def recording(scores, **kwargs):
+        seen.append(scores.copy())
+        return plan_refresh(scores, **kwargs)
+
+    cache.plan_refresh = recording
+    return seen
+
+
+def sampled_csr(graph):
+    return (graph.materialize() if isinstance(graph, MutableGraph)
+            else graph)
 
 
 class TestServingMutations:
-    def _run(self, system, refresh):
-        from dataclasses import replace
-
+    def _run(self, system):
+        """Serve across three mutation batches, recording every score
+        vector the refresh provider returned with the p0 it was asked for
+        and the graph the samplers read at that moment."""
         from repro.serving import InferenceService
         from repro.serving.workload import poisson_requests
 
-        system.config = replace(
-            system.config, streaming=StreamingConfig(
-                refresh_on_mutation=refresh))
         svc = InferenceService.from_system(system)
-        N = system.dataset.graph.num_vertices
-        wl = poisson_requests(np.arange(N), 30, 4, rate_rps=50.0, seed=3)
-        rng = np.random.default_rng(0)
-        muts = [(0.1 + 0.2 * i,
-                 EdgeBatch(add_src=rng.integers(0, N, 6),
-                           add_dst=rng.integers(0, N, 6)))
-                for i in range(3)]
-        report = svc.run(wl, mutations=muts)
-        return svc, report
+        base = svc.graph
+        calls = []
+        access = svc.tracker.access
 
-    def test_mutations_applied_with_refresh(self, built_system):
-        system, _ = built_system
-        svc, report = self._run(system, refresh=True)
+        def recording_access(consumer, p0):
+            scores = access(consumer, p0)
+            calls.append((svc.mutations_applied, sampled_csr(svc.graph),
+                          p0, scores))
+            return scores
+
+        svc.tracker.access = recording_access
+        N = system.dataset.graph.num_vertices
+        wl = poisson_requests(np.arange(N), 60, 4, rate_rps=50.0, seed=3)
+        rng = np.random.default_rng(0)
+        muts = [(0.1 + 0.2 * i, random_batch(rng, N, 60)) for i in range(3)]
+        report = svc.run(wl, mutations=muts)
         assert svc.mutations_applied == 3
         assert isinstance(svc.graph, MutableGraph)
-        assert len(report.records) > 0
+        assert len(report.records) == 60
+        post_churn = [c for c in calls if c[0] > 0]
+        assert post_churn, "no refresh was scored after a mutation landed"
+        return svc, base, calls, post_churn
 
-    def test_stale_cache_mode_freezes_vip_graph(self, built_system):
-        system, _ = built_system
-        svc, report = self._run(system, refresh=False)
-        assert svc.mutations_applied == 3
-        # VIP scoring still runs against the frozen pre-churn base
-        assert svc._stale_vip_graph is not None
-        assert not isinstance(svc._stale_vip_graph, MutableGraph)
-        assert len(report.records) > 0
+    def test_wired_mode_scores_the_mutated_graph(self, planner, tiny_dataset):
+        svc, _, calls, _ = self._run(build_system(planner, tiny_dataset))
+        for _, sampled, p0, scores in calls:
+            ref = vip_probabilities(sampled, p0, svc.fanouts).access
+            assert np.array_equal(scores, ref)
 
-    def test_out_of_range_mutation_rejected(self, built_system):
-        system, _ = built_system
+    def test_stale_mode_scores_the_prechurn_graph(self, planner, tiny_dataset):
+        svc, base, calls, post_churn = self._run(
+            build_system(planner, tiny_dataset, refresh_on_mutation=False))
+        assert isinstance(base, CSRGraph)
+        for _, _, p0, scores in calls:
+            ref = vip_probabilities(base, p0, svc.fanouts).access
+            assert np.array_equal(scores, ref)
+        # ...which is not what the samplers read any more.
+        assert any(
+            not np.array_equal(
+                scores, vip_probabilities(sampled, p0, svc.fanouts).access)
+            for _, sampled, p0, scores in post_churn)
+
+    def test_out_of_range_mutation_rejected(self, planner, tiny_dataset):
         from repro.serving import InferenceService
         from repro.serving.workload import poisson_requests
 
-        svc = InferenceService.from_system(system)
-        N = system.dataset.graph.num_vertices
+        svc = InferenceService.from_system(build_system(planner, tiny_dataset))
+        N = tiny_dataset.graph.num_vertices
         wl = poisson_requests(np.arange(N), 5, 4, rate_rps=50.0, seed=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="add_vertices"):
             svc.run(wl, mutations=[
                 (0.1, EdgeBatch(add_src=[0], add_dst=[N + 7]))])
 
 
 class TestTrainingMutations:
-    def test_vip_matrix_tracks_full_recompute(self, built_system):
-        system, _ = built_system
+    def test_refresh_scores_the_mutated_graph(self, planner, tiny_dataset):
+        """After graph churn and a training-set swap, what each machine's
+        cache re-ranks on is Proposition 1 on the overlay its sampler reads
+        — not the build-time graph, and not the build-time matrix."""
+        system = build_system(planner, tiny_dataset)
+        built_matrix = system.vip_matrix.copy()
+        tr = system.trainer
         N = system.reordered.dataset.graph.num_vertices
         rng = np.random.default_rng(7)
         for _ in range(2):
-            system.apply_graph_updates(
-                EdgeBatch(add_src=rng.integers(0, N, 10),
-                          add_dst=rng.integers(0, N, 10),
-                          del_src=rng.integers(0, N, 3),
-                          del_dst=rng.integers(0, N, 3)))
+            rec = system.apply_graph_updates(random_batch(rng, N, 40, 5))
+        assert rec.version == 2
+        system.update_training_set(
+            np.concatenate([ids[: len(ids) // 2] for ids in tr.local_train]))
         mg = system.reordered.dataset.graph
         assert isinstance(mg, MutableGraph)
-        assert all(s.graph is mg for s in system.trainer.samplers)
+        assert all(s.graph is mg for s in tr.samplers)
+
+        handed = [spy_on_plan_refresh(s.cache) for s in system.store.stores]
+        result = system.train_epoch(0, dry_run=True)
+        assert result.epoch_time > 0
         mat = mg.materialize()
-        tr = system.trainer
-        for k in range(len(tr.local_train)):
+        for k, store in enumerate(system.store.stores):
             p0 = uniform_minibatch_probability(
                 mat.num_vertices, tr.local_train[k], tr.batch_size)
             ref = vip_probabilities(mat, p0, tr.fanouts).access
-            assert np.array_equal(system.vip_matrix[k], ref)
-        # training still runs on the mutated graph
-        result = system.train_epoch(0, dry_run=True)
-        assert result.epoch_time > 0
+            ref[store.lo:store.hi] = 0.0  # the store blanks local vertices
+            assert handed[k], f"machine {k} never refreshed"
+            for scores in handed[k]:
+                assert np.array_equal(scores, ref)
+        # The preprocessing artifact is not a live view.
+        assert np.array_equal(system.vip_matrix, built_matrix)
 
-    def test_live_backend_guard(self, built_system):
-        system, _ = built_system
+    def test_mutating_one_system_leaves_its_siblings_alone(self, tiny_dataset):
+        planner = Planner()
+        a = build_system(planner, tiny_dataset)
+        b = build_system(planner, tiny_dataset)
+        untouched = build_system(Planner(), tiny_dataset)
+        base = b.trainer.ds.graph
+        N = base.num_vertices
+        a.apply_graph_updates(random_batch(np.random.default_rng(1), N, 200))
+        assert isinstance(a.trainer.ds.graph, MutableGraph)
+        assert b.trainer.ds.graph is base
+        assert all(s.graph is base for s in b.trainer.samplers)
+        edges = [
+            [r.candidate_edges
+             for r in s.train_epoch(0, dry_run=True).report.records]
+            for s in (b, untouched)]
+        assert edges[0] == edges[1]
+        c = build_system(planner, tiny_dataset)
+        assert c.trainer.ds.graph is base
+
+    def test_out_of_range_batch_rejected_before_rewiring(self, planner, tiny_dataset):
+        system = build_system(planner, tiny_dataset)
+        base = system.trainer.ds.graph
+        with pytest.raises(ValueError, match="add_vertices"):
+            system.apply_graph_updates(
+                EdgeBatch(add_src=[0], add_dst=[base.num_vertices]))
+        assert system.trainer.ds.graph is base
+        assert system.tracker.graph is base
+
+    def test_live_backend_guard(self, planner, tiny_dataset):
+        system = build_system(planner, tiny_dataset)
 
         class FakeLive:
             is_live = True
