@@ -22,12 +22,8 @@ from repro.core.planner import (
     load_artifact,
     save_artifact,
 )
-from repro.core.system import (
-    EpochResult,
-    Salient,
-    SalientPP,
-    make_partition,
-)
+from repro.core.system import EpochResult, Salient, SalientPP
+from repro.partition.registry import make_partition
 
 __all__ = [
     "RunConfig",

@@ -34,13 +34,13 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.planner import Planner
-from repro.distributed.executor import DistributedTrainer, EpochReport
+from repro.distributed.executor import DistributedTrainer
 from repro.distributed.feature_store import PartitionedFeatureStore
+from repro.distributed.records import EpochReport
 from repro.graph.datasets import GraphDataset
 from repro.graph.mutable import land_batch
 from repro.obs import OBS
 from repro.partition.interface import Partition
-from repro.partition.registry import make_partition  # noqa: F401  (re-export)
 from repro.partition.reorder import ReorderedDataset
 from repro.pipeline.costmodel import CostModel, ModelDims
 from repro.pipeline.simulator import PipelineResult, simulate_trace

@@ -70,11 +70,14 @@ from repro.distributed.comm import (
     average_parameters,
     gradient_nbytes,
 )
-from repro.distributed.feature_store import FetchPlan, GatherArena
+from repro.distributed.feature_store import (
+    FetchPlan,
+    GatherArena,
+    note_gather,
+)
 from repro.distributed.records import (
     EpochReport,
     StepRecord,
-    _candidate_edges,
     served_rows_matrix,
 )
 from repro.nn.functional import cross_entropy
@@ -256,20 +259,11 @@ class ExecutionEngine:
         collective.fetched(w0, w0 + len(mfgs), plans, first_request)
         degrees = tr.ds.graph.degrees
         records = [
-            StepRecord(
-                machine=k,
-                step=w0 + i,
-                batch_size=mfg.batch_size,
-                mfg_vertices=mfg.num_vertices,
-                mfg_edges=mfg.num_edges,
-                candidate_edges=_candidate_edges(degrees, mfg),
-                block_sizes=tuple(
-                    (b.num_src, b.num_dst, b.num_edges) for b in mfg.blocks
-                ),
-                gather=stats,
-            )
+            StepRecord.for_batch(k, w0 + i, mfg, degrees, stats)
             for i, (mfg, (_feats, stats)) in enumerate(zip(mfgs, results))
         ]
+        for rec in records:
+            note_gather(rec.gather)
         return [feats for feats, _stats in results], records
 
     def run_machines(self, epoch: int, machines: Iterable[int], collective,
@@ -391,7 +385,7 @@ def assemble_report(schedule: Schedule,
             records.extend(row)
             served += served_rows_matrix(row, K)
             for rec in row:
-                emit_step_events(trace, rec, dims)
+                emit_step_events(trace, rec, rec.flops(*dims))
             if step in sync_at:
                 trace.add(Stage.ALLREDUCE, -1, step)
         for k in range(K):

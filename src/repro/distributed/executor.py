@@ -31,7 +31,7 @@ from repro.distributed.cluster import CLUSTER_BACKENDS, ClusterBackend
 from repro.distributed.comm import broadcast_state, gradient_nbytes
 from repro.distributed.engine import make_engine
 from repro.distributed.feature_store import PartitionedFeatureStore
-from repro.distributed.records import EpochReport, StepRecord  # noqa: F401  (re-export)
+from repro.distributed.records import EpochReport
 from repro.nn.models import MFGModel, build_model
 from repro.nn.optim import Adam
 from repro.partition.reorder import ReorderedDataset

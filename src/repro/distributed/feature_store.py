@@ -29,8 +29,8 @@ evictions and refreshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,13 +43,17 @@ from repro.obs import OBS
 from repro.partition.reorder import ReorderedDataset
 
 
-def _note_gather(stats: "GatherStats") -> None:
-    """Mirror one gather's row counts into the metrics registry.
+def note_gather(stats: "GatherStats") -> None:
+    """Mirror one *finalized* gather's row counts into the metrics registry.
 
-    Only called when ``OBS.enabled`` — the gather hot path pays one boolean
-    check when observability is off.  Counts are taken from the already-
-    computed :class:`GatherStats`, so recording changes no math.
+    Called once per :class:`~repro.distributed.records.StepRecord`, by
+    whoever finalizes the record (the epoch loop; serving, after its outage
+    adjustment) — never from inside ``execute*`` — so every ``store.*`` /
+    ``cache.*`` counter equals the matching field of the report's summed
+    ``gather``.  A no-op unless ``OBS.enabled``; recording changes no math.
     """
+    if not OBS.enabled:
+        return
     m = OBS.metrics
     m.counter("store.gathers").inc()
     m.counter("store.gather_rows").inc(stats.total_rows)
@@ -58,6 +62,7 @@ def _note_gather(stats: "GatherStats") -> None:
     m.counter("store.cached_rows").inc(stats.cached_rows)
     m.counter("store.remote_rows").inc(stats.remote_rows)
     m.counter("store.coalesced_rows").inc(stats.coalesced_rows)
+    m.counter("store.unavailable_rows").inc(stats.unavailable_rows)
     if stats.cache_insertions or stats.cache_evictions:
         m.counter("cache.admissions").inc(stats.cache_insertions)
         m.counter("cache.evictions").inc(stats.cache_evictions)
@@ -68,7 +73,8 @@ def _note_gather(stats: "GatherStats") -> None:
 
 @dataclass
 class GatherStats:
-    """Exact per-category row counts for one gather (one minibatch).
+    """Exact per-category row counts for one gather (one minibatch) — and,
+    folded with :meth:`sum`, for a whole report: the one row-count type.
 
     ``remote_per_peer[j]`` is the number of rows requested from machine
     ``j`` (0 for self and for fully cached peers).  The cache-churn fields
@@ -83,6 +89,11 @@ class GatherStats:
     machine (pipelined execution): the bytes crossed the wire exactly once,
     charged to the first requesting batch, and this batch reads them from
     host memory like cached rows.  Always zero for one-at-a-time gathers.
+
+    ``unavailable_rows`` counts demand rows a degraded serving gather
+    zero-filled because their owner was down (:meth:`mark_unavailable`);
+    always zero in training.  Every row is in exactly one bucket:
+    ``gpu + cpu + cached + remote + coalesced + unavailable == total``.
     """
 
     total_rows: int
@@ -95,6 +106,7 @@ class GatherStats:
     cache_evictions: int = 0
     refresh_fetch_per_peer: Optional[np.ndarray] = None
     coalesced_rows: int = 0
+    unavailable_rows: int = 0
 
     def remote_fraction(self) -> float:
         return self.remote_rows / max(self.total_rows, 1)
@@ -105,9 +117,49 @@ class GatherStats:
             return 0
         return int(self.refresh_fetch_per_peer.sum())
 
+    #: The name report-level readers use for the same count.
+    refresh_rows = refresh_fetch_rows
+
     def comm_rows(self) -> int:
         """All rows this gather moved over the network (demand + refresh)."""
         return self.remote_rows + self.refresh_fetch_rows
+
+    def cache_hit_rate(self) -> float:
+        """Rows served without a demand fetch (cache hits and in-flight
+        coalesced reads) over the non-local rows served (those plus the
+        demand fetches) — the one definition, for training and serving."""
+        hits = self.cached_rows + self.coalesced_rows
+        return hits / max(hits + self.remote_rows, 1)
+
+    def mark_unavailable(self, down: np.ndarray, rows: int) -> None:
+        """``rows`` of this gather's demand rows belong to ``down`` peers
+        (one boolean per machine) and never arrived: move them to
+        ``unavailable_rows``, each out of the bucket that claimed it —
+        ``remote_rows`` / ``remote_per_peer`` for the rows this gather
+        requested from a down peer itself, ``coalesced_rows`` for the ones
+        it would have read from a window mate's fetch."""
+        fetched = int(self.remote_per_peer[down].sum())
+        self.remote_per_peer = np.where(down, 0, self.remote_per_peer)
+        self.remote_rows -= fetched
+        self.coalesced_rows -= rows - fetched
+        self.unavailable_rows += rows
+
+    @classmethod
+    def sum(cls, stats: Iterable["GatherStats"]) -> "GatherStats":
+        """The one row-total fold: counts add, per-peer arrays add
+        element-wise (``refresh_fetch_per_peer`` stays ``None`` when no
+        summand refreshed; an empty sum has an empty ``remote_per_peer``)."""
+        stats = list(stats)
+        total = {}
+        for f in fields(cls):
+            vals = [v for v in (getattr(g, f.name) for g in stats)
+                    if v is not None]
+            if f.type in ("int", int):  # a string under postponed annotations
+                total[f.name] = int(sum(vals))
+            elif vals:
+                total[f.name] = np.sum(vals, axis=0)
+        total.setdefault("remote_per_peer", np.zeros(0, dtype=np.int64))
+        return cls(**total)
 
 
 @dataclass
@@ -700,8 +752,6 @@ class PartitionedFeatureStore:
                 remote_rows=0,
                 remote_per_peer=np.zeros(self.num_machines, dtype=np.int64),
             )
-            if OBS.enabled:
-                _note_gather(stats)
             return store.local_rows(plan.local_ids), stats
         out = self._output_for(plan, out)
         _rows_into(out, plan.local_pos, store.local_features,
@@ -722,8 +772,6 @@ class PartitionedFeatureStore:
         )
         if store.has_dynamic_cache:
             self._maintain_dynamic_cache(store, stats, plan, out)
-        if OBS.enabled:
-            _note_gather(stats)
         return out, stats
 
     def execute_coalesced(self, cplan: CoalescedFetchPlan, *,
@@ -783,9 +831,6 @@ class PartitionedFeatureStore:
         if store.has_dynamic_cache:
             for plan, (out, stats) in zip(cplan.plans, results):
                 self._maintain_dynamic_cache(store, stats, plan, out)
-        if OBS.enabled:
-            for _out, stats in results:
-                _note_gather(stats)
         return results
 
     def _maintain_dynamic_cache(

@@ -7,16 +7,19 @@ imports from here, and this module imports none of them.  Keeping it a leaf
 is what lets ``repro.pipeline``, ``repro.distributed.engine`` and
 ``repro.distributed.multiproc`` each be the first ``repro`` import.
 
-Every step produces a :class:`StepRecord` with the exact workload volumes
-(MFG sizes, candidate edges examined by the sampler, per-category feature
-rows, per-peer remote rows, model FLOPs); an :class:`EpochReport` is the K
-machines' records in ``(step, machine)`` order plus everything
+Every batch a machine gathers — a training step or a served micro-batch —
+produces one :class:`StepRecord` (:meth:`StepRecord.for_batch`, the only
+constructor call) with the exact workload volumes (MFG sizes, candidate
+edges examined by the sampler, per-category feature rows, per-peer remote
+rows); every row total a report states is :meth:`GatherStats.sum` over its
+records.  An :class:`EpochReport` is the K machines' records in ``(step,
+machine)`` order plus everything
 :func:`repro.distributed.engine.assemble_report` derives from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +69,9 @@ def _candidate_edges(degrees: np.ndarray, mfg: MFG) -> int:
 
 @dataclass
 class StepRecord:
-    """Workload volumes for one machine's minibatch step."""
+    """Workload volumes for one machine's batch: a training step (``step``
+    is the epoch step) or a served micro-batch (``step`` is its step in the
+    serving trace, ``loss`` stays ``None``)."""
 
     machine: int
     step: int
@@ -77,6 +82,24 @@ class StepRecord:
     block_sizes: Tuple[Tuple[int, int, int], ...]  # (num_src, num_dst, edges)
     gather: GatherStats
     loss: Optional[float] = None
+
+    @classmethod
+    def for_batch(cls, machine: int, step: int, mfg: MFG,
+                  degrees: np.ndarray, gather: GatherStats) -> "StepRecord":
+        """The record of ``machine`` gathering ``mfg`` as ``step``, sampled
+        from a graph with out-``degrees``."""
+        return StepRecord(
+            machine=machine,
+            step=step,
+            batch_size=mfg.batch_size,
+            mfg_vertices=mfg.num_vertices,
+            mfg_edges=mfg.num_edges,
+            candidate_edges=_candidate_edges(degrees, mfg),
+            block_sizes=tuple(
+                (b.num_src, b.num_dst, b.num_edges) for b in mfg.blocks
+            ),
+            gather=gather,
+        )
 
     def flops(self, in_dim: int, hidden_dim: int, out_dim: int) -> float:
         """Forward+backward GEMM FLOPs of a SAGE stack on this MFG
@@ -114,30 +137,37 @@ class EpochReport:
     steps_per_machine: int
     events: "EventTrace"
     cache_churn: Optional[List[CacheChurnStats]] = None
+    #: :meth:`GatherStats.sum` over ``records`` — every row total below is
+    #: a read of it.
+    gather: GatherStats = field(init=False)
+
+    def __post_init__(self):
+        self.gather = GatherStats.sum(r.gather for r in self.records)
 
     def records_for(self, machine: int) -> List[StepRecord]:
         return [r for r in self.records if r.machine == machine]
 
     def total_remote_rows(self) -> int:
-        return int(sum(r.gather.remote_rows for r in self.records))
+        return self.gather.remote_rows
 
     def total_cached_rows(self) -> int:
-        return int(sum(r.gather.cached_rows for r in self.records))
+        return self.gather.cached_rows
 
     def total_refresh_rows(self) -> int:
         """Rows fetched by ``vip-refresh`` cache swaps this epoch."""
-        return int(sum(r.gather.refresh_fetch_rows for r in self.records))
+        return self.gather.refresh_fetch_rows
 
     def total_coalesced_rows(self) -> int:
         """Rows deduplicated against another in-flight batch (pipelined
         execution): needed again, but never re-fetched over the wire."""
-        return int(sum(r.gather.coalesced_rows for r in self.records))
+        return self.gather.coalesced_rows
 
     def total_comm_rows(self) -> int:
         """All feature rows moved over the network (demand + cache updates)."""
-        return self.total_remote_rows() + self.total_refresh_rows()
+        return self.gather.comm_rows()
 
     def cache_hit_rate(self) -> float:
-        """Fraction of non-local feature rows served by the cache."""
-        cached = self.total_cached_rows()
-        return cached / max(cached + self.total_remote_rows(), 1)
+        """Rows served without a demand fetch (cache hits + in-flight
+        coalesced reads) ÷ non-local rows served (those + demand fetches);
+        see :meth:`GatherStats.cache_hit_rate`."""
+        return self.gather.cache_hit_rate()

@@ -352,6 +352,7 @@ def streaming_request_stream(
             f"a batch of distinct seeds that size cannot exist"
         )
     rng = as_generator(seed)
+    ordered = np.sort(cand)
     n_hot = max(1, int(round(hot_fraction * len(cand))))
     hot = rng.choice(cand, size=n_hot, replace=False)
     for b in range(num_batches):
@@ -362,10 +363,17 @@ def streaming_request_stream(
         n_cold = batch_size - n_from_hot
         if n_cold:
             # Cold picks come from outside the hot picks (unpicked hot ids
-            # included) so the batch keeps exactly batch_size distinct seeds.
-            pool = np.setdiff1d(cand, picks)
-            cold = rng.choice(pool, size=n_cold, replace=False)
-            picks = np.concatenate([picks, cold])
+            # included) so the batch keeps exactly batch_size distinct seeds:
+            # draw positions in the sorted candidates *minus the picks*
+            # (what ``np.setdiff1d(cand, picks)`` would build, per batch, at
+            # O(|cand| log |cand|)) and shift each past the picked positions
+            # at or before it — the same generator calls, the same values.
+            taken = np.sort(np.searchsorted(ordered, picks))
+            idx = rng.choice(len(ordered) - len(picks), size=n_cold,
+                             replace=False)
+            idx += np.searchsorted(taken - np.arange(len(taken)), idx,
+                                   side="right")
+            picks = np.concatenate([picks, ordered[idx]])
         yield np.sort(picks)
 
 

@@ -8,11 +8,7 @@ attributions.  Dynamic-cache maintenance (insertion memcpys, refresh
 fetches) is charged on the same resources.
 """
 
-from repro.pipeline.costmodel import (
-    CostModel,
-    ModelDims,
-    served_rows_matrix,
-)
+from repro.pipeline.costmodel import CostModel, ModelDims
 from repro.pipeline.events import (
     EventTrace,
     Stage,
@@ -30,7 +26,6 @@ from repro.pipeline.simulator import (
 __all__ = [
     "CostModel",
     "ModelDims",
-    "served_rows_matrix",
     "EventTrace",
     "Stage",
     "StageEvent",

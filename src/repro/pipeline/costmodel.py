@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.distributed.cluster import ClusterSpec
-from repro.distributed.records import StepRecord, served_rows_matrix  # noqa: F401  (re-export)
 from repro.pipeline.events import Stage
 
 
@@ -45,7 +44,8 @@ class ModelDims:
 
 
 class CostModel:
-    """Prices :class:`StepRecord` volumes on a :class:`ClusterSpec`.
+    """Prices :class:`~repro.distributed.records.StepRecord` volumes on a
+    :class:`ClusterSpec`.
 
     Parameters
     ----------

@@ -1,7 +1,7 @@
 """Stage events: the execution engines' schedule, as data.
 
 Historically the discrete-event simulator *reconstructed* the pipeline's
-stage graph from :class:`~repro.distributed.executor.StepRecord` volumes —
+stage graph from :class:`~repro.distributed.records.StepRecord` volumes —
 fine while the functional executor had exactly one schedule (lock-step BSP),
 but wrong the moment engines differ in what they overlap or coalesce.  This
 module turns the schedule into an explicit artifact: every execution engine
@@ -195,23 +195,30 @@ class EventTrace:
         return self
 
 
-def emit_step_events(trace: EventTrace, rec, dims) -> None:
-    """Emit the per-step stage events for one machine-step record.
+def emit_step_events(trace: EventTrace, rec, flops: float) -> List[StageEvent]:
+    """Emit the per-step stage events for one machine-step record — the
+    only place their volumes are derived from a record, for training steps
+    and served micro-batches alike.
 
     The comm stages (request exchange, serve slice, feature comm) are per
     *window*, not per step: :func:`emit_window_comm_events` emits those.
-    ``dims`` is the model's ``(in, hidden, out)`` widths (the TRAIN event
-    needs FLOPs).
+    ``flops`` is the TRAIN event's volume (forward + backward for a
+    training step, forward only for a served micro-batch).  Returns the
+    five events just appended — SAMPLE, LOCAL_SLICE, H2D, GPU_GATHER,
+    TRAIN, in that order — for callers that price them immediately (the
+    serving clock).
     """
     g = rec.gather
     k, s = rec.machine, rec.step
     host_rows = g.cpu_rows + g.cached_rows + g.coalesced_rows
+    before = len(trace.events)
     trace.add(Stage.SAMPLE, k, s, candidate_edges=rec.candidate_edges)
     trace.add(Stage.LOCAL_SLICE, k, s, rows=host_rows + g.cache_insertions)
     trace.add(Stage.H2D, k, s, rows=host_rows + g.remote_rows)
     trace.add(Stage.GPU_GATHER, k, s, gpu_rows=g.gpu_rows,
               total_rows=g.total_rows)
-    trace.add(Stage.TRAIN, k, s, flops=rec.flops(*dims))
+    trace.add(Stage.TRAIN, k, s, flops=flops)
+    return trace.events[before:]
 
 
 def emit_window_comm_events(trace: EventTrace, window_start: int, machine: int,

@@ -29,7 +29,6 @@ from repro.serving.batcher import (
 )
 from repro.serving.metrics import (
     AvailabilityLedger,
-    GatherTotals,
     RequestRecord,
     ServingReport,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "make_batcher",
     "one_hop_union",
     "AvailabilityLedger",
-    "GatherTotals",
     "RequestRecord",
     "ServingReport",
     "InferenceService",

@@ -16,11 +16,15 @@ emerges from the event clock rather than being assumed.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.distributed.feature_store import GatherStats
+from repro.distributed.records import StepRecord
 from repro.obs.metrics import Histogram
 from repro.pipeline.events import EventTrace
 
@@ -31,13 +35,6 @@ from repro.pipeline.events import EventTrace
 #: p99) survive the bucketing.
 LATENCY_HIST_LO = 1e-6
 LATENCY_HIST_GROWTH = 2.0 ** (1.0 / 64.0)
-
-
-def latency_histogram() -> Histogram:
-    """A fresh streaming histogram with the serving latency geometry."""
-    return Histogram("serving.latency_s",
-                     help="simulated request latency (seconds)",
-                     lo=LATENCY_HIST_LO, growth=LATENCY_HIST_GROWTH)
 
 
 @dataclass
@@ -86,6 +83,8 @@ class AvailabilityLedger:
     ``answered + shed == total``), and ``retries`` / ``unavailable_rows``
     measure the cost of outages that did not show up as refusals.  A
     fault-free run is all ``served_ok`` with every other counter zero.
+    Never incremented: :meth:`from_records` derives it when the report is
+    built.
     """
 
     served_ok: int = 0
@@ -112,44 +111,16 @@ class AvailabilityLedger:
         """Fraction of requests answered at full fidelity."""
         return self.served_ok / max(self.total, 1)
 
-
-@dataclass
-class GatherTotals:
-    """Row-count totals over every gather the service executed."""
-
-    total_rows: int = 0
-    gpu_rows: int = 0
-    cpu_rows: int = 0
-    cached_rows: int = 0
-    remote_rows: int = 0
-    coalesced_rows: int = 0
-    refresh_rows: int = 0
-    cache_insertions: int = 0
-    #: Rows a degraded gather zero-filled because their owner was down
-    #: (moved out of ``remote_rows`` by the service — they never crossed
-    #: the simulated wire).
-    unavailable_rows: int = 0
-
-    def add(self, stats) -> None:
-        """Accumulate one :class:`GatherStats`."""
-        self.total_rows += stats.total_rows
-        self.gpu_rows += stats.gpu_rows
-        self.cpu_rows += stats.cpu_rows
-        self.cached_rows += stats.cached_rows
-        self.remote_rows += stats.remote_rows
-        self.coalesced_rows += stats.coalesced_rows
-        self.refresh_rows += stats.refresh_fetch_rows
-        self.cache_insertions += stats.cache_insertions
-
-    def comm_rows(self) -> int:
-        """All rows moved over the network (demand + cache updates)."""
-        return self.remote_rows + self.refresh_rows
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of non-local rows served without a demand fetch
-        (cache hits and in-flight coalesced reads)."""
-        hits = self.cached_rows + self.coalesced_rows
-        return hits / max(hits + self.remote_rows, 1)
+    @classmethod
+    def from_records(cls, records: Sequence[RequestRecord],
+                     unavailable_rows: int = 0) -> "AvailabilityLedger":
+        """The ledger a run's request records (one per request: its final
+        outcome and the retries it took) and summed gather stats imply."""
+        status = Counter(r.status for r in records)
+        return cls(served_ok=status["ok"], degraded=status["degraded"],
+                   shed=status["shed"],
+                   retries=sum(r.retries for r in records),
+                   unavailable_rows=unavailable_rows)
 
 
 @dataclass
@@ -159,26 +130,36 @@ class ServingReport:
     ``predictions[rid]`` holds one predicted class per requested seed, in
     the request's seed order.  ``trace`` is the validated per-machine
     :class:`EventTrace` (``machine_of_step`` set) the latencies were priced
-    from.
+    from, and ``steps`` holds one :class:`StepRecord` per served
+    micro-batch, keyed ``(machine, trace step)``.  Everything else is
+    derived from those when the report is built: ``gather`` is
+    :meth:`GatherStats.sum` over ``steps``, ``availability`` the ledger
+    ``records`` imply, window / batch counts are the trace's, and the
+    latency histogram is filled from ``records`` on first use.
     """
 
     records: List[RequestRecord]
     predictions: Dict[int, np.ndarray]
     trace: EventTrace
-    gather: GatherTotals
-    num_windows: int
-    num_batches: int
+    steps: List[StepRecord]
     makespan: float
-    window_durations: List[float] = field(default_factory=list)
-    #: Streaming log-bucket latency histogram, filled by the service as
-    #: requests complete.  Percentiles read from here, so they need no
-    #: retained sample array; hand-built reports (tests) may omit it and
-    #: one is derived from ``records`` on first use.
-    latency_hist: Optional[Histogram] = None
+    gather: GatherStats = field(init=False)
     #: Availability outcomes (ok / degraded / shed / retries); a fault-free
-    #: run is all ``served_ok``.  Hand-built reports get an empty ledger.
-    availability: AvailabilityLedger = field(
-        default_factory=AvailabilityLedger)
+    #: run is all ``served_ok``.
+    availability: AvailabilityLedger = field(init=False)
+
+    def __post_init__(self):
+        self.gather = GatherStats.sum(s.gather for s in self.steps)
+        self.availability = AvailabilityLedger.from_records(
+            self.records, self.gather.unavailable_rows)
+
+    @property
+    def num_windows(self) -> int:
+        return len(self.trace.windows)
+
+    @property
+    def num_batches(self) -> int:
+        return self.trace.num_steps
 
     # -- latency --------------------------------------------------------
     def latencies(self) -> np.ndarray:
@@ -187,14 +168,17 @@ class ServingReport:
         return np.array([r.latency for r in self.records
                          if r.status != "shed"])
 
-    def _latencies_hist(self) -> Histogram:
-        if self.latency_hist is None:
-            hist = latency_histogram()
-            for rec in self.records:
-                if rec.status != "shed":
-                    hist.observe(rec.latency)
-            self.latency_hist = hist
-        return self.latency_hist
+    @functools.cached_property
+    def latency_hist(self) -> Histogram:
+        """Streaming log-bucket histogram of the answered requests'
+        latencies — what the percentiles read."""
+        hist = Histogram("serving.latency_s",
+                         help="simulated request latency (seconds)",
+                         lo=LATENCY_HIST_LO, growth=LATENCY_HIST_GROWTH)
+        for rec in self.records:
+            if rec.status != "shed":
+                hist.observe(rec.latency)
+        return hist
 
     def latency_percentile(self, p: float) -> float:
         """Latency percentile in seconds (``p`` in [0, 100]).
@@ -202,7 +186,7 @@ class ServingReport:
         Streaming estimate: within one log-bucket width
         (:data:`LATENCY_HIST_GROWTH`) of the exact order statistic.
         """
-        hist = self._latencies_hist()
+        hist = self.latency_hist
         if hist.count == 0:
             return 0.0
         return hist.percentile(p)

@@ -43,26 +43,26 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.distributed.records import _candidate_edges, sage_forward_flops
+from repro.distributed.records import StepRecord, sage_forward_flops
 from repro.graph.mutable import land_batch
 from repro.obs import OBS
 from repro.distributed.feature_store import (
     FetchPlan,
     GatherArena,
     PartitionedFeatureStore,
+    note_gather,
 )
 from repro.pipeline.costmodel import CostModel
-from repro.pipeline.events import EventTrace, Stage, emit_window_comm_events
+from repro.pipeline.events import (
+    EventTrace,
+    Stage,
+    emit_step_events,
+    emit_window_comm_events,
+)
 from repro.sampling.mfg import MFG
 from repro.sampling.neighbor import NeighborSampler
 from repro.serving.batcher import MicroBatcher, make_batcher
-from repro.serving.metrics import (
-    AvailabilityLedger,
-    GatherTotals,
-    RequestRecord,
-    ServingReport,
-    latency_histogram,
-)
+from repro.serving.metrics import RequestRecord, ServingReport
 from repro.serving.workload import ClosedLoopWorkload, Request
 from repro.utils.rng import SeedLike, derive_seed
 from repro.vip.incremental import VIPTracker
@@ -180,13 +180,7 @@ class InferenceService:
         dims = cost_model.dims
         self._dims = (dims.in_dim, dims.hidden_dim, dims.out_dim)
         self._rr_next = 0  # round-robin routing cursor
-        # Machine-health view: _down[k] while machine k is inside >= 1
-        # outage interval (_down_depth handles overlapping outages).
-        self._down: List[bool] = [False] * self.num_machines
-        self._down_depth: List[int] = [0] * self.num_machines
         self._slo_policy = dict(self.spec.slo_policies)
-        self._retries: Dict[int, int] = {}
-        self.availability = AvailabilityLedger()
         # Reusable gather outputs, keyed by (machine, micro-batch slot): a
         # window's features are consumed (forward pass, predictions copied)
         # before the machine serves another window.
@@ -393,16 +387,15 @@ class InferenceService:
             engine="serving", num_machines=self.num_machines, num_steps=0,
             windows=[], machine_of_step=[],
         )
-        self._totals = GatherTotals()
-        self._latency_hist = latency_histogram()
+        self._steps: List[StepRecord] = []
         self._records: List[RequestRecord] = []
         self._predictions = {}
         self._originals = {}
-        self._window_durations: List[float] = []
-        self._down = [False] * self.num_machines
-        self._down_depth = [0] * self.num_machines
+        # Machine-health view: _down[k] while machine k is inside >= 1
+        # outage interval (_down_depth handles overlapping outages).
+        self._down: List[bool] = [False] * self.num_machines
+        self._down_depth: List[int] = [0] * self.num_machines
         self._retries: Dict[int, int] = {}
-        self.availability = AvailabilityLedger()
 
         for req in initial:
             self._push(req.arrival, _ARRIVE, req)
@@ -474,13 +467,8 @@ class InferenceService:
             records=records,
             predictions=self._predictions,
             trace=self._trace.validate(),
-            gather=self._totals,
-            num_windows=len(self._window_durations),
-            num_batches=self._trace.num_steps,
+            steps=self._steps,
             makespan=makespan,
-            window_durations=self._window_durations,
-            latency_hist=self._latency_hist,
-            availability=self.availability,
         )
 
     # ------------------------------------------------------------------
@@ -541,7 +529,6 @@ class InferenceService:
         ``"shed"``), no prediction, completion event at the refusal time
         so closed-loop clients continue."""
         for req in reqs:
-            self.availability.shed += 1
             self._records.append(RequestRecord(
                 rid=req.rid, machine=machine, num_seeds=req.num_seeds,
                 arrival=req.arrival, formed=now, started=now, completed=now,
@@ -569,7 +556,6 @@ class InferenceService:
                 attempt = self._retries.get(req.rid, 0)
                 if attempt < self.spec.retry_limit:
                     self._retries[req.rid] = attempt + 1
-                    self.availability.retries += 1
                     if OBS.enabled:
                         OBS.metrics.counter("serve.retries").inc()
                     delay = self.spec.retry_backoff_ms / 1e3 * (2.0 ** attempt)
@@ -656,70 +642,42 @@ class InferenceService:
                 for i, p in enumerate(plans)]
         if len(plans) == 1:
             results = [self.store.execute(plans[0], out=outs[0])]
-            fresh_masks: List[Optional[np.ndarray]] = [None]  # all fresh
         else:
-            cplan = FetchPlan.coalesce(plans)
-            results = self.store.execute_coalesced(cplan, outs=outs)
-            fresh_masks = list(cplan.first_request)
-        # Degraded gathers: rows owned by a down machine never arrived —
-        # zero them (the in-process store "fetched" them, but the modeled
-        # peer is gone) and keep their counts out of the comm pricing.  An
-        # unavailable row comes out of the bucket that claimed it: remote
-        # if this sub-plan was its first request in the window, coalesced
-        # otherwise.
-        unavail_fresh = [0] * len(plans)
-        unavail_coalesced = [0] * len(plans)
-        for i, (plan, mask, fresh) in enumerate(
-                zip(plans, masks, fresh_masks)):
-            if mask is not None and mask.any():
-                results[i][0][plan.remote_pos[mask]] = 0
-                n_fresh = (int(mask.sum()) if fresh is None
-                           else int((mask & fresh).sum()))
-                unavail_fresh[i] = n_fresh
-                unavail_coalesced[i] = int(mask.sum()) - n_fresh
-
-        def priced(stage: Stage, step: int, **volumes) -> float:
-            trace.add(stage, machine, step, **volumes)
-            return self.cost_model.event_duration(trace.events[-1])
-
+            results = self.store.execute_coalesced(FetchPlan.coalesce(plans),
+                                                   outs=outs)
+        # One StepRecord per micro-batch.  Its stage events are priced from
+        # what the store moved; then, for a degraded gather, the rows owned
+        # by a down machine — which never arrived: the in-process store
+        # "fetched" them, but the modeled peer is gone — are zero-filled
+        # and leave the record's demand counts, so the record, the comm
+        # pricing below and the registry mirror count only what arrived.
+        degrees = self.graph.degrees
+        down = np.asarray(self._down, dtype=bool)
+        price = self.cost_model.event_duration
+        steps: List[StepRecord] = []
         sample_time = 0.0
         compute_times: List[float] = []
-        demand_rows = 0
-        refresh_rows = 0
-        mfg_edges = 0
-        for i, (mfg, (_feats, stats)) in enumerate(zip(mfgs, results)):
-            step = step0 + i
-            self._totals.add(stats)
-            n_unavail = unavail_fresh[i] + unavail_coalesced[i]
-            if n_unavail:
-                self._totals.remote_rows -= unavail_fresh[i]
-                self._totals.coalesced_rows -= unavail_coalesced[i]
-                self._totals.unavailable_rows += n_unavail
-                self.availability.unavailable_rows += n_unavail
-            host_rows = stats.cpu_rows + stats.cached_rows + stats.coalesced_rows
-            sample_time += priced(
-                Stage.SAMPLE, step,
-                candidate_edges=_candidate_edges(self.graph.degrees, mfg),
-            )
-            compute = priced(Stage.LOCAL_SLICE, step,
-                             rows=host_rows + stats.cache_insertions)
-            compute += priced(Stage.H2D, step,
-                              rows=host_rows + stats.remote_rows)
-            compute += priced(Stage.GPU_GATHER, step,
-                              gpu_rows=stats.gpu_rows,
-                              total_rows=stats.total_rows)
-            compute += priced(Stage.TRAIN, step,
-                              flops=forward_flops(mfg, *self._dims))
-            compute_times.append(compute)
-            demand_rows += stats.remote_rows - unavail_fresh[i]
-            refresh_rows += stats.refresh_fetch_rows
-            mfg_edges += mfg.num_edges
+        for i, (mfg, plan, mask, (feats, stats)) in enumerate(
+                zip(mfgs, plans, masks, results)):
+            rec = StepRecord.for_batch(machine, step0 + i, mfg, degrees, stats)
+            sample, *compute = map(price, emit_step_events(
+                trace, rec, sage_forward_flops(rec.block_sizes, *self._dims)))
+            sample_time += sample
+            compute_times.append(sum(compute))
+            if mask is not None and mask.any():
+                feats[plan.remote_pos[mask]] = 0
+                stats.mark_unavailable(down, int(mask.sum()))
+            note_gather(stats)
+            steps.append(rec)
+        self._steps.extend(steps)
+        demand_rows = sum(rec.gather.remote_rows for rec in steps)
+        refresh_rows = sum(rec.gather.refresh_fetch_rows for rec in steps)
+        mfg_edges = sum(rec.mfg_edges for rec in steps)
 
         comm_events = emit_window_comm_events(trace, step0, machine,
                                               demand_rows, demand_rows,
                                               mfg_edges=mfg_edges)
-        comm_time = sum(self.cost_model.event_duration(ev)
-                        for ev in comm_events)
+        comm_time = sum(price(ev) for ev in comm_events)
         trace.windows.append((step0, step0 + len(groups)))
         trace.machine_of_step.extend([machine] * len(groups))
         trace.num_steps += len(groups)
@@ -752,11 +710,10 @@ class InferenceService:
             self._finish_batch(machine, mfgs[i], results[i][0], group,
                                formed=now, started=start, completed=clock,
                                window_span=window_parent, flags=flags)
-        self._window_durations.append(clock - start)
         # Cache-refresh fetches run after the responses are out: they hold
         # the machine (delaying the next window) but not these requests.
-        refresh_time = priced(Stage.CACHE_REFRESH, step0, rows=refresh_rows)
-        self._busy[machine] = clock + refresh_time
+        trace.add(Stage.CACHE_REFRESH, machine, step0, rows=refresh_rows)
+        self._busy[machine] = clock + price(trace.events[-1])
         if window_parent:
             win.sim_end = self._busy[machine]
             if refresh_rows:
@@ -765,11 +722,8 @@ class InferenceService:
                     lane=f"machine-{machine}", parent_id=window_parent,
                     rows=refresh_rows,
                 )
-            m = OBS.metrics
-            m.counter("serving.windows").inc()
-            m.counter("serving.batches").inc(len(groups))
-            m.counter("serving.demand_rows").inc(demand_rows)
-            m.counter("serving.refresh_rows").inc(refresh_rows)
+            OBS.metrics.counter("serving.windows").inc()
+            OBS.metrics.counter("serving.batches").inc(len(groups))
 
     def _finish_batch(self, machine: int, mfg: MFG, feats: np.ndarray,
                       group: List[Request], *, formed: float, started: float,
@@ -781,12 +735,8 @@ class InferenceService:
         preds = logits.data.argmax(axis=1)
         for req in group:
             status = flags.get(req.rid, "ok") if flags else "ok"
-            if status == "degraded":
-                self.availability.degraded += 1
-                if OBS.enabled:
-                    OBS.metrics.counter("serve.degraded_requests").inc()
-            else:
-                self.availability.served_ok += 1
+            if status == "degraded" and OBS.enabled:
+                OBS.metrics.counter("serve.degraded_requests").inc()
             # mfg.seeds is the sorted unique union of the group's seeds.
             pos = np.searchsorted(mfg.seeds, req.seeds)
             self._predictions[req.rid] = preds[pos].copy()
@@ -796,7 +746,6 @@ class InferenceService:
                 completed=completed, slo=req.slo, status=status,
                 retries=self._retries.get(req.rid, 0),
             ))
-            self._latency_hist.observe(completed - req.arrival)
             if OBS.enabled:
                 # One admission→reply span per request: queueing is
                 # visible as the gap between arrival and the window span.

@@ -8,9 +8,25 @@ whole suite stays fast; benchmark-scale datasets are exercised only under
 import numpy as np
 import pytest
 
+import invariants  # tests/invariants.py: pytest puts this directory on sys.path
 from repro.graph import erdos_renyi, load_dataset, power_law_community_graph
 from repro.partition import metis_like_partition, reorder_dataset
 from repro.vip import partitionwise_vip
+
+
+@pytest.fixture(scope="session")
+def check_invariants():
+    """The shared accounting laws: ``check_invariants(report)`` for a
+    ``ServingReport``, ``check_invariants(report, bytes_per_row=...)`` for
+    an ``EpochReport`` (see ``tests/invariants.py``)."""
+    return invariants.check_invariants
+
+
+@pytest.fixture(scope="session")
+def check_registry():
+    """``check_registry(OBS.metrics.snapshot(), report.gather, n_records)``:
+    obs counters = report totals (see ``tests/invariants.py``)."""
+    return invariants.check_registry
 
 
 @pytest.fixture(scope="session")

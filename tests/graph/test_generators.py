@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     chung_lu,
@@ -151,3 +152,54 @@ class TestStreamingRequestStream:
         a = list(streaming_request_stream(np.arange(100), 5, 8, seed=7))
         b = list(streaming_request_stream(np.arange(100), 5, 8, seed=7))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def setdiff_request_stream(cand, num_batches, batch_size, *, hot_fraction,
+                           hot_mass, drift_interval, seed):
+    """The original ``streaming_request_stream`` loop — the cold pool
+    rebuilt with ``np.setdiff1d`` per batch — kept as the reference the
+    index-mapped draw must reproduce value for value."""
+    rng = np.random.default_rng(seed)
+    n_hot = max(1, int(round(hot_fraction * len(cand))))
+    hot = rng.choice(cand, size=n_hot, replace=False)
+    for b in range(num_batches):
+        if b > 0 and b % drift_interval == 0:
+            hot = rng.choice(cand, size=n_hot, replace=False)
+        n_from_hot = min(rng.binomial(batch_size, hot_mass), n_hot)
+        picks = rng.choice(hot, size=n_from_hot, replace=False)
+        n_cold = batch_size - n_from_hot
+        if n_cold:
+            pool = np.setdiff1d(cand, picks)
+            cold = rng.choice(pool, size=n_cold, replace=False)
+            picks = np.concatenate([picks, cold])
+        yield np.sort(picks)
+
+
+@st.composite
+def request_stream_cases(draw):
+    """Unsorted, non-contiguous candidate ids; batch sizes up to the whole
+    pool; hot_mass at both ends; drift boundaries inside the stream."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n,
+                        unique=True))
+    return dict(
+        cand=np.array(draw(st.permutations(ids)), dtype=np.int64),
+        num_batches=draw(st.integers(1, 12)),
+        batch_size=draw(st.integers(1, n)),
+        hot_fraction=draw(st.sampled_from([0.02, 0.3, 1.0])),
+        hot_mass=draw(st.sampled_from([0.0, 0.4, 0.8, 1.0])),
+        drift_interval=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(request_stream_cases())
+@settings(max_examples=150, deadline=None)
+def test_request_stream_equals_setdiff_reference(case):
+    cand = case.pop("cand")
+    num_batches, batch_size = case.pop("num_batches"), case.pop("batch_size")
+    got = list(streaming_request_stream(cand, num_batches, batch_size, **case))
+    want = list(setdiff_request_stream(cand, num_batches, batch_size, **case))
+    assert len(got) == len(want) == num_batches
+    for b, (x, y) in enumerate(zip(got, want)):
+        assert np.array_equal(x, y), f"batch {b}: {x} != {y}"

@@ -1,0 +1,164 @@
+"""The accounting laws, stated once for every suite.
+
+:func:`check_invariants` takes an :class:`~repro.distributed.records.EpochReport`
+or a :class:`~repro.serving.metrics.ServingReport` and raises
+``AssertionError`` naming the ``(machine, step)`` that broke a law:
+
+* per record — every row sits in exactly one bucket (``gpu + cpu + cached +
+  remote + coalesced + unavailable == total``), ``remote_per_peer`` adds up
+  to ``remote_rows``, nothing is fetched from the machine itself;
+* the report's ``gather`` is :meth:`GatherStats.sum` over its records;
+* training — ledger bytes are the records' per-peer rows × row size (8 bytes
+  per requested id);
+* trace volumes are record volumes — GPU_GATHER covers every row, FEATURE_COMM
+  carries the comm rows (serving: demand there, refresh in CACHE_REFRESH);
+* serving — every request is counted once, retries add up, one prediction
+  per seed of every answered request and none for a shed one.
+
+:func:`check_registry` is the fourth law — obs counters = report totals: with
+``repro.obs`` on, every ``store.*`` / ``cache.*`` counter equals the matching
+field of the report's summed ``gather``.
+
+Suites reach both through the fixtures of the same names in ``conftest.py``.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from repro.distributed.feature_store import GatherStats
+from repro.pipeline.events import Stage
+
+BUCKETS = ("gpu_rows", "cpu_rows", "cached_rows", "remote_rows",
+           "coalesced_rows", "unavailable_rows")
+
+
+#: registry counter -> the ``GatherStats`` field it mirrors.
+COUNTERS = {
+    "store.gather_rows": "total_rows",
+    "store.gpu_rows": "gpu_rows",
+    "store.cpu_rows": "cpu_rows",
+    "store.cached_rows": "cached_rows",
+    "store.remote_rows": "remote_rows",
+    "store.coalesced_rows": "coalesced_rows",
+    "store.unavailable_rows": "unavailable_rows",
+    "cache.admissions": "cache_insertions",
+    "cache.evictions": "cache_evictions",
+    "cache.refresh_rows": "refresh_rows",
+}
+
+
+def check_registry(snapshot, gather, num_records) -> None:
+    """``snapshot`` (``OBS.metrics.snapshot()``) against a report's summed
+    ``gather`` and its record count; a counter never touched reads 0."""
+    def value(name):
+        return snapshot.get(name, {"value": 0})["value"]
+
+    assert value("store.gathers") == num_records, (
+        f"store.gathers = {value('store.gathers')}, report has "
+        f"{num_records} records")
+    for name, field in COUNTERS.items():
+        assert value(name) == getattr(gather, field), (
+            f"{name} = {value(name)} but report.gather.{field} = "
+            f"{getattr(gather, field)}")
+
+
+def _volume(trace, stage, key) -> int:
+    return int(sum(ev.volume(key) for ev in trace.events if ev.stage is stage))
+
+
+def _check_record(rec) -> None:
+    g, at = rec.gather, f"(machine {rec.machine}, step {rec.step})"
+    buckets = {name: getattr(g, name) for name in BUCKETS}
+    assert min(buckets.values()) >= 0, f"{at}: negative bucket in {buckets}"
+    assert sum(buckets.values()) == g.total_rows, (
+        f"{at}: buckets {buckets} do not add up to total_rows {g.total_rows}")
+    assert int(g.remote_per_peer.sum()) == g.remote_rows, (
+        f"{at}: remote_per_peer {g.remote_per_peer.tolist()} != "
+        f"remote_rows {g.remote_rows}")
+    for name in ("remote_per_peer", "refresh_fetch_per_peer"):
+        per_peer = getattr(g, name)
+        assert per_peer is None or per_peer[rec.machine] == 0, (
+            f"{at}: {name} fetches {per_peer[rec.machine]} rows from itself")
+
+
+def _check_gather_is_the_fold(report, records) -> None:
+    want = GatherStats.sum(r.gather for r in records)
+    for f in dataclasses.fields(GatherStats):
+        got, exp = getattr(report.gather, f.name), getattr(want, f.name)
+        assert np.array_equal(got, exp), (
+            f"report.gather.{f.name} = {got} but its records sum to {exp}")
+
+
+def _check_epoch(report, bytes_per_row: int) -> None:
+    K = report.ledger.num_machines
+    rows = np.zeros((K, K), dtype=np.int64)
+    for rec in report.records:
+        g = rec.gather
+        rows[rec.machine] += g.remote_per_peer
+        if g.refresh_fetch_per_peer is not None:
+            rows[rec.machine] += g.refresh_fetch_per_peer
+    comm = report.gather.comm_rows()
+    assert int(rows.sum()) == comm
+    assert np.array_equal(report.ledger.request_bytes, 8.0 * rows), (
+        "ledger request bytes != 8 x per-peer comm rows; "
+        f"totals {report.ledger.request_bytes.sum()} vs {8 * comm}")
+    assert np.array_equal(report.ledger.feature_bytes,
+                          float(bytes_per_row) * rows), (
+        "ledger feature bytes != bytes_per_row x per-peer comm rows; "
+        f"totals {report.ledger.feature_bytes.sum()} vs "
+        f"{bytes_per_row * comm}")
+    trace = report.events
+    assert _volume(trace, Stage.FEATURE_COMM, "in_rows") == comm, (
+        "trace FEATURE_COMM in_rows != demand + refresh rows "
+        f"({_volume(trace, Stage.FEATURE_COMM, 'in_rows')} vs {comm})")
+    assert _volume(trace, Stage.FEATURE_COMM, "out_rows") == comm, (
+        "rows served to peers != rows requested from peers "
+        f"({_volume(trace, Stage.FEATURE_COMM, 'out_rows')} vs {comm})")
+
+
+def _check_serving(report) -> None:
+    g, a, trace = report.gather, report.availability, report.trace
+    assert [(s.machine, s.step) for s in report.steps] == \
+        list(zip(trace.machine_of_step, range(trace.num_steps))), (
+        "steps are not one record per trace step, in trace order")
+    assert _volume(trace, Stage.FEATURE_COMM, "in_rows") == g.remote_rows, (
+        "trace FEATURE_COMM in_rows != demand rows "
+        f"({_volume(trace, Stage.FEATURE_COMM, 'in_rows')} vs "
+        f"{g.remote_rows})")
+    assert _volume(trace, Stage.CACHE_REFRESH, "rows") == g.refresh_rows, (
+        "trace CACHE_REFRESH rows != refresh rows "
+        f"({_volume(trace, Stage.CACHE_REFRESH, 'rows')} vs {g.refresh_rows})")
+    assert a.total == len(report.records), (
+        f"ledger counts {a.total} requests, report has "
+        f"{len(report.records)} records")
+    assert a.retries == sum(r.retries for r in report.records)
+    assert a.unavailable_rows == g.unavailable_rows
+    for r in report.records:
+        if r.status == "shed":
+            assert r.rid not in report.predictions, (
+                f"shed request {r.rid} has a prediction")
+        else:
+            got = len(report.predictions.get(r.rid, ()))
+            assert got == r.num_seeds, (
+                f"request {r.rid} (machine {r.machine}, {r.status}): "
+                f"{got} predictions for {r.num_seeds} seeds")
+
+
+def check_invariants(report, *, bytes_per_row=None) -> None:
+    """Assert the accounting laws on one report (see the module docstring).
+    ``bytes_per_row`` (the store's) is required for an ``EpochReport``."""
+    serving = hasattr(report, "steps")
+    records = report.steps if serving else report.records
+    for rec in records:
+        _check_record(rec)
+    _check_gather_is_the_fold(report, records)
+    trace = report.trace if serving else report.events
+    total = _volume(trace, Stage.GPU_GATHER, "total_rows")
+    assert total == report.gather.total_rows, (
+        f"trace GPU_GATHER total_rows {total} != records' total_rows "
+        f"{report.gather.total_rows}")
+    if serving:
+        _check_serving(report)
+    else:
+        _check_epoch(report, bytes_per_row)

@@ -10,7 +10,6 @@ from repro.serving.metrics import (
     LATENCY_HIST_GROWTH,
     RequestRecord,
     ServingReport,
-    latency_histogram,
 )
 
 
@@ -138,8 +137,7 @@ class TestServingPercentileRegression:
             for i, lat in enumerate(latencies)
         ]
         return ServingReport(records=records, predictions={}, trace=None,
-                             gather=None, num_windows=0, num_batches=0,
-                             makespan=1.0)
+                             steps=[], makespan=1.0)
 
     def test_percentiles_within_one_bucket_of_exact(self):
         rng = np.random.default_rng(3)
@@ -157,15 +155,6 @@ class TestServingPercentileRegression:
             # conventions agree to ~1% on a smooth distribution.
             interp = float(np.percentile(latencies, p))
             assert abs(est - interp) / interp < 0.02, f"p{p}"
-
-    def test_report_uses_service_filled_histogram(self):
-        """When the service hands over its streaming histogram, the report
-        must not rebuild one from records."""
-        hist = latency_histogram()
-        hist.observe(0.25)
-        report = self._report([])
-        report.latency_hist = hist
-        assert report.latency_percentile(50.0) == pytest.approx(0.25)
 
     def test_empty_report_percentiles_zero(self):
         report = self._report([])

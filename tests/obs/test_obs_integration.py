@@ -140,10 +140,13 @@ class TestMultiprocAcceptance:
         assert mp.report.mean_loss == ref.report.mean_loss
         assert mp.epoch_time == ref.epoch_time
 
-    def test_worker_metrics_merged_into_coordinator(self, traced_run):
+    def test_worker_metrics_merged_into_coordinator(self, traced_run,
+                                                    check_registry):
         _ref, mp, _spans, _doc, snap = traced_run
-        total_rows = sum(r.gather.total_rows for r in mp.report.records)
-        assert snap["store.gather_rows"]["value"] == total_rows
+        # Registry = report: every store.* / cache.* counter the workers
+        # mirrored from their finalized records, merged, is the report's.
+        check_registry(snap, mp.report.gather, len(mp.report.records))
+        assert snap["store.remote_rows"]["value"] > 0
         assert snap["shm.slab_writes"]["value"] == \
             K * len({r.step for r in mp.report.records})
         assert snap["mp.wire_sent_bytes"]["value"] > 0

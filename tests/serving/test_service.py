@@ -70,12 +70,11 @@ class TestEndToEnd:
         # No training-only stages in a serving trace.
         assert all(ev.stage is not Stage.ALLREDUCE for ev in trace.events)
 
-    def test_gather_totals_consistent(self, served):
+    def test_gather_totals_consistent(self, served, check_invariants):
         _ds, _svc, _reqs, rep = served
-        g = rep.gather
-        assert g.total_rows == (g.gpu_rows + g.cpu_rows + g.cached_rows
-                                + g.remote_rows + g.coalesced_rows)
-        assert g.comm_rows() == g.remote_rows + g.refresh_rows
+        check_invariants(rep)
+        assert len(rep.steps) == rep.num_batches > 0
+        assert rep.gather.unavailable_rows == 0
 
     def test_deterministic_rerun(self, tiny_dataset):
         reqs = make_requests(tiny_dataset)
@@ -237,7 +236,7 @@ class TestPlannerIntegration:
 
 class TestForwardFlops:
     def test_is_one_third_of_train_flops(self, tiny_dataset):
-        from repro.distributed.executor import StepRecord
+        from repro.distributed.records import StepRecord
         from repro.distributed.feature_store import GatherStats
         from repro.sampling import NeighborSampler
 
