@@ -8,8 +8,8 @@ synthetic datasets — no simulated clocks — and reports::
 ``speedup_vs_dense`` compares against the seed (dense / allocating)
 implementation where one is kept: Proposition-1 VIP against
 ``partitionwise_vip_dense``, the serving vip-refresh recomputation against
-``vip_probabilities_dense``, ``gather_into`` against the allocating
-``execute``, and the rewritten ``FetchPlan.coalesce`` against the seed's
+``vip_probabilities_dense``, arena-backed ``execute(out=)`` against the
+allocating ``execute``, and the rewritten ``FetchPlan.coalesce`` against the seed's
 searchsorted-per-plan bookkeeping.  ``null`` where no dense counterpart
 exists.
 
@@ -57,8 +57,8 @@ Tracked stages
     fault-free oracle before the detect/backoff/respawn/replay walls are
     reported.
 ``gather.into``
-    Arena-backed ``gather_into`` against the allocating ``execute`` on
-    identical id streams.
+    Arena-backed ``execute(plan, out=)`` against the allocating
+    ``execute(plan)`` on identical id streams.
 ``coalesce.depth16``
     ``FetchPlan.coalesce`` at depth 16 (the satellite's depth ≥ 10 regime)
     against the seed bookkeeping.
@@ -503,7 +503,7 @@ def _gather_substrate(dataset=None, reordered=None):
 
 def gather_stages(stages: dict, *, dataset=None, reordered=None, rounds=60,
                   ids_per_round=4_096) -> None:
-    """Arena-backed gather_into vs the allocating execute on one store."""
+    """Arena-backed execute(out=) vs the allocating execute on one store."""
     store = _gather_substrate(dataset, reordered)
     machines = store.num_machines
     n = store.reordered.dataset.num_vertices
@@ -521,7 +521,7 @@ def gather_stages(stages: dict, *, dataset=None, reordered=None, rounds=60,
             machine = i % machines
             out = arena.out(machine, len(ids), store.feature_dim,
                             store.stores[machine].local_features.dtype)
-            store.gather_into(machine, ids, out)
+            store.execute(store.plan_gather(machine, ids), out=out)
 
     dense_wall, _ = _best_of(allocating, repeats=3)
     wall, _ = _best_of(arena_backed, repeats=3)
@@ -542,10 +542,11 @@ def gather_stages(stages: dict, *, dataset=None, reordered=None, rounds=60,
     ids0 = id_sets[0]
     dtype0 = store.stores[0].local_features.dtype
     out0 = warm_arena.out(0, len(ids0), store.feature_dim, dtype0)
-    store.gather_into(0, ids0, out0)  # warm the arena buffer
+    store.execute(store.plan_gather(0, ids0), out=out0)  # warm the buffer
     dense_alloc = _alloc_mb(lambda: store.execute(store.plan_gather(0, ids0)))
-    arena_alloc = _alloc_mb(lambda: store.gather_into(
-        0, ids0, warm_arena.out(0, len(ids0), store.feature_dim, dtype0)))
+    arena_alloc = _alloc_mb(lambda: store.execute(
+        store.plan_gather(0, ids0),
+        out=warm_arena.out(0, len(ids0), store.feature_dim, dtype0)))
     stages["gather.into"] = _entry(wall, rows=rounds * ids_per_round,
                                    dense_wall_s=dense_wall,
                                    step_alloc_mb=round(arena_alloc, 3),

@@ -6,11 +6,8 @@ multilevel cut matters: the no-cache communication volume tracks the edge
 cut, and VIP caching helps on top of any partitioner.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import RunConfig
-from repro.graph import load_dataset
 from repro.partition import (
     bfs_partition,
     evaluate_partition,

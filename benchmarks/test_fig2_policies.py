@@ -12,7 +12,6 @@ PageRank / #paths / simulation / analytic VIP / oracle, replication factors
   replication factor grows (estimation variance on rarely-touched vertices).
 """
 
-import numpy as np
 import pytest
 
 from conftest import publish, run_once

@@ -7,8 +7,6 @@ relatively more from caching because its 6x-wider features make remote
 communication throughput-bound.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from conftest import publish, run_once

@@ -6,9 +6,6 @@ grows; with VIP reordering, ~10% of the local partition on GPU already
 removes the host-to-device bottleneck.
 """
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from repro.core import RunConfig

@@ -6,8 +6,6 @@ alpha=0.32 shrinks communication until pipelining overlaps it almost
 entirely (training compute becomes the visible cost).
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core import RunConfig

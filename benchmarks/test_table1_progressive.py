@@ -14,7 +14,6 @@ features slow training down by ~2.5-4.5x, pipelining recovers roughly half,
 and VIP caching brings the system back to (near) full-replication speed.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import progressive_variants, table1_alpha

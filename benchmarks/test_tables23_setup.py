@@ -5,7 +5,6 @@ preserved relative properties (train fractions, feature-width ratio between
 mag240c and papers, degree skew).
 """
 
-import numpy as np
 import pytest
 
 from conftest import publish, run_once

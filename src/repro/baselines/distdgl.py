@@ -26,9 +26,6 @@ priced volumes differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
-
-import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.system import SalientPP

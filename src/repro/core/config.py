@@ -154,73 +154,6 @@ class StreamingConfig:
 
 
 @dataclass(frozen=True)
-class RecoveryConfig:
-    """Fault-tolerance knobs (the ``config.recovery`` slice).
-
-    Consumed by :class:`repro.distributed.recovery.RecoveryManager` when
-    training runs on the multiproc backend with ``recoverable=True``.
-    Like the serving/streaming slices, no preprocessing stage fingerprints
-    it — turning recovery on or off reuses every cached artifact.
-
-    Attributes
-    ----------
-    enabled:
-        Drive training through the recovery manager (epoch-boundary
-        checkpoints; on a worker failure, respawn the failed ranks and
-        replay the interrupted epoch from the last checkpoint).
-    max_restarts:
-        Total recovery budget for one training run; the failure that
-        exhausts it tears the cluster down and re-raises machine-attributed.
-    backoff_base_s / backoff_factor / backoff_max_s:
-        Exponential backoff between detection and respawn: attempt ``i``
-        sleeps ``min(max, base * factor**i)``, jittered.
-    jitter:
-        Fractional backoff jitter in ``[0, 1)``; the draw is deterministic
-        in ``(seed, attempt)`` so recovery timing is reproducible.
-    checkpoint_interval:
-        Epochs between checkpoints (1 = every epoch boundary).  Replay
-        restarts from the newest checkpoint, so a larger interval trades
-        checkpoint cost against replay length.
-    """
-
-    enabled: bool = False
-    max_restarts: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
-    jitter: float = 0.25
-    checkpoint_interval: int = 1
-
-    def validate(self) -> "RecoveryConfig":
-        """Fail fast on malformed recovery knobs; returns ``self``."""
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be non-negative, got {self.max_restarts}"
-            )
-        if self.backoff_base_s <= 0:
-            raise ValueError(
-                f"backoff_base_s must be positive, got {self.backoff_base_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_max_s < self.backoff_base_s:
-            raise ValueError(
-                f"backoff_max_s ({self.backoff_max_s}) must be >= "
-                f"backoff_base_s ({self.backoff_base_s})"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1 epoch, got "
-                f"{self.checkpoint_interval}"
-            )
-        return self
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Configuration of one system variant on one cluster.
 
@@ -279,11 +212,6 @@ class RunConfig:
     # repro.graph.mutable / repro.vip.incremental).  Serving- and
     # continual-training-time only, so also outside stage fingerprints.
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
-
-    # Fault tolerance (checkpoint/replay recovery on the multiproc backend;
-    # see repro.distributed.recovery).  Training-runtime only — outside
-    # every stage fingerprint.
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
 
     # Substrate.
     partitioner: str = "metis"              # see repro.partition.PARTITIONERS
@@ -399,12 +327,6 @@ class RunConfig:
                 f"network_gbps must be positive, got {self.network_gbps}"
             )
         self.serving.validate()
-        self.recovery.validate()
-        if self.recovery.enabled and self.backend != "multiproc":
-            raise ValueError(
-                "recovery.enabled requires backend='multiproc' (the "
-                "in-process simulator has no worker processes to lose)"
-            )
         return self
 
     def resolve(self, dataset) -> "RunConfig":

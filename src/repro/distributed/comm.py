@@ -9,7 +9,7 @@ prices using the :class:`~repro.distributed.cluster.NetworkSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

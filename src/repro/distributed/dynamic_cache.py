@@ -38,8 +38,8 @@ here loops over vertices in Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,6 +50,13 @@ from repro.utils.registry import Registry
 #: Shares the decorator registration API with ``PARTITIONERS`` and the static
 #: policy zoo; membership tests and iteration see the registered names.
 DYNAMIC_CACHE_POLICIES = Registry("dynamic cache policy")
+
+
+#: Pseudo-count weight of the warm-start VIP scores: a score-1.0 vertex
+#: behaves as if it had been accessed this many times.  The prior protects
+#: the analytic selection until real evidence accumulates (and decays with
+#: aging).
+PRIOR_WEIGHT = 32.0
 
 
 def is_dynamic_policy(name: str) -> bool:
@@ -88,11 +95,6 @@ class DynamicCacheSpec:
         observed access counts and the VIP prior are halved every interval
         (TinyLFU's reset), bounding how long stale popularity can outvote a
         drifted workload.  ``0`` disables aging.
-    prior_weight:
-        Pseudo-count weight of the warm-start VIP scores: a score-1.0 vertex
-        behaves as if it had been accessed this many times.  The prior
-        protects the analytic selection until real evidence accumulates
-        (and decays with aging).
     swap_margin:
         Cost-awareness of ``vip-refresh`` swaps: an entry is replaced only
         if the *expected accesses saved* until the next refresh —
@@ -111,7 +113,6 @@ class DynamicCacheSpec:
     refresh_interval: int = 0
     admit_threshold: int = 1
     aging_interval: int = 64
-    prior_weight: float = 32.0
     swap_margin: float = 1.0
     warm_scores: Optional[np.ndarray] = None
 
@@ -429,14 +430,14 @@ class DynamicCache:
         self._observed_batches = 0
         self.access_counts = np.zeros(num_vertices, dtype=np.float64)
         # Frequency prior in pseudo-counts: a score-s vertex behaves as if it
-        # had been accessed prior_weight * s times already (decays with age).
+        # had been accessed PRIOR_WEIGHT * s times already (decays with age).
         self.prior = np.zeros(num_vertices, dtype=np.float64)
         if prior_scores is not None:
             if prior_scores.shape != (num_vertices,):
                 raise ValueError("prior_scores must have one entry per vertex")
             self.prior = np.maximum(
                 np.asarray(prior_scores, dtype=np.float64), 0.0
-            ) * spec.prior_weight
+            ) * PRIOR_WEIGHT
         self.churn = CacheChurnStats()
 
         if len(warm_ids):

@@ -14,12 +14,14 @@ parameter choices over that loop, not loops of their own:
 
 ``pipelined``
     §4.3 made *functional*: windows of ``depth`` steps per machine, drawn
-    ahead through a :class:`PrefetchIterator`.  The window's
-    :class:`FetchPlan`\\ s are coalesced — remote vertex ids needed by
-    several in-flight batches are fetched from peers exactly once — so deep
-    pipelines reduce real communication, not just hide it.  Training math
-    is step-for-step identical to ``bsp`` (same sample streams, same
-    per-step all-reduce), so losses match bit-for-bit while comm shrinks.
+    ahead through a :class:`PrefetchIterator`.  Every window's
+    :class:`FetchPlan`\\ s are coalesced (:func:`gather_window`) — remote
+    vertex ids needed by several in-flight batches are fetched from peers
+    exactly once — so deep pipelines reduce real communication, not just
+    hide it; a window of one coalesces to itself, which is why depth is the
+    only difference from ``bsp``.  Training math is step-for-step identical
+    to ``bsp`` (same sample streams, same per-step all-reduce), so losses
+    match bit-for-bit while comm shrinks.
 
 ``async``
     Bounded-staleness data parallelism: windows of one step, each replica
@@ -35,7 +37,7 @@ through a two-method **collective**:
 
 ``fetched(w0, w1, plans, first_request)``
     called once per machine after it gathered window ``[w0, w1)`` (the
-    executed plans and, for coalesced windows, their first-request masks);
+    executed plans and their first-request masks);
 ``sync(step)``
     closes a training step: on return every replica in the machine set
     holds the synchronized gradients (or parameters, for ``async``).
@@ -126,6 +128,33 @@ def train_batch(model, feats: np.ndarray, mfg: MFG,
     return loss.item()
 
 
+def gather_window(store, arena: GatherArena, machine: int, step0: int,
+                  mfgs: Sequence[MFG], plans: Sequence[FetchPlan],
+                  degrees: np.ndarray):
+    """Gather one machine's comm window — ``plans[i]`` is the fetch plan
+    of ``mfgs[i]``, step ``step0 + i`` — the way every caller does: the
+    training loop per ``depth`` batches, serving per flush window.
+
+    Outputs come from ``arena`` (keyed by ``(machine, in-flight slot)``),
+    the plans are coalesced into one peer exchange (a window of one
+    coalesces to itself) and executed, and each batch becomes a
+    :class:`StepRecord`.  Returns ``(first-request masks, features per
+    batch, records)``; mirroring the records into the registry
+    (:func:`note_gather`) is left to the caller, who knows when they are
+    final.
+    """
+    dtype = store.stores[machine].local_features.dtype
+    outs = [arena.out((machine, slot), len(plan.ids), store.feature_dim, dtype)
+            for slot, plan in enumerate(plans)]
+    cplan = FetchPlan.coalesce(plans)
+    results = store.execute_coalesced(cplan, outs=outs)
+    records = [
+        StepRecord.for_batch(machine, step0 + i, mfg, degrees, stats)
+        for i, (mfg, (_feats, stats)) in enumerate(zip(mfgs, results))
+    ]
+    return cplan.first_request, outs, records
+
+
 class PrefetchIterator:
     """Depth-bounded lookahead over one machine's minibatch stream.
 
@@ -204,8 +233,6 @@ class ExecutionEngine:
     name: str = "?"
     #: Batches each machine keeps in flight = steps per comm window.
     depth: int = 1
-    #: Coalesce a window's fetch plans into one deduplicated peer exchange.
-    coalesce: bool = False
     #: Apply each replica's own gradient every step; ``sync`` then averages
     #: parameters instead of gradients.
     local_apply: bool = False
@@ -235,44 +262,26 @@ class ExecutionEngine:
             sync_steps=tuple(self.sync_steps(steps)),
         )
 
-    def _gather_out(self, machine: int, rows: int, slot: int) -> np.ndarray:
-        store = self.trainer.store
-        return self._gather_arena.out(
-            (machine, slot), rows, store.feature_dim,
-            store.stores[machine].local_features.dtype,
-        )
-
     def _gather_window(self, k: int, w0: int, mfgs: List[MFG], collective):
-        """Plan, fetch and record one machine's window; returns
+        """Plan, gather and report one machine's window; returns
         ``(features per batch, records)``."""
         tr = self.trainer
         plans = [tr.store.plan_gather(k, mfg.n_id) for mfg in mfgs]
-        outs = [self._gather_out(k, len(p.ids), slot=i)
-                for i, p in enumerate(plans)]
-        if self.coalesce:
-            cplan = FetchPlan.coalesce(plans)
-            results = tr.store.execute_coalesced(cplan, outs=outs)
-            first_request = cplan.first_request
-        else:
-            results = [tr.store.execute(plans[0], out=outs[0])]
-            first_request = [None]
+        first_request, feats, records = gather_window(
+            tr.store, self._gather_arena, k, w0, mfgs, plans,
+            tr.ds.graph.degrees)
         collective.fetched(w0, w0 + len(mfgs), plans, first_request)
-        degrees = tr.ds.graph.degrees
-        records = [
-            StepRecord.for_batch(k, w0 + i, mfg, degrees, stats)
-            for i, (mfg, (_feats, stats)) in enumerate(zip(mfgs, results))
-        ]
         for rec in records:
             note_gather(rec.gather)
-        return [feats for feats, _stats in results], records
+        return feats, records
 
     def run_machines(self, epoch: int, machines: Iterable[int], collective,
                      *, dry_run: bool = False) -> List[List[StepRecord]]:
         """Run one epoch for ``machines`` — *the* epoch loop.
 
         Per comm window: every machine samples its in-flight batches,
-        gathers them (coalesced across the window for ``pipelined``) and
-        reports to ``collective.fetched``; then, unless ``dry_run``, the
+        gathers them (coalesced across the window) and reports to
+        ``collective.fetched``; then, unless ``dry_run``, the
         window's steps train in order, each sync step closed by
         ``collective.sync`` and the optimizer step.  Returns each machine's
         step records, in ``machines`` order — machine-local output only;
@@ -286,12 +295,11 @@ class ExecutionEngine:
         streams = {k: PrefetchIterator(tr.batches(k, epoch), self.depth)
                    for k in machines}
         records: dict = {k: [] for k in machines}
-        span, key = (("engine.window", "window") if self.coalesce
-                     else ("engine.step", "step"))
         with OBS.span("engine.epoch", engine=self.name, epoch=epoch,
                       steps=steps, machines=len(machines), depth=self.depth):
             for w0, w1 in sched.windows:
-                with OBS.span(span, hist=f"{span}_wall_s", **{key: w0}):
+                with OBS.span("engine.window", hist="engine.window_wall_s",
+                              window=w0, steps=w1 - w0):
                     window = {}
                     for k in machines:
                         mfgs = streams[k].next_window(w1 - w0)
@@ -422,11 +430,10 @@ def assemble_report(schedule: Schedule,
 class BSPEngine(ExecutionEngine):
     """Bulk-synchronous parallel: the seed trainer's loop, byte-for-byte.
 
-    One batch in flight per machine; every step gathers through the
-    plan/execute path (``execute(plan_gather(...))`` ≡ the monolithic
-    ``gather``), trains each replica, and closes with a gradient
-    all-reduce.  The trace has one comm window and one allreduce barrier
-    per step.
+    One batch in flight per machine; every step gathers its window of one
+    plan (≡ the monolithic ``gather``), trains each replica, and closes
+    with a gradient all-reduce.  The trace has one comm window and one
+    allreduce barrier per step.
     """
 
     name = "bsp"
@@ -447,7 +454,6 @@ class PipelinedEngine(ExecutionEngine):
     """
 
     name = "pipelined"
-    coalesce = True
 
     def __init__(self, trainer, depth: int = 10):
         super().__init__(trainer)

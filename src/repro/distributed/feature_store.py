@@ -168,10 +168,11 @@ class FetchPlan:
 
     Produced by :meth:`PartitionedFeatureStore.plan_gather` via the O(1)
     reorder arithmetic (owner = offset bisection, local row = subtraction)
-    plus one cache-membership lookup; consumed by
-    :meth:`PartitionedFeatureStore.execute`.  All ``*_pos`` arrays are
-    positions into ``ids`` (which keeps the caller's request order), so
-    executing a plan fills an output matrix without re-deriving anything.
+    plus one cache-membership lookup; consumed — once coalesced into its
+    comm window — by :meth:`PartitionedFeatureStore.execute_coalesced`.  All
+    ``*_pos`` arrays are positions into ``ids`` (which keeps the caller's
+    request order), so executing a plan fills an output matrix without
+    re-deriving anything.
 
     A plan describes the cache state *at planning time*: execute plans
     promptly (dynamic caches mutate on execution, which is what makes a
@@ -198,7 +199,8 @@ class FetchPlan:
 
     @staticmethod
     def coalesce(plans: Sequence["FetchPlan"]) -> "CoalescedFetchPlan":
-        """Merge the plans of several in-flight minibatches of one machine.
+        """Merge one machine's in-flight plans into a comm window (of one
+        plan for a lone batch — every gather executes as a window).
 
         Remote vertex ids requested by more than one plan are deduplicated:
         the peer exchange fetches each id exactly once, attributed to the
@@ -250,21 +252,14 @@ class CoalescedFetchPlan:
     ``first_request[i]`` masks sub-plan ``i``'s remote ids that no earlier
     sub-plan requested (those are charged to it as remote traffic; the rest
     are its ``coalesced_rows``); ``slots[i]`` maps sub-plan ``i``'s remote
-    ids to positions in ``unique_remote_ids`` (``None`` on hand-built plans
-    — execution falls back to a ``searchsorted``).
+    ids to positions in ``unique_remote_ids``.
     """
 
     machine: int
     plans: List[FetchPlan]
     unique_remote_ids: np.ndarray
     first_request: List[np.ndarray]
-    slots: Optional[List[np.ndarray]] = None
-
-    def plan_slots(self, i: int) -> np.ndarray:
-        """Pool positions of sub-plan ``i``'s remote ids."""
-        if self.slots is not None:
-            return self.slots[i]
-        return np.searchsorted(self.unique_remote_ids, self.plans[i].remote_ids)
+    slots: List[np.ndarray]
 
     @property
     def depth(self) -> int:
@@ -647,9 +642,10 @@ class PartitionedFeatureStore:
         monolithic array), so correctness of the distributed layout is
         exercised on every call.
 
-        This is exactly ``execute(plan_gather(machine, ids))`` — the
-        plan/execute split exists so an execution engine can coalesce the
-        plans of several in-flight minibatches before fetching.
+        This is exactly ``execute(plan_gather(machine, ids))`` — a comm
+        window of one plan; the plan/execute split exists so an execution
+        engine can coalesce the plans of several in-flight minibatches
+        before fetching.
 
         When ``machine`` has a dynamic cache the gather also maintains it:
         hits refresh replacement metadata, missed rows are admitted (LRU /
@@ -708,16 +704,6 @@ class PartitionedFeatureStore:
             nonlocal_ids=nl_ids,
         )
 
-    def gather_into(self, machine: int, ids: np.ndarray, out: np.ndarray):
-        """:meth:`gather`, filling a caller-owned ``(len(ids), D)`` matrix.
-
-        The arena variant of the gather path: callers that reuse output
-        buffers (see :class:`GatherArena`) skip the per-batch feature-matrix
-        allocation.  Identical to :meth:`gather` in every observable way —
-        features, stats, and dynamic-cache maintenance.
-        """
-        return self.execute(self.plan_gather(machine, ids), out=out)
-
     def _output_for(self, plan: FetchPlan, out: Optional[np.ndarray]):
         dtype = self.stores[plan.machine].local_features.dtype
         shape = (len(plan.ids), self.feature_dim)
@@ -730,62 +716,29 @@ class PartitionedFeatureStore:
         return out
 
     def execute(self, plan: FetchPlan, *, out: Optional[np.ndarray] = None):
-        """Execute one :class:`FetchPlan`: assemble the feature matrix, take
-        :class:`GatherStats`, then run dynamic-cache maintenance.
+        """Execute one :class:`FetchPlan` — the comm window of one plan:
+        ``execute_coalesced(FetchPlan.coalesce([plan]))``'s only result.
 
-        Bit-identical to the pre-split ``gather`` for any id mix (the parity
-        property test in ``tests/distributed/test_engine.py`` asserts this).
         ``out``, when given, is the caller-owned output matrix to fill
         (every row is written) and becomes the returned feature matrix.
         """
-        store = self.stores[plan.machine]
-        if (out is None and not store.has_dynamic_cache
-                and len(plan.local_ids) == len(plan.ids)):
-            # All-local plan with no caller buffer: the fancy-indexed local
-            # rows are already the full output in plan order (local_pos is
-            # then arange(len(ids))) — skip the second matrix entirely.
-            stats = GatherStats(
-                total_rows=len(plan.ids),
-                gpu_rows=plan.gpu_rows,
-                cpu_rows=plan.cpu_rows,
-                cached_rows=0,
-                remote_rows=0,
-                remote_per_peer=np.zeros(self.num_machines, dtype=np.int64),
-            )
-            return store.local_rows(plan.local_ids), stats
-        out = self._output_for(plan, out)
-        _rows_into(out, plan.local_pos, store.local_features,
-                   plan.local_ids - store.lo)
-        _scatter_rows(out, plan.cached_pos, store.cached_rows(plan.cached_ids))
-        remote_rows, remote_per_peer = self._fetch_remote_rows(
-            plan.machine, plan.remote_ids
-        )
-        _scatter_rows(out, plan.remote_pos, remote_rows)
-
-        stats = GatherStats(
-            total_rows=len(plan.ids),
-            gpu_rows=plan.gpu_rows,
-            cpu_rows=plan.cpu_rows,
-            cached_rows=len(plan.cached_ids),
-            remote_rows=len(plan.remote_ids),
-            remote_per_peer=remote_per_peer,
-        )
-        if store.has_dynamic_cache:
-            self._maintain_dynamic_cache(store, stats, plan, out)
-        return out, stats
+        (result,) = self.execute_coalesced(
+            FetchPlan.coalesce([plan]), outs=None if out is None else [out])
+        return result
 
     def execute_coalesced(self, cplan: CoalescedFetchPlan, *,
                           outs: Optional[Sequence[np.ndarray]] = None):
-        """Execute the merged plans of several in-flight minibatches.
+        """Execute one comm window — the one place feature rows are
+        assembled and :class:`GatherStats` are taken.
 
         One peer exchange serves the deduplicated union of the sub-plans'
         remote ids; each sub-plan's matrix is then assembled from local
         rows, cache rows, and the shared in-flight pool.  Returns a list of
         ``(features, stats)`` in sub-plan order.  Stats attribute each
         unique remote row to the first requesting sub-plan; later requests
-        of the same id are that plan's ``coalesced_rows``.  ``outs``, when
-        given, supplies one caller-owned output matrix per sub-plan (see
-        :class:`GatherArena`).
+        of the same id are that plan's ``coalesced_rows`` (none in a window
+        of one plan).  ``outs``, when given, supplies one caller-owned
+        output matrix per sub-plan (see :class:`GatherArena`).
 
         With a dynamic cache, all assembly happens against the cache state
         the plans were made with (reads only); maintenance (hits, gated
@@ -799,33 +752,31 @@ class PartitionedFeatureStore:
                 f"outs must supply one matrix per sub-plan "
                 f"({len(cplan.plans)}), got {len(outs)}"
             )
-        pool_rows, _ = self._fetch_remote_rows(
+        pool_rows, pool_per_peer = self._fetch_remote_rows(
             cplan.machine, cplan.unique_remote_ids
         )
-        owners = (self.reordered.owner_of(cplan.unique_remote_ids)
-                  if len(cplan.unique_remote_ids) else
-                  np.empty(0, dtype=np.int64))
+        owners = np.repeat(np.arange(self.num_machines), pool_per_peer)
 
         results = []
-        for i, (plan, fresh) in enumerate(zip(cplan.plans, cplan.first_request)):
+        for i, (plan, fresh, slots) in enumerate(
+                zip(cplan.plans, cplan.first_request, cplan.slots)):
             out = self._output_for(plan, None if outs is None else outs[i])
             _rows_into(out, plan.local_pos, store.local_features,
                        plan.local_ids - store.lo)
             _scatter_rows(out, plan.cached_pos,
                           store.cached_rows(plan.cached_ids))
-            slots = cplan.plan_slots(i)
             _rows_into(out, plan.remote_pos, pool_rows, slots)
 
-            per_peer = np.bincount(owners[slots[fresh]],
-                                   minlength=self.num_machines)
+            remote_rows = int(np.count_nonzero(fresh))
             results.append((out, GatherStats(
                 total_rows=len(plan.ids),
                 gpu_rows=plan.gpu_rows,
                 cpu_rows=plan.cpu_rows,
                 cached_rows=len(plan.cached_ids),
-                remote_rows=int(fresh.sum()),
-                remote_per_peer=per_peer,
-                coalesced_rows=int(len(plan.remote_ids) - fresh.sum()),
+                remote_rows=remote_rows,
+                remote_per_peer=np.bincount(owners[slots[fresh]],
+                                            minlength=self.num_machines),
+                coalesced_rows=len(plan.remote_ids) - remote_rows,
             )))
 
         if store.has_dynamic_cache:
@@ -879,17 +830,22 @@ class PartitionedFeatureStore:
         stats.cache_evictions = cache.churn.evictions - evictions_before
 
     def _fetch_remote_rows(self, machine: int, ids: np.ndarray):
-        """Copy rows for remote ``ids`` from their owners (refresh traffic)."""
+        """Copy the rows of *sorted* remote ``ids`` (a window's union, a
+        refresh's ``new_ids``) from their owners; returns the rows and the
+        per-owner row counts.  Sorted ids make each owner's share one
+        contiguous slice, found by bisecting the part offsets and copied
+        straight into place."""
         rows = np.empty((len(ids), self.feature_dim),
                         dtype=self.stores[machine].local_features.dtype)
-        per_peer = np.zeros(self.num_machines, dtype=np.int64)
-        if len(ids):
-            owners = self.reordered.owner_of(ids)
-            for peer in np.unique(owners):
-                sel = owners == peer
-                rows[sel] = self.stores[peer].local_rows(ids[sel])
-                per_peer[peer] = int(sel.sum())
-        return rows, per_peer
+        bounds = np.searchsorted(ids, self.reordered.part_offsets)
+        if bounds[0] != 0 or bounds[-1] != len(ids):
+            raise IndexError("remote ids outside every machine's id range")
+        for peer, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if a < b:
+                peer_store = self.stores[peer]
+                np.take(peer_store.local_features, ids[a:b] - peer_store.lo,
+                        axis=0, out=rows[a:b])
+        return rows, np.diff(bounds)
 
     # ------------------------------------------------------------------
     @property

@@ -44,13 +44,29 @@ feature store's K machine stores are views into the segments, so "remote"
 fetches cross a process boundary in plan terms while the rows come from
 shared memory.
 
-Pipes carry **control tokens only**.  Per step a worker writes its
-gradients into its slab and sends a ~30-byte ``step`` (``wstep`` for
-``pipelined``, after one ``window`` token per comm window) token; the
+Pipes carry **control tokens only**, in one dialect whatever the engine or
+its depth — only ``dry_run`` decides which tokens an epoch needs:
+
+=========== ========= ====================================================
+token       direction sent
+=========== ========= ====================================================
+``run``     → worker  once per epoch (epoch, ``dry_run``, trace context)
+``step``    ← worker  training epoch: per step, after the worker wrote its
+                      gradients into its slab (``sync``); it also proves
+                      the step's comm window was gathered
+``avg``     → worker  training epoch: per step, once the averaged slab is
+                      published — the barrier release
+``window``  ← worker  dry run only (nothing syncs): per comm window, after
+                      the worker gathered it (``fetched``)
+``done``    ← worker  once per epoch: records, digests, model state
+=========== ========= ====================================================
+
+So a training step costs two ~30-byte messages per worker (``step`` in,
+``avg`` out) under ``bsp`` and ``pipelined`` alike.  Between them the
 coordinator averages the slabs in place
 (:func:`~repro.distributed.comm.average_gradient_fields` — the in-process
-collective's exact floating-point sequence), publishes the averaged slab,
-and replies with ``avg`` tokens.  Telemetry is batched: step records, the
+collective's exact floating-point sequence) and publishes the averaged
+slab.  Telemetry is batched: step records, the
 fetch-plan audit digests, and the synchronized model state ship once per
 epoch in the ``done`` message; the coordinator cross-checks every digest
 against the reported gather stats, so a worker that miscounts its remote

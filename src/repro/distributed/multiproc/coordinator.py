@@ -3,10 +3,10 @@ collective, and assembles their records.
 
 :class:`MultiprocBackend` holds no schedule either: an epoch is "broadcast
 ``run``, serve the workers' collective (:meth:`MultiprocBackend._serve_collective`
-— expect each window/step token, average the gradient slabs, release the
-barrier), collect every worker's records, and hand them to the engine's
-:func:`~repro.distributed.engine.assemble_report`" — the same function the
-in-process engine calls on the same records.
+— expect each step token (window token on a dry run), average the gradient
+slabs, release the barrier), collect every worker's records, and hand them
+to the engine's :func:`~repro.distributed.engine.assemble_report`" — the
+same function the in-process engine calls on the same records.
 """
 
 from __future__ import annotations
@@ -771,25 +771,21 @@ class MultiprocBackend(ClusterBackend):
     def _serve_collective(self, dry_run: bool) -> None:
         """The coordinator's half of the workers' collective
         (:class:`~repro.distributed.multiproc.worker._PipeCollective`),
-        walked over the engine's own schedule: per comm window expect
-        every worker's ``window`` token (coalescing engines), then per
-        step its ``step`` / ``wstep`` token, and — when training — close
-        the step with :meth:`_average_step`."""
+        walked over the engine's own schedule: a dry run expects every
+        worker's ``window`` token per comm window; a training epoch expects
+        its ``step`` token per step and closes the step with
+        :meth:`_average_step`."""
         tr = self.system.trainer
         machines = range(tr.num_machines)
-        windowed = tr.engine.coalesce
-        step_kind = "wstep" if windowed else "step"
         for w0, w1 in tr.engine.schedule(tr.steps_per_epoch()).windows:
-            if windowed:
+            if dry_run:
                 for k in machines:
                     self._expect_token(k, "window", "w0", w0)
-                if dry_run:
-                    continue  # a coalesced dry run reports windows only
+                continue
             for step in range(w0, w1):
                 for k in machines:
-                    self._expect_token(k, step_kind, "step", step)
-                if not dry_run:
-                    self._average_step(step)
+                    self._expect_token(k, "step", "step", step)
+                self._average_step(step)
 
     def _average_step(self, step: int) -> None:
         """Average the worker slabs for ``step`` in place, publish the

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -153,24 +153,20 @@ def _attach_segment(spec: SegmentSpec):
 # ----------------------------------------------------------------------
 
 def _plan_digest(plan: FetchPlan, owner_of, num_machines: int,
-                 fresh: Optional[np.ndarray] = None) -> np.ndarray:
+                 fresh: np.ndarray) -> np.ndarray:
     """One audit-digest row for a fetch plan, computed *from the plan*.
 
     ``[total, gpu, cpu, cached, remote, coalesced]`` followed by the
-    per-peer remote row counts.  ``fresh`` (a coalesced window's
-    first-request mask) splits the plan's remote ids into genuinely remote
+    per-peer remote row counts.  ``fresh`` (the plan's first-request mask
+    in its comm window) splits the plan's remote ids into genuinely remote
     vs coalesced, matching how ``execute_coalesced`` attributes them.  The
     coordinator compares these rows against the reported
     :class:`GatherStats` (:func:`_stats_digest`), so a worker that
     miscounts its remote rows fails the epoch loudly without round-tripping
     full encoded plans on the hot path.
     """
-    if fresh is None:
-        remote_ids = plan.remote_ids
-        coalesced = 0
-    else:
-        remote_ids = plan.remote_ids[fresh]
-        coalesced = int(len(plan.remote_ids) - len(remote_ids))
+    remote_ids = plan.remote_ids[fresh]
+    coalesced = int(len(plan.remote_ids) - len(remote_ids))
     if len(remote_ids):
         per_peer = np.bincount(owner_of(remote_ids), minlength=num_machines)
     else:

@@ -262,8 +262,8 @@ class _WorkerRuntime:
 
     def inject_faults(self, epoch: int, step_lo: int, step_hi: int) -> None:
         """Fire any scheduled fault whose injection point falls in this
-        epoch's ``[step_lo, step_hi)`` (a single step for bsp, a window for
-        pipelined).  Each fault fires at most once."""
+        epoch's ``[step_lo, step_hi)`` (the comm window being reported).
+        Each fault fires at most once."""
         for fault in list(self._pending_faults):
             if fault.epoch != epoch or not step_lo <= fault.step < step_hi:
                 continue
@@ -327,32 +327,30 @@ class _PipeCollective:
     """The engine's collective as one worker sees it: its peers are behind
     the coordinator's pipe and the shared-memory gradient plane.
 
-    ``fetched`` audits the window's plans into digests, fires any fault
-    scheduled inside the window, and reports the window (``window`` token;
-    a bsp dry run, which never syncs, reports its ``step`` here).  ``sync``
-    publishes this step's gradients into the worker's slab, sends the
-    ``step`` / ``wstep`` token, and waits for the coordinator's ``avg``
-    before reading the averaged slab back as the replica's gradients.
+    ``fetched`` audits the window's plans into digests and fires any fault
+    scheduled inside the window; ``sync`` publishes this step's gradients
+    into the worker's slab, sends the ``step`` token, and waits for the
+    coordinator's ``avg`` before reading the averaged slab back as the
+    replica's gradients.  A training epoch's ``step`` tokens already prove
+    each window was gathered; a dry run never syncs, so there ``fetched``
+    reports the window itself (``window`` token).
     """
 
     def __init__(self, runtime: _WorkerRuntime, epoch: int, dry_run: bool):
         self.rt = runtime
         self.epoch = epoch
         self.dry_run = dry_run
-        self.windowed = runtime.engine.coalesce
         self.digests = []
 
     def fetched(self, w0: int, w1: int, plans, first_request) -> None:
         rt = self.rt
         owner_of = rt.store.reordered.owner_of
         self.digests.extend(
-            _plan_digest(plan, owner_of, rt.spec.num_machines, fresh=fresh)
+            _plan_digest(plan, owner_of, rt.spec.num_machines, fresh)
             for plan, fresh in zip(plans, first_request))
         rt.inject_faults(self.epoch, w0, w1)
-        if self.windowed:
+        if self.dry_run:
             rt.send("window", {"w0": w0})
-        elif self.dry_run:
-            rt.send("step", {"step": w0})
 
     def sync(self, step: int) -> None:
         rt = self.rt
@@ -365,7 +363,7 @@ class _PipeCollective:
             # average() must see the in-flight write and attribute it here.
             rt.torn_steps.discard(step)
             rt.my_slab.begin_write()
-        rt.send("wstep" if self.windowed else "step", {"step": step})
+        rt.send("step", {"step": step})
         kind, payload = rt.recv()
         if kind == "abort":
             raise _EpochAborted

@@ -66,20 +66,6 @@ class RecoveryPolicy:
     seed: int = 0
     checkpoint_interval: int = 1
 
-    @classmethod
-    def from_config(cls, recovery_config, seed: int = 0) -> "RecoveryPolicy":
-        """Build from a :class:`repro.core.config.RecoveryConfig` slice
-        (the run seed keys the jitter stream)."""
-        return cls(
-            max_restarts=recovery_config.max_restarts,
-            backoff_base_s=recovery_config.backoff_base_s,
-            backoff_factor=recovery_config.backoff_factor,
-            backoff_max_s=recovery_config.backoff_max_s,
-            jitter=recovery_config.jitter,
-            seed=int(seed),
-            checkpoint_interval=recovery_config.checkpoint_interval,
-        ).validate()
-
     def validate(self) -> "RecoveryPolicy":
         if self.max_restarts < 0:
             raise ValueError(

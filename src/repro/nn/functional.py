@@ -8,7 +8,7 @@ Segment ops operate on CSR-style contiguous segments (an MFG block's
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

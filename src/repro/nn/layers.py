@@ -8,7 +8,7 @@ destination prefix), following equation (1): ``h_v = UPD(h_v, AGG({h_u}))``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -8,16 +8,15 @@ outermost-first so the final output has one row per seed.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Type
+from typing import Type
 
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn import functional as F
 from repro.nn.layers import Dropout, GATConv, GINConv, Linear, SAGEConv
 from repro.nn.module import Module
 from repro.sampling.mfg import MFG
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, spawn_generators
 
 
 class MFGModel(Module):

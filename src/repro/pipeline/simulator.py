@@ -71,7 +71,6 @@ def simulate_trace(
     *,
     mode: PipelineMode = PipelineMode.FULL,
     depth: int = 10,
-    include_allreduce: bool = True,
 ) -> PipelineResult:
     """Simulate one epoch from an engine-emitted :class:`EventTrace`.
 
@@ -115,7 +114,7 @@ def simulate_trace(
     def dur(stage: Stage, k: int, s: int) -> float:
         return cost_model.event_duration(idx[(stage, k, s)])
 
-    allreduce_dur = cost_model.allreduce_time() if include_allreduce else 0.0
+    allreduce_dur = cost_model.allreduce_time()
 
     workers = max(1, cost_model.cluster.machine.cpu_workers)
     cpu = np.zeros((K, workers))

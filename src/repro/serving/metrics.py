@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.distributed.feature_store import GatherStats
 from repro.distributed.records import StepRecord
+from repro.obs import OBS
 from repro.obs.metrics import Histogram
 from repro.pipeline.events import EventTrace
 
@@ -72,6 +73,32 @@ class RequestRecord:
     @property
     def latency(self) -> float:
         return self.completed - self.arrival
+
+
+def note_request(record: RequestRecord) -> None:
+    """Mirror one request's final record into the metrics registry — the
+    request-level twin of
+    :func:`~repro.distributed.feature_store.note_gather`.
+
+    Called exactly where a :class:`RequestRecord` is appended (one per
+    request: its final outcome and the retries it took), so with
+    ``repro.obs`` on ``serving.requests`` / ``serve.degraded_requests`` /
+    ``serve.shed_requests`` / ``serve.retries`` equal the report's
+    :class:`AvailabilityLedger` (``answered`` / ``degraded`` / ``shed`` /
+    ``retries``) instead of being counted beside it.  A no-op unless
+    ``OBS.enabled``.
+    """
+    if not OBS.enabled:
+        return
+    m = OBS.metrics
+    if record.status == "shed":
+        m.counter("serve.shed_requests").inc()
+    else:
+        m.counter("serving.requests").inc()
+        if record.status == "degraded":
+            m.counter("serve.degraded_requests").inc()
+    if record.retries:
+        m.counter("serve.retries").inc(record.retries)
 
 
 @dataclass

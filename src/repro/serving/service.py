@@ -17,11 +17,12 @@ a single discrete-event clock drives all of them:
    deadline, or by cache affinity — producing up to ``max_in_flight``
    micro-batches that form one **flush window**;
 3. each micro-batch is sampled (one MFG over the union of its requests'
-   seeds — shared seeds expand once), the window's fetch plans are
-   **coalesced** (:meth:`FetchPlan.coalesce`: remote ids needed by several
-   in-flight micro-batches cross the wire once), features are gathered
-   through the store (dynamic caches adapt to the observed traffic), and a
-   forward pass yields one prediction per requested seed;
+   seeds — shared seeds expand once) and the window is gathered exactly as
+   a training comm window is (:func:`~repro.distributed.engine.gather_window`:
+   the fetch plans are **coalesced**, so remote ids needed by several
+   in-flight micro-batches cross the wire once; dynamic caches adapt to
+   the observed traffic), and a forward pass yields one prediction per
+   requested seed;
 4. the window's :class:`~repro.pipeline.events.StageEvent`\\ s are priced
    by :meth:`CostModel.event_duration` — the same unified event path the
    training engines feed — giving every request a simulated completion
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.distributed.engine import gather_window
 from repro.distributed.records import StepRecord, sage_forward_flops
 from repro.graph.mutable import land_batch
 from repro.obs import OBS
@@ -62,7 +64,11 @@ from repro.pipeline.events import (
 from repro.sampling.mfg import MFG
 from repro.sampling.neighbor import NeighborSampler
 from repro.serving.batcher import MicroBatcher, make_batcher
-from repro.serving.metrics import RequestRecord, ServingReport
+from repro.serving.metrics import (
+    RequestRecord,
+    ServingReport,
+    note_request,
+)
 from repro.serving.workload import ClosedLoopWorkload, Request
 from repro.utils.rng import SeedLike, derive_seed
 from repro.vip.incremental import VIPTracker
@@ -524,19 +530,23 @@ class InferenceService:
         down = np.asarray(self._down, dtype=bool)
         return down[owners]
 
+    def _record(self, record: RequestRecord) -> None:
+        """A request's final outcome: into the report's records, and from
+        there into the registry (:func:`note_request`)."""
+        self._records.append(record)
+        note_request(record)
+
     def _shed(self, machine: int, reqs: List[Request], now: float) -> None:
         """Refuse ``reqs`` per their SLO class: recorded (status
         ``"shed"``), no prediction, completion event at the refusal time
         so closed-loop clients continue."""
         for req in reqs:
-            self._records.append(RequestRecord(
+            self._record(RequestRecord(
                 rid=req.rid, machine=machine, num_seeds=req.num_seeds,
                 arrival=req.arrival, formed=now, started=now, completed=now,
                 slo=req.slo, status="shed",
                 retries=self._retries.get(req.rid, 0),
             ))
-            if OBS.enabled:
-                OBS.metrics.counter("serve.shed_requests").inc()
         self._push(now, _COMPLETE, (machine, list(reqs)))
 
     def _apply_slo_actions(self, machine: int, group: List[Request],
@@ -556,8 +566,6 @@ class InferenceService:
                 attempt = self._retries.get(req.rid, 0)
                 if attempt < self.spec.retry_limit:
                     self._retries[req.rid] = attempt + 1
-                    if OBS.enabled:
-                        OBS.metrics.counter("serve.retries").inc()
                     delay = self.spec.retry_backoff_ms / 1e3 * (2.0 ** attempt)
                     self._push(now + delay, _REQUEUE, req)
                     continue
@@ -636,39 +644,28 @@ class InferenceService:
         if not kept_groups:
             return
         groups = kept_groups
-        dtype = self.store.stores[machine].local_features.dtype
-        outs = [self._gather_arena.out((machine, i), len(p.ids),
-                                       self.store.feature_dim, dtype)
-                for i, p in enumerate(plans)]
-        if len(plans) == 1:
-            results = [self.store.execute(plans[0], out=outs[0])]
-        else:
-            results = self.store.execute_coalesced(FetchPlan.coalesce(plans),
-                                                   outs=outs)
+        _fresh, feats, steps = gather_window(
+            self.store, self._gather_arena, machine, step0, mfgs, plans,
+            self.graph.degrees)
         # One StepRecord per micro-batch.  Its stage events are priced from
         # what the store moved; then, for a degraded gather, the rows owned
         # by a down machine — which never arrived: the in-process store
         # "fetched" them, but the modeled peer is gone — are zero-filled
         # and leave the record's demand counts, so the record, the comm
         # pricing below and the registry mirror count only what arrived.
-        degrees = self.graph.degrees
         down = np.asarray(self._down, dtype=bool)
         price = self.cost_model.event_duration
-        steps: List[StepRecord] = []
         sample_time = 0.0
         compute_times: List[float] = []
-        for i, (mfg, plan, mask, (feats, stats)) in enumerate(
-                zip(mfgs, plans, masks, results)):
-            rec = StepRecord.for_batch(machine, step0 + i, mfg, degrees, stats)
+        for rec, plan, mask, out in zip(steps, plans, masks, feats):
             sample, *compute = map(price, emit_step_events(
                 trace, rec, sage_forward_flops(rec.block_sizes, *self._dims)))
             sample_time += sample
             compute_times.append(sum(compute))
             if mask is not None and mask.any():
-                feats[plan.remote_pos[mask]] = 0
-                stats.mark_unavailable(down, int(mask.sum()))
-            note_gather(stats)
-            steps.append(rec)
+                out[plan.remote_pos[mask]] = 0
+                rec.gather.mark_unavailable(down, int(mask.sum()))
+            note_gather(rec.gather)
         self._steps.extend(steps)
         demand_rows = sum(rec.gather.remote_rows for rec in steps)
         refresh_rows = sum(rec.gather.refresh_fetch_rows for rec in steps)
@@ -707,7 +704,7 @@ class InferenceService:
                                         clock, lane=f"machine-{machine}",
                                         parent_id=window_parent,
                                         requests=len(group))
-            self._finish_batch(machine, mfgs[i], results[i][0], group,
+            self._finish_batch(machine, mfgs[i], feats[i], group,
                                formed=now, started=start, completed=clock,
                                window_span=window_parent, flags=flags)
         # Cache-refresh fetches run after the responses are out: they hold
@@ -735,12 +732,10 @@ class InferenceService:
         preds = logits.data.argmax(axis=1)
         for req in group:
             status = flags.get(req.rid, "ok") if flags else "ok"
-            if status == "degraded" and OBS.enabled:
-                OBS.metrics.counter("serve.degraded_requests").inc()
             # mfg.seeds is the sorted unique union of the group's seeds.
             pos = np.searchsorted(mfg.seeds, req.seeds)
             self._predictions[req.rid] = preds[pos].copy()
-            self._records.append(RequestRecord(
+            self._record(RequestRecord(
                 rid=req.rid, machine=machine, num_seeds=req.num_seeds,
                 arrival=req.arrival, formed=formed, started=started,
                 completed=completed, slo=req.slo, status=status,
@@ -755,5 +750,4 @@ class InferenceService:
                     rid=req.rid, num_seeds=req.num_seeds,
                     formed=formed, started=started,
                 )
-                OBS.metrics.counter("serving.requests").inc()
         self._push(completed, _COMPLETE, (machine, group))

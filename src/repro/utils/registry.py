@@ -24,7 +24,7 @@ and the name immediately becomes valid in configs, error messages, and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class Registry:

@@ -8,6 +8,7 @@ periodic VIP refresh, :func:`dynamic_cache_policies`) for non-stationary
 workloads the static analysis cannot serve.
 """
 
+from repro.distributed.dynamic_cache import is_dynamic_policy
 from repro.vip.analytic import (
     TransitionTable,
     VIPResult,
@@ -48,7 +49,6 @@ from repro.vip.policies import (
     cache_budget,
     default_policies,
     dynamic_cache_policies,
-    is_dynamic_policy,
 )
 from repro.vip.commvolume import (
     AccessTrace,

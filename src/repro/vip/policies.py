@@ -44,8 +44,8 @@ static analytic-VIP selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +53,6 @@ import scipy.sparse as sp
 from repro.distributed.dynamic_cache import (
     DYNAMIC_CACHE_POLICIES,
     DynamicCacheSpec,
-    is_dynamic_policy,
 )
 from repro.graph.csr import CSRGraph
 from repro.partition.interface import Partition

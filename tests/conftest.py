@@ -24,8 +24,8 @@ def check_invariants():
 
 @pytest.fixture(scope="session")
 def check_registry():
-    """``check_registry(OBS.metrics.snapshot(), report.gather, n_records)``:
-    obs counters = report totals (see ``tests/invariants.py``)."""
+    """``check_registry(OBS.metrics.snapshot(), report)``: obs counters =
+    report totals, for either report type (see ``tests/invariants.py``)."""
     return invariants.check_registry
 
 

@@ -1,10 +1,9 @@
 """End-to-end system tests on the tiny dataset."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import DistDGL
-from repro.core import RunConfig, Salient, SalientPP, make_partition, table1_alpha
+from repro.core import RunConfig, Salient, SalientPP, make_partition
 from repro.core.config import progressive_variants
 from repro.pipeline import PipelineMode
 

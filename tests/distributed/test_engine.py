@@ -29,6 +29,10 @@ from repro.pipeline.events import Stage
 from repro.utils.rng import derive_seed
 from repro.vip import CacheContext, VIPAnalyticPolicy, build_caches
 
+# The seed's per-owner mask fetch (request order kept), frozen beside this
+# file: the store's own fetch now takes a window's *sorted* union.
+from reference_gather import _fetch_remote_rows as seed_fetch_remote_rows
+
 
 # ----------------------------------------------------------------------
 # Shared substrate: a dataset big enough for several steps per machine
@@ -86,7 +90,8 @@ def reference_gather(store: PartitionedFeatureStore, machine: int,
 
     remote_pos = np.flatnonzero(nonlocal_mask)[~cached_mask_nl]
     remote_ids = nl_ids[~cached_mask_nl]
-    remote_rows, remote_per_peer = store._fetch_remote_rows(machine, remote_ids)
+    remote_rows, remote_per_peer = seed_fetch_remote_rows(store, machine,
+                                                          remote_ids)
     out[remote_pos] = remote_rows
 
     stats = GatherStats(

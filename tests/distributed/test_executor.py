@@ -1,6 +1,5 @@
 """Distributed trainer tests: convergence, replica sync, cache transparency."""
 
-import numpy as np
 import pytest
 
 from repro.distributed import DistributedTrainer, PartitionedFeatureStore

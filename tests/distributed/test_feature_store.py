@@ -62,7 +62,6 @@ class TestGatherCorrectness:
 
     def test_remote_attribution_by_owner(self, store_setup):
         rd, store = store_setup
-        k = 0
         lo1, hi1 = rd.part_range(1)
         # Remote ids owned by partition 1, excluding machine 0's cache.
         ids = np.array([v for v in range(lo1, hi1)

@@ -1,7 +1,7 @@
 """Arena-backed gathers ≡ allocating gathers, bit for bit.
 
-``execute(plan, out=...)`` / ``gather_into`` / ``execute_coalesced(outs=...)``
-must be indistinguishable from the allocating path in every observable way:
+``execute(plan, out=...)`` / ``execute_coalesced(outs=...)`` must be
+indistinguishable from the allocating path in every observable way:
 returned features, :class:`GatherStats` (including dynamic-cache churn), and
 the cache state left behind.  Two identically built stores are driven with
 the same request sequence — one allocating, one through a shared
@@ -98,7 +98,8 @@ class TestGatherInto:
             ref = plain.gather(machine, ids)
             out = arena.out(machine, len(ids), arena_store.feature_dim,
                             arena_store.stores[machine].local_features.dtype)
-            got = arena_store.gather_into(machine, ids, out)
+            got = arena_store.execute(
+                arena_store.plan_gather(machine, ids), out=out)
             assert got[0] is out  # filled in place, not reallocated
             assert_same_gather(ref, got)
         if dynamic is not None:
@@ -168,7 +169,7 @@ class TestCoalesceRewrite:
         for i, (fresh, want) in enumerate(zip(cplan.first_request, ref_fresh)):
             assert np.array_equal(fresh, want)
             assert np.array_equal(
-                cplan.unique_remote_ids[cplan.plan_slots(i)],
+                cplan.unique_remote_ids[cplan.slots[i]],
                 plans[i].remote_ids,
             )
 
@@ -227,26 +228,3 @@ class TestCoalesceRewrite:
         cplan = FetchPlan.coalesce([store.plan_gather(0, ids)])
         with pytest.raises(ValueError, match="one matrix per sub-plan"):
             store.execute_coalesced(cplan, outs=[])
-
-    def test_plan_slots_fallback_without_stored_slots(self, reordered):
-        """Hand-built coalesced plans (slots=None) still execute: the
-        searchsorted fallback reproduces the stored slot arrays."""
-        from repro.distributed import CoalescedFetchPlan
-
-        store = build_store(reordered, alpha=0.2)
-        rng = np.random.default_rng(5)
-        n = reordered.dataset.num_vertices
-        plans = [store.plan_gather(2, np.sort(rng.choice(n, 40, replace=False)))
-                 for _ in range(3)]
-        cplan = FetchPlan.coalesce(plans)
-        legacy = CoalescedFetchPlan(
-            machine=cplan.machine, plans=cplan.plans,
-            unique_remote_ids=cplan.unique_remote_ids,
-            first_request=cplan.first_request,
-        )
-        for i in range(3):
-            assert np.array_equal(legacy.plan_slots(i), cplan.plan_slots(i))
-        ref = store.execute_coalesced(cplan)
-        got = store.execute_coalesced(legacy)
-        for a, b in zip(ref, got):
-            assert_same_gather(a, b)

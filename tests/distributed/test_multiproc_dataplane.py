@@ -2,11 +2,12 @@
 
 Two contracts the perf work must never silently lose:
 
-* **Control tokens only** — per-step pipe traffic (``step`` / ``wstep`` /
-  ``avg`` / ``window``) stays under a fixed byte budget per worker per
-  step; gradients move through the shared-memory plane and telemetry ships
-  once per epoch.  The backend's ``wire_sent`` / ``wire_received``
-  accounting is asserted directly.
+* **Control tokens only, one dialect** — a training step costs each worker
+  exactly two pipe messages (``step`` in, ``avg`` out) whatever the engine
+  or its depth, a dry run one ``window`` token per comm window, each under
+  a fixed byte budget; gradients move through the shared-memory plane and
+  telemetry ships once per epoch.  The backend's ``wire_sent`` /
+  ``wire_received`` accounting is asserted directly.
 * **Warm worker pool** — a ``keep_warm`` backend parks its workers on
   close, an identically-configured successor acquires the *same processes*
   (no respawn) and still reproduces the in-process oracle bit-for-bit;
@@ -16,7 +17,6 @@ Two contracts the perf work must never silently lose:
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core import Planner, RunConfig, SalientPP
@@ -80,39 +80,46 @@ def _losses(report):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine,depth", [("bsp", 1), ("pipelined", 4)])
+@pytest.mark.parametrize("engine,depth", [
+    ("bsp", 1), ("pipelined", 1), ("pipelined", 4), ("pipelined", 10)])
 def test_per_step_pipe_traffic_is_control_tokens_only(
         papers_mini, planner, engine, depth):
+    """The one wire dialect: which hot-path tokens cross the pipe depends
+    on ``dry_run`` only — never on the engine's name or depth."""
     cfg = _config(engine=engine, pipeline_depth=depth, backend="multiproc")
     system = SalientPP.build(papers_mini, cfg, planner=planner)
     try:
         system.train_epoch(0)
         backend = system.backend()
         steps = system.trainer.steps_per_epoch()
-        windows = -(-steps // depth)
+        windows = len(system.trainer.engine.schedule(steps).windows)
+        assert windows == -(-steps // depth)
 
-        per_step_kinds = {
-            "avg": ("sent", K * steps),
-            "step" if engine == "bsp" else "wstep": ("received", K * steps),
-        }
-        if engine == "pipelined":
-            per_step_kinds["window"] = ("received", K * windows)
-        for kind, (direction, expected_msgs) in per_step_kinds.items():
-            table = (backend.wire_sent if direction == "sent"
-                     else backend.wire_received)
-            count, nbytes = table[kind]
-            assert count == expected_msgs, (kind, count, expected_msgs)
-            assert nbytes / count <= STEP_BYTE_BUDGET, (
-                f"{kind} messages average {nbytes / count:.0f} bytes — "
-                f"arrays are back on the hot path"
-            )
+        def hot(table):
+            return {kind: count for kind, (count, _nbytes) in table.items()
+                    if kind in ("step", "window", "avg")}
 
-        # Nothing bulky crosses per step: every other kind is per-epoch
-        # (run/done) or per-lifetime (bind/ready/bound/park/stop).
-        hot_kinds = {"step", "wstep", "window", "avg"}
+        # A training epoch: per worker-step one ``step`` in, one ``avg`` out.
+        assert hot(backend.wire_received) == {"step": K * steps}
+        assert hot(backend.wire_sent) == {"avg": K * steps}
+
+        # A dry run has only windows to report, and nothing to release.
+        system.train_epoch(1, dry_run=True)
+        assert hot(backend.wire_received) == {"step": K * steps,
+                                              "window": K * windows}
+        assert hot(backend.wire_sent) == {"avg": K * steps}
+
         for table in (backend.wire_sent, backend.wire_received):
-            for kind, (count, _nbytes) in table.items():
-                if kind not in hot_kinds:
+            for kind, (count, nbytes) in table.items():
+                if kind in ("step", "window", "avg"):
+                    assert nbytes / count <= STEP_BYTE_BUDGET, (
+                        f"{kind} messages average {nbytes / count:.0f} "
+                        f"bytes — arrays are back on the hot path"
+                    )
+                else:
+                    # Nothing else is per step: every other kind is
+                    # per-epoch (run/done, two epochs here) or
+                    # per-lifetime (bind/ready/bound/park/stop).
                     assert count <= K * 2, (kind, count)
     finally:
         system.shutdown()

@@ -119,32 +119,12 @@ class TestRecoveryPolicy:
         assert RecoveryPolicy(jitter=0.0, backoff_base_s=0.1).backoff_s(0) \
             == pytest.approx(0.1)
 
-    def test_from_config(self):
-        from repro.core.config import RecoveryConfig
-
-        pol = RecoveryPolicy.from_config(
-            RecoveryConfig(max_restarts=5, backoff_base_s=0.2,
-                           checkpoint_interval=3), seed=11)
-        assert pol.max_restarts == 5
-        assert pol.backoff_base_s == 0.2
-        assert pol.checkpoint_interval == 3
-        assert pol.seed == 11
-
 
 def test_manager_requires_recoverable_backend():
     backend = MultiprocBackend(_build_system(), timeout_s=30.0)
     with pytest.raises(ValueError, match="recoverable=True"):
         RecoveryManager(backend)
     backend.close()
-
-
-def test_recovery_config_requires_multiproc_backend():
-    from repro.core.config import RecoveryConfig
-
-    cfg = RunConfig(num_machines=2,
-                    recovery=RecoveryConfig(enabled=True))
-    with pytest.raises(ValueError, match="multiproc"):
-        cfg.validate()
 
 
 # ----------------------------------------------------------------------

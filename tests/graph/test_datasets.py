@@ -7,7 +7,6 @@ from repro.graph import (
     DATASET_REGISTRY,
     GraphDataset,
     load_dataset,
-    make_features,
     make_splits,
     make_synthetic_dataset,
 )

@@ -17,7 +17,9 @@ or a :class:`~repro.serving.metrics.ServingReport` and raises
 
 :func:`check_registry` is the fourth law — obs counters = report totals: with
 ``repro.obs`` on, every ``store.*`` / ``cache.*`` counter equals the matching
-field of the report's summed ``gather``.
+field of the report's summed ``gather``, and for a serving report the
+``serve.*`` / ``serving.*`` counters equal its availability ledger and its
+window / batch counts.
 
 Suites reach both through the fixtures of the same names in ``conftest.py``.
 """
@@ -48,19 +50,29 @@ COUNTERS = {
 }
 
 
-def check_registry(snapshot, gather, num_records) -> None:
-    """``snapshot`` (``OBS.metrics.snapshot()``) against a report's summed
-    ``gather`` and its record count; a counter never touched reads 0."""
+def check_registry(snapshot, report) -> None:
+    """``snapshot`` (``OBS.metrics.snapshot()``) against the report of the
+    run it recorded; a counter never touched reads 0."""
     def value(name):
         return snapshot.get(name, {"value": 0})["value"]
 
-    assert value("store.gathers") == num_records, (
-        f"store.gathers = {value('store.gathers')}, report has "
-        f"{num_records} records")
-    for name, field in COUNTERS.items():
-        assert value(name) == getattr(gather, field), (
-            f"{name} = {value(name)} but report.gather.{field} = "
-            f"{getattr(gather, field)}")
+    serving = hasattr(report, "steps")
+    want = {name: getattr(report.gather, field)
+            for name, field in COUNTERS.items()}
+    want["store.gathers"] = len(report.steps if serving else report.records)
+    if serving:
+        a = report.availability
+        want.update({
+            "serving.requests": a.answered,
+            "serve.degraded_requests": a.degraded,
+            "serve.shed_requests": a.shed,
+            "serve.retries": a.retries,
+            "serving.windows": report.num_windows,
+            "serving.batches": report.num_batches,
+        })
+    for name, expected in want.items():
+        assert value(name) == expected, (
+            f"{name} = {value(name)} but the report implies {expected}")
 
 
 def _volume(trace, stage, key) -> int:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.nn import functional as F
 
 
 def numgrad(f, x, eps=1e-6):

@@ -6,8 +6,6 @@ import pytest
 from repro.graph import make_tiny
 from repro.nn import (
     Adam,
-    GAT,
-    GIN,
     GraphSAGE,
     Linear,
     MLP,

@@ -27,7 +27,7 @@ def runtime() -> ObsRuntime:
     rt.tracer.add_sim_span("serve.window", 0.0, 0.002, lane="machine-0")
     rt.metrics.counter("store.remote_rows", help="rows").inc(12)
     rt.metrics.gauge("mp.workers_alive").set(4)
-    h = rt.metrics.histogram("engine.step_wall_s")
+    h = rt.metrics.histogram("engine.window_wall_s")
     for v in (0.01, 0.02, 0.04):
         h.observe(v)
     return rt
@@ -95,9 +95,9 @@ class TestPrometheus:
         assert "# TYPE repro_store_remote_rows_total counter" in text
         assert "repro_store_remote_rows_total 12" in text
         assert "repro_mp_workers_alive 4" in text
-        assert "# TYPE repro_engine_step_wall_s histogram" in text
-        assert 'repro_engine_step_wall_s_bucket{le="+Inf"} 3' in text
-        assert "repro_engine_step_wall_s_count 3" in text
+        assert "# TYPE repro_engine_window_wall_s histogram" in text
+        assert 'repro_engine_window_wall_s_bucket{le="+Inf"} 3' in text
+        assert "repro_engine_window_wall_s_count 3" in text
         assert text.endswith("\n")
 
     def test_empty_registry(self):
@@ -130,7 +130,7 @@ class TestJsonlAndReport:
             spans, metrics = load_events(path)
             assert {s["name"] for s in spans} == \
                 {"outer", "inner", "serve.window"}
-            assert "engine.step_wall_s" in metrics
+            assert "engine.window_wall_s" in metrics
 
     def test_render_report(self, runtime, tmp_path):
         path = str(tmp_path / "t.json")
@@ -139,7 +139,7 @@ class TestJsonlAndReport:
         text = render_report(spans, metrics)
         assert "coordinator" in text
         assert "slowest" in text
-        assert "engine.step_wall_s" in text and "p99=" in text
+        assert "engine.window_wall_s" in text and "p99=" in text
 
     def test_cli_main(self, runtime, tmp_path, capsys):
         path = str(tmp_path / "t.jsonl")

@@ -145,14 +145,14 @@ class TestMultiprocAcceptance:
         _ref, mp, _spans, _doc, snap = traced_run
         # Registry = report: every store.* / cache.* counter the workers
         # mirrored from their finalized records, merged, is the report's.
-        check_registry(snap, mp.report.gather, len(mp.report.records))
+        check_registry(snap, mp.report)
         assert snap["store.remote_rows"]["value"] > 0
         assert snap["shm.slab_writes"]["value"] == \
             K * len({r.step for r in mp.report.records})
         assert snap["mp.wire_sent_bytes"]["value"] > 0
         assert snap["mp.wire_received_bytes"]["value"] > 0
         assert snap["mp.workers_alive"]["value"] == K
-        assert snap["engine.step_wall_s"]["count"] == \
+        assert snap["engine.window_wall_s"]["count"] == \
             K * len({r.step for r in mp.report.records})
 
     def test_disabled_run_records_nothing(self, papers_mini):
@@ -177,7 +177,7 @@ class TestInProcessSpans:
         names = {s.name for s in OBS.tracer.spans}
         assert "system.train_epoch" in names
         assert "engine.epoch" in names
-        assert "engine.step" in names
+        assert "engine.window" in names  # bsp: one window per step
         assert any(n.startswith("planner.") for n in names)
         # Feature-store counters registered by the gather path.
         assert OBS.metrics.counter("store.gathers").value > 0
@@ -188,8 +188,12 @@ class TestInProcessSpans:
             papers_mini, _config(engine="pipelined", pipeline_depth=2),
             planner=Planner())
         system.train_epoch(0, dry_run=True)
-        names = {s.name for s in OBS.tracer.spans}
-        assert "engine.window" in names
+        windows = [s for s in OBS.tracer.spans if s.name == "engine.window"]
+        # One span name whatever the depth; the window's width is an
+        # attribute, and the widths tile the epoch.
+        assert sum(s.attrs["steps"] for s in windows) == \
+            system.trainer.steps_per_epoch()
+        assert "engine.step" not in {s.name for s in OBS.tracer.spans}
 
 
 class TestServingSpans:

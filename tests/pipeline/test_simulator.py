@@ -1,6 +1,5 @@
 """Pipeline DES tests: scheduling invariants and mode/parameter monotonicity."""
 
-import numpy as np
 import pytest
 
 from repro.distributed import DistributedTrainer, PartitionedFeatureStore

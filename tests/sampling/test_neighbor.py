@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, erdos_renyi
+from repro.graph import CSRGraph
 from repro.sampling import NeighborSampler, num_batches, sample_neighbors
 
 

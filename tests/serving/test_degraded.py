@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Planner, RunConfig, ServingConfig
-from repro.serving import InferenceService, Outage, poisson_requests
+from repro.serving import Outage, poisson_requests
 from repro.serving.workload import Request
 
 SLO_CLASSES = ("interactive", "standard", "batch")

@@ -7,7 +7,6 @@ from repro.core import Planner, RunConfig, ServingConfig
 from repro.pipeline.events import Stage
 from repro.serving import (
     ClosedLoopWorkload,
-    InferenceService,
     forward_flops,
     poisson_requests,
 )
@@ -106,15 +105,16 @@ class TestPredictionsMatchMonolithic:
         feats_ref = svc.store.reordered.dataset.features
         seen = {}
 
-        original = svc.store.execute
+        original = svc.store.execute_coalesced
 
-        def checking_execute(plan, **kwargs):
-            out, stats = original(plan, **kwargs)
-            assert np.array_equal(out, feats_ref[plan.ids])
-            seen["n"] = seen.get("n", 0) + 1
-            return out, stats
+        def checking_execute(cplan, **kwargs):
+            results = original(cplan, **kwargs)
+            for plan, (out, _stats) in zip(cplan.plans, results):
+                assert np.array_equal(out, feats_ref[plan.ids])
+                seen["n"] = seen.get("n", 0) + 1
+            return results
 
-        svc.store.execute = checking_execute
+        svc.store.execute_coalesced = checking_execute
         svc.run(make_requests(tiny_dataset, n=12, rate=50000.0))
         assert seen["n"] > 0
 

@@ -103,13 +103,16 @@ def test_training_reports_satisfy_the_laws(planner, dataset, check_invariants,
 @pytest.mark.parametrize("scenario", ["healthy", "outage", "churn"])
 @pytest.mark.parametrize("batcher", ["fixed-size", "deadline",
                                      "cache-affinity"])
-def test_serving_reports_satisfy_the_laws(planner, dataset, check_invariants,
+def test_serving_reports_satisfy_the_laws(planner, dataset, obs,
+                                          check_invariants, check_registry,
                                           batcher, scenario):
     service = planner.build_service(dataset, serve_config(batcher))
     report = service.run(slo_requests(dataset),
                          **serving_scenarios(dataset)[scenario])
     check_invariants(report)
     assert (report.gather.unavailable_rows > 0) == (scenario == "outage")
+    # registry = report, serving's availability and volume counters included
+    check_registry(obs.metrics.snapshot(), report)
 
 
 def test_a_tampered_record_is_caught(planner, dataset, check_invariants):
@@ -137,7 +140,7 @@ def test_registry_equals_report_on_a_serving_outage(planner, dataset, obs,
     assert min(a.served_ok, a.degraded, a.shed, a.retries) > 0
     assert min(report.gather.unavailable_rows, report.gather.remote_rows,
                report.gather.coalesced_rows, report.gather.refresh_rows) > 0
-    check_registry(obs.metrics.snapshot(), report.gather, len(report.steps))
+    check_registry(obs.metrics.snapshot(), report)
 
 
 def test_registry_equals_report_on_a_pipelined_refresh_epoch(
@@ -151,7 +154,7 @@ def test_registry_equals_report_on_a_pipelined_refresh_epoch(
     report = system.train_epoch(0).report
     assert report.total_coalesced_rows() > 0
     assert report.total_refresh_rows() > 0
-    check_registry(obs.metrics.snapshot(), report.gather, len(report.records))
+    check_registry(obs.metrics.snapshot(), report)
 
 
 # ----------------------------------------------------------------------
