@@ -7,11 +7,12 @@ synthetic datasets — no simulated clocks — and reports::
 
 ``speedup_vs_dense`` compares against the seed (dense / allocating)
 implementation where one is kept: Proposition-1 VIP against
-``partitionwise_vip_dense``, the serving vip-refresh recomputation against
-``vip_probabilities_dense``, arena-backed ``execute(out=)`` against the
-allocating ``execute``, and the rewritten ``FetchPlan.coalesce`` against the seed's
-searchsorted-per-plan bookkeeping.  ``null`` where no dense counterpart
-exists.
+``partitionwise_vip_dense`` and the serving vip-refresh recomputation
+against ``vip_probabilities_dense`` (both from the frozen oracle
+``tests/vip/reference_dense.py`` — ``src/`` holds one evaluation only),
+arena-backed ``execute(out=)`` against the allocating ``execute``, and the
+rewritten ``FetchPlan.coalesce`` against the seed's searchsorted-per-plan
+bookkeeping.  ``null`` where no dense counterpart exists.
 
 Tracked stages
 --------------
@@ -69,6 +70,8 @@ and fails on > 2x wall-time regression of any stage versus
 ``benchmarks/perf/baselines.json``.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -77,10 +80,13 @@ from repro.core import Planner, RunConfig, ServingConfig
 from repro.distributed import FetchPlan, GatherArena
 from repro.graph import load_dataset
 from repro.serving import InferenceService, poisson_requests
-from repro.vip import (
-    partitionwise_vip,
+from repro.vip import partitionwise_vip, vip_probabilities
+
+# The dense baseline is the frozen test oracle, not a src/ function.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, os.pardir, "tests", "vip"))
+from reference_dense import (  # noqa: E402
     partitionwise_vip_dense,
-    vip_probabilities,
     vip_probabilities_dense,
 )
 

@@ -18,7 +18,7 @@ import pytest
 import harness
 from repro.core import RunConfig
 from repro.graph.datasets import make_synthetic_dataset
-from repro.vip import partitionwise_vip, partitionwise_vip_dense
+from repro.vip import partitionwise_vip
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +37,8 @@ def test_vip_active_set_speedup(benchmark, artifacts):
     part = artifacts.partition(harness.DATASET, harness.K)
 
     dense_wall, vip_dense = harness._best_of(
-        lambda: partitionwise_vip_dense(ds.graph, part, ds.train_idx,
-                                        cfg.fanouts, cfg.batch_size),
+        lambda: harness.partitionwise_vip_dense(
+            ds.graph, part, ds.train_idx, cfg.fanouts, cfg.batch_size),
         repeats=2)
     wall, vip = harness._best_of(
         lambda: partitionwise_vip(ds.graph, part, ds.train_idx,

@@ -229,9 +229,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Fail fast on malformed configs; returns ``self`` for chaining.
 
-        Registry names (``partitioner``, ``cache_policy``) are checked
-        against the live registries, so the error for an unknown name lists
-        every valid (including plugin-registered) alternative, sorted.
+        Registry names (``partitioner``, ``engine``, ``backend``, ``arch``,
+        ``cache_policy``) are checked against the live registries, so the
+        error for an unknown name lists every valid (including
+        plugin-registered) alternative, sorted.
         Numeric knobs are range-checked: α ≥ 0, β ∈ [0, 1], positive
         intervals and depths.
         """
@@ -240,6 +241,7 @@ class RunConfig:
         from repro.distributed import CLUSTER_BACKENDS  # registers backends
         from repro.distributed.dynamic_cache import DYNAMIC_CACHE_POLICIES
         from repro.distributed.engine import ENGINES
+        from repro.nn.models import MODEL_REGISTRY
         from repro.partition.registry import PARTITIONERS
         from repro.vip.policies import STATIC_CACHE_POLICIES
 
@@ -248,6 +250,11 @@ class RunConfig:
         PARTITIONERS.get(self.partitioner)  # raises with the sorted valid names
         ENGINES.get(self.engine)            # ditto (execution engine names)
         CLUSTER_BACKENDS.get(self.backend)  # ditto (cluster backend names)
+        if self.arch not in MODEL_REGISTRY:
+            raise ValueError(
+                f"unknown architecture {self.arch!r}; "
+                f"valid: {sorted(MODEL_REGISTRY)}"
+            )
         if self.backend == "multiproc":
             from repro.distributed.multiproc import SUPPORTED_ENGINES
 

@@ -680,7 +680,7 @@ class Planner:
         if config.cache_policy == "vip-refresh" and dynamic_spec is not None:
             # Prime the graph's shared TransitionTable for the configured
             # fanouts — transitions, the structure memos (incoming
-            # adjacency, reduceat row starts), and the edge scratch — so
+            # adjacency, reduceat row segments), and the edge scratch — so
             # every runtime refresh (training-set VIP here, or the
             # request-VIP provider InferenceService swaps in) reuses cached
             # state instead of paying the one-time O(N+M) passes on the
@@ -689,7 +689,7 @@ class Planner:
             for fanout in config.fanouts:
                 table.vertex_transition(fanout)
             table.incoming()
-            table.nonempty_rows()
+            table.all_row_segments()
             table.edge_scratch()
             store.set_refresh_score_provider(system.training_vip_scores)
         return system

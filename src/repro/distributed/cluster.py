@@ -169,7 +169,7 @@ class ClusterBackend:
       identical across backends: same per-step losses, same
       :class:`StepRecord` volumes, same ledger bytes, and an event trace
       with the same shape (the parity suite compares them with
-      :func:`repro.pipeline.events.assert_trace_shape_equal`);
+      ``tests/invariants.py``'s ``assert_trace_shape_equal``);
     * :meth:`close` releases every runtime resource (processes, shared
       memory, pipes) and is idempotent; backends with no external
       resources inherit the no-op.

@@ -39,16 +39,17 @@ here loops over vertices in Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.utils.registry import Registry
 
 #: Dynamic cache policy registry (``RunConfig.cache_policy``): each entry is
-#: a factory building the :class:`DynamicCacheSpec` for that policy name.
-#: Shares the decorator registration API with ``PARTITIONERS`` and the static
-#: policy zoo; membership tests and iteration see the registered names.
+#: the :class:`ReplacementPolicy` class keeping that policy's per-slot
+#: eviction metadata.  Shares the decorator registration API with
+#: ``PARTITIONERS`` and the static policy zoo; membership tests and
+#: iteration see the registered names.
 DYNAMIC_CACHE_POLICIES = Registry("dynamic cache policy")
 
 
@@ -57,6 +58,21 @@ DYNAMIC_CACHE_POLICIES = Registry("dynamic cache policy")
 #: the analytic selection until real evidence accumulates (and decays with
 #: aging).
 PRIOR_WEIGHT = 32.0
+
+
+def top_scored(scores: np.ndarray, budget: int) -> np.ndarray:
+    """§4.2's selection rule: the sorted ids of the ≤ ``budget`` highest
+    strictly positive ``scores``.  Vertices with non-positive score are
+    never cached (caching something provably never accessed wastes memory),
+    which also gives a score its natural support set (mask locals with a
+    non-positive value)."""
+    if budget <= 0:
+        return np.empty(0, dtype=np.int64)
+    candidates = np.flatnonzero(scores > 0)
+    if len(candidates) > budget:
+        top = np.argpartition(-scores[candidates], budget - 1)[:budget]
+        candidates = candidates[top]
+    return np.sort(candidates)
 
 
 def is_dynamic_policy(name: str) -> bool:
@@ -140,21 +156,6 @@ class DynamicCacheSpec:
     @property
     def admit_on_miss(self) -> bool:
         return self.policy != "vip-refresh"
-
-
-def _spec_factory(policy_name: str) -> Callable[..., "DynamicCacheSpec"]:
-    def factory(**kwargs) -> DynamicCacheSpec:
-        return DynamicCacheSpec(policy=policy_name, **kwargs)
-
-    factory.__name__ = f"make_{policy_name.replace('-', '_')}_spec"
-    factory.__doc__ = (f"Build a :class:`DynamicCacheSpec` for the "
-                       f"{policy_name!r} policy (kwargs pass through).")
-    return factory
-
-
-for _name in ("lru", "lfu", "clock", "vip-refresh"):
-    DYNAMIC_CACHE_POLICIES.register(_name, _spec_factory(_name))
-del _name
 
 
 @dataclass
@@ -244,6 +245,7 @@ class ReplacementPolicy:
         hand here; recency/frequency policies need no bookkeeping)."""
 
 
+@DYNAMIC_CACHE_POLICIES.register("lru")
 class LRUPolicy(ReplacementPolicy):
     """Evict the least-recently-used slot (batch-granular recency)."""
 
@@ -271,6 +273,7 @@ class LRUPolicy(ReplacementPolicy):
         return occ[order[:count]]
 
 
+@DYNAMIC_CACHE_POLICIES.register("lfu")
 class LFUPolicy(ReplacementPolicy):
     """Evict the least-frequently-used slot, recency as tie-break.
 
@@ -310,6 +313,7 @@ class LFUPolicy(ReplacementPolicy):
         return occ[order[:count]]
 
 
+@DYNAMIC_CACHE_POLICIES.register("clock")
 class ClockPolicy(ReplacementPolicy):
     """Second-chance CLOCK: a reference bit per slot and a sweeping hand."""
 
@@ -361,11 +365,10 @@ class ClockPolicy(ReplacementPolicy):
         self.hand = int((slots[int(pos.argmax())] + 1) % self.capacity)
 
 
-_POLICY_CLASSES = {"lru": LRUPolicy, "lfu": LFUPolicy, "clock": ClockPolicy,
-                   # vip-refresh holds contents fixed between refreshes; LRU
-                   # metadata is kept only to order forced evictions (e.g. a
-                   # refresh shrinking the desired set below capacity).
-                   "vip-refresh": LRUPolicy}
+# vip-refresh holds contents fixed between refreshes; LRU metadata is kept
+# only to order forced evictions (e.g. a refresh shrinking the desired set
+# below capacity).
+DYNAMIC_CACHE_POLICIES.register("vip-refresh", LRUPolicy)
 
 
 @dataclass
@@ -421,7 +424,7 @@ class DynamicCache:
         self._id_of = np.full(self.capacity, -1, dtype=np.int64)
         self._occupied = np.zeros(self.capacity, dtype=bool)
         self._free = list(range(self.capacity - 1, -1, -1))  # pop() -> slot 0 first
-        self._policy = _POLICY_CLASSES[spec.policy](self.capacity)
+        self._policy = DYNAMIC_CACHE_POLICIES[spec.policy](self.capacity)
         self._tick = 0
         self._batches_since_refresh = 0
         # Batches actually observed since the last refresh — unlike
@@ -609,13 +612,7 @@ class DynamicCache:
         The plan's ``new_ids`` need fetching before :meth:`commit_refresh`.
         """
         s = np.asarray(scores, dtype=np.float64)
-        candidates = np.flatnonzero(s > 0)
-        if len(candidates) > self.capacity > 0:
-            top = np.argpartition(-s[candidates], self.capacity - 1)[:self.capacity]
-            candidates = candidates[top]
-        elif self.capacity == 0:
-            candidates = np.empty(0, dtype=np.int64)
-        desired = np.sort(candidates)
+        desired = top_scored(s, self.capacity)
         cached_mask = (self._slot_of[desired] >= 0 if len(desired)
                        else np.zeros(0, bool))
         incoming = desired[~cached_mask]          # strongest first below

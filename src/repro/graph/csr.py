@@ -35,6 +35,28 @@ def sorted_edge_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.
     return keys
 
 
+def row_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat edge-pool positions ``starts[i] + 0..counts[i]-1`` of rows that
+    start at ``starts`` and hold ``counts`` entries each, row-major."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return (np.repeat(starts - (ends - counts), counts)
+            + np.arange(total, dtype=np.int64))
+
+
+def rows_concat(graph, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(counts, flat)``: the adjacency lists of ``rows`` concatenated
+    row-major, each in stored order.  Reads through the vectorized
+    adjacency protocol (``degrees`` / ``row_starts`` / ``take_edges``), so
+    it serves a :class:`CSRGraph` and a streaming
+    :class:`~repro.graph.mutable.MutableGraph` alike — one gather, no
+    per-row Python."""
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = graph.degrees[rows]
+    return counts, graph.take_edges(
+        row_positions(graph.row_starts(rows), counts))
+
+
 class CSRGraph:
     """A directed graph in CSR form (use :meth:`to_undirected` to symmetrize).
 
@@ -186,8 +208,11 @@ class CSRGraph:
         return self.indptr[targets]
 
     def take_edges(self, positions: np.ndarray) -> np.ndarray:
-        """Gather neighbor ids at flat edge-pool ``positions``."""
-        return self.indices[positions]
+        """Gather neighbor ids at flat edge-pool ``positions`` (which
+        callers derive from :meth:`row_starts` and :attr:`degrees`, so they
+        are in range: ``mode="clip"`` only skips ``np.take``'s bounds-check
+        path, ~2x faster)."""
+        return np.take(self.indices, positions, mode="clip")
 
     # ------------------------------------------------------------------
     # Transformations

@@ -43,8 +43,9 @@ implements the same vectorized adjacency protocol as :class:`CSRGraph`
 (``degrees``, :meth:`row_starts`, :meth:`take_edges`) by lazily freezing
 the overlay rows into a side pool, so :func:`repro.sampling.neighbor.
 sample_neighbors` works on either class with identical RNG consumption.
-Incremental VIP (:mod:`repro.vip.incremental`) reads effective rows and
-the incoming adjacency (:meth:`in_rows_union`) directly.  Consumers that
+Incremental VIP (:mod:`repro.vip.incremental`) reads effective rows through
+the same protocol (:func:`repro.graph.csr.rows_concat`) and the incoming
+adjacency through :meth:`in_rows_union`.  Consumers that
 need a plain CSR call :meth:`materialize` (cached per version; free when
 the overlay is empty).
 """
@@ -56,7 +57,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, sorted_edge_keys
+from repro.graph.csr import (CSRGraph, row_positions, rows_concat,
+                             sorted_edge_keys)
 
 #: Default overlay-size cutoff (fraction of base directed edges) past which
 #: :meth:`MutableGraph.apply` compacts automatically.
@@ -466,16 +468,6 @@ class MutableGraph:
                                    else self.base.reverse())
         return self._base_incoming
 
-    @staticmethod
-    def _positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Row-major pool positions for rows starting at ``starts`` with
-        ``counts`` entries each: ``starts[i] + 0..counts[i]-1``."""
-        total = int(counts.sum())
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return (np.repeat(starts - offsets[:-1], counts)
-                + np.arange(total, dtype=np.int64))
-
     def in_rows_union(self, vertices: np.ndarray) -> np.ndarray:
         """Sorted unique rows whose adjacency contains any of ``vertices``
         (on the *current* effective graph) — the frontier-expansion step
@@ -485,35 +477,11 @@ class MutableGraph:
         if not len(vertices):
             return _EMPTY
         if self.undirected:
-            _, flat = self.rows_concat(vertices)
-            return id_union(self._n, flat)
+            return id_union(self._n, rows_concat(self, vertices)[1])
         starts, pool, indeg = self._freeze_incoming()
-        counts = indeg[vertices]
-        if not counts.sum():
-            return _EMPTY
-        pos = self._positions(starts[vertices], counts)
-        gin = self._incoming_base()
-        m0 = gin.num_edges
-        if not len(pool):
-            return id_union(self._n, gin.indices[pos])
-        over = pos >= m0
-        safe = np.where(over, 0, pos)
-        flat = (gin.indices[safe] if m0
-                else np.zeros(len(pos), dtype=np.int64))
-        if over.any():
-            flat[over] = pool[pos[over] - m0]
-        return id_union(self._n, flat)
-
-    def rows_concat(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(counts, flat)``: effective adjacency of ``rows`` concatenated
-        row-major (each row in its canonical sorted order).  Vectorized —
-        one gather over the frozen pool, no per-row Python."""
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = self._degrees[rows]
-        if not counts.sum():
-            return counts, _EMPTY
-        pos = self._positions(self.row_starts(rows), counts)
-        return counts, self.take_edges(pos)
+        pos = row_positions(starts[vertices], indeg[vertices])
+        return id_union(self._n, self._take_pooled(
+            self._incoming_base().indices, pool, pos))
 
     # -- vectorized sampler protocol -----------------------------------
     def _freeze(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -576,15 +544,21 @@ class MutableGraph:
 
     def take_edges(self, positions: np.ndarray) -> np.ndarray:
         """Gather neighbor ids at virtual pool ``positions``."""
-        starts, pool = self._freeze()
-        m0 = self.base.num_edges
-        base_idx = self.base.indices
+        return self._take_pooled(self.base.indices, self._freeze()[1],
+                                 positions)
+
+    @staticmethod
+    def _take_pooled(base_indices: np.ndarray, pool: np.ndarray,
+                     positions: np.ndarray) -> np.ndarray:
+        """Gather from a virtual pool: ``base_indices`` below its length,
+        the overlay ``pool`` above."""
+        m0 = len(base_indices)
         if not len(pool):
-            return base_idx[positions]
+            return base_indices[positions]
         over = positions >= m0
         safe = np.where(over, 0, positions)
-        out = base_idx[safe] if m0 else np.zeros(len(positions),
-                                                 dtype=np.int64)
+        out = base_indices[safe] if m0 else np.zeros(len(positions),
+                                                     dtype=np.int64)
         if over.any():
             out[over] = pool[positions[over] - m0]
         return out

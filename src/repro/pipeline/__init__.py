@@ -13,9 +13,6 @@ from repro.pipeline.events import (
     EventTrace,
     Stage,
     StageEvent,
-    assert_trace_shape_equal,
-    trace_shape,
-    trace_shape_diff,
 )
 from repro.pipeline.simulator import (
     PipelineMode,
@@ -29,9 +26,6 @@ __all__ = [
     "EventTrace",
     "Stage",
     "StageEvent",
-    "assert_trace_shape_equal",
-    "trace_shape",
-    "trace_shape_diff",
     "PipelineMode",
     "PipelineResult",
     "simulate_trace",

@@ -3,9 +3,9 @@
 The paper's core contribution: an analytical model (Proposition 1) of which
 vertices a machine's minibatches will touch during node-wise neighborhood
 sampling, and the maximum-likelihood static caching policy it induces.  The
-policy zoo also registers the dynamic extensions (LRU / LFU / CLOCK and
-periodic VIP refresh, :func:`dynamic_cache_policies`) for non-stationary
-workloads the static analysis cannot serve.
+policy zoo also names the dynamic extensions (LRU / LFU / CLOCK and
+periodic VIP refresh, :mod:`repro.distributed.dynamic_cache`) for
+non-stationary workloads the static analysis cannot serve.
 """
 
 from repro.distributed.dynamic_cache import is_dynamic_policy
@@ -14,13 +14,10 @@ from repro.vip.analytic import (
     VIPResult,
     expected_remote_volume,
     partitionwise_vip,
-    partitionwise_vip_dense,
-    transition_probabilities,
     transition_table,
     uniform_minibatch_probability,
     vip_for_training_set,
     vip_probabilities,
-    vip_probabilities_dense,
 )
 from repro.vip.incremental import (
     RefreshStats,
@@ -48,7 +45,6 @@ from repro.vip.policies import (
     build_caches,
     cache_budget,
     default_policies,
-    dynamic_cache_policies,
 )
 from repro.vip.commvolume import (
     AccessTrace,
@@ -64,13 +60,10 @@ __all__ = [
     "VIPResult",
     "expected_remote_volume",
     "partitionwise_vip",
-    "partitionwise_vip_dense",
-    "transition_probabilities",
     "transition_table",
     "uniform_minibatch_probability",
     "vip_for_training_set",
     "vip_probabilities",
-    "vip_probabilities_dense",
     "RefreshStats",
     "VIPSnapshot",
     "VIPTracker",
@@ -92,7 +85,6 @@ __all__ = [
     "build_caches",
     "cache_budget",
     "default_policies",
-    "dynamic_cache_policies",
     "is_dynamic_policy",
     "AccessTrace",
     "PolicyVolume",

@@ -5,40 +5,40 @@ random minibatch, each hop samples at most ``f_h`` neighbors per vertex
 uniformly without replacement, independently across vertices and hops.  The
 probability that vertex ``u`` is sampled exactly ``h`` hops out satisfies
 
-    p[h](u) = 1 - prod_{v in N1(u)} (1 - t_h(u, v) * p[h-1](v)),      (3)
+    p[h](u) = 1 - prod_{v in N1(u)} (1 - t_h(v) * p[h-1](v)),         (3)
 
-with ``t_h(u, v) = min(1, f_h / d(v))`` for uniform GraphSAGE sampling, and
-the overall inclusion probability is
+with ``t_h(v) = min(1, f_h / d(v))`` for uniform GraphSAGE sampling — a
+function of the *source* ``v`` only — and the overall inclusion probability
+is
 
     p(u) = 1 - prod_{h=1..L} (1 - p[h](u)).                           (2)
 
-Two structural facts make the recursion much cheaper than a full-graph
-sweep, and :func:`vip_probabilities` exploits both:
+The formulas are written once each: :func:`vertex_transition_values` is
+``t``, :func:`hop_values` evaluates (3) for a *row set* (the rows' source
+lists concatenated, one ``np.add.reduceat`` over per-vertex log factors
+gathered along them) and :func:`accumulate_total` is (2)'s log product.
+Every evaluator is a choice of row set over that kernel:
 
-* **Active sets** — ``p[0]`` is nonzero only on a training set (one
-  partition's, for the partition-wise vectors), and ``p[h]`` is nonzero only
-  on the h-hop ball around it.  Each hop therefore needs to touch only the
-  CSR rows *incident to the current frontier* (the vertices whose
-  probability is nonzero); everything else is exactly zero and stays zero.
-  Hops whose frontier covers most of the edge set fall back to the dense
-  row sweep — same arithmetic, so the outputs are bit-identical either way.
-* **Vertex factoring** — under the uniform sampling model the per-edge
-  factor ``1 - t_h(u, v) * p[h-1](v)`` depends only on the *source* ``v``,
-  so each hop computes one O(N) per-vertex array and gathers it along the
-  edges instead of running O(M) transition/multiply passes per hop.
+* :func:`vip_probabilities`, dense hop — all rows (``graph.indices``);
+* :func:`vip_probabilities`, sparse hop — the rows containing a frontier
+  vertex.  ``p[h-1]`` is nonzero only on the (h-1)-hop ball around the
+  seeds, so while the frontier's incident edges stay under
+  ``SPARSE_HOP_CUTOFF`` of the edge set only those rows can be nonzero;
+* :func:`repro.vip.incremental.incremental_vip` — the rows a churn batch
+  or a seed drift can have changed, read through a ``MutableGraph``.
 
-The reference evaluation (one ``log1p``-style sum per CSR row over all M
-edges, recomputing transition probabilities per hop) is preserved verbatim
-as :func:`vip_probabilities_dense`; a hypothesis parity suite asserts the
-active-set path reproduces it bit-for-bit, and the perf harness
-(``benchmarks/perf``) tracks the speedup.
+A row is always summed over its *entire* source list in stored order
+(inactive sources contribute an exact ``log 1 = +0.0``), so every choice
+produces the same bits: numpy sums pairwise and only the segment's
+operands, order and length matter.  The seed implementation (per-edge
+transitions recomputed per hop, one O(M) pass per hop) is the frozen
+oracle ``tests/vip/reference_dense.py``; hypothesis suites hold every
+evaluator to it with ``==`` per element, and ``benchmarks/perf`` times the
+production path against it.
 
-Transition probabilities themselves are cached per graph in a
-:class:`TransitionTable` (one entry per distinct fanout), so the K
-partition-wise VIP computations — and every serving-time vip-refresh — share
-≤ L transition computations per graph instead of paying K×L identical O(M)
-edge passes.
-
+Per-vertex transition arrays are cached per graph in a
+:class:`TransitionTable` (one entry per distinct fanout), shared by the K
+partition-wise recursions and every serving-time vip-refresh.
 Partition-wise VIP vectors (one per machine, seeded by that machine's local
 training set) drive both the remote-feature cache and the local CPU/GPU
 ordering (paper §3.2, §4.1).
@@ -51,7 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, rows_concat
+from repro.graph.mutable import id_union
 from repro.partition.interface import Partition
 from repro.utils.validation import check_probability_vector
 
@@ -117,7 +118,8 @@ def uniform_minibatch_probability(
 
 
 # ----------------------------------------------------------------------
-# Shared transition cache.
+# Proposition 1, written once: the transition formula, equation (3) for a
+# row set, equation (2)'s accumulator.
 
 def _normalize_fanout(fanout: int) -> int:
     fanout = int(fanout)
@@ -126,37 +128,101 @@ def _normalize_fanout(fanout: int) -> int:
     return -1 if fanout < 0 else fanout
 
 
-def _compute_edge_transition(graph: CSRGraph, fanout: int) -> np.ndarray:
-    """Uncached per-edge ``t(u, v) = min(1, f / d(v))`` (the seed
-    implementation — :func:`vip_probabilities_dense` and the dense side of
-    the perf harness use this directly so the baseline keeps paying the
-    per-invocation O(M) pass it always did)."""
+def vertex_transition_values(fanout: int, degrees: np.ndarray) -> np.ndarray:
+    """``t(v) = min(1, f / max(d(v), 1))`` per vertex (ones for full
+    expansion) — the probability that ``v`` picks one given neighbor when
+    sampling ``fanout`` of its ``d(v)`` without replacement."""
     fanout = _normalize_fanout(fanout)
-    deg = graph.degrees[graph.indices].astype(np.float64)
-    if fanout < 0:  # full neighborhood expansion
-        return np.ones(graph.num_edges, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        t = fanout / np.maximum(deg, 1.0)
-    return np.minimum(t, 1.0)
+    if fanout < 0:
+        return np.ones(len(degrees), dtype=np.float64)
+    return np.minimum(fanout / np.maximum(degrees.astype(np.float64), 1.0),
+                      1.0)
 
+
+def _log_complement(x: np.ndarray) -> np.ndarray:
+    """``log(max(1 - x, 0))`` (a new array; ``-inf`` where ``x >= 1``)."""
+    x = np.subtract(1.0, x)
+    np.maximum(x, 0.0, out=x)
+    with np.errstate(divide="ignore"):
+        return np.log(x, out=x)
+
+
+def _one_minus_exp(s: np.ndarray) -> np.ndarray:
+    """``clip(1 - exp(s), 0, 1)``, in place."""
+    np.exp(s, out=s)
+    np.subtract(1.0, s, out=s)
+    return np.clip(s, 0.0, 1.0, out=s)
+
+
+def row_segments(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(nonempty, starts)``: which rows of a row-major concatenation
+    holding ``counts[i]`` entries per row own a ``reduceat`` segment, and
+    where each begins (an empty row owns none)."""
+    nonempty = np.flatnonzero(counts)
+    return nonempty, np.cumsum(counts)[nonempty] - counts[nonempty]
+
+
+def hop_values(tv: np.ndarray, p_prev: np.ndarray, counts: np.ndarray,
+               flat: np.ndarray, *, active: Optional[np.ndarray] = None,
+               segments: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Equation (3) for a row set: ``p[h]`` of rows whose source lists,
+    concatenated row-major, are ``flat`` (``counts[i]`` entries for row
+    ``i``) — ``1 - exp`` of the per-row sum of the per-vertex log factors
+    ``log(max(1 - t(v) * p[h-1](v), 0))`` gathered along ``flat``.
+
+    ``active`` names the vertices whose factor is evaluated (all of them
+    by default) and must cover every source in ``flat`` with
+    ``p_prev != 0``; the rest keep the exact ``+0.0`` such a source's
+    ``log 1`` is.  ``segments`` (a memoized :func:`row_segments` of
+    ``counts``) and ``out`` (a ``len(flat)`` float64 gather scratch) let a
+    caller that evaluates the same row set every hop pay for them once.
+    """
+    if active is None:
+        gv = _log_complement(tv * p_prev)
+    else:
+        gv = np.zeros(len(p_prev), dtype=np.float64)
+        gv[active] = _log_complement(tv[active] * p_prev[active])
+    values = np.zeros(len(counts), dtype=np.float64)
+    nonempty, starts = (row_segments(counts) if segments is None
+                        else segments)
+    if len(nonempty):
+        # mode="clip" skips np.take's bounds-check path (~2x faster);
+        # adjacency ids are validated in range when a graph is built.
+        edge_log = np.take(gv, flat, out=out, mode="clip")
+        values[nonempty] = _one_minus_exp(np.add.reduceat(edge_log, starts))
+    return values
+
+
+def accumulate_total(log_not_total: np.ndarray, p_h: np.ndarray,
+                     where: Optional[np.ndarray] = None) -> None:
+    """Equation (2), one hop: ``log_not_total[where] += log(max(1 -
+    p_h[where], 0))`` (everywhere by default).  Vertices left out must
+    have ``p_h == 0``: their term is an exact ``+0.0``, so skipping it
+    changes no bit.  :func:`_one_minus_exp` of the sum is ``p(u)``."""
+    if where is None:
+        log_not_total += _log_complement(p_h)
+    else:
+        log_not_total[where] += _log_complement(p_h[where])
+
+
+# ----------------------------------------------------------------------
+# Per-graph transition cache.
 
 class TransitionTable:
-    """Per-graph cache of transition probabilities and hot-path scratch.
+    """Per-graph cache of transition arrays and hot-path scratch.
 
     One table is attached lazily to each :class:`CSRGraph` (see
     :func:`transition_table`); because graphs are immutable, every cached
     quantity stays valid for the graph's lifetime:
 
-    * ``edge_transition(f)`` — the ``(M,)`` per-edge array of
-      :func:`transition_probabilities`, computed at most once per distinct
-      fanout per graph.  ``partitionwise_vip``'s K seeded recursions, the
-      Planner's vip stage, and every serving-time vip-refresh share these
-      entries, collapsing K×L identical O(M) passes into ≤ L.
-    * ``vertex_transition(f)`` — the ``(N,)`` per-vertex factorization
-      ``min(1, f / d(v))`` the active-set path gathers along edges (the
-      per-edge array is the gather of this one).
-    * reduceat row starts, the edge-sized gather scratch, and the incoming
-      adjacency used for frontier expansion on directed graphs.
+    * ``vertex_transition(f)`` — :func:`vertex_transition_values` on the
+      graph's degrees, computed at most once per distinct fanout per graph.
+      ``partitionwise_vip``'s K seeded recursions, the Planner's vip stage
+      and every serving-time vip-refresh share these entries.
+    * the all-rows :func:`row_segments` and edge-sized gather scratch of
+      the dense hop, and the incoming adjacency used for frontier
+      expansion on directed graphs.
 
     Cached arrays are handed out read-only; treat them as borrowed views.
     """
@@ -168,73 +234,40 @@ class TransitionTable:
         #: must call :meth:`CSRGraph.bump_version`) can never silently
         #: serve stale transitions.
         self.version = graph.version
-        self._edge: Dict[int, np.ndarray] = {}
         self._vertex: Dict[int, np.ndarray] = {}
-        #: Cache-effectiveness counters (the transition-dedup tests and the
-        #: perf harness read these).
-        self.edge_computes = 0
-        self.edge_hits = 0
+        #: Cache-effectiveness counters (the transition-dedup tests read
+        #: these).
         self.vertex_computes = 0
         self.vertex_hits = 0
-        self._degf: Optional[np.ndarray] = None
+        self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._edge_scratch: Optional[np.ndarray] = None
-        self._row_ids: Optional[np.ndarray] = None
-        self._row_starts: Optional[np.ndarray] = None
         self._incoming: Optional[CSRGraph] = None
 
-    # -- transition entries --------------------------------------------
-    def edge_transition(self, fanout: int) -> np.ndarray:
-        """Per-edge transition probabilities, cached per distinct fanout."""
-        key = _normalize_fanout(fanout)
-        t = self._edge.get(key)
-        if t is None:
-            self.edge_computes += 1
-            t = _compute_edge_transition(self.graph, key)
-            t.flags.writeable = False
-            self._edge[key] = t
-        else:
-            self.edge_hits += 1
-        return t
-
     def vertex_transition(self, fanout: int) -> np.ndarray:
-        """Per-vertex ``min(1, f / d(v))`` — the source-only factorization
-        of the uniform transition model (its edge gather equals
-        :meth:`edge_transition` bit-for-bit)."""
+        """Per-vertex ``t(v)``, cached per distinct fanout."""
         key = _normalize_fanout(fanout)
         t = self._vertex.get(key)
         if t is None:
             self.vertex_computes += 1
-            if self._degf is None:
-                self._degf = self.graph.degrees.astype(np.float64)
-            if key < 0:
-                t = np.ones(self.graph.num_vertices, dtype=np.float64)
-            else:
-                # Same elementary ops as _compute_edge_transition, applied
-                # per vertex instead of per edge slot: gathering the result
-                # along ``indices`` is bit-identical to the per-edge pass.
-                t = np.minimum(key / np.maximum(self._degf, 1.0), 1.0)
+            t = vertex_transition_values(key, self.graph.degrees)
             t.flags.writeable = False
             self._vertex[key] = t
         else:
             self.vertex_hits += 1
         return t
 
-    # -- scratch / structure memos -------------------------------------
+    def all_row_segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`row_segments` of the whole CSR (every row, in order)."""
+        if self._segments is None:
+            self._segments = row_segments(self.graph.degrees)
+        return self._segments
+
     def edge_scratch(self) -> np.ndarray:
         """Reusable ``(M,)`` float64 buffer for edge-level gathers."""
         if self._edge_scratch is None:
             self._edge_scratch = np.empty(self.graph.num_edges,
                                           dtype=np.float64)
         return self._edge_scratch
-
-    def nonempty_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, starts)`` of the graph's non-empty CSR rows — the
-        reduceat segment boundaries, structure-constant per graph."""
-        if self._row_ids is None:
-            lengths = np.diff(self.graph.indptr)
-            self._row_ids = np.flatnonzero(lengths > 0)
-            self._row_starts = self.graph.indptr[self._row_ids]
-        return self._row_ids, self._row_starts
 
     def incoming(self) -> CSRGraph:
         """Graph whose row ``v`` lists the rows of ``graph`` containing
@@ -262,211 +295,26 @@ def transition_table(graph: CSRGraph) -> TransitionTable:
     return table
 
 
-def transition_probabilities(graph: CSRGraph, fanout: int) -> np.ndarray:
-    """Per-edge ``t(u, v) = min(1, f / d(v))`` aligned with ``graph``'s CSR.
-
-    For edge slot ``e`` with row ``u`` and column ``v = indices[e]``, the
-    value is the probability that ``v`` picks ``u`` among its neighbors when
-    sampling ``fanout`` of them without replacement.  (For undirected graphs
-    the CSR row of ``u`` enumerates exactly the ``v`` with ``u ∈ N1(v)``.)
-
-    Cached per ``(graph, fanout)`` in the graph's :class:`TransitionTable`;
-    the returned array is shared and read-only — copy before mutating.
-    """
-    return transition_table(graph).edge_transition(fanout)
-
-
 # ----------------------------------------------------------------------
-# Proposition 1 — dense reference evaluation (the seed implementation).
-
-def _row_log_products(indptr: np.ndarray, edge_log: np.ndarray) -> np.ndarray:
-    """Sum ``edge_log`` per CSR row (empty rows produce 0)."""
-    n = len(indptr) - 1
-    out = np.zeros(n, dtype=np.float64)
-    lengths = np.diff(indptr)
-    rows = np.flatnonzero(lengths > 0)
-    if len(rows):
-        out[rows] = np.add.reduceat(edge_log, indptr[rows])
-    return out
-
-
-def _check_vip_inputs(graph, initial, fanouts, transition):
-    p0 = check_probability_vector(initial, "initial")
-    if len(p0) != graph.num_vertices:
-        raise ValueError("initial must have one probability per vertex")
-    if transition is not None and len(transition) != len(fanouts):
-        raise ValueError("transition must supply one edge array per hop")
-    return p0
-
-
-def vip_probabilities_dense(
-    graph: CSRGraph,
-    initial: np.ndarray,
-    fanouts: Sequence[int],
-    *,
-    transition: Optional[List[np.ndarray]] = None,
-) -> VIPResult:
-    """Reference Proposition-1 evaluation: one full O(M) edge pass per hop,
-    transition probabilities recomputed per invocation.
-
-    This is the seed implementation, kept verbatim as the parity oracle for
-    :func:`vip_probabilities` (which must reproduce it bit-for-bit) and as
-    the baseline the perf harness measures speedups against.
-    """
-    p_prev = _check_vip_inputs(graph, initial, fanouts, transition)
-
-    indptr, indices = graph.indptr, graph.indices
-    hopwise: List[np.ndarray] = []
-    log_not_total = np.zeros(graph.num_vertices, dtype=np.float64)
-
-    for h, fanout in enumerate(fanouts):
-        if transition is not None:
-            t = np.asarray(transition[h], dtype=np.float64)
-            if t.shape != (graph.num_edges,):
-                raise ValueError(f"transition[{h}] must have one entry per edge")
-        else:
-            t = _compute_edge_transition(graph, int(fanout))
-        # prod over v in N1(u) of (1 - t(u,v) p[h-1](v)), in log space.
-        prod_arg = 1.0 - t * p_prev[indices]
-        with np.errstate(divide="ignore"):
-            edge_log = np.log(np.maximum(prod_arg, 0.0))
-        row_log = _row_log_products(indptr, edge_log)
-        p_h = 1.0 - np.exp(row_log)
-        np.clip(p_h, 0.0, 1.0, out=p_h)
-        hopwise.append(p_h)
-        with np.errstate(divide="ignore"):
-            log_not_total += np.log(np.maximum(1.0 - p_h, 0.0))
-        p_prev = p_h
-
-    total = 1.0 - np.exp(log_not_total)
-    np.clip(total, 0.0, 1.0, out=total)
-    return VIPResult(total=total, hopwise=hopwise, initial=np.asarray(initial, dtype=np.float64))
-
-
-# ----------------------------------------------------------------------
-# Proposition 1 — active-set evaluation (bit-identical, frontier-driven).
-
-def _hop_dense(table: TransitionTable, p_prev: np.ndarray, fanout: int,
-               t_edges: Optional[np.ndarray]) -> np.ndarray:
-    """One full-row hop sweep, with the per-vertex transition factorization
-    and reusable scratch.  Values match the reference hop exactly: the
-    per-edge factors are gathers of identically computed per-vertex terms
-    (or the identical per-edge product), and the per-row sums run over the
-    same segments via the same ``np.add.reduceat``."""
-    graph = table.graph
-    edge_vals = table.edge_scratch()
-    # mode="clip" skips the bounds-check path of np.take — ~2x faster and
-    # bit-identical, since CSR indices are validated in-range at build time.
-    if t_edges is None:
-        tv = table.vertex_transition(fanout)
-        gv = tv * p_prev
-        np.subtract(1.0, gv, out=gv)
-        np.maximum(gv, 0.0, out=gv)
-        with np.errstate(divide="ignore"):
-            np.log(gv, out=gv)
-        np.take(gv, graph.indices, out=edge_vals, mode="clip")
-    else:
-        np.take(p_prev, graph.indices, out=edge_vals, mode="clip")
-        np.multiply(t_edges, edge_vals, out=edge_vals)
-        np.subtract(1.0, edge_vals, out=edge_vals)
-        np.maximum(edge_vals, 0.0, out=edge_vals)
-        with np.errstate(divide="ignore"):
-            np.log(edge_vals, out=edge_vals)
-    rows, starts = table.nonempty_rows()
-    p_h = np.zeros(graph.num_vertices, dtype=np.float64)
-    if len(rows):
-        row_prod = np.add.reduceat(edge_vals, starts)
-        np.exp(row_prod, out=row_prod)
-        np.subtract(1.0, row_prod, out=row_prod)
-        p_h[rows] = row_prod
-    np.clip(p_h, 0.0, 1.0, out=p_h)
-    return p_h
-
-
-def _segment_offsets(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
-def _expand_rows(indptr: np.ndarray, rows: np.ndarray,
-                 counts: np.ndarray) -> np.ndarray:
-    """Positions of all CSR entries of ``rows`` (row-major, in-row order)."""
-    offsets = _segment_offsets(counts)
-    total = int(offsets[-1])
-    rel = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    return np.repeat(indptr[rows], counts) + rel
-
-
-def _hop_sparse(table: TransitionTable, p_prev: np.ndarray,
-                frontier: np.ndarray, fanout: int,
-                t_edges: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """One frontier-driven hop: touch only the CSR rows incident to the
-    active set.  Returns ``(p_h, candidate_rows)``.
-
-    Candidate rows are found by expanding the frontier through the incoming
-    adjacency; each candidate row is then evaluated over its *entire*
-    adjacency list (inactive neighbors contribute an exact ``log 1 = 0``
-    term), so every per-row sum sees the same operand sequence — hence the
-    same floating-point reduction — as the dense reference.
-    """
-    graph = table.graph
-    n = graph.num_vertices
-    inc = table.incoming()
-    reached = inc.indices[_expand_rows(inc.indptr, frontier,
-                                       inc.degrees[frontier])]
-    mask = np.zeros(n, dtype=bool)
-    mask[reached] = True
-    rows = np.flatnonzero(mask)
-    p_h = np.zeros(n, dtype=np.float64)
-    if len(rows) == 0:
-        return p_h, rows
-    counts = graph.degrees[rows]
-    edge_pos = _expand_rows(graph.indptr, rows, counts)
-    if t_edges is None:
-        tv = table.vertex_transition(fanout)
-        # Per-vertex log factors on the frontier only; everything else is
-        # an exact +0.0 (log 1), contributed through the zero fill.
-        gv = np.zeros(n, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            gv[frontier] = np.log(
-                np.maximum(1.0 - tv[frontier] * p_prev[frontier], 0.0)
-            )
-        edge_log = np.take(gv, np.take(graph.indices, edge_pos, mode="clip"),
-                           mode="clip")
-    else:
-        with np.errstate(divide="ignore"):
-            edge_log = np.log(np.maximum(
-                1.0 - t_edges[edge_pos] * p_prev[graph.indices[edge_pos]], 0.0
-            ))
-    # Candidate rows are non-empty by construction (each contains at least
-    # one frontier vertex), so the segment offsets are valid reduceat starts.
-    starts = _segment_offsets(counts)[:-1]
-    p_h[rows] = 1.0 - np.exp(np.add.reduceat(edge_log, starts))
-    np.clip(p_h, 0.0, 1.0, out=p_h)
-    return p_h, rows
-
+# Proposition 1 on a static graph.
 
 def vip_probabilities(
     graph: CSRGraph,
     initial: np.ndarray,
     fanouts: Sequence[int],
     *,
-    transition: Optional[List[np.ndarray]] = None,
     sparse_cutoff: float = SPARSE_HOP_CUTOFF,
 ) -> VIPResult:
     """Evaluate Proposition 1 for one starting distribution.
 
-    Carries a frontier of vertices whose probability is nonzero and touches
-    only the CSR rows incident to it per hop, falling back to the dense row
-    sweep once the frontier's incident edges exceed ``sparse_cutoff`` of the
-    edge set.  Outputs are bit-identical to
-    :func:`vip_probabilities_dense` for every input (enforced by the
-    hypothesis parity suite in ``tests/vip/test_active_set.py``); only the
-    cost changes — seed distributions confined to one partition's training
-    set (or a serving hot set) no longer pay full-graph cost per hop, and
-    transition probabilities come from the graph's shared
-    :class:`TransitionTable` instead of being recomputed per call.
+    Carries a frontier of vertices whose probability is nonzero and
+    evaluates :func:`hop_values` on only the rows incident to it, switching
+    to all rows once the frontier's incident edges exceed ``sparse_cutoff``
+    of the edge set.  The output does not depend on the switch (bit for
+    bit; ``tests/vip/test_active_set.py`` holds both to the frozen dense
+    oracle), only the cost does — seed distributions confined to one
+    partition's training set (or a serving hot set) do not pay full-graph
+    cost per hop.
 
     Parameters
     ----------
@@ -478,20 +326,14 @@ def vip_probabilities(
         ``p[0]`` — per-vertex minibatch membership probabilities.
     fanouts:
         Per-hop fanouts, hop 1 first; ``-1`` = full expansion.
-    transition:
-        Optional per-hop per-edge transition probabilities (overrides the
-        uniform GraphSAGE model) — accommodates non-uniform samplers as in
-        the remark after Proposition 1.
     sparse_cutoff:
         Frontier-size threshold for the sparse hop path, as a fraction of
         the edge count (0 forces dense sweeps, 1 forces sparse hops; the
         parity tests pin both extremes).
-
-    Returns
-    -------
-    VIPResult
     """
-    p_prev = _check_vip_inputs(graph, initial, fanouts, transition)
+    p_prev = check_probability_vector(initial, "initial")
+    if len(p_prev) != graph.num_vertices:
+        raise ValueError("initial must have one probability per vertex")
     table = transition_table(graph)
     n, m = graph.num_vertices, graph.num_edges
     deg = graph.degrees
@@ -502,41 +344,32 @@ def vip_probabilities(
     # once a hop's support has grown past any chance of a sparse follow-up.
     frontier: Optional[np.ndarray] = np.flatnonzero(p_prev)
 
-    for h, fanout in enumerate(fanouts):
-        t_edges = None
-        if transition is not None:
-            t_edges = np.asarray(transition[h], dtype=np.float64)
-            if t_edges.shape != (m,):
-                raise ValueError(f"transition[{h}] must have one entry per edge")
-        sparse = (frontier is not None
-                  and int(deg[frontier].sum()) <= sparse_cutoff * m)
-        if sparse:
-            p_h, touched = _hop_sparse(table, p_prev, frontier, fanout, t_edges)
-            nonzero = touched[p_h[touched] > 0.0]
-            # Accumulate (2)'s log product only where p_h is nonzero — the
-            # remaining terms are exact log 1 = +0.0, which adding skips
-            # without changing a single bit.
-            with np.errstate(divide="ignore"):
-                log_not_total[nonzero] += np.log(
-                    np.maximum(1.0 - p_h[nonzero], 0.0)
-                )
-            frontier = nonzero
+    for fanout in fanouts:
+        tv = table.vertex_transition(fanout)
+        if (frontier is not None
+                and int(deg[frontier].sum()) <= sparse_cutoff * m):
+            # Row set: the rows containing a frontier vertex.
+            rows = id_union(n, rows_concat(table.incoming(), frontier)[1])
+            counts, flat = rows_concat(graph, rows)
+            p_h = np.zeros(n, dtype=np.float64)
+            p_h[rows] = hop_values(tv, p_prev, counts, flat, active=frontier)
+            frontier = rows[p_h[rows] > 0.0]
+            accumulate_total(log_not_total, p_h, where=frontier)
         else:
-            p_h = _hop_dense(table, p_prev, fanout, t_edges)
-            with np.errstate(divide="ignore"):
-                log_not_total += np.log(np.maximum(1.0 - p_h, 0.0))
+            # Row set: every row, in CSR order.
+            p_h = hop_values(tv, p_prev, deg, graph.indices,
+                             segments=table.all_row_segments(),
+                             out=table.edge_scratch())
+            accumulate_total(log_not_total, p_h)
             # Recompute the frontier only while the support is small enough
             # that the next hop could plausibly take the sparse path.
-            if np.count_nonzero(p_h) <= sparse_cutoff * n:
-                frontier = np.flatnonzero(p_h)
-            else:
-                frontier = None
+            frontier = (np.flatnonzero(p_h)
+                        if np.count_nonzero(p_h) <= sparse_cutoff * n
+                        else None)
         hopwise.append(p_h)
         p_prev = p_h
 
-    total = 1.0 - np.exp(log_not_total)
-    np.clip(total, 0.0, 1.0, out=total)
-    return VIPResult(total=total, hopwise=hopwise,
+    return VIPResult(total=_one_minus_exp(log_not_total), hopwise=hopwise,
                      initial=np.asarray(initial, dtype=np.float64))
 
 
@@ -549,24 +382,6 @@ def vip_for_training_set(
     """VIP under uniform minibatches drawn from ``train_idx``."""
     p0 = uniform_minibatch_probability(graph.num_vertices, train_idx, batch_size)
     return vip_probabilities(graph, p0, fanouts)
-
-
-def _partitionwise(graph, partition, train_idx, fanouts, batch_size, vip_fn):
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    owner = partition.assignment[train_idx]
-    out = np.zeros((partition.num_parts, graph.num_vertices), dtype=np.float64)
-    for k in range(partition.num_parts):
-        local_train = train_idx[owner == k]
-        if len(local_train) == 0:
-            continue
-        p0 = uniform_minibatch_probability(graph.num_vertices, local_train,
-                                           batch_size)
-        res = vip_fn(graph, p0, fanouts)
-        # Use the full access probability (includes minibatch membership):
-        # identical to equation (2) for remote vertices, and the correct
-        # ranking for local CPU/GPU placement of training vertices.
-        out[k] = res.access
-    return out
 
 
 def partitionwise_vip(
@@ -584,27 +399,23 @@ def partitionwise_vip(
     is the quantity that ranks both remote-cache candidates and the local
     CPU/GPU split (paper §3.2).
 
-    Each row runs the active-set recursion; all K rows share the graph's
-    :class:`TransitionTable`, so transition probabilities are computed at
-    most once per distinct fanout for the whole matrix.
+    All K recursions share the graph's :class:`TransitionTable`, so
+    transition arrays are computed at most once per distinct fanout for
+    the whole matrix.
     """
-    return _partitionwise(graph, partition, train_idx, fanouts, batch_size,
-                          vip_probabilities)
-
-
-def partitionwise_vip_dense(
-    graph: CSRGraph,
-    partition: Partition,
-    train_idx: np.ndarray,
-    fanouts: Sequence[int],
-    batch_size: int,
-) -> np.ndarray:
-    """Seed-implementation partition-wise VIP: K independent dense
-    recursions, transitions recomputed per hop per partition.  The perf
-    harness's ``preprocess.vip`` baseline and the parity oracle for
-    :func:`partitionwise_vip` (bit-identical matrices)."""
-    return _partitionwise(graph, partition, train_idx, fanouts, batch_size,
-                          vip_probabilities_dense)
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    owner = partition.assignment[train_idx]
+    out = np.zeros((partition.num_parts, graph.num_vertices), dtype=np.float64)
+    for k in range(partition.num_parts):
+        local_train = train_idx[owner == k]
+        if len(local_train) == 0:
+            continue
+        # The full access probability (includes minibatch membership):
+        # identical to equation (2) for remote vertices, and the correct
+        # ranking for local CPU/GPU placement of training vertices.
+        out[k] = vip_for_training_set(graph, local_train, fanouts,
+                                      batch_size).access
+    return out
 
 
 def expected_remote_volume(

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.distributed.dynamic_cache import top_scored
 from repro.graph.csr import CSRGraph
 from repro.partition.interface import Partition
 from repro.sampling.neighbor import NeighborSampler
@@ -166,16 +167,7 @@ def evaluate_policies(
             scores.append(s)
         for alpha in alphas:
             budget = cache_budget(graph.num_vertices, K, alpha)
-            caches = []
-            for k in range(K):
-                s = scores[k]
-                candidates = np.flatnonzero(s > 0)
-                if budget > 0 and len(candidates) > budget:
-                    top = np.argpartition(-s[candidates], budget - 1)[:budget]
-                    candidates = candidates[top]
-                elif budget <= 0:
-                    candidates = np.empty(0, dtype=np.int64)
-                caches.append(np.sort(candidates))
+            caches = [top_scored(s, budget) for s in scores]
             volume = remote_volume_for_caches(trace, partition, caches)
             results.append(PolicyVolume(
                 policy=name,

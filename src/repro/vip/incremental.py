@@ -32,26 +32,27 @@ propagate at all.
 Bit-identity
 ------------
 The result is bit-identical to a full :func:`vip_probabilities` run on the
-materialized (compacted) graph, because every recomputed scalar runs the
-*same IEEE-754 operation sequence on the same operands* as the full
-evaluation, and every skipped scalar is carried over from a previous
-evaluation with the same property:
+materialized (compacted) graph: a recomputed row is one more row set handed
+to the same kernel (:func:`repro.vip.analytic.hop_values`, read through
+:func:`repro.graph.csr.rows_concat`), and every skipped scalar is carried
+over from a previous evaluation of that kernel:
 
 * effective overlay rows are sorted and duplicate-free exactly like
-  compacted CSR rows, so per-row ``np.add.reduceat`` segments see the same
-  operands in the same order and length (numpy sums pairwise, so segment
-  *shape* matters — which is why rows whose length changed are always
-  recomputed rather than reasoned about);
-* transition factors are patched per dirty row with the same elementwise
-  formula :meth:`~repro.vip.analytic.TransitionTable.vertex_transition`
-  uses (the snapshot carries the per-fanout vertex arrays forward — the
-  "invalidate only dirty rows of the transition table" rule);
-* equation (2)'s log accumulation is replayed in hop order for exactly the
+  compacted CSR rows, so the kernel's per-row ``np.add.reduceat`` segments
+  see the same operands in the same order and length (numpy sums pairwise,
+  so segment *shape* matters — which is why rows whose length changed are
+  always recomputed rather than reasoned about);
+* transition factors are patched per dirty row with the one formula
+  (:func:`repro.vip.analytic.vertex_transition_values`; the snapshot
+  carries the per-fanout vertex arrays forward — the "invalidate only
+  dirty rows of the transition table" rule);
+* equation (2)'s accumulator is replayed in hop order for exactly the
   rows where some hop value changed.
 
-The hypothesis differential suite (``tests/streaming/``) asserts equality
-with ``==`` per element across random churn, both directednesses, and
-``-1`` fanouts.
+The hypothesis differential suites (``tests/streaming/``,
+``tests/vip/test_active_set.py``) assert equality with the frozen dense
+oracle ``tests/vip/reference_dense.py`` with ``==`` per element across
+random churn, both directednesses, and ``-1`` fanouts.
 
 Past a churn cutoff (cumulative touched edge volume as a fraction of the
 dense sweep's total, ``num_hops * num_edges``) the wave is no longer
@@ -67,9 +68,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph.csr import rows_concat
 from repro.graph.mutable import MutableGraph, id_union
-from repro.vip.analytic import (VIPResult, _normalize_fanout,
-                                vip_probabilities)
+from repro.vip.analytic import (VIPResult, _normalize_fanout, _one_minus_exp,
+                                accumulate_total, hop_values,
+                                vertex_transition_values, vip_probabilities)
 
 #: Default fraction of the dense sweep's total edge volume
 #: (``num_hops * num_edges``) a refresh may touch, cumulatively across hops,
@@ -120,14 +123,6 @@ class VIPSnapshot:
         return self.result.access
 
 
-def _vertex_transition_values(key: int, degrees: np.ndarray) -> np.ndarray:
-    """``min(1, f / max(d, 1))`` — elementwise identical to
-    :meth:`TransitionTable.vertex_transition` on the same degrees."""
-    if key < 0:
-        return np.ones(len(degrees), dtype=np.float64)
-    return np.minimum(key / np.maximum(degrees.astype(np.float64), 1.0), 1.0)
-
-
 def _capture_transitions(mgraph: MutableGraph,
                          fanouts: Sequence[int]) -> Dict[int, np.ndarray]:
     degrees = mgraph.degrees
@@ -135,7 +130,7 @@ def _capture_transitions(mgraph: MutableGraph,
     for fanout in fanouts:
         key = _normalize_fanout(fanout)
         if key not in out:
-            out[key] = _vertex_transition_values(key, degrees)
+            out[key] = vertex_transition_values(key, degrees)
     return out
 
 
@@ -182,40 +177,9 @@ def _patch_transitions(snapshot: VIPSnapshot, mgraph: MutableGraph,
             if n != len(tv):  # new vertices need real entries, not fill
                 idx = np.union1d(stale_rows,
                                  np.arange(len(tv), n, dtype=np.int64))
-            fresh[idx] = _vertex_transition_values(key, degrees[idx])
+            fresh[idx] = vertex_transition_values(key, degrees[idx])
         out[key] = fresh
     return out
-
-
-def _recompute_rows(mgraph: MutableGraph, rows: np.ndarray, tv: np.ndarray,
-                    p_prev: np.ndarray) -> np.ndarray:
-    """Hop values of ``rows`` on the current graph — the dense sweep's
-    arithmetic restricted to those rows.
-
-    Identical scalar sequence as :func:`~repro.vip.analytic._hop_dense`:
-    per edge slot ``1 - t(v)·p(v)`` → ``max(·, 0)`` → ``log`` →
-    per-segment ``np.add.reduceat`` (rows are sorted and duplicate-free on
-    both the overlay and the compacted CSR, so each segment has the same
-    operands, order, and length — same pairwise-sum tree) → ``exp`` →
-    ``1 - ·`` → ``clip``.
-    """
-    counts, flat = mgraph.rows_concat(rows)
-    values = np.zeros(len(rows), dtype=np.float64)
-    nonempty = np.flatnonzero(counts > 0)
-    if len(nonempty):
-        vals = tv[flat] * p_prev[flat]
-        np.subtract(1.0, vals, out=vals)
-        np.maximum(vals, 0.0, out=vals)
-        with np.errstate(divide="ignore"):
-            np.log(vals, out=vals)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        row_log = np.add.reduceat(vals, offsets[nonempty])
-        np.exp(row_log, out=row_log)
-        np.subtract(1.0, row_log, out=row_log)
-        values[nonempty] = row_log
-    np.clip(values, 0.0, 1.0, out=values)
-    return values
 
 
 def incremental_vip(
@@ -327,8 +291,10 @@ def incremental_vip(
             snapshot = snapshot_vip(mgraph, p0, fanouts)
             snapshot.stats = stats
             return snapshot
-        tv = vtrans[_normalize_fanout(fanout)]
-        values = _recompute_rows(mgraph, rows, tv, p_prev)
+        # Row set: R_h, read through the overlay.
+        counts, flat = rows_concat(mgraph, rows)
+        values = hop_values(vtrans[_normalize_fanout(fanout)], p_prev,
+                            counts, flat, active=np.flatnonzero(p_prev))
         # Bitwise filter: only rows whose value actually moved propagate.
         moved = values != old_h[rows]
         changed = rows[moved]
@@ -353,12 +319,8 @@ def incremental_vip(
         total = total.copy() if total is snapshot.result.total else total
         acc = np.zeros(len(changed_union), dtype=np.float64)
         for p_h in hop_arrays:
-            with np.errstate(divide="ignore"):
-                acc += np.log(np.maximum(1.0 - p_h[changed_union], 0.0))
-        np.exp(acc, out=acc)
-        np.subtract(1.0, acc, out=acc)
-        np.clip(acc, 0.0, 1.0, out=acc)
-        total[changed_union] = acc
+            accumulate_total(acc, p_h[changed_union])
+        total[changed_union] = _one_minus_exp(acc)
 
     return VIPSnapshot(
         version=mgraph.version, initial=p0, fanouts=fanouts,

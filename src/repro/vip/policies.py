@@ -36,7 +36,6 @@ static analysis cannot serve (training-set drift, streaming inference):
                  *current* training set (observed counts when no provider).
 ===============  =============================================================
 
-:func:`dynamic_cache_policies` builds the spec for each name;
 ``RunConfig.cache_policy`` accepts either family, and
 :class:`~repro.core.system.SalientPP` warm-starts dynamic caches from the
 static analytic-VIP selection.
@@ -50,11 +49,8 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.distributed.dynamic_cache import (
-    DYNAMIC_CACHE_POLICIES,
-    DynamicCacheSpec,
-)
-from repro.graph.csr import CSRGraph
+from repro.distributed.dynamic_cache import top_scored
+from repro.graph.csr import CSRGraph, rows_concat
 from repro.partition.interface import Partition
 from repro.utils.registry import Registry
 from repro.utils.rng import SeedLike, derive_seed
@@ -103,23 +99,15 @@ class CachePolicy:
         raise NotImplementedError
 
     def select(self, ctx: CacheContext, part: int, budget: int) -> np.ndarray:
-        """Ids of the ≤ ``budget`` highest-scoring remote vertices.
-
-        Vertices with non-positive score are never cached (caching something
-        provably never accessed wastes memory), which also gives policies a
-        natural support set (e.g. the halo policy's halo).
-        """
-        if budget <= 0:
+        """Ids of the ≤ ``budget`` highest-scoring remote vertices
+        (:func:`~repro.distributed.dynamic_cache.top_scored`: non-positive
+        scores are never cached, which gives policies a natural support
+        set, e.g. the halo policy's halo)."""
+        if budget <= 0:  # nothing to rank: skip computing the scores
             return np.empty(0, dtype=np.int64)
         s = np.asarray(self.scores(ctx, part), dtype=np.float64).copy()
         s[ctx.partition.assignment == part] = -np.inf  # locals need no cache
-        candidates = np.flatnonzero(s > 0)
-        if len(candidates) == 0:
-            return np.empty(0, dtype=np.int64)
-        if len(candidates) > budget:
-            top = np.argpartition(-s[candidates], budget - 1)[:budget]
-            candidates = candidates[top]
-        return np.sort(candidates)
+        return top_scored(s, budget)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -143,13 +131,7 @@ def _reachable_within(graph: CSRGraph, sources: np.ndarray, hops: int) -> np.nda
     for _ in range(hops):
         if len(frontier) == 0:
             break
-        lo, hi = graph.indptr[frontier], graph.indptr[frontier + 1]
-        # Gather all neighbors of the frontier.
-        counts = hi - lo
-        rel = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        nbrs = graph.indices[np.repeat(lo, counts) + rel]
+        nbrs = rows_concat(graph, frontier)[1]
         fresh = np.unique(nbrs[~mask[nbrs]])
         mask[fresh] = True
         frontier = fresh
@@ -294,14 +276,6 @@ def default_policies() -> Dict[str, Callable[[], CachePolicy]]:
     """Factories for the Figure 2 policy zoo (oracle excluded: it needs the
     evaluation trace) — a dict view over :data:`STATIC_CACHE_POLICIES`."""
     return dict(STATIC_CACHE_POLICIES.items())
-
-
-def dynamic_cache_policies() -> Dict[str, Callable[..., DynamicCacheSpec]]:
-    """Factories for the dynamic side of the zoo: each returns a
-    :class:`DynamicCacheSpec` (pass ``capacity`` / ``refresh_interval`` /
-    ``warm_scores`` through as keyword arguments) — a dict view over
-    :data:`DYNAMIC_CACHE_POLICIES`."""
-    return dict(DYNAMIC_CACHE_POLICIES.items())
 
 
 def cache_budget(num_vertices: int, num_parts: int, alpha: float) -> int:

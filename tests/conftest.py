@@ -5,6 +5,9 @@ whole suite stays fast; benchmark-scale datasets are exercised only under
 ``benchmarks/``.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,10 @@ import invariants  # tests/invariants.py: pytest puts this directory on sys.path
 from repro.graph import erdos_renyi, load_dataset, power_law_community_graph
 from repro.partition import metis_like_partition, reorder_dataset
 from repro.vip import partitionwise_vip
+
+# tests/vip/reference_dense.py (the frozen Proposition-1 oracle) and
+# tests/vip/vip_cases.py (the shared strategy) also serve tests/streaming.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "vip"))
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,16 @@ class TestValidate:
         assert str(sorted(STATIC_CACHE_POLICIES.names())) in msg
         assert str(sorted(DYNAMIC_CACHE_POLICIES.names())) in msg
 
+    def test_unknown_arch_lists_sorted_names(self, tiny_dataset):
+        """A typo'd ``arch`` fails at construction, not as a ``KeyError``
+        from ``build_model`` after four preprocessing stages have run."""
+        with pytest.raises(ValueError) as exc:
+            RunConfig(arch="mlp").validate()
+        assert "unknown architecture 'mlp'" in str(exc.value)
+        assert "['gat', 'gin', 'sage']" in str(exc.value)
+        with pytest.raises(ValueError, match="architecture"):
+            RunConfig(arch="mlp").resolve(tiny_dataset)
+
     def test_resolve_validates(self, tiny_dataset):
         """Bad configs fail at construction, not deep inside a stage."""
         with pytest.raises(ValueError, match="cache policy"):

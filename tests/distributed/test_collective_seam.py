@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import Planner, RunConfig, SalientPP
 from repro.graph.datasets import make_tiny
-from repro.pipeline import trace_shape
+from invariants import trace_shape
 
 K = 4
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(

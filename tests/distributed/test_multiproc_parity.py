@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import Planner, RunConfig, SalientPP
 from repro.graph.datasets import make_papers_mini
-from repro.pipeline import assert_trace_shape_equal
+from invariants import assert_trace_shape_equal
 from repro.utils.rng import machine_stream_seed
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")

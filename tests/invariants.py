@@ -22,6 +22,10 @@ field of the report's summed ``gather``, and for a serving report the
 window / batch counts.
 
 Suites reach both through the fixtures of the same names in ``conftest.py``.
+
+:func:`trace_shape` / :func:`assert_trace_shape_equal` compare two
+``EventTrace`` s as schedules (what the simulator prices, ignoring emission
+order) — the parity suites' comparator; nothing in ``src/`` calls it.
 """
 
 import dataclasses
@@ -174,3 +178,67 @@ def check_invariants(report, *, bytes_per_row=None) -> None:
         _check_serving(report)
     else:
         _check_epoch(report, bytes_per_row)
+
+
+# ----------------------------------------------------------------------
+# trace-shape comparison (the schedule comparator of the parity suites)
+# ----------------------------------------------------------------------
+
+def trace_shape(trace) -> dict:
+    """Canonical structural summary of a trace, suitable for equality.
+
+    Captures everything the simulator prices — engine name, machine/step
+    counts, comm-window tiling, allreduce barriers, and every event's
+    ``(stage, machine, step)`` key with its exact volumes — while ignoring
+    event *emission order* (engines may interleave machines differently
+    without changing the schedule).  Two traces with equal shapes simulate
+    to identical epoch times under any cost model.
+    """
+    return {
+        "engine": trace.engine,
+        "num_machines": trace.num_machines,
+        "num_steps": trace.num_steps,
+        "windows": [tuple(w) for w in trace.windows],
+        "allreduce_steps": list(trace.allreduce_steps),
+        "machine_of_step": (None if trace.machine_of_step is None
+                            else list(trace.machine_of_step)),
+        "events": {
+            (ev.stage.value, ev.machine, ev.step): dict(sorted(ev.volumes))
+            for ev in trace.events
+        },
+    }
+
+
+def trace_shape_diff(actual, expected) -> list:
+    """Human-readable differences between two traces' shapes (empty = equal).
+
+    The multiproc parity tests diff a real backend's emitted trace against
+    the in-process engine's (the simulator's input): same stages, same
+    per-machine step assignment, same remote-row and byte volumes.
+    """
+    a, b = trace_shape(actual), trace_shape(expected)
+    diffs = []
+    for fld in ("engine", "num_machines", "num_steps", "windows",
+                "allreduce_steps", "machine_of_step"):
+        if a[fld] != b[fld]:
+            diffs.append(f"{fld}: {a[fld]!r} != {b[fld]!r}")
+    ev_a, ev_b = a["events"], b["events"]
+    for key in sorted(set(ev_b) - set(ev_a)):
+        diffs.append(f"missing event {key}")
+    for key in sorted(set(ev_a) - set(ev_b)):
+        diffs.append(f"unexpected event {key}")
+    for key in sorted(set(ev_a) & set(ev_b)):
+        if ev_a[key] != ev_b[key]:
+            diffs.append(f"event {key} volumes: {ev_a[key]!r} != {ev_b[key]!r}")
+    return diffs
+
+
+def assert_trace_shape_equal(actual, expected, max_diffs=20) -> None:
+    """Assert two traces describe the same schedule; raises with a
+    readable diff listing (capped at ``max_diffs`` lines) otherwise."""
+    diffs = trace_shape_diff(actual, expected)
+    if diffs:
+        shown = diffs[:max_diffs]
+        if len(diffs) > max_diffs:
+            shown.append(f"... and {len(diffs) - max_diffs} more")
+        raise AssertionError("trace shape mismatch:\n  " + "\n  ".join(shown))

@@ -18,10 +18,10 @@ from repro.pipeline import (
     ModelDims,
     PipelineMode,
     Stage,
-    assert_trace_shape_equal,
     simulate_trace,
 )
 from repro.pipeline.events import EventTrace
+from invariants import assert_trace_shape_equal
 
 
 @pytest.fixture(scope="module")

@@ -1,100 +1,63 @@
-"""Incremental VIP ≡ full Proposition 1 on the compacted graph, bit for bit.
+"""Incremental VIP ≡ the frozen dense Proposition 1 on the compacted graph,
+bit for bit.
 
 The whole point of :func:`incremental_vip` is that a dirty-frontier refresh
-is *indistinguishable* from throwing the snapshot away and re-running
-:func:`vip_probabilities` on ``materialize()`` — not approximately, not "to
-float tolerance": the incremental path replays the identical IEEE operation
-sequence on changed rows only, so the arrays must match bit for bit.  This
-file is the enforcement: a hypothesis differential suite over random graphs
-(directed + undirected), random insert/delete churn, full-expansion ``-1``
-fanouts, drifting seed distributions, chained multi-round refreshes, and
-both churn-cutoff extremes (1.0 pins the incremental path, 0.0 pins the
-full-recompute fallback — both must agree with the oracle).  Plus the
+is *indistinguishable* from throwing the snapshot away and evaluating
+Proposition 1 from scratch on ``materialize()`` — not approximately, not
+"to float tolerance": the arrays must match bit for bit.  Production
+``vip_probabilities`` cannot be the referee (it runs the same row kernel,
+so a kernel bug would cancel); the oracle is the seed implementation frozen
+in ``tests/vip/reference_dense.py``.  This file is the enforcement: a
+hypothesis differential suite over the strategy shared with
+``tests/vip/test_active_set.py`` (directed + undirected graphs,
+full-expansion ``-1`` fanouts, random insert/delete churn, drifting seed
+distributions, chained multi-round refreshes, and the churn cutoff at
+{0, default, 1}: 1.0 pins the incremental path, 0.0 pins the full-recompute
+fallback — all must agree with the oracle).  Plus the
 :class:`TransitionTable` version-token regression (satellite: stale
 transitions must not survive a graph mutation).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+from reference_dense import vip_probabilities_dense
+from vip_cases import (
+    assert_matches_oracle,
+    oracle_access,
+    random_batch,
+    sparse_p0,
+    vip_case,
+)
 from repro.graph import CSRGraph, erdos_renyi
-from repro.graph.mutable import EdgeBatch, MutableGraph
+from repro.graph.mutable import MutableGraph
 from repro.vip import (
     VIPTracker,
     incremental_vip,
     snapshot_vip,
     transition_table,
-    vip_probabilities,
 )
 
 
 def assert_snapshot_matches_full(snap, mgraph):
-    """The snapshot must be bit-identical to a fresh full evaluation on the
-    materialized (compacted) graph."""
-    ref = vip_probabilities(mgraph.materialize(), snap.initial, snap.fanouts)
-    assert np.array_equal(snap.result.total, ref.total)
-    assert len(snap.result.hopwise) == len(ref.hopwise)
-    for a, b in zip(snap.result.hopwise, ref.hopwise):
-        assert np.array_equal(a, b)
-    assert np.array_equal(snap.access, ref.access)
-
-
-def random_base(n, avg_deg, directed, seed):
-    rng = np.random.default_rng(seed)
-    if directed:
-        m = int(avg_deg * n)
-        return CSRGraph.from_edges(rng.integers(0, n, m),
-                                   rng.integers(0, n, m), n, dedup=True)
-    return erdos_renyi(n, avg_deg, seed=seed)
-
-
-def sparse_p0(n, support, seed):
-    rng = np.random.default_rng(seed)
-    p0 = np.zeros(n)
-    if support:
-        idx = rng.choice(n, size=min(support, n), replace=False)
-        p0[idx] = rng.random(len(idx))
-    return p0
-
-
-def random_batch(rng, alive, size):
-    pick = lambda: rng.choice(alive, size=size)  # noqa: E731
-    return EdgeBatch(add_src=pick(), add_dst=pick(),
-                     del_src=pick(), del_dst=pick())
-
-
-fanout_lists = st.lists(st.sampled_from([-1, 1, 2, 3, 7]),
-                        min_size=1, max_size=3)
-
-
-@st.composite
-def churn_case(draw):
-    n = draw(st.integers(min_value=2, max_value=60))
-    directed = draw(st.booleans())
-    g = random_base(n, draw(st.floats(0.0, 6.0)), directed,
-                    draw(st.integers(0, 2**16)))
-    fanouts = draw(fanout_lists)
-    p0_seed = draw(st.integers(0, 2**16))
-    support = draw(st.integers(0, n))
-    churn_seed = draw(st.integers(0, 2**16))
-    rounds = draw(st.integers(min_value=1, max_value=3))
-    cutoff = draw(st.sampled_from([1.0, 0.0]))
-    return g, directed, fanouts, p0_seed, support, churn_seed, rounds, cutoff
+    """The snapshot must be bit-identical to the frozen dense evaluation on
+    the materialized (compacted) graph."""
+    assert_matches_oracle(snap.result, mgraph.materialize(), snap.initial,
+                          snap.fanouts)
+    assert np.array_equal(snap.access, snap.result.access)
 
 
 class TestIncrementalParity:
     @settings(max_examples=60, deadline=None)
-    @given(churn_case())
+    @given(vip_case())
     def test_bit_identical_across_churn(self, case):
-        (g, directed, fanouts, p0_seed, support, churn_seed, rounds,
-         cutoff) = case
-        rng = np.random.default_rng(churn_seed)
-        mg = MutableGraph(g, undirected=not directed, compact_cutoff=None)
-        p0 = sparse_p0(mg.num_vertices, support, p0_seed)
-        snap = snapshot_vip(mg, p0, fanouts)
+        rng = np.random.default_rng(case.churn_seed)
+        mg = MutableGraph(case.graph, undirected=not case.directed,
+                          compact_cutoff=None)
+        snap = snapshot_vip(mg, case.p0(), case.fanouts)
         assert_snapshot_matches_full(snap, mg)
-        for _ in range(rounds):
+        for _ in range(case.rounds):
             alive = [v for v in range(mg.num_vertices)
                      if not mg.is_tombstoned(v)]
             if not alive:
@@ -103,66 +66,64 @@ class TestIncrementalParity:
             still = [v for v in alive if not mg.is_tombstoned(v)]
             if rng.random() < 0.3 and len(still) > 1:
                 mg.remove_vertices([int(rng.choice(still))])
-            snap = incremental_vip(mg, snap, churn_cutoff=cutoff)
+            snap = incremental_vip(mg, snap, churn_cutoff=case.churn_cutoff)
             assert_snapshot_matches_full(snap, mg)
 
-    @settings(max_examples=25, deadline=None)
-    @given(churn_case())
+    @settings(max_examples=40, deadline=None)
+    @given(vip_case())
     def test_bit_identical_with_p0_drift(self, case):
         """Seed-distribution drift (the training-set swap case) rides the
         same refresh and must stay exact — called directly, and through a
         :class:`VIPTracker` serving two consumers that starts on the static
         base, is re-pointed at the overlay, and whose second consumer
         refreshes only every other round (its snapshot lags the log)."""
-        (g, directed, fanouts, p0_seed, support, churn_seed, rounds,
-         cutoff) = case
-        rng = np.random.default_rng(churn_seed)
-        mg = MutableGraph(g, undirected=not directed, compact_cutoff=None)
+        rng = np.random.default_rng(case.churn_seed)
+        mg = MutableGraph(case.graph, undirected=not case.directed,
+                          compact_cutoff=None)
         n = mg.num_vertices
-        p0 = sparse_p0(n, support, p0_seed)
-        snap = snapshot_vip(mg, p0, fanouts)
-        tracker = VIPTracker(mg.base, fanouts)
+        p0 = case.p0()
+        snap = snapshot_vip(mg, p0, case.fanouts)
+        tracker = VIPTracker(mg.base, case.fanouts)
 
         def assert_tracker_matches_full(consumer, p0):
-            ref = vip_probabilities(mg.materialize(), p0, fanouts)
-            assert np.array_equal(tracker.access(consumer, p0), ref.access)
+            assert np.array_equal(
+                tracker.access(consumer, p0),
+                oracle_access(mg.materialize(), p0, case.fanouts))
 
         assert_tracker_matches_full("a", p0)
         assert not tracker.snapshots  # static graph: nothing to carry
         tracker.graph = mg
-        for i in range(rounds):
+        for i in range(case.rounds):
             alive = [v for v in range(n) if not mg.is_tombstoned(v)]
             mg.apply(random_batch(rng, alive, int(rng.integers(1, 6))))
-            p0 = sparse_p0(n, support, p0_seed + i + 1)
-            snap = incremental_vip(mg, snap, p0, churn_cutoff=cutoff)
+            p0 = case.p0(drift=i + 1)
+            snap = incremental_vip(mg, snap, p0,
+                                   churn_cutoff=case.churn_cutoff)
             assert_snapshot_matches_full(snap, mg)
             assert_tracker_matches_full("a", p0)
             if i % 2:
-                assert_tracker_matches_full(
-                    "b", sparse_p0(n, support, p0_seed + 2**16 + i))
+                assert_tracker_matches_full("b", case.p0(drift=2**16 + i))
             assert tracker.snapshots["a"].version == mg.version
 
     @settings(max_examples=20, deadline=None)
-    @given(churn_case())
+    @given(vip_case())
     def test_survives_vertex_growth_and_compaction(self, case):
-        (g, directed, fanouts, p0_seed, support, churn_seed, rounds,
-         cutoff) = case
-        rng = np.random.default_rng(churn_seed)
-        mg = MutableGraph(g, undirected=not directed, compact_cutoff=None)
-        snap = snapshot_vip(mg, sparse_p0(mg.num_vertices, support, p0_seed),
-                            fanouts)
+        rng = np.random.default_rng(case.churn_seed)
+        mg = MutableGraph(case.graph, undirected=not case.directed,
+                          compact_cutoff=None)
+        snap = snapshot_vip(mg, case.p0(), case.fanouts)
         new = mg.add_vertices(3)
         old = [v for v in range(len(snap.initial))
                if not mg.is_tombstoned(v)]
         mg.add_edges([int(new[0]), int(new[1])],
                      [int(rng.choice(old)), int(rng.choice(old))])
-        snap = incremental_vip(mg, snap, churn_cutoff=cutoff)
+        snap = incremental_vip(mg, snap, churn_cutoff=case.churn_cutoff)
         assert_snapshot_matches_full(snap, mg)
         mg.compact()
         alive = [v for v in range(mg.num_vertices)
                  if not mg.is_tombstoned(v)]
         mg.apply(random_batch(rng, alive, 4))
-        snap = incremental_vip(mg, snap, churn_cutoff=cutoff)
+        snap = incremental_vip(mg, snap, churn_cutoff=case.churn_cutoff)
         assert_snapshot_matches_full(snap, mg)
 
 
@@ -180,14 +141,14 @@ class TestPairwiseSumTreeShape:
         p0 = np.zeros(30)
         p0[rng.choice(30, 20, replace=False)] = rng.random(20)
         assert p0[2] == 0.0
-        before = vip_probabilities(g, p0, [3])
+        before = vip_probabilities_dense(g, p0, [3])
         mg = MutableGraph(g, undirected=True, compact_cutoff=None)
         snap = snapshot_vip(mg, p0, [3])
         mg.add_edges([2], [13])
         out = incremental_vip(mg, snap, churn_cutoff=1.0)
         assert out.stats.mode == "incremental"
         # The zero term really does perturb the row's value...
-        ref = vip_probabilities(mg.materialize(), p0, [3])
+        ref = vip_probabilities_dense(mg.materialize(), p0, [3])
         assert before.hopwise[0][13] != ref.hopwise[0][13]
         # ...and the refresh tracks it bit for bit.
         assert_snapshot_matches_full(out, mg)

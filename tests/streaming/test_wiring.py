@@ -17,10 +17,8 @@ from repro.core import Planner, RunConfig, StreamingConfig
 from repro.graph import CSRGraph, erdos_renyi, power_law_community_graph
 from repro.graph.generators import edge_stream
 from repro.graph.mutable import EdgeBatch, MutableGraph
-from repro.vip.analytic import (
-    uniform_minibatch_probability,
-    vip_probabilities,
-)
+from repro.vip.analytic import uniform_minibatch_probability
+from vip_cases import oracle_access  # the frozen dense Proposition 1
 
 
 class TestStreamingConfig:
@@ -142,7 +140,7 @@ class TestServingMutations:
     def test_wired_mode_scores_the_mutated_graph(self, planner, tiny_dataset):
         svc, _, calls, _ = self._run(build_system(planner, tiny_dataset))
         for _, sampled, p0, scores in calls:
-            ref = vip_probabilities(sampled, p0, svc.fanouts).access
+            ref = oracle_access(sampled, p0, svc.fanouts)
             assert np.array_equal(scores, ref)
 
     def test_stale_mode_scores_the_prechurn_graph(self, planner, tiny_dataset):
@@ -150,12 +148,12 @@ class TestServingMutations:
             build_system(planner, tiny_dataset, refresh_on_mutation=False))
         assert isinstance(base, CSRGraph)
         for _, _, p0, scores in calls:
-            ref = vip_probabilities(base, p0, svc.fanouts).access
+            ref = oracle_access(base, p0, svc.fanouts)
             assert np.array_equal(scores, ref)
         # ...which is not what the samplers read any more.
         assert any(
             not np.array_equal(
-                scores, vip_probabilities(sampled, p0, svc.fanouts).access)
+                scores, oracle_access(sampled, p0, svc.fanouts))
             for _, sampled, p0, scores in post_churn)
 
     def test_out_of_range_mutation_rejected(self, planner, tiny_dataset):
@@ -196,7 +194,7 @@ class TestTrainingMutations:
         for k, store in enumerate(system.store.stores):
             p0 = uniform_minibatch_probability(
                 mat.num_vertices, tr.local_train[k], tr.batch_size)
-            ref = vip_probabilities(mat, p0, tr.fanouts).access
+            ref = oracle_access(mat, p0, tr.fanouts)
             ref[store.lo:store.hi] = 0.0  # the store blanks local vertices
             assert handed[k], f"machine {k} never refreshed"
             for scores in handed[k]:

@@ -13,7 +13,7 @@ from repro.core import Planner, RunConfig, ServingConfig
 from repro.graph.datasets import make_tiny
 from repro.graph.mutable import EdgeBatch
 from repro.obs import OBS
-from repro.pipeline.events import trace_shape
+from invariants import trace_shape
 from repro.serving import Outage, poisson_requests
 from repro.serving.workload import Request
 

@@ -1,103 +1,79 @@
-"""Active-set Proposition 1 ≡ dense Proposition 1, bit for bit.
+"""Production Proposition 1 ≡ the frozen dense oracle, bit for bit.
 
-The optimized :func:`vip_probabilities` (frontier-driven hops, vertex-
-factored transitions, shared :class:`TransitionTable`) must reproduce the
-seed implementation :func:`vip_probabilities_dense` exactly — not "close",
-*identical* — for every graph, seed distribution, fanout list (including
-full expansion), and transition override.  This file is the enforcement:
-hypothesis property tests over random graphs plus directed-graph, cutoff-
-extreme, and transition-dedup cases, and the reference test for the
-vectorized :func:`expected_remote_volume`.
+:func:`vip_probabilities` (one row kernel over frontier rows or all rows,
+vertex-factored transitions, shared :class:`TransitionTable`) must
+reproduce the seed implementation in ``reference_dense.py`` exactly — not
+"close", *identical* — for every graph, seed distribution and fanout list
+(including full expansion), whichever row set each hop picks.  This file
+is the static-graph half of the enforcement (``tests/streaming/`` is the
+overlay half, over the same :func:`vip_cases.vip_case` strategy), plus the
+transition-dedup cases and the reference test for the vectorized
+:func:`expected_remote_volume`.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.graph import CSRGraph, erdos_renyi
+from reference_dense import (
+    _compute_edge_transition,
+    partitionwise_vip_dense,
+    vip_probabilities_dense,
+)
+from vip_cases import assert_matches_oracle, vip_case
+from repro.graph import erdos_renyi
 from repro.partition import Partition, metis_like_partition
 from repro.vip import (
+    VIPTracker,
     expected_remote_volume,
     partitionwise_vip,
-    partitionwise_vip_dense,
-    transition_probabilities,
     transition_table,
     uniform_minibatch_probability,
     vip_for_training_set,
     vip_probabilities,
-    vip_probabilities_dense,
 )
-from repro.vip.analytic import _compute_edge_transition
-
-
-def assert_results_identical(a, b):
-    assert np.array_equal(a.total, b.total)
-    assert len(a.hopwise) == len(b.hopwise)
-    for ha, hb in zip(a.hopwise, b.hopwise):
-        assert np.array_equal(ha, hb)
-    assert np.array_equal(a.initial, b.initial)
-
-
-@st.composite
-def graph_and_p0(draw):
-    """A random undirected graph with a sparse-ish initial distribution
-    (the partition-restricted shape Proposition 1 sees in production)."""
-    n = draw(st.integers(min_value=2, max_value=120))
-    avg_deg = draw(st.floats(min_value=0.0, max_value=8.0))
-    g = erdos_renyi(n, avg_deg, seed=draw(st.integers(0, 2**16)))
-    support = draw(st.integers(min_value=0, max_value=n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    p0 = np.zeros(n)
-    if support:
-        idx = rng.choice(n, size=support, replace=False)
-        p0[idx] = rng.random(support)
-    return g, p0
-
-
-fanout_lists = st.lists(
-    st.sampled_from([-1, 1, 2, 3, 5, 17]), min_size=1, max_size=4
-)
+from repro.vip.analytic import vertex_transition_values
 
 
 class TestActiveSetParity:
-    @settings(max_examples=60, deadline=None)
-    @given(graph_and_p0(), fanout_lists,
-           st.sampled_from([0.0, 0.05, 0.5, 1.0]))
-    def test_matches_dense(self, gp, fanouts, cutoff):
-        g, p0 = gp
-        dense = vip_probabilities_dense(g, p0, fanouts)
-        active = vip_probabilities(g, p0, fanouts, sparse_cutoff=cutoff)
-        assert_results_identical(active, dense)
+    @settings(max_examples=100, deadline=None)
+    @given(vip_case())
+    def test_matches_dense(self, case):
+        """Directed and undirected graphs, at the drawn cutoff."""
+        p0 = case.p0()
+        active = vip_probabilities(case.graph, p0, case.fanouts,
+                                   sparse_cutoff=case.sparse_cutoff)
+        assert_matches_oracle(active, case.graph, p0, case.fanouts)
+        # The refresh path's static branch is the same evaluation.
+        tracker = VIPTracker(case.graph, case.fanouts)
+        assert np.array_equal(tracker.access("a", p0), active.access)
+        assert not tracker.snapshots  # static graph: nothing to carry
+
+    @settings(max_examples=40, deadline=None)
+    @given(vip_case(), st.integers(1, 4), st.integers(1, 64))
+    def test_partitionwise_matches_dense(self, case, num_parts, batch_size):
+        g = case.graph
+        rng = np.random.default_rng(case.churn_seed)
+        part = Partition(rng.integers(0, num_parts, g.num_vertices),
+                         num_parts)
+        train = np.flatnonzero(case.p0())
+        assert np.array_equal(
+            partitionwise_vip(g, part, train, case.fanouts, batch_size),
+            partitionwise_vip_dense(g, part, train, case.fanouts,
+                                    batch_size))
 
     @settings(max_examples=25, deadline=None)
-    @given(graph_and_p0(), fanout_lists)
-    def test_matches_dense_with_transition_override(self, gp, fanouts):
-        g, p0 = gp
-        rng = np.random.default_rng(0)
-        override = [rng.random(g.num_edges) for _ in fanouts]
-        dense = vip_probabilities_dense(g, p0, fanouts, transition=override)
+    @given(vip_case())
+    def test_matches_dense_directed(self, case):
+        """Directed graphs only, both cutoff extremes on every example:
+        frontier expansion must go through the reverse adjacency, not the
+        (asymmetric) forward rows."""
+        assume(case.directed)
+        p0 = case.p0()
         for cutoff in (0.0, 1.0):
-            active = vip_probabilities(g, p0, fanouts, transition=override,
+            active = vip_probabilities(case.graph, p0, case.fanouts,
                                        sparse_cutoff=cutoff)
-            assert_results_identical(active, dense)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 80), st.floats(0.5, 6.0), st.integers(0, 2**16),
-           fanout_lists)
-    def test_matches_dense_directed(self, n, avg_deg, seed, fanouts):
-        """Directed graphs: frontier expansion must go through the reverse
-        adjacency, not the (asymmetric) forward rows."""
-        rng = np.random.default_rng(seed)
-        m = int(avg_deg * n)
-        g = CSRGraph.from_edges(rng.integers(0, n, m), rng.integers(0, n, m),
-                                n, dedup=True)
-        p0 = np.zeros(n)
-        hot = rng.choice(n, size=max(1, n // 8), replace=False)
-        p0[hot] = rng.random(len(hot))
-        dense = vip_probabilities_dense(g, p0, fanouts)
-        for cutoff in (0.0, 1.0):
-            active = vip_probabilities(g, p0, fanouts, sparse_cutoff=cutoff)
-            assert_results_identical(active, dense)
+            assert_matches_oracle(active, case.graph, p0, case.fanouts)
 
     def test_partition_restricted_p0(self, tiny_dataset, tiny_partition):
         """The production shape: p0 confined to one partition's training
@@ -108,11 +84,10 @@ class TestActiveSetParity:
         for k in range(tiny_partition.num_parts):
             p0 = uniform_minibatch_probability(
                 ds.num_vertices, train[owner == k], 32)
-            dense = vip_probabilities_dense(ds.graph, p0, (5, 4, 3))
             for cutoff in (0.0, 0.05, 1.0):
                 active = vip_probabilities(ds.graph, p0, (5, 4, 3),
                                            sparse_cutoff=cutoff)
-                assert_results_identical(active, dense)
+                assert_matches_oracle(active, ds.graph, p0, (5, 4, 3))
 
     def test_partitionwise_matrix_bit_identical(self, tiny_dataset,
                                                 tiny_partition):
@@ -126,23 +101,19 @@ class TestActiveSetParity:
     def test_vip_for_training_set_uses_active_path(self, tiny_dataset):
         ds = tiny_dataset
         res = vip_for_training_set(ds.graph, ds.train_idx[:10], (3, 3), 8)
-        ref = vip_probabilities_dense(
-            ds.graph,
-            uniform_minibatch_probability(ds.num_vertices, ds.train_idx[:10], 8),
-            (3, 3),
-        )
-        assert_results_identical(res, ref)
+        p0 = uniform_minibatch_probability(ds.num_vertices,
+                                           ds.train_idx[:10], 8)
+        assert_matches_oracle(res, ds.graph, p0, (3, 3))
 
     @settings(max_examples=20, deadline=None)
-    @given(graph_and_p0())
-    def test_rejects_bad_inputs_like_dense(self, gp):
-        g, p0 = gp
-        with pytest.raises(ValueError, match="one probability per vertex"):
-            vip_probabilities(g, np.zeros(g.num_vertices + 1), (2,))
-        with pytest.raises(ValueError, match="one edge array per hop"):
-            vip_probabilities(g, p0, (2, 2), transition=[np.ones(g.num_edges)])
-        with pytest.raises(ValueError, match="one entry per edge"):
-            vip_probabilities(g, p0, (2,), transition=[np.ones(g.num_edges + 1)])
+    @given(vip_case())
+    def test_rejects_bad_inputs_like_dense(self, case):
+        g = case.graph
+        for fn in (vip_probabilities, vip_probabilities_dense):
+            with pytest.raises(ValueError, match="one probability per vertex"):
+                fn(g, np.zeros(g.num_vertices + 1), (2,))
+            with pytest.raises(ValueError, match="entries must lie"):
+                fn(g, np.full(g.num_vertices, 1.5), (2,))
 
 
 class TestTransitionCache:
@@ -155,11 +126,6 @@ class TestTransitionCache:
         vip_probabilities(g, p0, (5, 5, 5))
         assert table.vertex_computes == 1
         assert table.vertex_hits >= 2
-        # Same story for the per-edge arrays the public API hands out.
-        t1 = transition_probabilities(g, 5)
-        t2 = transition_probabilities(g, 5)
-        assert t1 is t2
-        assert table.edge_computes == 1
 
     def test_partitionwise_shares_transitions_across_partitions(self):
         """K seeded recursions over L distinct fanouts compute at most L
@@ -174,27 +140,30 @@ class TestTransitionCache:
     def test_negative_fanouts_share_one_entry(self):
         g = erdos_renyi(60, 3.0, seed=1)
         table = transition_table(g)
-        assert transition_probabilities(g, -1) is transition_probabilities(g, -2)
-        assert table.edge_computes == 1
+        assert table.vertex_transition(-1) is table.vertex_transition(-2)
+        assert table.vertex_computes == 1
 
     def test_cached_arrays_match_uncached_and_are_readonly(self):
         g = erdos_renyi(80, 4.0, seed=9)
+        table = transition_table(g)
         for fanout in (1, 3, -1):
-            cached = transition_probabilities(g, fanout)
-            assert np.array_equal(cached, _compute_edge_transition(g, fanout))
+            cached = table.vertex_transition(fanout)
+            assert np.array_equal(
+                cached, vertex_transition_values(fanout, g.degrees))
             assert not cached.flags.writeable
         with pytest.raises(ValueError, match="fanout"):
-            transition_probabilities(g, 0)
+            table.vertex_transition(0)
 
     def test_vertex_factoring_matches_edge_transition(self):
         """Gathering the per-vertex factorization along ``indices`` is the
-        per-edge array, bit for bit (the active path's correctness core)."""
+        oracle's per-edge array, bit for bit (the kernel's correctness
+        core)."""
         g = erdos_renyi(100, 5.0, seed=3)
         table = transition_table(g)
         for fanout in (1, 2, 7, -1):
-            per_edge = table.edge_transition(fanout)
             per_vertex = table.vertex_transition(fanout)
-            assert np.array_equal(per_vertex[g.indices], per_edge)
+            assert np.array_equal(per_vertex[g.indices],
+                                  _compute_edge_transition(g, fanout))
 
     def test_table_is_per_graph(self):
         g1 = erdos_renyi(50, 3.0, seed=1)

@@ -8,11 +8,10 @@ from repro.partition import Partition
 from repro.vip import (
     expected_remote_volume,
     partitionwise_vip,
-    transition_probabilities,
-    uniform_minibatch_probability,
     vip_for_training_set,
     vip_probabilities,
 )
+from repro.vip.analytic import vertex_transition_values
 
 
 def star_graph(leaves):
@@ -30,21 +29,19 @@ def path_graph(n):
 class TestTransitionProbabilities:
     def test_uniform_graphsage(self):
         g = star_graph(4)  # hub degree 4, leaves degree 1
-        t = transition_probabilities(g, 2)
-        # Edge (hub -> leaf) in CSR row hub has value min(1, 2/deg(leaf)) = 1.
-        hub_edges = t[g.indptr[0]:g.indptr[1]]
-        assert np.allclose(hub_edges, 1.0)
-        # Edge (leaf -> hub): probability hub samples the leaf = 2/4.
-        leaf_edges = t[g.indptr[1]:g.indptr[2]]
-        assert np.allclose(leaf_edges, 0.5)
+        t = vertex_transition_values(2, g.degrees)
+        # A leaf samples its one neighbor surely: min(1, 2/1) = 1.
+        assert np.allclose(t[1:], 1.0)
+        # The hub samples a given leaf with probability 2/4.
+        assert t[0] == pytest.approx(0.5)
 
     def test_full_expansion(self):
         g = star_graph(3)
-        assert np.allclose(transition_probabilities(g, -1), 1.0)
+        assert np.allclose(vertex_transition_values(-1, g.degrees), 1.0)
 
     def test_rejects_zero_fanout(self):
         with pytest.raises(ValueError, match="fanout"):
-            transition_probabilities(star_graph(2), 0)
+            vertex_transition_values(0, star_graph(2).degrees)
 
 
 class TestClosedForms:
@@ -107,23 +104,12 @@ class TestRangesAndMonotonicity:
         hi = vip_for_training_set(g, train, (3, 3), 20).total
         assert np.all(hi >= lo - 1e-12)
 
-    def test_custom_transition_override(self, small_er_graph):
-        g = small_er_graph
-        p0 = uniform_minibatch_probability(g.num_vertices, np.arange(20), 10)
-        uniform = vip_probabilities(g, p0, (3,))
-        custom = vip_probabilities(g, p0, (3,),
-                                   transition=[transition_probabilities(g, 3)])
-        assert np.allclose(uniform.total, custom.total)
-
     def test_rejects_bad_inputs(self, small_er_graph):
         g = small_er_graph
         with pytest.raises(ValueError, match="one probability per vertex"):
             vip_probabilities(g, np.zeros(3), (2,))
         with pytest.raises(ValueError, match="entries must lie"):
             vip_probabilities(g, np.full(g.num_vertices, 1.5), (2,))
-        with pytest.raises(ValueError, match="one edge array per hop"):
-            vip_probabilities(g, np.zeros(g.num_vertices), (2, 2),
-                              transition=[np.ones(g.num_edges)])
 
 
 class TestPartitionwise:
