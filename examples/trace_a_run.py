@@ -2,7 +2,8 @@
 
 Enables ``repro.obs``, trains one epoch on K=2 real worker processes
 (``backend="multiproc"``), and writes the span tree + metrics registry as
-Chrome ``trace_event`` JSON — one lane for the coordinator, one per worker.
+Chrome ``trace_event`` JSON — one lane for the coordinator, one per worker,
+and the epoch's simulated schedule (``stage.*`` spans) on ``sim:`` lanes.
 The document is checked against the exporter's own schema validator; any
 problem is printed and the script exits 1 (the CI ``observability-smoke``
 job runs it, then renders the file with ``python -m repro.obs.report``).

@@ -83,8 +83,8 @@ class DistDGL(SalientPP):
     pipeline, and the DistDGL cost model."""
 
     @classmethod
-    def build(cls, dataset: GraphDataset, config: RunConfig, *,
-              params: DistDGLParams = DistDGLParams(), **kwargs) -> "DistDGL":
+    def build(cls, dataset: GraphDataset, config: RunConfig,
+              **kwargs) -> "DistDGL":
         config = replace(
             config,
             full_replication=False,
@@ -93,15 +93,15 @@ class DistDGL(SalientPP):
             vip_reorder=False,
             pipeline=PipelineMode.OFF,
         )
-        system = super().build(dataset, config, **kwargs)
-        system.__class__ = cls
-        # Swap in the DistDGL pricing (same cluster and volumes).
-        base = system.cost_model
+        return super().build(dataset, config, **kwargs)
+
+    @staticmethod
+    def _cost_model_for(config, store, dims, trainer) -> DistDGLCostModel:
+        """The DistDGL pricing of the same cluster and volumes."""
         remote_frac = 1.0 - 1.0 / max(config.num_machines, 1)
-        system.cost_model = DistDGLCostModel(
-            base.cluster, base.bytes_per_row, base.dims, base.grad_nbytes,
-            params=params,
-            num_hops=len(config.resolve(dataset).fanouts),
+        return DistDGLCostModel(
+            config.cluster(), store.bytes_per_row, dims,
+            trainer.gradient_nbytes(),
+            num_hops=len(trainer.fanouts),
             remote_frontier_fraction=min(remote_frac, 0.6),
         )
-        return system

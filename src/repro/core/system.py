@@ -161,7 +161,9 @@ class SalientPP:
         The report's stage-event schedule — the one the engine actually
         executed: per-step windows for ``bsp``, coalesced comm windows for
         ``pipelined``, thinned allreduce barriers for ``async`` — is priced
-        directly by :func:`simulate_trace`.
+        directly by :func:`simulate_trace`; with ``repro.obs`` on, the
+        schedule it placed is exported as ``stage.*`` spans on the
+        simulated clock (whichever backend ran the epoch).
         """
         with OBS.span("system.train_epoch", epoch=epoch, dry_run=dry_run,
                       backend=self.config.backend):
@@ -172,6 +174,8 @@ class SalientPP:
                     mode=self.config.pipeline,
                     depth=self.config.pipeline_depth,
                 )
+                if OBS.enabled:
+                    OBS.tracer.add_timeline(timing.timeline)
             return EpochResult(report=report, timing=timing)
 
     def train(self, epochs: int, *, dry_run: bool = False) -> List[EpochResult]:

@@ -17,9 +17,9 @@ message together with a ``(perf_ns, wall_ns)`` clock anchor that lets the
 coordinator rebase worker timestamps into its own clock domain (see
 :func:`~repro.obs.span.rebase_ns`).
 
-Exporters live in :mod:`repro.obs.exporters` (Chrome ``trace_event`` JSON
-for Perfetto, Prometheus text exposition, append-only JSONL) and
-``python -m repro.obs.report`` renders a human-readable run summary.
+The exporter lives in :mod:`repro.obs.exporters` (one Chrome ``trace_event``
+JSON document for Perfetto: spans of both clocks plus the metrics snapshot)
+and ``python -m repro.obs.report`` renders a human-readable run summary.
 """
 
 from __future__ import annotations

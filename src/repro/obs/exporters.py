@@ -1,4 +1,5 @@
-"""Exporters: Chrome ``trace_event`` JSON, Prometheus text, JSONL.
+"""The exporter: one Chrome ``trace_event`` JSON document per run, carrying
+the spans of both clocks and the metrics snapshot.
 
 Chrome traces load directly in Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``.  Every lane (coordinator, each worker process, each
@@ -28,14 +29,8 @@ __all__ = [
     "save_chrome_trace",
     "validate_chrome_trace",
     "lane_intervals",
-    "prometheus_text",
-    "write_jsonl",
 ]
 
-
-# ----------------------------------------------------------------------
-# Chrome trace_event JSON
-# ----------------------------------------------------------------------
 
 def _lane_order(spans: List[SpanRecord]) -> List[str]:
     """Stable lane ordering: coordinator first, then first-seen order."""
@@ -183,88 +178,3 @@ def lane_intervals(doc: dict) -> Dict[str, List[tuple]]:
         lane = names.get(ev["pid"], str(ev["pid"]))
         out.setdefault(lane, []).append((ev["ts"], ev["ts"] + ev["dur"]))
     return out
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-
-def _prom_name(name: str) -> str:
-    safe = "".join(ch if (ch.isalnum() or ch == "_") else "_"
-                   for ch in name)
-    return f"repro_{safe}"
-
-
-def _prom_value(v: float) -> str:
-    if v != v:  # NaN
-        return "NaN"
-    if v in (float("inf"), float("-inf")):
-        return "+Inf" if v > 0 else "-Inf"
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render every instrument in the Prometheus text exposition format."""
-    lines: List[str] = []
-    for inst in registry.instruments():
-        base = _prom_name(inst.name)
-        if inst.kind == "counter":
-            name = f"{base}_total"
-            if inst.help:
-                lines.append(f"# HELP {name} {inst.help}")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {inst.value}")
-        elif inst.kind == "gauge":
-            if inst.help:
-                lines.append(f"# HELP {base} {inst.help}")
-            lines.append(f"# TYPE {base} gauge")
-            lines.append(f"{base} {_prom_value(inst.value)}")
-        elif inst.kind == "histogram":
-            if inst.help:
-                lines.append(f"# HELP {base} {inst.help}")
-            lines.append(f"# TYPE {base} histogram")
-            for edge, cum in inst.cumulative_buckets():
-                lines.append(f'{base}_bucket{{le="{edge:.6g}"}} {cum}')
-            lines.append(f'{base}_bucket{{le="+Inf"}} {inst.count}')
-            lines.append(f"{base}_sum {_prom_value(inst.sum)}")
-            lines.append(f"{base}_count {inst.count}")
-    return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# append-only JSONL stream
-# ----------------------------------------------------------------------
-
-def write_jsonl(path: str, spans: Iterable[SpanRecord] = (),
-                registry: Optional[MetricsRegistry] = None,
-                meta: Optional[dict] = None) -> int:
-    """Append spans (and a metrics snapshot) to a JSONL stream.
-
-    One JSON object per line, discriminated by ``"kind"`` (``span`` /
-    ``metric`` / ``meta``), so downstream consumers can tail the file.
-    Returns the number of lines written.
-    """
-    n = 0
-    with open(path, "a") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"kind": "meta", **meta},
-                                sort_keys=True) + "\n")
-            n += 1
-        for rec in spans:
-            fh.write(json.dumps({
-                "kind": "span", "name": rec.name, "span_id": rec.span_id,
-                "parent_id": rec.parent_id, "trace_id": rec.trace_id,
-                "lane": rec.lane, "start_ns": rec.start_ns,
-                "end_ns": rec.end_ns, "sim_start": rec.sim_start,
-                "sim_end": rec.sim_end, "attrs": rec.attrs,
-            }, sort_keys=True, default=repr) + "\n")
-            n += 1
-        if registry is not None:
-            for name, snap in registry.snapshot().items():
-                # The instrument's own kind (counter/gauge/histogram)
-                # nests under "data" so the line discriminator stays
-                # "metric".
-                fh.write(json.dumps({"kind": "metric", "data": snap},
-                                    sort_keys=True) + "\n")
-                n += 1
-    return n

@@ -3,8 +3,7 @@
 Instruments are registered (get-or-create, keyed by dotted name) on a
 :class:`MetricsRegistry`.  Naming convention: ``<layer>.<thing>`` with
 dotted segments — ``store.remote_rows``, ``mp.wire_sent_bytes``,
-``serving.latency_s`` — which the Prometheus exporter flattens to
-``repro_store_remote_rows_total`` style.
+``serving.latency_s``.
 
 :class:`Histogram` keeps geometric ("log") buckets: bucket ``i`` covers
 ``(lo * g**(i-1), lo * g**i]`` for growth factor ``g``, with one underflow
@@ -17,7 +16,7 @@ percentile regression test pins.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -176,15 +175,6 @@ class Histogram:
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
 
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_edge, cumulative_count)`` pairs, Prometheus-style."""
-        out: List[Tuple[float, int]] = []
-        seen = 0
-        for idx in sorted(self.buckets):
-            seen += self.buckets[idx]
-            out.append((self.upper_edge(idx), seen))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "kind": "histogram", "name": self.name, "lo": self.lo,
@@ -234,12 +224,9 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Any]:
         return self._instruments.get(name)
 
-    def instruments(self) -> List[Any]:
-        """All instruments in registration order."""
-        return list(self._instruments.values())
-
     def snapshot(self) -> Dict[str, dict]:
-        """``name -> to_dict()`` for every instrument (JSONL/report food)."""
+        """``name -> to_dict()`` for every instrument — what the trace
+        document carries and the report CLI reads."""
         return {name: inst.to_dict()
                 for name, inst in self._instruments.items()}
 

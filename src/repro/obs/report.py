@@ -3,14 +3,14 @@
 Usage::
 
     PYTHONPATH=src python -m repro.obs.report run_trace.json
-    PYTHONPATH=src python -m repro.obs.report run_telemetry.jsonl
 
-Accepts either a Chrome ``trace_event`` document (as written by
-:func:`repro.obs.exporters.save_chrome_trace`) or an append-only JSONL
-stream (:func:`repro.obs.exporters.write_jsonl`).  Prints, per lane, the
-span count, the covered wall time, and coverage of the overall trace
-window; then the slowest spans; then every metric with counts, sums and
-the p50/p95/p99 of each histogram.
+Reads a Chrome ``trace_event`` document (as written by
+:func:`repro.obs.exporters.save_chrome_trace`).  A run has two clocks — the
+wall clock of the Python that executed and the simulator's (``sim:`` lanes)
+— and they share no origin or scale, so each gets its own section: the
+clock's window, then per lane the span count, the covered time and its
+share of *that* window, then the clock's slowest spans.  Last, every metric
+with counts, sums and the p50/p95/p99 of each histogram.
 """
 
 from __future__ import annotations
@@ -33,29 +33,6 @@ def load_events(path: str) -> Tuple[List[dict], Dict[str, dict]]:
     instrument ``to_dict`` shape.
     """
     spans: List[dict] = []
-    metrics: Dict[str, dict] = {}
-    if path.endswith(".jsonl"):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if row.get("kind") == "span":
-                    sim = row.get("sim_start") is not None
-                    start = (row["sim_start"] * 1e6 if sim
-                             else row["start_ns"] / 1e3)
-                    end = (row["sim_end"] * 1e6 if sim
-                           else row["end_ns"] / 1e3)
-                    lane = (f"sim:{row['lane']}" if sim else row["lane"])
-                    spans.append({"name": row["name"], "lane": lane,
-                                  "start_us": start,
-                                  "dur_us": max(end - start, 0.0)})
-                elif row.get("kind") == "metric":
-                    snap = row["data"]
-                    metrics[snap["name"]] = snap
-        return spans, metrics
-
     with open(path) as fh:
         doc = json.load(fh)
     names = {ev["pid"]: ev["args"]["name"] for ev in doc["traceEvents"]
@@ -96,16 +73,22 @@ def render_report(spans: List[dict], metrics: Dict[str, dict],
                   top: int = 10) -> str:
     """Format the summary text (pure function; ``main`` prints it)."""
     out: List[str] = []
-    if spans:
-        t0 = min(s["start_us"] for s in spans)
-        t1 = max(s["start_us"] + s["dur_us"] for s in spans)
+    simulated = [s for s in spans if s["lane"].startswith("sim:")]
+    wall = [s for s in spans if not s["lane"].startswith("sim:")]
+    for clock, rows in (("wall", wall), ("simulated", simulated)):
+        if not rows:
+            continue
+        t0 = min(s["start_us"] for s in rows)
+        t1 = max(s["start_us"] + s["dur_us"] for s in rows)
         window = max(t1 - t0, 1e-9)
         lanes: Dict[str, List[Tuple[float, float]]] = {}
-        for s in spans:
+        for s in rows:
             lanes.setdefault(s["lane"], []).append(
                 (s["start_us"], s["start_us"] + s["dur_us"]))
-        out.append(f"trace window: {_fmt_us(window)}  "
-                   f"({len(spans)} spans, {len(lanes)} lanes)")
+        if out:
+            out.append("")
+        out.append(f"{clock} window: {_fmt_us(window)}  "
+                   f"({len(rows)} spans, {len(lanes)} lanes)")
         out.append("")
         out.append(f"  {'lane':<24} {'spans':>6} {'covered':>12} {'busy':>7}")
         for lane in sorted(lanes, key=lambda name: (name != "coordinator",
@@ -115,12 +98,12 @@ def render_report(spans: List[dict], metrics: Dict[str, dict],
             out.append(f"  {lane:<24} {len(ivs):>6} "
                        f"{_fmt_us(covered):>12} {covered / window:>6.1%}")
         out.append("")
-        slowest = sorted(spans, key=lambda s: s["dur_us"], reverse=True)[:top]
-        out.append(f"  slowest {len(slowest)} spans:")
+        slowest = sorted(rows, key=lambda s: s["dur_us"], reverse=True)[:top]
+        out.append(f"  slowest {len(slowest)} {clock} spans:")
         for s in slowest:
             out.append(f"    {_fmt_us(s['dur_us']):>12}  "
                        f"{s['name']}  [{s['lane']}]")
-    else:
+    if not spans:
         out.append("no spans recorded")
 
     if metrics:
@@ -154,9 +137,9 @@ def render_report(spans: List[dict], metrics: Dict[str, dict],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report", description=__doc__)
-    parser.add_argument("path", help="Chrome trace JSON or telemetry JSONL")
+    parser.add_argument("path", help="Chrome trace JSON")
     parser.add_argument("--top", type=int, default=10,
-                        help="how many slowest spans to list")
+                        help="how many slowest spans to list per clock")
     args = parser.parse_args(argv)
     spans, metrics = load_events(args.path)
     print(render_report(spans, metrics, top=args.top))

@@ -2,11 +2,12 @@
 
 A span is one timed region of one process ("lane"), with a name, a unique
 id, a parent id (0 = root), free-form attributes, and nanosecond wall-clock
-timestamps from ``time.perf_counter_ns``.  Serving additionally records
-*sim-clock* spans — regions priced by the discrete-event simulator rather
-than measured — which carry ``sim_start`` / ``sim_end`` seconds instead of
-(meaningful) wall timestamps; exporters place them on separate ``sim:``
-lanes.
+timestamps from ``time.perf_counter_ns``.  *Sim-clock* spans — regions
+priced on a simulated clock rather than measured: the placements of a
+training epoch's or a serving run's timeline (:meth:`Tracer.add_timeline`)
+and each request's lifecycle — carry ``sim_start`` / ``sim_end`` seconds
+instead of (meaningful) wall timestamps; the exporter places them on
+separate ``sim:`` lanes.
 
 Cross-process traces: ``perf_counter_ns`` origins differ between processes,
 so each side captures a :func:`clock_anchor` — a ``(perf_ns, wall_ns)``
@@ -254,6 +255,21 @@ class Tracer:
         return self.add_span(name, 0, 0, parent_id=parent_id, lane=lane,
                              sim_start=float(sim_start),
                              sim_end=float(sim_end), **attrs)
+
+    def add_timeline(self, timeline) -> None:
+        """Export a :class:`~repro.pipeline.events.Timeline` — the one
+        emitter of simulated stage spans, for a training epoch and a serving
+        run alike: one sim-clock span per placement, named
+        ``stage.<Stage.value>`` on lane ``machine-<k>`` (``cluster`` for the
+        all-machine all-reduce), keyed by its ``machine`` / ``step`` attrs
+        and parented on the innermost open span."""
+        parent = self.current_span_id
+        for (stage, machine, step), (start, duration) in timeline.items():
+            self.add_sim_span(
+                f"stage.{stage.value}", start, start + duration,
+                parent_id=parent,
+                lane=f"machine-{machine}" if machine >= 0 else "cluster",
+                machine=machine, step=step, resource=stage.resource)
 
     def drain(self) -> List[SpanRecord]:
         """Return recorded spans and clear the buffer."""

@@ -6,21 +6,10 @@ Translates the exact per-step volumes recorded by the functional executor
 simulator schedules these durations; nothing here depends on wall-clock
 measurements, so results are deterministic and machine-independent.
 
-Stage taxonomy (coarsened from the 10 stages of Appendix D):
-
-====================  =========  =================================================
-stage                 resource   volume driver
-====================  =========  =================================================
-SAMPLE                CPU        candidate adjacency entries examined
-REQUEST_EXCHANGE      NET        two metadata rounds + vertex-id lists (stages 2-5)
-LOCAL_SLICE           CPU        local CPU rows + cached rows sliced (stage 6)
-SERVE_SLICE           CPU        rows sliced for peers' requests (stages 6-8)
-FEATURE_COMM          NET        remote feature payload in + served payload out
-H2D                   PCIe       host-resident rows copied to device (stage 7)
-GPU_GATHER            GPU        GPU-resident rows sliced + concat (stage 8)
-TRAIN                 GPU        forward + backward GEMM FLOPs
-ALLREDUCE             NET        gradient ring all-reduce (with the model update)
-====================  =========  =================================================
+The stage taxonomy — each stage's resource, granularity, Figure-8 category
+and volume drivers — is stated once, on
+:class:`repro.pipeline.events.Stage`; :meth:`CostModel.event_duration` is the
+formula per member.
 """
 
 from __future__ import annotations

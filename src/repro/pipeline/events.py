@@ -1,4 +1,5 @@
-"""Stage events: the execution engines' schedule, as data.
+"""Stage events and their placements: one run's schedule, and its simulated
+time, as data.
 
 Historically the discrete-event simulator *reconstructed* the pipeline's
 stage graph from :class:`~repro.distributed.records.StepRecord` volumes —
@@ -6,22 +7,12 @@ fine while the functional executor had exactly one schedule (lock-step BSP),
 but wrong the moment engines differ in what they overlap or coalesce.  This
 module turns the schedule into an explicit artifact: every execution engine
 emits one :class:`StageEvent` per (stage, machine, step-or-window) with the
-exact volumes that stage moved, and the simulator prices *that* — the same
-taxonomy as :mod:`repro.pipeline.costmodel` (Appendix D):
-
-======================  ==========================  =========================
-stage                   granularity                 volumes
-======================  ==========================  =========================
-SAMPLE                  per (machine, step)         candidate_edges
-LOCAL_SLICE             per (machine, step)         rows (host + cache upd.)
-REQUEST_EXCHANGE        per (machine, comm window)  request_rows, serve_rows
-SERVE_SLICE             per (machine, comm window)  rows
-FEATURE_COMM            per (machine, comm window)  in_rows, out_rows
-H2D                     per (machine, step)         rows
-GPU_GATHER              per (machine, step)         gpu_rows, total_rows
-TRAIN                   per (machine, step)         flops
-ALLREDUCE               per step (all machines)     —
-======================  ==========================  =========================
+exact volumes that stage moved, the cost model prices *that*, and whoever
+owns a simulated clock — :func:`~repro.pipeline.simulator.simulate_trace` for
+a training epoch, the serving clock for a flush window — records where it
+put each event in a :class:`Timeline`.  What a stage *is* (the resource it
+occupies, how often it is emitted, its Figure-8 category, the volumes it
+carries) is stated once, on :class:`Stage`.
 
 A *comm window* is the engine's unit of communication: one step for ``bsp``
 and ``async``, up to ``depth`` steps for ``pipelined`` (whose in-flight
@@ -30,19 +21,44 @@ exactly one place — :func:`repro.distributed.engine.assemble_report`, from
 the K machines' step records — so every engine and cluster backend flows
 through one pricing path.
 
-This module imports nothing from ``repro``: it is the vocabulary both the
-distributed runtime and the performance model are written in.
+This module imports nothing from ``repro``: it is the vocabulary the
+distributed runtime, the performance model and the exported simulated
+spans (``stage.<value>``) are written in.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+
+#: The modeled per-machine resources (``grad_net`` is the gradient
+#: all-reduce's share of the NIC, scheduled apart from feature traffic).
+RESOURCES = ("cpu", "gpu", "pcie", "net", "grad_net")
+
+#: Figure-8 attribution categories of stage time.
+CATEGORIES = ("train", "batch_prep_comp", "batch_prep_comm")
 
 
 class Stage(enum.Enum):
-    """Pipeline stage taxonomy (matches the cost model's).
+    """The pipeline stage taxonomy (coarsened from the 10 stages of the
+    paper's Appendix D) — the one table every consumer reads.
+
+    Each member is ``(value, resource, scope, category)``:
+
+    ``resource``
+        which of :data:`RESOURCES` the stage occupies.
+    ``scope``
+        how an event is keyed: ``"step"`` — one per (machine, step);
+        ``"window"`` — one per (machine, comm window), ``step`` being the
+        window's first step; ``"sync"`` — one per step for all machines
+        (``machine`` is ``-1``).
+    ``category``
+        the Figure-8 category (:data:`CATEGORIES`) the stage's time is
+        attributed to, or ``None``.  Categorised stages are the ones every
+        batch goes through: :meth:`EventTrace.validate` demands them at
+        their scope, the others are optional.
 
     ``CACHE_REFRESH`` is serving-only: a dynamic cache's refresh fetch,
     executed *after* the window's responses are sent (it delays the next
@@ -51,20 +67,44 @@ class Stage(enum.Enum):
     into the window's comm volumes instead.
     """
 
-    SAMPLE = "sample"
-    REQUEST_EXCHANGE = "request_exchange"
-    LOCAL_SLICE = "local_slice"
-    SERVE_SLICE = "serve_slice"
-    FEATURE_COMM = "feature_comm"
-    H2D = "h2d"
-    GPU_GATHER = "gpu_gather"
-    TRAIN = "train"
-    ALLREDUCE = "allreduce"
-    CACHE_REFRESH = "cache_refresh"
+    def __new__(cls, value, resource, scope, category):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.resource, member.scope, member.category = (
+            resource, scope, category)
+        return member
+
+    #: candidate_edges — adjacency entries the sampler examined.
+    SAMPLE = ("sample", "cpu", "step", "batch_prep_comp")
+    #: request_rows, serve_rows (+ mfg_edges for derived models) — two
+    #: metadata rounds + vertex-id lists (Appendix-D stages 2-5).
+    REQUEST_EXCHANGE = ("request_exchange", "net", "window", "batch_prep_comm")
+    #: rows — local CPU + cached + coalesced rows sliced, plus dynamic-cache
+    #: insertion memcpys (stage 6).
+    LOCAL_SLICE = ("local_slice", "cpu", "step", "batch_prep_comp")
+    #: rows — sliced for peers' requests (stages 6-8).
+    SERVE_SLICE = ("serve_slice", "cpu", "window", "batch_prep_comp")
+    #: in_rows, out_rows — remote feature payload in, served payload out.
+    FEATURE_COMM = ("feature_comm", "net", "window", "batch_prep_comm")
+    #: rows — host-resident rows copied to the device (stage 7).
+    H2D = ("h2d", "pcie", "step", "batch_prep_comp")
+    #: gpu_rows, total_rows — GPU-resident rows sliced + concat (stage 8).
+    GPU_GATHER = ("gpu_gather", "gpu", "step", "batch_prep_comp")
+    #: flops — forward + backward GEMMs (forward only when serving).
+    TRAIN = ("train", "gpu", "step", "train")
+    #: no volumes — gradient ring all-reduce (with the model update).
+    ALLREDUCE = ("allreduce", "grad_net", "sync", None)
+    #: rows — a serving window's background refresh fetch.
+    CACHE_REFRESH = ("cache_refresh", "net", "window", None)
 
 
-#: Stages emitted once per (machine, comm window) rather than per step.
-WINDOW_STAGES = (Stage.REQUEST_EXCHANGE, Stage.SERVE_SLICE, Stage.FEATURE_COMM)
+def _required(scope: str) -> Tuple["Stage", ...]:
+    return tuple(st for st in Stage if st.scope == scope and st.category)
+
+
+#: Stages every (machine, step) / every (machine, comm window) must have.
+STEP_STAGES = _required("step")
+WINDOW_STAGES = _required("window")
 
 
 @dataclass(frozen=True)
@@ -74,7 +114,7 @@ class StageEvent:
     ``step`` is the owning minibatch step for per-step stages; for window
     stages it is the window's first step.  ``machine`` is ``-1`` for the
     global ALLREDUCE rendezvous.  ``volumes`` holds the integer/float
-    drivers the cost model prices (see the module table).
+    drivers the cost model prices (listed per member on :class:`Stage`).
     """
 
     stage: Stage
@@ -164,12 +204,10 @@ class EventTrace:
             if any(not 0 <= k < self.num_machines for k in owners):
                 raise ValueError("machine_of_step entries out of range")
         idx = self.index()
-        per_step = (Stage.SAMPLE, Stage.LOCAL_SLICE, Stage.H2D,
-                    Stage.GPU_GATHER, Stage.TRAIN)
         for s in range(self.num_steps):
             machines = range(self.num_machines) if owners is None else (owners[s],)
             for k in machines:
-                for st in per_step:
+                for st in STEP_STAGES:
                     if (st, k, s) not in idx:
                         raise ValueError(f"missing {st.value} event for "
                                          f"machine {k}, step {s}")
@@ -240,3 +278,37 @@ def emit_window_comm_events(trace: EventTrace, window_start: int, machine: int,
     trace.add(Stage.FEATURE_COMM, machine, window_start,
               in_rows=request_rows, out_rows=serve_rows)
     return trace.events[before:]
+
+
+class Timeline(Dict[Tuple[Stage, int, int], Tuple[float, float]]):
+    """Simulated time, as data: ``(stage, machine, step) -> (start,
+    duration)`` seconds on one simulated clock, in placement order.
+
+    The one record of where a clock put each :class:`StageEvent` — the
+    epoch simulator's schedule (:attr:`PipelineResult.timeline`) and a
+    serving run's (:attr:`ServingReport.timeline`) alike — and the key the
+    exported ``stage.*`` spans carry.  Reads are plain dict reads; the only
+    two ways in are :meth:`place` and :meth:`place_run`, and an event is
+    placed at most once.
+    """
+
+    def place(self, event: StageEvent, start: float, duration: float) -> float:
+        """Record ``event`` at ``start`` for ``duration``; returns its end."""
+        key = (event.stage, event.machine, event.step)
+        if key in self:
+            raise ValueError(f"stage event {key} placed twice")
+        self[key] = (float(start), float(duration))
+        return start + duration
+
+    def place_run(self, events: Iterable[StageEvent],
+                  price: Callable[[StageEvent], float], t0: float) -> float:
+        """Place ``events`` back to back from ``t0``, each for ``price(event)``
+        seconds; returns ``t0 + total`` with the total accumulated from
+        ``0.0`` (so a caller advancing its clock by the run's total gets the
+        float it always did; an event's own end is ``start + duration``)."""
+        total = 0.0
+        for event in events:
+            duration = price(event)
+            self.place(event, t0 + total, duration)
+            total += duration
+        return t0 + total

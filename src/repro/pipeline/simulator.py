@@ -28,7 +28,13 @@ from typing import Dict
 import numpy as np
 
 from repro.pipeline.costmodel import CostModel
-from repro.pipeline.events import EventTrace, Stage
+from repro.pipeline.events import (
+    CATEGORIES,
+    RESOURCES,
+    EventTrace,
+    Stage,
+    Timeline,
+)
 
 
 class PipelineMode(enum.Enum):
@@ -59,7 +65,9 @@ class PipelineResult:
     num_machines: int
     breakdown: Dict[str, float]
     resource_busy: Dict[str, np.ndarray]  # resource -> (K,) busy seconds
-    first_train_start: float
+    #: Where the schedule put every event it placed; ``epoch_time``,
+    #: ``breakdown`` and ``resource_busy`` are folds over it.
+    timeline: Timeline
 
     def bottleneck_resource(self) -> str:
         return max(self.resource_busy, key=lambda r: float(self.resource_busy[r].max()))
@@ -111,17 +119,36 @@ def simulate_trace(
                 f"{max_window} batches in flight"
             )
 
-    def dur(stage: Stage, k: int, s: int) -> float:
-        return cost_model.event_duration(idx[(stage, k, s)])
-
+    timeline = Timeline()
+    price = cost_model.event_duration
     allreduce_dur = cost_model.allreduce_time()
 
+    # One (K, lanes) busy-until clock per resource: the CPU has one lane per
+    # sampling/slicing worker, everything else a single lane.
     workers = max(1, cost_model.cluster.machine.cpu_workers)
-    cpu = np.zeros((K, workers))
-    gpu = np.zeros(K)
-    pcie = np.zeros(K)
-    net = np.zeros(K)
-    grad_net = np.zeros(K)
+    clocks = {r: np.zeros((K, workers if r == "cpu" else 1))
+              for r in RESOURCES}
+
+    def run(stage: Stage, k: int, s: int, ready: float) -> float:
+        """Place one machine's event on the earliest-free lane of its
+        stage's resource, no sooner than ``ready``; returns its end."""
+        event = idx[(stage, k, s)]
+        lanes = clocks[stage.resource][k]
+        lane = int(np.argmin(lanes))
+        lanes[lane] = timeline.place(event, max(ready, lanes[lane]),
+                                     price(event))
+        return lanes[lane]
+
+    def rendezvous(events, ready: float, durations) -> np.ndarray:
+        """Place a collective: its events start together once their
+        resource is free on every machine.  Returns the (K,) ends — the
+        all-reduce is one event (machine ``-1``) whose end every machine
+        takes."""
+        clock = clocks[events[0].stage.resource]
+        start = max(ready, float(clock.max()))
+        clock[:, 0] = [timeline.place(ev, start, d)
+                       for ev, d in zip(events, durations)]
+        return clock[:, 0].copy()
 
     done_train = np.zeros(K)
     done_allreduce = 0.0
@@ -129,23 +156,7 @@ def simulate_trace(
     train_end = np.zeros((steps, K))
     sample_end = np.zeros((steps, K))
     local_slice_end = np.zeros((steps, K))
-    sync_wait = np.zeros((steps, K))
-    first_train_start = None
-
-    busy = {name: np.zeros(K) for name in ("cpu", "gpu", "pcie", "net", "grad_net")}
-
-    def run(clock: np.ndarray, k: int, ready: float, d: float, name: str) -> float:
-        start = max(ready, clock[k])
-        clock[k] = start + d
-        busy[name][k] += d
-        return clock[k]
-
-    def run_cpu(k: int, ready: float, d: float) -> float:
-        lane = int(np.argmin(cpu[k]))
-        start = max(ready, cpu[k, lane])
-        cpu[k, lane] = start + d
-        busy["cpu"][k] += d
-        return cpu[k, lane]
+    sync_wait = np.zeros(K)
 
     for w0, w1 in trace.windows:
         # --- SAMPLE (CPU) per step: gated by pipeline depth / mode. ---
@@ -156,11 +167,13 @@ def simulate_trace(
                     ready = max(ready, release[s - depth, k])
                 if mode is PipelineMode.OFF and s > 0:
                     ready = max(ready, release[s - 1, k])
-                sample_end[s, k] = run_cpu(k, ready, dur(Stage.SAMPLE, k, s))
+                sample_end[s, k] = run(Stage.SAMPLE, k, s, ready)
 
         # --- REQUEST_EXCHANGE (NET): one rendezvous per comm window. ---
-        req_dur = [dur(Stage.REQUEST_EXCHANGE, k, w0) for k in range(K)]
-        comm_dur = [dur(Stage.FEATURE_COMM, k, w0) for k in range(K)]
+        requests = [idx[(Stage.REQUEST_EXCHANGE, k, w0)] for k in range(K)]
+        payloads = [idx[(Stage.FEATURE_COMM, k, w0)] for k in range(K)]
+        req_dur = [price(ev) for ev in requests]
+        comm_dur = [price(ev) for ev in payloads]
         any_comm = any(rd > 0 or cd > 0 for rd, cd in zip(req_dur, comm_dur))
         window_sample_end = sample_end[w0:w1]
         if any_comm:
@@ -168,62 +181,41 @@ def simulate_trace(
                 gate = max(float(done_train.max()), done_allreduce)
             else:
                 gate = 0.0
-            req_ready = max(float(window_sample_end.max()), gate)
-            req_start = max(req_ready, float(net.max()))
-            req_end = np.zeros(K)
-            for k in range(K):
-                net[k] = req_start + req_dur[k]
-                busy["net"][k] += req_dur[k]
-                req_end[k] = net[k]
+            req_end = rendezvous(
+                requests, max(float(window_sample_end.max()), gate), req_dur)
         else:
             req_end = window_sample_end.max(axis=0)
 
         # --- LOCAL_SLICE (per step) and SERVE_SLICE (per window), CPU. ---
-        serve_end = np.zeros(K)
         for s in range(w0, w1):
             for k in range(K):
-                local_slice_end[s, k] = run_cpu(
-                    k, sample_end[s, k], dur(Stage.LOCAL_SLICE, k, s)
-                )
-        for k in range(K):
-            serve_end[k] = run_cpu(k, req_end[k], dur(Stage.SERVE_SLICE, k, w0))
+                local_slice_end[s, k] = run(Stage.LOCAL_SLICE, k, s,
+                                            sample_end[s, k])
+        serve_end = [run(Stage.SERVE_SLICE, k, w0, req_end[k])
+                     for k in range(K)]
 
         # --- FEATURE_COMM (NET): all-to-all; needs every server's slices. ---
         if any_comm:
-            comm_ready = float(serve_end.max())
-            comm_start = max(comm_ready, float(net.max()))
-            comm_end = np.zeros(K)
-            for k in range(K):
-                net[k] = comm_start + comm_dur[k]
-                busy["net"][k] += comm_dur[k]
-                comm_end[k] = net[k]
+            comm_end = rendezvous(payloads, float(max(serve_end)), comm_dur)
         else:
-            comm_end = req_end.copy()
+            comm_end = req_end
 
         # --- Per step: H2D (PCIe), GPU_GATHER + TRAIN (GPU), ALLREDUCE. ---
         for s in range(w0, w1):
-            train_dur = [dur(Stage.TRAIN, k, s) for k in range(K)]
             for k in range(K):
-                h2d_ready = max(local_slice_end[s, k], comm_end[k])
-                h2d_end = run(pcie, k, h2d_ready, dur(Stage.H2D, k, s), "pcie")
-                gather_end = run(gpu, k, h2d_end,
-                                 dur(Stage.GPU_GATHER, k, s), "gpu")
-                train_end[s, k] = run(gpu, k, gather_end, train_dur[k], "gpu")
-            if first_train_start is None:
-                first_train_start = float(
-                    min(train_end[0, k] - train_dur[k] for k in range(K))
-                )
+                h2d_end = run(Stage.H2D, k, s,
+                              max(local_slice_end[s, k], comm_end[k]))
+                gather_end = run(Stage.GPU_GATHER, k, s, h2d_end)
+                train_end[s, k] = run(Stage.TRAIN, k, s, gather_end)
             if s in allreduce_at and allreduce_dur > 0 and K > 1:
                 ar_ready = float(max(
-                    train_end[s, k] - (2.0 / 3.0) * train_dur[k]
+                    train_end[s, k]
+                    - (2.0 / 3.0) * timeline[(Stage.TRAIN, k, s)][1]
                     for k in range(K)
                 ))
-                ar_start = max(ar_ready, float(grad_net.max()))
-                ar_end = ar_start + allreduce_dur
-                for k in range(K):
-                    grad_net[k] = ar_end
-                    busy["grad_net"][k] += allreduce_dur
-                    sync_wait[s, k] = max(0.0, ar_end - train_end[s, k])
+                ar_end = rendezvous([idx[(Stage.ALLREDUCE, -1, s)]],
+                                    ar_ready, [allreduce_dur])[0]
+                sync_wait += np.maximum(0.0, ar_end - train_end[s])
                 done_allreduce = ar_end
                 release[s] = np.maximum(ar_end, train_end[s])
             else:
@@ -234,32 +226,29 @@ def simulate_trace(
     epoch_time = float(release[-1].max())
 
     # ------------------------------------------------------------------
-    # Figure-8 style attribution (averaged over machines), from events.
-    train_total = float(np.mean([
-        sum(dur(Stage.TRAIN, k, s) for s in range(steps)) for k in range(K)
-    ]))
-    sync_total = float(np.mean(sync_wait.sum(axis=0)))
-    startup = float(first_train_start or 0.0)
-    prep_comp = float(np.mean([
-        sum(dur(Stage.SAMPLE, k, s) + dur(Stage.LOCAL_SLICE, k, s)
-            + dur(Stage.GPU_GATHER, k, s) + dur(Stage.H2D, k, s)
-            for s in range(steps))
-        + sum(dur(Stage.SERVE_SLICE, k, w0) for w0, _ in trace.windows)
-        for k in range(K)
-    ]))
-    prep_comm = float(np.mean([
-        sum(dur(Stage.REQUEST_EXCHANGE, k, w0) + dur(Stage.FEATURE_COMM, k, w0)
-            for w0, _ in trace.windows)
-        for k in range(K)
-    ]))
+    # What is reported is a fold over the timeline: busy seconds by the
+    # stage's resource, in placement order, and the Figure-8 attribution
+    # (averaged over machines) by its category — a category's seconds per
+    # (step, machine) first, then the steps in order.  Train-sync is not a
+    # stage's duration but the wait the sweep saw behind each all-reduce.
+    busy = {r: np.zeros(K) for r in RESOURCES}
+    cells = {c: np.zeros((steps, K)) for c in CATEGORIES}
+    for (stage, k, s), (_start, d) in timeline.items():
+        who = k if k >= 0 else slice(None)  # the all-reduce holds everyone
+        busy[stage.resource][who] += d
+        if stage.category:
+            cells[stage.category][s, who] += d
+    mean = {c: float(np.mean(sum(cell))) for c, cell in cells.items()}
+    sync_total = float(np.mean(sync_wait))
+    startup = min(timeline[(Stage.TRAIN, k, 0)][0] for k in range(K))
     breakdown = {
-        "train": train_total,
+        "train": mean["train"],
         "train_sync": sync_total,
         "startup": startup,
-        "batch_prep_comp": prep_comp,
-        "batch_prep_comm": prep_comm,
+        "batch_prep_comp": mean["batch_prep_comp"],
+        "batch_prep_comm": mean["batch_prep_comm"],
         "overlap_residual": max(
-            0.0, epoch_time - (train_total + sync_total + startup)
+            0.0, epoch_time - (mean["train"] + sync_total + startup)
         ),
     }
     return PipelineResult(
@@ -268,5 +257,5 @@ def simulate_trace(
         num_machines=K,
         breakdown=breakdown,
         resource_busy=busy,
-        first_train_start=startup,
+        timeline=timeline,
     )

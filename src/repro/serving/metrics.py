@@ -27,7 +27,7 @@ from repro.distributed.feature_store import GatherStats
 from repro.distributed.records import StepRecord
 from repro.obs import OBS
 from repro.obs.metrics import Histogram
-from repro.pipeline.events import EventTrace
+from repro.pipeline.events import EventTrace, Timeline
 
 #: Bucket geometry for the serving latency histogram: 1 µs underflow edge,
 #: ``2 ** (1/64)`` growth (≈ 1.09 % per bucket).  Percentiles read from the
@@ -52,7 +52,9 @@ class RequestRecord:
     it needed was down — unavailable rows zero-filled, never silently
     substituted), or ``"shed"`` (refused per its SLO class; no prediction
     exists and ``completed`` is the refusal time).  ``retries`` counts
-    requeues the request took before this outcome.
+    requeues the request took before this outcome.  ``step`` is the trace
+    step of the micro-batch that answered it (``-1`` when shed): the key of
+    its :class:`StepRecord` and of its placements in the run's timeline.
     """
 
     rid: int
@@ -65,6 +67,7 @@ class RequestRecord:
     slo: str = "standard"
     status: str = "ok"
     retries: int = 0
+    step: int = -1
 
     @property
     def queue_wait(self) -> float:
@@ -85,11 +88,21 @@ def note_request(record: RequestRecord) -> None:
     ``repro.obs`` on ``serving.requests`` / ``serve.degraded_requests`` /
     ``serve.shed_requests`` / ``serve.retries`` equal the report's
     :class:`AvailabilityLedger` (``answered`` / ``degraded`` / ``shed`` /
-    ``retries``) instead of being counted beside it.  A no-op unless
-    ``OBS.enabled``.
+    ``retries``) instead of being counted beside it, and the exported trace
+    holds one admission→reply ``serve.request`` span per request — shed
+    ones included — on the simulated clock (queueing is the gap to its
+    micro-batch's ``stage.*`` spans, same ``machine`` / ``step``).  A no-op
+    unless ``OBS.enabled``.
     """
     if not OBS.enabled:
         return
+    OBS.tracer.add_sim_span(
+        "serve.request", record.arrival, record.completed,
+        lane=f"machine-{record.machine}", rid=record.rid,
+        machine=record.machine, step=record.step, status=record.status,
+        retries=record.retries, num_seeds=record.num_seeds,
+        formed=record.formed, started=record.started,
+    )
     m = OBS.metrics
     if record.status == "shed":
         m.counter("serve.shed_requests").inc()
@@ -157,8 +170,9 @@ class ServingReport:
     ``predictions[rid]`` holds one predicted class per requested seed, in
     the request's seed order.  ``trace`` is the validated per-machine
     :class:`EventTrace` (``machine_of_step`` set) the latencies were priced
-    from, and ``steps`` holds one :class:`StepRecord` per served
-    micro-batch, keyed ``(machine, trace step)``.  Everything else is
+    from, ``timeline`` where the serving clock placed each of its events,
+    and ``steps`` holds one :class:`StepRecord` per served micro-batch,
+    keyed ``(machine, trace step)``.  Everything else is
     derived from those when the report is built: ``gather`` is
     :meth:`GatherStats.sum` over ``steps``, ``availability`` the ledger
     ``records`` imply, window / batch counts are the trace's, and the
@@ -170,6 +184,7 @@ class ServingReport:
     trace: EventTrace
     steps: List[StepRecord]
     makespan: float
+    timeline: Timeline = field(default_factory=Timeline)
     gather: GatherStats = field(init=False)
     #: Availability outcomes (ok / degraded / shed / retries); a fault-free
     #: run is all ``served_ok``.

@@ -25,8 +25,9 @@ a single discrete-event clock drives all of them:
    requested seed;
 4. the window's :class:`~repro.pipeline.events.StageEvent`\\ s are priced
    by :meth:`CostModel.event_duration` — the same unified event path the
-   training engines feed — giving every request a simulated completion
-   time, and thus the p50/p95/p99 ledger in
+   training engines feed — and placed on the machine's clock in the run's
+   :class:`~repro.pipeline.events.Timeline`, giving every request a
+   simulated completion time, and thus the p50/p95/p99 ledger in
    :class:`~repro.serving.metrics.ServingReport`.
 
 The per-machine latency model is sequential (a machine serves one window
@@ -58,6 +59,7 @@ from repro.pipeline.costmodel import CostModel
 from repro.pipeline.events import (
     EventTrace,
     Stage,
+    Timeline,
     emit_step_events,
     emit_window_comm_events,
 )
@@ -394,6 +396,7 @@ class InferenceService:
             windows=[], machine_of_step=[],
         )
         self._steps: List[StepRecord] = []
+        self._timeline = Timeline()
         self._records: List[RequestRecord] = []
         self._predictions = {}
         self._originals = {}
@@ -469,13 +472,19 @@ class InferenceService:
         if records:
             makespan = (max(r.completed for r in records)
                         - min(r.arrival for r in records))
-        return ServingReport(
+        report = ServingReport(
             records=records,
             predictions=self._predictions,
             trace=self._trace.validate(),
             steps=self._steps,
             makespan=makespan,
+            timeline=self._timeline,
         )
+        if OBS.enabled:
+            OBS.tracer.add_timeline(report.timeline)
+            OBS.metrics.counter("serving.windows").inc(report.num_windows)
+            OBS.metrics.counter("serving.batches").inc(report.num_batches)
+        return report
 
     # ------------------------------------------------------------------
     def _apply_mutation(self, batch: "EdgeBatch") -> None:
@@ -599,8 +608,9 @@ class InferenceService:
 
         Emits the window's stage events (``TRAIN`` carries forward-only
         FLOPs; the comm events charge the peers' serve slice into this
-        window's critical path, since the requester waits for it) and
-        schedules per-micro-batch completions on the simulated clock.
+        window's critical path, since the requester waits for it), places
+        them on the machine's clock in the run's timeline, and schedules
+        the per-micro-batch completions that clock reads.
         """
         trace = self._trace
         step0 = trace.num_steps
@@ -647,21 +657,20 @@ class InferenceService:
         _fresh, feats, steps = gather_window(
             self.store, self._gather_arena, machine, step0, mfgs, plans,
             self.graph.degrees)
-        # One StepRecord per micro-batch.  Its stage events are priced from
-        # what the store moved; then, for a degraded gather, the rows owned
-        # by a down machine — which never arrived: the in-process store
-        # "fetched" them, but the modeled peer is gone — are zero-filled
-        # and leave the record's demand counts, so the record, the comm
-        # pricing below and the registry mirror count only what arrived.
+        # One StepRecord per micro-batch.  Its stage events carry what the
+        # store moved; then, for a degraded gather, the rows owned by a down
+        # machine — which never arrived: the in-process store "fetched"
+        # them, but the modeled peer is gone — are zero-filled and leave the
+        # record's demand counts, so the record, the comm events below and
+        # the registry mirror count only what arrived.
         down = np.asarray(self._down, dtype=bool)
-        price = self.cost_model.event_duration
-        sample_time = 0.0
-        compute_times: List[float] = []
+        sampling, compute = [], []  # the window's SAMPLEs; the rest per batch
         for rec, plan, mask, out in zip(steps, plans, masks, feats):
-            sample, *compute = map(price, emit_step_events(
-                trace, rec, sage_forward_flops(rec.block_sizes, *self._dims)))
-            sample_time += sample
-            compute_times.append(sum(compute))
+            events = emit_step_events(
+                trace, rec, sage_forward_flops(rec.block_sizes, *self._dims))
+            sampling += [ev for ev in events if ev.stage is Stage.SAMPLE]
+            compute.append([ev for ev in events
+                            if ev.stage is not Stage.SAMPLE])
             if mask is not None and mask.any():
                 out[plan.remote_pos[mask]] = 0
                 rec.gather.mark_unavailable(down, int(mask.sum()))
@@ -670,68 +679,41 @@ class InferenceService:
         demand_rows = sum(rec.gather.remote_rows for rec in steps)
         refresh_rows = sum(rec.gather.refresh_fetch_rows for rec in steps)
         mfg_edges = sum(rec.mfg_edges for rec in steps)
-
-        comm_events = emit_window_comm_events(trace, step0, machine,
-                                              demand_rows, demand_rows,
-                                              mfg_edges=mfg_edges)
-        comm_time = sum(price(ev) for ev in comm_events)
+        comm = emit_window_comm_events(trace, step0, machine,
+                                       demand_rows, demand_rows,
+                                       mfg_edges=mfg_edges)
+        trace.add(Stage.CACHE_REFRESH, machine, step0, rows=refresh_rows)
+        refresh = trace.events[-1]
         trace.windows.append((step0, step0 + len(groups)))
         trace.machine_of_step.extend([machine] * len(groups))
         trace.num_steps += len(groups)
 
+        # The machine's clock walks the window in sequence: every
+        # micro-batch sampled, one coalesced exchange, then slice → H2D →
+        # gather → forward per micro-batch.  The cache-refresh fetch runs
+        # after the responses are out: it holds the machine (delaying the
+        # next window) but not these requests.
+        price, timeline = self.cost_model.event_duration, self._timeline
         start = max(now, self._busy[machine])
-        clock = start + sample_time + comm_time
-        window_parent = 0
-        if OBS.enabled:
-            lane = f"machine-{machine}"
-            win = OBS.tracer.add_sim_span(
-                "serve.window", start, start, lane=lane,
-                batches=len(groups), demand_rows=demand_rows,
-            )
-            window_parent = win.span_id
-            OBS.tracer.add_sim_span("serve.sample", start,
-                                    start + sample_time, lane=lane,
-                                    parent_id=window_parent)
-            OBS.tracer.add_sim_span("serve.fetch", start + sample_time,
-                                    clock, lane=lane,
-                                    parent_id=window_parent,
-                                    remote_rows=demand_rows)
+        clock = timeline.place_run(sampling, price, start)
+        clock = timeline.place_run(comm, price, clock)
         for i, group in enumerate(groups):
-            forward_start = clock
-            clock += compute_times[i]
-            if OBS.enabled:
-                OBS.tracer.add_sim_span("serve.forward", forward_start,
-                                        clock, lane=f"machine-{machine}",
-                                        parent_id=window_parent,
-                                        requests=len(group))
-            self._finish_batch(machine, mfgs[i], feats[i], group,
+            clock = timeline.place_run(compute[i], price, clock)
+            self._finish_batch(machine, step0 + i, mfgs[i], feats[i], group,
                                formed=now, started=start, completed=clock,
-                               window_span=window_parent, flags=flags)
-        # Cache-refresh fetches run after the responses are out: they hold
-        # the machine (delaying the next window) but not these requests.
-        trace.add(Stage.CACHE_REFRESH, machine, step0, rows=refresh_rows)
-        self._busy[machine] = clock + price(trace.events[-1])
-        if window_parent:
-            win.sim_end = self._busy[machine]
-            if refresh_rows:
-                OBS.tracer.add_sim_span(
-                    "serve.cache_refresh", clock, self._busy[machine],
-                    lane=f"machine-{machine}", parent_id=window_parent,
-                    rows=refresh_rows,
-                )
-            OBS.metrics.counter("serving.windows").inc()
-            OBS.metrics.counter("serving.batches").inc(len(groups))
+                               flags=flags)
+        self._busy[machine] = timeline.place(refresh, clock, price(refresh))
 
-    def _finish_batch(self, machine: int, mfg: MFG, feats: np.ndarray,
-                      group: List[Request], *, formed: float, started: float,
-                      completed: float, window_span: int = 0,
-                      flags: Optional[Dict[int, str]] = None) -> None:
+    def _finish_batch(self, machine: int, step: int, mfg: MFG,
+                      feats: np.ndarray, group: List[Request], *,
+                      formed: float, started: float, completed: float,
+                      flags: Dict[int, str]) -> None:
         """Forward pass → per-seed predictions, records, completion event."""
         self.model.eval()
         logits = self.model(feats, mfg)
         preds = logits.data.argmax(axis=1)
         for req in group:
-            status = flags.get(req.rid, "ok") if flags else "ok"
+            status = flags.get(req.rid, "ok")
             # mfg.seeds is the sorted unique union of the group's seeds.
             pos = np.searchsorted(mfg.seeds, req.seeds)
             self._predictions[req.rid] = preds[pos].copy()
@@ -739,15 +721,6 @@ class InferenceService:
                 rid=req.rid, machine=machine, num_seeds=req.num_seeds,
                 arrival=req.arrival, formed=formed, started=started,
                 completed=completed, slo=req.slo, status=status,
-                retries=self._retries.get(req.rid, 0),
+                retries=self._retries.get(req.rid, 0), step=step,
             ))
-            if OBS.enabled:
-                # One admission→reply span per request: queueing is
-                # visible as the gap between arrival and the window span.
-                OBS.tracer.add_sim_span(
-                    "serve.request", req.arrival, completed,
-                    lane=f"machine-{machine}", parent_id=window_span,
-                    rid=req.rid, num_seeds=req.num_seeds,
-                    formed=formed, started=started,
-                )
         self._push(completed, _COMPLETE, (machine, group))

@@ -37,6 +37,14 @@ def check_registry():
 
 
 @pytest.fixture(scope="session")
+def check_timeline():
+    """``check_timeline(trace, timeline, cpu_workers=..., timing=... |
+    report=...)``: the laws of simulated time, for the epoch simulator's
+    timeline or a serving run's (see ``tests/invariants.py``)."""
+    return invariants.check_timeline
+
+
+@pytest.fixture(scope="session")
 def tiny_dataset():
     return load_dataset("tiny", seed=0)
 

@@ -21,7 +21,25 @@ field of the report's summed ``gather``, and for a serving report the
 ``serve.*`` / ``serving.*`` counters equal its availability ledger and its
 window / batch counts.
 
-Suites reach both through the fixtures of the same names in ``conftest.py``.
+:func:`check_timeline` states the laws of simulated time — what holds of the
+:class:`~repro.pipeline.events.Timeline` a clock filled, whichever clock it
+was (the epoch simulator's or a serving run's):
+
+* every placed key is an event of the trace, and every step-scope event is
+  placed (a key is placed at most once by construction);
+* per ``(machine, step)`` the stages run in order — SAMPLE, LOCAL_SLICE, H2D,
+  GPU_GATHER, TRAIN, each starting no earlier than the one before ends — and
+  a window's FEATURE_COMM ends before its steps' H2Ds start;
+* at most ``cpu_workers`` CPU placements, and one of any other resource,
+  overlap per machine;
+* training — ``epoch_time`` is the latest end, and durations folded by
+  ``stage.resource`` in placement order are ``resource_busy``;
+* serving — a request's ``started`` is the start of its window's first
+  SAMPLE, its ``completed`` the end of its micro-batch's TRAIN, and one
+  machine's windows (through CACHE_REFRESH) never overlap.
+
+Suites reach all three through the fixtures of the same names in
+``conftest.py``.
 
 :func:`trace_shape` / :func:`assert_trace_shape_equal` compare two
 ``EventTrace`` s as schedules (what the simulator prices, ignoring emission
@@ -33,7 +51,7 @@ import dataclasses
 import numpy as np
 
 from repro.distributed.feature_store import GatherStats
-from repro.pipeline.events import Stage
+from repro.pipeline.events import RESOURCES, STEP_STAGES, Stage
 
 BUCKETS = ("gpu_rows", "cpu_rows", "cached_rows", "remote_rows",
            "coalesced_rows", "unavailable_rows")
@@ -178,6 +196,101 @@ def check_invariants(report, *, bytes_per_row=None) -> None:
         _check_serving(report)
     else:
         _check_epoch(report, bytes_per_row)
+
+
+# ----------------------------------------------------------------------
+# the laws of simulated time
+
+#: A serving placement starts at ``t0 + running total`` and the clock moves
+#: on by ``t0 + total``; the previous placement's own end is ``start +
+#: duration``.  Same sum, other association: they agree to this, relative.
+REL_TOL = 1e-12
+
+
+def _ends_by(end, start) -> bool:
+    return end <= start + REL_TOL * max(abs(start), 1e-300)
+
+
+def check_timeline(trace, timeline, *, cpu_workers, timing=None,
+                   report=None) -> None:
+    """Assert the timeline laws (module docstring) on the ``timeline`` a
+    clock filled from ``trace``.  ``timing`` is the ``PipelineResult`` of a
+    simulated epoch, ``report`` the ``ServingReport`` of a serving run —
+    pass the one that owns the timeline for its clock's own laws."""
+    events = trace.index()
+    stray = [key for key in timeline if key not in events]
+    assert not stray, f"placed keys that are no event of the trace: {stray}"
+    unplaced = [key for key in events
+                if key[0].scope == "step" and key not in timeline]
+    assert not unplaced, f"step-scope events never placed: {unplaced}"
+
+    def end(key):
+        start, duration = timeline[key]
+        return start + duration
+
+    for lo, hi in trace.windows:
+        owners = (range(trace.num_machines) if trace.machine_of_step is None
+                  else (trace.machine_of_step[lo],))
+        for k in owners:
+            for s in range(lo, hi):
+                chain = [(st, k, s) for st in STEP_STAGES]
+                for before, after in zip(chain, chain[1:]):
+                    assert _ends_by(end(before), timeline[after][0]), (
+                        f"{after} starts at {timeline[after][0]}, before "
+                        f"{before} ends at {end(before)}")
+                comm = (Stage.FEATURE_COMM, k, lo)
+                assert comm not in timeline or _ends_by(
+                    end(comm), timeline[(Stage.H2D, k, s)][0]), (
+                    f"H2D of (machine {k}, step {s}) starts before its "
+                    f"window's feature exchange ends")
+
+    lanes = {}
+    for (stage, k, _s), (start, duration) in timeline.items():
+        if duration > 0:
+            lanes.setdefault((stage.resource, k), []).append(
+                (start, start + duration))
+    for (resource, k), spans in lanes.items():
+        width = cpu_workers if resource == "cpu" else 1
+        ends = []  # of the placements still running, in start order
+        for start, stop in sorted(spans):
+            ends = [e for e in ends if not _ends_by(e, start)] + [stop]
+            assert len(ends) <= width, (
+                f"{len(ends)} placements overlap on {resource} of machine "
+                f"{k} at t={start} (it has {width} lane(s))")
+
+    if timing is not None:
+        assert timing.epoch_time == max(end(key) for key in timeline), (
+            "epoch_time is not the latest placed end")
+        busy = {r: np.zeros(trace.num_machines) for r in RESOURCES}
+        for (stage, k, _s), (_start, duration) in timeline.items():
+            busy[stage.resource][k if k >= 0 else slice(None)] += duration
+        for r in RESOURCES:
+            assert np.array_equal(busy[r], timing.resource_busy[r]), (
+                f"resource_busy[{r!r}] is not the fold of the timeline")
+    if report is not None:
+        window_of = {s: lo for lo, hi in trace.windows for s in range(lo, hi)}
+        for r in report.records:
+            if r.status == "shed":
+                assert r.step == -1, f"shed request {r.rid} names a step"
+                continue
+            assert (report.steps[r.step].machine, report.steps[r.step].step) \
+                == (r.machine, r.step), f"request {r.rid}: step != its record"
+            first = timeline[(Stage.SAMPLE, r.machine, window_of[r.step])]
+            assert r.started == first[0], (
+                f"request {r.rid} started at {r.started}, its window's "
+                f"first SAMPLE at {first[0]}")
+            done = end((Stage.TRAIN, r.machine, r.step))
+            assert abs(r.completed - done) <= REL_TOL * done, (
+                f"request {r.rid} completed at {r.completed}, its "
+                f"micro-batch's TRAIN ends at {done}")
+        busy_until = {}
+        for lo, _hi in trace.windows:  # emitted in each machine's clock order
+            k = trace.machine_of_step[lo]
+            start = timeline[(Stage.SAMPLE, k, lo)][0]
+            assert _ends_by(busy_until.get(k, 0.0), start), (
+                f"machine {k}: window {lo} starts at {start}, inside the "
+                f"previous one (busy until {busy_until[k]})")
+            busy_until[k] = end((Stage.CACHE_REFRESH, k, lo))
 
 
 # ----------------------------------------------------------------------

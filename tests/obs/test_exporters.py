@@ -1,18 +1,16 @@
-"""Exporter tests: Chrome trace_event structure + schema validator,
-Prometheus text exposition, the JSONL stream, and the report CLI."""
+"""Exporter tests: Chrome trace_event structure + schema validator, and the
+report CLI (one section per clock)."""
 
 import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, ObsRuntime
+from repro.obs import ObsRuntime
 from repro.obs.exporters import (
     chrome_trace,
     lane_intervals,
-    prometheus_text,
     save_chrome_trace,
     validate_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.report import load_events, main, render_report, union_length
 
@@ -24,7 +22,7 @@ def runtime() -> ObsRuntime:
     with rt.tracer.span("outer", epoch=0):
         with rt.tracer.span("inner"):
             pass
-    rt.tracer.add_sim_span("serve.window", 0.0, 0.002, lane="machine-0")
+    rt.tracer.add_sim_span("stage.train", 0.0, 0.002, lane="machine-0")
     rt.metrics.counter("store.remote_rows", help="rows").inc(12)
     rt.metrics.gauge("mp.workers_alive").set(4)
     h = rt.metrics.histogram("engine.window_wall_s")
@@ -54,13 +52,13 @@ class TestChromeTrace:
     def test_timestamps_rebased_to_trace_start(self, runtime):
         doc = chrome_trace(runtime.tracer.spans)
         wall_ts = [ev["ts"] for ev in doc["traceEvents"]
-                   if ev.get("ph") == "X" and not ev["name"].startswith("serve")]
+                   if ev.get("ph") == "X" and not ev["name"].startswith("stage")]
         assert min(wall_ts) == 0.0
 
     def test_sim_spans_use_sim_clock(self, runtime):
         doc = chrome_trace(runtime.tracer.spans)
         sim = [ev for ev in doc["traceEvents"]
-               if ev.get("ph") == "X" and ev["name"] == "serve.window"][0]
+               if ev.get("ph") == "X" and ev["name"] == "stage.train"][0]
         assert sim["ts"] == pytest.approx(0.0)
         assert sim["dur"] == pytest.approx(2000.0)  # 2 ms in µs
 
@@ -89,48 +87,17 @@ class TestChromeTrace:
         assert validate_chrome_trace(doc) == []
 
 
-class TestPrometheus:
-    def test_exposition_format(self, runtime):
-        text = prometheus_text(runtime.metrics)
-        assert "# TYPE repro_store_remote_rows_total counter" in text
-        assert "repro_store_remote_rows_total 12" in text
-        assert "repro_mp_workers_alive 4" in text
-        assert "# TYPE repro_engine_window_wall_s histogram" in text
-        assert 'repro_engine_window_wall_s_bucket{le="+Inf"} 3' in text
-        assert "repro_engine_window_wall_s_count 3" in text
-        assert text.endswith("\n")
-
-    def test_empty_registry(self):
-        assert prometheus_text(MetricsRegistry()) == "\n"
-
-
-class TestJsonlAndReport:
-    def test_jsonl_appends_discriminated_rows(self, runtime, tmp_path):
-        path = str(tmp_path / "telemetry.jsonl")
-        n = write_jsonl(path, runtime.tracer.spans, runtime.metrics,
-                        meta={"run": "test"})
-        rows = [json.loads(line) for line in open(path)]
-        assert len(rows) == n
-        kinds = {r["kind"] for r in rows}
-        assert kinds == {"meta", "span", "metric"}
-        # Append-only: a second write adds, never truncates.
-        write_jsonl(path, runtime.tracer.spans)
-        assert len(open(path).readlines()) > n
-
+class TestReport:
     def test_union_length(self):
         assert union_length([(0, 10), (5, 15), (20, 25)]) == 20
         assert union_length([]) == 0.0
 
-    def test_load_events_both_formats(self, runtime, tmp_path):
-        jpath = str(tmp_path / "t.json")
-        lpath = str(tmp_path / "t.jsonl")
-        save_chrome_trace(jpath, runtime.tracer.spans, runtime.metrics)
-        write_jsonl(lpath, runtime.tracer.spans, runtime.metrics)
-        for path in (jpath, lpath):
-            spans, metrics = load_events(path)
-            assert {s["name"] for s in spans} == \
-                {"outer", "inner", "serve.window"}
-            assert "engine.window_wall_s" in metrics
+    def test_load_events(self, runtime, tmp_path):
+        path = str(tmp_path / "t.json")
+        save_chrome_trace(path, runtime.tracer.spans, runtime.metrics)
+        spans, metrics = load_events(path)
+        assert {s["name"] for s in spans} == {"outer", "inner", "stage.train"}
+        assert "engine.window_wall_s" in metrics
 
     def test_render_report(self, runtime, tmp_path):
         path = str(tmp_path / "t.json")
@@ -141,12 +108,34 @@ class TestJsonlAndReport:
         assert "slowest" in text
         assert "engine.window_wall_s" in text and "p99=" in text
 
+    def test_each_clock_is_scored_against_its_own_window(self):
+        """A wall lane busy for its whole 10 ms window reads 100 %, however
+        long the simulated window beside it is (it used to read 1 % of a
+        1 s simulated run), and neither clock's slowest list ranks the
+        other's spans."""
+        spans = [
+            {"name": "engine.epoch", "lane": "coordinator",
+             "start_us": 5e9, "dur_us": 1e4},
+            {"name": "stage.train", "lane": "sim:machine-0",
+             "start_us": 0.0, "dur_us": 5e5},
+            {"name": "stage.sample", "lane": "sim:machine-1",
+             "start_us": 5e5, "dur_us": 5e5},
+        ]
+        wall, sim = render_report(spans, {}).split("simulated window")
+        assert wall.startswith("wall window: 10.00 ms  (1 spans, 1 lanes)")
+        assert "100.0%" in wall and "stage." not in wall
+        assert sim.startswith(": 1.000 s  (2 spans, 2 lanes)")
+        assert sim.count("50.0%") == 2 and "engine.epoch" not in sim
+        # one clock only: no empty section for the other
+        assert "simulated" not in render_report(spans[:1], {})
+        assert "wall" not in render_report(spans[1:], {})
+
     def test_cli_main(self, runtime, tmp_path, capsys):
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(path, runtime.tracer.spans, runtime.metrics)
+        path = str(tmp_path / "t.json")
+        save_chrome_trace(path, runtime.tracer.spans, runtime.metrics)
         assert main([path, "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "trace window" in out
+        assert "wall window" in out and "simulated window" in out
         assert "metrics:" in out
 
     def test_render_report_empty(self):

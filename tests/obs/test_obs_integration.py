@@ -8,9 +8,15 @@ lane spans cover >= 95% of the measured epoch wall; and — the
 zero-overhead side — running with observability *enabled* changes no
 math: per-step losses stay bit-identical to the in-process oracle that
 ran with observability off.
+
+Simulated time has one emitter: a traced training epoch (either backend) and
+a traced serving run export one ``stage.<Stage.value>`` span per placement
+of their timeline, and one ``serve.request`` span per request — shed ones
+included — that ends with its micro-batch's ``stage.train``.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ from repro.obs.exporters import (
     validate_chrome_trace,
 )
 from repro.obs.report import union_length
-from repro.serving import poisson_requests
+from repro.serving import Outage, poisson_requests
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -140,6 +146,12 @@ class TestMultiprocAcceptance:
         assert mp.report.mean_loss == ref.report.mean_loss
         assert mp.epoch_time == ref.epoch_time
 
+    def test_simulated_schedule_exported(self, traced_run):
+        """Both backends export the simulated timeline: the coordinator
+        simulates the report it assembled from its workers' records."""
+        _ref, mp, spans, _doc, _snap = traced_run
+        assert_spans_are_the_timeline(spans, mp.timing.timeline)
+
     def test_worker_metrics_merged_into_coordinator(self, traced_run,
                                                     check_registry):
         _ref, mp, _spans, _doc, snap = traced_run
@@ -196,34 +208,122 @@ class TestInProcessSpans:
         assert "engine.step" not in {s.name for s in OBS.tracer.spans}
 
 
-class TestServingSpans:
-    def test_request_lifecycle_sim_spans(self, request):
-        tiny = request.getfixturevalue("tiny_dataset")
-        serving = ServingConfig(batcher="deadline", max_batch=8,
-                                max_wait_ms=10.0, max_in_flight=4)
-        cfg = RunConfig(num_machines=2, replication_factor=0.1,
-                        serving=serving)
-        svc = Planner().build_service(tiny, cfg)
-        reqs = poisson_requests(np.arange(tiny.num_vertices), 30, 4,
-                                rate_rps=2000.0, seed=3)
+def stage_spans(spans):
+    return [s for s in spans if s.name.startswith("stage.")]
+
+
+def assert_spans_are_the_timeline(spans, timeline):
+    """One sim-clock ``stage.<value>`` span per placement, keyed by its
+    ``machine`` / ``step`` attrs, on the placement's own interval."""
+    got = {(s.name, s.attrs["machine"], s.attrs["step"]):
+           (s.sim_start, s.sim_end, s.lane, s.attrs["resource"])
+           for s in stage_spans(spans)}
+    assert len(got) == len(stage_spans(spans)) == len(timeline)
+    for (stage, k, step), (start, duration) in timeline.items():
+        lane = f"machine-{k}" if k >= 0 else "cluster"
+        assert got[(f"stage.{stage.value}", k, step)] == \
+            (start, start + duration, lane, stage.resource)
+
+
+class TestSimulatedTimelineSpans:
+    """Training and serving export their simulated schedule through the one
+    emitter (``Tracer.add_timeline``), named after ``Stage``."""
+
+    def test_in_process_epoch(self, papers_mini):
+        system = SalientPP.build(papers_mini, _config(), planner=Planner())
         OBS.enable()
-        report = svc.run(list(reqs))
+        result = system.train_epoch(0, dry_run=True)
         OBS.disable()
         spans = OBS.tracer.spans
-        names = {s.name for s in spans}
-        assert {"serve.window", "serve.sample", "serve.fetch",
-                "serve.forward", "serve.request"} <= names
-        req_spans = [s for s in spans if s.name == "serve.request"]
-        assert len(req_spans) == report.num_requests
-        # Every request span is sim-clock and parented on its window.
-        window_ids = {s.span_id for s in spans if s.name == "serve.window"}
-        assert all(s.sim_start is not None for s in req_spans)
-        assert all(s.parent_id in window_ids for s in req_spans)
-        # Sim spans land on per-machine sim lanes in the export.
+        assert_spans_are_the_timeline(spans, result.timing.timeline)
+        simulate = next(s for s in spans if s.name == "system.simulate")
+        assert {s.parent_id for s in stage_spans(spans)} == {simulate.span_id}
+        lanes = set(lane_intervals(chrome_trace(spans)))
+        assert {f"sim:machine-{k}" for k in range(K)} | {"sim:cluster"} \
+            <= lanes
+
+    def test_serving_run(self, request):
+        tiny = request.getfixturevalue("tiny_dataset")
+        svc = Planner().build_service(tiny, _serving_config())
+        OBS.enable()
+        report = svc.run(_requests(tiny, 30))
+        OBS.disable()
+        spans = OBS.tracer.spans
+        assert_spans_are_the_timeline(spans, report.timeline)
+        assert not [s.name for s in spans if s.name.startswith("serve.")
+                    and s.name != "serve.request"]
         doc = chrome_trace(spans)
         assert validate_chrome_trace(doc) == []
-        lanes = set(lane_intervals(doc))
-        assert any(lane.startswith("sim:machine-") for lane in lanes)
-        # Span lifecycle respects the simulated clock ordering.
-        for s in req_spans:
-            assert s.sim_end >= s.sim_start
+        assert any(lane.startswith("sim:machine-")
+                   for lane in lane_intervals(doc))
+
+
+def _serving_config() -> RunConfig:
+    serving = ServingConfig(batcher="deadline", max_batch=8,
+                            max_wait_ms=10.0, max_in_flight=4)
+    return RunConfig(num_machines=2, replication_factor=0.1, serving=serving)
+
+
+def _requests(ds, n, **kw):
+    return list(poisson_requests(np.arange(ds.num_vertices), n, 4,
+                                 rate_rps=2000.0, seed=3, **kw))
+
+
+class TestRequestSpans:
+    def test_one_span_per_request_joined_to_its_micro_batch(self, request):
+        tiny = request.getfixturevalue("tiny_dataset")
+        svc = Planner().build_service(tiny, _serving_config())
+        OBS.enable()
+        report = svc.run(_requests(tiny, 30))
+        OBS.disable()
+        spans = OBS.tracer.spans
+        req_spans = {s.attrs["rid"]: s for s in spans
+                     if s.name == "serve.request"}
+        assert len(req_spans) == report.num_requests
+        train_end = {(s.attrs["machine"], s.attrs["step"]): s.sim_end
+                     for s in spans if s.name == "stage.train"}
+        for rec in report.records:
+            span = req_spans[rec.rid]
+            assert (span.sim_start, span.sim_end, span.lane) == \
+                (rec.arrival, rec.completed, f"machine-{rec.machine}")
+            assert (span.attrs["status"], span.attrs["step"]) == \
+                ("ok", rec.step)
+            done = train_end[(rec.machine, rec.step)]
+            assert abs(span.sim_end - done) <= 1e-12 * done
+
+    def test_an_outage_trace_accounts_for_every_request(self, request):
+        """Shed requests used to have no span (``serve.request`` was
+        emitted only for answered micro-batches), so ``ok_share`` could not
+        be read off a trace.  Now: one span per request, ``status`` counts
+        equal to the ledger, every answered one ending with its step's
+        ``stage.train``."""
+        tiny = request.getfixturevalue("tiny_dataset")
+        svc = Planner().build_service(tiny, _serving_config())
+        reqs = [r for i, slo in enumerate(("interactive", "standard", "batch"))
+                for r in _requests(tiny, 40, slo=slo)]
+        reqs = [dataclasses.replace(r, rid=i) for i, r in enumerate(reqs)]
+        OBS.enable()
+        report = svc.run(reqs, outages=[Outage(1, 0.002, 0.012)])
+        OBS.disable()
+        spans = OBS.tracer.spans
+        req_spans = [s for s in spans if s.name == "serve.request"]
+        assert sorted(s.attrs["rid"] for s in req_spans) == \
+            list(range(len(reqs)))
+        a = report.availability
+        assert min(a.served_ok, a.degraded, a.shed, a.retries) > 0
+        status = Counter(s.attrs["status"] for s in req_spans)
+        assert (status["ok"], status["degraded"], status["shed"]) == \
+            (a.served_ok, a.degraded, a.shed)
+        assert sum(s.attrs["retries"] for s in req_spans) == a.retries
+        train_end = {(s.attrs["machine"], s.attrs["step"]): s.sim_end
+                     for s in spans if s.name == "stage.train"}
+        by_rid = {r.rid: r for r in report.records}
+        for span in req_spans:
+            rec = by_rid[span.attrs["rid"]]
+            if span.attrs["status"] == "shed":
+                assert (span.attrs["step"], rec.step) == (-1, -1)
+                continue
+            step = report.steps[rec.step]
+            assert (step.machine, step.step) == (rec.machine, rec.step)
+            done = train_end[(span.attrs["machine"], span.attrs["step"])]
+            assert abs(span.sim_end - done) <= 1e-12 * done

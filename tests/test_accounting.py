@@ -1,8 +1,8 @@
-"""One accounting path: the laws in ``tests/invariants.py`` hold across the
-engine × cache-policy × dry/real and batcher × scenario matrices, the
-metrics registry equals the report on every path, there is one hit-rate
-definition, and serving's numbers are pinned to the hand-incremented
-accounting they replaced."""
+"""One accounting path: the laws in ``tests/invariants.py`` — of accounting
+and of simulated time — hold across the engine × cache-policy × dry/real and
+batcher × scenario matrices, the metrics registry equals the report on every
+path, there is one hit-rate definition, and serving's numbers are pinned to
+the hand-incremented accounting they replaced."""
 
 import hashlib
 
@@ -13,6 +13,7 @@ from repro.core import Planner, RunConfig, ServingConfig
 from repro.graph.datasets import make_tiny
 from repro.graph.mutable import EdgeBatch
 from repro.obs import OBS
+from repro.pipeline import Stage
 from invariants import trace_shape
 from repro.serving import Outage, poisson_requests
 from repro.serving.workload import Request
@@ -92,10 +93,14 @@ def serving_scenarios(ds):
 @pytest.mark.parametrize("engine, depth", [("bsp", 1), ("pipelined", 1),
                                            ("pipelined", 4), ("async", 1)])
 def test_training_reports_satisfy_the_laws(planner, dataset, check_invariants,
-                                           engine, depth, policy, dry_run):
+                                           check_timeline, engine, depth,
+                                           policy, dry_run):
     system = planner.build(dataset, train_config(engine, depth, policy))
-    report = system.train_epoch(0, dry_run=dry_run).report
+    result = system.train_epoch(0, dry_run=dry_run)
+    report = result.report
     check_invariants(report, bytes_per_row=system.store.bytes_per_row)
+    check_timeline(report.events, result.timing.timeline, timing=result.timing,
+                   cpu_workers=system.cost_model.cluster.machine.cpu_workers)
     assert report.gather.remote_rows > 0
     assert (report.total_coalesced_rows() > 0) == (depth > 1)
 
@@ -105,11 +110,13 @@ def test_training_reports_satisfy_the_laws(planner, dataset, check_invariants,
                                      "cache-affinity"])
 def test_serving_reports_satisfy_the_laws(planner, dataset, obs,
                                           check_invariants, check_registry,
-                                          batcher, scenario):
+                                          check_timeline, batcher, scenario):
     service = planner.build_service(dataset, serve_config(batcher))
     report = service.run(slo_requests(dataset),
                          **serving_scenarios(dataset)[scenario])
     check_invariants(report)
+    check_timeline(report.trace, report.timeline, report=report,
+                   cpu_workers=service.cost_model.cluster.machine.cpu_workers)
     assert (report.gather.unavailable_rows > 0) == (scenario == "outage")
     # registry = report, serving's availability and volume counters included
     check_registry(obs.metrics.snapshot(), report)
@@ -126,6 +133,47 @@ def test_a_tampered_record_is_caught(planner, dataset, check_invariants):
     rec.gather.total_rows += 1  # balances again; the per-peer split does not
     with pytest.raises(AssertionError, match="remote_per_peer"):
         check_invariants(report, bytes_per_row=system.store.bytes_per_row)
+
+
+def test_a_tampered_timeline_is_caught(planner, dataset, check_timeline):
+    system = planner.build(dataset, train_config("pipelined", 4))
+    result = system.train_epoch(0, dry_run=True)
+    trace, timeline = result.report.events, result.timing.timeline
+    check = lambda tl, **kw: check_timeline(  # noqa: E731
+        trace, tl, cpu_workers=4, **kw)
+    gather, train = (Stage.GPU_GATHER, 1, 5), (Stage.TRAIN, 1, 5)
+    early = type(timeline)(timeline)
+    early[train] = (timeline[gather][0], timeline[train][1])
+    with pytest.raises(AssertionError, match="before .* ends"):
+        check(early)
+    dropped = type(timeline)(timeline)
+    del dropped[gather]
+    with pytest.raises(AssertionError, match="never placed"):
+        check(dropped)
+    longer = type(timeline)(timeline)
+    last = (Stage.TRAIN, 0, trace.num_steps - 1)
+    longer[last] = (timeline[last][0], result.epoch_time)
+    with pytest.raises(AssertionError, match="epoch_time is not the latest"):
+        check(longer, timing=result.timing)
+
+
+def test_a_tampered_serving_clock_is_caught(planner, dataset, check_timeline):
+    service = planner.build_service(dataset, serve_config())
+    report = service.run(slo_requests(dataset))
+    check = lambda: check_timeline(  # noqa: E731
+        report.trace, report.timeline, cpu_workers=4, report=report)
+    check()
+    rec = report.records[7]
+    rec.completed *= 1 + 1e-9
+    with pytest.raises(AssertionError, match=f"request {rec.rid} completed"):
+        check()
+    rec.completed /= 1 + 1e-9
+    lo = report.trace.windows[-1][0]
+    key = (Stage.SAMPLE, report.trace.machine_of_step[lo], lo)
+    start, duration = report.timeline[key]
+    dict.__setitem__(report.timeline, key, (start / 2, duration))
+    with pytest.raises(AssertionError):
+        check()
 
 
 # ----------------------------------------------------------------------
