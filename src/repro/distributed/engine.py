@@ -4,9 +4,9 @@ The paper's §4.3 / Appendix D describe *one* per-machine pipeline — sample,
 slice, request exchange, feature all-to-all, H2D, train, all-reduce — and
 this module writes it once.  :meth:`ExecutionEngine.run_machines` is the
 only epoch loop in the repo: a loop over *comm windows* that, per window,
-samples and gathers every in-flight batch of every machine in its **machine
-set**, then trains the window's steps in order.  The registered engines are
-parameter choices over that loop, not loops of their own:
+takes the sampled in-flight batches of every machine in its **machine set**,
+gathers them, then trains the window's steps in order.  The registered
+engines are parameter choices over that loop, not loops of their own:
 
 ``bsp``
     Bulk-synchronous parallel — the paper's semantics: windows of one step,
@@ -28,6 +28,25 @@ parameter choices over that loop, not loops of their own:
     applies its own gradient immediately, and replicas re-converge by
     parameter averaging every ``staleness + 1`` steps — fewer
     synchronization barriers, and the allreduce events thin out to match.
+
+Sampling runs ahead of training
+-------------------------------
+§4.3's point is that batch preparation overlaps training.  The part of
+preparation that depends on nothing a training step produces — neighbourhood
+sampling: per-machine seeded streams over a graph that is read-only within
+an epoch — is drawn by one generator (:meth:`ExecutionEngine._sample_windows`,
+a ``{machine: [MFG, ...]}`` per comm window).  On a host with a spare core
+(:func:`repro.utils.ahead.spare_core`: usable cores > the cluster's compute
+processes; never for ``dry_run``) the loop consumes it through
+:func:`repro.utils.ahead.run_ahead` — the same generator on one daemon
+thread, at most two windows beyond the one being trained, joined before
+``run_machines`` returns or raises — otherwise directly.  Planning,
+gathering, the collective, the registry mirror, training and the optimizer
+stay on the calling thread in one order, and each sampler is touched by
+exactly one thread for the length of an epoch, so the two paths are
+bit-identical by construction.  The gather deliberately does not run ahead
+(docs/architecture.md: it buys 3 more points on ``train_static`` for +8 %
+``peak_rss_mb`` on ``train_drift``).
 
 The machine set and the collective
 ----------------------------------
@@ -60,7 +79,9 @@ immediately becomes valid for ``RunConfig.engine``.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,6 +105,7 @@ from repro.distributed.records import (
 )
 from repro.nn.functional import cross_entropy
 from repro.obs import OBS
+from repro.obs.span import now_ns
 from repro.pipeline.events import (
     EventTrace,
     Stage,
@@ -91,6 +113,7 @@ from repro.pipeline.events import (
     emit_window_comm_events,
 )
 from repro.sampling.mfg import MFG
+from repro.utils.ahead import run_ahead
 from repro.utils.registry import Registry
 
 #: Execution engine registry (``RunConfig.engine``).  Entries are engine
@@ -163,27 +186,37 @@ class PrefetchIterator:
     ``depth`` batches in flight.  Pulling a window advances the underlying
     sampler RNG exactly as ``depth`` sequential ``next()`` calls would, so
     any engine consuming the same windows sees the same batches as ``bsp``.
+    The epoch loop pulls these windows through one generator
+    (:meth:`ExecutionEngine._sample_windows`) that, on a host with a spare
+    core, runs up to two windows *ahead* of training on a background
+    thread — which is what makes this a look-ahead on the wall clock.
+
+    While tracing is on, every draw is recorded as a wall ``stage.sample``
+    span keyed ``(machine, step)`` — the measured twin of the simulated
+    placement :meth:`~repro.obs.span.Tracer.add_timeline` exports under the
+    same name and key; ``span_at`` (``machine``, ``parent_id``, ``lane``)
+    says whose draw it is and where the span goes.
     """
 
-    def __init__(self, batches: Iterator[MFG], depth: int):
+    def __init__(self, batches: Iterator[MFG], depth: int, **span_at):
         if depth < 1:
             raise ValueError(f"prefetch depth must be >= 1, got {depth}")
-        self._batches = batches
+        self._batches = enumerate(batches)  # (step of the epoch, MFG)
         self.depth = depth
+        self._span_at = span_at
 
     def next_window(self, size: Optional[int] = None) -> List[MFG]:
         """The next ``min(size, depth)`` batches (fewer at stream end)."""
         want = self.depth if size is None else min(size, self.depth)
+        traced = OBS.enabled
         out: List[MFG] = []
-        for _ in range(want):
-            try:
-                out.append(next(self._batches))
-            except StopIteration:
-                break
-        if len(out) < want and OBS.enabled:
-            # Pipeline underrun: the sampler stream could not keep the
-            # requested number of batches in flight.
-            OBS.metrics.counter("engine.pipeline_stalls").inc()
+        start = now_ns() if traced else 0
+        for step, mfg in islice(self._batches, want):
+            out.append(mfg)
+            if traced:
+                OBS.tracer.add_span("stage.sample", start, now_ns(),
+                                    step=step, **self._span_at)
+                start = now_ns()
         return out
 
 
@@ -275,59 +308,88 @@ class ExecutionEngine:
             note_gather(rec.gather)
         return feats, records
 
+    def _sample_windows(self, epoch: int, machines: List[int],
+                        windows: Sequence[Tuple[int, int]], **span_at):
+        """Every machine's in-flight batches, one ``{machine: [MFG, ...]}``
+        per comm window — the part of an epoch that depends on nothing the
+        training step produces, and so the only part that may run ahead of
+        it.  Samplers are drawn in machine order within a window, exactly
+        as the loop used to draw them; ``span_at`` places the measured
+        ``stage.sample`` spans (see :class:`PrefetchIterator`)."""
+        streams = {k: PrefetchIterator(self.trainer.batches(k, epoch),
+                                       self.depth, machine=k, **span_at)
+                   for k in machines}
+        for w0, w1 in windows:
+            window = {k: streams[k].next_window(w1 - w0) for k in machines}
+            for k, mfgs in window.items():
+                if len(mfgs) != w1 - w0:
+                    raise RuntimeError(
+                        f"machine {k} batch stream ended early "
+                        f"({len(mfgs)}/{w1 - w0} batches in window {w0})")
+            yield window
+
     def run_machines(self, epoch: int, machines: Iterable[int], collective,
                      *, dry_run: bool = False) -> List[List[StepRecord]]:
         """Run one epoch for ``machines`` — *the* epoch loop.
 
-        Per comm window: every machine samples its in-flight batches,
-        gathers them (coalesced across the window) and reports to
-        ``collective.fetched``; then, unless ``dry_run``, the
-        window's steps train in order, each sync step closed by
-        ``collective.sync`` and the optimizer step.  Returns each machine's
-        step records, in ``machines`` order — machine-local output only;
-        :func:`assemble_report` derives the rest.
+        Per comm window: every machine's sampled in-flight batches are
+        taken from :meth:`_sample_windows`, gathered (coalesced across the
+        window) and reported to ``collective.fetched``; then, unless
+        ``dry_run``, the window's steps train in order, each sync step
+        closed by ``collective.sync`` and the optimizer step.  On a host
+        with a spare core (``trainer.spare_core``) the sampling of a
+        trained epoch runs up to two windows ahead on the
+        :func:`~repro.utils.ahead.run_ahead` thread, which is joined
+        before this method returns or raises; everything else stays on the
+        calling thread in this order, so the two paths are bit-identical.
+        Returns each machine's step records, in ``machines`` order —
+        machine-local output only; :func:`assemble_report` derives the rest.
         """
         tr = self.trainer
         machines = list(machines)
         steps = tr.steps_per_epoch()
         sched = self.schedule(steps)
         sync_at = set(sched.sync_steps)
-        streams = {k: PrefetchIterator(tr.batches(k, epoch), self.depth)
-                   for k in machines}
+        ahead = tr.spare_core and not dry_run
         records: dict = {k: [] for k in machines}
         with OBS.span("engine.epoch", engine=self.name, epoch=epoch,
-                      steps=steps, machines=len(machines), depth=self.depth):
-            for w0, w1 in sched.windows:
-                with OBS.span("engine.window", hist="engine.window_wall_s",
-                              window=w0, steps=w1 - w0):
-                    window = {}
-                    for k in machines:
-                        mfgs = streams[k].next_window(w1 - w0)
-                        if len(mfgs) != w1 - w0:
-                            raise RuntimeError(
-                                f"machine {k} batch stream ended early "
-                                f"({len(mfgs)}/{w1 - w0} batches in window "
-                                f"{w0})"
-                            )
-                        feats, recs = self._gather_window(k, w0, mfgs,
-                                                          collective)
-                        records[k].extend(recs)
-                        window[k] = (mfgs, feats, recs)
-                    if dry_run:
-                        continue
-                    for i, step in enumerate(range(w0, w1)):
+                      steps=steps, machines=len(machines),
+                      depth=self.depth) as span:
+            windows = self._sample_windows(
+                epoch, machines, sched.windows, parent_id=span.span_id,
+                lane=f"{OBS.tracer.lane}/sampler" if ahead else None)
+            # (window, whether the loop had to wait for it): always, inline.
+            sampled = (run_ahead(windows, 2) if ahead
+                       else ((window, True) for window in windows))
+            with closing(sampled):
+                for w0, w1 in sched.windows:
+                    with OBS.span("engine.window", window=w0, steps=w1 - w0,
+                                  hist="engine.window_wall_s"):
+                        with OBS.span("engine.sample_wait",
+                                      hist="engine.sample_wait_s"):
+                            drawn, waited = next(sampled)
+                        if waited and OBS.enabled:
+                            OBS.metrics.counter("engine.pipeline_stalls").inc()
+                        gathered = {}
                         for k in machines:
-                            mfgs, feats, recs = window[k]
-                            recs[i].loss = train_batch(
-                                tr.models[k], feats[i], mfgs[i],
-                                tr.ds.labels[mfgs[i].seeds])
-                            if self.local_apply:
-                                tr.optimizers[k].step()
-                        if step in sync_at:
-                            collective.sync(step)
-                            if not self.local_apply:
-                                for k in machines:
+                            gathered[k] = feats, recs = self._gather_window(
+                                k, w0, drawn[k], collective)
+                            records[k].extend(recs)
+                        if dry_run:
+                            continue
+                        for i, step in enumerate(range(w0, w1)):
+                            for k in machines:
+                                mfg, (feats, recs) = drawn[k][i], gathered[k]
+                                recs[i].loss = train_batch(
+                                    tr.models[k], feats[i], mfg,
+                                    tr.ds.labels[mfg.seeds])
+                                if self.local_apply:
                                     tr.optimizers[k].step()
+                            if step in sync_at:
+                                collective.sync(step)
+                                if not self.local_apply:
+                                    for k in machines:
+                                        tr.optimizers[k].step()
             if OBS.enabled:
                 OBS.metrics.counter("engine.steps").inc(steps)
         return [records[k] for k in machines]

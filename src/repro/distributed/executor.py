@@ -37,6 +37,7 @@ from repro.nn.optim import Adam
 from repro.partition.reorder import ReorderedDataset
 from repro.sampling.mfg import MFG
 from repro.sampling.neighbor import NeighborSampler
+from repro.utils import ahead
 from repro.utils.rng import SeedLike, derive_seed, machine_stream_seed
 
 
@@ -153,6 +154,12 @@ class DistributedTrainer:
             drop_last=True, epoch=epoch,
             seed=machine_stream_seed(self.seed, "order", machine),
         )
+
+    @property
+    def spare_core(self) -> bool:
+        """Whether the epoch loop may sample ahead on a background thread:
+        all K machines train inside this one process."""
+        return ahead.spare_core(1)
 
     def gradient_nbytes(self) -> int:
         return gradient_nbytes(self.models[0])

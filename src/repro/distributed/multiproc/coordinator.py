@@ -51,6 +51,7 @@ from repro.distributed.wire import (
     unpack_message,
 )
 from repro.obs import OBS, SpanRecord, clock_anchor
+from repro.utils.ahead import spare_core
 from repro.utils.rng import derive_seed, machine_stream_seed
 
 #: Engines the multiproc backend can schedule (async applies local updates
@@ -236,6 +237,7 @@ class MultiprocBackend(ClusterBackend):
             self._holders.append(self._grad_plane)
 
             cfg = self.system.config
+            spare = spare_core(K)  # one reading of the host for all K
             for k in range(K):
                 self.worker_specs.append(WorkerSpec(
                     machine=k,
@@ -263,6 +265,7 @@ class MultiprocBackend(ClusterBackend):
                                          dtype=np.int64),
                     segments=specs,
                     faults=tuple(self.fault_plan.for_machine(k)),
+                    spare_core=spare,
                 ))
             self._pool_key = _cluster_fingerprint(self.worker_specs)
 

@@ -76,6 +76,11 @@ class WorkerSpec:
     #: torn at an ``(epoch, step)`` point).  Excluded from the cluster
     #: fingerprint — faults are a property of one run, not of the workers.
     faults: Tuple[FaultSpec, ...] = ()
+    #: Whether this host has a core the K workers do not occupy
+    #: (:func:`repro.utils.ahead.spare_core`, judged once by the
+    #: coordinator): the worker's engine then samples ahead of training.
+    #: A property of the host, not of the cluster — outside the fingerprint.
+    spare_core: bool = False
 
 
 def _cluster_fingerprint(specs: List[WorkerSpec]) -> str:
@@ -84,15 +89,16 @@ def _cluster_fingerprint(specs: List[WorkerSpec]) -> str:
     Two backends whose spec lists hash equal would bind byte-identical
     runtimes, so their workers are interchangeable — the warm pool's key.
     Segment *names* are excluded (random per backend; contents are re-
-    attached at bind time), as is the fault schedule (a parked worker holds
-    no spec, so a recovered cluster's workers are as generic as any);
+    attached at bind time), as are the fault schedule (a parked worker holds
+    no spec, so a recovered cluster's workers are as generic as any) and
+    the host's ``spare_core`` reading;
     segment shapes/dtypes, every seed, every id array, and every
     hyperparameter are included.
     """
     def view(spec: WorkerSpec) -> dict:
         fields = {f.name: getattr(spec, f.name)
                   for f in dataclasses.fields(spec)}
-        del fields["faults"]
+        del fields["faults"], fields["spare_core"]
         fields["segments"] = {key: (seg.shape, seg.dtype)
                               for key, seg in spec.segments.items()}
         return fields

@@ -132,6 +132,7 @@ class _WorkerRuntime:
 
         self.samplers, self.models, self.optimizers = {}, {}, {}
         self._init_training_state()
+        self.spare_core = spec.spare_core  # the coordinator's reading
         self.engine = make_engine(spec.engine, self,
                                   pipeline_depth=spec.pipeline_depth)
 

@@ -34,8 +34,14 @@ __all__ = [
     "Tracer",
     "NULL_SPAN",
     "clock_anchor",
+    "now_ns",
     "rebase_ns",
 ]
+
+#: This process's span clock, for call sites that time a region themselves
+#: and record it with :meth:`Tracer.add_span` — a region on another thread,
+#: which the tracer's implicit (single-threaded) span stack cannot hold.
+now_ns = time.perf_counter_ns
 
 #: Process-wide span-id source.  ``itertools.count`` is atomic under the
 #: GIL; ids only need to be unique within one process (cross-process
@@ -182,9 +188,12 @@ class _LiveSpan:
 class Tracer:
     """Collects :class:`SpanRecord`\\ s for one process lane.
 
-    Not thread-safe by design: every instrumented layer in this repo runs
-    its hot path on one thread per process, and the multiproc backend gives
-    each worker process its own tracer.
+    The span *stack* (implicit parents, :meth:`span`) is single-threaded by
+    design: every instrumented layer in this repo runs its hot path on one
+    thread per process, and the multiproc backend gives each worker process
+    its own tracer.  The one background thread (``utils/ahead.py``) records
+    through :meth:`add_span` only — an explicit parent, one atomic
+    ``list.append`` — and is joined before anyone drains the buffer.
     """
 
     def __init__(self, lane: str = "coordinator",

@@ -27,8 +27,8 @@ from repro.utils.rng import SeedLike, as_generator, derive_seed
 class SampleArena:
     """Reusable scratch buffers for :func:`sample_neighbors`.
 
-    The per-call intermediates — candidate segment ids, within-segment
-    offsets, random keys, candidate edge positions — are the dominant
+    The per-call intermediates — candidate segment ids, random keys, and
+    (when every candidate is kept) candidate edge positions — are the dominant
     allocations on the per-batch sampling path (each is one entry per
     *candidate* edge of the frontier, typically 10-100x the batch size).
     An arena keeps one growable buffer per role and hands out prefix views,
@@ -132,21 +132,18 @@ def sample_neighbors(
     if total == 0:
         return dst_ptr, np.empty(0, dtype=np.int64)
 
-    # Gather candidate edge positions for the whole frontier.
+    # Candidates of the whole frontier, grouped per target (segment).
     cand_total = int(deg.sum())
     cand_starts = np.zeros(len(targets) + 1, dtype=np.int64)
     np.cumsum(deg, out=cand_starts[1:])
     seg = _segment_ids(arena, cand_starts, cand_total)
-    # Position of each candidate within graph.indices:
-    # edge_pos = starts[seg] + (ramp - cand_starts[seg]).
-    rel = arena.i64("rel", cand_total)
-    np.take(cand_starts, seg, out=rel)
-    np.subtract(arena.ramp(cand_total), rel, out=rel)
-    edge_pos = arena.i64("edge_pos", cand_total)
-    np.take(starts, seg, out=edge_pos)
-    np.add(edge_pos, rel, out=edge_pos)
 
     if fanout < 0 or np.all(take == deg):
+        # Every candidate is kept; its position within graph.indices is
+        # ramp + (starts - cand_starts)[seg]: one shift per segment.
+        edge_pos = arena.i64("edge_pos", cand_total)
+        np.take(starts - cand_starts[:-1], seg, out=edge_pos)
+        np.add(edge_pos, arena.ramp(cand_total), out=edge_pos)
         return dst_ptr, graph.take_edges(edge_pos)
 
     # Random-key selection: per segment, keep the `take` smallest keys.
@@ -157,9 +154,15 @@ def sample_neighbors(
     rng.random(out=keys)
     np.add(keys, seg, out=keys)
     order = np.argsort(keys)
-    out_rel = np.arange(total, dtype=np.int64) - np.repeat(dst_ptr[:-1], take)
-    pick = order[np.repeat(cand_starts[:-1], take) + out_rel]
-    return dst_ptr, graph.take_edges(edge_pos[pick])
+    # Output slot j of segment i holds the segment's (j - dst_ptr[i])-th
+    # smallest key: sorted position j + (cand_starts - dst_ptr)[i].
+    slot = np.repeat(cand_starts[:-1] - dst_ptr[:-1], take)
+    pick = order[slot + arena.ramp(total)]
+    # Edge positions for the picked candidates only: a slot's segment is
+    # known, so candidate -> edge position is one shift per segment, no
+    # per-candidate lookup.
+    pick += np.repeat(starts - cand_starts[:-1], take)
+    return dst_ptr, graph.take_edges(pick)
 
 
 class NeighborSampler:
@@ -190,7 +193,7 @@ class NeighborSampler:
         self._local = np.zeros(graph.num_vertices, dtype=np.int64)
         self._epoch = 0
         # Scratch reused across every hop of every minibatch this sampler
-        # produces (the seg/rel/key arrays of sample_neighbors).
+        # produces (the seg/key/position arrays of sample_neighbors).
         self._arena = SampleArena()
 
     @property

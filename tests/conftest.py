@@ -14,11 +14,31 @@ import pytest
 import invariants  # tests/invariants.py: pytest puts this directory on sys.path
 from repro.graph import erdos_renyi, load_dataset, power_law_community_graph
 from repro.partition import metis_like_partition, reorder_dataset
+from repro.utils import ahead
 from repro.vip import partitionwise_vip
 
 # tests/vip/reference_dense.py (the frozen Proposition-1 oracle) and
 # tests/vip/vip_cases.py (the shared strategy) also serve tests/streaming.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "vip"))
+
+
+@pytest.fixture(autouse=True)
+def no_run_ahead_thread_outlives_its_test():
+    """A sampler thread is joined before the epoch that started it returns
+    or raises; one still alive here was leaked by this test."""
+    yield
+    leaked = invariants.run_ahead_threads()
+    assert not leaked, f"run-ahead thread(s) still alive: {leaked}"
+
+
+@pytest.fixture(params=[1, 64], ids=["one-core", "spare-core"])
+def either_side_of_the_spare_core_rule(request, monkeypatch):
+    """Run a test on both sides of ``ahead.spare_core``: a one-core host
+    (every epoch samples inline) and one with cores to spare (trained
+    epochs sample ahead on the thread — in-process, and inside multiproc
+    workers, which take the coordinator's reading from their spec)."""
+    monkeypatch.setattr(ahead, "usable_cores", lambda: request.param)
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -8,10 +8,17 @@ the pre-refactor trainer's :class:`EpochReport` exactly — same losses, same
 volumes, same ledger bytes under the same seeds.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.distributed.engine as engine_module
+from invariants import run_ahead_threads as helper_threads, trace_shape
+from repro.core import Planner, RunConfig
 from repro.distributed import (
     ENGINES,
     DistributedTrainer,
@@ -21,11 +28,15 @@ from repro.distributed import (
 )
 from repro.distributed.comm import CommLedger, all_reduce_gradients
 from repro.distributed.dynamic_cache import DynamicCacheSpec
+from repro.distributed.engine import InProcessCollective
 from repro.distributed.feature_store import GatherStats
-from repro.graph.datasets import make_synthetic_dataset
+from repro.graph.datasets import make_synthetic_dataset, make_tiny
+from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.nn.functional import cross_entropy
 from repro.partition import metis_like_partition, reorder_dataset
+from repro.obs import OBS
 from repro.pipeline.events import Stage
+from repro.utils import ahead
 from repro.utils.rng import derive_seed
 from repro.vip import CacheContext, VIPAnalyticPolicy, build_caches
 
@@ -395,3 +406,264 @@ class TestEngineRegistry:
             make_engine("pipelined", tr, pipeline_depth=0)
         with pytest.raises(ValueError, match="staleness"):
             make_engine("async", tr, staleness=-1)
+
+
+# ----------------------------------------------------------------------
+# Sampling ahead of training (§4.3 on the wall clock): the engine draws an
+# epoch's windows through one generator and, on a host with a spare core,
+# iterates it on the run-ahead thread.  Which side of the rule runs is
+# forced by patching ``ahead.usable_cores``; everything observable must be
+# the same on both, and equal to the frozen seed loop.
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """``cores(n)``: make the host look like it has ``n`` usable cores."""
+    return lambda n: monkeypatch.setattr(ahead, "usable_cores", lambda: n)
+
+
+@pytest.fixture()
+def run_ahead_calls(monkeypatch):
+    """One entry per ``run_ahead`` the engine starts: the number of windows
+    its producer has drawn so far (a one-element list, live)."""
+    made = []
+
+    def spy(generator, slots):
+        drawn = [0]
+        made.append(drawn)
+
+        def counted():
+            for window in generator:
+                drawn[0] += 1
+                yield window
+
+        return ahead.run_ahead(counted(), slots)
+
+    monkeypatch.setattr(engine_module, "run_ahead", spy)
+    return made
+
+
+@pytest.fixture(scope="module")
+def planner():
+    return Planner()
+
+
+@pytest.fixture(scope="module")
+def ahead_dataset():
+    return make_tiny(seed=3, num_vertices=2000)
+
+
+CACHES = {
+    "static": dict(cache_policy="vip", replication_factor=0.2),
+    "lru": dict(cache_policy="lru", replication_factor=0.1),
+    "vip-refresh": dict(cache_policy="vip-refresh", replication_factor=0.1,
+                        refresh_interval=2),
+}
+SCHEDULES = {
+    "bsp": dict(engine="bsp"),
+    "pipelined-3": dict(engine="pipelined", pipeline_depth=3),
+    "pipelined-10": dict(engine="pipelined", pipeline_depth=10),
+    "async-0": dict(engine="async", staleness=0),
+    "async-2": dict(engine="async", staleness=2),
+}
+
+
+def build_system(planner, ds, schedule, cache, streaming):
+    cfg = RunConfig(num_machines=3, fanouts=(4, 3), batch_size=12,
+                    hidden_dim=16, gpu_fraction=0.5, seed=0,
+                    **SCHEDULES[schedule], **CACHES[cache])
+    system = planner.build(ds, cfg)
+    if streaming:
+        gen = np.random.default_rng(1)
+        n, none = ds.num_vertices, np.empty(0, dtype=np.int64)
+        system.apply_graph_updates(EdgeBatch(
+            add_src=gen.integers(0, n, 60), add_dst=gen.integers(0, n, 60),
+            del_src=none, del_dst=none))
+        assert isinstance(system.trainer.ds.graph, MutableGraph)
+    return system
+
+
+def epoch_facts(system, report):
+    """Everything an epoch leaves behind that a second run could differ in."""
+    flat = [(r.machine, r.step, r.loss, r.mfg_vertices, r.mfg_edges,
+             r.candidate_edges, r.block_sizes, r.gather.total_rows,
+             r.gather.gpu_rows, r.gather.cpu_rows, r.gather.cached_rows,
+             r.gather.remote_rows, tuple(r.gather.remote_per_peer),
+             r.gather.coalesced_rows, r.gather.refresh_fetch_rows)
+            for r in report.records]
+    ledger = report.ledger
+    return (flat, report.mean_loss, ledger.feature_bytes.tolist(),
+            ledger.request_bytes.tolist(), ledger.gradient_bytes.tolist(),
+            trace_shape(report.events), report.cache_churn,
+            [s.rng_state() for s in system.trainer.samplers],
+            [{k: v.tobytes() for k, v in m.state_dict().items()}
+             for m in system.trainer.models])
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["csr", "overlay"])
+@pytest.mark.parametrize("cache", list(CACHES))
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+def test_sampling_ahead_is_bit_identical_to_inline_and_to_the_seed_loop(
+        planner, ahead_dataset, cores, run_ahead_calls, check_invariants,
+        schedule, cache, streaming):
+    threaded, inline, oracle = (
+        build_system(planner, ahead_dataset, schedule, cache, streaming)
+        for _ in range(3))
+    for epoch in range(2):
+        cores(2)
+        got = threaded.trainer.train_epoch(epoch)
+        assert len(run_ahead_calls) == epoch + 1 and not helper_threads()
+        cores(1)
+        want = inline.trainer.train_epoch(epoch)
+        assert len(run_ahead_calls) == epoch + 1
+        assert epoch_facts(threaded, got) == epoch_facts(inline, want)
+        check_invariants(got, bytes_per_row=threaded.store.bytes_per_row)
+
+        if schedule.startswith("async"):
+            continue  # the seed loop all-reduces gradients every step
+        losses, volumes, ledger = seed_trainer_epoch(oracle.trainer, epoch)
+        assert [r.loss for r in got.records] == losses
+        assert [s.rng_state() for s in threaded.trainer.samplers] == \
+            [s.rng_state() for s in oracle.trainer.samplers]
+        assert np.array_equal(got.ledger.gradient_bytes,
+                              ledger.gradient_bytes)
+        if schedule == "bsp":  # deeper windows coalesce: fewer remote rows
+            assert [(r.mfg_vertices, r.gather.remote_rows,
+                     r.gather.cached_rows) for r in got.records] == volumes
+            assert np.array_equal(got.ledger.feature_bytes,
+                                  ledger.feature_bytes)
+            assert np.array_equal(got.ledger.request_bytes,
+                                  ledger.request_bytes)
+
+
+def test_sampling_ahead_is_bit_identical_on_a_short_switch_interval(
+        planner, ahead_dataset, cores, run_ahead_calls):
+    """The two threads preempt each other every 10 µs instead of every
+    5 ms: if the sampler thread and the loop shared anything mutable — an
+    arena, a stamp table, an RNG — this is where a run would diverge."""
+    threaded, inline = (
+        build_system(planner, ahead_dataset, "pipelined-3", "vip-refresh",
+                     streaming=True) for _ in range(2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for epoch in range(3):
+            cores(2)
+            got = threaded.trainer.train_epoch(epoch)
+            cores(1)
+            want = inline.trainer.train_epoch(epoch)
+            assert epoch_facts(threaded, got) == epoch_facts(inline, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(run_ahead_calls) == 3 and not helper_threads()
+
+
+def test_registry_equals_report_on_a_threaded_epoch(
+        planner, ahead_dataset, cores, run_ahead_calls, check_registry):
+    system = build_system(planner, ahead_dataset, "pipelined-3",
+                          "vip-refresh", streaming=True)
+    cores(2)
+    OBS.disable()
+    OBS.reset()
+    OBS.enable()
+    try:
+        report = system.trainer.train_epoch(0)
+        check_registry(OBS.metrics.snapshot(), report)
+    finally:
+        OBS.disable()
+        OBS.reset()
+    assert len(run_ahead_calls) == 1
+
+
+def test_dry_runs_and_one_core_hosts_never_start_a_thread(
+        planner, ahead_dataset, cores, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start",
+        lambda self: (started.append(self.name), real_start(self))[1])
+    system = build_system(planner, ahead_dataset, "pipelined-3", "static",
+                          streaming=False)
+    cores(64)
+    system.trainer.train_epoch(0, dry_run=True)
+    cores(1)
+    system.trainer.train_epoch(1)
+    system.trainer.train_epoch(2, dry_run=True)
+    assert started == []
+    cores(2)
+    system.trainer.train_epoch(3)
+    assert started == [ahead.THREAD_NAME]
+
+
+@pytest.mark.parametrize("n_cores", [1, 2], ids=["inline", "ahead"])
+def test_a_short_sample_stream_raises_on_the_caller(
+        planner, ahead_dataset, cores, monkeypatch, n_cores):
+    """The sampler-side failure — a stream shorter than the schedule —
+    surfaces from ``train_epoch`` as the same error on both paths, after
+    the windows before it trained."""
+    system = build_system(planner, ahead_dataset, "bsp", "static", False)
+    tr = system.trainer
+    steps = tr.steps_per_epoch()
+    monkeypatch.setattr(tr, "steps_per_epoch", lambda: steps + 1)
+    cores(n_cores)
+    with pytest.raises(RuntimeError, match=(
+            rf"machine 0 batch stream ended early \(0/1 batches in "
+            rf"window {steps}\)")):
+        tr.train_epoch(0)
+    assert not helper_threads()
+
+
+class FaultAt(InProcessCollective):
+    """Closes steps like the in-process collective until ``step``, where it
+    raises the way a worker's collective does when the coordinator aborts
+    the epoch — optionally first waiting for the hand-off to fill."""
+
+    class Aborted(Exception):
+        pass
+
+    def __init__(self, models, step, handoff=None):
+        super().__init__(models, all_reduce_gradients)
+        self.step, self.handoff = step, handoff
+
+    def sync(self, step):
+        if step == self.step:
+            if self.handoff is not None:
+                # bsp: step + 1 windows taken; full is two drawn beyond.
+                deadline = time.monotonic() + 5.0
+                while self.handoff[-1][0] < step + 3:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            raise self.Aborted
+        super().sync(step)
+
+
+@pytest.mark.parametrize("full_handoff", [False, True])
+@pytest.mark.parametrize("fault_step", [0, 3])
+def test_an_aborted_epoch_joins_its_thread_and_replays_bit_identically(
+        planner, ahead_dataset, cores, run_ahead_calls, fault_step,
+        full_handoff):
+    cores(2)
+    clean = build_system(planner, ahead_dataset, "bsp", "static", False)
+    clean.trainer.train_epoch(0)
+    want = clean.trainer.train_epoch(1)
+
+    system = build_system(planner, ahead_dataset, "bsp", "static", False)
+    tr = system.trainer
+    tr.train_epoch(0)
+    checkpoint = ([m.state_dict() for m in tr.models],
+                  [o.state_dict() for o in tr.optimizers],
+                  [s.rng_state() for s in tr.samplers])
+    assert tr.steps_per_epoch() > fault_step + 3
+    collective = FaultAt(tr.models, fault_step,
+                         run_ahead_calls if full_handoff else None)
+    made = len(run_ahead_calls)
+    with pytest.raises(FaultAt.Aborted):
+        tr.engine.run_machines(1, range(tr.num_machines), collective)
+    assert len(run_ahead_calls) == made + 1 and not helper_threads()
+    # The thread ran ahead of the fault: the cursors moved past it.
+    assert [s.rng_state() for s in tr.samplers] != checkpoint[2]
+
+    for k in range(tr.num_machines):
+        tr.models[k].load_state_dict(checkpoint[0][k])
+        tr.optimizers[k].load_state_dict(checkpoint[1][k])
+        tr.samplers[k].set_rng_state(checkpoint[2][k])
+    assert epoch_facts(system, tr.train_epoch(1)) == epoch_facts(clean, want)

@@ -63,13 +63,17 @@ class TestClusterFingerprint:
         assert (_cluster_fingerprint([_spec(0), _spec(1)])
                 == _cluster_fingerprint([_spec(0), _spec(1)]))
 
-    def test_segment_names_and_faults_stay_out(self):
+    def test_segment_names_faults_and_the_host_reading_stay_out(self):
         base = _cluster_fingerprint([_spec(0), _spec(1)])
         renamed = {key: dataclasses.replace(seg, name="rpmp-zzzz-" + key)
                    for key, seg in _spec().segments.items()}
         faulty = (FaultSpec("kill", 0, epoch=1, step=2),)
         assert _cluster_fingerprint(
             [_spec(0, segments=renamed, faults=faulty), _spec(1)]) == base
+        # spare_core describes the host, not the cluster: the same workers
+        # serve a run that samples ahead and one that does not.
+        assert _cluster_fingerprint(
+            [_spec(0, spare_core=True), _spec(1, spare_core=True)]) == base
 
     @pytest.mark.parametrize("changes", [
         {"sampler_seed": 99}, {"lr": 0.02}, {"fanouts": (5, 4)},

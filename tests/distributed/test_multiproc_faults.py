@@ -21,6 +21,9 @@ from repro.distributed import FaultPlan, MultiprocBackend, WorkerFailedError
 from repro.distributed.multiproc import WORKER_POOL
 from repro.graph.datasets import make_tiny
 
+# Every test runs with the workers sampling inline and sampling ahead.
+pytestmark = pytest.mark.usefixtures("either_side_of_the_spare_core_rule")
+
 
 def _build_system():
     ds = make_tiny(seed=3, num_vertices=2000)

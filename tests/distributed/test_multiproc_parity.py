@@ -24,7 +24,11 @@ from repro.graph.datasets import make_papers_mini
 from invariants import assert_trace_shape_equal
 from repro.utils.rng import machine_stream_seed
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+# Every test runs with the workers sampling inline and sampling ahead.
+pytestmark = [
+    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
+    pytest.mark.usefixtures("either_side_of_the_spare_core_rule"),
+]
 
 K = 4
 

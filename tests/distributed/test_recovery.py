@@ -32,6 +32,11 @@ from repro.distributed import (
 )
 from repro.graph.datasets import make_tiny
 
+# Every test runs with the workers sampling inline and sampling ahead: an
+# aborted epoch must join its sampler thread before the worker acknowledges,
+# and the replay must land on the fault-free floats either way.
+pytestmark = pytest.mark.usefixtures("either_side_of_the_spare_core_rule")
+
 
 def _build_system(num_machines=2):
     ds = make_tiny(seed=3, num_vertices=2000)

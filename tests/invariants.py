@@ -47,11 +47,13 @@ order) — the parity suites' comparator; nothing in ``src/`` calls it.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 
 from repro.distributed.feature_store import GatherStats
 from repro.pipeline.events import RESOURCES, STEP_STAGES, Stage
+from repro.utils import ahead
 
 BUCKETS = ("gpu_rows", "cpu_rows", "cached_rows", "remote_rows",
            "coalesced_rows", "unavailable_rows")
@@ -70,6 +72,15 @@ COUNTERS = {
     "cache.evictions": "cache_evictions",
     "cache.refresh_rows": "refresh_rows",
 }
+
+
+def run_ahead_threads() -> list:
+    """The live sampler threads (``utils/ahead.run_ahead``).  The law: empty
+    whenever no epoch is running — the thread is joined before the epoch
+    that started it returns or raises (``tests/conftest.py`` checks it after
+    every test).  By name: ``threading.active_count()`` also moves with
+    ``multiprocessing``'s queue feeders and the worker pool's helpers."""
+    return [t for t in threading.enumerate() if t.name == ahead.THREAD_NAME]
 
 
 def check_registry(snapshot, report) -> None:

@@ -31,6 +31,7 @@ from repro.obs.exporters import (
 )
 from repro.obs.report import union_length
 from repro.serving import Outage, poisson_requests
+from repro.utils import ahead
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -209,7 +210,16 @@ class TestInProcessSpans:
 
 
 def stage_spans(spans):
-    return [s for s in spans if s.name.startswith("stage.")]
+    """The *simulated* stage spans (placements of a timeline).  A measured
+    twin (``stage.sample``, wall clock) shares the name and the
+    ``(machine, step)`` key; ``sim_start`` tells the two clocks apart."""
+    return [s for s in spans
+            if s.name.startswith("stage.") and s.sim_start is not None]
+
+
+def measured_stage_spans(spans):
+    return [s for s in spans
+            if s.name.startswith("stage.") and s.sim_start is None]
 
 
 def assert_spans_are_the_timeline(spans, timeline):
@@ -223,6 +233,109 @@ def assert_spans_are_the_timeline(spans, timeline):
         lane = f"machine-{k}" if k >= 0 else "cluster"
         assert got[(f"stage.{stage.value}", k, step)] == \
             (start, start + duration, lane, stage.resource)
+
+
+class TestMeasuredSampleSpans:
+    """The wall twin of ``Stage.SAMPLE``, and what the loop waited for it:
+    one definition on both sides of the spare-core rule."""
+
+    def traced_epoch(self, papers_mini, monkeypatch, cores, **overrides):
+        monkeypatch.setattr(ahead, "usable_cores", lambda: cores)
+        planner = Planner()
+        cfg = _config(**overrides)
+        untraced = SalientPP.build(
+            papers_mini, dataclasses.replace(cfg, backend="inprocess"),
+            planner=planner).train_epoch(0)
+        system = SalientPP.build(papers_mini, cfg, planner=planner)
+        OBS.enable()
+        try:
+            result = system.train_epoch(0)
+        finally:
+            OBS.disable()
+            system.shutdown()
+        # Tracing records; it does not touch the math.
+        assert [(r.machine, r.step, r.loss) for r in result.report.records] \
+            == [(r.machine, r.step, r.loss) for r in untraced.report.records]
+        assert result.epoch_time == untraced.epoch_time
+        return result, list(OBS.tracer.spans), OBS.metrics.snapshot()
+
+    @pytest.mark.parametrize("cores", [1, 8], ids=["inline", "ahead"])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_in_process_epoch(self, papers_mini, monkeypatch, cores, depth):
+        result, spans, snap = self.traced_epoch(
+            papers_mini, monkeypatch, cores, engine="pipelined",
+            pipeline_depth=depth)
+        windows = [s for s in spans if s.name == "engine.window"]
+        steps = result.report.steps_per_machine
+        assert len(windows) == -(-steps // depth)
+
+        # One measured stage.sample per (machine, step): the simulated
+        # placements' key set, so the two clocks join by equality.
+        measured = measured_stage_spans(spans)
+        assert {s.name for s in measured} == {"stage.sample"}
+        keys = [(s.attrs["machine"], s.attrs["step"]) for s in measured]
+        assert len(set(keys)) == len(keys) == K * steps
+        assert set(keys) == {(s.attrs["machine"], s.attrs["step"])
+                             for s in stage_spans(spans)
+                             if s.name == "stage.sample"}
+        epoch = next(s for s in spans if s.name == "engine.epoch")
+        assert {s.parent_id for s in measured} == {epoch.span_id}
+        assert {s.lane for s in measured} == \
+            {"coordinator/sampler" if cores > 1 else "coordinator"}
+        assert all(epoch.start_ns <= s.start_ns <= s.end_ns <= epoch.end_ns
+                   for s in measured)
+
+        # What the loop waited: one engine.sample_wait under every window,
+        # one observation each; a stall is a window it had to wait for.
+        waits = [s for s in spans if s.name == "engine.sample_wait"]
+        assert sorted(s.parent_id for s in waits) == \
+            sorted(s.span_id for s in windows)
+        assert snap["engine.sample_wait_s"]["count"] == len(windows)
+        # (registered at the first stall: a run that never waited has none)
+        stalls = snap.get("engine.pipeline_stalls", {"value": 0})["value"]
+        sampled_s = sum(s.duration_s for s in measured)
+        if cores == 1:
+            assert stalls == len(windows)
+            # Inline, the wait *is* the sampling (plus loop overhead).
+            assert snap["engine.sample_wait_s"]["sum"] >= sampled_s
+        else:
+            assert 0 <= stalls <= len(windows)
+        assert validate_chrome_trace(chrome_trace(spans, OBS.metrics)) == []
+
+    def test_dry_run_samples_inline_whatever_the_host(self, papers_mini,
+                                                      monkeypatch):
+        monkeypatch.setattr(ahead, "usable_cores", lambda: 8)
+        system = SalientPP.build(papers_mini, _config(), planner=Planner())
+        OBS.enable()
+        system.train_epoch(0, dry_run=True)
+        OBS.disable()
+        measured = measured_stage_spans(OBS.tracer.spans)
+        assert measured and {s.lane for s in measured} == {"coordinator"}
+
+    def test_multiproc_workers_sample_on_their_own_sampler_lane(
+            self, papers_mini, monkeypatch):
+        """With cores to spare the coordinator's reading reaches every
+        worker in its spec: each samples ahead, on ``worker-k/sampler``,
+        and the merged registry still equals the report."""
+        result, spans, snap = self.traced_epoch(
+            papers_mini, monkeypatch, 64, backend="multiproc")
+        measured = measured_stage_spans(spans)
+        steps = result.report.steps_per_machine
+        assert Counter(s.lane for s in measured) == \
+            {f"worker-{k}/sampler": steps for k in range(K)}
+        assert {(s.attrs["machine"], s.attrs["step"]) for s in measured} == \
+            {(k, step) for k in range(K) for step in range(steps)}
+        epochs = {s.lane: s.span_id for s in spans
+                  if s.name == "engine.epoch"}
+        assert all(s.parent_id == epochs[s.lane.split("/")[0]]
+                   for s in measured)
+        mp_epoch = next(s for s in spans if s.name == "mp.epoch")
+        assert all(mp_epoch.start_ns - ALIGN_SLACK_NS <= s.start_ns
+                   and s.end_ns <= mp_epoch.end_ns + ALIGN_SLACK_NS
+                   for s in measured)
+        assert snap["engine.sample_wait_s"]["count"] == K * steps
+        assert snap.get("engine.pipeline_stalls",
+                        {"value": 0})["value"] <= K * steps
 
 
 class TestSimulatedTimelineSpans:

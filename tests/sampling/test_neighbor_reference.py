@@ -1,0 +1,123 @@
+"""``sample_neighbors`` held to its frozen predecessor, bit for bit.
+
+The production function computes edge positions for the *picked* candidates
+only; ``reference_neighbor.py`` (never edit it) builds them for every
+candidate first.  Same outputs (``np.array_equal``) and the same generator
+state afterwards, over a static CSR and a streaming overlay with edited and
+appended rows, capped / uncapped / mixed fanouts, empty rows, isolated
+targets, and with or without a shared arena.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reference_neighbor import sample_neighbors as reference_sample_neighbors
+from repro.graph import erdos_renyi
+from repro.graph.csr import CSRGraph
+from repro.graph.mutable import MutableGraph
+from repro.sampling import NeighborSampler
+from repro.sampling.neighbor import SampleArena, sample_neighbors
+
+
+def overlay(graph: CSRGraph, seed: int) -> MutableGraph:
+    """``graph`` under an overlay that edits rows, empties one, and adds
+    vertices — some connected, some left isolated."""
+    gen = np.random.default_rng(seed)
+    n = graph.num_vertices
+    mg = MutableGraph(graph, undirected=True, compact_cutoff=None)
+    new = mg.add_vertices(4)
+    src = gen.integers(0, n, size=12)
+    dst = (src + 1 + gen.integers(0, n - 1, size=12)) % n
+    mg.add_edges(np.concatenate([src, new[:2]]),
+                 np.concatenate([dst, gen.integers(0, n, size=2)]))
+    victim = int(np.argmax(graph.degrees))
+    nbrs = mg.neighbors(victim)
+    mg.remove_edges(np.full(len(nbrs), victim), nbrs)  # an emptied row
+    return mg
+
+
+def assert_same_draw(graph, targets, fanout, seed, *, shared_arena):
+    rng_new = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    arenas = (SampleArena(), SampleArena()) if shared_arena else (None, None)
+    for _ in range(3 if shared_arena else 1):  # reused scratch, moving RNG
+        got = sample_neighbors(graph, targets, fanout, rng_new,
+                               arena=arenas[0])
+        want = reference_sample_neighbors(graph, targets, fanout, rng_ref,
+                                          arena=arenas[1])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[1].dtype == want[1].dtype
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@given(
+    n=st.integers(8, 90),
+    avg_deg=st.floats(0.5, 9.0),
+    fanout=st.sampled_from([-1, 1, 2, 3, 5, 8, 40]),
+    seed=st.integers(0, 2**31 - 1),
+    streaming=st.booleans(),
+    shared_arena=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_equals_frozen_reference(n, avg_deg, fanout, seed, streaming,
+                                 shared_arena, data):
+    graph = erdos_renyi(n, avg_deg, seed=seed)
+    if streaming:
+        graph = overlay(graph, seed)
+    targets = np.array(data.draw(st.lists(
+        st.integers(0, graph.num_vertices - 1), max_size=40, unique=True)),
+        dtype=np.int64)
+    assert_same_draw(graph, targets, fanout, seed + 1,
+                     shared_arena=shared_arena)
+
+
+@pytest.mark.parametrize("fanout", [-1, 1, 3])
+@pytest.mark.parametrize("streaming", [False, True])
+def test_empty_rows_and_isolated_targets(fanout, streaming):
+    """Targets whose rows are empty (isolated vertices, an emptied overlay
+    row, appended vertices with no edges) between targets that have
+    neighbours; and a frontier with no candidates at all."""
+    indptr = np.array([0, 3, 3, 5, 5, 5, 9])
+    indices = np.array([2, 3, 5, 0, 5, 0, 1, 2, 4])
+    graph = CSRGraph(indptr, indices, check=False)
+    if streaming:
+        graph = MutableGraph(graph, undirected=False, compact_cutoff=None)
+        graph.add_vertices(2)
+        graph.add_edges([6, 1], [0, 4])
+        graph.remove_edges([2, 2], [0, 5])
+    everyone = np.arange(graph.num_vertices, dtype=np.int64)
+    for targets in (everyone, everyone[::-1], everyone[graph.degrees == 0],
+                    everyone[:0]):
+        for shared_arena in (False, True):
+            assert_same_draw(graph, targets, fanout, 11,
+                             shared_arena=shared_arena)
+
+
+@pytest.mark.parametrize("fanouts", [(15, 10, 5), (5, -1), (2, 2)])
+def test_sampler_streams_match_reference(fanouts, monkeypatch):
+    """A whole minibatch stream (shared arena, one generator across hops
+    and batches): every MFG array and the final cursor are the reference's."""
+    import repro.sampling.neighbor as neighbor
+
+    graph = overlay(erdos_renyi(400, 9.0, seed=5), 5)
+    ids = np.arange(0, 400, 2)
+
+    def stream():
+        sampler = NeighborSampler(graph, fanouts, seed=3)
+        out = [(m.n_id, [(b.dst_ptr, b.src_index) for b in m.blocks])
+               for m in sampler.batches(ids, 32, epoch=1, seed=9)]
+        return out, sampler.rng_state()
+
+    got, got_state = stream()
+    monkeypatch.setattr(neighbor, "sample_neighbors",
+                        reference_sample_neighbors)
+    want, want_state = stream()
+    assert got_state == want_state and len(got) == len(want)
+    for (n_id, blocks), (ref_n_id, ref_blocks) in zip(got, want):
+        assert np.array_equal(n_id, ref_n_id)
+        for (ptr, src), (ref_ptr, ref_src) in zip(blocks, ref_blocks):
+            assert np.array_equal(ptr, ref_ptr)
+            assert np.array_equal(src, ref_src)
