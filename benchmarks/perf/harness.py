@@ -10,9 +10,11 @@ implementation where one is kept: Proposition-1 VIP against
 ``partitionwise_vip_dense`` and the serving vip-refresh recomputation
 against ``vip_probabilities_dense`` (both from the frozen oracle
 ``tests/vip/reference_dense.py`` — ``src/`` holds one evaluation only),
-arena-backed ``execute(out=)`` against the allocating ``execute``, and the
+arena-backed ``execute(out=)`` against the allocating ``execute``, the
 rewritten ``FetchPlan.coalesce`` against the seed's searchsorted-per-plan
-bookkeeping.  ``null`` where no dense counterpart exists.
+bookkeeping, and the model step against the same step on the frozen
+pre-SpMM autograd engine (``tests/nn/reference_autograd.py``).  ``null``
+where no dense counterpart exists.
 
 Tracked stages
 --------------
@@ -57,6 +59,15 @@ Tracked stages
     and the interrupted epoch replayed — asserted bit-identical to a
     fault-free oracle before the detect/backoff/respawn/replay walls are
     reported.
+``nn.train_batch``
+    The model step: ``train_batch`` (forward, loss, backward of the 3-layer
+    GraphSAGE) over machine 0's 15 minibatches of epoch 0, against the
+    same step on the frozen pre-SpMM engine (``dense_wall_s``:
+    ``tests/nn/reference_step.py`` on ``tests/nn/reference_autograd.py`` —
+    ``gather_rows`` -> ``np.add.reduceat`` forward, ``np.repeat`` ->
+    ``np.add.at`` backward) from the same MFGs, feature rows and weights.
+    Both sides are timed in alternating rounds and their losses held to the
+    float32 re-association bound before the walls are reported.
 ``gather.into``
     Arena-backed ``execute(plan, out=)`` against the allocating
     ``execute(plan)`` on identical id streams.
@@ -82,13 +93,15 @@ from repro.graph import load_dataset
 from repro.serving import InferenceService, poisson_requests
 from repro.vip import partitionwise_vip, vip_probabilities
 
-# The dense baseline is the frozen test oracle, not a src/ function.
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, os.pardir, "tests", "vip"))
+# The dense baselines are the frozen test oracles, not src/ functions.
+for _oracles in ("vip", "nn"):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, os.pardir, "tests", _oracles))
 from reference_dense import (  # noqa: E402
     partitionwise_vip_dense,
     vip_probabilities_dense,
 )
+from reference_step import reference_train_batch  # noqa: E402
 
 DATASET = "papers-mini"
 K = 8
@@ -495,6 +508,49 @@ def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
 
 
 # ----------------------------------------------------------------------
+def nn_stages(stages: dict, *, dataset=None, batches=15, rounds=5) -> None:
+    """``train_batch`` on ``repro.nn`` vs the same step on the frozen
+    pre-SpMM engine: same MFGs, same float32 feature rows, same weights."""
+    from itertools import islice
+
+    from repro.distributed import train_batch
+
+    ds = dataset if dataset is not None else load_dataset(DATASET)
+    cfg = RunConfig(num_machines=K, replication_factor=0.1,
+                    cache_policy="vip", seed=0)
+    system = Planner().build(ds, cfg)
+    tr = system.trainer
+    model, state = tr.models[0], tr.models[0].state_dict()
+    steps = [(system.store.gather(0, mfg.n_id)[0], mfg,
+              tr.ds.labels[mfg.seeds])
+             for mfg in islice(tr.batches(0, 0), batches)]
+
+    def new():
+        return [train_batch(model, *step) for step in steps]
+
+    def dense():
+        return [reference_train_batch(state, *step)[0] for step in steps]
+
+    wall = dense_wall = float("inf")
+    for _ in range(rounds):  # alternating, so machine drift hits both sides
+        t, losses = _timed(new)
+        wall = min(wall, t)
+        t, dense_losses = _timed(dense)
+        dense_wall = min(dense_wall, t)
+    # The aggregation order changed (left to right, not reduceat's); the
+    # first layer sums float32 rows, at most max(fanout) of them.
+    bound = max(tr.fanouts) * float(np.finfo(np.float32).eps)
+    if not np.allclose(losses, dense_losses, rtol=bound, atol=0.0):
+        raise AssertionError(
+            f"train_batch diverged from the frozen step: {losses} vs "
+            f"{dense_losses}")
+    stages["nn.train_batch"] = _entry(
+        wall, rows=sum(mfg.num_vertices for _f, mfg, _l in steps),
+        dense_wall_s=dense_wall, batches=len(steps),
+        edges=sum(mfg.num_edges for _f, mfg, _l in steps))
+
+
+# ----------------------------------------------------------------------
 def _gather_substrate(dataset=None, reordered=None):
     from repro.core import make_partition
     from repro.distributed import PartitionedFeatureStore
@@ -606,6 +662,7 @@ def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dic
     recovery_stages(stages)
     serving_stages(stages, num_requests=num_requests, dataset=dataset)
     streaming_stages(stages, dataset=dataset)
+    nn_stages(stages, dataset=dataset)
     gather_stages(stages, reordered=reordered)
     coalesce_stages(stages, reordered=reordered)
     return {

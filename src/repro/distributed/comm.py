@@ -132,9 +132,10 @@ def all_reduce_gradients(
 
     Parameters missing a gradient on some machine contribute zeros (that
     machine's batch never touched them), matching DDP semantics.  After this
-    call every replica holds identical averaged gradients, so identical
-    optimizer states yield identical weights — the invariant the test suite
-    checks.
+    call every replica holds identical averaged gradients — the *same*
+    arrays, shared: nothing under ``src/repro`` writes a gradient in place
+    (``tests/nn/test_grad_aliasing.py``) — so identical optimizer states
+    yield identical weights, the invariant the test suite checks.
     """
     if not models:
         raise ValueError("no models to reduce")
@@ -153,7 +154,7 @@ def all_reduce_gradients(
     )
     for nd in named:
         for key, avg in zip(keys, averaged):
-            nd[key].grad = np.array(avg, copy=True)
+            nd[key].grad = avg
 
     if ledger is not None and k > 1:
         ledger.record_all_reduce(

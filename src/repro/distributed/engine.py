@@ -342,6 +342,10 @@ class ExecutionEngine:
         :func:`~repro.utils.ahead.run_ahead` thread, which is joined
         before this method returns or raises; everything else stays on the
         calling thread in this order, so the two paths are bit-identical.
+        While tracing is on, each :func:`train_batch` call is a wall
+        ``stage.train`` span keyed ``(machine, step)`` under its
+        ``engine.window`` — the measured twin of the simulated placement of
+        the same name and key (histogram ``engine.train_batch_s``).
         Returns each machine's step records, in ``machines`` order —
         machine-local output only; :func:`assemble_report` derives the rest.
         """
@@ -380,9 +384,12 @@ class ExecutionEngine:
                         for i, step in enumerate(range(w0, w1)):
                             for k in machines:
                                 mfg, (feats, recs) = drawn[k][i], gathered[k]
-                                recs[i].loss = train_batch(
-                                    tr.models[k], feats[i], mfg,
-                                    tr.ds.labels[mfg.seeds])
+                                with OBS.span("stage.train", machine=k,
+                                              step=step,
+                                              hist="engine.train_batch_s"):
+                                    recs[i].loss = train_batch(
+                                        tr.models[k], feats[i], mfg,
+                                        tr.ds.labels[mfg.seeds])
                                 if self.local_apply:
                                     tr.optimizers[k].step()
                             if step in sync_at:

@@ -2,52 +2,56 @@
 concatenation, dropout, and losses.
 
 Segment ops operate on CSR-style contiguous segments (an MFG block's
-``dst_ptr``), which keeps both the forward (``reduceat``) and the backward
-(``repeat`` / scatter) passes fully vectorized.
+``dst_ptr``).  Every segment sum — plain, through a source index (a block's
+aggregation), forward and backward — is a product with the block's 0/1
+operator (:func:`~repro.nn.autograd.edge_operator`): ``A @ x`` and
+``A.T @ grad``.  The summation order is therefore left to right in edge
+order, in the dtype of the rows being summed.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, edge_operator
 
 
-def _segment_sum_data(data: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    n_seg = len(ptr) - 1
-    out = np.zeros((n_seg,) + data.shape[1:], dtype=data.dtype)
-    lengths = np.diff(ptr)
-    rows = np.flatnonzero(lengths > 0)
-    if len(rows):
-        out[rows] = np.add.reduceat(data, ptr[rows], axis=0)
-    return out
+def segment_sum(x: Tensor, ptr: np.ndarray,
+                index: Optional[np.ndarray] = None) -> Tensor:
+    """Sum rows of ``x`` within each contiguous segment ``[ptr[i], ptr[i+1])``
+    — of ``x`` itself, or of ``x[index]`` when ``index`` is given (the
+    gather is never materialised).
 
-
-def segment_sum(x: Tensor, ptr: np.ndarray) -> Tensor:
-    """Sum rows of ``x`` within each contiguous segment ``[ptr[i], ptr[i+1])``.
-
-    Empty segments produce zero rows (a vertex whose sampled neighborhood is
-    empty aggregates to zeros, matching PyG semantics).
+    Each segment is summed left to right, starting from zero, in
+    ``x.dtype``.  Empty segments produce zero rows (a vertex whose sampled
+    neighborhood is empty aggregates to zeros, matching PyG semantics).
+    ``index`` entries outside ``[0, len(x))`` raise ``ValueError``.
     """
     ptr = np.asarray(ptr, dtype=np.int64)
-    if ptr[-1] != len(x.data):
-        raise ValueError(f"ptr[-1] ({ptr[-1]}) must equal len(x) ({len(x.data)})")
-    out_data = _segment_sum_data(x.data, ptr)
+    if index is None:
+        index = np.arange(len(x.data))
+    index = np.asarray(index, dtype=np.int64)
+    if ptr[-1] != len(index):
+        raise ValueError(f"ptr[-1] ({ptr[-1]}) must equal the number of "
+                         f"summed rows ({len(index)})")
+    block = edge_operator(ptr, index, len(x.data), x.data.dtype)
 
     def backward():
-        x._accumulate(np.repeat(out.grad, np.diff(ptr), axis=0))
+        x._accumulate(block.T @ out.grad)
 
-    out = Tensor._make(out_data, (x,), backward)
+    out = Tensor._make(block @ x.data, (x,), backward)
     return out
 
 
-def segment_mean(x: Tensor, ptr: np.ndarray) -> Tensor:
-    """Mean over contiguous segments (empty segments produce zeros)."""
+def segment_mean(x: Tensor, ptr: np.ndarray,
+                 index: Optional[np.ndarray] = None) -> Tensor:
+    """Mean over contiguous segments of ``x`` (of ``x[index]`` when given);
+    empty segments produce zeros."""
     ptr = np.asarray(ptr, dtype=np.int64)
     counts = np.maximum(np.diff(ptr), 1).astype(x.data.dtype)
-    total = segment_sum(x, ptr)
+    total = segment_sum(x, ptr, index)
     return total * Tensor((1.0 / counts)[:, None])
 
 
@@ -66,14 +70,14 @@ def segment_softmax(x: Tensor, ptr: np.ndarray) -> Tensor:
     if len(rows):
         seg_max[rows] = np.maximum.reduceat(x.data, ptr[rows], axis=0)
     shifted = x.data - np.repeat(seg_max, lengths, axis=0)
-    e = np.exp(shifted)
-    denom = np.repeat(_segment_sum_data(e, ptr), lengths, axis=0)
-    out_data = e / np.maximum(denom, 1e-30)
+    e = Tensor(np.exp(shifted))
+    denom = np.repeat(segment_sum(e, ptr).data, lengths, axis=0)
+    out_data = e.data / np.maximum(denom, 1e-30)
 
     def backward():
         g = out.grad
         # d softmax: s * (g - sum_j g_j s_j) within each segment.
-        dot = _segment_sum_data(g * out_data, ptr)
+        dot = segment_sum(Tensor(g * out_data), ptr).data
         x._accumulate(out_data * (g - np.repeat(dot, lengths, axis=0)))
 
     out = Tensor._make(out_data, (x,), backward)

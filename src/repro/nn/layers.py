@@ -70,8 +70,7 @@ class SAGEConv(Module):
 
     def forward(self, x: Tensor, block: MFGBlock) -> Tensor:
         x_dst = x.slice_rows(0, block.num_dst)
-        neigh = x.gather_rows(block.src_index)
-        agg = F.segment_mean(neigh, block.dst_ptr)
+        agg = F.segment_mean(x, block.dst_ptr, index=block.src_index)
         return self.lin_self(x_dst) + self.lin_neigh(agg)
 
 
@@ -140,7 +139,7 @@ class GINConv(Module):
 
     def forward(self, x: Tensor, block: MFGBlock) -> Tensor:
         x_dst = x.slice_rows(0, block.num_dst)
-        agg = F.segment_sum(x.gather_rows(block.src_index), block.dst_ptr)
+        agg = F.segment_sum(x, block.dst_ptr, index=block.src_index)
         if self.eps is not None:
             scaled = x_dst * (self.eps + 1.0)
         else:

@@ -12,9 +12,11 @@ therefore reads its destination representations as a prefix of its source
 representations (how GraphSAGE-style UPD accesses "self" vectors without
 explicit self-loop edges).
 
-Edges inside a block are grouped by destination (``dst_ptr`` is a CSR-style
-offset array over destinations), so mean/sum aggregation is a single
-``reduceat`` over contiguous segments.
+Edges inside a block are grouped by destination, so a block *is* a CSR
+matrix: ``(dst_ptr, src_index)`` are the row offsets and column indices of
+the ``num_dst x num_src`` 0/1 operator ``A``.  Mean/sum aggregation is the
+product ``A @ X`` and its backward ``A.T @ G`` (``nn.functional.segment_sum``),
+summed left to right in edge order.
 """
 
 from __future__ import annotations

@@ -1,28 +1,18 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""The autograd engine and functional ops as they stood before every sum over
+an MFG block's edges became one sparse product.
 
-The GNN substrate needs a small, predictable op set — dense matmul, broadcast
-arithmetic, activations, gathers, and segment reductions — so this engine
-favors clarity over generality: a :class:`Tensor` wraps an ``ndarray``, ops
-record closures, and :meth:`Tensor.backward` replays them in reverse
-topological order.  All gradient math is vectorized numpy; there is no
-per-element Python work anywhere.
-
-Every sum over indexed rows — a block's aggregation and its backward
-(``functional.segment_sum``), the scatter behind :meth:`Tensor.gather_rows`
-— is one sparse product with the 0/1 matrix :func:`edge_operator` builds,
-so no edge-by-feature intermediate is ever materialised and the summation
-order is left to right in edge order by definition (``docs/architecture.md``,
-"The model step").
-
-Gradients are never written in place: ``_accumulate`` rebinds ``.grad``, the
-optimizers and the collective only read it, so a gradient array may be
-shared between nodes, replicas and the caller of :meth:`Tensor.backward`
-(``tests/nn/test_grad_aliasing.py`` pins this).
-
-Gradient correctness for every op is pinned by numerical-difference tests in
-``tests/nn/test_autograd.py``; the arithmetic is held to the frozen
-pre-product engine ``tests/nn/reference_autograd.py`` by
-``tests/nn/test_reference_parity.py``.
+Frozen at ``dd3a64c``: ``src/repro/nn/autograd.py`` (``Tensor``) followed by
+``src/repro/nn/functional.py``, bodies copied verbatim into one module (the
+second file's ``from repro.nn.autograd import Tensor`` is the only line
+dropped, so the functional ops bind to the ``Tensor`` above).  This is the
+old arithmetic: ``gather_rows`` -> ``np.add.reduceat`` forward, ``np.repeat``
+-> ``np.add.at`` backward, ``np.where`` relu, a copy on every first gradient
+touch.  ``test_reference_parity.py`` (beside this file) holds ``repro.nn`` to
+it — byte for byte wherever the arithmetic did not change, within a stated
+bound where the aggregation order did — and ``benchmarks/perf/harness.py``
+times a ``train_batch`` built on it as the ``nn.train_batch`` baseline.
+Never edit: a parity oracle is the written reason this second
+implementation exists.
 """
 
 from __future__ import annotations
@@ -30,32 +20,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-
-
-def _check_index(index: np.ndarray, num_rows: int) -> None:
-    """Row indices must lie in ``[0, num_rows)``: numpy would wrap a
-    negative one silently, a compressed sparse product reads an unchecked
-    one out of bounds."""
-    if len(index) and (index.min() < 0 or index.max() >= num_rows):
-        bad = index.min() if index.min() < 0 else index.max()
-        raise ValueError(f"index {bad} is outside [0, {num_rows})")
-
-
-def edge_operator(ptr: np.ndarray, index: np.ndarray, num_cols: int,
-                  dtype) -> sp.csr_array:
-    """The 0/1 matrix with a one at ``(i, index[e])`` for every edge ``e`` in
-    ``[ptr[i], ptr[i+1])`` — an MFG block *is* this matrix.
-
-    ``A @ x`` sums the rows ``x[index[e]]`` of each segment left to right in
-    edge order; ``A.T @ g`` scatter-adds ``g[i]`` to row ``index[e]`` in the
-    same order (the arrays are shared, not copied).  ``dtype`` must be the
-    dtype of the rows being summed: a float64 operator would upcast a
-    float32 sum.  ``index`` is checked against ``num_cols``.
-    """
-    _check_index(index, num_cols)
-    return sp.csr_array((np.ones(len(index), dtype=dtype), index, ptr),
-                        shape=(len(ptr) - 1, num_cols))
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -129,8 +93,8 @@ class Tensor:
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            # No copy: nothing writes a gradient in place (module docstring).
-            self.grad = grad
+            # Copy: incoming grads may alias another node's buffer.
+            self.grad = np.array(grad, copy=True)
         else:
             self.grad = self.grad + grad
 
@@ -297,12 +261,11 @@ class Tensor:
     # Nonlinearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        """``max(x, 0)``: -0.0 becomes +0.0 (the argument order matters) and
-        NaN propagates."""
-        out_data = np.maximum(self.data, 0.0)
+        mask = self.data > 0
+        out_data = np.where(mask, self.data, 0.0)
 
         def backward():
-            self._accumulate(out.grad * (out_data > 0))
+            self._accumulate(out.grad * mask)
 
         out = Tensor._make(out_data, (self,), backward)
         return out
@@ -348,18 +311,14 @@ class Tensor:
     # Indexing
     # ------------------------------------------------------------------
     def gather_rows(self, index: np.ndarray) -> "Tensor":
-        """Row gather ``out[i] = self[index[i]]``; the backward scatter-adds
-        ``grad[i]`` into row ``index[i]`` in index order.  Negative and
-        out-of-range indices raise ``ValueError``."""
+        """Row gather ``out[i] = self[index[i]]`` (scatter-add backward)."""
         index = np.asarray(index, dtype=np.int64)
-        _check_index(index, len(self.data))
         out_data = self.data[index]
 
         def backward():
-            # The gather as a matrix: one edge per output row.
-            gather = edge_operator(np.arange(len(index) + 1), index,
-                                   len(self.data), out.grad.dtype)
-            self._accumulate(gather.T @ out.grad)
+            g = np.zeros_like(self.data)
+            np.add.at(g, index, out.grad)
+            self._accumulate(g)
 
         out = Tensor._make(out_data, (self,), backward)
         return out
@@ -375,3 +334,143 @@ class Tensor:
 
         out = Tensor._make(out_data, (self,), backward)
         return out
+
+
+def _segment_sum_data(data: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    n_seg = len(ptr) - 1
+    out = np.zeros((n_seg,) + data.shape[1:], dtype=data.dtype)
+    lengths = np.diff(ptr)
+    rows = np.flatnonzero(lengths > 0)
+    if len(rows):
+        out[rows] = np.add.reduceat(data, ptr[rows], axis=0)
+    return out
+
+
+def segment_sum(x: Tensor, ptr: np.ndarray) -> Tensor:
+    """Sum rows of ``x`` within each contiguous segment ``[ptr[i], ptr[i+1])``.
+
+    Empty segments produce zero rows (a vertex whose sampled neighborhood is
+    empty aggregates to zeros, matching PyG semantics).
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    if ptr[-1] != len(x.data):
+        raise ValueError(f"ptr[-1] ({ptr[-1]}) must equal len(x) ({len(x.data)})")
+    out_data = _segment_sum_data(x.data, ptr)
+
+    def backward():
+        x._accumulate(np.repeat(out.grad, np.diff(ptr), axis=0))
+
+    out = Tensor._make(out_data, (x,), backward)
+    return out
+
+
+def segment_mean(x: Tensor, ptr: np.ndarray) -> Tensor:
+    """Mean over contiguous segments (empty segments produce zeros)."""
+    ptr = np.asarray(ptr, dtype=np.int64)
+    counts = np.maximum(np.diff(ptr), 1).astype(x.data.dtype)
+    total = segment_sum(x, ptr)
+    return total * Tensor((1.0 / counts)[:, None])
+
+
+def segment_softmax(x: Tensor, ptr: np.ndarray) -> Tensor:
+    """Softmax within each contiguous segment (per-destination attention).
+
+    ``x`` has one row per edge; the result sums to 1 within each destination's
+    edge segment.  Numerically stabilized with a per-segment max shift.
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    if ptr[-1] != len(x.data):
+        raise ValueError("ptr[-1] must equal len(x)")
+    lengths = np.diff(ptr)
+    rows = np.flatnonzero(lengths > 0)
+    seg_max = np.zeros((len(ptr) - 1,) + x.data.shape[1:], dtype=x.data.dtype)
+    if len(rows):
+        seg_max[rows] = np.maximum.reduceat(x.data, ptr[rows], axis=0)
+    shifted = x.data - np.repeat(seg_max, lengths, axis=0)
+    e = np.exp(shifted)
+    denom = np.repeat(_segment_sum_data(e, ptr), lengths, axis=0)
+    out_data = e / np.maximum(denom, 1e-30)
+
+    def backward():
+        g = out.grad
+        # d softmax: s * (g - sum_j g_j s_j) within each segment.
+        dot = _segment_sum_data(g * out_data, ptr)
+        x._accumulate(out_data * (g - np.repeat(dot, lengths, axis=0)))
+
+    out = Tensor._make(out_data, (x,), backward)
+    return out
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
+    """Concatenate along ``axis`` (backward splits the gradient)."""
+    datas = [t.data for t in tensors]
+    out_data = np.concatenate(datas, axis=axis)
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
+
+    def backward():
+        g = out.grad
+        slicer = [slice(None)] * g.ndim
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                slicer[axis] = slice(int(lo), int(hi))
+                t._accumulate(g[tuple(slicer)])
+
+    out = Tensor._make(out_data, tuple(tensors), backward)
+    return out
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator,
+            training: bool = True) -> Tensor:
+    """Inverted dropout: zero entries with probability ``p``, scale by
+    ``1/(1-p)`` during training; identity in eval mode."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
+    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    return x * Tensor(mask.astype(x.data.dtype))
+
+
+def log_softmax(x: Tensor) -> Tensor:
+    """Row-wise log-softmax (stable)."""
+    shift = x.data - x.data.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    logsumexp = np.log(e.sum(axis=1, keepdims=True))
+    out_data = shift - logsumexp
+    softmax = e / e.sum(axis=1, keepdims=True)
+
+    def backward():
+        g = out.grad
+        x._accumulate(g - softmax * g.sum(axis=1, keepdims=True))
+
+    out = Tensor._make(out_data, (x,), backward)
+    return out
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of row-wise logits against integer labels."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 2 or len(labels) != logits.shape[0]:
+        raise ValueError("logits must be (N, C) with one label per row")
+    n = logits.shape[0]
+    lsm = log_softmax(logits)
+    picked_data = lsm.data[np.arange(n), labels]
+    out_data = np.asarray(-picked_data.mean())
+
+    def backward():
+        g = np.zeros_like(lsm.data)
+        g[np.arange(n), labels] = -out.grad / n
+        lsm._accumulate(g)
+
+    out = Tensor._make(out_data, (lsm,), backward)
+    return out
+
+
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy of logits (or a Tensor's data) against labels."""
+    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    pred = data.argmax(axis=1)
+    labels = np.asarray(labels)
+    if len(labels) == 0:
+        return float("nan")
+    return float((pred == labels).mean())

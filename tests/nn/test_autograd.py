@@ -121,6 +121,24 @@ class TestIndexing:
     def test_slice_rows(self):
         check(lambda t: t.slice_rows(1, 3), (4, 2))
 
+    @pytest.mark.parametrize("idx, message", [
+        ([0, -1, 2], r"index -1 is outside \[0, 3\)"),
+        ([0, 3, 1], r"index 3 is outside \[0, 3\)"),
+    ])
+    def test_gather_rows_rejects_out_of_range(self, idx, message):
+        """numpy would wrap -1 to the last row (and scatter its gradient
+        there); a sparse product would read out of bounds."""
+        t = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match=message):
+            t.gather_rows(np.array(idx))
+
+    def test_gather_rows_of_nothing(self):
+        t = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = t.gather_rows(np.empty(0, dtype=np.int64))
+        assert out.shape == (0, 2)
+        out.sum().backward()
+        assert np.array_equal(t.grad, np.zeros((3, 2)))
+
 
 class TestEngine:
     def test_grad_accumulates_over_reuse(self):

@@ -34,6 +34,35 @@ class TestSegmentOps:
         F.segment_sum(t, ptr).sum().backward()
         assert np.allclose(t.grad, numgrad(f, x), atol=1e-6)
 
+    def test_indexed_segment_sum_is_the_sum_of_gathered_rows(self, rng):
+        x = rng.normal(size=(5, 3)).astype(np.float32)
+        ptr, index = np.array([0, 2, 2, 5]), np.array([4, 4, 0, 1, 0])
+        out = F.segment_sum(Tensor(x), ptr, index=index)
+        assert out.dtype == np.float32  # float32 rows are summed in float32
+        assert np.array_equal(out.data, F.segment_sum(Tensor(x[index]), ptr).data)
+
+        t = Tensor(x.astype(np.float64), requires_grad=True)
+        F.segment_mean(t, ptr, index=index).sum().backward()
+        via_gather = Tensor(x.astype(np.float64), requires_grad=True)
+        F.segment_mean(via_gather.gather_rows(index), ptr).sum().backward()
+        assert np.array_equal(t.grad, via_gather.grad)
+
+    @pytest.mark.parametrize("index, message", [
+        ([0, -2, 1], r"index -2 is outside \[0, 4\)"),
+        ([0, 4, 1], r"index 4 is outside \[0, 4\)"),
+    ])
+    def test_segment_sum_rejects_out_of_range_index(self, index, message):
+        with pytest.raises(ValueError, match=message):
+            F.segment_sum(Tensor(np.ones((4, 2))), np.array([0, 1, 3]),
+                          index=np.array(index))
+
+    def test_segment_sum_ptr_must_cover_the_summed_rows(self):
+        x = Tensor(np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"ptr\[-1\] \(3\).*\(4\)"):
+            F.segment_sum(x, np.array([0, 1, 3]))
+        with pytest.raises(ValueError, match=r"ptr\[-1\] \(3\).*\(2\)"):
+            F.segment_sum(x, np.array([0, 1, 3]), index=np.array([0, 1]))
+
     def test_segment_mean_empty_is_zero(self, rng):
         x = rng.normal(size=(4, 2))
         ptr = np.array([0, 0, 4])

@@ -1,0 +1,287 @@
+"""``repro.nn`` ≡ the frozen pre-product engine, property-tested.
+
+``reference_autograd.py`` (beside this file) is ``nn/autograd.py`` +
+``nn/functional.py`` as they stood when a block's aggregation was
+``gather_rows`` -> ``np.add.reduceat`` and its backward ``np.repeat`` ->
+``np.add.at``.  ``src/repro/nn`` now spells every such sum as one sparse
+product, which changed exactly one piece of arithmetic — the *order* in
+which a segment's rows are added going forward — and nothing else:
+
+(a) every op whose arithmetic did not change is ``tobytes()``-equal to the
+    oracle, outputs and every ``.grad`` (the scatter behind ``gather_rows``
+    and the backward of ``segment_sum`` / ``segment_mean`` included: a CSC
+    product walks edges in storage order, which is ``np.add.at``'s);
+(b) the aggregation forward *is* the left-to-right loop written below,
+    exactly, in the dtype of the rows it sums, and sits within
+    ``count * eps * sum|x|`` of the oracle's ``reduceat`` (which adds
+    ``x0 + (x1 + x2 + ...)``, an accident of numpy's reduce loop);
+(c) one whole ``train_batch`` on a sampled papers-mini MFG stays within the
+    re-association bound of the oracle's step and is bit-equal to itself.
+"""
+
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_autograd as ref
+from reference_step import reference_train_batch
+from repro.distributed import train_batch
+from repro.graph.datasets import make_papers_mini
+from repro.nn import build_model, functional as F
+from repro.nn.autograd import Tensor
+from repro.sampling import NeighborSampler
+
+new = types.SimpleNamespace(
+    Tensor=Tensor, concat=F.concat, dropout=F.dropout,
+    log_softmax=F.log_softmax, cross_entropy=F.cross_entropy,
+    segment_sum=F.segment_sum, segment_mean=F.segment_mean)
+old = types.SimpleNamespace(
+    Tensor=ref.Tensor, concat=ref.concat, dropout=ref.dropout,
+    log_softmax=ref.log_softmax, cross_entropy=ref.cross_entropy,
+    # The oracle's spelling of an indexed segment sum, under today's API.
+    segment_sum=lambda x, ptr, index=None: ref.segment_sum(
+        x if index is None else x.gather_rows(index), ptr),
+    segment_mean=lambda x, ptr, index=None: ref.segment_mean(
+        x if index is None else x.gather_rows(index), ptr))
+
+#: (dtype of the feature rows, whether they are tracked): the two kinds of
+#: input a layer sees — float32 store rows (a leaf nothing differentiates)
+#: and float64 hidden representations.
+KINDS = {"float32-leaf": (np.float32, False),
+         "float64-tracked": (np.float64, True)}
+
+
+def values(rng, shape, dtype):
+    """Mixed magnitudes, both signs, with entries — and sometimes whole
+    rows — of +0.0 and -0.0 (where an order of additions can show)."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    zero = rng.random(shape) < 0.15
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    if shape[0] and rng.random() < 0.3:
+        x[rng.integers(shape[0])] = -0.0
+    return x.astype(dtype)
+
+
+@st.composite
+def blocks(draw):
+    """A block over ``x``: ``num_dst`` segments (empty ones, and none at
+    all, included) of edges into ``num_src`` rows, duplicates likely."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_src = draw(st.integers(0, 12))
+    num_dst = draw(st.integers(0, num_src))
+    width = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    rng = np.random.default_rng(seed)
+    counts = (rng.integers(0, 6, size=num_dst) * (rng.random(num_dst) < 0.7)
+              if num_src else np.zeros(num_dst, dtype=np.int64))
+    ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    index = rng.integers(0, max(num_src, 1), size=int(ptr[-1]))
+    dtype, tracked = KINDS[kind]
+    return types.SimpleNamespace(
+        rng=rng, x=values(rng, (num_src, width), dtype), tracked=tracked,
+        ptr=ptr, index=index, num_dst=num_dst, width=width)
+
+
+def run(ns, build, case, *weights):
+    """``build(ns, x, *weights)`` on one engine, then backward from a
+    gradient fixed by the output's shape; ``(output, [leaf grads])``."""
+    x = ns.Tensor(case.x.copy(), requires_grad=case.tracked)
+    params = [ns.Tensor(w.copy(), requires_grad=True) for w in weights]
+    out = build(ns, x, *params)
+    if out.requires_grad:
+        upstream = np.random.default_rng(7).standard_normal(out.data.shape)
+        out.backward(upstream)
+    return out.data, [t.grad for t in (x, *params)]
+
+
+def same(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_byte_equal(build, case, *weights, forward=True):
+    got, got_grads = run(new, build, case, *weights)
+    want, want_grads = run(old, build, case, *weights)
+    if forward:
+        assert same(got, want), (got, want)
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert same(g, w), (g, w)
+
+
+# ----------------------------------------------------------------------
+# (a) unchanged arithmetic: byte for byte.
+
+ELEMENTWISE = {
+    "neg": lambda ns, x: -x,
+    "add-self": lambda ns, x: x + x,
+    "mul-self-add": lambda ns, x: x * x + x,
+    "scalar": lambda ns, x: (2.5 - x) * 0.5 + 1.0,
+    "relu": lambda ns, x: x.relu(),
+    "relu-twice-used": lambda ns, x: x.relu() * x + x.relu(),
+    "leaky_relu": lambda ns, x: x.leaky_relu(0.2),
+    "tanh": lambda ns, x: x.tanh(),
+    "exp": lambda ns, x: (x * 1e-3).exp(),
+    "log": lambda ns, x: (x * x + 1.0).log(),
+    "reciprocal": lambda ns, x: (x * x + 0.5).reciprocal(),
+    "sum-all": lambda ns, x: x.sum(),
+    "sum-rows": lambda ns, x: x.sum(axis=0),
+    "mean-cols": lambda ns, x: x.mean(axis=1, keepdims=True),
+    "reshape-T": lambda ns, x: x.T.reshape(-1),
+    "concat": lambda ns, x: ns.concat([x, x * 2.0, x], axis=1),
+    "log_softmax": lambda ns, x: ns.log_softmax(x),
+    "dropout": lambda ns, x: ns.dropout(x, 0.4, np.random.default_rng(3)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ELEMENTWISE))
+@settings(max_examples=25, deadline=None)
+@given(case=blocks())
+def test_unchanged_ops_are_byte_equal(op, case):
+    if op in ("mean-cols", "log_softmax") and len(case.x) == 0:
+        return  # a max / mean over nothing: numpy raises or warns alike
+    assert_byte_equal(ELEMENTWISE[op], case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocks(), hidden=st.integers(1, 4))
+def test_affine_maps_are_byte_equal(case, hidden):
+    """``x W + b`` (float32 rows upcast by the float64 weight, as the first
+    layer does), broadcasting and ``_unbroadcast`` included."""
+    w = values(case.rng, (case.width, hidden), np.float64)
+    b = values(case.rng, (hidden,), np.float64)
+    assert_byte_equal(
+        lambda ns, x, w, b: ((x @ w + b).relu() @ w.T) / (b * b + 1.0).sum(),
+        case, w, b)
+    assert_byte_equal(lambda ns, x, w, b: x * b.sum() + w.sum(axis=1),
+                      case, w, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocks())
+def test_row_selection_is_byte_equal(case):
+    """``slice_rows`` and ``gather_rows`` forward and backward: the scatter
+    is a CSC product now and adds in index order, as ``np.add.at`` did."""
+    assert_byte_equal(lambda ns, x: x.slice_rows(0, case.num_dst), case)
+    assert_byte_equal(lambda ns, x: x.gather_rows(case.index), case)
+    assert_byte_equal(
+        lambda ns, x: x.gather_rows(case.index) * x.gather_rows(case.index[::-1]),
+        case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocks())
+def test_cross_entropy_is_byte_equal(case):
+    if len(case.x) == 0:
+        return
+    labels = case.rng.integers(0, case.width, size=len(case.x))
+    assert_byte_equal(lambda ns, x: ns.cross_entropy(x, labels), case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=blocks())
+def test_segment_backward_is_byte_equal(case):
+    """Given one upstream gradient, the gradient a segment sum / mean sends
+    to its rows is the oracle's ``np.repeat`` -> ``np.add.at``, bit for bit
+    (the forward is compared in (b): its order changed)."""
+    for op in ("segment_sum", "segment_mean"):
+        assert_byte_equal(
+            lambda ns, x: getattr(ns, op)(x, case.ptr, index=case.index),
+            case, forward=False)
+        edges = types.SimpleNamespace(
+            x=values(case.rng, (len(case.index), case.width), case.x.dtype),
+            tracked=case.tracked)
+        assert_byte_equal(lambda ns, x: getattr(ns, op)(x, case.ptr),
+                          edges, forward=False)
+
+
+# ----------------------------------------------------------------------
+# (b) the aggregation forward, by definition.
+
+def loop_segment_sum(x, ptr, index):
+    """*The* definition: each segment's rows added one at a time, left to
+    right in edge order, starting from zero, in ``x.dtype``."""
+    out = np.zeros((len(ptr) - 1,) + x.shape[1:], dtype=x.dtype)
+    for i in range(len(ptr) - 1):
+        acc = np.zeros(x.shape[1:], dtype=x.dtype)
+        for e in range(ptr[i], ptr[i + 1]):
+            acc = acc + x[index[e]]
+        out[i] = acc
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=blocks())
+def test_aggregation_forward_is_the_left_to_right_sum(case):
+    x, ptr, index = case.x, case.ptr, case.index
+    want = loop_segment_sum(x, ptr, index)
+    got = F.segment_sum(Tensor(x), ptr, index=index).data
+    assert same(got, want), (got, want)
+    # ... and the same kernel without an index, over the gathered rows.
+    assert same(F.segment_sum(Tensor(x[index]), ptr).data, want)
+
+    counts = np.maximum(np.diff(ptr), 1).astype(x.dtype)
+    mean = F.segment_mean(Tensor(x), ptr, index=index).data
+    assert same(mean, want * (1.0 / counts)[:, None])
+
+    # The oracle's reduceat is a re-association of the same terms.
+    was = old.segment_sum(ref.Tensor(x), ptr, index=index).data
+    assert was.dtype == got.dtype
+    magnitude = loop_segment_sum(np.abs(x.astype(np.float64)), ptr, index)
+    bound = np.diff(ptr)[:, None] * np.finfo(x.dtype).eps * magnitude
+    assert np.all(np.abs(got.astype(np.float64) - was) <= bound)
+
+
+def test_the_order_the_oracle_summed_in():
+    """Why the forward is not byte-equal: numpy's ``reduceat`` adds a
+    segment as ``x0 + (x1 + x2)``; the product adds ``(x0 + x1) + x2``."""
+    x = np.array([[1.0], [1e-16], [1e-16]])
+    ptr = np.array([0, 3])
+    assert ref.segment_sum(ref.Tensor(x), ptr).data[0, 0] == 1.0 + (1e-16 + 1e-16)
+    assert F.segment_sum(Tensor(x), ptr).data[0, 0] == (1.0 + 1e-16) + 1e-16
+    assert 1.0 + (1e-16 + 1e-16) != (1.0 + 1e-16) + 1e-16
+
+
+# ----------------------------------------------------------------------
+# (c) one whole training step.
+
+FANOUTS = (15, 10, 5)
+
+
+@pytest.fixture(scope="module")
+def step():
+    ds = make_papers_mini(seed=1, scale=0.04)
+    mfg = NeighborSampler(ds.graph, FANOUTS, seed=5).sample(ds.train_idx[:64])
+    model = build_model("sage", ds.feature_dim, 32, ds.num_classes,
+                        len(FANOUTS), seed=0)
+    return model, ds.features[mfg.n_id], mfg, ds.labels[mfg.seeds]
+
+
+# Feature rows are float32 in the store: the first layer's sum re-associates
+# at float32 precision (at most `fanout` terms per segment), every later
+# layer at float64.  float64 rows leave only the float64 re-association.
+@pytest.mark.parametrize("dtype, loss_tol, grad_tol", [
+    (np.float64, 1e-12, 1e-10),
+    (np.float32, max(FANOUTS) * np.finfo(np.float32).eps,
+     max(FANOUTS) * np.finfo(np.float32).eps),
+], ids=["float64-rows", "float32-rows"])
+def test_train_batch_against_the_oracle_step(step, dtype, loss_tol, grad_tol):
+    model, feats, mfg, labels = step
+    feats = feats.astype(dtype)
+    want_loss, want_grads = reference_train_batch(
+        model.state_dict(), feats, mfg, labels)
+
+    loss = train_batch(model, feats, mfg, labels)
+    grads = {name: p.grad for name, p in model.named_parameters()}
+    assert abs(loss - want_loss) <= loss_tol * abs(want_loss)
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= grad_tol * np.abs(want).max(), name
+
+    # One sequence of floating-point operations: the step repeats itself.
+    assert train_batch(model, feats, mfg, labels) == loss
+    for name, p in model.named_parameters():
+        assert same(p.grad, grads[name]), name

@@ -211,15 +211,39 @@ class TestInProcessSpans:
 
 def stage_spans(spans):
     """The *simulated* stage spans (placements of a timeline).  A measured
-    twin (``stage.sample``, wall clock) shares the name and the
-    ``(machine, step)`` key; ``sim_start`` tells the two clocks apart."""
+    twin (``stage.sample``, ``stage.train``; wall clock) shares the name and
+    the ``(machine, step)`` key; ``sim_start`` tells the two clocks apart."""
     return [s for s in spans
             if s.name.startswith("stage.") and s.sim_start is not None]
 
 
-def measured_stage_spans(spans):
+def measured_stage_spans(spans, stage="sample"):
     return [s for s in spans
-            if s.name.startswith("stage.") and s.sim_start is None]
+            if s.name == f"stage.{stage}" and s.sim_start is None]
+
+
+def step_keys(spans):
+    return [(s.attrs["machine"], s.attrs["step"]) for s in spans]
+
+
+def assert_train_twin(spans, snap):
+    """One wall ``stage.train`` per ``(machine, step)`` — the simulated
+    placements' key set — each under the ``engine.window`` of its lane
+    that holds the step, one ``engine.train_batch_s`` observation each."""
+    trained = measured_stage_spans(spans, "train")
+    keys = step_keys(trained)
+    assert len(set(keys)) == len(keys) > 0
+    assert set(keys) == set(step_keys(
+        s for s in stage_spans(spans) if s.name == "stage.train"))
+    # (span ids are unique per lane: each worker numbers its own)
+    windows = {(s.lane, s.span_id): s for s in spans
+               if s.name == "engine.window"}
+    for s in trained:
+        window = windows[s.lane, s.parent_id]
+        first = window.attrs["window"]
+        assert first <= s.attrs["step"] < first + window.attrs["steps"]
+        assert window.start_ns <= s.start_ns <= s.end_ns <= window.end_ns
+    assert snap["engine.train_batch_s"]["count"] == len(trained)
 
 
 def assert_spans_are_the_timeline(spans, timeline):
@@ -236,8 +260,9 @@ def assert_spans_are_the_timeline(spans, timeline):
 
 
 class TestMeasuredSampleSpans:
-    """The wall twin of ``Stage.SAMPLE``, and what the loop waited for it:
-    one definition on both sides of the spare-core rule."""
+    """The wall twins of ``Stage.SAMPLE`` and ``Stage.TRAIN``, and what the
+    loop waited for its samples: one definition on both sides of the
+    spare-core rule."""
 
     def traced_epoch(self, papers_mini, monkeypatch, cores, **overrides):
         monkeypatch.setattr(ahead, "usable_cores", lambda: cores)
@@ -272,12 +297,11 @@ class TestMeasuredSampleSpans:
         # One measured stage.sample per (machine, step): the simulated
         # placements' key set, so the two clocks join by equality.
         measured = measured_stage_spans(spans)
-        assert {s.name for s in measured} == {"stage.sample"}
-        keys = [(s.attrs["machine"], s.attrs["step"]) for s in measured]
+        keys = step_keys(measured)
         assert len(set(keys)) == len(keys) == K * steps
-        assert set(keys) == {(s.attrs["machine"], s.attrs["step"])
-                             for s in stage_spans(spans)
-                             if s.name == "stage.sample"}
+        assert set(keys) == set(step_keys(
+            s for s in stage_spans(spans) if s.name == "stage.sample"))
+        assert_train_twin(spans, snap)
         epoch = next(s for s in spans if s.name == "engine.epoch")
         assert {s.parent_id for s in measured} == {epoch.span_id}
         assert {s.lane for s in measured} == \
@@ -311,6 +335,8 @@ class TestMeasuredSampleSpans:
         OBS.disable()
         measured = measured_stage_spans(OBS.tracer.spans)
         assert measured and {s.lane for s in measured} == {"coordinator"}
+        # Nothing trains in a dry run, so nothing is timed as training.
+        assert not measured_stage_spans(OBS.tracer.spans, "train")
 
     def test_multiproc_workers_sample_on_their_own_sampler_lane(
             self, papers_mini, monkeypatch):
@@ -323,8 +349,11 @@ class TestMeasuredSampleSpans:
         steps = result.report.steps_per_machine
         assert Counter(s.lane for s in measured) == \
             {f"worker-{k}/sampler": steps for k in range(K)}
-        assert {(s.attrs["machine"], s.attrs["step"]) for s in measured} == \
+        assert set(step_keys(measured)) == \
             {(k, step) for k in range(K) for step in range(steps)}
+        assert_train_twin(spans, snap)
+        assert Counter(s.lane for s in measured_stage_spans(spans, "train")) \
+            == {f"worker-{k}": steps for k in range(K)}
         epochs = {s.lane: s.span_id for s in spans
                   if s.name == "engine.epoch"}
         assert all(s.parent_id == epochs[s.lane.split("/")[0]]
