@@ -12,8 +12,10 @@ against ``vip_probabilities_dense`` (both from the frozen oracle
 ``tests/vip/reference_dense.py`` — ``src/`` holds one evaluation only),
 arena-backed ``execute(out=)`` against the allocating ``execute``, the
 rewritten ``FetchPlan.coalesce`` against the seed's searchsorted-per-plan
-bookkeeping, and the model step against the same step on the frozen
-pre-SpMM autograd engine (``tests/nn/reference_autograd.py``).  ``null``
+bookkeeping, the model step against the same step on the frozen
+pre-SpMM autograd engine (``tests/nn/reference_autograd.py``), and the
+sampler against the frozen full-argsort ``sample_neighbors``
+(``tests/sampling/reference_neighbor.py``).  ``null``
 where no dense counterpart exists.
 
 Tracked stages
@@ -68,6 +70,15 @@ Tracked stages
     ``np.add.at`` backward) from the same MFGs, feature rows and weights.
     Both sides are timed in alternating rounds and their losses held to the
     float32 re-association bound before the walls are reported.
+``sampling.sample``
+    Every machine's epoch-0 minibatch draws (papers-mini, K = 8, fanouts
+    (5, 4, 3), batch 64), machine by machine: ``NeighborSampler`` on the
+    threshold-then-argsort ``sample_neighbors`` against the same samplers,
+    rewound to the same cursors, on the frozen full-argsort one
+    (``tests/sampling/reference_neighbor.py``).  Alternating rounds, best of
+    5; a SHA-256 over every MFG array and every final cursor is asserted
+    equal before the walls are reported.  rows/s = sampled edges;
+    ``candidate_edges`` is what the reference argsorts.
 ``gather.into``
     Arena-backed ``execute(plan, out=)`` against the allocating
     ``execute(plan)`` on identical id streams.
@@ -94,12 +105,15 @@ from repro.serving import InferenceService, poisson_requests
 from repro.vip import partitionwise_vip, vip_probabilities
 
 # The dense baselines are the frozen test oracles, not src/ functions.
-for _oracles in ("vip", "nn"):
+for _oracles in ("vip", "nn", "sampling"):
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                     os.pardir, os.pardir, "tests", _oracles))
 from reference_dense import (  # noqa: E402
     partitionwise_vip_dense,
     vip_probabilities_dense,
+)
+from reference_neighbor import (  # noqa: E402
+    sample_neighbors as reference_sample_neighbors,
 )
 from reference_step import reference_train_batch  # noqa: E402
 
@@ -551,6 +565,61 @@ def nn_stages(stages: dict, *, dataset=None, batches=15, rounds=5) -> None:
 
 
 # ----------------------------------------------------------------------
+def sampling_stages(stages: dict, *, dataset=None, rounds=5) -> None:
+    """Every machine's epoch-0 minibatch draws, machine by machine, through
+    the production ``sample_neighbors`` vs the frozen full-argsort one: the
+    same samplers rewound to the same cursors for every run."""
+    import hashlib
+
+    import repro.sampling.neighbor as neighbor
+
+    ds = dataset if dataset is not None else load_dataset(DATASET)
+    cfg = RunConfig(num_machines=K, replication_factor=0.1,
+                    cache_policy="vip", seed=0)
+    tr = Planner().build(ds, cfg).trainer
+    cursors = [sampler.rng_state() for sampler in tr.samplers]
+    production = neighbor.sample_neighbors
+
+    def epoch(select):
+        neighbor.sample_neighbors = select
+        try:
+            for sampler, cursor in zip(tr.samplers, cursors):
+                sampler.set_rng_state(cursor)
+            return [list(tr.batches(k, 0)) for k in range(K)]
+        finally:
+            neighbor.sample_neighbors = production
+
+    def digest(mfgs):
+        h = hashlib.sha256()
+        for machine, sampler in zip(mfgs, tr.samplers):
+            for mfg in machine:
+                h.update(mfg.n_id.tobytes())
+                for block in mfg.blocks:
+                    h.update(block.dst_ptr.tobytes())
+                    h.update(block.src_index.tobytes())
+            h.update(sampler.rng_state().encode())
+        return h.hexdigest()
+
+    wall = dense_wall = float("inf")
+    for _ in range(rounds):  # alternating, so machine drift hits both sides
+        t, mfgs = _timed(lambda: epoch(production))
+        wall, want = min(wall, t), digest(mfgs)
+        t, dense_mfgs = _timed(lambda: epoch(reference_sample_neighbors))
+        dense_wall = min(dense_wall, t)
+        if digest(dense_mfgs) != want:
+            raise AssertionError("sample_neighbors diverged from the frozen "
+                                 "reference: an MFG or a cursor differs")
+    degrees = tr.ds.graph.degrees
+    blocks = [(mfg.n_id[:block.num_dst], block)
+              for machine in mfgs for mfg in machine for block in mfg.blocks]
+    stages["sampling.sample"] = _entry(
+        wall, rows=sum(block.num_edges for _t, block in blocks),
+        dense_wall_s=dense_wall, batches=sum(map(len, mfgs)),
+        candidate_edges=int(sum(degrees[targets].sum()
+                                for targets, _b in blocks)))
+
+
+# ----------------------------------------------------------------------
 def _gather_substrate(dataset=None, reordered=None):
     from repro.core import make_partition
     from repro.distributed import PartitionedFeatureStore
@@ -663,6 +732,7 @@ def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dic
     serving_stages(stages, num_requests=num_requests, dataset=dataset)
     streaming_stages(stages, dataset=dataset)
     nn_stages(stages, dataset=dataset)
+    sampling_stages(stages, dataset=dataset)
     gather_stages(stages, reordered=reordered)
     coalesce_stages(stages, reordered=reordered)
     return {

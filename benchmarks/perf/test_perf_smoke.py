@@ -63,6 +63,16 @@ def test_coalesce_rewrite_wins_at_depth(small_dataset):
     assert entry["speedup_vs_dense"] > 1.0, entry
 
 
+def test_sampling_stage_matches_reference(small_dataset):
+    """The stage asserts MFG + cursor digests equal to the frozen sampler's
+    before reporting, and the reference argsorts more keys than are kept."""
+    stages = {}
+    harness.sampling_stages(stages, dataset=small_dataset, rounds=1)
+    entry = stages["sampling.sample"]
+    assert entry["batches"] > 0 and entry["dense_wall_s"] > 0
+    assert entry["candidate_edges"] > entry["rows_per_s"] * entry["wall_s"]
+
+
 def test_harness_entry_schema(small_dataset):
     """Every entry carries the documented keys with sane values."""
     stages = {}

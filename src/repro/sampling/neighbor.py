@@ -9,8 +9,11 @@ verify).
 
 The without-replacement draw uses the random-key trick: assign each candidate
 edge an i.i.d. uniform key and keep the ``fanout`` smallest keys per
-destination.  One global ``lexsort`` over the frontier's edges replaces any
-per-vertex Python loop.
+destination.  A per-row threshold first drops the keys that cannot be among
+them (about 3x the kept keys survive, out of 10-30x), then one global
+``argsort`` over the survivors, keyed by segment id + key, orders every row at
+once — no per-vertex Python loop.  The uniforms are drawn for every candidate
+in candidate order, so the threshold changes no output and no RNG state.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from repro.utils.rng import SeedLike, as_generator, derive_seed
 class SampleArena:
     """Reusable scratch buffers for :func:`sample_neighbors`.
 
-    The per-call intermediates — candidate segment ids, random keys, and
-    (when every candidate is kept) candidate edge positions — are the dominant
-    allocations on the per-batch sampling path (each is one entry per
-    *candidate* edge of the frontier, typically 10-100x the batch size).
+    The per-call intermediates are the dominant allocations on the
+    per-batch sampling path: ``keys`` (one random key per *candidate* edge
+    of the frontier, typically 10-100x the batch size), ``seg`` (segment
+    ids of the threshold's survivors, or of every candidate when all are
+    kept) and ``edge_pos`` (candidate edge positions, when all are kept).
     An arena keeps one growable buffer per role and hands out prefix views,
     so a long-lived :class:`NeighborSampler` allocates these once at the
     high-water mark instead of once per hop per minibatch.
@@ -81,6 +85,15 @@ def _segment_ids(arena: SampleArena, offsets: np.ndarray, total: int) -> np.ndar
     seg[:] = np.bincount(bounds[bounds < total], minlength=total)
     np.cumsum(seg, out=seg)
     return seg
+
+
+def _key_thresholds(take: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Per-row key threshold ``t = (take + 3 sqrt(take) + 3) / deg``: a
+    capped row's keys below ``t`` number ``take + 3 sqrt(take) + 3`` on
+    average (binomial, spread < ``sqrt`` of that), so its ``take`` smallest
+    are rarely cut; an uncapped row (``take == deg``) gets ``t > 1`` and
+    keeps every key."""
+    return (take + 3 * np.sqrt(take) + 3) / np.maximum(deg, 1)
 
 
 def sample_neighbors(
@@ -136,28 +149,41 @@ def sample_neighbors(
     cand_total = int(deg.sum())
     cand_starts = np.zeros(len(targets) + 1, dtype=np.int64)
     np.cumsum(deg, out=cand_starts[1:])
-    seg = _segment_ids(arena, cand_starts, cand_total)
 
     if fanout < 0 or np.all(take == deg):
         # Every candidate is kept; its position within graph.indices is
         # ramp + (starts - cand_starts)[seg]: one shift per segment.
+        seg = _segment_ids(arena, cand_starts, cand_total)
         edge_pos = arena.i64("edge_pos", cand_total)
         np.take(starts - cand_starts[:-1], seg, out=edge_pos)
         np.add(edge_pos, arena.ramp(cand_total), out=edge_pos)
         return dst_ptr, graph.take_edges(edge_pos)
 
     # Random-key selection: per segment, keep the `take` smallest keys.
-    # Combining the segment id and the key into one float (integer part =
-    # segment, fraction = key) makes this a single argsort, ~2-3x faster than
-    # lexsort; 52 mantissa bits leave ample randomness for any frontier size.
     keys = arena.f64("keys", cand_total)
     rng.random(out=keys)
-    np.add(keys, seg, out=keys)
-    order = np.argsort(keys)
+    # Only keys below a per-row threshold can be among a row's `take`
+    # smallest.  A row left with fewer than `take` survivors keeps every key
+    # instead (t = 1; one more pass at most), so the selection is exact
+    # whatever the threshold is; it only sets how many keys survive.
+    keep = keys < np.repeat(_key_thresholds(take, deg), deg)
+    while True:
+        surv = np.flatnonzero(keep)
+        surv_starts = np.searchsorted(surv, cand_starts)
+        short = np.diff(surv_starts) < take
+        if not short.any():
+            break
+        keep[np.repeat(short, deg)] = True
+    # Combining the segment id and the key into one float (integer part =
+    # segment, fraction = key) sorts every row's survivors in one argsort;
+    # 52 mantissa bits leave ample randomness for any frontier size.  (Two
+    # keys of one row that round to one float here tie, and argsort orders
+    # ties arbitrarily — the only way two sorts of these keys can differ.)
+    order = np.argsort(keys[surv] + _segment_ids(arena, surv_starts, len(surv)))
     # Output slot j of segment i holds the segment's (j - dst_ptr[i])-th
-    # smallest key: sorted position j + (cand_starts - dst_ptr)[i].
-    slot = np.repeat(cand_starts[:-1] - dst_ptr[:-1], take)
-    pick = order[slot + arena.ramp(total)]
+    # smallest key: sorted position j + (surv_starts - dst_ptr)[i].
+    slot = np.repeat(surv_starts[:-1] - dst_ptr[:-1], take)
+    pick = surv[order[slot + arena.ramp(total)]]
     # Edge positions for the picked candidates only: a slot's segment is
     # known, so candidate -> edge position is one shift per segment, no
     # per-candidate lookup.
@@ -236,8 +262,10 @@ class NeighborSampler:
             grown[:len(self._local)] = self._local
             self._local = grown
         seeds = np.asarray(seeds, dtype=np.int64)
-        if len(np.unique(seeds)) != len(seeds):
-            raise ValueError("seeds must be unique")
+        # numpy would wrap a negative seed onto vertex n + seed silently.
+        if len(seeds) and (seeds.min() < 0 or seeds.max() >= n):
+            bad = seeds.min() if seeds.min() < 0 else seeds.max()
+            raise ValueError(f"seed {bad} is outside [0, {n})")
 
         self._epoch += 1
         stamp, local, epoch = self._stamp, self._local, self._epoch
@@ -245,7 +273,13 @@ class NeighborSampler:
         n_id = [seeds]
         count = len(seeds)
         stamp[seeds] = epoch
-        local[seeds] = np.arange(count, dtype=np.int64)
+        rank = np.arange(count, dtype=np.int64)
+        local[seeds] = rank
+        # Repeated seeds share one slot, so one of them reads back another's
+        # rank.  (Stamps left by the rejected call are harmless: the next
+        # call stamps epoch + 1.)
+        if not np.array_equal(local[seeds], rank):
+            raise ValueError("seeds must be unique")
 
         frontier = seeds  # S_{h-1}: all vertices known so far are targets
         blocks = []

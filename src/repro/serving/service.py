@@ -49,6 +49,7 @@ from repro.distributed.engine import gather_window
 from repro.distributed.records import StepRecord, sage_forward_flops
 from repro.graph.mutable import land_batch
 from repro.obs import OBS
+from repro.obs.span import now_ns
 from repro.distributed.feature_store import (
     FetchPlan,
     GatherArena,
@@ -611,11 +612,18 @@ class InferenceService:
         window's critical path, since the requester waits for it), places
         them on the machine's clock in the run's timeline, and schedules
         the per-micro-batch completions that clock reads.
+
+        While tracing is on, each served micro-batch's draw is a wall
+        ``stage.sample`` span keyed ``(machine, step)`` — the twin of its
+        simulated placement.  It runs from the draw's start to the end of
+        the group's last draw (a degraded resample included); a group
+        dropped whole gets none.
         """
         trace = self._trace
         step0 = trace.num_steps
         sampler = self.samplers[machine]
         degraded_mode = any(self._down)
+        traced = OBS.enabled
         flags: Dict[int, str] = {}
         kept_groups: List[List[Request]] = []
         mfgs = []
@@ -623,7 +631,9 @@ class InferenceService:
         masks: List[Optional[np.ndarray]] = []
         for group in groups:
             seeds = np.unique(np.concatenate([r.seeds for r in group]))
+            start = now_ns() if traced else 0
             mfg = sampler.sample(seeds)
+            end = now_ns() if traced else 0
             self._recent_seeds[machine].append(seeds)
             plan = self.store.plan_gather(machine, mfg.n_id)
             mask = None
@@ -640,6 +650,7 @@ class InferenceService:
                         seeds = np.unique(
                             np.concatenate([r.seeds for r in kept]))
                         mfg = sampler.sample(seeds)
+                        end = now_ns() if traced else 0
                         self._recent_seeds[machine][-1] = seeds
                         plan = self.store.plan_gather(machine, mfg.n_id)
                         mask = self._unavailable_mask(plan)
@@ -651,6 +662,10 @@ class InferenceService:
             mfgs.append(mfg)
             plans.append(plan)
             masks.append(mask)
+            if traced:
+                OBS.tracer.add_span("stage.sample", start, end,
+                                    parent_id=OBS.tracer.current_span_id,
+                                    machine=machine, step=step0 + len(mfgs) - 1)
         if not kept_groups:
             return
         groups = kept_groups

@@ -411,6 +411,72 @@ def _requests(ds, n, **kw):
                                  rate_rps=2000.0, seed=3, **kw))
 
 
+def _mixed_slo_requests(ds, n):
+    """``n`` requests of each SLO class, renumbered: under an outage some
+    micro-batches degrade, some retry and some are shed whole."""
+    reqs = [r for slo in ("interactive", "standard", "batch")
+            for r in _requests(ds, n, slo=slo)]
+    return [dataclasses.replace(r, rid=i) for i, r in enumerate(reqs)]
+
+
+class TestServingSampleSpans:
+    """The wall twin of ``Stage.SAMPLE`` in serving: one ``stage.sample``
+    per served micro-batch, keyed ``(machine, step)`` like its simulated
+    placement — healthy, under an outage (dropped groups have neither,
+    degraded resamples count toward their group) and under graph churn —
+    and tracing changes no prediction."""
+
+    def traced_run(self, ds, make_requests, **run_kw):
+        planner = Planner()
+        untraced = planner.build_service(ds, _serving_config()).run(
+            make_requests(), **run_kw)
+        svc = planner.build_service(ds, _serving_config())
+        OBS.enable()
+        try:
+            report = svc.run(make_requests(), **run_kw)
+        finally:
+            OBS.disable()
+        assert report.predictions.keys() == untraced.predictions.keys()
+        for rid, pred in untraced.predictions.items():
+            assert np.array_equal(report.predictions[rid], pred)
+        spans = OBS.tracer.spans
+        measured = measured_stage_spans(spans)
+        keys = step_keys(measured)
+        assert len(set(keys)) == len(keys) == report.num_batches > 0
+        assert set(keys) == set(step_keys(
+            s for s in stage_spans(spans) if s.name == "stage.sample"))
+        assert all(0 < s.start_ns <= s.end_ns for s in measured)
+        assert validate_chrome_trace(chrome_trace(spans, OBS.metrics)) == []
+        # (each sampler counts its draws in its stamp epoch)
+        return report, sum(sampler._epoch for sampler in svc.samplers)
+
+    def test_healthy_run(self, request):
+        tiny = request.getfixturevalue("tiny_dataset")
+        report, draws = self.traced_run(tiny, lambda: _requests(tiny, 40))
+        assert draws == report.num_batches
+
+    def test_outage_run(self, request):
+        tiny = request.getfixturevalue("tiny_dataset")
+        report, draws = self.traced_run(
+            tiny, lambda: _mixed_slo_requests(tiny, 40),
+            outages=[Outage(1, 0.002, 0.012)])
+        a = report.availability
+        assert min(a.degraded, a.shed, a.retries) > 0
+        assert draws > report.num_batches  # dropped groups and resamples
+
+    def test_churn_run(self, request):
+        from repro.graph.mutable import EdgeBatch
+
+        tiny = request.getfixturevalue("tiny_dataset")
+        n = tiny.num_vertices
+        gen = np.random.default_rng(4)
+        mutations = [(when, EdgeBatch(add_src=gen.integers(0, n, 40),
+                                      add_dst=gen.integers(0, n, 40)))
+                     for when in (0.002, 0.006, 0.010)]
+        self.traced_run(tiny, lambda: _requests(tiny, 40),
+                        mutations=mutations)
+
+
 class TestRequestSpans:
     def test_one_span_per_request_joined_to_its_micro_batch(self, request):
         tiny = request.getfixturevalue("tiny_dataset")
@@ -441,9 +507,7 @@ class TestRequestSpans:
         ``stage.train``."""
         tiny = request.getfixturevalue("tiny_dataset")
         svc = Planner().build_service(tiny, _serving_config())
-        reqs = [r for i, slo in enumerate(("interactive", "standard", "batch"))
-                for r in _requests(tiny, 40, slo=slo)]
-        reqs = [dataclasses.replace(r, rid=i) for i, r in enumerate(reqs)]
+        reqs = _mixed_slo_requests(tiny, 40)
         OBS.enable()
         report = svc.run(reqs, outages=[Outage(1, 0.002, 0.012)])
         OBS.disable()

@@ -163,6 +163,38 @@ class TestNeighborSampler:
         s = NeighborSampler(small_er_graph, (3,), seed=0)
         with pytest.raises(ValueError, match="unique"):
             s.sample(np.array([1, 1, 2]))
+        with pytest.raises(ValueError, match="unique"):
+            s.sample(np.array([4, 2, 7, 2]))
+
+    def test_rejection_leaves_the_sampler_usable(self, small_er_graph):
+        """A rejected call consumes no randomness and leaves no stamp that
+        the next draw could mistake for its own."""
+        s = NeighborSampler(small_er_graph, (4, 3), seed=5)
+        fresh = NeighborSampler(small_er_graph, (4, 3), seed=5)
+        for bad in ([3, 3], [-1, 2], [2, small_er_graph.num_vertices]):
+            with pytest.raises(ValueError):
+                s.sample(np.array(bad))
+        a, b = s.sample(np.arange(2, 12)), fresh.sample(np.arange(2, 12))
+        assert np.array_equal(a.n_id, b.n_id)
+        assert all(np.array_equal(x.src_index, y.src_index)
+                   for x, y in zip(a.blocks, b.blocks))
+        assert s.rng_state() == fresh.rng_state()
+
+    @pytest.mark.parametrize("seeds", [[-1, 2], [-1, 49], [0, -50]])
+    def test_rejects_negative_seeds(self, seeds):
+        """numpy would wrap -1 onto vertex N-1: ``[-1, 49]`` on a 50-vertex
+        graph names one vertex twice and used to pass the unique check."""
+        g = star_graph(49)
+        s = NeighborSampler(g, (3,), seed=0)
+        with pytest.raises(ValueError,
+                           match=rf"seed {min(seeds)} is outside \[0, 50\)"):
+            s.sample(np.array(seeds))
+
+    def test_rejects_seeds_past_the_graph(self):
+        s = NeighborSampler(star_graph(49), (3,), seed=0)
+        with pytest.raises(ValueError, match=r"seed 50 is outside \[0, 50\)"):
+            s.sample(np.array([3, 50]))
+        assert s.sample(np.array([0, 49])).batch_size == 2  # both ends valid
 
     def test_rejects_bad_fanouts(self, small_er_graph):
         with pytest.raises(ValueError):

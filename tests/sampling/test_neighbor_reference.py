@@ -1,11 +1,13 @@
 """``sample_neighbors`` held to its frozen predecessor, bit for bit.
 
-The production function computes edge positions for the *picked* candidates
-only; ``reference_neighbor.py`` (never edit it) builds them for every
-candidate first.  Same outputs (``np.array_equal``) and the same generator
-state afterwards, over a static CSR and a streaming overlay with edited and
-appended rows, capped / uncapped / mixed fanouts, empty rows, isolated
-targets, and with or without a shared arena.
+The production function argsorts only the keys below a per-row threshold
+and computes edge positions for the *picked* candidates only;
+``reference_neighbor.py`` (never edit it) argsorts every candidate's key and
+builds every candidate's edge position first.  Same outputs
+(``np.array_equal``) and the same generator state afterwards, over a static
+CSR and a streaming overlay with edited and appended rows, hub rows far
+above the fanout, capped / uncapped / mixed fanouts, empty rows, isolated
+targets, rows the threshold cuts short, and with or without a shared arena.
 """
 
 import numpy as np
@@ -13,11 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_neighbor import sample_neighbors as reference_sample_neighbors
-from repro.graph import erdos_renyi
+from test_neighbor import star_graph
+from repro.graph import erdos_renyi, load_dataset
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import chung_lu
 from repro.graph.mutable import MutableGraph
 from repro.sampling import NeighborSampler
-from repro.sampling.neighbor import SampleArena, sample_neighbors
+from repro.sampling.neighbor import (SampleArena, _key_thresholds,
+                                     sample_neighbors)
 
 
 def overlay(graph: CSRGraph, seed: int) -> MutableGraph:
@@ -96,28 +101,97 @@ def test_empty_rows_and_isolated_targets(fanout, streaming):
                              shared_arena=shared_arena)
 
 
-@pytest.mark.parametrize("fanouts", [(15, 10, 5), (5, -1), (2, 2)])
-def test_sampler_streams_match_reference(fanouts, monkeypatch):
+def hub_graph(seed: int) -> CSRGraph:
+    """A Chung-Lu power-law graph (degree exponent ~2.1, mean ~10) whose
+    hubs have degree far above every fanout under test."""
+    n = 1500
+    weights = (1.0 + np.arange(n)) ** (-1 / 1.1)
+    return chung_lu(weights * (10 * n / weights.sum()), seed=seed)
+
+
+@pytest.mark.parametrize("fanout", [1, 3, 5, 15, -1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hub_rows(fanout, seed):
+    """Rows with ``deg >> fanout`` — where the threshold cuts hardest —
+    beside low-degree rows, on a power-law graph and a hand-built star."""
+    graph = hub_graph(seed)
+    by_degree = np.argsort(graph.degrees, kind="stable")[::-1]
+    assert graph.degrees[by_degree[0]] > 10 * 15
+    gen = np.random.default_rng(seed)
+    targets = np.union1d(by_degree[:25],
+                         gen.choice(graph.num_vertices, 200, replace=False))
+    for shared_arena in (False, True):
+        assert_same_draw(graph, gen.permutation(targets), fanout, seed + 7,
+                         shared_arena=shared_arena)
+    hub = star_graph(600)
+    for targets in ([0], [3, 0, 9], np.arange(601)):
+        assert_same_draw(hub, np.asarray(targets, dtype=np.int64), fanout,
+                         seed, shared_arena=False)
+
+
+def short_rows(graph, targets, fanout: int, seed: int) -> np.ndarray:
+    """Which rows keep fewer than ``take`` keys below their first threshold,
+    for the keys a fresh ``default_rng(seed)`` draws for this frontier."""
+    deg = graph.degrees[targets]
+    take = np.minimum(deg, fanout)
+    keys = np.random.default_rng(seed).random(int(deg.sum()))
+    rows = np.split(keys, np.cumsum(deg)[:-1])
+    return np.array([np.count_nonzero(row < t) < k for row, t, k
+                     in zip(rows, _key_thresholds(take, deg), take)])
+
+
+@pytest.mark.parametrize("fanout", [1, 2, 5])
+def test_short_row_fallback(fanout):
+    """A frontier where the first threshold leaves some rows (not all) with
+    fewer than ``take`` survivors: those rows are filtered again with every
+    key and the draw is still the reference's."""
+    # deg >> take maximises the chance of a short row (~e^-7 per row at
+    # take = 1); with 300 such rows about one seed in five has one.
+    rows, deg = 300, 200
+    indptr = np.arange(rows + 1, dtype=np.int64) * deg
+    indices = (7 * np.arange(rows)[:, None] + np.arange(deg)) % rows
+    graph = CSRGraph(indptr, indices.ravel(), check=False)
+    targets = np.arange(rows, dtype=np.int64)
+    seed = next(s for s in range(5000)
+                if short_rows(graph, targets, fanout, s).any())
+    assert not short_rows(graph, targets, fanout, seed).all()
+    for shared_arena in (False, True):
+        assert_same_draw(graph, targets, fanout, seed,
+                         shared_arena=shared_arena)
+
+
+def assert_same_stream(graph, ids, fanouts, batch_size, monkeypatch):
     """A whole minibatch stream (shared arena, one generator across hops
     and batches): every MFG array and the final cursor are the reference's."""
     import repro.sampling.neighbor as neighbor
 
-    graph = overlay(erdos_renyi(400, 9.0, seed=5), 5)
-    ids = np.arange(0, 400, 2)
-
     def stream():
         sampler = NeighborSampler(graph, fanouts, seed=3)
         out = [(m.n_id, [(b.dst_ptr, b.src_index) for b in m.blocks])
-               for m in sampler.batches(ids, 32, epoch=1, seed=9)]
+               for m in sampler.batches(ids, batch_size, epoch=1, seed=9)]
         return out, sampler.rng_state()
 
     got, got_state = stream()
-    monkeypatch.setattr(neighbor, "sample_neighbors",
-                        reference_sample_neighbors)
-    want, want_state = stream()
+    with monkeypatch.context() as patch:
+        patch.setattr(neighbor, "sample_neighbors", reference_sample_neighbors)
+        want, want_state = stream()
     assert got_state == want_state and len(got) == len(want)
     for (n_id, blocks), (ref_n_id, ref_blocks) in zip(got, want):
         assert np.array_equal(n_id, ref_n_id)
         for (ptr, src), (ref_ptr, ref_src) in zip(blocks, ref_blocks):
             assert np.array_equal(ptr, ref_ptr)
             assert np.array_equal(src, ref_src)
+
+
+@pytest.mark.parametrize("fanouts", [(15, 10, 5), (5, -1), (2, 2)])
+def test_sampler_streams_match_reference(fanouts, monkeypatch):
+    assert_same_stream(overlay(erdos_renyi(400, 9.0, seed=5), 5),
+                       np.arange(0, 400, 2), fanouts, 32, monkeypatch)
+
+
+@pytest.mark.parametrize("fanouts", [(5, 4, 3), (15, 10, 5), (8, 5)])
+def test_papers_mini_streams_match_reference(fanouts, monkeypatch):
+    """The configurations the e2e workloads run, on papers-mini's degree
+    distribution (scaled to 12k vertices)."""
+    ds = load_dataset("papers-mini", scale=0.1)
+    assert_same_stream(ds.graph, ds.train_idx, fanouts, 64, monkeypatch)
