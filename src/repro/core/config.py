@@ -168,7 +168,6 @@ class RunConfig:
     fanouts: Optional[Tuple[int, ...]] = None
     batch_size: Optional[int] = None
     hidden_dim: Optional[int] = None
-    arch: str = "sage"
     dropout: float = 0.0
     lr: float = 1e-3
 
@@ -229,7 +228,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Fail fast on malformed configs; returns ``self`` for chaining.
 
-        Registry names (``partitioner``, ``engine``, ``backend``, ``arch``,
+        Registry names (``partitioner``, ``engine``, ``backend``,
         ``cache_policy``) are checked against the live registries, so the
         error for an unknown name lists every valid (including
         plugin-registered) alternative, sorted.
@@ -241,7 +240,6 @@ class RunConfig:
         from repro.distributed import CLUSTER_BACKENDS  # registers backends
         from repro.distributed.dynamic_cache import DYNAMIC_CACHE_POLICIES
         from repro.distributed.engine import ENGINES
-        from repro.nn.models import MODEL_REGISTRY
         from repro.partition.registry import PARTITIONERS
         from repro.vip.policies import STATIC_CACHE_POLICIES
 
@@ -250,11 +248,6 @@ class RunConfig:
         PARTITIONERS.get(self.partitioner)  # raises with the sorted valid names
         ENGINES.get(self.engine)            # ditto (execution engine names)
         CLUSTER_BACKENDS.get(self.backend)  # ditto (cluster backend names)
-        if self.arch not in MODEL_REGISTRY:
-            raise ValueError(
-                f"unknown architecture {self.arch!r}; "
-                f"valid: {sorted(MODEL_REGISTRY)}"
-            )
         if self.backend == "multiproc":
             from repro.distributed.multiproc import SUPPORTED_ENGINES
 

@@ -92,8 +92,8 @@ STAGE_CONFIG_FIELDS: Dict[str, Tuple[str, ...]] = {
                      "fanouts", "batch_size", "seed"),
     "store": ("gpu_fraction", "full_replication", "cache_policy",
               "refresh_interval", "cache_aging_interval"),
-    "trainer": ("hidden_dim", "arch", "dropout", "lr", "fanouts",
-                "batch_size", "seed", "engine", "pipeline_depth", "staleness"),
+    "trainer": ("hidden_dim", "dropout", "lr", "fanouts", "batch_size",
+                "seed", "engine", "pipeline_depth", "staleness"),
 }
 
 
@@ -663,7 +663,6 @@ class Planner:
             fanouts=config.fanouts,
             batch_size=config.batch_size,
             hidden_dim=config.hidden_dim,
-            arch=config.arch,
             dropout=config.dropout,
             lr=config.lr,
             seed=derive_seed(config.seed, "trainer"),

@@ -16,7 +16,6 @@ from repro.distributed.cluster import (
 from repro.distributed.comm import (
     CommLedger,
     all_reduce_gradients,
-    average_gradient_arrays,
     average_parameters,
     broadcast_state,
     gradient_nbytes,
@@ -100,7 +99,6 @@ __all__ = [
     "NetworkSpec",
     "CommLedger",
     "all_reduce_gradients",
-    "average_gradient_arrays",
     "average_parameters",
     "broadcast_state",
     "gradient_nbytes",

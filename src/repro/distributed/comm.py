@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.distributed.cluster import ring_all_reduce_bytes
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 
 
 @dataclass
@@ -69,59 +69,47 @@ def gradient_nbytes(model: Module) -> int:
     return int(sum(p.data.size for p in model.parameters()) * 4)
 
 
-def average_gradient_arrays(
-    per_machine: List[List[Optional[np.ndarray]]],
-    templates: List[np.ndarray],
-) -> List[np.ndarray]:
-    """Average per-machine gradient lists parameter by parameter.
+def average_into(per_machine: List[List[np.ndarray]],
+                 out: List[np.ndarray]) -> None:
+    """Average per-machine arrays field by field, into ``out``.
 
-    ``per_machine[k][i]`` is machine ``k``'s gradient for parameter ``i``
-    (``None`` if that machine's batch never touched it — it contributes a
-    scalar zero); ``templates[i]`` supplies the shape for the all-``None``
-    case.  The accumulation order is fixed — machine 0's gradient first,
-    then ``+ g_1 + g_2 ...``, then one division by K — and is the *single*
-    definition of the collective's floating-point semantics: the in-process
-    :func:`all_reduce_gradients` and the multiproc coordinator both call
-    this, which is what keeps their losses bit-identical.
+    ``per_machine[k][i]`` is machine ``k``'s array for field ``i`` (dense,
+    the shape of ``out[i]``); ``out[i]`` receives machine 0's array, then
+    ``+= a_1 ... += a_{K-1}``, then one ``/= K``.  That sequence is the
+    *single* definition of the collective's floating-point semantics: the
+    in-process gradient all-reduce, parameter averaging and the multiproc
+    :class:`~repro.distributed.shm_plane.GradientPlane` all call this, which
+    is what keeps their losses bit-identical.
     """
     k = len(per_machine)
     if k == 0:
-        raise ValueError("no gradient sets to average")
-    out = []
-    for i, template in enumerate(templates):
-        avg = None
-        for grads in per_machine:
-            g = grads[i] if grads[i] is not None else 0.0
-            avg = g if avg is None else avg + g
-        avg = avg / k if not np.isscalar(avg) else np.zeros_like(template)
-        out.append(avg)
-    return out
-
-
-def average_gradient_fields(
-    per_machine: List[List[np.ndarray]],
-    out: List[np.ndarray],
-) -> None:
-    """In-place variant of :func:`average_gradient_arrays` over dense fields.
-
-    ``per_machine[k][i]`` is machine ``k``'s gradient for parameter ``i``
-    as a dense array (missing gradients already materialized as zeros —
-    which is elementwise exactly what the scalar-``0.0`` contribution in
-    :func:`average_gradient_arrays` adds); ``out[i]`` receives the average
-    without any intermediate allocation.  The accumulation order is the
-    collective's single floating-point definition — machine 0 first, then
-    ``+= g_1 + g_2 ...``, one division by K — so results are bit-identical
-    to :func:`average_gradient_arrays` on the same values.  The multiproc
-    backend's shared-memory gradient plane averages worker slabs with this.
-    """
-    k = len(per_machine)
-    if k == 0:
-        raise ValueError("no gradient sets to average")
+        raise ValueError("no arrays to average")
     for i, acc in enumerate(out):
         acc[...] = per_machine[0][i]
         for fields in per_machine[1:]:
             acc += fields[i]
         acc /= k
+
+
+def _replica_params(models: List[Module]) -> List[List[Parameter]]:
+    """Each parameter's K replicas, in ``named_parameters()`` order."""
+    if not models:
+        raise ValueError("no model replicas")
+    named = [dict(m.named_parameters()) for m in models]
+    keys = list(named[0])
+    for nd in named[1:]:
+        if list(nd) != keys or any(
+            nd[key].data.shape != named[0][key].data.shape for key in keys
+        ):
+            raise ValueError("model replicas have mismatched parameters")
+    return [[nd[key] for nd in named] for key in keys]
+
+
+def _record_ring(models: List[Module], ledger: Optional[CommLedger]) -> None:
+    """Charge ``ledger`` one ring all-reduce of a model-sized payload."""
+    if ledger is not None and len(models) > 1:
+        ledger.record_all_reduce(
+            ring_all_reduce_bytes(len(models), gradient_nbytes(models[0])))
 
 
 def all_reduce_gradients(
@@ -137,28 +125,15 @@ def all_reduce_gradients(
     (``tests/nn/test_grad_aliasing.py``) — so identical optimizer states
     yield identical weights, the invariant the test suite checks.
     """
-    if not models:
-        raise ValueError("no models to reduce")
-    k = len(models)
-    named = [dict(m.named_parameters()) for m in models]
-    keys = list(named[0].keys())
-    for nd in named[1:]:
-        if list(nd.keys()) != keys or any(
-            nd[k2].data.shape != named[0][k2].data.shape for k2 in keys
-        ):
-            raise ValueError("model replicas have mismatched parameters")
-
-    averaged = average_gradient_arrays(
-        [[nd[key].grad for key in keys] for nd in named],
-        [named[0][key].data for key in keys],
-    )
-    for nd in named:
-        for key, avg in zip(keys, averaged):
-            nd[key].grad = avg
-
-    if ledger is not None and k > 1:
-        ledger.record_all_reduce(
-            ring_all_reduce_bytes(k, gradient_nbytes(models[0])))
+    for params in _replica_params(models):
+        grads = [p.grad for p in params]
+        like = next((g for g in grads if g is not None), params[0].data)
+        avg = np.empty_like(like)
+        average_into([[np.zeros_like(like) if g is None else g]
+                      for g in grads], [avg])
+        for p in params:
+            p.grad = avg
+    _record_ring(models, ledger)
 
 
 def average_parameters(
@@ -173,29 +148,12 @@ def average_parameters(
     the same ring all-reduce as a gradient reduction (parameters and
     gradients have identical shapes), which the ledger records.
     """
-    if not models:
-        raise ValueError("no models to average")
-    k = len(models)
-    named = [dict(m.named_parameters()) for m in models]
-    keys = list(named[0].keys())
-    for nd in named[1:]:
-        if list(nd.keys()) != keys or any(
-            nd[k2].data.shape != named[0][k2].data.shape for k2 in keys
-        ):
-            raise ValueError("model replicas have mismatched parameters")
-
-    for key in keys:
-        params = [nd[key] for nd in named]
-        avg = params[0].data.copy()
-        for p in params[1:]:
-            avg += p.data
-        avg /= k
+    for params in _replica_params(models):
+        avg = np.empty_like(params[0].data)
+        average_into([[p.data] for p in params], [avg])
         for p in params:
             p.data[...] = avg
-
-    if ledger is not None and k > 1:
-        ledger.record_all_reduce(
-            ring_all_reduce_bytes(k, gradient_nbytes(models[0])))
+    _record_ring(models, ledger)
 
 
 def broadcast_state(models: List[Module], source: int = 0) -> None:

@@ -32,7 +32,7 @@ from repro.distributed.comm import broadcast_state, gradient_nbytes
 from repro.distributed.engine import make_engine
 from repro.distributed.feature_store import PartitionedFeatureStore
 from repro.distributed.records import EpochReport
-from repro.nn.models import MFGModel, build_model
+from repro.nn.models import GraphSAGE
 from repro.nn.optim import Adam
 from repro.partition.reorder import ReorderedDataset
 from repro.sampling.mfg import MFG
@@ -52,7 +52,7 @@ class DistributedTrainer:
         Feature store built over the same reordered dataset.
     fanouts / batch_size:
         Per-hop sampling fanouts and per-machine minibatch size.
-    hidden_dim / arch / dropout / lr:
+    hidden_dim / dropout / lr:
         Model and optimizer hyperparameters (one replica per machine, all
         initialized identically).
     engine / pipeline_depth / staleness:
@@ -69,7 +69,6 @@ class DistributedTrainer:
         fanouts: Sequence[int],
         batch_size: int,
         hidden_dim: int = 64,
-        arch: str = "sage",
         dropout: float = 0.0,
         lr: float = 1e-3,
         seed: SeedLike = 0,
@@ -85,7 +84,6 @@ class DistributedTrainer:
         self.fanouts = tuple(int(f) for f in fanouts)
         self.batch_size = int(batch_size)
         self.hidden_dim = hidden_dim
-        self.arch = arch
         self.seed = seed
         self.num_machines = reordered.num_parts
 
@@ -94,10 +92,10 @@ class DistributedTrainer:
                             seed=machine_stream_seed(seed, "sampler", k))
             for k in range(self.num_machines)
         ]
-        self.models: List[MFGModel] = [
-            build_model(arch, self.ds.feature_dim, hidden_dim, self.ds.num_classes,
-                        len(self.fanouts), dropout=dropout,
-                        seed=derive_seed(seed, "model"))
+        self.models: List[GraphSAGE] = [
+            GraphSAGE(self.ds.feature_dim, hidden_dim, self.ds.num_classes,
+                      len(self.fanouts), dropout=dropout,
+                      seed=derive_seed(seed, "model"))
             for _ in range(self.num_machines)
         ]
         broadcast_state(self.models)  # identical initial weights

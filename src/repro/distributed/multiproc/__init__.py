@@ -64,8 +64,8 @@ token       direction sent
 So a training step costs two ~30-byte messages per worker (``step`` in,
 ``avg`` out) under ``bsp`` and ``pipelined`` alike.  Between them the
 coordinator averages the slabs in place
-(:func:`~repro.distributed.comm.average_gradient_fields` — the in-process
-collective's exact floating-point sequence) and publishes the averaged
+(:func:`~repro.distributed.comm.average_into` — the one averaging body the
+in-process collective also calls) and publishes the averaged
 slab.  Telemetry is batched: step records, the
 fetch-plan audit digests, and the synchronized model state ship once per
 epoch in the ``done`` message; the coordinator cross-checks every digest

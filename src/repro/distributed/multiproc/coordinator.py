@@ -251,7 +251,6 @@ class MultiprocBackend(ClusterBackend):
                     fanouts=tr.fanouts,
                     batch_size=tr.batch_size,
                     hidden_dim=tr.hidden_dim,
-                    arch=tr.arch,
                     dropout=float(cfg.dropout),
                     lr=float(cfg.lr),
                     engine=cfg.engine,

@@ -34,7 +34,7 @@ from repro.distributed.multiproc.segments import (
 from repro.distributed.shm_plane import GradientPlane, SlabLayout
 from repro.distributed.wire import decode_dataclass, pack_message, unpack_message
 from repro.graph.csr import CSRGraph
-from repro.nn.models import build_model
+from repro.nn.models import GraphSAGE
 from repro.nn.optim import Adam
 from repro.obs import OBS, clock_anchor
 from repro.sampling.neighbor import NeighborSampler
@@ -173,10 +173,9 @@ class _WorkerRuntime:
         k = spec.machine
         self.samplers[k] = NeighborSampler(self.ds.graph, spec.fanouts,
                                            seed=spec.sampler_seed)
-        self.models[k] = build_model(
-            spec.arch, spec.feature_dim, spec.hidden_dim, spec.num_classes,
-            len(spec.fanouts), dropout=spec.dropout,
-            seed=spec.model_seed,
+        self.models[k] = GraphSAGE(
+            spec.feature_dim, spec.hidden_dim, spec.num_classes,
+            len(spec.fanouts), dropout=spec.dropout, seed=spec.model_seed,
         )
         self.optimizers[k] = Adam(self.models[k].parameters(), lr=spec.lr)
 

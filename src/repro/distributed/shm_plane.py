@@ -39,11 +39,11 @@ worker crashed mid-write or desynchronized from the step protocol).
 Averaging semantics
 -------------------
 :meth:`GradientPlane.average` must keep multiproc training bit-identical to
-the in-process oracle, so it reuses the collective's single floating-point
-definition (:func:`repro.distributed.comm.average_gradient_fields`):
-machine 0's field first, then ``+= g_1 ... += g_{K-1}``, then one division
-by K — elementwise exactly the sequence ``average_gradient_arrays``
-performs, applied in place over the shared slabs with zero copies.
+the in-process oracle, so it calls the collective's single floating-point
+definition (:func:`repro.distributed.comm.average_into`): machine 0's field
+first, then ``+= g_1 ... += g_{K-1}``, then one division by K — the function
+the in-process all-reduce calls, applied in place over the shared slabs
+with zero copies.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distributed.comm import average_gradient_fields
+from repro.distributed.comm import average_into
 from repro.obs import OBS
 
 #: Doorbell words at the head of every slab (int64 each).
@@ -274,13 +274,13 @@ class GradientPlane:
         Verifies every worker slab is stable and tagged ``step`` before the
         reduction and unchanged after it (seqlock check), then publishes the
         averaged slab under the same step tag.  Floating-point semantics are
-        :func:`~repro.distributed.comm.average_gradient_fields` — exactly
-        the in-process collective's.
+        :func:`~repro.distributed.comm.average_into` — exactly the
+        in-process collective's.
         """
         seqs = [slab.check_stable(step, machine=k)
                 for k, slab in enumerate(self.worker_slabs)]
         self.avg_slab.begin_write()
-        average_gradient_fields(
+        average_into(
             [slab.fields for slab in self.worker_slabs],
             self.avg_slab.fields,
         )

@@ -59,7 +59,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.distributed.feature_store import CoalescedFetchPlan, FetchPlan
+from repro.distributed.feature_store import FetchPlan
 
 MAGIC = b"RPWF"
 #: v2 added the CRC32 integrity trailers (per ndarray frame + per message).
@@ -445,16 +445,3 @@ def encode_fetch_plan(plan: FetchPlan) -> bytes:
 def decode_fetch_plan(data: bytes) -> FetchPlan:
     return decode_dataclass(FetchPlan, unpack_obj(data))
 
-
-def encode_coalesced_plan(cplan: CoalescedFetchPlan) -> bytes:
-    """Serialize one :class:`CoalescedFetchPlan`, sub-plans included.
-
-    ``slots`` may be ``None`` (hand-built plans); the distinction survives
-    the round trip, so execution falls back to ``searchsorted`` exactly when
-    it would have locally.
-    """
-    return pack_obj(cplan)
-
-
-def decode_coalesced_plan(data: bytes) -> CoalescedFetchPlan:
-    return decode_dataclass(CoalescedFetchPlan, unpack_obj(data))

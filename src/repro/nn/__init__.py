@@ -1,41 +1,23 @@
-"""Numpy GNN substrate: autograd, layers, models, optimizers, losses."""
+"""Numpy GNN substrate: autograd, GraphSAGE layers, Adam, the loss."""
 
 from repro.nn.autograd import Tensor
 from repro.nn.module import Module, Parameter
 from repro.nn import functional
-from repro.nn.functional import accuracy, cross_entropy
-from repro.nn.layers import Dropout, GATConv, GINConv, Linear, SAGEConv
-from repro.nn.models import (
-    GAT,
-    GIN,
-    GraphSAGE,
-    MFGModel,
-    MLP,
-    MODEL_REGISTRY,
-    build_model,
-)
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.functional import cross_entropy
+from repro.nn.layers import Dropout, Linear, SAGEConv
+from repro.nn.models import GraphSAGE, MLP
+from repro.nn.optim import Adam
 
 __all__ = [
     "Tensor",
     "Module",
     "Parameter",
     "functional",
-    "accuracy",
     "cross_entropy",
     "Dropout",
-    "GATConv",
-    "GINConv",
     "Linear",
     "SAGEConv",
-    "GAT",
-    "GIN",
     "GraphSAGE",
-    "MFGModel",
     "MLP",
-    "MODEL_REGISTRY",
-    "build_model",
     "Adam",
-    "Optimizer",
-    "SGD",
 ]

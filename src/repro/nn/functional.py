@@ -1,5 +1,5 @@
 """Functional ops on :class:`~repro.nn.autograd.Tensor`: segment reductions,
-concatenation, dropout, and losses.
+dropout, and the loss.
 
 Segment ops operate on CSR-style contiguous segments (an MFG block's
 ``dst_ptr``).  Every segment sum — plain, through a source index (a block's
@@ -11,7 +11,7 @@ order, in the dtype of the rows being summed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,53 +53,6 @@ def segment_mean(x: Tensor, ptr: np.ndarray,
     counts = np.maximum(np.diff(ptr), 1).astype(x.data.dtype)
     total = segment_sum(x, ptr, index)
     return total * Tensor((1.0 / counts)[:, None])
-
-
-def segment_softmax(x: Tensor, ptr: np.ndarray) -> Tensor:
-    """Softmax within each contiguous segment (per-destination attention).
-
-    ``x`` has one row per edge; the result sums to 1 within each destination's
-    edge segment.  Numerically stabilized with a per-segment max shift.
-    """
-    ptr = np.asarray(ptr, dtype=np.int64)
-    if ptr[-1] != len(x.data):
-        raise ValueError("ptr[-1] must equal len(x)")
-    lengths = np.diff(ptr)
-    rows = np.flatnonzero(lengths > 0)
-    seg_max = np.zeros((len(ptr) - 1,) + x.data.shape[1:], dtype=x.data.dtype)
-    if len(rows):
-        seg_max[rows] = np.maximum.reduceat(x.data, ptr[rows], axis=0)
-    shifted = x.data - np.repeat(seg_max, lengths, axis=0)
-    e = Tensor(np.exp(shifted))
-    denom = np.repeat(segment_sum(e, ptr).data, lengths, axis=0)
-    out_data = e.data / np.maximum(denom, 1e-30)
-
-    def backward():
-        g = out.grad
-        # d softmax: s * (g - sum_j g_j s_j) within each segment.
-        dot = segment_sum(Tensor(g * out_data), ptr).data
-        x._accumulate(out_data * (g - np.repeat(dot, lengths, axis=0)))
-
-    out = Tensor._make(out_data, (x,), backward)
-    return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Concatenate along ``axis`` (backward splits the gradient)."""
-    datas = [t.data for t in tensors]
-    out_data = np.concatenate(datas, axis=axis)
-    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
-
-    def backward():
-        g = out.grad
-        slicer = [slice(None)] * g.ndim
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                slicer[axis] = slice(int(lo), int(hi))
-                t._accumulate(g[tuple(slicer)])
-
-    out = Tensor._make(out_data, tuple(tensors), backward)
-    return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
@@ -148,12 +101,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = Tensor._make(out_data, (lsm,), backward)
     return out
 
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of logits (or a Tensor's data) against labels."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    pred = data.argmax(axis=1)
-    labels = np.asarray(labels)
-    if len(labels) == 0:
-        return float("nan")
-    return float((pred == labels).mean())

@@ -1,14 +1,12 @@
-"""Neural layers: Linear, Dropout, and the three GNN convolutions the paper
-names (GraphSAGE, GAT, GIN — §2.1), all consuming MFG blocks.
+"""Neural layers: Linear, Dropout, and the GraphSAGE convolution the paper
+evaluates (§5), consuming MFG blocks.
 
-Each convolution maps source representations ``x`` (rows aligned with the
+The convolution maps source representations ``x`` (rows aligned with the
 block's source set) to destination representations (rows aligned with the
 destination prefix), following equation (1): ``h_v = UPD(h_v, AGG({h_u}))``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -73,75 +71,3 @@ class SAGEConv(Module):
         agg = F.segment_mean(x, block.dst_ptr, index=block.src_index)
         return self.lin_self(x_dst) + self.lin_neigh(agg)
 
-
-class GATConv(Module):
-    """Graph attention convolution (Velickovic et al.), single head.
-
-    Attention logits ``e_uv = LeakyReLU(a_src . Wh_u + a_dst . Wh_v)`` are
-    softmax-normalized over each destination's sampled neighborhood
-    (self-edge included, as in the reference implementation).
-    """
-
-    def __init__(self, in_dim: int, out_dim: int, *, negative_slope: float = 0.2,
-                 seed: SeedLike = None):
-        super().__init__()
-        rng = as_generator(seed)
-        self.lin = Linear(in_dim, out_dim, bias=False, seed=rng)
-        self.att_src = Parameter(glorot(rng, out_dim, 1))
-        self.att_dst = Parameter(glorot(rng, out_dim, 1))
-        self.bias = Parameter(np.zeros(out_dim))
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor, block: MFGBlock) -> Tensor:
-        h = self.lin(x)  # (num_src, out)
-        # Append a self-edge per destination: neighborhood = {v} ∪ sampled.
-        counts = np.diff(block.dst_ptr)
-        num_dst = block.num_dst
-        self_idx = np.arange(num_dst, dtype=np.int64)
-        # Interleave: per dst, its sampled edges then the self edge.
-        src_index = np.empty(len(block.src_index) + num_dst, dtype=np.int64)
-        # Segment i grows by one self edge, shifting its start by i.
-        new_ptr = block.dst_ptr + np.arange(num_dst + 1, dtype=np.int64)
-        # Vectorized interleave: the last slot of each segment is the self
-        # edge, the rest keep the sampled sources in order.
-        is_self = np.zeros(len(src_index), dtype=bool)
-        is_self[new_ptr[1:] - 1] = True
-        src_index[is_self] = self_idx
-        src_index[~is_self] = block.src_index
-        dst_of_edge = np.repeat(self_idx, counts + 1)
-
-        e_src = h.gather_rows(src_index) @ self.att_src  # (E, 1)
-        h_dst = h.slice_rows(0, num_dst)
-        e_dst_rows = (h_dst @ self.att_dst).gather_rows(dst_of_edge)
-        logits = (e_src + e_dst_rows).leaky_relu(self.negative_slope)
-        alpha = F.segment_softmax(logits, new_ptr)  # (E, 1)
-        msgs = h.gather_rows(src_index) * alpha
-        out = F.segment_sum(msgs, new_ptr)
-        return out + self.bias
-
-
-class GINConv(Module):
-    """Graph isomorphism convolution (Xu et al.):
-    ``h_v = MLP((1 + eps) h_v + sum({h_u}))``."""
-
-    def __init__(self, in_dim: int, out_dim: int, *, hidden_dim: Optional[int] = None,
-                 eps: float = 0.0, train_eps: bool = True, seed: SeedLike = None):
-        super().__init__()
-        rng = as_generator(seed)
-        hidden_dim = hidden_dim or out_dim
-        self.mlp1 = Linear(in_dim, hidden_dim, seed=rng)
-        self.mlp2 = Linear(hidden_dim, out_dim, seed=rng)
-        if train_eps:
-            self.eps = Parameter(np.array([eps]))
-        else:
-            self.eps = None
-            self._fixed_eps = eps
-
-    def forward(self, x: Tensor, block: MFGBlock) -> Tensor:
-        x_dst = x.slice_rows(0, block.num_dst)
-        agg = F.segment_sum(x, block.dst_ptr, index=block.src_index)
-        if self.eps is not None:
-            scaled = x_dst * (self.eps + 1.0)
-        else:
-            scaled = x_dst * (1.0 + self._fixed_eps)
-        return self.mlp2(self.mlp1(scaled + agg).relu())

@@ -1,5 +1,5 @@
-"""GNN models over MFGs: GraphSAGE (the paper's evaluation architecture),
-GAT, and GIN.
+"""GNN models over MFGs: GraphSAGE (the paper's evaluation architecture)
+and the graph-free MLP baseline.
 
 A model's :meth:`forward` takes the feature matrix for an MFG's source set
 (rows aligned with ``mfg.n_id``) and the MFG blocks, consuming blocks
@@ -8,35 +8,29 @@ outermost-first so the final output has one row per seed.
 
 from __future__ import annotations
 
-from typing import Type
-
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn.layers import Dropout, GATConv, GINConv, Linear, SAGEConv
+from repro.nn.layers import Dropout, Linear, SAGEConv
 from repro.nn.module import Module
 from repro.sampling.mfg import MFG
 from repro.utils.rng import SeedLike, spawn_generators
 
 
-class MFGModel(Module):
-    """Shared skeleton: a stack of per-hop convolutions with ReLU+dropout
-    between layers (none after the last)."""
-
-    conv_cls: Type[Module] = SAGEConv
+class GraphSAGE(Module):
+    """The 3-layer / 2-layer SAGE architecture of Table 3: a stack of
+    per-hop :class:`SAGEConv` layers with ReLU+dropout between layers (none
+    after the last)."""
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
-                 num_layers: int, *, dropout: float = 0.0, seed: SeedLike = None,
-                 **conv_kwargs):
+                 num_layers: int, *, dropout: float = 0.0, seed: SeedLike = None):
         super().__init__()
         if num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {num_layers}")
         rngs = spawn_generators(seed, num_layers + 1)
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-        self.convs = [
-            self.conv_cls(dims[i], dims[i + 1], seed=rngs[i], **conv_kwargs)
-            for i in range(num_layers)
-        ]
+        self.convs = [SAGEConv(dims[i], dims[i + 1], seed=rngs[i])
+                      for i in range(num_layers)]
         self.dropout = Dropout(dropout, seed=rngs[-1])
         self.num_layers = num_layers
 
@@ -68,24 +62,6 @@ class MFGModel(Module):
         return h
 
 
-class GraphSAGE(MFGModel):
-    """The 3-layer / 2-layer SAGE architecture of Table 3."""
-
-    conv_cls = SAGEConv
-
-
-class GAT(MFGModel):
-    """Graph attention stack (single-head GATConv layers)."""
-
-    conv_cls = GATConv
-
-
-class GIN(MFGModel):
-    """Graph isomorphism network stack."""
-
-    conv_cls = GINConv
-
-
 class MLP(Module):
     """Graph-free baseline: per-vertex MLP on raw features (used by tests to
     confirm the GNN's structural signal is real)."""
@@ -104,22 +80,3 @@ class MLP(Module):
         if mfg is not None:
             x = x.slice_rows(0, mfg.batch_size)
         return self.fc2(self.dropout(self.fc1(x).relu()))
-
-
-MODEL_REGISTRY = {
-    "sage": GraphSAGE,
-    "gat": GAT,
-    "gin": GIN,
-}
-
-
-def build_model(arch: str, in_dim: int, hidden_dim: int, out_dim: int,
-                num_layers: int, *, dropout: float = 0.0,
-                seed: SeedLike = None) -> MFGModel:
-    """Build a registered architecture by name."""
-    try:
-        cls = MODEL_REGISTRY[arch]
-    except KeyError:
-        raise KeyError(f"unknown architecture {arch!r}; "
-                       f"available: {sorted(MODEL_REGISTRY)}") from None
-    return cls(in_dim, hidden_dim, out_dim, num_layers, dropout=dropout, seed=seed)

@@ -1,8 +1,9 @@
-"""Optimizers: SGD (with momentum) and Adam.
+"""The optimizer: Adam, as the paper and every trainer here use it.
 
 Matches the usual PyTorch semantics: ``step()`` consumes ``p.grad`` as
-accumulated by the autograd engine; ``zero_grad()`` between steps is the
-caller's responsibility (the trainers do it).
+accumulated by the autograd engine; ``model.zero_grad()`` between steps is
+the caller's responsibility (the trainers do it).  Each moment estimate has
+its parameter's dtype, restored state included.
 """
 
 from __future__ import annotations
@@ -14,54 +15,19 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
-class Optimizer:
-    def __init__(self, params: Sequence[Parameter], lr: float):
+class Adam:
+    """Adam (Kingma & Ba) with bias correction; the paper's training setup
+    (fixed lr 0.001) maps onto the defaults here."""
+
+    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
+                 betas=(0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """SGD with optional momentum and weight decay."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data = p.data - self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction; the paper's training setup
-    (fixed lr 0.001) maps onto the defaults here."""
-
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -85,14 +51,15 @@ class Adam(Optimizer):
             raise ValueError(
                 f"optimizer state has {len(m)}/{len(v)} moment arrays, "
                 f"expected {len(self.params)}")
+        moments = {"m": [], "v": []}
         for i, p in enumerate(self.params):
             for name, src in (("m", m[i]), ("v", v[i])):
-                arr = np.asarray(src, dtype=p.data.dtype)
+                arr = np.array(src, dtype=p.data.dtype)
                 if arr.shape != p.data.shape:
                     raise ValueError(f"{name}[{i}]: shape {arr.shape} != "
                                      f"{p.data.shape}")
-        self._m = [np.asarray(a, dtype=np.float64).copy() for a in m]
-        self._v = [np.asarray(a, dtype=np.float64).copy() for a in v]
+                moments[name].append(arr)
+        self._m, self._v = moments["m"], moments["v"]
         self._t = int(state["t"])
 
     def step(self) -> None:

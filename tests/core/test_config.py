@@ -1,6 +1,6 @@
 """RunConfig and progressive-ladder tests."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -102,20 +102,31 @@ class TestValidate:
         assert str(sorted(STATIC_CACHE_POLICIES.names())) in msg
         assert str(sorted(DYNAMIC_CACHE_POLICIES.names())) in msg
 
-    def test_unknown_arch_lists_sorted_names(self, tiny_dataset):
-        """A typo'd ``arch`` fails at construction, not as a ``KeyError``
-        from ``build_model`` after four preprocessing stages have run."""
-        with pytest.raises(ValueError) as exc:
-            RunConfig(arch="mlp").validate()
-        assert "unknown architecture 'mlp'" in str(exc.value)
-        assert "['gat', 'gin', 'sage']" in str(exc.value)
-        with pytest.raises(ValueError, match="architecture"):
-            RunConfig(arch="mlp").resolve(tiny_dataset)
-
     def test_resolve_validates(self, tiny_dataset):
         """Bad configs fail at construction, not deep inside a stage."""
         with pytest.raises(ValueError, match="cache policy"):
             RunConfig(cache_policy="belady").resolve(tiny_dataset)
+
+    def test_arch_is_not_a_knob(self):
+        """GraphSAGE is the one architecture: there is nothing to select."""
+        assert "arch" not in {f.name for f in fields(RunConfig)}
+        with pytest.raises(TypeError, match="arch"):
+            RunConfig(arch="sage")
+
+    def test_no_stage_is_keyed_by_arch(self):
+        from repro.core import STAGE_CONFIG_FIELDS
+
+        for stage, names in STAGE_CONFIG_FIELDS.items():
+            assert "arch" not in names, stage
+
+    def test_trainer_and_worker_spec_take_no_arch(self):
+        import inspect
+
+        from repro.distributed.executor import DistributedTrainer
+        from repro.distributed.multiproc.segments import WorkerSpec
+
+        assert "arch" not in {f.name for f in fields(WorkerSpec)}
+        assert "arch" not in inspect.signature(DistributedTrainer).parameters
 
     def test_validate_returns_self(self):
         cfg = RunConfig()

@@ -71,10 +71,9 @@ class TestEndToEndConsistency:
             sys_ = SalientPP.build(tiny_dataset, cfg)
             assert sys_.train_epoch(0, dry_run=True).epoch_time > 0
 
-    @pytest.mark.parametrize("arch", ["sage", "gat", "gin"])
-    def test_architectures_train_distributed(self, tiny_dataset, arch):
+    def test_trains_distributed_in_sync(self, tiny_dataset):
         cfg = RunConfig(num_machines=2, fanouts=(4, 3), batch_size=16,
-                        hidden_dim=16, arch=arch, replication_factor=0.1)
+                        hidden_dim=16, replication_factor=0.1)
         sys_ = SalientPP.build(tiny_dataset, cfg)
         res = sys_.train_epoch(0)
         assert np.isfinite(res.loss)

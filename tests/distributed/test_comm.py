@@ -3,14 +3,42 @@
 import numpy as np
 import pytest
 
-from repro.distributed import CommLedger, all_reduce_gradients, broadcast_state, gradient_nbytes
-from repro.nn import Linear
+from repro.distributed import (
+    CommLedger,
+    all_reduce_gradients,
+    average_parameters,
+    broadcast_state,
+    gradient_nbytes,
+)
+from repro.distributed.comm import average_into
+from repro.nn import Linear, MLP
 
 
 def make_replicas(k=3):
     models = [Linear(4, 2, seed=i) for i in range(k)]
     broadcast_state(models)
     return models
+
+
+class TestAverageInto:
+    def test_no_machines_raises(self):
+        with pytest.raises(ValueError, match="no arrays"):
+            average_into([], [np.zeros(2)])
+
+    def test_one_machine_is_copied_exactly(self):
+        x = np.array([1.0, -0.0, 1e-300, np.pi])
+        out = np.full(4, np.nan)
+        average_into([[x]], [out])
+        assert out.tobytes() == x.tobytes()
+        assert out is not x
+
+    def test_machine_zero_first_then_left_to_right(self):
+        """``(a_0 + a_1) + a_2``, then one division: not ``a_0 + (a_1 + a_2)``."""
+        per_machine = [[np.array([1.0])], [np.array([1e-16])], [np.array([1e-16])]]
+        out = np.empty(1)
+        average_into(per_machine, [out])
+        assert out[0] == ((1.0 + 1e-16) + 1e-16) / 3
+        assert (1.0 + 1e-16) + 1e-16 != 1.0 + (1e-16 + 1e-16)
 
 
 class TestAllReduce:
@@ -49,6 +77,69 @@ class TestAllReduce:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             all_reduce_gradients([])
+
+    def test_differently_named_parameters_raise(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            all_reduce_gradients([Linear(4, 2, seed=0), MLP(4, 2, 2, seed=0)])
+
+    def test_untouched_everywhere_is_zeros_in_the_parameter_dtype(self):
+        models = make_replicas(3)
+        for m in models:
+            m.weight.data = m.weight.data.astype(np.float32)
+            m.bias.grad = np.ones(2)
+        all_reduce_gradients(models)
+        grad = models[0].weight.grad
+        assert grad.dtype == np.float32 and grad.shape == (4, 2)
+        assert not grad.any()
+        assert all(m.weight.grad is grad for m in models)
+
+    def test_single_replica_costs_no_wire_bytes(self):
+        models = make_replicas(1)
+        models[0].weight.grad = np.ones((4, 2))
+        ledger = CommLedger(1)
+        all_reduce_gradients(models, ledger)
+        assert not ledger.gradient_bytes.any()
+        assert np.array_equal(models[0].weight.grad, np.ones((4, 2)))
+
+
+class TestAverageParameters:
+    def test_averages_weights_in_place(self):
+        models = [Linear(4, 2, seed=i) for i in range(3)]
+        want = sum(m.weight.data for m in models) / 3
+        buffers = [m.weight.data for m in models]
+        average_parameters(models)
+        for m, buf in zip(models, buffers):
+            assert m.weight.data is buf
+            assert np.allclose(m.weight.data, want)
+        assert all(np.array_equal(m.bias.data, models[0].bias.data)
+                   for m in models)
+
+    def test_records_wire_bytes(self):
+        models = make_replicas(4)
+        ledger = CommLedger(4)
+        average_parameters(models, ledger)
+        expect = 2.0 * 3 / 4 * gradient_nbytes(models[0])
+        assert np.allclose(ledger.gradient_bytes, expect)
+
+    def test_single_replica_costs_no_wire_bytes(self):
+        models = make_replicas(1)
+        before = models[0].weight.data.copy()
+        ledger = CommLedger(1)
+        average_parameters(models, ledger)
+        assert not ledger.gradient_bytes.any()
+        assert models[0].weight.data.tobytes() == before.tobytes()
+
+    def test_mismatched_models_raise(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            average_parameters([Linear(4, 2, seed=0), Linear(4, 3, seed=0)])
+
+    def test_differently_named_parameters_raise(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            average_parameters([Linear(4, 2, seed=0), MLP(4, 2, 2, seed=0)])
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            average_parameters([])
 
 
 class TestBroadcast:

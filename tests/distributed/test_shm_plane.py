@@ -2,10 +2,11 @@
 
 The hypothesis suite drives arbitrary field layouts (shapes, dtypes, worker
 counts) through write/average/read round trips and demands bit-exact
-results against the in-process collective's reference semantics
-(:func:`average_gradient_arrays`).  The protocol tests exercise the seqlock
-doorbell: mid-write reads, stale step tags, torn reads under a genuinely
-concurrent writer thread, and the ``None``-gradient (zeros) contract.
+results against the collective's frozen reference semantics
+(``reference_average.average_gradient_arrays``, beside this file).  The
+protocol tests exercise the seqlock doorbell: mid-write reads, stale step
+tags, torn reads under a genuinely concurrent writer thread, and the
+``None``-gradient (zeros) contract.
 """
 
 import threading
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.comm import average_gradient_arrays
+from reference_average import average_gradient_arrays
 from repro.distributed.shm_plane import (
     HEADER_NBYTES,
     GradientPlane,

@@ -12,17 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.feature_store import (
-    CoalescedFetchPlan,
-    FetchPlan,
-    PartitionedFeatureStore,
-)
+from repro.distributed.feature_store import FetchPlan, PartitionedFeatureStore
 from repro.distributed.wire import (
     MAGIC,
     WireError,
-    decode_coalesced_plan,
     decode_fetch_plan,
-    encode_coalesced_plan,
     encode_fetch_plan,
     pack_message,
     pack_obj,
@@ -295,45 +289,6 @@ def test_real_plan_round_trip_and_execution(store_setup):
         feats2, stats2 = store.execute(plan2)
         assert np.array_equal(feats1, feats2)
         assert np.array_equal(stats1.remote_per_peer, stats2.remote_per_peer)
-
-
-def test_coalesced_plan_round_trip_and_execution(store_setup):
-    store, reordered = store_setup
-    rng = np.random.default_rng(13)
-    n = reordered.dataset.num_vertices
-    plans = [store.plan_gather(1, rng.choice(n, size=80, replace=False))
-             for _ in range(4)]
-    cplan = FetchPlan.coalesce(plans)
-    cplan2 = decode_coalesced_plan(encode_coalesced_plan(cplan))
-    assert cplan2.machine == cplan.machine
-    assert np.array_equal(cplan2.unique_remote_ids, cplan.unique_remote_ids)
-    assert len(cplan2.plans) == len(cplan.plans)
-    for p, q in zip(cplan.plans, cplan2.plans):
-        _plans_equal(p, q)
-    for f, g in zip(cplan.first_request, cplan2.first_request):
-        assert g.dtype == np.bool_ and np.array_equal(f, g)
-    assert cplan2.slots is not None
-    for s, t in zip(cplan.slots, cplan2.slots):
-        assert np.array_equal(s, t)
-    r1 = store.execute_coalesced(cplan)
-    r2 = store.execute_coalesced(cplan2)
-    for (f1, s1), (f2, s2) in zip(r1, r2):
-        assert np.array_equal(f1, f2)
-        assert s1.remote_rows == s2.remote_rows
-        assert s1.coalesced_rows == s2.coalesced_rows
-
-
-def test_coalesced_plan_none_slots_distinction(store_setup):
-    store, _reordered = store_setup
-    plan = store.plan_gather(0, np.arange(20))
-    cplan = CoalescedFetchPlan(
-        machine=0, plans=[plan],
-        unique_remote_ids=np.sort(plan.remote_ids),
-        first_request=[np.ones(len(plan.remote_ids), dtype=bool)],
-        slots=None,
-    )
-    cplan2 = decode_coalesced_plan(encode_coalesced_plan(cplan))
-    assert cplan2.slots is None  # falls back to searchsorted, as locally
 
 
 def test_empty_plan_round_trip(store_setup):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
+from repro.nn.autograd import edge_operator
 
 
 def numgrad(f, x, eps=1e-6):
@@ -100,44 +101,46 @@ class TestNonlinearities:
     def test_relu(self):
         check(lambda t: t.relu(), (4, 4), seed=7)
 
-    def test_leaky_relu(self):
-        check(lambda t: t.leaky_relu(0.1), (4, 4), seed=8)
-
-    def test_exp_log_tanh(self):
-        check(lambda t: t.exp(), (3, 3))
-        rng = np.random.default_rng(9)
-        x = rng.uniform(0.5, 2.0, size=(3, 3))
-        t = Tensor(x, requires_grad=True)
-        t.log().sum().backward()
-        assert np.allclose(t.grad, 1.0 / x)
-        check(lambda t: t.tanh(), (3, 3))
-
 
 class TestIndexing:
-    def test_gather_rows_scatter_backward(self):
-        idx = np.array([0, 2, 2, 1])
-        check(lambda t: t.gather_rows(idx), (3, 2))
-
     def test_slice_rows(self):
         check(lambda t: t.slice_rows(1, 3), (4, 2))
+
+    def test_edge_operator_sums_and_scatters_in_edge_order(self):
+        """``A @ x`` is each segment's rows summed; ``A.T @ g`` sends each
+        segment's gradient back to its rows, duplicates accumulating."""
+        ptr, index = np.array([0, 3, 3, 5]), np.array([0, 2, 2, 1, 0])
+        rng = np.random.default_rng(10)
+        x, g = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        A = edge_operator(ptr, index, 3, np.float64)
+        assert A.shape == (3, 3)
+        assert np.allclose(A @ x, [x[0] + x[2] + x[2], np.zeros(2), x[1] + x[0]])
+        want = np.zeros_like(x)
+        np.add.at(want, index, np.repeat(g, np.diff(ptr), axis=0))
+        assert np.array_equal(A.T @ g, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_operator_keeps_the_row_dtype(self, dtype):
+        A = edge_operator(np.array([0, 2]), np.array([0, 1]), 2, dtype)
+        assert A.dtype == dtype
+        assert (A @ np.ones((2, 3), dtype=dtype)).dtype == dtype
 
     @pytest.mark.parametrize("idx, message", [
         ([0, -1, 2], r"index -1 is outside \[0, 3\)"),
         ([0, 3, 1], r"index 3 is outside \[0, 3\)"),
     ])
-    def test_gather_rows_rejects_out_of_range(self, idx, message):
+    def test_edge_operator_rejects_out_of_range(self, idx, message):
         """numpy would wrap -1 to the last row (and scatter its gradient
         there); a sparse product would read out of bounds."""
-        t = Tensor(np.ones((3, 2)), requires_grad=True)
         with pytest.raises(ValueError, match=message):
-            t.gather_rows(np.array(idx))
+            edge_operator(np.array([0, 3]), np.array(idx), 3, np.float64)
 
-    def test_gather_rows_of_nothing(self):
-        t = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = t.gather_rows(np.empty(0, dtype=np.int64))
-        assert out.shape == (0, 2)
-        out.sum().backward()
-        assert np.array_equal(t.grad, np.zeros((3, 2)))
+    def test_edge_operator_of_nothing(self):
+        A = edge_operator(np.array([0, 0, 0]), np.empty(0, dtype=np.int64), 3,
+                          np.float64)
+        assert A.shape == (2, 3) and A.nnz == 0
+        assert np.array_equal(A @ np.ones((3, 2)), np.zeros((2, 2)))
+        assert np.array_equal(A.T @ np.ones((2, 2)), np.zeros((3, 2)))
 
 
 class TestEngine:

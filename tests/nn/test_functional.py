@@ -1,9 +1,9 @@
-"""Functional op tests: segment reductions, softmax, losses, dropout."""
+"""Functional op tests: segment reductions, losses, dropout."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, accuracy, cross_entropy
+from repro.nn import Tensor, cross_entropy
 from repro.nn import functional as F
 
 
@@ -43,9 +43,12 @@ class TestSegmentOps:
 
         t = Tensor(x.astype(np.float64), requires_grad=True)
         F.segment_mean(t, ptr, index=index).sum().backward()
-        via_gather = Tensor(x.astype(np.float64), requires_grad=True)
-        F.segment_mean(via_gather.gather_rows(index), ptr).sum().backward()
-        assert np.array_equal(t.grad, via_gather.grad)
+        # Each edge sends 1/|segment| back to its source row, in edge order.
+        counts = np.maximum(np.diff(ptr), 1)
+        per_edge = np.repeat(1.0 / counts, np.diff(ptr))
+        want = np.zeros_like(t.data)
+        np.add.at(want, index, per_edge[:, None])
+        assert np.array_equal(t.grad, want)
 
     @pytest.mark.parametrize("index, message", [
         ([0, -2, 1], r"index -2 is outside \[0, 4\)"),
@@ -70,41 +73,9 @@ class TestSegmentOps:
         assert np.allclose(out.data[0], 0.0)
         assert np.allclose(out.data[1], x.mean(axis=0))
 
-    def test_segment_softmax_sums_to_one(self, rng):
-        x = rng.normal(size=(9, 1))
-        ptr = np.array([0, 4, 9])
-        out = F.segment_softmax(Tensor(x), ptr)
-        assert out.data[0:4].sum() == pytest.approx(1.0)
-        assert out.data[4:9].sum() == pytest.approx(1.0)
-
-    def test_segment_softmax_grad(self, rng):
-        x = rng.normal(size=(6, 1))
-        ptr = np.array([0, 2, 6])
-        w = rng.normal(size=(6, 1))
-
-        def f(xv):
-            t = Tensor(xv, requires_grad=True)
-            return (F.segment_softmax(t, ptr) * Tensor(w)).sum().item()
-        t = Tensor(x, requires_grad=True)
-        (F.segment_softmax(t, ptr) * Tensor(w)).sum().backward()
-        assert np.allclose(t.grad, numgrad(f, x), atol=1e-6)
-
     def test_ptr_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             F.segment_sum(Tensor(np.ones((3, 2))), np.array([0, 2]))
-
-
-class TestConcat:
-    def test_concat_grad_splits(self, rng):
-        a = rng.normal(size=(3, 2))
-        b = rng.normal(size=(3, 4))
-        ta = Tensor(a, requires_grad=True)
-        tb = Tensor(b, requires_grad=True)
-        out = F.concat([ta, tb], axis=1)
-        assert out.shape == (3, 6)
-        out.sum().backward()
-        assert np.allclose(ta.grad, 1.0) and ta.grad.shape == a.shape
-        assert np.allclose(tb.grad, 1.0) and tb.grad.shape == b.shape
 
 
 class TestDropout:
@@ -153,9 +124,3 @@ class TestLosses:
     def test_log_softmax_rows_normalized(self, rng):
         out = F.log_softmax(Tensor(rng.normal(size=(4, 5))))
         assert np.allclose(np.exp(out.data).sum(axis=1), 1.0)
-
-    def test_accuracy(self):
-        logits = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-        assert accuracy(logits, np.array([0, 1, 0])) == pytest.approx(1.0)
-        assert accuracy(logits, np.array([1, 1, 0])) == pytest.approx(2 / 3)
-        assert np.isnan(accuracy(np.zeros((0, 2)), np.array([])))

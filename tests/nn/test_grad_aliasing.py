@@ -4,7 +4,7 @@
 copying it, ``__add__`` hands one array to both operands, and
 ``all_reduce_gradients`` gives every replica the *same* averaged array.  All
 of that is sound only while nothing under ``src/repro`` mutates a ``.grad``:
-``_accumulate`` rebinds, the optimizers and the collective only read.  These
+``_accumulate`` rebinds, the optimizer and the collective only read.  These
 tests pin it from both sides — the bytes stay, and arrays frozen read-only
 are never written to.
 """
@@ -13,12 +13,9 @@ import pytest
 
 from repro.core import RunConfig, SalientPP
 from repro.distributed import all_reduce_gradients, broadcast_state
-from repro.nn import SGD, Adam, Linear, Tensor, cross_entropy
+from repro.nn import Adam, Linear, Tensor, cross_entropy
 
 OPTIMIZERS = {
-    "sgd": lambda ps: SGD(ps, lr=0.1),
-    "sgd-momentum": lambda ps: SGD(ps, lr=0.1, momentum=0.9),
-    "sgd-decay": lambda ps: SGD(ps, lr=0.1, momentum=0.9, weight_decay=0.01),
     "adam": lambda ps: Adam(ps, lr=0.01),
     "adam-decay": lambda ps: Adam(ps, lr=0.01, weight_decay=0.01),
 }
@@ -48,7 +45,7 @@ def grad_bytes(model):
 def test_optimizer_step_only_reads_gradients(name, rng):
     model = Linear(4, 2, seed=0)
     optimizer = OPTIMIZERS[name](model.parameters())
-    for _ in range(3):  # past the first step: momentum / moments are live
+    for _ in range(3):  # past the first step: the moments are live
         backward_once(model, rng)
         grads = [p.grad for p in model.parameters()]
         before = frozen_grads(model)
@@ -72,10 +69,9 @@ def test_all_reduce_only_reads_and_replicas_share_the_average(rng):
     for m in models[1:]:
         assert m.weight.grad is models[0].weight.grad
         assert m.bias.grad is models[0].bias.grad
-    # Which the optimizers then leave alone, replica after replica.
+    # Which the optimizer then leaves alone, replica after replica.
     shared = frozen_grads(models[0])
     for m in models:
-        SGD(m.parameters(), lr=0.1, momentum=0.9, weight_decay=0.01).step()
         Adam(m.parameters(), weight_decay=0.01).step()
         assert grad_bytes(m) == shared
 
