@@ -551,9 +551,11 @@ def nn_stages(stages: dict, *, dataset=None, batches=15, rounds=5) -> None:
         wall = min(wall, t)
         t, dense_losses = _timed(dense)
         dense_wall = min(dense_wall, t)
-    # The aggregation order changed (left to right, not reduceat's); the
-    # first layer sums float32 rows, at most max(fanout) of them.
-    bound = max(tr.fanouts) * float(np.finfo(np.float32).eps)
+    # The model step runs float32 end to end (nn.module.DTYPE) and sums
+    # left to right; the frozen step sums the float32 rows with reduceat,
+    # then runs float64.  These 15 losses sit at most 0.79 float32 eps
+    # apart relative (median 0.25), 0.20x of the bound.
+    bound = 4 * float(np.finfo(np.float32).eps)
     if not np.allclose(losses, dense_losses, rtol=bound, atol=0.0):
         raise AssertionError(
             f"train_batch diverged from the frozen step: {losses} vs "

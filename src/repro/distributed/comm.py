@@ -65,8 +65,9 @@ class CommLedger:
 
 
 def gradient_nbytes(model: Module) -> int:
-    """Wire size of one full gradient (sent as float32, as NCCL would)."""
-    return int(sum(p.data.size for p in model.parameters()) * 4)
+    """Wire size of one full gradient: the bytes of its parameters, which
+    gradients and the all-reduce share (``nn.module.DTYPE``)."""
+    return int(sum(p.data.nbytes for p in model.parameters()))
 
 
 def average_into(per_machine: List[List[np.ndarray]],

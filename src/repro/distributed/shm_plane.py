@@ -1,7 +1,7 @@
 """Zero-copy shared-memory gradient plane for the multiproc backend.
 
 The first multiproc data plane shipped every per-step gradient (and the
-averaged reply) through the pipe as wire-encoded float64 frames — K encode /
+averaged reply) through the pipe as wire-encoded frames — K encode /
 decode round trips per training step, all on the coordinator's critical
 path.  This module replaces that with one shared-memory segment holding
 ``K + 1`` fixed-layout *slabs*: one per worker (worker-written, coordinator-

@@ -77,8 +77,9 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array (coerced to ``float64`` by default for gradcheck-friendly
-        precision; pass ``float32`` data explicitly for bulk feature math).
+        An ``ndarray`` or numpy scalar is kept in its dtype — the model's
+        is float32 (:data:`repro.nn.module.DTYPE`); Python data is coerced
+        to ``float64``, the default only raw gradcheck data uses.
     requires_grad:
         Track operations on this tensor for backpropagation.
     """
@@ -88,8 +89,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("cannot nest Tensor in Tensor")
-        self.data = np.asarray(data, dtype=np.float64) if not isinstance(data, np.ndarray) \
-            else data
+        # A numpy scalar (what a 0-d op returns) keeps its dtype, as an array does.
+        kept = isinstance(data, (np.ndarray, np.generic))
+        self.data = np.asarray(data, dtype=None if kept else np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[], None]] = None
@@ -179,8 +181,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a Tensor; a scalar or array takes this tensor's dtype
+        (a bare ``np.asarray(0.5)`` is a strong float64 under NEP 50 and
+        would upcast a float32 ``x * 0.5``)."""
+        return other if isinstance(other, Tensor) else Tensor(
+            np.asarray(other, dtype=self.data.dtype))
+
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other))
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward():
@@ -203,14 +212,13 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other))
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "Tensor":
         return (-self) + other
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other))
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward():
@@ -226,9 +234,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return self * other.reciprocal()
-        return self * (1.0 / np.asarray(other))
+        return self * self._operand(other).reciprocal()
 
     def reciprocal(self) -> "Tensor":
         out_data = 1.0 / self.data
@@ -240,8 +246,7 @@ class Tensor:
         return out
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other))
+        other = self._operand(other)
         if self.ndim != 2 or other.ndim != 2:
             raise ValueError("matmul supports 2-D tensors only")
         out_data = self.data @ other.data

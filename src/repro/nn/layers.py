@@ -12,15 +12,16 @@ import numpy as np
 
 from repro.nn.autograd import Tensor
 from repro.nn import functional as F
-from repro.nn.module import Module, Parameter
+from repro.nn.module import DTYPE, Module, Parameter
 from repro.sampling.mfg import MFGBlock
 from repro.utils.rng import SeedLike, as_generator
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
+    """Glorot/Xavier uniform initialization, drawn as ever and rounded to
+    :data:`~repro.nn.module.DTYPE`."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(DTYPE)
 
 
 class Linear(Module):

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout, Linear, SAGEConv
-from repro.nn.module import Module
+from repro.nn.module import DTYPE, Module
 from repro.sampling.mfg import MFG
 from repro.utils.rng import SeedLike, spawn_generators
 
@@ -40,11 +40,12 @@ class GraphSAGE(Module):
         Parameters
         ----------
         x:
-            Feature matrix with one row per ``mfg.n_id`` entry (array or
-            Tensor).
+            Feature matrix with one row per ``mfg.n_id`` entry: an array,
+            cast to :data:`~repro.nn.module.DTYPE` (a no-op for the store's
+            rows), or a Tensor, taken as is.
         """
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x))
+            x = Tensor(np.asarray(x, dtype=DTYPE))
         if len(x) != mfg.num_vertices:
             raise ValueError(
                 f"x has {len(x)} rows but the MFG involves {mfg.num_vertices} vertices"
@@ -76,7 +77,7 @@ class MLP(Module):
 
     def forward(self, x, mfg: MFG = None) -> Tensor:
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x))
+            x = Tensor(np.asarray(x, dtype=DTYPE))
         if mfg is not None:
             x = x.slice_rows(0, mfg.batch_size)
         return self.fc2(self.dropout(self.fc1(x).relu()))

@@ -13,12 +13,17 @@ import numpy as np
 
 from repro.nn.autograd import Tensor
 
+#: The model's one dtype, with no knob: parameters, and so every activation,
+#: gradient, Adam moment, all-reduce and checkpoint downstream of them.  The
+#: paper trains float32 (§5), and the store's feature rows already are.
+DTYPE = np.float32
+
 
 class Parameter(Tensor):
-    """A trainable tensor (always requires grad)."""
+    """A trainable tensor (always requires grad), stored in :data:`DTYPE`."""
 
     def __init__(self, data):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True)
+        super().__init__(np.asarray(data, dtype=DTYPE), requires_grad=True)
 
 
 class Module:

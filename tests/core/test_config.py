@@ -113,6 +113,17 @@ class TestValidate:
         with pytest.raises(TypeError, match="arch"):
             RunConfig(arch="sage")
 
+    def test_dtype_is_not_a_knob(self):
+        """The model trains float32 (``nn.module.DTYPE``), nothing selects it."""
+        import inspect
+
+        from repro.distributed.executor import DistributedTrainer
+        from repro.distributed.multiproc.segments import WorkerSpec
+
+        assert "dtype" not in {f.name for f in fields(RunConfig)}
+        assert "dtype" not in {f.name for f in fields(WorkerSpec)}
+        assert "dtype" not in inspect.signature(DistributedTrainer).parameters
+
     def test_no_stage_is_keyed_by_arch(self):
         from repro.core import STAGE_CONFIG_FIELDS
 

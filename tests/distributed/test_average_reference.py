@@ -23,7 +23,7 @@ from repro.nn.module import Module, Parameter
 
 class Fields(Module):
     """A replica whose parameters are exactly ``arrays``, dtype kept
-    (``Parameter`` alone would coerce them to float64)."""
+    (``Parameter`` alone would coerce them to ``nn.module.DTYPE``)."""
 
     def __init__(self, arrays):
         super().__init__()

@@ -10,8 +10,11 @@ from repro.distributed import (
     broadcast_state,
     gradient_nbytes,
 )
+from repro.core import RunConfig, SalientPP
+from repro.distributed.cluster import ring_all_reduce_bytes
 from repro.distributed.comm import average_into
-from repro.nn import Linear, MLP
+from repro.graph.datasets import DATASET_REGISTRY, load_dataset
+from repro.nn import GraphSAGE, Linear, MLP
 
 
 def make_replicas(k=3):
@@ -140,6 +143,37 @@ class TestAverageParameters:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             average_parameters([])
+
+
+class TestGradientNbytes:
+    """The all-reduce is priced from the parameters' own bytes.  At float32
+    (``nn.module.DTYPE``) that is the 4 bytes per element the ledger and the
+    simulator charged before the model trained float32, so neither moved."""
+
+    @pytest.mark.parametrize("name", sorted(DATASET_REGISTRY))
+    def test_four_bytes_per_parameter_for_every_bundled_model(self, name):
+        ds = load_dataset(name, **({} if name == "tiny" else {"scale": 0.02}))
+        exp = ds.metadata.get("default_experiment", {})
+        model = GraphSAGE(ds.feature_dim, exp.get("hidden_dim", 64),
+                          ds.num_classes, exp.get("num_layers", 2), seed=0)
+        assert gradient_nbytes(model) == 4 * model.num_parameters()
+
+    def test_reads_the_parameters_dtype(self):
+        model = Linear(4, 2, seed=0)
+        model.weight.data = model.weight.data.astype(np.float64)
+        assert gradient_nbytes(model) == 8 * 4 * 2 + 4 * 2
+
+    def test_ledger_and_simulator_charge_four_bytes_per_parameter(
+            self, tiny_dataset):
+        cfg = RunConfig(num_machines=2, replication_factor=0.1,
+                        batch_size=16, fanouts=(5, 5))
+        system = SalientPP.build(tiny_dataset, cfg)
+        payload = 4 * system.trainer.models[0].num_parameters()
+        assert system.cost_model.grad_nbytes == payload
+        report = system.train_epoch(0).report
+        per_step = ring_all_reduce_bytes(2, payload)
+        assert np.array_equal(report.ledger.gradient_bytes,
+                              np.full(2, report.steps_per_machine * per_step))
 
 
 class TestBroadcast:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.nn import Tensor, functional as F
 from repro.nn.autograd import edge_operator
 
 
@@ -141,6 +141,52 @@ class TestIndexing:
         assert A.shape == (2, 3) and A.nnz == 0
         assert np.array_equal(A @ np.ones((3, 2)), np.zeros((2, 2)))
         assert np.array_equal(A.T @ np.ones((2, 2)), np.zeros((3, 2)))
+
+
+#: Every op, and every way a non-Tensor operand reaches one.  A Python scalar
+#: is weak (NEP 50): ``x * 0.5`` must not become float64 because the engine
+#: wrapped ``0.5`` as a strong 0-d float64 array, nor ``x.sum()`` because its
+#: numpy-scalar result was re-coerced.
+SEGMENTS = dict(ptr=np.array([0, 2, 2, 5]), index=np.array([0, 1, 3, 3, 2]))
+DTYPE_OPS = {
+    "add": lambda t: t + t,
+    "add-scalar": lambda t: t + 1.0,
+    "radd-scalar": lambda t: 1.0 + t,
+    "sub-scalar": lambda t: t - 1,
+    "rsub-scalar": lambda t: 1.0 - t,
+    "neg": lambda t: -t,
+    "mul-scalar": lambda t: t * 0.5,
+    "rmul-scalar": lambda t: 2 * t,
+    "div-scalar": lambda t: t / 2.0,
+    "div-tensor": lambda t: t / (t * t + 1.0),
+    "reciprocal": lambda t: (t * t + 1.0).reciprocal(),
+    "matmul-array": lambda t: t @ np.ones((3, 2)),
+    "matmul-tensor": lambda t: t @ t.T,
+    "sum": lambda t: t.sum(),
+    "sum-axis": lambda t: t.sum(axis=0),
+    "mean": lambda t: t.mean(),
+    "mean-axis": lambda t: t.mean(axis=1, keepdims=True),
+    "reshape": lambda t: t.reshape(-1),
+    "T": lambda t: t.T,
+    "relu": lambda t: t.relu(),
+    "slice_rows": lambda t: t.slice_rows(1, 3),
+    "segment_sum": lambda t: F.segment_sum(t, **SEGMENTS),
+    "segment_mean": lambda t: F.segment_mean(t, **SEGMENTS),
+    "dropout": lambda t: F.dropout(t, 0.5, np.random.default_rng(0)),
+    "log_softmax": lambda t: F.log_softmax(t),
+    "cross_entropy": lambda t: F.cross_entropy(t, np.array([0, 1, 2, 0])),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(DTYPE_OPS))
+def test_every_op_keeps_the_dtype(op, dtype):
+    t = Tensor(np.random.default_rng(0).normal(size=(4, 3)).astype(dtype),
+               requires_grad=True)
+    out = DTYPE_OPS[op](t)
+    assert out.dtype == dtype
+    out.sum().backward()
+    assert t.grad.dtype == dtype
 
 
 class TestEngine:

@@ -10,13 +10,16 @@ which a segment's rows are added going forward — and nothing else:
 (a) every op whose arithmetic did not change is ``tobytes()``-equal to the
     oracle, outputs and every ``.grad`` (the backward of ``segment_sum`` /
     ``segment_mean`` included: a CSC product walks edges in storage order,
-    which is ``np.add.at``'s);
+    which is ``np.add.at``'s) — on float32 data only where the oracle kept
+    float32: it promotes through a Python scalar or a 0-d result, which the
+    engine no longer does (``test_autograd.py`` pins the dtypes);
 (b) the aggregation forward *is* the left-to-right loop written below,
     exactly, in the dtype of the rows it sums, and sits within
     ``count * eps * sum|x|`` of the oracle's ``reduceat`` (which adds
     ``x0 + (x1 + x2 + ...)``, an accident of numpy's reduce loop);
-(c) one whole ``train_batch`` on a sampled papers-mini MFG stays within the
-    re-association bound of the oracle's step and is bit-equal to itself.
+(c) one whole float32 ``train_batch`` on a sampled papers-mini MFG stays
+    within a measured float32 bound of the oracle's float64 step and is
+    bit-equal to itself.
 """
 
 import types
@@ -46,10 +49,11 @@ old = types.SimpleNamespace(
     segment_mean=lambda x, ptr, index=None: ref.segment_mean(
         x if index is None else x.gather_rows(index), ptr))
 
-#: (dtype of the feature rows, whether they are tracked): the two kinds of
-#: input a layer sees — float32 store rows (a leaf nothing differentiates)
-#: and float64 hidden representations.
+#: (dtype of the rows, whether they are tracked): the two kinds of input a
+#: layer sees — float32 store rows (a leaf nothing differentiates) and
+#: float32 hidden representations — and float64 gradcheck data.
 KINDS = {"float32-leaf": (np.float32, False),
+         "float32-tracked": (np.float32, True),
          "float64-tracked": (np.float64, True)}
 
 
@@ -136,6 +140,13 @@ ELEMENTWISE = {
     "dropout": lambda ns, x: ns.dropout(x, 0.4, np.random.default_rng(3)),
 }
 
+#: The ops that meet a Python scalar or a 0-d result.  On float32 data the
+#: oracle promotes them to float64 — it wraps ``0.5`` as ``np.asarray(0.5)``,
+#: a strong float64 under NEP 50, and re-coerces numpy scalars — so it has
+#: no float32 answer to compare with; here they must stay float32.
+PROMOTED_BY_THE_ORACLE = {"scalar", "sub", "div-scalar", "div-tensor",
+                          "reciprocal", "sum-all", "mean-all", "mean-cols"}
+
 
 @pytest.mark.parametrize("op", sorted(ELEMENTWISE))
 @settings(max_examples=25, deadline=None)
@@ -143,21 +154,28 @@ ELEMENTWISE = {
 def test_unchanged_ops_are_byte_equal(op, case):
     if op in ("mean-all", "mean-cols", "log_softmax") and len(case.x) == 0:
         return  # a max / mean over nothing: numpy raises or warns alike
+    if op in PROMOTED_BY_THE_ORACLE and case.x.dtype == np.float32:
+        out, grads = run(new, ELEMENTWISE[op], case)
+        assert out.dtype == np.float32
+        assert all(g is None or g.dtype == np.float32 for g in grads)
+        return
     assert_byte_equal(ELEMENTWISE[op], case)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=blocks(), hidden=st.integers(1, 4))
 def test_affine_maps_are_byte_equal(case, hidden):
-    """``x W + b`` (float32 rows upcast by the float64 weight, as the first
-    layer does), broadcasting and ``_unbroadcast`` included."""
-    w = values(case.rng, (case.width, hidden), np.float64)
-    b = values(case.rng, (hidden,), np.float64)
+    """``x W + b`` with weights in the rows' dtype (float32 rows meet float32
+    weights, as in the model), broadcasting and ``_unbroadcast`` included."""
+    w = values(case.rng, (case.width, hidden), case.x.dtype)
+    b = values(case.rng, (hidden,), case.x.dtype)
     assert_byte_equal(
-        lambda ns, x, w, b: ((x @ w + b).relu() @ w.T) / (b * b + 1.0).sum(),
+        lambda ns, x, w, b: ((x @ w + b).relu() @ w.T)
+        * (b * b).sum(axis=0, keepdims=True),
         case, w, b)
-    assert_byte_equal(lambda ns, x, w, b: x * b.sum() + w.sum(axis=1),
-                      case, w, b)
+    assert_byte_equal(
+        lambda ns, x, w, b: x * b.sum(axis=0, keepdims=True) + w.sum(axis=1),
+        case, w, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,28 +273,34 @@ def step():
     return model, ds.features[mfg.n_id], mfg, ds.labels[mfg.seeds]
 
 
-# Feature rows are float32 in the store: the first layer's sum re-associates
-# at float32 precision (at most `fanout` terms per segment), every later
-# layer at float64.  float64 rows leave only the float64 re-association.
-@pytest.mark.parametrize("dtype, loss_tol, grad_tol", [
-    (np.float64, 1e-12, 1e-10),
-    (np.float32, max(FANOUTS) * np.finfo(np.float32).eps,
-     max(FANOUTS) * np.finfo(np.float32).eps),
-], ids=["float64-rows", "float32-rows"])
-def test_train_batch_against_the_oracle_step(step, dtype, loss_tol, grad_tol):
-    model, feats, mfg, labels = step
-    feats = feats.astype(dtype)
-    want_loss, want_grads = reference_train_batch(
-        model.state_dict(), feats, mfg, labels)
+# The model runs float32 end to end (nn.module.DTYPE): every sum, GEMM and
+# backward rounds at float32, against the oracle's float64 step over the same
+# float32 weights and rows.  Relative error in units of float32 eps, measured
+# over 12 sampled steps (papers-mini seeds 1-3 x 4 MFG / weight seeds): loss
+# at most 0.77 (0.47 on this fixture), gradients (max |error| / max |grad|
+# per parameter) at most 19.0 (6.3 here) — 0.19x and 0.59x of the bounds.
+# float64 rows are cast at the model boundary, so they run float32 too.
+LOSS_TOL = 4 * np.finfo(np.float32).eps
+GRAD_TOL = 32 * np.finfo(np.float32).eps
 
-    loss = train_batch(model, feats, mfg, labels)
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64-rows", "float32-rows"])
+def test_train_batch_against_the_oracle_step(step, dtype):
+    model, feats, mfg, labels = step
+    want_loss, want_grads = reference_train_batch(
+        model.state_dict(), feats.astype(np.float64), mfg, labels)
+
+    loss = train_batch(model, feats.astype(dtype), mfg, labels)
     grads = {name: p.grad for name, p in model.named_parameters()}
-    assert abs(loss - want_loss) <= loss_tol * abs(want_loss)
+    assert all(g.dtype == np.float32 for g in grads.values())
+    assert abs(loss - want_loss) <= LOSS_TOL * abs(want_loss)
     assert grads.keys() == want_grads.keys()
     for name, want in want_grads.items():
-        assert np.abs(grads[name] - want).max() <= grad_tol * np.abs(want).max(), name
+        assert np.abs(grads[name] - want).max() <= GRAD_TOL * np.abs(want).max(), name
 
-    # One sequence of floating-point operations: the step repeats itself.
+    # One sequence of floating-point operations: the step repeats itself,
+    # on the store's float32 rows whichever rows it was given.
     assert train_batch(model, feats, mfg, labels) == loss
     for name, p in model.named_parameters():
         assert same(p.grad, grads[name]), name
