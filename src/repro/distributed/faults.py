@@ -30,9 +30,9 @@ Plans are plain data: each machine's :class:`FaultSpec` slice rides inside
 its :class:`~repro.distributed.multiproc.WorkerSpec` through the wire
 format's dataclass codec, validated before a
 cluster starts, and usable identically from tests, benchmarks, and the CI
-chaos-smoke job.  A plan never enters the cluster fingerprint — workers
-are generic until bound — but a backend with a non-empty plan is never
-parked into the warm pool.
+chaos-smoke job.  A plan never enters the cluster fingerprint (the
+checkpoint key) — workers are generic until bound — but a backend with a
+non-empty plan is never parked into the warm pool.
 """
 
 from __future__ import annotations

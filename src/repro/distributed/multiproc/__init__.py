@@ -17,19 +17,25 @@ backend to all four, as a regression net rather than as the mechanism.
 
 Modules
 -------
+:mod:`~repro.distributed.multiproc.channel`
+    The transport: one ``Channel`` per pipe end — send one wire frame,
+    receive one before a deadline while watching the peers' processes,
+    count both directions — and the machine-attributed ``ChannelError``.
 :mod:`~repro.distributed.multiproc.segments`
     What both sides know: :class:`WorkerSpec` (shipped through the wire
     format's dataclass codec), the shared-memory segments it names, the
-    cluster fingerprint, the fetch-plan audit digest.
+    cluster fingerprint (the checkpoint key), the fetch-plan audit digest.
 :mod:`~repro.distributed.multiproc.worker`
     The worker process: rebuild machine ``k``'s trainer surface from the
     spec over the shared segments, run the engine, ship the records.
 :mod:`~repro.distributed.multiproc.pool`
     Worker processes as a resource: spawn, the one stop → join → terminate
-    → kill ladder, and the fingerprint-keyed warm pool (:data:`WORKER_POOL`).
+    → kill ladder, and the pool of generic idle workers
+    (:data:`WORKER_POOL`: ``park(workers)`` / ``take(n)``).
 :mod:`~repro.distributed.multiproc.coordinator`
-    :class:`MultiprocBackend`: segments, the bind handshake, the
-    coordinator's half of the collective, recovery, teardown.
+    :class:`MultiprocBackend`: segments, and the protocol as rounds over
+    the channels — bind, the coordinator's half of the collective,
+    checkpoint, recovery, park, teardown.
 
 Data plane
 ----------
@@ -70,9 +76,9 @@ slab.  Telemetry is batched: step records, the
 fetch-plan audit digests, and the synchronized model state ship once per
 epoch in the ``done`` message; the coordinator cross-checks every digest
 against the reported gather stats, so a worker that miscounts its remote
-rows still fails the epoch loudly.  The receive loop is event-driven
-(``multiprocessing.connection.wait`` over every live pipe and process
-sentinel, draining into per-worker inboxes).
+rows still fails the epoch loudly.  Receiving is event-driven: each
+``Channel.recv`` waits on its own pipe and on the process sentinel of
+every rank not yet reaped, so a death anywhere ends the wait at once.
 
 Failure semantics
 -----------------
@@ -87,7 +93,7 @@ backend's ``recoverable`` flag:
 * **recoverable**: a *mid-epoch* failure leaves the cluster standing in a
   faulted state; :meth:`MultiprocBackend.recover` reaps the failed ranks,
   quiesces the survivors (``abort``), resets the gradient plane, binds
-  replacements (warm spares from the pool when the fingerprint matches)
+  replacements (parked workers from the pool first, then fresh spawns)
   with the fault schedule cleared, and restores a
   :meth:`~MultiprocBackend.capture_checkpoint` snapshot, after which the
   interrupted epoch replays bit-identically

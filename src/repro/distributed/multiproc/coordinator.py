@@ -7,16 +7,20 @@ collective, and assembles their records.
 slabs, release the barrier), collect every worker's records, and hand them
 to the engine's :func:`~repro.distributed.engine.assemble_report`" — the
 same function the in-process engine calls on the same records.
+
+Everything it says to the workers is a :meth:`~MultiprocBackend._round`
+over their :class:`~repro.distributed.multiproc.channel.Channel`\\ s: send
+each rank a frame, then read each rank's reply in rank order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import secrets
 import time
 import weakref
-from collections import deque
-from multiprocessing import connection as mp_connection
+from itertools import repeat
 from multiprocessing import shared_memory
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -24,6 +28,7 @@ import numpy as np
 
 from repro.distributed.cluster import CLUSTER_BACKENDS, ClusterBackend
 from repro.distributed.faults import FaultPlan
+from repro.distributed.multiproc.channel import Channel, ChannelError
 from repro.distributed.multiproc.pool import (
     WORKER_POOL,
     spawn_worker,
@@ -43,13 +48,7 @@ from repro.distributed.shm_plane import (
     SlabLayout,
     SlabStateError,
 )
-from repro.distributed.wire import (
-    WireError,
-    content_hash,
-    decode_dataclass,
-    pack_message,
-    unpack_message,
-)
+from repro.distributed.wire import WireError, content_hash, decode_dataclass
 from repro.obs import OBS, SpanRecord, clock_anchor
 from repro.utils.ahead import spare_core
 from repro.utils.rng import derive_seed, machine_stream_seed
@@ -83,7 +82,7 @@ class MultiprocBackend(ClusterBackend):
     """Coordinator for K worker processes over shared-memory segments.
 
     Built lazily: the first :meth:`run_epoch` creates the segments and
-    spawns (or acquires from :data:`WORKER_POOL`) the workers; they persist
+    spawns (or takes from :data:`WORKER_POOL`) the workers; they persist
     across epochs (sampler and optimizer state live worker-side, exactly
     as the in-process trainer's persists across epochs).  After a non-dry
     epoch the synchronized model weights are loaded back into the system's
@@ -95,11 +94,12 @@ class MultiprocBackend(ClusterBackend):
         A built :class:`~repro.core.system.SalientPP` (``bsp`` or
         ``pipelined`` engine, static caches, partitioned storage).
     timeout_s:
-        Per-message coordinator patience before declaring a worker hung.
+        Per-message coordinator patience before declaring a worker hung;
+        a positive, finite number of seconds.
     keep_warm:
         Park the workers into the module-level :data:`WORKER_POOL` on clean
-        close instead of stopping them, so the next backend with the same
-        cluster fingerprint skips the spawn cost.  Off by default — with it
+        close instead of stopping them, so the next backend — of any
+        configuration — skips the spawn cost.  Off by default — with it
         off, ``close()`` leaves every worker process dead (the teardown
         contract the fault suite asserts).  Mutable attribute; fault-
         injected or mid-epoch clusters are never parked regardless.
@@ -111,11 +111,11 @@ class MultiprocBackend(ClusterBackend):
     recoverable:
         With this set, a worker failure *mid-epoch* marks the backend
         faulted instead of tearing the cluster down; :meth:`recover`
-        replaces the failed ranks (warm spares when the pool has matching
-        workers), quiesces the survivors and the gradient plane, and
-        restores a :meth:`capture_checkpoint` snapshot so the interrupted
-        epoch can be replayed bit-identically.  Off by default — fail-stop
-        teardown remains the contract for everyone else.
+        replaces the failed ranks (parked workers first), quiesces the
+        survivors and the gradient plane, and restores a
+        :meth:`capture_checkpoint` snapshot so the interrupted epoch can be
+        replayed bit-identically.  Off by default — fail-stop teardown
+        remains the contract for everyone else.
 
     Wire accounting: :attr:`wire_sent` / :attr:`wire_received` map message
     kind to ``[message_count, total_bytes]`` — the regression test for
@@ -146,6 +146,10 @@ class MultiprocBackend(ClusterBackend):
                 "multiproc backend requires partitioned storage; full "
                 "replication would copy the whole feature matrix per segment"
             )
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ValueError(
+                f"timeout_s must be a positive, finite number of seconds, "
+                f"got {timeout_s!r}")
         self.timeout_s = float(timeout_s)
         self.keep_warm = bool(keep_warm)
         self.fault_plan = FaultPlan(faults or ())
@@ -161,20 +165,22 @@ class MultiprocBackend(ClusterBackend):
         self._started = False
         self._closing = False
         self._idle = True
-        self._procs: List = []
-        self._conns: List = []
+        #: One channel per rank; a reaped rank's stays, closed, until
+        #: :meth:`recover` replaces it in place.
+        self._channels: List[Channel] = []
         self._segments: List = []
         self._holders: List = []
-        self._inboxes: List[deque] = []
-        self._conn_open: List[bool] = []
         self._grad_plane: Optional[GradientPlane] = None
-        self._pool_key: Optional[str] = None
+        #: Content hash of the cluster's configuration (set by start()) —
+        #: the key :class:`~repro.distributed.recovery.RecoveryManager`
+        #: persists checkpoints under.
+        self.fingerprint: Optional[str] = None
         self.segment_names: List[str] = []
         #: Per-machine specs shipped to the workers (set by start()) —
         #: inspectable so tests can assert the derived seed contract.
         self.worker_specs: List[WorkerSpec] = []
-        #: True when start() rebound a parked warm-pool cluster instead of
-        #: spawning fresh processes.
+        #: True when start() bound parked workers from the warm pool (any
+        #: it lacked were spawned).
         self.reused_pool = False
         #: kind -> [message_count, total_bytes] for each pipe direction.
         self.wire_sent: Dict[str, List[int]] = {}
@@ -194,10 +200,10 @@ class MultiprocBackend(ClusterBackend):
     @property
     def processes(self) -> List:
         """The worker Process objects (test hook; empty before start)."""
-        return list(self._procs)
+        return [ch.proc for ch in self._channels]
 
     def start(self) -> None:
-        """Create segments, spawn or acquire workers, bind their specs."""
+        """Create segments, spawn or take workers, bind their specs."""
         if self._started:
             return
         tr = self.system.trainer
@@ -266,32 +272,39 @@ class MultiprocBackend(ClusterBackend):
                     faults=tuple(self.fault_plan.for_machine(k)),
                     spare_core=spare,
                 ))
-            self._pool_key = _cluster_fingerprint(self.worker_specs)
+            self.fingerprint = _cluster_fingerprint(self.worker_specs)
 
-            pooled = WORKER_POOL.acquire(self._pool_key)
-            self.reused_pool = pooled is not None
+            taken = WORKER_POOL.take(K)
+            self.reused_pool = bool(taken)
             if OBS.enabled:
                 OBS.metrics.counter(
                     "mp.warm_pool_hits" if self.reused_pool
                     else "mp.warm_pool_misses").inc()
-            for proc, conn in pooled or (spawn_worker(k) for k in range(K)):
-                self._procs.append(proc)
-                self._conns.append(conn)
+            fresh = list(range(len(taken), K))
+            self._channels.extend(taken)
+            self._channels.extend(spawn_worker(k) for k in fresh)
+            for k, ch in enumerate(self._channels):
+                self._adopt(k, ch)
 
-            self._inboxes = [deque() for _ in range(K)]
-            self._conn_open = [True] * K
             self._started = True
             self._finalizer = weakref.finalize(
                 self, MultiprocBackend._cleanup,
-                self._procs, self._conns, self._segments, self._holders,
+                self._channels, self._segments, self._holders,
             )
-            self._bind(range(K), fresh=() if self.reused_pool else range(K))
+            self._bind(range(K), fresh=fresh)
         except WorkerFailedError:
             raise
         except Exception:
             self._started = True  # make close() tear down what exists
             self.close()
             raise
+
+    def _adopt(self, k: int, ch: Channel) -> None:
+        """Make ``ch`` rank ``k``'s channel, counting into this backend's
+        wire tables.  In place: the finalizer holds the same list, so the
+        exit-time cleanup covers a replacement like any other rank."""
+        ch.attach(k, self.wire_sent, self.wire_received)
+        self._channels[k] = ch
 
     def _bind(self, ranks: Iterable[int], fresh: Iterable[int],
               clear_faults: bool = False) -> None:
@@ -302,22 +315,11 @@ class MultiprocBackend(ClusterBackend):
         schedule (a replayed fault would re-fire identically and recovery
         would never converge)."""
         deadline = time.monotonic() + _READY_TIMEOUT_S
-        for k in fresh:
-            kind, _payload = self._recv(k, deadline=deadline)
-            if kind != "ready":
-                self._fail(k, f"expected ready handshake, got {kind!r}")
+        self._round(fresh, None, (), "ready", deadline=deadline)
         ranks = list(ranks)
-        for k in ranks:
-            spec = self.worker_specs[k]
-            if clear_faults:
-                spec = dataclasses.replace(spec, faults=())
-            self._send(k, "bind", spec)
-        for k in ranks:
-            kind, payload = self._recv(k, deadline=deadline)
-            if kind != "bound":
-                self._fail(k, f"expected bound handshake, got {kind!r}")
-            if not isinstance(payload, dict) or payload.get("machine") != k:
-                self._fail(k, "bound handshake reported the wrong machine")
+        specs = (dataclasses.replace(self.worker_specs[k], faults=())
+                 if clear_faults else self.worker_specs[k] for k in ranks)
+        self._round(ranks, "bind", specs, "bound", deadline=deadline)
 
     def close(self) -> None:
         """Stop (or park, with :attr:`keep_warm`) the workers and release
@@ -334,50 +336,34 @@ class MultiprocBackend(ClusterBackend):
                     and self._idle and self.is_live):
                 try:
                     self._park_to_pool()
-                except Exception:
-                    pass
+                except WorkerFailedError:
+                    pass  # _fail already tore the cluster down
         if self._finalizer is not None:
             self._finalizer()  # runs _cleanup at most once
         elif self._segments:
             # start() failed before the finalizer existed.
-            MultiprocBackend._cleanup(self._procs, self._conns,
-                                      self._segments, self._holders)
+            MultiprocBackend._cleanup(self._channels, self._segments,
+                                      self._holders)
 
-    def _park_to_pool(self) -> bool:
+    def _park_to_pool(self) -> None:
         """Hand the quiescent workers to :data:`WORKER_POOL`.
 
-        On success the proc/conn lists are emptied in place, so the
-        finalizer's teardown skips them and only unlinks segments.  Any
-        protocol hiccup aborts parking and falls back to full teardown.
+        On success the channel list is emptied in place, so the
+        finalizer's teardown skips the workers and only unlinks segments.
+        A protocol hiccup fails the round, which tears the cluster down.
         """
-        if not self._procs or self._pool_key is None:
-            return False
-        K = len(self._procs)
-        try:
-            for k in range(K):
-                self._send(k, "park", None)
-            deadline = time.monotonic() + _PARK_TIMEOUT_S
-            for k in range(K):
-                kind, _payload = self._recv(k, deadline=deadline)
-                if kind != "parked" or self._inboxes[k]:
-                    return False
-        except WorkerFailedError:
-            return False  # _fail already tore the cluster down
-        WORKER_POOL.park(self._pool_key, list(zip(self._procs, self._conns)))
-        self._procs.clear()
-        self._conns.clear()
-        self._inboxes = []
-        self._conn_open = []
-        return True
+        self._round(range(len(self._channels)), "park", repeat(None),
+                    "parked", deadline=time.monotonic() + _PARK_TIMEOUT_S)
+        WORKER_POOL.park(self._channels)
+        self._channels.clear()
 
     @staticmethod
-    def _cleanup(procs, conns, segments, holders) -> None:
+    def _cleanup(channels, segments, holders) -> None:
         """Full teardown: stop the workers (:func:`stop_workers`), drop
         shared-memory views, unlink segments.  Static + in-place so the
         ``weakref`` finalizer can run it without resurrecting the
         backend."""
-        stop_workers(procs, conns)
-        conns.clear()
+        stop_workers(channels)
         for holder in holders:
             try:
                 holder.release()
@@ -385,27 +371,18 @@ class MultiprocBackend(ClusterBackend):
                 pass
         holders.clear()
         for shm in segments:
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()
-            except Exception:
-                pass
+            for release in (shm.close, shm.unlink):
+                try:
+                    release()
+                except Exception:
+                    pass
         segments.clear()
 
     @property
     def closed(self) -> bool:
         return self._started and not self.is_live
 
-    # -- wire helpers --------------------------------------------------
-    @staticmethod
-    def _count(table: Dict[str, List[int]], kind: str, nbytes: int) -> None:
-        entry = table.setdefault(kind, [0, 0])
-        entry[0] += 1
-        entry[1] += nbytes
-
+    # -- the protocol --------------------------------------------------
     def _fail(self, machine: Optional[int], why: str) -> None:
         message = f"worker {machine}: {why}" if machine is not None else why
         if (self.recoverable and machine is not None and self._epoch_active
@@ -422,99 +399,43 @@ class MultiprocBackend(ClusterBackend):
         self.close()
         raise WorkerFailedError(message, machine=machine)
 
-    def _send(self, k: int, kind: str, payload) -> None:
-        data = pack_message(kind, payload)
-        self._count(self.wire_sent, kind, len(data))
+    def _round(self, ranks: Iterable[int], kind: Optional[str], payloads,
+               want: Optional[str], *, match: Optional[dict] = None,
+               deadline: Optional[float] = None,
+               discard: bool = False) -> List[dict]:
+        """One exchange with ``ranks``: send each its ``kind`` frame (the
+        matching item of ``payloads``; nothing when ``kind`` is None), then
+        read each one's ``want`` reply in rank order (nothing when ``want``
+        is None).  A reply is a dict carrying every ``match`` field, and one
+        naming a machine names its own rank.  ``discard`` skips frames of
+        other kinds first (the quiesce: an aborted epoch's in-flight
+        tokens).  ``deadline`` defaults to ``timeout_s`` per message.
+
+        Every receive also watches each rank not yet reaped (a reaped
+        rank's channel is closed), so a death anywhere fails the round at
+        once, attributed to the rank that died."""
+        ranks, replies = list(ranks), []
         try:
-            self._conns[k].send_bytes(data)
-        except (BrokenPipeError, OSError):
-            self._fail(k, "pipe closed while sending")
-
-    def _drain(self, j: int) -> None:
-        """Pull every already-complete message off pipe ``j`` into its
-        inbox; worker errors surface immediately."""
-        conn = self._conns[j]
-        while True:
-            try:
-                if not conn.poll(0):
-                    return
-                data = conn.recv_bytes()
-            except (EOFError, OSError):
-                self._conn_open[j] = False
-                return
-            try:
-                kind, payload = unpack_message(data, machine=j)
-            except WireError as exc:
-                self._fail(j, f"malformed message: {exc}")
-            self._count(self.wire_received, kind, len(data))
-            if kind == "error":
-                tb = payload.get("traceback", "") \
-                    if isinstance(payload, dict) else ""
-                self._fail(j, f"worker raised:\n{tb}")
-            self._inboxes[j].append((kind, payload))
-
-    def _pump(self, timeout: float) -> None:
-        """Block until any worker pipe (or process sentinel) is ready,
-        then drain every readable pipe — event-driven, so there is no
-        polling granularity and a machine-order receive can't starve
-        behind a slow worker: every arriving message lands in its inbox
-        as soon as it is readable."""
-        targets = {}
-        for j in range(len(self._conns)):
-            if self._conn_open[j]:
-                targets[self._conns[j]] = j
-                targets[self._procs[j].sentinel] = j
-        if not targets:
-            return
-        ready = mp_connection.wait(list(targets), timeout=max(timeout, 0.0))
-        for obj in ready:
-            j = targets[obj]
-            if obj is self._conns[j]:
-                self._drain(j)
-            # A ready sentinel needs no action here: _recv notices the
-            # dead process right after this pump returns.
-
-    def _recv(self, k: int, deadline: Optional[float] = None):
-        if deadline is None:
-            deadline = time.monotonic() + self.timeout_s
-        inbox = self._inboxes[k]
-        while not inbox:
-            self._pump(min(1.0, max(deadline - time.monotonic(), 0.0)))
-            if inbox:
-                break
-            # Fail fast on any dead worker: the lock-step protocol cannot
-            # make progress without it, and waiting for machine k while
-            # machine j is gone would only time out later.
-            for j in range(len(self._procs)):
-                if j in self._faulted_machines:
-                    # Already-reaped rank (recovery in progress): its dead
-                    # process must not fail the survivors' quiesce drain.
-                    continue
-                if self._inboxes[j]:
-                    continue
-                if not self._procs[j].is_alive():
-                    self._drain(j)  # its last flush may still be buffered
-                    if self._inboxes[j]:
-                        continue
-                    self._fail(j, "process died "
-                                  f"(exit code {self._procs[j].exitcode})")
-                if not self._conn_open[j] and j == k:
-                    self._fail(k, "connection closed mid-epoch")
-            if time.monotonic() > deadline:
-                self._fail(k, f"no message within {self.timeout_s:.0f}s")
-        return inbox.popleft()
-
-    def _expect(self, k: int, want: str):
-        kind, payload = self._recv(k)
-        if kind != want:
-            self._fail(k, f"expected {want!r} message, got {kind!r}")
-        return payload
-
-    def _expect_token(self, k: int, want: str, field: str, value: int) -> None:
-        payload = self._expect(k, want)
-        if not isinstance(payload, dict) or payload.get(field) != value:
-            self._fail(k, f"expected {want} token for {field} {value}, "
-                          f"got {payload!r}")
+            if kind is not None:
+                for k, payload in zip(ranks, payloads):
+                    self._channels[k].send(kind, payload)
+            for k in (ranks if want is not None else ()):
+                live = [ch for ch in self._channels if not ch.closed]
+                while True:
+                    got, payload = self._channels[k].recv(
+                        deadline or time.monotonic() + self.timeout_s, live)
+                    if got == want or not discard:
+                        break
+                if (got != want or not isinstance(payload, dict)
+                        or payload.get("machine", k) != k
+                        or any(payload.get(f) != v
+                               for f, v in (match or {}).items())):
+                    self._fail(k, f"expected {want!r} {match or ''}, got "
+                                  f"{got!r} {payload!r:.200}")
+                replies.append(payload)
+        except ChannelError as exc:
+            self._fail(exc.machine, exc.why)
+        return replies
 
     # -- audits --------------------------------------------------------
     def _audit_digests(self, k: int, digests, records: List[StepRecord]) -> None:
@@ -562,16 +483,9 @@ class MultiprocBackend(ClusterBackend):
         if self._faulted:
             raise RuntimeError("cannot checkpoint a faulted backend — "
                                "recover() first")
-        K = self.system.trainer.num_machines
         with OBS.span("mp.checkpoint", epoch=epoch):
-            for k in range(K):
-                self._send(k, "ckpt", None)
-            states = []
-            for k in range(K):
-                payload = self._expect(k, "state")
-                if not isinstance(payload, dict):
-                    self._fail(k, "malformed checkpoint state payload")
-                states.append(payload)
+            states = self._round(range(len(self._channels)), "ckpt",
+                                 repeat(None), "state")
         return {
             "epoch": int(epoch),
             "model": states[0]["model"],
@@ -584,19 +498,12 @@ class MultiprocBackend(ClusterBackend):
     def _restore_all(self, checkpoint: Optional[dict]) -> None:
         """Send every rank its slice of ``checkpoint`` (``None`` rewinds to
         epoch-0 initial state) and wait for the ``restored`` acks."""
-        K = len(self._procs)
-        for k in range(K):
-            payload = None
-            if checkpoint is not None:
-                payload = {
-                    "model": checkpoint["model"],
-                    "adam": checkpoint["adam"],
-                    "sampler": checkpoint["samplers"][k],
-                    "layer_rngs": checkpoint["layer_rngs"][k],
-                }
-            self._send(k, "restore", payload)
-        for k in range(K):
-            self._expect_token(k, "restored", "machine", k)
+        K = len(self._channels)
+        payloads = repeat(None) if checkpoint is None else (
+            {"model": checkpoint["model"], "adam": checkpoint["adam"],
+             "sampler": checkpoint["samplers"][k],
+             "layer_rngs": checkpoint["layer_rngs"][k]} for k in range(K))
+        self._round(range(K), "restore", payloads, "restored")
 
     def recover(self, checkpoint: Optional[dict] = None) -> int:
         """Replace the failed ranks and rewind the cluster to ``checkpoint``.
@@ -606,15 +513,16 @@ class MultiprocBackend(ClusterBackend):
         kill is unconditional); (2) quiesce the survivors with an ``abort``
         and drain their stale in-flight traffic; (3) reset the gradient
         plane's seqlock slabs; (4) bind a replacement for each failed rank
-        — a warm spare from :data:`WORKER_POOL` when one of this cluster's
-        fingerprint is parked, a fresh spawn otherwise — with the fault
-        schedule cleared (a replayed fault would re-fire identically and
-        recovery would never converge); (5) restore every rank from
-        ``checkpoint`` (``None`` rewinds to epoch-0 initial state).
+        — a parked worker from :data:`WORKER_POOL` while any is left, a
+        fresh spawn otherwise — with the fault schedule cleared (a replayed
+        fault would re-fire identically and recovery would never
+        converge); (5) restore every rank from ``checkpoint`` (``None``
+        rewinds to epoch-0 initial state).
 
         Returns the number of ranks replaced (0 if the backend never
-        faulted).  Any failure *during* recovery escalates to full
-        teardown and raises — recovery is attempted at most once per call.
+        faulted).  Any failure *during* recovery — a replacement dying
+        included — escalates to full teardown and raises; recovery is
+        attempted at most once per call.
         """
         if not self._started or not self.is_live:
             raise RuntimeError("cannot recover a closed backend")
@@ -635,63 +543,36 @@ class MultiprocBackend(ClusterBackend):
             return 0
         self._in_recovery = True
         try:
-            K = len(self._procs)
+            K = len(self._channels)
             with OBS.span("mp.recovery", machines=K,
                           hist="mp.recovery_wall_s"):
                 # Every rank marked faulted, plus any other process found
                 # dead (a second failure noticed late), gets replaced.
-                failed = set(self._faulted_machines)
-                for j, proc in enumerate(self._procs):
-                    if not proc.is_alive():
-                        failed.add(j)
-                self._faulted_machines = set(failed)
-                failed = sorted(failed)
-
-                stop_workers([self._procs[j] for j in failed],
-                             [self._conns[j] for j in failed], polite=False)
-                for j in failed:
-                    self._conn_open[j] = False
-                    self._inboxes[j].clear()
-
-                survivors = [k for k in range(K) if k not in failed]
-                for k in survivors:
-                    self._send(k, "abort", None)
-                deadline = time.monotonic() + self.timeout_s
-                for k in survivors:
-                    # Discard whatever the aborted epoch still had in
-                    # flight (step/window/done tokens) up to the ack.
-                    while True:
-                        kind, _payload = self._recv(k, deadline=deadline)
-                        if kind == "aborted":
-                            break
-
+                failed = sorted(self._faulted_machines | {
+                    j for j, ch in enumerate(self._channels)
+                    if not ch.proc.is_alive()})
+                stop_workers([self._channels[j] for j in failed],
+                             polite=False)
+                self._round([k for k in range(K) if k not in failed],
+                            "abort", repeat(None), "aborted", discard=True,
+                            deadline=time.monotonic() + self.timeout_s)
                 self._grad_plane.reset()
 
-                warm = 0
-                fresh_ranks = []
-                for j in failed:
-                    spare = (WORKER_POOL.acquire_spare(self._pool_key)
-                             if self._pool_key else None)
-                    if spare is not None:
-                        warm += 1
-                    else:
-                        spare = spawn_worker(j)
-                        fresh_ranks.append(j)
-                    # In-place rank replacement: the finalizer holds these
-                    # same list objects, so the new process is covered by
-                    # the exit-time cleanup like any other.
-                    self._procs[j], self._conns[j] = spare
-                    self._inboxes[j] = deque()
-                    self._conn_open[j] = True
-                self._bind(failed, fresh=fresh_ranks, clear_faults=True)
-
+                spares = WORKER_POOL.take(len(failed))
+                fresh = failed[len(spares):]
+                for j, ch in zip(failed, spares):
+                    self._adopt(j, ch)
+                for j in fresh:
+                    self._adopt(j, spawn_worker(j))
+                self._bind(failed, fresh=fresh, clear_faults=True)
                 self._restore_all(checkpoint)
 
                 self.restarts_total += len(failed)
                 if OBS.enabled:
                     OBS.metrics.counter("mp.restarts_total").inc(len(failed))
-                    if warm:
-                        OBS.metrics.counter("mp.warm_respawns").inc(warm)
+                    if spares:
+                        OBS.metrics.counter("mp.warm_respawns").inc(
+                            len(spares))
                 self._faulted = False
                 self._faulted_machines.clear()
                 self._recovered = True
@@ -751,24 +632,21 @@ class MultiprocBackend(ClusterBackend):
         metrics registry.  Gauges (not counters) because the wire tables
         are cumulative across epochs — setting is idempotent."""
         m = OBS.metrics
-        m.gauge("mp.wire_sent_bytes").set(
-            sum(b for _n, b in self.wire_sent.values()))
-        m.gauge("mp.wire_received_bytes").set(
-            sum(b for _n, b in self.wire_received.values()))
-        m.gauge("mp.wire_sent_msgs").set(
-            sum(n for n, _b in self.wire_sent.values()))
-        m.gauge("mp.wire_received_msgs").set(
-            sum(n for n, _b in self.wire_received.values()))
+        for way, table in (("sent", self.wire_sent),
+                           ("received", self.wire_received)):
+            m.gauge(f"mp.wire_{way}_bytes").set(
+                sum(b for _n, b in table.values()))
+            m.gauge(f"mp.wire_{way}_msgs").set(
+                sum(n for n, _b in table.values()))
         m.gauge("mp.workers_alive").set(
-            sum(1 for p in self._procs if p.is_alive()))
+            sum(1 for p in self.processes if p.is_alive()))
 
     def _broadcast_run(self, epoch: int, dry_run: bool) -> None:
         payload: dict = {"epoch": epoch, "dry_run": dry_run}
         if OBS.enabled:
             payload["trace"] = {"trace_id": OBS.tracer.trace_id,
                                 "parent": self._epoch_span_id}
-        for k in range(self.system.trainer.num_machines):
-            self._send(k, "run", payload)
+        self._round(range(len(self._channels)), "run", repeat(payload), None)
 
     def _serve_collective(self, dry_run: bool) -> None:
         """The coordinator's half of the workers' collective
@@ -781,12 +659,10 @@ class MultiprocBackend(ClusterBackend):
         machines = range(tr.num_machines)
         for w0, w1 in tr.engine.schedule(tr.steps_per_epoch()).windows:
             if dry_run:
-                for k in machines:
-                    self._expect_token(k, "window", "w0", w0)
+                self._round(machines, None, (), "window", match={"w0": w0})
                 continue
             for step in range(w0, w1):
-                for k in machines:
-                    self._expect_token(k, "step", "step", step)
+                self._round(machines, None, (), "step", match={"step": step})
                 self._average_step(step)
 
     def _average_step(self, step: int) -> None:
@@ -798,8 +674,8 @@ class MultiprocBackend(ClusterBackend):
             self._fail(exc.machine,
                        f"gradient-slab protocol violation at step {step}: "
                        f"{exc}")
-        for k in range(len(self._procs)):
-            self._send(k, "avg", {"step": step})
+        self._round(range(len(self._channels)), "avg",
+                    repeat({"step": step}), None)
 
     def _collect_done(self) -> Tuple[List[List[StepRecord]], Optional[dict]]:
         """Receive every worker's batched epoch-end telemetry: its step
@@ -808,8 +684,9 @@ class MultiprocBackend(ClusterBackend):
         K record lists and that state (``None`` for a dry run)."""
         steps = self.system.trainer.steps_per_epoch()
         per_machine, state = [], None
-        for k in range(self.system.trainer.num_machines):
-            payload = self._expect(k, "done")
+        machines = range(self.system.trainer.num_machines)
+        for k, payload in zip(machines,
+                              self._round(machines, None, (), "done")):
             try:
                 records = [decode_dataclass(StepRecord, r)
                            for r in payload["records"]]

@@ -3,11 +3,11 @@
 Spawning K interpreters and importing numpy in each costs seconds; binding
 a spec costs milliseconds.  A backend with ``keep_warm`` set **parks** its
 workers into :data:`WORKER_POOL` on clean close (they release every segment
-view and wait idle); the next backend whose cluster *fingerprint* matches
-acquires them and rebinds, amortizing the spawn cost across ``SalientPP``
-runs.  :func:`stop_workers` is the one teardown ladder every owner of
-worker processes — a backend, the pool, recovery reaping a failed rank —
-goes through.
+view and wait idle, holding no spec); the next backend — of any
+configuration — takes as many as it needs and binds them, amortizing the
+spawn cost across ``SalientPP`` runs.  :func:`stop_workers` is the one
+teardown ladder every owner of worker processes — a backend, the pool,
+recovery reaping a failed rank — goes through.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import os
 import sys
 import time
 from multiprocessing import get_context
-from typing import Dict, List, Optional
+from typing import List
 
+from repro.distributed.multiproc.channel import Channel
 from repro.distributed.multiproc.worker import _worker_main
-from repro.distributed.wire import pack_message
 
 
 @contextlib.contextmanager
@@ -51,8 +51,8 @@ def _spawn_safe_main():
             main.__file__ = path
 
 
-def spawn_worker(k: int):
-    """Spawn one generic worker; returns ``(process, parent_conn)``."""
+def spawn_worker(k: int) -> Channel:
+    """Spawn one generic worker; returns the coordinator's channel to it."""
     ctx = get_context("spawn")
     parent, child = ctx.Pipe(duplex=True)
     proc = ctx.Process(target=_worker_main, args=(child,),
@@ -60,22 +60,23 @@ def spawn_worker(k: int):
     with _spawn_safe_main():
         proc.start()
     child.close()
-    return proc, parent
+    return Channel(parent, proc, machine=k)
 
 
-def stop_workers(procs: list, conns: list, *, polite: bool = True) -> None:
-    """Stop worker processes and close their pipes; never raises.
+def stop_workers(channels: List[Channel], *, polite: bool = True) -> None:
+    """Stop worker processes and close their channels; never raises.
 
-    The escalation ladder: a polite ``stop`` message and one shared 5 s
+    The escalation ladder: a polite ``stop`` frame and one shared 5 s
     join (skipped with ``polite=False`` — a rank known to be hung or to
     have corrupted its stream is not asked), then ``terminate``, then
     ``kill``.  Best-effort by design: it runs from finalizers and
     ``atexit``, over processes and pipes in any state.
     """
+    procs = [ch.proc for ch in channels]
     if polite:
-        for conn in conns:
+        for ch in channels:
             try:
-                conn.send_bytes(pack_message("stop", None))
+                ch.send("stop", None)
             except Exception:
                 pass
         deadline = time.monotonic() + 5.0
@@ -98,90 +99,45 @@ def stop_workers(procs: list, conns: list, *, polite: bool = True) -> None:
                 proc.join(timeout=5.0)
             except Exception:
                 pass
-    for conn in conns:
-        try:
-            conn.close()
-        except Exception:
-            pass
+    for ch in channels:
+        ch.close()
 
 
 class WorkerPool:
-    """Parked warm worker clusters, keyed by cluster fingerprint.
-
-    A parked worker is a live, idle process holding no shared-memory
-    attachments — just the imported interpreter (the expensive part of a
-    spawn).  Clusters park and acquire as a unit: machine ``k``'s pipe
-    stays machine ``k``'s pipe.  Dead clusters found at acquire time are
-    disposed of; :meth:`clear` (also registered ``atexit``) stops
-    everything politely, then escalates.
+    """Parked warm workers: live, idle processes holding no spec and no
+    shared-memory attachment — just the imported interpreter (the
+    expensive part of a spawn).  Any worker can be bound as any rank of
+    any cluster, so the pool is one list.  Dead workers found at
+    :meth:`take` time are disposed of; :meth:`clear` (also registered
+    ``atexit``) stops everything politely, then escalates.
     """
 
     def __init__(self):
-        self._clusters: Dict[str, List[list]] = {}
-        # Loose parked workers left over when recovery broke a cluster up
-        # for a single-rank replacement; same fingerprint key.
-        self._spares: Dict[str, list] = {}
+        self._idle: List[Channel] = []
 
     @property
     def num_parked(self) -> int:
-        """Total parked worker processes across all fingerprints."""
-        return sum(len(workers) for stack in self._clusters.values()
-                   for workers in stack) \
-            + sum(len(v) for v in self._spares.values())
+        return len(self._idle)
 
-    def park(self, key: str, workers: list) -> None:
-        self._clusters.setdefault(key, []).append(list(workers))
+    def park(self, workers: List[Channel]) -> None:
+        for ch in workers:
+            ch.attach()
+        self._idle.extend(workers)
 
-    def acquire(self, key: str) -> Optional[list]:
-        """Pop one fully-alive parked cluster for ``key``, or ``None``."""
-        stack = self._clusters.get(key)
-        while stack:
-            workers = stack.pop()
-            if not stack:
-                self._clusters.pop(key, None)
-            if all(proc.is_alive() for proc, _conn in workers):
-                return workers
-            self._dispose(workers)
-        self._clusters.pop(key, None)
-        return None
-
-    def acquire_spare(self, key: str):
-        """Pop one live parked worker for ``key`` — recovery's warm path.
-
-        Prefers a loose spare; otherwise breaks up a parked cluster of the
-        same fingerprint (the remainder becomes spares — parked workers
-        are generic, so any of them can be rebound as any rank).  Returns
-        a ``(process, conn)`` pair or ``None``.
-        """
-        spares = self._spares.get(key, [])
-        while spares:
-            proc, conn = spares.pop()
-            if not spares:
-                self._spares.pop(key, None)
-            if proc.is_alive():
-                return proc, conn
-            self._dispose([(proc, conn)])
-        cluster = self.acquire(key)
-        if cluster is None:
-            return None
-        taken = cluster.pop()
-        if cluster:
-            self._spares.setdefault(key, []).extend(cluster)
+    def take(self, n: int) -> List[Channel]:
+        """Up to ``n`` live parked workers, most recently parked first."""
+        taken: List[Channel] = []
+        while self._idle and len(taken) < n:
+            ch = self._idle.pop()
+            if ch.proc.is_alive():
+                taken.append(ch)
+            else:
+                stop_workers([ch])
         return taken
 
     def clear(self) -> None:
-        for stack in self._clusters.values():
-            for workers in stack:
-                self._dispose(workers)
-        self._clusters.clear()
-        for spares in self._spares.values():
-            self._dispose(spares)
-        self._spares.clear()
-
-    @staticmethod
-    def _dispose(workers: list) -> None:
-        stop_workers([proc for proc, _conn in workers],
-                     [conn for _proc, conn in workers])
+        stop_workers(self._idle)
+        self._idle.clear()
 
 
 #: The process-wide warm pool (see :class:`WorkerPool`); cleared atexit.

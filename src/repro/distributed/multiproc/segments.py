@@ -85,12 +85,12 @@ class WorkerSpec:
 def _cluster_fingerprint(specs: List[WorkerSpec]) -> str:
     """Content hash identifying a worker cluster's full configuration.
 
-    Two backends whose spec lists hash equal would bind byte-identical
-    runtimes, so their workers are interchangeable — the warm pool's key.
-    Segment *names* are excluded (random per backend; contents are re-
-    attached at bind time), as are the fault schedule (a parked worker holds
-    no spec, so a recovered cluster's workers are as generic as any) and
-    the host's ``spare_core`` reading;
+    Two backends whose spec lists hash equal bind byte-identical runtimes,
+    so a checkpoint one of them took restores into the other — the key
+    :class:`~repro.distributed.recovery.RecoveryManager` persists
+    checkpoints under (``MultiprocBackend.fingerprint``).  Segment *names*
+    are excluded (random per backend), as are the fault schedule (a run's
+    property, not the cluster's) and the host's ``spare_core`` reading;
     segment shapes/dtypes, every seed, every id array, and every
     hyperparameter are included.
     """

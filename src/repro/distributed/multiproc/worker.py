@@ -7,7 +7,8 @@ holding one machine), runs
 :meth:`~repro.distributed.engine.ExecutionEngine.run_machines` over the
 machine set ``{k}``, and ships the resulting step records.  Everything it
 says to its peers goes through :class:`_PipeCollective`, the worker-side
-implementation of the engine's two-method collective.
+implementation of the engine's two-method collective, over its one
+:class:`~repro.distributed.multiproc.channel.Channel` to the coordinator.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.distributed.engine import make_engine
 from repro.distributed.feature_store import MachineStore, PartitionedFeatureStore
+from repro.distributed.multiproc.channel import Channel
 from repro.distributed.multiproc.segments import (
     DIGEST_HEAD,
     WorkerSpec,
@@ -32,7 +34,7 @@ from repro.distributed.multiproc.segments import (
     _plan_digest,
 )
 from repro.distributed.shm_plane import GradientPlane, SlabLayout
-from repro.distributed.wire import decode_dataclass, pack_message, unpack_message
+from repro.distributed.wire import decode_dataclass
 from repro.graph.csr import CSRGraph
 from repro.nn.models import GraphSAGE
 from repro.nn.optim import Adam
@@ -72,16 +74,15 @@ class _WorkerRuntime:
     shared memory.
     """
 
-    def __init__(self, spec: WorkerSpec, conn):
+    def __init__(self, spec: WorkerSpec, channel: Channel):
         self.spec = spec
-        self.conn = conn
+        self.channel = channel
         k, K = spec.machine, spec.num_machines
 
-        # Chaos state: scheduled faults not yet fired, plus the two flags
-        # the deferred kinds arm (corrupt poisons the next outgoing message,
-        # torn leaves the slab seqlock odd after the step's publish).
+        # Chaos state: scheduled faults not yet fired, plus the steps a
+        # torn fault leaves with the slab seqlock odd after the publish (a
+        # corrupt fault arms the channel's next frame instead).
         self._pending_faults = list(spec.faults)
-        self._corrupt_next = False
         self.torn_steps = set()
 
         # Attach every data segment; keep the SharedMemory objects alive
@@ -245,21 +246,6 @@ class _WorkerRuntime:
         self._shms = []
 
     # -- protocol ------------------------------------------------------
-    def send(self, kind: str, payload) -> None:
-        data = pack_message(kind, payload)
-        if self._corrupt_next:
-            # Armed by a "corrupt" fault: flip the last payload byte (just
-            # inside the CRC32 trailer) so the frame is well-formed but its
-            # checksum is wrong — the coordinator must reject, not decode.
-            self._corrupt_next = False
-            torn = bytearray(data)
-            torn[-5] ^= 0xFF
-            data = bytes(torn)
-        self.conn.send_bytes(data)
-
-    def recv(self) -> Tuple[str, object]:
-        return unpack_message(self.conn.recv_bytes())
-
     def inject_faults(self, epoch: int, step_lo: int, step_hi: int) -> None:
         """Fire any scheduled fault whose injection point falls in this
         epoch's ``[step_lo, step_hi)`` (the comm window being reported).
@@ -273,7 +259,9 @@ class _WorkerRuntime:
             elif fault.kind == "hang":
                 time.sleep(fault.duration_s)  # wedged past any timeout_s
             elif fault.kind == "corrupt":
-                self._corrupt_next = True
+                # The frame stays well-formed but fails its CRC: the
+                # coordinator must reject it, not decode it.
+                self.channel.corrupt_next = True
             elif fault.kind == "torn":
                 self.torn_steps.add(fault.step)
 
@@ -305,7 +293,7 @@ class _WorkerRuntime:
             # the training state) and acknowledge.
             if trace_ctx:
                 OBS.disable()
-            self.send("aborted", {"machine": k})
+            self.channel.send("aborted", {"machine": k})
             return
 
         digests = collective.digests
@@ -320,7 +308,7 @@ class _WorkerRuntime:
             done["clock"] = list(clock_anchor())
             done["metrics"] = OBS.metrics.snapshot()
             OBS.disable()
-        self.send("done", done)
+        self.channel.send("done", done)
 
 
 class _PipeCollective:
@@ -350,7 +338,7 @@ class _PipeCollective:
             for plan, fresh in zip(plans, first_request))
         rt.inject_faults(self.epoch, w0, w1)
         if self.dry_run:
-            rt.send("window", {"w0": w0})
+            rt.channel.send("window", {"w0": w0})
 
     def sync(self, step: int) -> None:
         rt = self.rt
@@ -363,8 +351,8 @@ class _PipeCollective:
             # average() must see the in-flight write and attribute it here.
             rt.torn_steps.discard(step)
             rt.my_slab.begin_write()
-        rt.send("step", {"step": step})
-        kind, payload = rt.recv()
+        rt.channel.send("step", {"step": step})
+        kind, payload = rt.channel.recv()
         if kind == "abort":
             raise _EpochAborted
         if kind != "avg":
@@ -401,22 +389,22 @@ def _worker_main(conn) -> None:
             runtime.release()
             runtime = None
 
+    channel = Channel(conn)
     try:
-        conn.send_bytes(pack_message("ready", {"pid": os.getpid()}))
+        channel.send("ready", {"pid": os.getpid()})
         while True:
-            kind, payload = unpack_message(conn.recv_bytes())
+            kind, payload = channel.recv()
             if kind == "stop":
                 unbind()
                 return
             elif kind == "bind":
                 unbind()
                 runtime = _WorkerRuntime(
-                    decode_dataclass(WorkerSpec, payload), conn)
-                conn.send_bytes(pack_message(
-                    "bound", {"machine": runtime.spec.machine}))
+                    decode_dataclass(WorkerSpec, payload), channel)
+                channel.send("bound", {"machine": runtime.spec.machine})
             elif kind == "park":
                 unbind()
-                conn.send_bytes(pack_message("parked", {"pid": os.getpid()}))
+                channel.send("parked", {"pid": os.getpid()})
             elif kind == "run":
                 bound(kind).run_epoch(payload["epoch"], payload["dry_run"],
                                       payload.get("trace"))
@@ -425,30 +413,24 @@ def _worker_main(conn) -> None:
                 # epoch finished, or it never started one): nothing to
                 # unwind, acknowledge immediately.
                 machine = None if runtime is None else runtime.spec.machine
-                conn.send_bytes(pack_message("aborted", {"machine": machine}))
+                channel.send("aborted", {"machine": machine})
             elif kind == "ckpt":
-                conn.send_bytes(pack_message(
-                    "state", bound(kind).capture_state()))
+                channel.send("state", bound(kind).capture_state())
             elif kind == "restore":
                 bound(kind).restore_state(payload)
-                conn.send_bytes(pack_message(
-                    "restored", {"machine": runtime.spec.machine}))
+                channel.send("restored", {"machine": runtime.spec.machine})
             else:
                 raise RuntimeError(f"unexpected coordinator message {kind!r}")
-    except (EOFError, BrokenPipeError, OSError):
-        # The coordinator went away; nothing to report to.
-        os._exit(1)
     except Exception:
+        # Report the traceback if the coordinator is still listening (it
+        # is not when the exception is its pipe closing), then die.
         try:
-            conn.send_bytes(pack_message("error", {
+            channel.send("error", {
                 "machine": None if runtime is None else runtime.spec.machine,
                 "traceback": traceback.format_exc(),
-            }))
+            })
         except Exception:
             pass
         os._exit(1)
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        channel.close()

@@ -15,8 +15,8 @@ giving up the backend's bit-identity guarantee:
   successful epoch it captures an epoch-boundary checkpoint (model and
   optimizer state, every RNG stream cursor, and a fingerprint of the
   cluster's cache selection); on a worker failure it backs off, calls
-  :meth:`MultiprocBackend.recover` to respawn only the failed ranks (warm
-  pool first), and replays the interrupted epoch from the last checkpoint.
+  :meth:`MultiprocBackend.recover` to respawn only the failed ranks (parked
+  workers first), and replays the interrupted epoch from the last checkpoint.
   Because the checkpoint restores the exact sampler and dropout stream
   cursors, the replayed epoch's losses are bit-identical to a fault-free
   run's.
@@ -187,12 +187,9 @@ class RecoveryManager:
         self.recoveries: List[dict] = []
 
     # -- checkpoint plumbing -------------------------------------------
-    def _fingerprint(self) -> Optional[str]:
-        return self.backend._pool_key
-
     def _persist(self) -> None:
         if self.cache is not None and self.checkpoint is not None:
-            fp = self._fingerprint()
+            fp = self.backend.fingerprint
             if fp is not None:
                 save_checkpoint(self.cache, fp, self.checkpoint)
 
@@ -208,7 +205,7 @@ class RecoveryManager:
         if self.cache is None:
             return None
         self.backend.start()
-        fp = self._fingerprint()
+        fp = self.backend.fingerprint
         if fp is None:
             return None
         ckpt = load_checkpoint(self.cache, fp)

@@ -1,7 +1,7 @@
 """Fingerprints are hashes of wire encodings: ``content_hash`` is canonical
 (dict order never matters, every type distinction the wire keeps does), and
-the warm-pool cluster key is that hash of a projection of the worker specs
-— no processes needed to check what enters it."""
+the cluster key checkpoints persist under is that hash of a projection of
+the worker specs — no processes needed to check what enters it."""
 
 import dataclasses
 

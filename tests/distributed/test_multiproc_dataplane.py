@@ -9,10 +9,9 @@ Two contracts the perf work must never silently lose:
   telemetry ships once per epoch.  The backend's ``wire_sent`` /
   ``wire_received`` accounting is asserted directly.
 * **Warm worker pool** — a ``keep_warm`` backend parks its workers on
-  close, an identically-configured successor acquires the *same processes*
-  (no respawn) and still reproduces the in-process oracle bit-for-bit;
-  a differently-configured successor does not match the fingerprint; the
-  pool drains cleanly.
+  close, and a successor of *any* configuration takes the *same processes*
+  (no respawn) and still reproduces the in-process oracle bit-for-bit —
+  a parked worker holds no spec; the pool drains cleanly.
 """
 
 import dataclasses
@@ -20,11 +19,7 @@ import dataclasses
 import pytest
 
 from repro.core import Planner, RunConfig, SalientPP
-from repro.distributed.multiproc import (
-    WORKER_POOL,
-    MultiprocBackend,
-    _cluster_fingerprint,
-)
+from repro.distributed.multiproc import WORKER_POOL, MultiprocBackend
 from repro.graph.datasets import make_papers_mini
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -186,7 +181,7 @@ def test_warm_pool_reuses_processes_with_bit_parity(papers_mini, planner):
     assert all(not p.is_alive() for p in backend2.processes)
 
 
-def test_warm_pool_rejects_different_fingerprint(papers_mini, planner):
+def test_parked_workers_serve_any_configuration(papers_mini, planner):
     mp_cfg = _config(engine="bsp", backend="multiproc")
     first = SalientPP.build(papers_mini, mp_cfg, planner=planner)
     first.backend().keep_warm = True
@@ -195,15 +190,21 @@ def test_warm_pool_rejects_different_fingerprint(papers_mini, planner):
     first.shutdown()
     assert WORKER_POOL.num_parked == K
 
-    # A different seed changes every derived stream seed -> new fingerprint.
+    # A different seed changes every derived stream seed (a different
+    # fingerprint); the parked workers are generic and serve it anyway.
     other_cfg = dataclasses.replace(mp_cfg, seed=1)
+    ref = SalientPP.build(
+        papers_mini, dataclasses.replace(other_cfg, backend="inprocess"),
+        planner=planner).train_epoch(0)
     second = SalientPP.build(papers_mini, other_cfg, planner=planner)
     backend2 = second.backend()
     try:
-        second.train_epoch(0)
-        assert not backend2.reused_pool
-        assert sorted(p.pid for p in backend2.processes) != pids
-        assert WORKER_POOL.num_parked == K  # first cluster still parked
+        result = second.train_epoch(0)
+        assert backend2.reused_pool
+        assert backend2.fingerprint != first.backend().fingerprint
+        assert sorted(p.pid for p in backend2.processes) == pids
+        assert WORKER_POOL.num_parked == 0
+        assert _losses(result.report) == _losses(ref.report)
     finally:
         second.shutdown()
 
@@ -218,10 +219,10 @@ def test_fingerprint_is_deterministic_and_name_independent(
         backend_a.start()
         backend_b.start()
         # Segment names are random per backend; the fingerprint must not
-        # see them (otherwise the pool could never hit).
+        # see them (otherwise a persisted checkpoint could never be found
+        # again).
         assert backend_a.segment_names != backend_b.segment_names
-        assert (_cluster_fingerprint(backend_a.worker_specs)
-                == _cluster_fingerprint(backend_b.worker_specs))
+        assert backend_a.fingerprint == backend_b.fingerprint
     finally:
         a.shutdown()
         b.shutdown()

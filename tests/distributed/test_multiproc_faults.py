@@ -8,6 +8,8 @@ Normal shutdown must leave the same nothing behind — including no
 ``resource_tracker`` "leaked shared_memory" noise at interpreter exit.
 """
 
+import glob
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -142,28 +144,73 @@ def test_hang_detected_within_receive_deadline():
     _assert_fully_torn_down(backend)
 
 
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+def test_timeout_s_must_be_positive_and_finite(timeout_s):
+    # 0 blames a healthy worker on the first message; nan turns hang
+    # detection off (no deadline ever compares as passed).
+    with pytest.raises(ValueError, match="timeout_s"):
+        MultiprocBackend(_build_system(), timeout_s=timeout_s)
+
+
+def test_replacement_dying_in_recover_escalates_at_once(monkeypatch):
+    # A replacement rank that dies while recover() binds it fails the
+    # recovery at once, blamed on its death — not 120 s later on the ready
+    # handshake's deadline, blamed on a timeout — and recovery escalates to
+    # a full teardown that leaves no segment or child process behind.
+    from repro.distributed.multiproc import coordinator
+
+    WORKER_POOL.clear()  # the replacement must be a fresh spawn
+    children = set(multiprocessing.active_children())
+    segments = set(glob.glob("/dev/shm/rpmp*"))
+    timeout_s = 5.0
+    backend = MultiprocBackend(
+        _build_system(), timeout_s=timeout_s, recoverable=True,
+        faults=FaultPlan.single("kill", machine=1, epoch=0, step=1))
+    with pytest.raises(WorkerFailedError):
+        backend.run_epoch(0)
+
+    spawn, spawned = coordinator.spawn_worker, []
+
+    def dead_on_arrival(k):
+        channel = spawn(k)
+        channel.proc.kill()
+        channel.proc.join()
+        spawned.append(channel.proc)
+        return channel
+
+    monkeypatch.setattr(coordinator, "spawn_worker", dead_on_arrival)
+    t0 = time.monotonic()
+    with pytest.raises(WorkerFailedError, match="process died") as excinfo:
+        backend.recover(None)
+    elapsed = time.monotonic() - t0
+    assert excinfo.value.machine == 1
+    assert elapsed < timeout_s + 1.0, f"took {elapsed:.1f}s to surface"
+    assert len(spawned) == 1
+    _assert_fully_torn_down(backend)
+    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    assert set(multiprocessing.active_children()) <= children
+
+
 # ----------------------------------------------------------------------
 # warm-pool lifecycle
 # ----------------------------------------------------------------------
 
 def _park_clusters(n):
-    """Park ``n`` clean same-fingerprint clusters; returns the pool key
-    and the parked worker pids.  The backends run concurrently — a closed
-    backend's parked cluster would otherwise just be re-acquired (and
-    re-parked) by the next one."""
+    """Park ``n`` clean clusters; returns the parked worker pids.  The
+    backends run concurrently — a closed backend's parked workers would
+    otherwise just be taken (and re-parked) by the next one."""
     backends = []
     for _ in range(n):
         backend = MultiprocBackend(_build_system(), timeout_s=30.0,
                                    keep_warm=True)
         backend.run_epoch(0)
         backends.append(backend)
-    key = backends[0]._pool_key
+    pids = {proc.pid for backend in backends for proc in backend.processes}
     for backend in backends:
-        assert backend._pool_key == key
         backend.close()
-    pids = {proc.pid for workers in WORKER_POOL._clusters.get(key, [])
-            for proc, _conn in workers}
-    return key, pids
+    assert WORKER_POOL.num_parked == len(pids)
+    return pids
 
 
 def test_faulted_unrecovered_cluster_never_parked():
@@ -213,19 +260,19 @@ def test_recovered_then_clean_cluster_parks():
 
 def test_recovery_prefers_warm_spares():
     try:
-        _key, parked_pids = _park_clusters(2)
+        parked_pids = _park_clusters(2)
         assert len(parked_pids) == 4  # two K=2 clusters
         backend = MultiprocBackend(
             _build_system(), timeout_s=30.0, recoverable=True,
             faults=FaultPlan.single("kill", machine=1, epoch=0, step=1))
         with pytest.raises(WorkerFailedError):
             backend.run_epoch(0)
-        assert backend.reused_pool  # started on the first parked cluster
+        assert backend.reused_pool  # started on two of the parked workers
         recovered_before = backend.processes[1].pid
         assert backend.recover(None) == 1
         replacement = backend.processes[1].pid
         assert replacement != recovered_before
-        # The replacement came from the second parked cluster, not a fresh
+        # The replacement is one of the two still parked, not a fresh
         # spawn.
         assert replacement in parked_pids
         report = backend.run_epoch(0)

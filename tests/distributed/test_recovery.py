@@ -246,7 +246,7 @@ def test_checkpoint_disk_round_trip(tmp_path):
     try:
         backend.run_epoch(0)
         ckpt = backend.capture_checkpoint(0)
-        fp = backend._pool_key
+        fp = backend.fingerprint
         save_checkpoint(cache, fp, ckpt)
         assert load_checkpoint(cache, fp) is ckpt  # memory tier hit
         cache.clear_memory()
