@@ -533,9 +533,9 @@ def nn_stages(stages: dict, *, dataset=None, batches=15, rounds=5) -> None:
     cfg = RunConfig(num_machines=K, replication_factor=0.1,
                     cache_policy="vip", seed=0)
     system = Planner().build(ds, cfg)
-    tr = system.trainer
+    tr, store = system.trainer, system.store
     model, state = tr.models[0], tr.models[0].state_dict()
-    steps = [(system.store.gather(0, mfg.n_id)[0], mfg,
+    steps = [(store.execute(store.plan_gather(0, mfg.n_id))[0], mfg,
               tr.ds.labels[mfg.seeds])
              for mfg in islice(tr.batches(0, 0), batches)]
 

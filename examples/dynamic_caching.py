@@ -103,7 +103,7 @@ def streaming_inference_demo(ds):
         for i, seeds in enumerate(stream):
             machine = i % store.num_machines  # round-robin request routing
             mfg = next(iter(sampler.batches(seeds, len(seeds), shuffle=False)))
-            _, stats = store.gather(machine, mfg.n_id)
+            _, stats = store.execute(store.plan_gather(machine, mfg.n_id))
             remote += stats.comm_rows()
             cached += stats.cached_rows
         hit = cached / max(cached + remote, 1)

@@ -28,7 +28,7 @@ paper's baseline, Table 1 row 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -187,8 +187,13 @@ class SalientPP:
         results = self.train(epochs, dry_run=dry_run)
         return float(np.mean([r.epoch_time for r in results]))
 
-    def evaluate(self, split: str = "test", **kwargs) -> float:
-        return self.trainer.evaluate(split, **kwargs)
+    def evaluate(self, split: str = "test", *,
+                 fanouts: Optional[Sequence[int]] = None) -> float:
+        """Accuracy on ``split``, scored on the configured backend: each
+        machine scores the ids it owns with its own replica."""
+        with OBS.span("system.evaluate", split=split,
+                      backend=self.config.backend):
+            return self.backend().evaluate(split, fanouts=fanouts)
 
     def _refuse_while_live(self, action: str) -> None:
         """A live external backend's workers hold their own copies of the

@@ -29,7 +29,7 @@ bit-identical — the parity test suite holds them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.utils.registry import Registry
 
@@ -113,9 +113,6 @@ class NetworkSpec:
         """The paper's slow-network (token-bucket) configurations."""
         return replace(self, bandwidth=gbps * GBPS)
 
-    def transfer_time(self, num_bytes: float) -> float:
-        return self.latency + num_bytes / self.effective_bandwidth
-
 
 def ring_all_reduce_bytes(num_machines: int, num_bytes: float) -> float:
     """Bytes each NIC moves in a ring all-reduce of a ``num_bytes``
@@ -170,6 +167,13 @@ class ClusterBackend:
       :class:`StepRecord` volumes, same ledger bytes, and an event trace
       with the same shape (the parity suite compares them with
       ``tests/invariants.py``'s ``assert_trace_shape_equal``);
+    * :meth:`evaluate` returns the same accuracy on every backend: the
+      machines that trained score the split ids they own, each with its
+      own replica
+      (:meth:`~repro.distributed.engine.ExecutionEngine.score_machines`
+      over the machine set the backend places), and arguments are checked
+      (:meth:`~repro.distributed.executor.DistributedTrainer.eval_shards`)
+      before any of that work starts;
     * :meth:`close` releases every runtime resource (processes, shared
       memory, pipes) and is idempotent; backends with no external
       resources inherit the no-op.
@@ -187,6 +191,10 @@ class ClusterBackend:
         return False
 
     def run_epoch(self, epoch: int, *, dry_run: bool = False) -> "EpochReport":
+        raise NotImplementedError
+
+    def evaluate(self, split: str, *,
+                 fanouts: Optional[Sequence[int]] = None) -> float:
         raise NotImplementedError
 
     def close(self) -> None:

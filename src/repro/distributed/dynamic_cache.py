@@ -392,7 +392,7 @@ class DynamicCache:
     ``MachineStore`` treats both uniformly; the mutation interface
     (:meth:`note_hits`, :meth:`admit`, :meth:`end_batch`,
     :meth:`plan_refresh` + :meth:`commit_refresh`) is driven by
-    ``PartitionedFeatureStore.gather``.
+    ``PartitionedFeatureStore.execute_coalesced``.
     """
 
     is_dynamic = True

@@ -75,6 +75,13 @@ record order, :class:`CommLedger` bytes, who served whom, the
 Backend parity therefore holds by construction, not by a second copy of the
 schedule.  Register new engines with ``@ENGINES.register(name)`` — the name
 immediately becomes valid for ``RunConfig.engine``.
+
+Evaluation is the same forward over the same machine set
+(:meth:`ExecutionEngine.score_machines`): each machine samples the split ids
+it owns from its own ``"inference"`` stream, gathers each batch as a window
+of one through :func:`gather_window`, and counts its replica's correct
+predictions — in-process over all ``K``, in each multiproc worker over
+``{k}``.
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +120,7 @@ from repro.pipeline.events import (
     emit_window_comm_events,
 )
 from repro.sampling.mfg import MFG
+from repro.sampling.neighbor import NeighborSampler
 from repro.utils.ahead import run_ahead
 from repro.utils.registry import Registry
 
@@ -151,12 +159,19 @@ def train_batch(model, feats: np.ndarray, mfg: MFG,
     return loss.item()
 
 
+def accuracy(scored: Sequence[Tuple[int, int]]) -> float:
+    """Σ correct / Σ total over per-machine ``(correct, total)`` counts."""
+    return (sum(c for c, _t in scored)
+            / max(sum(t for _c, t in scored), 1))
+
+
 def gather_window(store, arena: GatherArena, machine: int, step0: int,
                   mfgs: Sequence[MFG], plans: Sequence[FetchPlan],
                   degrees: np.ndarray):
     """Gather one machine's comm window — ``plans[i]`` is the fetch plan
     of ``mfgs[i]``, step ``step0 + i`` — the way every caller does: the
-    training loop per ``depth`` batches, serving per flush window.
+    training loop per ``depth`` batches, evaluation per batch, serving per
+    flush window.
 
     Outputs come from ``arena`` (keyed by ``(machine, in-flight slot)``),
     the plans are coalesced into one peer exchange (a window of one
@@ -259,8 +274,8 @@ class ExecutionEngine:
     :class:`~repro.distributed.executor.DistributedTrainer` or anything
     with its machine-indexed surface (``models`` / ``optimizers`` indexable
     by machine, ``batches(machine, epoch)``, ``steps_per_epoch()``,
-    ``store``, ``ds.labels``, ``ds.graph``) — a multiproc worker passes
-    one holding only its own machine.
+    ``batch_size``, ``store``, ``ds.labels``, ``ds.graph``) — a multiproc
+    worker passes one holding only its own machine.
     """
 
     name: str = "?"
@@ -401,6 +416,34 @@ class ExecutionEngine:
                 OBS.metrics.counter("engine.steps").inc(steps)
         return [records[k] for k in machines]
 
+    def score_machines(self, shards: Mapping[int, Tuple[np.ndarray, int]],
+                       fanouts: Sequence[int]) -> List[Tuple[int, int]]:
+        """Evaluate ``shards`` — machine ``k`` → (the split ids it owns, the
+        seed of its inference stream) — the way the epoch loop trains.
+
+        Forward only: ``batch_size`` ids at a time in id order, sampled
+        with ``fanouts``, gathered as a window of one through
+        :func:`gather_window` into this engine's arena, and forwarded
+        through ``models[k]`` in eval mode.  No record reaches the registry
+        (no :func:`note_gather`), so the ``store.*`` counters still describe
+        the training epochs.  Returns each machine's ``(correct, total)``,
+        in ``shards`` order.
+        """
+        tr = self.trainer
+        scored = []
+        for k, (ids, seed) in shards.items():
+            sampler = NeighborSampler(tr.ds.graph, fanouts, seed=seed)
+            model = tr.models[k].eval()
+            correct = 0
+            for mfg in sampler.batches(ids, tr.batch_size, shuffle=False):
+                _, (feats,), _ = gather_window(
+                    tr.store, self._gather_arena, k, 0, [mfg],
+                    [tr.store.plan_gather(k, mfg.n_id)], tr.ds.graph.degrees)
+                pred = model(feats, mfg).data.argmax(axis=1)
+                correct += int((pred == tr.ds.labels[mfg.seeds]).sum())
+            scored.append((correct, len(ids)))
+        return scored
+
     def report(self, epoch: int, per_machine: Sequence[List[StepRecord]],
                cache_churn=None) -> EpochReport:
         """:func:`assemble_report` with this engine's schedule and its
@@ -500,7 +543,7 @@ class BSPEngine(ExecutionEngine):
     """Bulk-synchronous parallel: the seed trainer's loop, byte-for-byte.
 
     One batch in flight per machine; every step gathers its window of one
-    plan (≡ the monolithic ``gather``), trains each replica, and closes
+    plan (≡ ``execute(plan)``), trains each replica, and closes
     with a gradient all-reduce.  The trace has one comm window and one
     allreduce barrier per step.
     """

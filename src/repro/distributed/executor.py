@@ -23,13 +23,13 @@ big timing sweeps cheap.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.distributed.cluster import CLUSTER_BACKENDS, ClusterBackend
 from repro.distributed.comm import broadcast_state, gradient_nbytes
-from repro.distributed.engine import make_engine
+from repro.distributed.engine import accuracy, make_engine
 from repro.distributed.feature_store import PartitionedFeatureStore
 from repro.distributed.records import EpochReport
 from repro.nn.models import GraphSAGE
@@ -39,6 +39,9 @@ from repro.sampling.mfg import MFG
 from repro.sampling.neighbor import NeighborSampler
 from repro.utils import ahead
 from repro.utils.rng import SeedLike, derive_seed, machine_stream_seed
+
+#: The dataset splits :meth:`DistributedTrainer.evaluate` scores.
+EVAL_SPLITS = ("val", "test", "train")
 
 
 class DistributedTrainer:
@@ -172,35 +175,42 @@ class DistributedTrainer:
         return [self.train_epoch(e, dry_run=dry_run) for e in range(epochs)]
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        split: str = "val",
-        *,
-        fanouts: Optional[Sequence[int]] = None,
-        batch_size: Optional[int] = None,
-        seed: SeedLike = 1234,
-    ) -> float:
-        """Distributed minibatch inference accuracy on a split (§2.4: reuse
-        the training forward path with inference fanouts)."""
-        ids = {"val": self.ds.val_idx, "test": self.ds.test_idx,
-               "train": self.ds.train_idx}[split]
-        fanouts = tuple(fanouts) if fanouts is not None else self.fanouts
-        batch_size = batch_size or self.batch_size
-        sampler = NeighborSampler(self.ds.graph, fanouts,
-                                  seed=derive_seed(seed, "inference"))
-        model = self.models[0]
-        model.eval()
-        correct = total = 0
+    def eval_shards(self, split: str,
+                    fanouts: Optional[Sequence[int]] = None
+                    ) -> Tuple[Dict[int, Tuple[np.ndarray, int]], Tuple[int, ...]]:
+        """What each machine scores when evaluating ``split``:
+        ``({k: (split ids machine k owns, seed of its "inference" stream)},
+        fanouts)``, ``fanouts`` defaulting to the training ones.
+
+        Every backend calls this before doing any work, so a bad argument
+        is a ``ValueError`` naming it here — never a failure inside the
+        model's forward, or inside a worker process.
+        """
+        if split not in EVAL_SPLITS:
+            raise ValueError(
+                f"split must be one of {EVAL_SPLITS}, got {split!r}")
+        fanouts = self.fanouts if fanouts is None \
+            else tuple(np.ravel(fanouts).tolist())
+        if len(fanouts) != len(self.fanouts) or not all(
+                isinstance(f, int) and (f > 0 or f == -1) for f in fanouts):
+            raise ValueError(
+                f"fanouts must be {len(self.fanouts)} integers (one per "
+                f"model layer), each positive or -1; got {fanouts!r}")
+        ids = getattr(self.ds, f"{split}_idx")
         owner = self.reordered.owner_of(ids)
-        for k in range(self.num_machines):
-            local_ids = ids[owner == k]
-            for mfg in sampler.batches(local_ids, batch_size, shuffle=False):
-                feats, _ = self.store.gather(k, mfg.n_id)
-                logits = model(feats, mfg)
-                pred = logits.data.argmax(axis=1)
-                correct += int((pred == self.ds.labels[mfg.seeds]).sum())
-                total += len(mfg.seeds)
-        return correct / max(total, 1)
+        return {k: (ids[owner == k],
+                    machine_stream_seed(self.seed, "inference", k))
+                for k in range(self.num_machines)}, fanouts
+
+    def evaluate(self, split: str = "val", *,
+                 fanouts: Optional[Sequence[int]] = None) -> float:
+        """Minibatch inference accuracy on ``split`` (§2.4: the training
+        forward path with inference ``fanouts``): every machine scores the
+        ids it owns with its own replica
+        (:meth:`~repro.distributed.engine.ExecutionEngine.score_machines`
+        over all K)."""
+        shards, fanouts = self.eval_shards(split, fanouts)
+        return accuracy(self.engine.score_machines(shards, fanouts))
 
     def models_in_sync(self) -> bool:
         """True if all replicas hold bit-identical weights (test hook)."""
@@ -224,3 +234,7 @@ class InProcessBackend(ClusterBackend):
 
     def run_epoch(self, epoch: int, *, dry_run: bool = False) -> EpochReport:
         return self.system.trainer.train_epoch(epoch, dry_run=dry_run)
+
+    def evaluate(self, split: str, *,
+                 fanouts: Optional[Sequence[int]] = None) -> float:
+        return self.system.trainer.evaluate(split, fanouts=fanouts)

@@ -265,9 +265,6 @@ class CoalescedFetchPlan:
     def depth(self) -> int:
         return len(self.plans)
 
-    def total_unique_remote(self) -> int:
-        return len(self.unique_remote_ids)
-
     def duplicate_rows(self) -> int:
         """Remote rows saved by coalescing (fetched once, needed N>1 times)."""
         return int(sum(len(p.remote_ids) for p in self.plans)
@@ -440,10 +437,6 @@ class MachineStore:
             )
 
     @property
-    def num_local(self) -> int:
-        return self.hi - self.lo
-
-    @property
     def num_cached(self) -> int:
         return self.cache.num_cached
 
@@ -477,8 +470,12 @@ class MachineStore:
 class PartitionedFeatureStore:
     """The cluster-wide feature store: one :class:`MachineStore` per machine.
 
-    Build with :meth:`build`; query with :meth:`gather` (machine-local view
-    of an arbitrary vertex-id set, with remote rows served by peer stores).
+    Build with :meth:`build`; query with ``execute(plan_gather(machine,
+    ids))`` (machine-local view of an arbitrary vertex-id set: a comm window
+    of one plan), or coalesce several plans into one window
+    (:meth:`execute_coalesced`).  Remote rows are copied from the owning
+    peers' local stores, never from any monolithic array, so every gather
+    exercises the distributed layout.
     """
 
     def __init__(self, stores: List[MachineStore], reordered: ReorderedDataset,
@@ -632,29 +629,6 @@ class PartitionedFeatureStore:
         for s in self.stores:
             if s.has_dynamic_cache:
                 s.cache.request_refresh()
-
-    def gather(self, machine: int, ids: np.ndarray):
-        """Gather feature rows for ``ids`` as seen from ``machine``.
-
-        Returns ``(features, stats)``: the assembled ``(len(ids), D)`` matrix
-        and the exact :class:`GatherStats` for the performance model.  Remote
-        rows are copied from the owning peers' local stores (never from any
-        monolithic array), so correctness of the distributed layout is
-        exercised on every call.
-
-        This is exactly ``execute(plan_gather(machine, ids))`` — a comm
-        window of one plan; the plan/execute split exists so an execution
-        engine can coalesce the plans of several in-flight minibatches
-        before fetching.
-
-        When ``machine`` has a dynamic cache the gather also maintains it:
-        hits refresh replacement metadata, missed rows are admitted (LRU /
-        LFU / CLOCK), and due refreshes swap the contents — all *after* the
-        stats are computed, so every count describes the cache state this
-        request actually saw.  Refresh fetches are reported separately in
-        ``stats.refresh_fetch_per_peer``.
-        """
-        return self.execute(self.plan_gather(machine, ids))
 
     def hit_mask(self, machine: int, ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which ``ids`` would ``machine`` serve *without*

@@ -5,7 +5,9 @@ writes one :mod:`~repro.distributed.wire` frame and counts it; ``recv``
 returns one decoded frame or raises :class:`ChannelError` naming the
 machine — on end-of-stream (with the process's exit code when the channel
 knows its process), a frame that fails its CRC, a frame of kind ``error``
-(the worker's last word: its traceback), or an expired deadline.  Liveness
+(the worker's last word: its traceback), or an expired deadline; a
+``send`` into a pipe whose process has gone raises that process's last
+word the same way.  Liveness
 is part of the transport too: ``recv(deadline, watch=...)`` waits on its
 own pipe *and* the process sentinels of the ``watch``\\ ed peers, so a
 death anywhere ends the wait at once, attributed to the peer that died.
@@ -77,6 +79,8 @@ class Channel:
         try:
             self.conn.send_bytes(data)
         except OSError as exc:
+            if self.proc is not None and not self.closed:
+                self.last_word()  # the peer's own failure, when it has one
             raise ChannelError(self.machine,
                                "pipe closed while sending") from exc
 

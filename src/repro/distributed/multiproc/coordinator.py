@@ -6,7 +6,9 @@ collective, and assembles their records.
 — expect each step token (window token on a dry run), average the gradient
 slabs, release the barrier), collect every worker's records, and hand them
 to the engine's :func:`~repro.distributed.engine.assemble_report`" — the
-same function the in-process engine calls on the same records.
+same function the in-process engine calls on the same records.  Evaluation
+holds no schedule either: one ``eval`` round, each worker scoring its own
+shard, and a sum of the ``scored`` counts.
 
 Everything it says to the workers is a :meth:`~MultiprocBackend._round`
 over their :class:`~repro.distributed.multiproc.channel.Channel`\\ s: send
@@ -22,11 +24,12 @@ import time
 import weakref
 from itertools import repeat
 from multiprocessing import shared_memory
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.distributed.cluster import CLUSTER_BACKENDS, ClusterBackend
+from repro.distributed.engine import accuracy
 from repro.distributed.faults import FaultPlan
 from repro.distributed.multiproc.channel import Channel, ChannelError
 from repro.distributed.multiproc.pool import (
@@ -84,9 +87,11 @@ class MultiprocBackend(ClusterBackend):
     Built lazily: the first :meth:`run_epoch` creates the segments and
     spawns (or takes from :data:`WORKER_POOL`) the workers; they persist
     across epochs (sampler and optimizer state live worker-side, exactly
-    as the in-process trainer's persists across epochs).  After a non-dry
-    epoch the synchronized model weights are loaded back into the system's
-    in-process replicas, so ``system.evaluate()`` sees the trained model.
+    as the in-process trainer's persists across epochs).  :meth:`evaluate`
+    is one more round: the workers score their own shards.  After a non-dry
+    epoch the synchronized model weights are still loaded back into the
+    system's in-process replicas, because ``models_in_sync``, serving and
+    checkpoints read those.
 
     Parameters
     ----------
@@ -587,7 +592,8 @@ class MultiprocBackend(ClusterBackend):
             self._in_recovery = False
 
     # -- epochs --------------------------------------------------------
-    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> EpochReport:
+    def _start_usable(self) -> None:
+        """:meth:`start`, unless the backend is closed or faulted."""
         if self._started and not self.is_live:
             raise RuntimeError("multiproc backend is closed")
         if self._faulted:
@@ -595,6 +601,9 @@ class MultiprocBackend(ClusterBackend):
                 "multiproc backend is faulted — call recover() to replace "
                 "the failed ranks before running another epoch")
         self.start()
+
+    def run_epoch(self, epoch: int, *, dry_run: bool = False) -> EpochReport:
+        self._start_usable()
         self._idle = False
         self._epoch_active = True
         tr = self.system.trainer
@@ -609,8 +618,9 @@ class MultiprocBackend(ClusterBackend):
                 per_machine, state = self._collect_done()
                 if state is not None:
                     # Post-allreduce weights are identical on every worker;
-                    # load them into every in-process replica so evaluate()
-                    # works.
+                    # load them into every in-process replica for the
+                    # readers of those (models_in_sync, serving,
+                    # checkpoints).
                     for model in tr.models:
                         model.load_state_dict(state)
                 report = tr.engine.report(epoch, per_machine)
@@ -626,6 +636,22 @@ class MultiprocBackend(ClusterBackend):
             self._note_wire_gauges()
         self._idle = True
         return report
+
+    def evaluate(self, split: str, *,
+                 fanouts: Optional[Sequence[int]] = None) -> float:
+        """One ``eval`` round: each worker scores the ``split`` ids its
+        machine owns with its own engine and replica
+        (:meth:`~repro.distributed.engine.ExecutionEngine.score_machines`
+        over ``{k}``), and the coordinator sums the ``scored`` counts."""
+        shards, fanouts = self.system.trainer.eval_shards(split, fanouts)
+        self._start_usable()
+        replies = self._round(
+            shards, "eval", ({"ids": ids, "seed": seed, "fanouts": fanouts}
+                             for ids, seed in shards.values()), "scored")
+        for k, reply in zip(shards, replies):
+            if not all(isinstance(reply.get(n), int) for n in ("correct", "total")):
+                self._fail(k, f"malformed scored reply {reply!r:.200}")
+        return accuracy([(r["correct"], r["total"]) for r in replies])
 
     def _note_wire_gauges(self) -> None:
         """Mirror cumulative wire accounting and cluster health into the

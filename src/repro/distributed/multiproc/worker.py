@@ -5,7 +5,9 @@ from a :class:`WorkerSpec` (:class:`_WorkerRuntime` — the same surface the
 engine reads off a :class:`~repro.distributed.executor.DistributedTrainer`,
 holding one machine), runs
 :meth:`~repro.distributed.engine.ExecutionEngine.run_machines` over the
-machine set ``{k}``, and ships the resulting step records.  Everything it
+machine set ``{k}``, and ships the resulting step records; an ``eval``
+is :meth:`~repro.distributed.engine.ExecutionEngine.score_machines` over
+the same ``{k}``, answered with one ``scored`` count.  Everything it
 says to its peers goes through :class:`_PipeCollective`, the worker-side
 implementation of the engine's two-method collective, over its one
 :class:`~repro.distributed.multiproc.channel.Channel` to the coordinator.
@@ -134,6 +136,7 @@ class _WorkerRuntime:
         self.samplers, self.models, self.optimizers = {}, {}, {}
         self._init_training_state()
         self.spare_core = spec.spare_core  # the coordinator's reading
+        self.batch_size = spec.batch_size
         self.engine = make_engine(spec.engine, self,
                                   pipeline_depth=spec.pipeline_depth)
 
@@ -414,6 +417,12 @@ def _worker_main(conn) -> None:
                 # unwind, acknowledge immediately.
                 machine = None if runtime is None else runtime.spec.machine
                 channel.send("aborted", {"machine": machine})
+            elif kind == "eval":
+                k = bound(kind).spec.machine
+                ((correct, total),) = runtime.engine.score_machines(
+                    {k: (payload["ids"], payload["seed"])}, payload["fanouts"])
+                channel.send("scored", {"machine": k, "correct": correct,
+                                        "total": total})
             elif kind == "ckpt":
                 channel.send("state", bound(kind).capture_state())
             elif kind == "restore":

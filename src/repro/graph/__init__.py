@@ -9,8 +9,6 @@ from repro.graph.generators import (
     erdos_renyi,
     pareto_degree_weights,
     power_law_community_graph,
-    rmat,
-    stochastic_block_model,
     streaming_request_stream,
 )
 from repro.graph.datasets import (
@@ -38,8 +36,6 @@ __all__ = [
     "drifting_training_sets",
     "power_law_community_graph",
     "streaming_request_stream",
-    "rmat",
-    "stochastic_block_model",
     "DATASET_REGISTRY",
     "GraphDataset",
     "load_dataset",

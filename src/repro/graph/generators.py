@@ -89,81 +89,6 @@ def chung_lu(
     return CSRGraph.from_edges(src[keep], dst[keep], n, dedup=True).to_undirected()
 
 
-def stochastic_block_model(
-    block_sizes: np.ndarray,
-    p_in: float,
-    p_out: float,
-    seed: SeedLike = None,
-) -> Tuple[CSRGraph, np.ndarray]:
-    """Classic SBM with uniform intra/inter-block edge probabilities.
-
-    Returns ``(graph, block_of_vertex)``.  Edge counts are sampled per block
-    pair (binomial) and endpoints drawn uniformly inside the blocks, so the
-    generator is O(E) rather than O(V^2).
-    """
-    rng = as_generator(seed)
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    if np.any(sizes <= 0):
-        raise ValueError("block sizes must be positive")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offsets[-1])
-    blocks = np.repeat(np.arange(len(sizes)), sizes)
-
-    src_parts, dst_parts = [], []
-    for a in range(len(sizes)):
-        for b in range(a, len(sizes)):
-            if a == b:
-                pairs = sizes[a] * (sizes[a] - 1) // 2
-                prob = p_in
-            else:
-                pairs = sizes[a] * sizes[b]
-                prob = p_out
-            if pairs <= 0 or prob <= 0:
-                continue
-            m_ab = rng.binomial(int(pairs), min(prob, 1.0))
-            if m_ab == 0:
-                continue
-            src_parts.append(rng.integers(offsets[a], offsets[a + 1], size=m_ab, dtype=np.int64))
-            dst_parts.append(rng.integers(offsets[b], offsets[b + 1], size=m_ab, dtype=np.int64))
-    if not src_parts:
-        return CSRGraph.from_edges([], [], n), blocks
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    keep = src != dst
-    g = CSRGraph.from_edges(src[keep], dst[keep], n, dedup=True).to_undirected()
-    return g, blocks
-
-
-def rmat(
-    scale: int,
-    edge_factor: int = 16,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: SeedLike = None,
-) -> CSRGraph:
-    """R-MAT/Kronecker generator (Graph500 defaults), undirected output.
-
-    ``2**scale`` vertices and ``edge_factor * 2**scale`` edge samples.
-    """
-    if not 0 < a + b + c < 1:
-        raise ValueError("a + b + c must be in (0, 1)")
-    rng = as_generator(seed)
-    n = 1 << scale
-    m = edge_factor * n
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-    for bit in range(scale):
-        r = rng.random(m)
-        # Quadrant choice: (0,0) w.p. a, (0,1) w.p. b, (1,0) w.p. c, (1,1) else.
-        src_bit = r >= a + b
-        dst_bit = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        src |= src_bit.astype(np.int64) << bit
-        dst |= dst_bit.astype(np.int64) << bit
-    keep = src != dst
-    return CSRGraph.from_edges(src[keep], dst[keep], n, dedup=True).to_undirected()
-
-
 def power_law_community_graph(
     num_vertices: int,
     avg_degree: float,

@@ -86,6 +86,10 @@ def machine_stream_seed(seed: SeedLike, stream: str, machine: int) -> int:
     ``"order"``
         The machine's epoch shuffle (combined with the epoch number inside
         :meth:`NeighborSampler.batches`).
+    ``"inference"``
+        The sampler a machine evaluates its share of a split with — a
+        fresh one per evaluation
+        (:meth:`~repro.distributed.executor.DistributedTrainer.eval_shards`).
     """
     return derive_seed(seed, stream, machine)
 

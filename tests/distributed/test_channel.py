@@ -85,6 +85,9 @@ def protocol_frames(tiny_dataset):
                   "clock": list(clock_anchor()), "metrics": metrics}),
         ("done", {"records": records, "digests": np.zeros(
             (len(records), 8), dtype=np.int64), "state": None}),
+        ("eval", {"ids": np.arange(1, 200, 3), "seed": 2**62 + 5,
+                  "fanouts": (-1, 5)}),
+        ("scored", {"machine": 0, "correct": 41, "total": 67}),
         ("ckpt", None),
         ("state", state),
         ("restore", state),
@@ -234,6 +237,29 @@ def test_watched_peer_death_ends_the_wait(last_frame, why):
         assert excinfo.value.why == why
     finally:
         os.close(dead.proc.sentinel)
+
+
+@pytest.mark.parametrize("last_frame, why", [
+    ({"machine": 1, "traceback": "Boom"}, "worker raised:\nBoom"),
+    (None, "process died (exit code 13)"),
+])
+def test_send_to_an_exited_peer_raises_its_last_word(last_frame, why):
+    # A rank that died between rounds (after its last reply) fails the next
+    # send into its pipe with its own failure, not a bare broken pipe.
+    coord, worker = _pair(machine=1)
+    coord.proc = _exited_process(exitcode=13)
+    try:
+        worker.send("scored", {"machine": 1, "correct": 3, "total": 4})
+        if last_frame is not None:
+            worker.send("error", last_frame)
+        worker.close()
+        with pytest.raises(ChannelError) as excinfo:
+            coord.send("eval", {"ids": np.arange(4), "seed": 1,
+                                "fanouts": (5, 5)})
+        assert excinfo.value.machine == 1
+        assert excinfo.value.why == why
+    finally:
+        os.close(coord.proc.sentinel)
 
 
 def test_own_frames_win_over_a_watched_death():

@@ -209,7 +209,7 @@ class TestGatherAcrossChurn:
                 st = store.stores[k]
                 # Snapshot the pre-gather cache state the stats must describe.
                 pre_cached = st.is_cached(ids) & ~st.is_local(ids)
-                feats, stats = store.gather(k, ids)
+                feats, stats = store.execute(store.plan_gather(k, ids))
                 assert np.array_equal(feats, rd.dataset.features[ids])
                 assert stats.total_rows == len(ids)
                 assert (stats.gpu_rows + stats.cpu_rows + stats.cached_rows
@@ -226,7 +226,7 @@ class TestGatherAcrossChurn:
         for _ in range(6):
             ids = rng.choice(n, size=100, replace=False)
             before = store.stores[0].cache.churn.copy()
-            _, stats = store.gather(0, ids)
+            _, stats = store.execute(store.plan_gather(0, ids))
             delta = store.stores[0].cache.churn.delta(before)
             assert stats.cache_insertions == delta.insertions
             assert stats.cache_evictions == delta.evictions
@@ -242,7 +242,7 @@ class TestGatherAcrossChurn:
         saw_refresh = False
         for _ in range(6):
             ids = rng.choice(n, size=150, replace=False)
-            _, stats = store.gather(0, ids)
+            _, stats = store.execute(store.plan_gather(0, ids))
             if stats.refresh_fetch_per_peer is not None:
                 saw_refresh = True
                 assert stats.refresh_fetch_per_peer[0] == 0  # never from self
@@ -252,7 +252,7 @@ class TestGatherAcrossChurn:
         # Refreshed contents still serve bit-identical rows.
         ids = store.stores[0].cache.ids
         if len(ids):
-            feats, stats = store.gather(0, ids)
+            feats, stats = store.execute(store.plan_gather(0, ids))
             assert np.array_equal(feats, rd.dataset.features[ids])
             assert stats.remote_rows == 0
 
@@ -261,7 +261,7 @@ class TestGatherAcrossChurn:
         store = PartitionedFeatureStore.build(rd, caches=warm)
         assert not store.has_dynamic_caches
         assert store.cache_churn() is None
-        _, stats = store.gather(0, np.arange(50))
+        _, stats = store.execute(store.plan_gather(0, np.arange(50)))
         assert stats.cache_insertions == 0 and stats.refresh_fetch_per_peer is None
 
 

@@ -28,14 +28,15 @@ from repro.distributed import (
 )
 from repro.distributed.comm import CommLedger, all_reduce_gradients
 from repro.distributed.dynamic_cache import DynamicCacheSpec
-from repro.distributed.engine import InProcessCollective
-from repro.distributed.feature_store import GatherStats
+from repro.distributed.engine import InProcessCollective, gather_window
+from repro.distributed.feature_store import GatherArena, GatherStats
 from repro.graph.datasets import make_synthetic_dataset, make_tiny
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.nn.functional import cross_entropy
 from repro.partition import metis_like_partition, reorder_dataset
 from repro.obs import OBS
 from repro.pipeline.events import Stage
+from repro.sampling.neighbor import NeighborSampler
 from repro.utils import ahead
 from repro.utils.rng import derive_seed
 from repro.vip import CacheContext, VIPAnalyticPolicy, build_caches
@@ -180,14 +181,21 @@ class TestPlanExecuteParity:
             assert np.array_equal(feats, ref_feats)
             assert_stats_equal(stats, ref_stats)
 
-    def test_gather_is_plan_execute(self, multi_step_reordered):
+    def test_window_of_one_is_plan_execute(self, multi_step_reordered):
+        """Evaluation's gather — one batch as a window of one through
+        ``gather_window``, into an arena — is ``execute(plan_gather(...))``:
+        the same rows and the same stats."""
         rd = multi_step_reordered
         s1, s2 = make_store(rd, alpha=0.2), make_store(rd, alpha=0.2)
-        ids = np.arange(0, rd.dataset.num_vertices, 7)
-        f1, st1 = s1.gather(0, ids)
-        f2, st2 = s2.execute(s2.plan_gather(0, ids))
+        mfg = NeighborSampler(rd.dataset.graph, (5, 4), seed=0).sample(
+            np.arange(0, rd.dataset.num_vertices, 97))
+        _, (f1,), (rec,) = gather_window(
+            s1, GatherArena(), 0, 0, [mfg], [s1.plan_gather(0, mfg.n_id)],
+            rd.dataset.graph.degrees)
+        f2, st2 = s2.execute(s2.plan_gather(0, mfg.n_id))
         assert np.array_equal(f1, f2)
-        assert_stats_equal(st1, st2)
+        assert np.array_equal(f1, rd.dataset.features[mfg.n_id])
+        assert_stats_equal(rec.gather, st2)
 
     def test_plan_is_pure(self, multi_step_reordered):
         """Planning moves no bytes and never mutates a dynamic cache."""
@@ -264,7 +272,7 @@ def seed_trainer_epoch(tr: DistributedTrainer, epoch: int):
     for _step in range(steps):
         for k in range(tr.num_machines):
             mfg = next(iterators[k])
-            feats, stats = tr.store.gather(k, mfg.n_id)
+            feats, stats = tr.store.execute(tr.store.plan_gather(k, mfg.n_id))
             ledger.record_feature_fetch(k, stats.remote_per_peer,
                                         tr.store.bytes_per_row)
             if stats.refresh_fetch_per_peer is not None:

@@ -22,14 +22,14 @@ class TestGatherCorrectness:
         rd, store = store_setup
         ids = rng.choice(rd.dataset.num_vertices, 200, replace=False)
         for k in range(store.num_machines):
-            feats, stats = store.gather(k, ids)
+            feats, stats = store.execute(store.plan_gather(k, ids))
             assert np.array_equal(feats, rd.dataset.features[ids])
 
     def test_stats_partition_rows(self, store_setup, rng):
         rd, store = store_setup
         ids = rng.choice(rd.dataset.num_vertices, 150, replace=False)
         for k in range(store.num_machines):
-            _, stats = store.gather(k, ids)
+            _, stats = store.execute(store.plan_gather(k, ids))
             assert stats.total_rows == len(ids)
             assert (stats.gpu_rows + stats.cpu_rows + stats.cached_rows
                     + stats.remote_rows) == len(ids)
@@ -43,11 +43,11 @@ class TestGatherCorrectness:
         gpu_rows = store.stores[k].gpu_rows
         # All-GPU-resident ids.
         ids = np.arange(lo, lo + min(gpu_rows, 5))
-        _, stats = store.gather(k, ids)
+        _, stats = store.execute(store.plan_gather(k, ids))
         assert stats.gpu_rows == len(ids) and stats.cpu_rows == 0
         # All-CPU-resident ids.
         ids = np.arange(lo + gpu_rows, min(lo + gpu_rows + 5, hi))
-        _, stats = store.gather(k, ids)
+        _, stats = store.execute(store.plan_gather(k, ids))
         assert stats.cpu_rows == len(ids) and stats.gpu_rows == 0
 
     def test_cached_rows_detected(self, store_setup):
@@ -55,7 +55,7 @@ class TestGatherCorrectness:
         k = 0
         cached_ids = store.stores[k].cache_ids[:5]
         if len(cached_ids):
-            feats, stats = store.gather(k, cached_ids)
+            feats, stats = store.execute(store.plan_gather(k, cached_ids))
             assert stats.cached_rows == len(cached_ids)
             assert stats.remote_rows == 0
             assert np.array_equal(feats, rd.dataset.features[cached_ids])
@@ -66,7 +66,7 @@ class TestGatherCorrectness:
         # Remote ids owned by partition 1, excluding machine 0's cache.
         ids = np.array([v for v in range(lo1, hi1)
                         if not store.stores[0].is_cached(np.array([v]))[0]][:7])
-        _, stats = store.gather(0, ids)
+        _, stats = store.execute(store.plan_gather(0, ids))
         assert stats.remote_per_peer[1] == len(ids)
         assert stats.remote_rows == len(ids)
 
@@ -103,7 +103,7 @@ class TestStatsEdgeCases:
     def test_remote_fraction_counts_only_demand(self, store_setup, rng):
         rd, store = store_setup
         ids = rng.choice(rd.dataset.num_vertices, 100, replace=False)
-        _, stats = store.gather(0, ids)
+        _, stats = store.execute(store.plan_gather(0, ids))
         assert stats.remote_fraction() == stats.remote_rows / stats.total_rows
         # comm_rows adds refresh traffic on top of demand (zero for static).
         assert stats.comm_rows() == stats.remote_rows
@@ -176,7 +176,7 @@ class TestReplicatedStore:
         assert store.is_replicated
         ids = rng.choice(rd.dataset.num_vertices, 100, replace=False)
         for k in range(store.num_machines):
-            feats, stats = store.gather(k, ids)
+            feats, stats = store.execute(store.plan_gather(k, ids))
             assert np.array_equal(feats, rd.dataset.features[ids])
             assert stats.remote_rows == 0 and stats.cached_rows == 0
 

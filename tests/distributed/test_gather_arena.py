@@ -95,7 +95,7 @@ class TestGatherInto:
         arena_store = build_store(rd, dynamic=dynamic)
         arena = GatherArena()
         for machine, ids in request_stream(rd, 40, seed=7):
-            ref = plain.gather(machine, ids)
+            ref = plain.execute(plain.plan_gather(machine, ids))
             out = arena.out(machine, len(ids), arena_store.feature_dim,
                             arena_store.stores[machine].local_features.dtype)
             got = arena_store.execute(

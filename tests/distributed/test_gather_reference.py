@@ -143,5 +143,6 @@ def test_ids_outside_the_partitioned_range_are_refused(tiny_reordered):
     owns must fail loudly, not come back as an unwritten row."""
     rd = tiny_reordered
     store = PartitionedFeatureStore.build(rd)
+    ids = np.array([rd.dataset.num_vertices + 5])
     with pytest.raises(IndexError):
-        store.gather(0, np.array([rd.dataset.num_vertices + 5]))
+        store.execute(store.plan_gather(0, ids))

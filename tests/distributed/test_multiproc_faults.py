@@ -78,6 +78,57 @@ def test_external_kill_between_epochs():
     _assert_fully_torn_down(backend)
 
 
+@pytest.mark.parametrize("victim", [0, 1])
+def test_worker_killed_before_evaluate_raises_and_tears_down(victim):
+    # The eval round is a round like any other: a rank that died after its
+    # last epoch fails it at once, named and blamed on its death, and the
+    # cluster is torn down without leaving a segment or a child behind.
+    children = set(multiprocessing.active_children())
+    segments = set(glob.glob("/dev/shm/rpmp*"))
+    backend = MultiprocBackend(_build_system(), timeout_s=30.0)
+    backend.run_epoch(0)
+    backend.processes[victim].kill()
+    backend.processes[victim].join()
+    with pytest.raises(WorkerFailedError, match="process died") as excinfo:
+        backend.evaluate("test")
+    assert excinfo.value.machine == victim
+    assert f"worker {victim}" in str(excinfo.value)
+    _assert_fully_torn_down(backend)
+    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    assert set(multiprocessing.active_children()) <= children
+
+
+def test_evaluate_refused_like_run_epoch_on_a_closed_or_faulted_backend():
+    # Neither call reaches a worker: both raise the same RuntimeError.
+    def refusals(backend):
+        errors = []
+        for call in (lambda: backend.run_epoch(1),
+                     lambda: backend.evaluate("test")):
+            with pytest.raises(RuntimeError) as excinfo:
+                call()
+            assert not isinstance(excinfo.value, WorkerFailedError)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        return errors[0]
+
+    closed = MultiprocBackend(_build_system(), timeout_s=30.0)
+    closed.run_epoch(0)
+    closed.close()
+    assert "closed" in refusals(closed)
+
+    faulted = MultiprocBackend(
+        _build_system(), timeout_s=30.0, recoverable=True,
+        faults=FaultPlan.single("kill", machine=1, epoch=0, step=1))
+    with pytest.raises(WorkerFailedError):
+        faulted.run_epoch(0)
+    try:
+        assert "faulted" in refusals(faulted)
+        assert faulted.is_live  # refused, not torn down
+    finally:
+        faulted.close()
+    _assert_fully_torn_down(faulted)
+
+
 def test_clean_shutdown_leaves_nothing_behind():
     system = _build_system()
     backend = MultiprocBackend(system, timeout_s=30.0)

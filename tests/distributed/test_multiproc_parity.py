@@ -5,9 +5,9 @@ worker process per machine, shared-memory feature segments, wire-format
 plans) must reproduce it bit-for-bit.  These tests build the same system
 twice — ``backend="inprocess"`` and ``backend="multiproc"`` — on a
 papers-mini graph with K=4 machines and demand exact equality of per-step
-losses, communication ledgers, stage-event trace shapes, and simulated
-epoch times, for the bsp engine and for the pipelined engine at depths
-1 and 4.
+losses, communication ledgers, stage-event trace shapes, simulated epoch
+times and held-out accuracy, for the bsp engine and for the pipelined
+engine at depths 1 and 4.
 
 Preprocessing (partition, VIP, reorder, caches) is shared through one
 :class:`Planner`: ``backend`` appears in no stage fingerprint, so both
@@ -22,6 +22,7 @@ import pytest
 from repro.core import Planner, RunConfig, SalientPP
 from repro.graph.datasets import make_papers_mini
 from invariants import assert_trace_shape_equal
+from repro.obs import OBS
 from repro.utils.rng import machine_stream_seed
 
 # Every test runs with the workers sampling inline and sampling ahead.
@@ -84,6 +85,13 @@ def _assert_reports_identical(res_ref, res_mp):
     assert res_mp.epoch_time == res_ref.epoch_time
 
 
+def _assert_evaluations_identical(ref, mp):
+    for split in ("val", "test"):
+        acc = ref.evaluate(split)
+        assert 0.0 < acc < 1.0
+        assert mp.evaluate(split) == acc
+
+
 # ----------------------------------------------------------------------
 # bsp
 # ----------------------------------------------------------------------
@@ -95,9 +103,9 @@ def test_bsp_epochs_bit_identical(papers_mini, planner):
             _assert_reports_identical(
                 ref.train_epoch(epoch), mp.train_epoch(epoch)
             )
-        # Worker model states were loaded back into the coordinator's
-        # replicas, so held-out evaluation agrees exactly too.
-        assert mp.evaluate("val") == ref.evaluate("val")
+        # Each worker scores its own shard with the loop the in-process
+        # trainer runs over all K, so held-out accuracy agrees exactly.
+        _assert_evaluations_identical(ref, mp)
     assert not mp.backend().is_live
 
 
@@ -118,10 +126,43 @@ def test_pipelined_epoch_bit_identical(papers_mini, planner, depth):
             co_ref = sum(r.gather.coalesced_rows for r in res_ref.report.records)
             co_mp = sum(r.gather.coalesced_rows for r in res_mp.report.records)
             assert co_ref == co_mp > 0
+        _assert_evaluations_identical(ref, mp)
         # A dry-run epoch exercises the schedule without training.
         _assert_reports_identical(
             ref.train_epoch(1, dry_run=True), mp.train_epoch(1, dry_run=True)
         )
+
+
+def test_evaluate_between_epochs_changes_nothing(papers_mini, planner,
+                                                 check_registry):
+    # The reference never evaluates; the cluster rejects bad arguments
+    # before any round, stays live, evaluates, and its next epoch is still
+    # the reference's — losses, ledger, trace — with the registry still
+    # equal to that epoch's report after a further evaluation.
+    plain, mp = _build_pair(papers_mini, planner, _config(engine="bsp"))
+    with plain, mp:
+        _assert_reports_identical(plain.train_epoch(0), mp.train_epoch(0))
+        backend = mp.backend()
+        for bad, names in ((dict(split="tset"), "split"),
+                           (dict(fanouts=(4,)), "fanouts"),
+                           (dict(fanouts=(4, 0)), "fanouts"),
+                           (dict(fanouts=(-2, 3)), "fanouts")):
+            with pytest.raises(ValueError, match=names):
+                mp.evaluate(**{"split": "test", **bad})
+        assert "eval" not in backend.wire_sent and backend.is_live
+        assert 0.0 < mp.evaluate("test") < 1.0
+        ref1 = plain.train_epoch(1)
+        OBS.reset()
+        OBS.enable()
+        try:
+            res1 = mp.train_epoch(1)
+            mp.evaluate("val")
+            check_registry(OBS.metrics.snapshot(), res1.report)
+        finally:
+            OBS.disable()
+            OBS.reset()
+        _assert_reports_identical(ref1, res1)
+        assert backend.wire_sent["eval"][0] == 2 * K
 
 
 def test_pipelined_depth1_matches_bsp_losses(papers_mini, planner):

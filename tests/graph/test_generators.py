@@ -9,8 +9,6 @@ from repro.graph import (
     erdos_renyi,
     pareto_degree_weights,
     power_law_community_graph,
-    rmat,
-    stochastic_block_model,
     streaming_request_stream,
 )
 
@@ -55,30 +53,6 @@ class TestChungLu:
         top = np.argsort(-w)[:100]
         bottom = np.argsort(w)[:100]
         assert g.degrees[top].mean() > 3 * g.degrees[bottom].mean()
-
-
-class TestSBM:
-    def test_block_structure(self):
-        g, blocks = stochastic_block_model(np.array([100, 100]), 0.10, 0.005, seed=0)
-        assert g.num_vertices == 200
-        src, dst = g.edges()
-        intra = np.mean(blocks[src] == blocks[dst])
-        assert intra > 0.75
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError, match="positive"):
-            stochastic_block_model(np.array([0, 5]), 0.1, 0.1)
-
-
-class TestRMAT:
-    def test_size_and_skew(self):
-        g = rmat(9, 8, seed=0)
-        assert g.num_vertices == 512
-        assert g.max_degree > 4 * g.avg_degree  # power-law-ish skew
-
-    def test_rejects_bad_probs(self):
-        with pytest.raises(ValueError):
-            rmat(4, 4, a=0.5, b=0.4, c=0.4)
 
 
 class TestPowerLawCommunity:
