@@ -488,7 +488,7 @@ def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
     fanouts = (15, 10, 5)
     remote = np.flatnonzero(ds.community != big)
 
-    mgraph = MutableGraph(graph, undirected=True, compact_cutoff=None)
+    mgraph = MutableGraph(graph, compact_cutoff=None)
     snap = snapshot_vip(mgraph, p0, fanouts)
     inc_walls, dense_walls = [], []
     edges_touched = rows_recomputed = churned = 0

@@ -62,7 +62,7 @@ def run_refresh_cost(artifacts):
     p0 = uniform_minibatch_probability(n, train, 1024)
     remote = np.flatnonzero(ds.community != big)
 
-    mgraph = MutableGraph(ds.graph, undirected=True, compact_cutoff=None)
+    mgraph = MutableGraph(ds.graph, compact_cutoff=None)
     snap = snapshot_vip(mgraph, p0, REFRESH_FANOUTS)
     rows = []
     for w, batch in enumerate(edge_stream(

@@ -48,7 +48,7 @@ def build_dataset():
 
 def overlay_basics(ds):
     print("== Delta-CSR overlay ==")
-    mg = MutableGraph(ds.graph, undirected=True, compact_cutoff=None)
+    mg = MutableGraph(ds.graph, compact_cutoff=None)
     before = int(mg.degrees[0])
     mg.add_edges([0, 0], [100, 200])
     print(f"vertex 0 degree: {before} -> {int(mg.degrees[0])} "
@@ -68,7 +68,7 @@ def incremental_refresh(ds):
     p0 = uniform_minibatch_probability(n, train, 256)
     remote = np.flatnonzero(ds.community != big)
 
-    mg = MutableGraph(ds.graph, undirected=True, compact_cutoff=None)
+    mg = MutableGraph(ds.graph, compact_cutoff=None)
     snap = snapshot_vip(mg, p0, FANOUTS)
     table = Table(["window", "inc ms", "full ms", "speedup", "rows", "exact"],
                   title="incremental_vip vs rebuild + vip_probabilities",

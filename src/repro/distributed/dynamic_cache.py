@@ -199,9 +199,6 @@ class CacheChurnStats:
             refresh_fetch_rows=self.refresh_fetch_rows + other.refresh_fetch_rows,
         )
 
-    def hit_rate(self) -> float:
-        return self.hits / max(self.hits + self.misses, 1)
-
 
 # ----------------------------------------------------------------------
 # Replacement policies.  Each maintains per-slot metadata arrays of length
@@ -586,10 +583,6 @@ class DynamicCache:
         return (self.spec.policy == "vip-refresh"
                 and self.spec.refresh_interval > 0
                 and self._batches_since_refresh >= self.spec.refresh_interval)
-
-    @property
-    def batches_since_refresh(self) -> int:
-        return self._batches_since_refresh
 
     def observed_scores(self) -> np.ndarray:
         """Per-batch access rates observed since the last refresh (the

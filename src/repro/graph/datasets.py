@@ -89,10 +89,6 @@ class GraphDataset:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    @property
-    def feature_bytes_per_vertex(self) -> int:
-        return int(self.features.shape[1] * self.features.itemsize)
-
     def split_role(self) -> np.ndarray:
         """Per-vertex role code: 0=unlabeled, 1=train, 2=val, 3=test."""
         role = np.zeros(self.num_vertices, dtype=np.int8)

@@ -309,8 +309,6 @@ def edge_stream(
     *,
     delete_fraction: float = 0.5,
     pool: Optional[np.ndarray] = None,
-    community: Optional[np.ndarray] = None,
-    degree_bias: bool = True,
     seed: SeedLike = None,
 ) -> Iterator["EdgeBatch"]:
     """Edge-churn batches for the streaming-graph workloads.
@@ -328,19 +326,15 @@ def edge_stream(
     Shape of the churn — chosen to mirror how real graphs grow rather than
     uniform noise:
 
-    * **Insertions** attach preferentially: endpoints are drawn with
-      probability proportional to current degree + 1 (``degree_bias=False``
-      gives uniform endpoints).  With ``community`` labels, the second
-      endpoint is drawn from the first endpoint's community, keeping churn
-      *local* — new citations/links overwhelmingly land inside an existing
-      neighborhood, and locality is also what makes incremental VIP's
-      dirty wave stay narrow.
+    * **Insertions** attach preferentially: both endpoints are drawn with
+      probability proportional to current degree + 1.
     * **Deletions** remove a uniform neighbor of a degree-biased vertex —
       i.e. (approximately) a uniform existing edge — without ever
       enumerating the edge set, so drawing a batch is O(batch), not O(M).
 
-    ``pool`` restricts both endpoints to a vertex subset (e.g. one
-    partition, to localize churn); it must not contain tombstoned ids.
+    ``pool`` restricts both endpoints to a vertex subset of ``[0, N)``
+    (e.g. one partition, to localize churn — locality is also what makes
+    incremental VIP's dirty wave stay narrow).
     Batches may contain duplicate or already-absent ops — the overlay's
     set semantics absorb them.
     """
@@ -359,34 +353,22 @@ def edge_stream(
         pool = np.unique(np.asarray(pool, dtype=np.int64))
         if len(pool) < 2:
             raise ValueError("pool must contain at least two vertices")
-    members = None
-    if community is not None:
-        community = np.asarray(community)
-        labels = community[pool]
-        order = np.argsort(labels, kind="stable")
-        uniq, starts = np.unique(labels[order], return_index=True)
-        bounds = np.append(starts, len(order))
-        members = {int(c): pool[order[bounds[i]:bounds[i + 1]]]
-                   for i, c in enumerate(uniq)}
+        if pool[0] < 0 or pool[-1] >= graph.num_vertices:
+            bad = pool[0] if pool[0] < 0 else pool[-1]
+            raise ValueError(f"pool vertex {bad} is outside "
+                             f"[0, {graph.num_vertices})")
 
     n_del = int(round(delete_fraction * batch_edges))
     n_add = batch_edges - n_del
     for _ in range(num_batches):
         degrees = np.asarray(graph.degrees, dtype=np.float64)[pool]
-        w = (degrees + 1.0) if degree_bias else np.ones(len(pool))
+        w = degrees + 1.0
         p_add = w / w.sum()
 
         add_src = add_dst = del_src = del_dst = np.empty(0, dtype=np.int64)
         if n_add:
             add_src = rng.choice(pool, size=n_add, p=p_add)
-            if members is None:
-                add_dst = rng.choice(pool, size=n_add, p=p_add)
-            else:
-                add_dst = np.empty(n_add, dtype=np.int64)
-                src_comms = community[add_src]
-                for c in np.unique(src_comms):
-                    idx = np.flatnonzero(src_comms == c)
-                    add_dst[idx] = rng.choice(members[int(c)], size=len(idx))
+            add_dst = rng.choice(pool, size=n_add, p=p_add)
             keep = add_src != add_dst  # no self-loops
             add_src, add_dst = add_src[keep], add_dst[keep]
         if n_del:

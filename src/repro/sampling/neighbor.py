@@ -252,15 +252,6 @@ class NeighborSampler:
         """Sample the L-hop expanded neighborhood of ``seeds``."""
         rng = self._rng if rng is None else rng
         n = self.graph.num_vertices
-        if n > len(self._stamp):
-            # A streaming graph (repro.graph.mutable.MutableGraph) can grow
-            # between minibatches; extend the membership tables to match.
-            grown = np.zeros(n, dtype=np.int64)
-            grown[:len(self._stamp)] = self._stamp
-            self._stamp = grown
-            grown = np.zeros(n, dtype=np.int64)
-            grown[:len(self._local)] = self._local
-            self._local = grown
         seeds = np.asarray(seeds, dtype=np.int64)
         # numpy would wrap a negative seed onto vertex n + seed silently.
         if len(seeds) and (seeds.min() < 0 or seeds.max() >= n):

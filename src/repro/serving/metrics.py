@@ -245,10 +245,6 @@ class ServingReport:
     def p99(self) -> float:
         return self.latency_percentile(99.0)
 
-    def mean_latency(self) -> float:
-        lats = self.latencies()
-        return float(lats.mean()) if len(lats) else 0.0
-
     def max_queue_wait(self) -> float:
         """Worst formation wait — the deadline batcher's SLO quantity
         (answered requests; a shed request never forms a batch)."""
@@ -267,9 +263,6 @@ class ServingReport:
     def mean_batch_requests(self) -> float:
         """Average requests per micro-batch (batching effectiveness)."""
         return self.num_requests / max(self.num_batches, 1)
-
-    def comm_rows_per_request(self) -> float:
-        return self.gather.comm_rows() / max(self.num_requests, 1)
 
     def summary(self) -> Dict[str, float]:
         """The headline scalars, ready for a results table."""

@@ -46,17 +46,20 @@ def check_in_range(value, name: str, lo, hi, *, inclusive: bool = True) -> None:
 
 
 def check_probability_vector(p, name: str, *, allow_improper: bool = True) -> np.ndarray:
-    """Validate entries of ``p`` are probabilities in [0, 1].
+    """Validate entries of ``p`` are finite probabilities in [0, 1].
 
     With ``allow_improper=True`` (the default) the vector need not sum to 1 —
     VIP vectors are per-vertex inclusion probabilities, not a distribution.
     """
     arr = check_array(p, name, dtype=np.float64, ndim=1)
-    if arr.size and (np.min(arr) < -1e-12 or np.max(arr) > 1 + 1e-12):
-        raise ValueError(
-            f"{name} entries must lie in [0, 1]; "
-            f"got range [{np.min(arr)}, {np.max(arr)}]"
-        )
+    if arr.size:
+        lo, hi = np.min(arr), np.max(arr)  # one NaN makes both NaN
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(
+                f"{name} entries must be finite; got range [{lo}, {hi}]")
+        if lo < -1e-12 or hi > 1 + 1e-12:
+            raise ValueError(
+                f"{name} entries must lie in [0, 1]; got range [{lo}, {hi}]")
     if not allow_improper and arr.size and abs(float(arr.sum()) - 1.0) > 1e-8:
         raise ValueError(f"{name} must sum to 1, got {arr.sum()}")
     return np.clip(arr, 0.0, 1.0)

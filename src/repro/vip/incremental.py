@@ -52,7 +52,7 @@ over from a previous evaluation of that kernel:
 The hypothesis differential suites (``tests/streaming/``,
 ``tests/vip/test_active_set.py``) assert equality with the frozen dense
 oracle ``tests/vip/reference_dense.py`` with ``==`` per element across
-random churn, both directednesses, and ``-1`` fanouts.
+random churn on undirected graphs and ``-1`` fanouts.
 
 Past a churn cutoff (cumulative touched edge volume as a fraction of the
 dense sweep's total, ``num_hops * num_edges``) the wave is no longer
@@ -70,6 +70,7 @@ import numpy as np
 
 from repro.graph.csr import rows_concat
 from repro.graph.mutable import MutableGraph, id_union
+from repro.utils.validation import check_probability_vector
 from repro.vip.analytic import (VIPResult, _normalize_fanout, _one_minus_exp,
                                 accumulate_total, hop_values,
                                 vertex_transition_values, vip_probabilities)
@@ -144,41 +145,25 @@ def snapshot_vip(
     result = vip_probabilities(mgraph.materialize(), initial, fanouts)
     return VIPSnapshot(
         version=mgraph.version,
-        initial=np.asarray(initial, dtype=np.float64),
+        initial=check_probability_vector(initial, "initial"),
         fanouts=tuple(int(f) for f in fanouts),
         result=result,
         vertex_transitions=_capture_transitions(mgraph, fanouts),
     )
 
 
-def _padded(arr: np.ndarray, n: int, *, fill: float = 0.0) -> np.ndarray:
-    """``arr`` extended to length ``n`` (returned as-is when already
-    there — copy-on-write happens at patch time)."""
-    if len(arr) == n:
-        return arr
-    out = np.full(n, fill, dtype=np.float64)
-    out[:len(arr)] = arr
-    return out
-
-
 def _patch_transitions(snapshot: VIPSnapshot, mgraph: MutableGraph,
                        stale_rows: np.ndarray) -> Dict[int, np.ndarray]:
     """Dirty-row invalidation of the snapshot's transition-table slice:
-    only entries whose degree changed (plus new vertices) are recomputed;
-    everything else is carried forward bit-for-bit."""
-    n = mgraph.num_vertices
-    degrees = mgraph.degrees
+    only entries whose degree changed are recomputed; everything else is
+    carried forward bit-for-bit."""
+    degrees = mgraph.degrees[stale_rows]
     out: Dict[int, np.ndarray] = {}
     for key, tv in snapshot.vertex_transitions.items():
-        fresh = _padded(tv, n, fill=1.0 if key < 0 else 0.0)
-        if len(stale_rows) or n != len(tv):
-            fresh = fresh.copy() if fresh is tv else fresh
-            idx = stale_rows
-            if n != len(tv):  # new vertices need real entries, not fill
-                idx = np.union1d(stale_rows,
-                                 np.arange(len(tv), n, dtype=np.int64))
-            fresh[idx] = vertex_transition_values(key, degrees[idx])
-        out[key] = fresh
+        if len(stale_rows):
+            tv = tv.copy()
+            tv[stale_rows] = vertex_transition_values(key, degrees)
+        out[key] = tv
     return out
 
 
@@ -194,8 +179,7 @@ def incremental_vip(
     Parameters
     ----------
     mgraph:
-        The streaming graph; must be the one ``snapshot`` was taken on
-        (its delta log must still cover ``snapshot.version``).
+        The streaming graph; must be the one ``snapshot`` was taken on.
     snapshot:
         The consumer's previous evaluation (:func:`snapshot_vip` or a
         previous refresh).
@@ -203,7 +187,8 @@ def incremental_vip(
         New ``p[0]``; defaults to the snapshot's.  Seed-distribution drift
         is handled the same way graph churn is — rows whose ``p[0]``
         changed seed the hop-1 wave — so serving can refresh one call per
-        window even when both the graph and the hot set moved.
+        window even when both the graph and the hot set moved.  Checked
+        and clipped exactly as :func:`vip_probabilities` checks it.
     churn_cutoff:
         Fraction of the dense sweep's total edge volume
         (``num_hops * num_edges``) the refresh may touch, cumulatively
@@ -223,17 +208,19 @@ def incremental_vip(
     m = max(mgraph.num_edges, 1)
     fanouts = snapshot.fanouts
     if initial is None:
-        # Vertex growth since the snapshot: new vertices seed at p0 = 0.
-        initial = _padded(snapshot.initial, n)
-    p0 = np.asarray(initial, dtype=np.float64)
+        initial = snapshot.result.initial
+    p0 = check_probability_vector(initial, "initial")
     if len(p0) != n:
         raise ValueError(
             f"initial must have one probability per vertex ({n}), got {len(p0)}"
         )
+    # What vip_probabilities reports as ``initial`` (and ``access`` reads):
+    # the vector as given; the recursion runs on the clipped ``p0``.
+    given = np.asarray(initial, dtype=np.float64)
 
     dirty = mgraph.dirty_frontier(snapshot.version)
     deg_changed = mgraph.degree_changed(snapshot.version)
-    p0_old = _padded(snapshot.initial, n)
+    p0_old = snapshot.initial
     seed_changed = np.flatnonzero(p0 != p0_old)
     stats = RefreshStats(mode="incremental", dirty_rows=len(dirty))
 
@@ -244,10 +231,9 @@ def incremental_vip(
         stats.mode = "noop"
         return VIPSnapshot(
             version=mgraph.version, initial=p0, fanouts=fanouts,
-            result=VIPResult(total=_padded(snapshot.result.total, n),
-                             hopwise=[_padded(h, n)
-                                      for h in snapshot.result.hopwise],
-                             initial=p0),
+            result=VIPResult(total=snapshot.result.total,
+                             hopwise=list(snapshot.result.hopwise),
+                             initial=given),
             vertex_transitions=vtrans, stats=stats,
         )
 
@@ -273,7 +259,7 @@ def incremental_vip(
             t_active = deg_changed
         rows = id_union(n, dirty, mgraph.in_rows_union(t_active),
                         mgraph.in_rows_union(changed_prev))
-        old_h = _padded(snapshot.result.hopwise[h], n)
+        old_h = snapshot.result.hopwise[h]
         if not len(rows):
             hop_arrays.append(old_h)
             changed_prev = _EMPTY
@@ -288,7 +274,7 @@ def incremental_vip(
         # edge.
         if stats.edges_touched > churn_cutoff * (len(fanouts) * m):
             stats.mode = "full"
-            snapshot = snapshot_vip(mgraph, p0, fanouts)
+            snapshot = snapshot_vip(mgraph, given, fanouts)
             snapshot.stats = stats
             return snapshot
         # Row set: R_h, read through the overlay.
@@ -314,9 +300,9 @@ def incremental_vip(
 
     # Equation (2): replay the hop-ordered log accumulation on exactly the
     # rows where some hop value changed; all other totals carry over.
-    total = _padded(snapshot.result.total, n)
+    total = snapshot.result.total
     if len(changed_union):
-        total = total.copy() if total is snapshot.result.total else total
+        total = total.copy()
         acc = np.zeros(len(changed_union), dtype=np.float64)
         for p_h in hop_arrays:
             accumulate_total(acc, p_h[changed_union])
@@ -324,7 +310,7 @@ def incremental_vip(
 
     return VIPSnapshot(
         version=mgraph.version, initial=p0, fanouts=fanouts,
-        result=VIPResult(total=total, hopwise=hop_arrays, initial=p0),
+        result=VIPResult(total=total, hopwise=hop_arrays, initial=given),
         vertex_transitions=vtrans, stats=stats,
     )
 

@@ -138,13 +138,15 @@ def test_transformations_match_lexsort_formulation(data, perm_seed):
 @settings(max_examples=60, deadline=None)
 def test_mutable_compact_matches_lexsort_formulation(base, adds, dels):
     n, src, dst = base
-    mg = MutableGraph(CSRGraph.from_edges(src, dst, n, dedup=True),
-                      undirected=False, compact_cutoff=None)
+    mg = MutableGraph(CSRGraph.from_edges(src, dst, n).to_undirected(),
+                      compact_cutoff=None)
     edges = set(zip(src.tolist(), dst.tolist()))
+    edges |= {(d, s) for s, d in edges}
     for (_, s, d), insert in ((adds, True), (dels, False)):
         s, d = s % n, d % n
         (mg.add_edges if insert else mg.remove_edges)(s, d)
         batch = set(zip(s.tolist(), d.tolist()))
+        batch |= {(d, s) for s, d in batch}  # both directions change
         edges = edges | batch if insert else edges - batch
     want = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     rows = [mg.neighbors(v).copy() for v in range(n)]  # read through overlay

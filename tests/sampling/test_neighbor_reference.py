@@ -5,7 +5,7 @@ and computes edge positions for the *picked* candidates only;
 ``reference_neighbor.py`` (never edit it) argsorts every candidate's key and
 builds every candidate's edge position first.  Same outputs
 (``np.array_equal``) and the same generator state afterwards, over a static
-CSR and a streaming overlay with edited and appended rows, hub rows far
+CSR and a streaming overlay with edited and emptied rows, hub rows far
 above the fanout, capped / uncapped / mixed fanouts, empty rows, isolated
 targets, rows the threshold cuts short, and with or without a shared arena.
 """
@@ -26,19 +26,17 @@ from repro.sampling.neighbor import (SampleArena, _key_thresholds,
 
 
 def overlay(graph: CSRGraph, seed: int) -> MutableGraph:
-    """``graph`` under an overlay that edits rows, empties one, and adds
-    vertices — some connected, some left isolated."""
+    """Undirected ``graph`` under an overlay that edits rows, empties its
+    largest row, and isolates two more vertices (every edge deleted)."""
     gen = np.random.default_rng(seed)
     n = graph.num_vertices
-    mg = MutableGraph(graph, undirected=True, compact_cutoff=None)
-    new = mg.add_vertices(4)
+    mg = MutableGraph(graph, compact_cutoff=None)
     src = gen.integers(0, n, size=12)
     dst = (src + 1 + gen.integers(0, n - 1, size=12)) % n
-    mg.add_edges(np.concatenate([src, new[:2]]),
-                 np.concatenate([dst, gen.integers(0, n, size=2)]))
-    victim = int(np.argmax(graph.degrees))
-    nbrs = mg.neighbors(victim)
-    mg.remove_edges(np.full(len(nbrs), victim), nbrs)  # an emptied row
+    mg.add_edges(src, dst)
+    for victim in (int(np.argmax(graph.degrees)), *gen.integers(0, n, 2)):
+        nbrs = mg.neighbors(victim)
+        mg.remove_edges(np.full(len(nbrs), victim), nbrs)
     return mg
 
 
@@ -82,17 +80,17 @@ def test_equals_frozen_reference(n, avg_deg, fanout, seed, streaming,
 @pytest.mark.parametrize("fanout", [-1, 1, 3])
 @pytest.mark.parametrize("streaming", [False, True])
 def test_empty_rows_and_isolated_targets(fanout, streaming):
-    """Targets whose rows are empty (isolated vertices, an emptied overlay
-    row, appended vertices with no edges) between targets that have
-    neighbours; and a frontier with no candidates at all."""
-    indptr = np.array([0, 3, 3, 5, 5, 5, 9])
-    indices = np.array([2, 3, 5, 0, 5, 0, 1, 2, 4])
-    graph = CSRGraph(indptr, indices, check=False)
+    """Targets whose rows are empty (isolated vertices; on the overlay also
+    an emptied row) between targets that have neighbours, rows the overlay
+    edited; and a frontier with no candidates at all."""
+    src = np.array([0, 0, 0, 2, 5, 5])
+    dst = np.array([2, 3, 5, 5, 1, 4])
+    graph = CSRGraph.from_edges(np.concatenate([src, dst]),
+                                np.concatenate([dst, src]), 8)
     if streaming:
-        graph = MutableGraph(graph, undirected=False, compact_cutoff=None)
-        graph.add_vertices(2)
+        graph = MutableGraph(graph, compact_cutoff=None)
         graph.add_edges([6, 1], [0, 4])
-        graph.remove_edges([2, 2], [0, 5])
+        graph.remove_edges([2, 2], [0, 5])  # row 2 emptied; 7 stays isolated
     everyone = np.arange(graph.num_vertices, dtype=np.int64)
     for targets in (everyone, everyone[::-1], everyone[graph.degrees == 0],
                     everyone[:0]):

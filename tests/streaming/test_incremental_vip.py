@@ -9,13 +9,14 @@ Proposition 1 from scratch on ``materialize()`` — not approximately, not
 so a kernel bug would cancel); the oracle is the seed implementation frozen
 in ``tests/vip/reference_dense.py``.  This file is the enforcement: a
 hypothesis differential suite over the strategy shared with
-``tests/vip/test_active_set.py`` (directed + undirected graphs,
-full-expansion ``-1`` fanouts, random insert/delete churn, drifting seed
-distributions, chained multi-round refreshes, and the churn cutoff at
-{0, default, 1}: 1.0 pins the incremental path, 0.0 pins the full-recompute
-fallback — all must agree with the oracle).  Plus the
-:class:`TransitionTable` version-token regression (satellite: stale
-transitions must not survive a graph mutation).
+``tests/vip/test_active_set.py`` (undirected graphs, full-expansion ``-1``
+fanouts, random insert/delete/mixed churn and emptied rows, drifting seed
+distributions, chained multi-round refreshes, compaction, and the churn
+cutoff at {0, default, 1}: 1.0 pins the incremental path, 0.0 pins the
+full-recompute fallback — all must agree with the oracle).  Plus
+``initial`` checked like the full path's, and the :class:`TransitionTable`
+version-token regression (stale transitions must not survive a graph
+mutation).
 """
 
 import numpy as np
@@ -31,12 +32,13 @@ from vip_cases import (
     vip_case,
 )
 from repro.graph import CSRGraph, erdos_renyi
-from repro.graph.mutable import MutableGraph
+from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.vip import (
     VIPTracker,
     incremental_vip,
     snapshot_vip,
     transition_table,
+    vip_probabilities,
 )
 
 
@@ -48,29 +50,30 @@ def assert_snapshot_matches_full(snap, mgraph):
     assert np.array_equal(snap.access, snap.result.access)
 
 
+def isolate(mg, v):
+    """Delete every edge of ``v`` — the emptied-row churn."""
+    nbrs = mg.neighbors(v).copy()
+    mg.remove_edges(np.full(len(nbrs), v), nbrs)
+
+
 class TestIncrementalParity:
     @settings(max_examples=60, deadline=None)
-    @given(vip_case())
+    @given(vip_case(overlay=True))
     def test_bit_identical_across_churn(self, case):
         rng = np.random.default_rng(case.churn_seed)
-        mg = MutableGraph(case.graph, undirected=not case.directed,
-                          compact_cutoff=None)
+        mg = MutableGraph(case.graph, compact_cutoff=None)
+        everyone = np.arange(mg.num_vertices)
         snap = snapshot_vip(mg, case.p0(), case.fanouts)
         assert_snapshot_matches_full(snap, mg)
         for _ in range(case.rounds):
-            alive = [v for v in range(mg.num_vertices)
-                     if not mg.is_tombstoned(v)]
-            if not alive:
-                break
-            mg.apply(random_batch(rng, alive, int(rng.integers(1, 8))))
-            still = [v for v in alive if not mg.is_tombstoned(v)]
-            if rng.random() < 0.3 and len(still) > 1:
-                mg.remove_vertices([int(rng.choice(still))])
+            mg.apply(random_batch(rng, everyone, int(rng.integers(1, 8))))
+            if rng.random() < 0.3:
+                isolate(mg, int(rng.choice(everyone)))
             snap = incremental_vip(mg, snap, churn_cutoff=case.churn_cutoff)
             assert_snapshot_matches_full(snap, mg)
 
     @settings(max_examples=40, deadline=None)
-    @given(vip_case())
+    @given(vip_case(overlay=True))
     def test_bit_identical_with_p0_drift(self, case):
         """Seed-distribution drift (the training-set swap case) rides the
         same refresh and must stay exact — called directly, and through a
@@ -78,9 +81,8 @@ class TestIncrementalParity:
         base, is re-pointed at the overlay, and whose second consumer
         refreshes only every other round (its snapshot lags the log)."""
         rng = np.random.default_rng(case.churn_seed)
-        mg = MutableGraph(case.graph, undirected=not case.directed,
-                          compact_cutoff=None)
-        n = mg.num_vertices
+        mg = MutableGraph(case.graph, compact_cutoff=None)
+        everyone = np.arange(mg.num_vertices)
         p0 = case.p0()
         snap = snapshot_vip(mg, p0, case.fanouts)
         tracker = VIPTracker(mg.base, case.fanouts)
@@ -94,8 +96,7 @@ class TestIncrementalParity:
         assert not tracker.snapshots  # static graph: nothing to carry
         tracker.graph = mg
         for i in range(case.rounds):
-            alive = [v for v in range(n) if not mg.is_tombstoned(v)]
-            mg.apply(random_batch(rng, alive, int(rng.integers(1, 6))))
+            mg.apply(random_batch(rng, everyone, int(rng.integers(1, 6))))
             p0 = case.p0(drift=i + 1)
             snap = incremental_vip(mg, snap, p0,
                                    churn_cutoff=case.churn_cutoff)
@@ -106,23 +107,17 @@ class TestIncrementalParity:
             assert tracker.snapshots["a"].version == mg.version
 
     @settings(max_examples=20, deadline=None)
-    @given(vip_case())
-    def test_survives_vertex_growth_and_compaction(self, case):
+    @given(vip_case(overlay=True))
+    def test_survives_compaction(self, case):
         rng = np.random.default_rng(case.churn_seed)
-        mg = MutableGraph(case.graph, undirected=not case.directed,
-                          compact_cutoff=None)
+        mg = MutableGraph(case.graph, compact_cutoff=None)
+        everyone = np.arange(mg.num_vertices)
         snap = snapshot_vip(mg, case.p0(), case.fanouts)
-        new = mg.add_vertices(3)
-        old = [v for v in range(len(snap.initial))
-               if not mg.is_tombstoned(v)]
-        mg.add_edges([int(new[0]), int(new[1])],
-                     [int(rng.choice(old)), int(rng.choice(old))])
+        mg.apply(random_batch(rng, everyone, 3))
         snap = incremental_vip(mg, snap, churn_cutoff=case.churn_cutoff)
         assert_snapshot_matches_full(snap, mg)
         mg.compact()
-        alive = [v for v in range(mg.num_vertices)
-                 if not mg.is_tombstoned(v)]
-        mg.apply(random_batch(rng, alive, 4))
+        mg.apply(random_batch(rng, everyone, 4))
         snap = incremental_vip(mg, snap, churn_cutoff=case.churn_cutoff)
         assert_snapshot_matches_full(snap, mg)
 
@@ -142,7 +137,7 @@ class TestPairwiseSumTreeShape:
         p0[rng.choice(30, 20, replace=False)] = rng.random(20)
         assert p0[2] == 0.0
         before = vip_probabilities_dense(g, p0, [3])
-        mg = MutableGraph(g, undirected=True, compact_cutoff=None)
+        mg = MutableGraph(g, compact_cutoff=None)
         snap = snapshot_vip(mg, p0, [3])
         mg.add_edges([2], [13])
         out = incremental_vip(mg, snap, churn_cutoff=1.0)
@@ -157,7 +152,7 @@ class TestPairwiseSumTreeShape:
 class TestRefreshModes:
     def _setup(self):
         g = erdos_renyi(80, 5.0, seed=11)
-        mg = MutableGraph(g, undirected=True, compact_cutoff=None)
+        mg = MutableGraph(g, compact_cutoff=None)
         p0 = sparse_p0(80, 12, seed=1)
         return mg, snapshot_vip(mg, p0, (3, 3))
 
@@ -183,17 +178,74 @@ class TestRefreshModes:
         assert out.stats.mode == "full"
         assert_snapshot_matches_full(out, mg)
 
-    def test_trimmed_log_rejected(self):
-        """A snapshot older than the delta log cannot be refreshed
-        incrementally — the frontier query must refuse, not silently
-        under-report."""
+    def test_cancelled_churn_is_noop(self):
+        """A batch and its inverse cancel out: the exact frontier is empty,
+        so the refresh carries the snapshot over untouched."""
         mg, snap = self._setup()
+        v = int(np.argmax(mg.degrees))
+        u = int(mg.neighbors(v)[0])
+        mg.apply(EdgeBatch(add_src=[0], add_dst=[40], del_src=[v],
+                           del_dst=[u]))
+        mg.apply(EdgeBatch(add_src=[v], add_dst=[u], del_src=[0],
+                           del_dst=[40]))
+        again = incremental_vip(mg, snap, churn_cutoff=1.0)
+        assert again.stats.mode == "noop"
+        assert_snapshot_matches_full(again, mg)
+
+
+class TestInitialChecked:
+    """``initial`` goes through the check ``vip_probabilities`` applies —
+    rejected when out of range or non-finite, clipped when within
+    tolerance — whichever path the refresh takes."""
+
+    def _setup(self):
+        mg = MutableGraph(erdos_renyi(80, 5.0, seed=11), compact_cutoff=None)
+        p0 = sparse_p0(80, 12, seed=1)
+        snap = snapshot_vip(mg, p0, (3, 3))
         mg.add_edges([0], [40])
-        mg.add_edges([1], [41])
-        mg.trim_log(mg.version)
-        mg.add_edges([2], [42])
-        with pytest.raises(ValueError, match="predates"):
-            incremental_vip(mg, snap)
+        return mg, snap, p0
+
+    @pytest.mark.parametrize("churn_cutoff", [0.0, 1.0])
+    def test_out_of_range_p0_rejected_on_both_paths(self, churn_cutoff):
+        mg, snap, p0 = self._setup()
+        bad = p0.copy()
+        bad[5] = 2.0
+        with pytest.raises(ValueError, match="initial entries must lie"):
+            incremental_vip(mg, snap, bad, churn_cutoff=churn_cutoff)
+
+    @pytest.mark.parametrize("churn_cutoff", [0.0, 1.0])
+    def test_in_tolerance_p0_equals_full(self, churn_cutoff):
+        mg, snap, p0 = self._setup()
+        # Zero entries in the rows the churn dirtied: the refresh reads them.
+        touched = np.union1d(mg.neighbors(0), mg.neighbors(40))
+        p0 = p0.copy()
+        p0[touched[p0[touched] == 0.0]] = -5e-13
+        got = incremental_vip(mg, snap, p0, churn_cutoff=churn_cutoff)
+        want = vip_probabilities(mg.materialize(), p0, snap.fanouts)
+        assert np.array_equal(got.result.total, want.total)
+        for a, b in zip(got.result.hopwise, want.hopwise):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.result.initial, want.initial)
+        assert np.array_equal(got.access, want.access)
+
+    def test_snapshot_stores_the_clipped_vector(self):
+        mg = MutableGraph(erdos_renyi(30, 4.0, seed=2), compact_cutoff=None)
+        p0 = np.zeros(30)
+        p0[[1, 2]] = [-5e-13, 1 + 5e-13]
+        snap = snapshot_vip(mg, p0, (2,))
+        assert snap.initial[1] == 0.0 and snap.initial[2] == 1.0
+        assert np.array_equal(snap.result.initial, p0)  # as vip_probabilities
+
+    def test_nan_p0_rejected(self):
+        mg, snap, p0 = self._setup()
+        bad = p0.copy()
+        bad[7] = np.nan
+        with pytest.raises(ValueError, match="initial entries must be finite"):
+            snapshot_vip(mg, bad, (3, 3))
+        for churn_cutoff in (0.0, 1.0):
+            with pytest.raises(ValueError, match="initial entries must be "
+                                                 "finite"):
+                incremental_vip(mg, snap, bad, churn_cutoff=churn_cutoff)
 
 
 class TestTransitionTableVersion:

@@ -2,13 +2,14 @@
 
 :class:`MutableGraph` is the substrate under incremental VIP and streaming
 serving, so its contract is checked the hard way: a hypothesis property
-replays random insert/delete/remove-vertex batches through both the overlay
-and a dict-of-sets oracle and demands *exact* agreement on materialization,
-degrees, and — the part everything downstream leans on — the dirty frontier
-at every historical version, including mutations that cancel out inside the
-window (those must NOT be reported).  Directed and undirected graphs, with
-and without auto-compaction, plus unit tests for tombstones, log trimming,
-the frozen sampler read path, and ``from_edges`` dedup/self-loop handling.
+replays random insert/delete/mixed batches, emptied rows and cancelled
+reverts through both the overlay and a dict-of-sets oracle and demands
+*exact* agreement on materialization, degrees, and — the part everything
+downstream leans on — the dirty frontier at every historical version,
+including mutations that cancel out inside the window (those must NOT be
+reported).  Undirected bases (a directed one is rejected), with and without
+auto-compaction, plus unit tests for input validation, compaction, the
+frozen sampler read path, and ``from_edges`` dedup/self-loop handling.
 """
 
 import numpy as np
@@ -17,30 +18,27 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.mutable import DeltaRecord, EdgeBatch, MutableGraph
-from repro.sampling import NeighborSampler, sample_neighbors
+from repro.sampling import sample_neighbors
 
 
 # ----------------------------------------------------------------------
 # Oracle
 # ----------------------------------------------------------------------
 class SetOracle:
-    """Reference semantics: adjacency as a dict of Python sets."""
+    """Reference semantics: undirected adjacency as a dict of Python sets."""
 
-    def __init__(self, graph: CSRGraph, undirected: bool):
-        self.und = undirected
+    def __init__(self, graph: CSRGraph):
         self.n = graph.num_vertices
         self.rows = {v: set(graph.neighbors(v).tolist())
                      for v in range(self.n)}
-        self.dead = set()
 
     def snapshot(self):
-        return ({v: tuple(sorted(r)) for v, r in self.rows.items()}, self.n)
+        return {v: tuple(sorted(r)) for v, r in self.rows.items()}
 
-    def _pairs(self, src, dst):
+    @staticmethod
+    def _pairs(src, dst):
         pairs = list(zip(src, dst))
-        if self.und:
-            pairs = pairs + [(d, s) for s, d in pairs]
-        return pairs
+        return pairs + [(d, s) for s, d in pairs]
 
     def add_edges(self, src, dst):
         for s, d in self._pairs(src, dst):
@@ -49,22 +47,6 @@ class SetOracle:
     def remove_edges(self, src, dst):
         for s, d in self._pairs(src, dst):
             self.rows[s].discard(d)
-
-    def remove_vertices(self, vertices):
-        for v in vertices:
-            self.dead.add(v)
-            self.rows[v] = set()
-        gone = set(vertices)
-        for r in self.rows.values():
-            r -= gone
-
-    def add_vertices(self, count):
-        for v in range(self.n, self.n + count):
-            self.rows[v] = set()
-        self.n += count
-
-    def alive(self):
-        return [v for v in range(self.n) if v not in self.dead]
 
     def edges(self):
         src = [v for v, r in self.rows.items() for _ in r]
@@ -76,80 +58,68 @@ class SetOracle:
         return CSRGraph.from_edges(src, dst, self.n, dedup=True)
 
 
-def random_base(n, avg_deg, directed, seed):
-    rng = np.random.default_rng(seed)
-    if directed:
-        m = int(avg_deg * n)
-        return CSRGraph.from_edges(rng.integers(0, n, m),
-                                   rng.integers(0, n, m), n, dedup=True)
-    return erdos_renyi(n, avg_deg, seed=seed)
-
-
 @st.composite
 def churn_script(draw):
-    """A base graph plus a script of mutation ops."""
+    """An undirected base graph plus a script of mutation ops."""
     n = draw(st.integers(min_value=2, max_value=50))
-    directed = draw(st.booleans())
-    g = random_base(n, draw(st.floats(0.0, 6.0)), directed,
-                    draw(st.integers(0, 2**16)))
+    g = erdos_renyi(n, draw(st.floats(0.0, 6.0)), seed=draw(
+        st.integers(0, 2**16)))
     num_ops = draw(st.integers(min_value=1, max_value=6))
     rng_seed = draw(st.integers(0, 2**16))
     ops = draw(st.lists(
-        st.sampled_from(["add", "del", "addverts", "rmvert", "mixed"]),
+        st.sampled_from(["add", "del", "isolate", "revert", "mixed"]),
         min_size=num_ops, max_size=num_ops))
     compact_cutoff = draw(st.sampled_from([None, 0.3]))
-    return g, directed, ops, rng_seed, compact_cutoff
+    return g, ops, rng_seed, compact_cutoff
 
 
-def run_script(g, directed, ops, rng_seed, compact_cutoff):
+def run_script(g, ops, rng_seed, compact_cutoff):
     """Replay the script on both implementations, snapshotting the oracle
     at every version."""
     rng = np.random.default_rng(rng_seed)
-    mg = MutableGraph(g, undirected=not directed,
-                      compact_cutoff=compact_cutoff)
-    oracle = SetOracle(g, undirected=not directed)
+    mg = MutableGraph(g, compact_cutoff=compact_cutoff)
+    oracle = SetOracle(g)
     snaps = {0: oracle.snapshot()}
+
+    def apply(batch):
+        mg.apply(batch)
+        oracle.add_edges(batch.add_src, batch.add_dst)
+        oracle.remove_edges(batch.del_src, batch.del_dst)
+        snaps[mg.version] = oracle.snapshot()
+
     for op in ops:
-        alive = oracle.alive()
-        if not alive:
-            break
         k = int(rng.integers(1, 6))
-        pick = lambda: rng.choice(alive, size=k)  # noqa: E731
+        pick = lambda: rng.integers(0, oracle.n, size=k)  # noqa: E731
         if op == "add":
-            s, d = pick(), pick()
-            mg.add_edges(s, d)
-            oracle.add_edges(s, d)
+            apply(EdgeBatch(add_src=pick(), add_dst=pick()))
         elif op == "del":
             # half absent-edge deletes (no-ops), half real ones
             s, d = pick(), pick()
-            real = [(v, u) for v in alive for u in oracle.rows[v]][:k]
+            real = [(v, u) for v in oracle.rows for u in oracle.rows[v]][:k]
             if real:
                 s = np.concatenate([s, [p[0] for p in real]])
                 d = np.concatenate([d, [p[1] for p in real]])
-            mg.remove_edges(s, d)
-            oracle.remove_edges(s, d)
-        elif op == "addverts":
-            mg.add_vertices(2)
-            oracle.add_vertices(2)
-        elif op == "rmvert":
-            victim = [int(rng.choice(alive))]
-            mg.remove_vertices(victim)
-            oracle.remove_vertices(victim)
+            apply(EdgeBatch(del_src=s, del_dst=d))
+        elif op == "isolate":  # empty one row: delete every incident edge
+            v = int(rng.integers(oracle.n))
+            nbrs = sorted(oracle.rows[v])
+            apply(EdgeBatch(del_src=[v] * len(nbrs), del_dst=nbrs))
+        elif op == "revert":  # add absent edges, then delete them again
+            s, d = pick(), pick()
+            fresh = [(a, b) for a, b in zip(s, d) if b not in oracle.rows[a]]
+            s, d = [p[0] for p in fresh], [p[1] for p in fresh]
+            apply(EdgeBatch(add_src=s, add_dst=d))
+            apply(EdgeBatch(del_src=s, del_dst=d))
         else:  # mixed add+delete in one batch
-            batch = EdgeBatch(add_src=pick(), add_dst=pick(),
-                              del_src=pick(), del_dst=pick())
-            mg.apply(batch)
-            oracle.add_edges(batch.add_src, batch.add_dst)
-            oracle.remove_edges(batch.del_src, batch.del_dst)
-        snaps[mg.version] = oracle.snapshot()
+            apply(EdgeBatch(add_src=pick(), add_dst=pick(),
+                            del_src=pick(), del_dst=pick()))
     return mg, oracle, snaps
 
 
 def expected_dirty(oracle, snaps, version):
-    cur, _ = oracle.snapshot()
-    then, _ = snaps[version]
-    return np.array(sorted(v for v in cur
-                           if cur[v] != then.get(v, ())), dtype=np.int64)
+    cur, then = oracle.snapshot(), snaps[version]
+    return np.array(sorted(v for v in cur if cur[v] != then[v]),
+                    dtype=np.int64)
 
 
 class TestOracleParity:
@@ -164,8 +134,7 @@ class TestOracleParity:
         assert np.array_equal(mat.indices, ref.indices)
         assert np.array_equal(mg.degrees, ref.degrees)
         for v in range(mg.num_vertices):
-            assert tuple(mg.neighbors(v).tolist()) == \
-                snaps[mg.version][0][v]
+            assert tuple(mg.neighbors(v).tolist()) == snaps[mg.version][v]
         # Exact dirty frontier at every historical version.
         for version in snaps:
             assert np.array_equal(mg.dirty_frontier(version),
@@ -191,7 +160,7 @@ class TestOracleParity:
 class TestRevertNotDirty:
     def test_cancelled_mutations_not_reported(self):
         g = erdos_renyi(30, 4.0, seed=1)
-        mg = MutableGraph(g, undirected=True)
+        mg = MutableGraph(g)
         before = mg.neighbors(3).copy()
         mg.add_edges([3], [7])
         mg.remove_edges([3], [7])
@@ -204,47 +173,39 @@ class TestRevertNotDirty:
         g = erdos_renyi(30, 4.0, seed=2)
         v = int(np.argmax(g.degrees))
         u = int(g.neighbors(v)[0])
-        mg = MutableGraph(g, undirected=True)
+        mg = MutableGraph(g)
         mg.remove_edges([v], [u])
         mg.add_edges([v], [u])
         assert len(mg.dirty_frontier(0)) == 0
         assert np.array_equal(mg.materialize().indices, g.indices)
 
 
-class TestTombstones:
-    def test_removed_vertex_rejects_new_edges(self):
-        g = erdos_renyi(20, 3.0, seed=0)
-        mg = MutableGraph(g, undirected=True)
-        mg.remove_vertices([5])
-        assert mg.is_tombstoned(5)
-        assert len(mg.neighbors(5)) == 0
-        with pytest.raises(ValueError, match="removed vertex"):
-            mg.add_edges([5], [1])
-        with pytest.raises(ValueError, match="already removed"):
-            mg.remove_vertices([5])
-
-    def test_remove_clears_incident_rows(self):
-        g = erdos_renyi(20, 5.0, seed=3)
-        v = int(np.argmax(g.degrees))
-        nbrs = g.neighbors(v)
-        mg = MutableGraph(g, undirected=True)
-        mg.remove_vertices([v])
-        for u in nbrs:
-            assert v not in mg.neighbors(int(u))
+class TestValidation:
+    def test_directed_base_rejected(self):
+        g = CSRGraph.from_edges([0, 1], [1, 2], 3)
+        with pytest.raises(ValueError, match="needs an undirected graph"):
+            MutableGraph(g)
 
     def test_out_of_range_endpoint_raises(self):
         g = erdos_renyi(10, 2.0, seed=0)
-        mg = MutableGraph(g, undirected=True)
-        with pytest.raises(ValueError):
+        mg = MutableGraph(g)
+        with pytest.raises(ValueError, match="out of range"):
             mg.add_edges([0], [10])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             mg.add_edges([-1], [0])
+        assert mg.version == 0
+
+    def test_negative_version_rejected(self):
+        mg = MutableGraph(erdos_renyi(10, 2.0, seed=0))
+        mg.add_edges([0], [5])
+        with pytest.raises(ValueError, match="since_version"):
+            mg.dirty_frontier(-1)
 
 
 class TestCompaction:
     def test_compact_preserves_log_and_frontier(self):
         g = erdos_renyi(40, 4.0, seed=4)
-        mg = MutableGraph(g, undirected=True, compact_cutoff=None)
+        mg = MutableGraph(g, compact_cutoff=None)
         rng = np.random.default_rng(0)
         mg.add_edges(rng.integers(0, 40, 10), rng.integers(0, 40, 10))
         frontier_before = mg.dirty_frontier(0)
@@ -256,19 +217,9 @@ class TestCompaction:
 
     def test_auto_compact_fires(self):
         g = erdos_renyi(30, 3.0, seed=5)
-        mg = MutableGraph(g, undirected=True, compact_cutoff=0.0)
+        mg = MutableGraph(g, compact_cutoff=0.0)
         mg.add_edges([0, 1], [2, 3])
         assert mg.overlay_entries == 0  # compacted after every batch
-
-    def test_trim_log_invalidates_old_versions(self):
-        g = erdos_renyi(20, 3.0, seed=6)
-        mg = MutableGraph(g, undirected=True)
-        mg.add_edges([0], [5])
-        mg.add_edges([1], [6])
-        assert mg.trim_log(1) == 1
-        mg.dirty_frontier(1)  # still answerable
-        with pytest.raises(ValueError, match="predates"):
-            mg.dirty_frontier(0)
 
 
 class TestFromEdgesDedup:
@@ -292,7 +243,7 @@ class TestFromEdgesDedup:
 
     def test_overlay_dedups_via_compact(self):
         base = erdos_renyi(10, 2.0, seed=0)
-        mg = MutableGraph(base, undirected=True)
+        mg = MutableGraph(base)
         mg.add_edges([0, 0, 0], [4, 4, 4])  # duplicate inserts
         assert int(np.sum(mg.neighbors(0) == 4)) == 1
         compacted = mg.compact()
@@ -304,7 +255,7 @@ class TestSamplerParity:
         """Wrapping a graph without mutating it must not perturb sampled
         neighbor streams — positions index the base CSR directly."""
         g = erdos_renyi(100, 8.0, seed=7)
-        mg = MutableGraph(g, undirected=True)
+        mg = MutableGraph(g)
         seeds = np.array([3, 17, 41, 99], dtype=np.int64)
         a = sample_neighbors(g, seeds, 5, np.random.default_rng(123))
         b = sample_neighbors(mg, seeds, 5, np.random.default_rng(123))
@@ -312,18 +263,8 @@ class TestSamplerParity:
 
     def test_sampler_sees_overlay_edges(self):
         g = erdos_renyi(50, 3.0, seed=8)
-        mg = MutableGraph(g, undirected=True)
+        mg = MutableGraph(g)
         mg.add_edges([0], [49])
         src, dst = sample_neighbors(mg, np.array([0]), -1,
                                     np.random.default_rng(0))
         assert 49 in dst
-
-    def test_neighbor_sampler_grows_with_graph(self):
-        g = erdos_renyi(30, 3.0, seed=9)
-        mg = MutableGraph(g, undirected=True)
-        sampler = NeighborSampler(mg, [3, 3])
-        sampler.sample(np.array([0, 1]))
-        new = mg.add_vertices(5)
-        mg.add_edges([int(new[0])], [0])
-        mfg = sampler.sample(np.array([int(new[0])]))
-        assert mfg.n_id.max() >= 0

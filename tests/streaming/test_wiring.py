@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import Planner, RunConfig, StreamingConfig
-from repro.graph import CSRGraph, erdos_renyi, power_law_community_graph
+from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.generators import edge_stream
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.vip.analytic import uniform_minibatch_probability
@@ -32,7 +32,7 @@ class TestEdgeStream:
         one before drawing the next never references missing vertices, and
         deletions name edges that exist at generation time."""
         g = erdos_renyi(200, 6.0, seed=0)
-        mg = MutableGraph(g, undirected=True, compact_cutoff=None)
+        mg = MutableGraph(g, compact_cutoff=None)
         n_ops = 0
         for batch in edge_stream(mg, num_batches=5, batch_edges=20, seed=1):
             for s, d in zip(batch.del_src, batch.del_dst):
@@ -42,28 +42,22 @@ class TestEdgeStream:
         assert n_ops > 0
         assert mg.version == 5
 
-    def test_community_local_insertions(self):
-        g, comm = power_law_community_graph(300, 6.0, num_communities=5,
-                                            intra_fraction=0.9, seed=2)
-        mg = MutableGraph(g, undirected=True, compact_cutoff=None)
-        intra = total = 0
-        for batch in edge_stream(mg, num_batches=4, batch_edges=25,
-                                 delete_fraction=0.0, community=comm,
-                                 seed=3):
-            intra += int(np.sum(comm[batch.add_src] == comm[batch.add_dst]))
-            total += len(batch.add_src)
-            mg.apply(batch)
-        assert total > 0 and intra == total
-
     def test_pool_restricted(self):
         g = erdos_renyi(100, 5.0, seed=4)
-        mg = MutableGraph(g, undirected=True, compact_cutoff=None)
+        mg = MutableGraph(g, compact_cutoff=None)
         pool = np.arange(20)
         for batch in edge_stream(mg, num_batches=3, batch_edges=10,
                                  pool=pool, seed=5):
             for arr in (batch.add_src, batch.add_dst, batch.del_src):
                 assert len(arr) == 0 or arr.max() < 20
             mg.apply(batch)
+
+    @pytest.mark.parametrize("pool", [[-1, 5, 7], [3, 60]])
+    def test_pool_outside_the_graph_rejected(self, pool):
+        g = erdos_renyi(50, 4.0, seed=6)
+        with pytest.raises(ValueError, match=r"pool vertex .* outside \[0, 50\)"):
+            next(edge_stream(g, num_batches=1, batch_edges=5, pool=pool,
+                             seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +157,7 @@ class TestServingMutations:
         svc = InferenceService.from_system(build_system(planner, tiny_dataset))
         N = tiny_dataset.graph.num_vertices
         wl = poisson_requests(np.arange(N), 5, 4, rate_rps=50.0, seed=3)
-        with pytest.raises(ValueError, match="add_vertices"):
+        with pytest.raises(ValueError, match="must name existing vertices"):
             svc.run(wl, mutations=[
                 (0.1, EdgeBatch(add_src=[0], add_dst=[N + 7]))])
 
@@ -224,7 +218,7 @@ class TestTrainingMutations:
     def test_out_of_range_batch_rejected_before_rewiring(self, planner, tiny_dataset):
         system = build_system(planner, tiny_dataset)
         base = system.trainer.ds.graph
-        with pytest.raises(ValueError, match="add_vertices"):
+        with pytest.raises(ValueError, match="must name existing vertices"):
             system.apply_graph_updates(
                 EdgeBatch(add_src=[0], add_dst=[base.num_vertices]))
         assert system.trainer.ds.graph is base

@@ -144,6 +144,9 @@ class TestValidation:
         assert np.all((0 <= out) & (out <= 1))
         with pytest.raises(ValueError, match="lie in"):
             check_probability_vector(np.array([1.5]), "p")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="p entries must be finite"):
+                check_probability_vector(np.array([0.5, bad]), "p")
         with pytest.raises(ValueError, match="sum"):
             check_probability_vector(np.array([0.5, 0.2]), "p", allow_improper=False)
 

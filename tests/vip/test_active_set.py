@@ -114,6 +114,21 @@ class TestActiveSetParity:
                 fn(g, np.zeros(g.num_vertices + 1), (2,))
             with pytest.raises(ValueError, match="entries must lie"):
                 fn(g, np.full(g.num_vertices, 1.5), (2,))
+            nan = np.zeros(g.num_vertices)
+            nan[-1] = np.nan
+            with pytest.raises(ValueError, match="initial entries must be "
+                                                 "finite"):
+                fn(g, nan, (2,))
+
+    def test_nan_p0_rejected(self):
+        """One NaN in ``p[0]`` used to pass the range check (``np.min`` of
+        a NaN vector is NaN, so both comparisons were False) and come back
+        as NaN access for the NaN vertex's neighborhood."""
+        g = erdos_renyi(200, 6.0, seed=0)
+        p0 = uniform_minibatch_probability(200, np.arange(0, 200, 4), 10)
+        p0[3] = np.nan
+        with pytest.raises(ValueError, match="initial"):
+            vip_probabilities(g, p0, (5, 5))
 
 
 class TestTransitionCache:

@@ -1,13 +1,15 @@
 """One hypothesis strategy for every Proposition-1 differential suite.
 
 ``tests/vip/test_active_set.py`` (static graphs) and ``tests/streaming/``
-(overlays under churn) draw the same :func:`vip_case` — directed and
-undirected graphs, ``-1`` fanouts, both cutoffs at {0, default, 1}, a
-chained churn + ``p[0]``-drift schedule — and compare against the same
-frozen oracle (``reference_dense.py``), so the one row kernel in
-``repro.vip.analytic`` is held to a second implementation through every
-row-set choice (all rows, frontier rows, churned rows) on both graph
-classes.  ``tests/conftest.py`` puts this directory on ``sys.path``.
+(overlays under churn) draw the same :func:`vip_case` — ``-1`` fanouts,
+both cutoffs at {0, default, 1}, a chained churn + ``p[0]``-drift schedule
+— and compare against the same frozen oracle (``reference_dense.py``), so
+the one row kernel in ``repro.vip.analytic`` is held to a second
+implementation through every row-set choice (all rows, frontier rows,
+churned rows) on both graph classes.  Static cases are directed or
+undirected; ``vip_case(overlay=True)`` draws undirected graphs only, the
+one shape a ``MutableGraph`` takes.  ``tests/conftest.py`` puts this
+directory on ``sys.path``.
 """
 
 from dataclasses import dataclass
@@ -69,9 +71,9 @@ class VIPCase:
 
 
 @st.composite
-def vip_case(draw):
+def vip_case(draw, overlay=False):
     n = draw(st.integers(min_value=2, max_value=80))
-    directed = draw(st.booleans())
+    directed = False if overlay else draw(st.booleans())
     return VIPCase(
         graph=random_base(n, draw(st.floats(0.0, 7.0)), directed,
                           draw(st.integers(0, 2**16))),
