@@ -16,6 +16,7 @@ of valid names instead of deep inside preprocessing stage 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -49,80 +50,33 @@ class ServingConfig:
     max_in_flight:
         Micro-batches per flush window; the window's fetch plans are
         coalesced (:meth:`FetchPlan.coalesce`) into one peer exchange.
-    router:
-        Request → machine routing: ``"round-robin"`` or ``"owner"`` (the
-        machine owning the plurality of a request's seeds).
-    fanouts:
-        Inference sampling fanouts; ``None`` reuses the training fanouts.
+
+    Requests route round-robin over the up machines, sample at the
+    training fanouts, and meet a down partition with their SLO class's
+    fixed action (:data:`repro.serving.service.SLO_ACTIONS`).
     """
 
     batcher: str = "deadline"
     max_batch: int = 16
     max_wait_ms: float = 20.0
     max_in_flight: int = 4
-    router: str = "round-robin"
-    fanouts: Optional[Tuple[int, ...]] = None
-    #: Degraded-mode serving: what to do with a request whose fetch plan
-    #: touches a down machine, per SLO class — ``"retry"`` (requeue with
-    #: backoff until the partition returns or ``retry_limit`` is spent,
-    #: then degrade), ``"degrade"`` (serve immediately from resident
-    #: state, remote rows zero-filled, the request marked ``degraded``),
-    #: or ``"shed"`` (refuse, no prediction).  Unlisted SLO classes
-    #: degrade.  Never silently wrong: every choice lands in the
-    #: availability ledger.
-    slo_policies: Tuple[Tuple[str, str], ...] = (
-        ("interactive", "retry"),
-        ("standard", "degrade"),
-        ("batch", "shed"),
-    )
-    retry_backoff_ms: float = 5.0
-    retry_limit: int = 3
 
     def validate(self) -> "ServingConfig":
         """Fail fast on malformed serving knobs; returns ``self``."""
-        from repro.serving.batcher import BATCHERS, ROUTERS
+        from repro.serving.batcher import BATCHERS
 
         BATCHERS.get(self.batcher)  # raises with the sorted valid names
-        if self.router not in ROUTERS:
-            raise ValueError(
-                f"unknown router {self.router!r}; valid: {sorted(ROUTERS)}"
-            )
-        valid_actions = ("retry", "degrade", "shed")
-        for entry in self.slo_policies:
-            if len(entry) != 2:
-                raise ValueError(
-                    f"slo_policies entries must be (slo, action) pairs, "
-                    f"got {entry!r}"
-                )
-            if entry[1] not in valid_actions:
-                raise ValueError(
-                    f"unknown degraded-mode action {entry[1]!r} for SLO "
-                    f"{entry[0]!r}; valid: {valid_actions}"
-                )
-        if self.retry_backoff_ms <= 0:
-            raise ValueError(
-                f"retry_backoff_ms must be positive, got {self.retry_backoff_ms}"
-            )
-        if self.retry_limit < 0:
-            raise ValueError(
-                f"retry_limit must be non-negative, got {self.retry_limit}"
-            )
-        if self.max_batch < 1:
+        if not 1 <= self.max_batch < math.inf:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms <= 0:
+        if not 0 < self.max_wait_ms < math.inf:
             raise ValueError(
-                f"max_wait_ms must be positive, got {self.max_wait_ms}"
+                f"max_wait_ms must be positive and finite, got "
+                f"{self.max_wait_ms}"
             )
-        if self.max_in_flight < 1:
+        if not 1 <= self.max_in_flight < math.inf:
             raise ValueError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
             )
-        if self.fanouts is not None:
-            if len(self.fanouts) == 0 or any(f < 1 for f in self.fanouts):
-                raise ValueError(
-                    f"serving fanouts must be a non-empty tuple of positive "
-                    f"ints, got {self.fanouts!r}"
-                )
         return self
 
     @property
@@ -168,7 +122,6 @@ class RunConfig:
     fanouts: Optional[Tuple[int, ...]] = None
     batch_size: Optional[int] = None
     hidden_dim: Optional[int] = None
-    dropout: float = 0.0
     lr: float = 1e-3
 
     # Storage strategy (§4.1, §4.2).
@@ -233,7 +186,8 @@ class RunConfig:
         error for an unknown name lists every valid (including
         plugin-registered) alternative, sorted.
         Numeric knobs are range-checked: α ≥ 0, β ∈ [0, 1], positive
-        intervals and depths.
+        intervals and depths.  Every range is finite, so NaN and ±inf
+        fail with the field's name.
         """
         # Local imports: the registries live in packages that are heavier
         # than this module and must stay importable without repro.core.
@@ -243,7 +197,7 @@ class RunConfig:
         from repro.partition.registry import PARTITIONERS
         from repro.vip.policies import STATIC_CACHE_POLICIES
 
-        if self.num_machines < 1:
+        if not 1 <= self.num_machines < math.inf:
             raise ValueError(f"num_machines must be >= 1, got {self.num_machines}")
         PARTITIONERS.get(self.partitioner)  # raises with the sorted valid names
         ENGINES.get(self.engine)            # ditto (execution engine names)
@@ -268,7 +222,7 @@ class RunConfig:
                     "full replication would copy the whole feature matrix "
                     "into every machine's segment"
                 )
-        if self.staleness < 0:
+        if not 0 <= self.staleness < math.inf:
             raise ValueError(
                 f"staleness must be non-negative, got {self.staleness}"
             )
@@ -287,44 +241,44 @@ class RunConfig:
                 f"dynamic: {DYNAMIC_CACHE_POLICIES.names()}"
             )
         if self.fanouts is not None:
-            if len(self.fanouts) == 0 or any(f < 1 for f in self.fanouts):
+            if len(self.fanouts) == 0 or any(
+                    not 1 <= f < math.inf for f in self.fanouts):
                 raise ValueError(
                     f"fanouts must be a non-empty tuple of positive ints, "
                     f"got {self.fanouts!r}"
                 )
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and not 1 <= self.batch_size < math.inf:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
+        if self.hidden_dim is not None and not 1 <= self.hidden_dim < math.inf:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.replication_factor < 0:
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.replication_factor < math.inf:
             raise ValueError(
-                f"replication_factor (alpha) must be non-negative, "
-                f"got {self.replication_factor}"
+                f"replication_factor (alpha) must be non-negative and "
+                f"finite, got {self.replication_factor}"
             )
         if not 0.0 <= self.gpu_fraction <= 1.0:
             raise ValueError(
                 f"gpu_fraction (beta) must be in [0, 1], got {self.gpu_fraction}"
             )
-        if self.refresh_interval < 1:
+        if not 1 <= self.refresh_interval < math.inf:
             raise ValueError(
                 f"refresh_interval must be >= 1 batch, got {self.refresh_interval}"
             )
-        if self.cache_aging_interval < 0:
+        if not 0 <= self.cache_aging_interval < math.inf:
             raise ValueError(
                 f"cache_aging_interval must be non-negative (0 disables "
                 f"aging), got {self.cache_aging_interval}"
             )
-        if self.pipeline_depth < 1:
+        if not 1 <= self.pipeline_depth < math.inf:
             raise ValueError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
             )
-        if self.network_gbps <= 0:
+        if not 0 < self.network_gbps < math.inf:
             raise ValueError(
-                f"network_gbps must be positive, got {self.network_gbps}"
+                f"network_gbps must be positive and finite, got "
+                f"{self.network_gbps}"
             )
         self.serving.validate()
         return self

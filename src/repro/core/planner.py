@@ -92,7 +92,7 @@ STAGE_CONFIG_FIELDS: Dict[str, Tuple[str, ...]] = {
                      "fanouts", "batch_size", "seed"),
     "store": ("gpu_fraction", "full_replication", "cache_policy",
               "refresh_interval", "cache_aging_interval"),
-    "trainer": ("hidden_dim", "dropout", "lr", "fanouts", "batch_size",
+    "trainer": ("hidden_dim", "lr", "fanouts", "batch_size",
                 "seed", "engine", "pipeline_depth", "staleness"),
 }
 
@@ -227,7 +227,7 @@ def load_artifact(path: str, kind: str):
     return payload
 
 
-#: Default per-kind caps on the memory tier.  ``reorder`` entries pin a full
+#: Per-kind caps on the memory tier.  ``reorder`` entries pin a full
 #: relabeled dataset (a feature-matrix copy) each, so a long sweep session
 #: must not accumulate them without bound; the small artifacts are uncapped.
 _DEFAULT_MEMORY_CAPS: Dict[str, int] = {"reorder": 8, "vip": 16}
@@ -244,11 +244,8 @@ class ArtifactCache:
     processes — the warm-start path benchmark sweeps and CI use.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None,
-                 memory_caps: Optional[Dict[str, int]] = None):
+    def __init__(self, cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir
-        self.memory_caps = dict(_DEFAULT_MEMORY_CAPS if memory_caps is None
-                                else memory_caps)
         self._memory: Dict[Tuple[str, str], object] = {}
 
     # -- memory tier ----------------------------------------------------
@@ -257,7 +254,7 @@ class ArtifactCache:
 
     def put_memory(self, kind: str, fingerprint: str, artifact) -> None:
         self._memory[(kind, fingerprint)] = artifact
-        cap = self.memory_caps.get(kind)
+        cap = _DEFAULT_MEMORY_CAPS.get(kind)
         if cap is not None:
             held = [k for k in self._memory if k[0] == kind]
             for key in held[:max(len(held) - cap, 0)]:  # FIFO (dict order)
@@ -663,7 +660,6 @@ class Planner:
             fanouts=config.fanouts,
             batch_size=config.batch_size,
             hidden_dim=config.hidden_dim,
-            dropout=config.dropout,
             lr=config.lr,
             seed=derive_seed(config.seed, "trainer"),
             engine=config.engine,

@@ -76,18 +76,6 @@ class MachineSpec:
     overhead_per_batch: float = 2.0e-5
     cpu_workers: int = 4
 
-    def scaled(self, factor: float) -> "MachineSpec":
-        """Uniformly faster/slower machine (ablation helper)."""
-        return MachineSpec(
-            sample_rate=self.sample_rate * factor,
-            cpu_slice_rate=self.cpu_slice_rate * factor,
-            gpu_slice_rate=self.gpu_slice_rate * factor,
-            pcie_bandwidth=self.pcie_bandwidth * factor,
-            gpu_flops=self.gpu_flops * factor,
-            overhead_per_batch=self.overhead_per_batch / max(factor, 1e-12),
-            cpu_workers=self.cpu_workers,
-        )
-
 
 @dataclass(frozen=True)
 class NetworkSpec:

@@ -55,7 +55,7 @@ class DistributedTrainer:
         Feature store built over the same reordered dataset.
     fanouts / batch_size:
         Per-hop sampling fanouts and per-machine minibatch size.
-    hidden_dim / dropout / lr:
+    hidden_dim / lr:
         Model and optimizer hyperparameters (one replica per machine, all
         initialized identically).
     engine / pipeline_depth / staleness:
@@ -72,7 +72,6 @@ class DistributedTrainer:
         fanouts: Sequence[int],
         batch_size: int,
         hidden_dim: int = 64,
-        dropout: float = 0.0,
         lr: float = 1e-3,
         seed: SeedLike = 0,
         engine: str = "bsp",
@@ -97,8 +96,7 @@ class DistributedTrainer:
         ]
         self.models: List[GraphSAGE] = [
             GraphSAGE(self.ds.feature_dim, hidden_dim, self.ds.num_classes,
-                      len(self.fanouts), dropout=dropout,
-                      seed=derive_seed(seed, "model"))
+                      len(self.fanouts), seed=derive_seed(seed, "model"))
             for _ in range(self.num_machines)
         ]
         broadcast_state(self.models)  # identical initial weights

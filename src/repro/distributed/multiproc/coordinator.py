@@ -114,10 +114,10 @@ class MultiprocBackend(ClusterBackend):
         ``(epoch, step)`` points; validated against the cluster shape at
         :meth:`start`.
     recoverable:
-        With this set, a worker failure *mid-epoch* marks the backend
-        faulted instead of tearing the cluster down; :meth:`recover`
-        replaces the failed ranks (parked workers first), quiesces the
-        survivors and the gradient plane, and restores a
+        With this set, a worker failure *mid-epoch* or mid-checkpoint
+        marks the backend faulted instead of tearing the cluster down;
+        :meth:`recover` replaces the failed ranks (parked workers first),
+        quiesces the survivors and the gradient plane, and restores a
         :meth:`capture_checkpoint` snapshot so the interrupted epoch can be
         replayed bit-identically.  Off by default — fail-stop teardown
         remains the contract for everyone else.
@@ -164,7 +164,9 @@ class MultiprocBackend(ClusterBackend):
         self._faulted = False
         self._recovered = False
         self._in_recovery = False
-        self._epoch_active = False
+        #: True inside an epoch or a checkpoint capture, where a rank's
+        #: failure is recoverable.
+        self._recoverable_phase = False
         #: Cumulative count of ranks replaced by :meth:`recover`.
         self.restarts_total = 0
         self._started = False
@@ -262,7 +264,6 @@ class MultiprocBackend(ClusterBackend):
                     fanouts=tr.fanouts,
                     batch_size=tr.batch_size,
                     hidden_dim=tr.hidden_dim,
-                    dropout=float(cfg.dropout),
                     lr=float(cfg.lr),
                     engine=cfg.engine,
                     pipeline_depth=int(cfg.pipeline_depth),
@@ -390,7 +391,7 @@ class MultiprocBackend(ClusterBackend):
     # -- the protocol --------------------------------------------------
     def _fail(self, machine: Optional[int], why: str) -> None:
         message = f"worker {machine}: {why}" if machine is not None else why
-        if (self.recoverable and machine is not None and self._epoch_active
+        if (self.recoverable and machine is not None and self._recoverable_phase
                 and not self._in_recovery and not self._closing):
             # Recoverable mode: mark the rank faulted and surface the error
             # without teardown — the cluster stays up (segments, survivors,
@@ -476,27 +477,31 @@ class MultiprocBackend(ClusterBackend):
     def capture_checkpoint(self, epoch: int) -> dict:
         """Snapshot the cluster's training state at an epoch boundary.
 
-        Asks every worker for its model weights, Adam moments, and RNG
-        cursors (sampler + dropout streams).  Weights and moments are
-        identical across replicas after the allreduce, so one copy is
-        kept; RNG cursors are per machine.  The result is plain data —
-        wire-encodable, and persistable through the ArtifactCache's
-        ``checkpoint`` codec (:mod:`repro.distributed.recovery`).
+        Asks every worker for its model weights, Adam moments, and sampler
+        RNG cursor.  Weights and moments are identical across replicas
+        after the allreduce, so one copy is kept; sampler cursors are per
+        machine.  The result is plain data — wire-encodable, and
+        persistable through the ArtifactCache's ``checkpoint`` codec
+        (:mod:`repro.distributed.recovery`).  On a recoverable backend a
+        worker lost mid-capture faults its rank, as it would mid-epoch.
         """
         if not self.is_live:
             raise RuntimeError("cannot checkpoint a closed backend")
         if self._faulted:
             raise RuntimeError("cannot checkpoint a faulted backend — "
                                "recover() first")
-        with OBS.span("mp.checkpoint", epoch=epoch):
-            states = self._round(range(len(self._channels)), "ckpt",
-                                 repeat(None), "state")
+        self._recoverable_phase = True
+        try:
+            with OBS.span("mp.checkpoint", epoch=epoch):
+                states = self._round(range(len(self._channels)), "ckpt",
+                                     repeat(None), "state")
+        finally:
+            self._recoverable_phase = False
         return {
             "epoch": int(epoch),
             "model": states[0]["model"],
             "adam": states[0]["adam"],
             "samplers": [s["sampler"] for s in states],
-            "layer_rngs": [s["layer_rngs"] for s in states],
             "cache_fp": self._cache_fingerprint(),
         }
 
@@ -506,8 +511,7 @@ class MultiprocBackend(ClusterBackend):
         K = len(self._channels)
         payloads = repeat(None) if checkpoint is None else (
             {"model": checkpoint["model"], "adam": checkpoint["adam"],
-             "sampler": checkpoint["samplers"][k],
-             "layer_rngs": checkpoint["layer_rngs"][k]} for k in range(K))
+             "sampler": checkpoint["samplers"][k]} for k in range(K))
         self._round(range(K), "restore", payloads, "restored")
 
     def recover(self, checkpoint: Optional[dict] = None) -> int:
@@ -605,7 +609,7 @@ class MultiprocBackend(ClusterBackend):
     def run_epoch(self, epoch: int, *, dry_run: bool = False) -> EpochReport:
         self._start_usable()
         self._idle = False
-        self._epoch_active = True
+        self._recoverable_phase = True
         tr = self.system.trainer
         try:
             with OBS.span("mp.epoch", epoch=epoch, dry_run=dry_run,
@@ -630,7 +634,7 @@ class MultiprocBackend(ClusterBackend):
             self.close()
             raise
         finally:
-            self._epoch_active = False
+            self._recoverable_phase = False
             self._epoch_span_id = 0
         if OBS.enabled:
             self._note_wire_gauges()

@@ -59,7 +59,6 @@ class WorkerSpec:
     fanouts: Tuple[int, ...]
     batch_size: int
     hidden_dim: int
-    dropout: float
     lr: float
     engine: str
     pipeline_depth: int

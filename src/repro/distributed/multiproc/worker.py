@@ -15,7 +15,6 @@ implementation of the engine's two-method collective, over its one
 
 from __future__ import annotations
 
-import ast
 import gc
 import os
 import time
@@ -179,43 +178,25 @@ class _WorkerRuntime:
                                            seed=spec.sampler_seed)
         self.models[k] = GraphSAGE(
             spec.feature_dim, spec.hidden_dim, spec.num_classes,
-            len(spec.fanouts), dropout=spec.dropout, seed=spec.model_seed,
+            len(spec.fanouts), seed=spec.model_seed,
         )
         self.optimizers[k] = Adam(self.models[k].parameters(), lr=spec.lr)
 
-    def _rng_modules(self) -> list:
-        """Every submodule owning a ``_rng`` stream (Dropout layers), in
-        deterministic registration order — the checkpoint captures and
-        restores their cursors positionally."""
-        out = []
-
-        def walk(mod):
-            if getattr(mod, "_rng", None) is not None:
-                out.append(mod)
-            for child in mod._modules.values():
-                walk(child)
-
-        walk(self.models[self.spec.machine])
-        return out
-
     def capture_state(self) -> dict:
         """Wire-encodable snapshot of everything that advances per step:
-        model weights, Adam moments, and every RNG cursor (sampler +
-        dropout streams).  Taken at an epoch boundary, this is sufficient
-        to replay the next epoch bit-identically."""
+        model weights, Adam moments, and the sampler's RNG cursor (the
+        model draws no randomness).  Taken at an epoch boundary, this is
+        sufficient to replay the next epoch bit-identically."""
         k = self.spec.machine
         return {
             "model": dict(self.models[k].state_dict()),
             "adam": self.optimizers[k].state_dict(),
             "sampler": self.samplers[k].rng_state(),
-            "layer_rngs": [repr(m._rng.bit_generator.state)
-                           for m in self._rng_modules()],
         }
 
     def restore_state(self, payload) -> None:
         """Load a :meth:`capture_state` snapshot (``None`` → epoch-0 fresh
-        state).  RNG states travel as ``repr`` strings because PCG64
-        cursors are 128-bit ints, beyond the wire's 64-bit range."""
+        state)."""
         if payload is None:
             self._init_training_state()
             return
@@ -223,14 +204,6 @@ class _WorkerRuntime:
         self.models[k].load_state_dict(payload["model"])
         self.optimizers[k].load_state_dict(payload["adam"])
         self.samplers[k].set_rng_state(payload["sampler"])
-        rng_mods = self._rng_modules()
-        states = payload["layer_rngs"]
-        if len(states) != len(rng_mods):
-            raise RuntimeError(
-                f"checkpoint has {len(states)} layer RNG streams, model "
-                f"has {len(rng_mods)}")
-        for mod, state in zip(rng_mods, states):
-            mod._rng.bit_generator.state = ast.literal_eval(state)
 
     def release(self) -> None:
         """Drop every view into shared memory and close the attachments —

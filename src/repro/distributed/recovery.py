@@ -7,19 +7,19 @@ This module adds the other half of fault tolerance — *continuing* — without
 giving up the backend's bit-identity guarantee:
 
 - :class:`RecoveryPolicy` bounds how hard to try (``max_restarts``) and how
-  fast (exponential backoff with deterministic jitter: the jitter draw is a
-  pure function of ``(seed, attempt)``, so recovery timing is reproducible
-  run-to-run like everything else here).
+  fast (backoff doubling per attempt, with deterministic jitter: the jitter
+  draw is a pure function of ``(seed, attempt)``, so recovery timing is
+  reproducible run-to-run like everything else here).
 - :class:`RecoveryManager` drives multi-epoch training on a *recoverable*
   :class:`~repro.distributed.multiproc.MultiprocBackend`: after every
   successful epoch it captures an epoch-boundary checkpoint (model and
-  optimizer state, every RNG stream cursor, and a fingerprint of the
-  cluster's cache selection); on a worker failure it backs off, calls
-  :meth:`MultiprocBackend.recover` to respawn only the failed ranks (parked
-  workers first), and replays the interrupted epoch from the last checkpoint.
-  Because the checkpoint restores the exact sampler and dropout stream
-  cursors, the replayed epoch's losses are bit-identical to a fault-free
-  run's.
+  optimizer state, every sampler's RNG cursor, and a fingerprint of the
+  cluster's cache selection); on a worker failure — mid-epoch or
+  mid-capture — it backs off, calls :meth:`MultiprocBackend.recover` to
+  respawn only the failed ranks (parked workers first), and replays the
+  interrupted epoch from the last checkpoint.  Because the checkpoint
+  restores the exact sampler cursors, the replayed epoch's losses are
+  bit-identical to a fault-free run's.
 - :func:`save_checkpoint` / :func:`load_checkpoint` persist checkpoints
   through the existing :class:`~repro.core.planner.ArtifactCache` as its
   ``"checkpoint"`` kind.  The checkpoint dict is plain wire data, so the
@@ -37,6 +37,7 @@ harness's ``recovery.mttr`` stage reports.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -54,50 +55,40 @@ class RecoveryPolicy:
     """How many restarts to attempt and how to pace them.
 
     Attempt ``i`` (0-based, counted across the whole run) sleeps
-    ``min(backoff_max_s, backoff_base_s * backoff_factor**i)`` scaled by a
+    ``min(backoff_max_s, backoff_base_s * 2**i)`` scaled by a
     deterministic jitter in ``[1 - jitter, 1 + jitter]`` before recovering.
+    A checkpoint is taken after every epoch.
     """
 
     max_restarts: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max_s: float = 5.0
     jitter: float = 0.25
     seed: int = 0
-    checkpoint_interval: int = 1
 
     def validate(self) -> "RecoveryPolicy":
-        if self.max_restarts < 0:
+        if not 0 <= self.max_restarts < math.inf:
             raise ValueError(
                 f"max_restarts must be non-negative, got {self.max_restarts}"
             )
-        if self.backoff_base_s <= 0:
+        if not 0 < self.backoff_base_s < math.inf:
             raise ValueError(
-                f"backoff_base_s must be positive, got {self.backoff_base_s}"
+                f"backoff_base_s must be positive and finite, got "
+                f"{self.backoff_base_s}"
             )
-        if self.backoff_factor < 1.0:
+        if not self.backoff_base_s <= self.backoff_max_s < math.inf:
             raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_max_s < self.backoff_base_s:
-            raise ValueError(
-                f"backoff_max_s ({self.backoff_max_s}) must be >= "
-                f"backoff_base_s ({self.backoff_base_s})"
+                f"backoff_max_s ({self.backoff_max_s}) must be finite and "
+                f">= backoff_base_s ({self.backoff_base_s})"
             )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1 epoch, got "
-                f"{self.checkpoint_interval}"
-            )
         return self
 
     def backoff_s(self, attempt: int) -> float:
         """Backoff before restart ``attempt`` (0-based).  Deterministic in
         ``(seed, attempt)``: reruns back off identically."""
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_factor ** attempt)
+        base = min(self.backoff_max_s, self.backoff_base_s * 2.0 ** attempt)
         r = as_generator(derive_seed(self.seed, "recovery-backoff",
                                      attempt)).random()
         return base * (1.0 + self.jitter * (2.0 * r - 1.0))
@@ -139,10 +130,10 @@ class RecoveryManager:
 
     Wraps a :class:`MultiprocBackend` constructed with ``recoverable=True``
     (anything else fails fast on the first fault before the manager can
-    act).  :meth:`train` is the whole loop: run an epoch; on success,
-    checkpoint and advance; on :class:`WorkerFailedError`, back off per the
-    policy, :meth:`~MultiprocBackend.recover` the failed ranks, and replay
-    the interrupted epoch from the last checkpoint.  The backend restores
+    act).  :meth:`train` is the whole loop: run an epoch and checkpoint it;
+    on success, advance; on :class:`WorkerFailedError` from either, back
+    off per the policy, :meth:`~MultiprocBackend.recover` the failed ranks,
+    and replay the interrupted epoch from the last checkpoint.  The backend restores
     every RNG cursor from the checkpoint, so the replayed epoch — and all
     later ones — produce bit-identical losses to a fault-free run.
 
@@ -230,6 +221,8 @@ class RecoveryManager:
             t_epoch = time.monotonic()
             try:
                 report = self.backend.run_epoch(epoch)
+                t_done = time.monotonic()
+                checkpoint = self.backend.capture_checkpoint(epoch)
             except WorkerFailedError as exc:
                 detect_s = time.monotonic() - t_epoch
                 if self.restarts >= self.policy.max_restarts:
@@ -244,16 +237,8 @@ class RecoveryManager:
                 t_recover = time.monotonic()
                 self.backend.recover(self.checkpoint)
                 recover_s = time.monotonic() - t_recover
-                # Replay resumes from the epoch after the last checkpoint
-                # (with checkpoint_interval > 1 that can be earlier than
-                # the failed epoch); reports for rewound epochs are
-                # replaced by their bit-identical reruns.
-                resume = (int(self.checkpoint["epoch"]) + 1
-                          if self.checkpoint is not None else start_epoch)
-                del reports[resume - start_epoch:]
                 self.recoveries.append({
                     "epoch": epoch,
-                    "resume_epoch": resume,
                     "machine": exc.machine,
                     "error": str(exc),
                     "detect_s": detect_s,
@@ -262,16 +247,14 @@ class RecoveryManager:
                     "replay_s": None,  # filled when the replay succeeds
                     "_t_resume": time.monotonic(),
                 })
-                epoch = resume
                 continue
             last = self.recoveries[-1] if self.recoveries else None
             if last is not None and last["replay_s"] is None \
                     and epoch == last["epoch"]:
-                last["replay_s"] = time.monotonic() - last.pop("_t_resume")
+                last["replay_s"] = t_done - last.pop("_t_resume")
             reports.append(report)
-            if (epoch - start_epoch + 1) % self.policy.checkpoint_interval == 0:
-                self.checkpoint = self.backend.capture_checkpoint(epoch)
-                self._persist()
+            self.checkpoint = checkpoint
+            self._persist()
             epoch += 1
         return reports
 

@@ -4,7 +4,7 @@ from repro.nn.autograd import Tensor
 from repro.nn.module import Module, Parameter
 from repro.nn import functional
 from repro.nn.functional import cross_entropy
-from repro.nn.layers import Dropout, Linear, SAGEConv
+from repro.nn.layers import Linear, SAGEConv
 from repro.nn.models import GraphSAGE, MLP
 from repro.nn.optim import Adam
 
@@ -14,7 +14,6 @@ __all__ = [
     "Parameter",
     "functional",
     "cross_entropy",
-    "Dropout",
     "Linear",
     "SAGEConv",
     "GraphSAGE",

@@ -1,5 +1,5 @@
-"""Functional ops on :class:`~repro.nn.autograd.Tensor`: segment reductions,
-dropout, and the loss.
+"""Functional ops on :class:`~repro.nn.autograd.Tensor`: segment reductions
+and the loss.
 
 Segment ops operate on CSR-style contiguous segments (an MFG block's
 ``dst_ptr``).  Every segment sum — plain, through a source index (a block's
@@ -53,18 +53,6 @@ def segment_mean(x: Tensor, ptr: np.ndarray,
     counts = np.maximum(np.diff(ptr), 1).astype(x.data.dtype)
     total = segment_sum(x, ptr, index)
     return total * Tensor((1.0 / counts)[:, None])
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p``, scale by
-    ``1/(1-p)`` during training; identity in eval mode."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask.astype(x.data.dtype))
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""Neural layers: Linear, Dropout, and the GraphSAGE convolution the paper
+"""Neural layers: Linear and the GraphSAGE convolution the paper
 evaluates (§5), consuming MFG blocks.
 
 The convolution maps source representations ``x`` (rows aligned with the
@@ -40,18 +40,6 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class Dropout(Module):
-    """Inverted dropout with a module-owned RNG stream."""
-
-    def __init__(self, p: float = 0.5, seed: SeedLike = None):
-        super().__init__()
-        self.p = p
-        self._rng = as_generator(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)
 
 
 class SAGEConv(Module):

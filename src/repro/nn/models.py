@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn.layers import Dropout, Linear, SAGEConv
+from repro.nn.layers import Linear, SAGEConv
 from repro.nn.module import DTYPE, Module
 from repro.sampling.mfg import MFG
 from repro.utils.rng import SeedLike, spawn_generators
@@ -19,19 +19,20 @@ from repro.utils.rng import SeedLike, spawn_generators
 
 class GraphSAGE(Module):
     """The 3-layer / 2-layer SAGE architecture of Table 3: a stack of
-    per-hop :class:`SAGEConv` layers with ReLU+dropout between layers (none
-    after the last)."""
+    per-hop :class:`SAGEConv` layers with ReLU between layers (none after
+    the last)."""
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
-                 num_layers: int, *, dropout: float = 0.0, seed: SeedLike = None):
+                 num_layers: int, *, seed: SeedLike = None):
         super().__init__()
         if num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+        # One stream more than the layers use: a shared generator passed as
+        # ``seed`` advances by the count every persisted model was drawn with.
         rngs = spawn_generators(seed, num_layers + 1)
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
         self.convs = [SAGEConv(dims[i], dims[i + 1], seed=rngs[i])
                       for i in range(num_layers)]
-        self.dropout = Dropout(dropout, seed=rngs[-1])
         self.num_layers = num_layers
 
     def forward(self, x, mfg: MFG) -> Tensor:
@@ -59,7 +60,7 @@ class GraphSAGE(Module):
         for layer, block in enumerate(reversed(mfg.blocks)):
             h = self.convs[layer](h, block)
             if layer < self.num_layers - 1:
-                h = self.dropout(h.relu())
+                h = h.relu()
         return h
 
 
@@ -68,16 +69,15 @@ class MLP(Module):
     confirm the GNN's structural signal is real)."""
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
-                 *, dropout: float = 0.0, seed: SeedLike = None):
+                 *, seed: SeedLike = None):
         super().__init__()
-        rngs = spawn_generators(seed, 3)
+        rngs = spawn_generators(seed, 3)  # as for GraphSAGE: one spare stream
         self.fc1 = Linear(in_dim, hidden_dim, seed=rngs[0])
         self.fc2 = Linear(hidden_dim, out_dim, seed=rngs[1])
-        self.dropout = Dropout(dropout, seed=rngs[2])
 
     def forward(self, x, mfg: MFG = None) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=DTYPE))
         if mfg is not None:
             x = x.slice_rows(0, mfg.batch_size)
-        return self.fc2(self.dropout(self.fc1(x).relu()))
+        return self.fc2(self.fc1(x).relu())

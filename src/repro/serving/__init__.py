@@ -23,7 +23,6 @@ from repro.serving.batcher import (
     DeadlineBatcher,
     FixedSizeBatcher,
     MicroBatcher,
-    ROUTERS,
     make_batcher,
     one_hop_union,
 )
@@ -42,7 +41,6 @@ from repro.serving.workload import (
 
 __all__ = [
     "BATCHERS",
-    "ROUTERS",
     "CacheAffinityBatcher",
     "DeadlineBatcher",
     "FixedSizeBatcher",

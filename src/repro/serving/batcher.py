@@ -49,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: Micro-batcher registry (``ServingConfig.batcher``).
 BATCHERS = Registry("micro-batcher")
 
-#: Valid ``ServingConfig.router`` names (dispatch lives in the service).
-ROUTERS = ("round-robin", "owner")
-
 #: Deadline comparisons tolerate float accumulation in the simulated clock.
 _EPS = 1e-12
 

@@ -90,6 +90,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: evacuated.
 _HEALTH, _MUTATE, _ARRIVE, _TIMER, _COMPLETE, _REQUEUE = -2, -1, 0, 1, 2, 3
 
+#: Degraded-mode serving: what to do with a request whose fetch plan
+#: touches a down machine, per SLO class — ``"retry"`` (requeue with
+#: backoff, :data:`RETRY_BACKOFF_MS` doubling per attempt, until the
+#: partition returns or :data:`RETRY_LIMIT` retries are spent, then
+#: degrade), ``"degrade"`` (serve immediately from resident state, remote
+#: rows zero-filled, the request marked ``degraded``), or ``"shed"``
+#: (refuse, no prediction).  Unlisted SLO classes degrade.  Never silently
+#: wrong: every choice lands in the availability ledger.
+SLO_ACTIONS = {"interactive": "retry", "standard": "degrade", "batch": "shed"}
+RETRY_LIMIT = 3
+RETRY_BACKOFF_MS = 5.0
+
 #: Default micro-batches of recently served seeds a machine remembers —
 #: the request-distribution estimate its vip-refresh provider scores
 #: against (shrunk to twice the refresh interval for refreshing caches).
@@ -104,7 +116,7 @@ class Outage:
     machines, routing skips it) and its feature partition is unreachable:
     demand fetches that would hit it are handled per the requesting
     request's SLO class (retry / degrade / shed — see
-    ``ServingConfig.slo_policies``).  Rows resident elsewhere — local to
+    :data:`SLO_ACTIONS`).  Rows resident elsewhere — local to
     the serving machine or held in its cache — keep serving at full
     fidelity.  ``end=inf`` models a machine that never comes back.
     """
@@ -119,9 +131,10 @@ class Outage:
                 f"outage names machine {self.machine}, service has "
                 f"{num_machines} machines"
             )
-        if self.start < 0:
-            raise ValueError(f"outage start must be >= 0, got {self.start}")
-        if self.end <= self.start:
+        if not 0 <= self.start < math.inf:
+            raise ValueError(
+                f"outage start must be >= 0 and finite, got {self.start}")
+        if not self.end > self.start:
             raise ValueError(
                 f"outage end ({self.end}) must be after start ({self.start})"
             )
@@ -147,10 +160,10 @@ class InferenceService:
         :meth:`from_system`).
     serving:
         The :class:`~repro.core.config.ServingConfig` knobs (batcher,
-        ``max_batch``, ``max_wait_ms``, ``max_in_flight``, router).
+        ``max_batch``, ``max_wait_ms``, ``max_in_flight``).
     fanouts:
-        Forward-only sampling fanouts (typically the training fanouts, or
-        ``serving.fanouts`` when inference samples differently).
+        Forward-only sampling fanouts (:meth:`from_system` passes the
+        training fanouts).
     seed:
         Sampler randomness; one derived stream per machine, so runs are
         reproducible bit-for-bit.
@@ -189,7 +202,6 @@ class InferenceService:
         dims = cost_model.dims
         self._dims = (dims.in_dim, dims.hidden_dim, dims.out_dim)
         self._rr_next = 0  # round-robin routing cursor
-        self._slo_policy = dict(self.spec.slo_policies)
         # Reusable gather outputs, keyed by (machine, micro-batch slot): a
         # window's features are consumed (forward pass, predictions copied)
         # before the machine serves another window.
@@ -253,13 +265,12 @@ class InferenceService:
         request-traffic VIP (:meth:`_request_vip_scores`).
         """
         config = system.config
-        spec = config.serving
         return cls(
             system.store,
             system.trainer.models[0],
             system.cost_model,
-            spec,
-            fanouts=spec.fanouts if spec.fanouts is not None else config.fanouts,
+            config.serving,
+            fanouts=config.fanouts,
             seed=derive_seed(config.seed, "serving"),
             streaming=config.streaming,
         )
@@ -279,7 +290,7 @@ class InferenceService:
         Identical artifact reuse to :meth:`SalientPP.build`: a shared
         planner serves partition / VIP / reorder / cache-selection from its
         cache, and since no preprocessing stage fingerprints the
-        ``serving`` config slice, serving sweeps (batchers, SLOs, routers)
+        ``serving`` config slice, serving sweeps (batchers, windows)
         recompute nothing.
         """
         from repro.core.planner import Planner
@@ -317,19 +328,11 @@ class InferenceService:
             slo=request.slo,
         )
 
-    def _route(self, request: Request) -> int:
-        """Pick the serving machine; down machines are skipped while at
-        least one machine is up (with every machine down, the healthy
-        choice stands — the request waits in that queue for an up
+    def _route(self) -> int:
+        """Pick the serving machine round-robin; down machines are skipped
+        while at least one machine is up (with every machine down, the
+        next choice stands — the request waits in that queue for an up
         transition or the end-of-run shed)."""
-        if self.spec.router == "owner":
-            owners = self.store.reordered.owner_of(request.seeds)
-            counts = np.bincount(owners, minlength=self.num_machines)
-            if any(self._down):
-                up = [k for k in range(self.num_machines) if not self._down[k]]
-                if up:
-                    return max(up, key=lambda k: (counts[k], -k))
-            return int(counts.argmax())
         for _ in range(self.num_machines):
             machine = self._rr_next
             self._rr_next = (self._rr_next + 1) % self.num_machines
@@ -375,7 +378,7 @@ class InferenceService:
         whose gather would touch a down partition is retried with
         backoff, served degraded from resident state (unavailable rows
         zero-filled), or shed — per its SLO class
-        (``ServingConfig.slo_policies``) — and every outcome is counted
+        (:data:`SLO_ACTIONS`) — and every outcome is counted
         in the report's :class:`~repro.serving.metrics.
         AvailabilityLedger`.  Requests whose gathers avoid every down
         partition are served at full fidelity throughout.
@@ -425,12 +428,11 @@ class InferenceService:
             elif kind == _MUTATE:
                 self._apply_mutation(payload)
             elif kind == _ARRIVE:
-                internal = self._admit(payload)
-                machine = self._route(internal)
-                self._queues[machine].append(internal)
+                machine = self._route()
+                self._queues[machine].append(self._admit(payload))
                 self._try_flush(machine, now)
             elif kind == _REQUEUE:
-                machine = self._route(payload)
+                machine = self._route()
                 self._queues[machine].append(payload)
                 self._try_flush(machine, now)
             elif kind == _TIMER:
@@ -527,9 +529,6 @@ class InferenceService:
                 self._down[machine] = False
                 self._try_flush(machine, now)
 
-    def _slo_action(self, slo: str) -> str:
-        return self._slo_policy.get(slo, "degrade")
-
     def _unavailable_mask(self, plan: FetchPlan) -> np.ndarray:
         """Which of ``plan.remote_ids`` are owned by a down machine.
 
@@ -571,12 +570,12 @@ class InferenceService:
         """
         kept: List[Request] = []
         for req in group:
-            action = self._slo_action(req.slo)
+            action = SLO_ACTIONS.get(req.slo, "degrade")
             if action == "retry":
                 attempt = self._retries.get(req.rid, 0)
-                if attempt < self.spec.retry_limit:
+                if attempt < RETRY_LIMIT:
                     self._retries[req.rid] = attempt + 1
-                    delay = self.spec.retry_backoff_ms / 1e3 * (2.0 ** attempt)
+                    delay = RETRY_BACKOFF_MS / 1e3 * (2.0 ** attempt)
                     self._push(now + delay, _REQUEUE, req)
                     continue
                 kept.append(req)  # retry budget spent: serve degraded

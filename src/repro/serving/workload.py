@@ -23,6 +23,7 @@ traffic shape a production GNN inference tier actually sees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -43,8 +44,8 @@ class Request:
     identifies the issuing closed-loop client (``None`` for open-loop
     traffic).  ``slo`` names the request's SLO class — it selects the
     degraded-mode action (retry / degrade / shed) from
-    ``ServingConfig.slo_policies`` when a partition the request needs is
-    down; unlisted classes degrade.
+    :data:`repro.serving.service.SLO_ACTIONS` when a partition the request
+    needs is down; unlisted classes degrade.
     """
 
     rid: int
@@ -106,9 +107,9 @@ def poisson_requests(
     drifts every ``drift_interval`` *requests*).  Deterministic given
     ``seed``.
     """
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
-    if num_requests < 1:
+    if not 0 < rate_rps < math.inf:
+        raise ValueError(f"rate_rps must be positive and finite, got {rate_rps}")
+    if not 1 <= num_requests < math.inf:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     rng = as_generator(derive_seed(seed, "arrivals"))
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
@@ -148,9 +149,10 @@ class ClosedLoopWorkload:
             raise ValueError(
                 f"num_clients must be >= 1, got {self.num_clients}"
             )
-        if self.think_time_s < 0:
+        if not 0 <= self.think_time_s < math.inf:
             raise ValueError(
-                f"think_time_s must be non-negative, got {self.think_time_s}"
+                f"think_time_s must be non-negative and finite, got "
+                f"{self.think_time_s}"
             )
         self._iter = iter(self.seed_batches)
 

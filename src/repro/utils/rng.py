@@ -1,7 +1,7 @@
 """Reproducible random-number management.
 
 Every stochastic component in the library (graph generators, the neighborhood
-sampler, weight initialization, dropout) accepts either an integer seed or a
+sampler, weight initialization) accepts either an integer seed or a
 :class:`numpy.random.Generator`.  These helpers normalize the two and derive
 statistically independent child streams, so that e.g. the K logical machines
 of a simulated cluster each sample minibatches from their own stream while the

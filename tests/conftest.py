@@ -111,8 +111,8 @@ def rng():
 def make_checkpoint():
     """``make_checkpoint(epoch)``: a checkpoint-shaped dict (the layout
     ``MultiprocBackend.capture_checkpoint`` returns) in which every field —
-    weights, epoch, Adam moments and step, sampler and layer RNG cursors —
-    is a function of ``epoch`` alone, so a tear between two epochs shows."""
+    weights, epoch, Adam moments and step, sampler RNG cursors — is a
+    function of ``epoch`` alone, so a tear between two epochs shows."""
     def make(epoch: int) -> dict:
         gen = np.random.default_rng(epoch)
         cursors = [repr(np.random.default_rng((epoch, k)).bit_generator.state)
@@ -125,7 +125,6 @@ def make_checkpoint():
                      "v": [gen.random(size=(8, 4)), gen.random(size=4)],
                      "t": 10 * epoch},
             "samplers": cursors,
-            "layer_rngs": [[c[::-1]] for c in cursors],
             "cache_fp": "c" * 64,
         }
     return make

@@ -1,11 +1,14 @@
 """RunConfig and progressive-ladder tests."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
 
 from repro.core import RunConfig, progressive_variants, table1_alpha
 from repro.pipeline import PipelineMode
+
+NAN, INF = math.nan, math.inf
 
 
 class TestRunConfig:
@@ -124,6 +127,30 @@ class TestValidate:
         assert "dtype" not in {f.name for f in fields(WorkerSpec)}
         assert "dtype" not in inspect.signature(DistributedTrainer).parameters
 
+    def test_options_with_one_value_in_use_are_constants(self):
+        """Every run trains without dropout, serves round-robin at the
+        training fanouts under the fixed SLO table, checkpoints every epoch
+        with doubling backoff and keeps the default memory-tier caps:
+        none of these is an option."""
+        import inspect
+
+        from repro.core import ArtifactCache, STAGE_CONFIG_FIELDS, ServingConfig
+        from repro.distributed.executor import DistributedTrainer
+        from repro.distributed.multiproc.segments import WorkerSpec
+        from repro.distributed.recovery import RecoveryPolicy
+        from repro.nn import GraphSAGE, MLP
+
+        assert "dropout" not in {f.name for f in fields(RunConfig)}
+        assert "dropout" not in STAGE_CONFIG_FIELDS["trainer"]
+        assert "dropout" not in {f.name for f in fields(WorkerSpec)}
+        for fn in (DistributedTrainer, GraphSAGE, MLP):
+            assert "dropout" not in inspect.signature(fn).parameters
+        assert [f.name for f in fields(ServingConfig)] == [
+            "batcher", "max_batch", "max_wait_ms", "max_in_flight"]
+        assert {"backoff_factor", "checkpoint_interval"}.isdisjoint(
+            f.name for f in fields(RecoveryPolicy))
+        assert "memory_caps" not in inspect.signature(ArtifactCache).parameters
+
     def test_no_stage_is_keyed_by_arch(self):
         from repro.core import STAGE_CONFIG_FIELDS
 
@@ -149,7 +176,6 @@ class TestValidate:
         dict(fanouts=(4, 0)),
         dict(batch_size=0),
         dict(hidden_dim=0),
-        dict(dropout=1.0),
         dict(lr=0.0),
         dict(replication_factor=-0.1),
         dict(gpu_fraction=1.5),
@@ -157,9 +183,14 @@ class TestValidate:
         dict(cache_aging_interval=-1),
         dict(pipeline_depth=0),
         dict(network_gbps=0.0),
-    ])
+    ] + [{name: v} for name in (
+        "num_machines", "staleness", "batch_size", "hidden_dim", "lr",
+        "replication_factor", "gpu_fraction", "refresh_interval",
+        "cache_aging_interval", "pipeline_depth", "network_gbps",
+    ) for v in (NAN, INF, -INF)] + [dict(fanouts=(4, v)) for v in (NAN, INF)])
     def test_out_of_range_fields_raise(self, bad):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
             replace(RunConfig(), **bad).validate()
 
 
@@ -205,23 +236,17 @@ class TestServingConfig:
         assert "micro-batcher" in str(exc.value)
         assert "deadline" in str(exc.value)
 
-    def test_unknown_router_rejected(self):
-        from repro.core import ServingConfig
-
-        with pytest.raises(ValueError, match="router"):
-            ServingConfig(router="hash").validate()
-
     @pytest.mark.parametrize("bad", [
         dict(max_batch=0),
         dict(max_wait_ms=0.0),
         dict(max_in_flight=0),
-        dict(fanouts=()),
-        dict(fanouts=(4, 0)),
-    ])
+    ] + [{name: v} for name in ("max_batch", "max_wait_ms", "max_in_flight")
+         for v in (NAN, INF, -INF)])
     def test_out_of_range_serving_fields_raise(self, bad):
         from repro.core import ServingConfig
 
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
             ServingConfig(**bad).validate()
 
     def test_run_config_validates_serving_slice(self):

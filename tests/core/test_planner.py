@@ -17,6 +17,7 @@ from repro.core import (
     progressive_variants,
     save_artifact,
 )
+from repro.core.planner import _DEFAULT_MEMORY_CAPS
 from repro.distributed.recovery import load_checkpoint, save_checkpoint
 from repro.distributed.wire import MAGIC, pack_message, pack_obj, unpack_message
 
@@ -132,12 +133,14 @@ class TestLadderReuse:
         assert p.stats["cache-select"].computed == 2
 
     def test_memory_tier_caps_heavy_artifacts(self, tiny_dataset, cfg):
-        cache = ArtifactCache(memory_caps={"reorder": 2})
+        cache = ArtifactCache()
         p = Planner(cache)
-        for K in (1, 2, 4):
-            p.build(tiny_dataset, replace(cfg, num_machines=K))
-        held = [k for k, _ in cache._memory.items() if k[0] == "reorder"]
-        assert len(held) == 2  # FIFO-evicted down to the cap
+        cap = _DEFAULT_MEMORY_CAPS["reorder"]
+        for f in range(1, cap + 3):  # each fanout re-keys vip, so reorder
+            p.artifact(tiny_dataset, replace(cfg, fanouts=(f, 3)), "reorder")
+        held = [k for k in cache._memory if k[0] == "reorder"]
+        assert p.stats["reorder"].computed == cap + 2
+        assert len(held) == cap  # FIFO-evicted down to the cap
 
     def test_injected_partition_is_content_addressed(self, tiny_dataset, cfg):
         part = make_partition(tiny_dataset, cfg.resolve(tiny_dataset))

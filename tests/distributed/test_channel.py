@@ -59,13 +59,12 @@ def protocol_frames(tiny_dataset):
     model = tr.models[0]
     state = {"model": dict(model.state_dict()),
              "adam": tr.optimizers[0].state_dict(),
-             "sampler": tr.samplers[0].rng_state(),
-             "layer_rngs": [repr(np.random.default_rng(0).bit_generator.state)]}
+             "sampler": tr.samplers[0].rng_state()}
     records = [r for r in report.records if r.machine == 0]
     spec = WorkerSpec(
         machine=0, num_machines=2, sampler_seed=11, order_seed=23,
         model_seed=5, num_vertices=400, num_classes=4, feature_dim=16,
-        fanouts=(5, 5), batch_size=16, hidden_dim=16, dropout=0.5, lr=0.01,
+        fanouts=(5, 5), batch_size=16, hidden_dim=16, lr=0.01,
         engine="bsp", pipeline_depth=1, steps_per_epoch=len(records),
         gpu_rows=10, part_offsets=np.array([0, 200, 400]),
         local_train=np.arange(0, 60, 2), cache_ids=np.arange(300, 320),

@@ -31,7 +31,6 @@ _FIELDS = {
     "adam moments": lambda c: [c["adam"]["m"], c["adam"]["v"]],
     "adam t": lambda c: c["adam"]["t"],
     "sampler cursors": lambda c: c["samplers"],
-    "layer rng cursors": lambda c: c["layer_rngs"],
 }
 
 

@@ -19,7 +19,7 @@ def _spec(machine=0, **changes) -> WorkerSpec:
         machine=machine, num_machines=2, sampler_seed=11 + machine,
         order_seed=23 + machine, model_seed=5, num_vertices=400,
         num_classes=4, feature_dim=16, fanouts=(5, 5), batch_size=16,
-        hidden_dim=16, dropout=0.5, lr=0.01, engine="bsp",
+        hidden_dim=16, lr=0.01, engine="bsp",
         pipeline_depth=1, steps_per_epoch=3, gpu_rows=10,
         part_offsets=np.array([0, 200, 400]),
         local_train=np.arange(machine, 60, 2),

@@ -1,11 +1,12 @@
 """Checkpoint/replay recovery: the fault-tolerant runtime's acceptance suite.
 
 The headline contract: a multiproc training run interrupted by a mid-epoch
-worker fault — kill, hang, corrupt wire frame, or torn gradient slab — and
-driven by :class:`RecoveryManager` completes with per-step losses
-**bit-identical** to a fault-free run's.  Checkpoints restore every RNG
-stream cursor, so the replayed epoch samples the same neighborhoods, drops
-the same activations, and lands on the same floats.
+worker fault — kill, hang, corrupt wire frame, or torn gradient slab — or by
+a worker lost while its epoch is checkpointed, and driven by
+:class:`RecoveryManager`, completes with per-step losses **bit-identical**
+to a fault-free run's.  Checkpoints restore every sampler's RNG cursor, so
+the replayed epoch samples the same neighborhoods and lands on the same
+floats.
 
 Everything else here guards the machinery: deterministic backoff, the
 restart budget, checkpoint persistence through the ArtifactCache (including
@@ -13,7 +14,9 @@ a full warm start from disk into a fresh cluster), and zero leaked
 processes or shared memory after any outcome.
 """
 
+import math
 import os
+import signal
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -100,18 +103,21 @@ class TestRecoveryPolicy:
             RecoveryPolicy(max_restarts=-1).validate()
         with pytest.raises(ValueError, match="backoff_base_s"):
             RecoveryPolicy(backoff_base_s=0.0).validate()
-        with pytest.raises(ValueError, match="backoff_factor"):
-            RecoveryPolicy(backoff_factor=0.5).validate()
         with pytest.raises(ValueError, match="backoff_max_s"):
             RecoveryPolicy(backoff_base_s=1.0, backoff_max_s=0.5).validate()
         with pytest.raises(ValueError, match="jitter"):
             RecoveryPolicy(jitter=1.0).validate()
-        with pytest.raises(ValueError, match="checkpoint_interval"):
-            RecoveryPolicy(checkpoint_interval=0).validate()
+
+    @pytest.mark.parametrize("name", ["max_restarts", "backoff_base_s",
+                                      "backoff_max_s", "jitter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RecoveryPolicy(**{name: value}).validate()
 
     def test_backoff_deterministic_and_bounded(self):
-        pol = RecoveryPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                             backoff_max_s=0.5, jitter=0.25, seed=7)
+        pol = RecoveryPolicy(backoff_base_s=0.1, backoff_max_s=0.5,
+                             jitter=0.25, seed=7)
         delays = [pol.backoff_s(i) for i in range(8)]
         assert delays == [pol.backoff_s(i) for i in range(8)]  # reruns match
         for i, d in enumerate(delays):
@@ -119,7 +125,7 @@ class TestRecoveryPolicy:
             assert base * 0.75 <= d <= base * 1.25
         # A different seed jitters differently; zero jitter is exact.
         assert delays != [RecoveryPolicy(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.5,
+            backoff_base_s=0.1, backoff_max_s=0.5,
             jitter=0.25, seed=8).backoff_s(i) for i in range(8)]
         assert RecoveryPolicy(jitter=0.0, backoff_base_s=0.1).backoff_s(0) \
             == pytest.approx(0.1)
@@ -150,7 +156,7 @@ def test_kill_mid_epoch_replay_bit_identical_k4(oracle_losses):
     assert len(sleeps) == 1 and sleeps[0] == _FAST.backoff_s(0)
     [rec] = manager.recoveries
     assert rec["machine"] == 2
-    assert rec["epoch"] == 1 and rec["resume_epoch"] == 1
+    assert rec["epoch"] == 1
     assert rec["replay_s"] is not None
     assert manager.mttr_s() is not None and manager.mttr_s() > 0
     backend.close()
@@ -177,7 +183,7 @@ def test_fault_sweep_recovers_bit_identical(kind, oracle_losses):
     [rec] = manager.recoveries
     assert rec["machine"] == 1
     # Epoch-0 faults replay from initial state (no checkpoint exists yet).
-    assert rec["resume_epoch"] == 0
+    assert rec["epoch"] == 0
     backend.close()
     _assert_fully_torn_down(backend)
 
@@ -218,6 +224,36 @@ def test_multi_fault_budget_and_exhaustion(oracle_losses):
     _assert_fully_torn_down(backend)
 
 
+def test_worker_killed_during_capture_recovers_bit_identical(oracle_losses):
+    # Rank 1 dies as the coordinator asks for the epoch-1 checkpoint: the
+    # capture fails like an epoch would, so the manager recovers from the
+    # epoch-0 checkpoint and replays epoch 1 in place of its report.
+    epochs = 3
+    backend = MultiprocBackend(_build_system(), timeout_s=60.0,
+                               recoverable=True)
+    capture = backend.capture_checkpoint
+
+    def kill_then_capture(epoch):
+        if epoch == 1 and backend.restarts_total == 0:
+            victim = backend.processes[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10.0)
+            assert not victim.is_alive()
+        return capture(epoch)
+
+    backend.capture_checkpoint = kill_then_capture
+    manager = RecoveryManager(backend, _FAST, sleep=lambda _s: None)
+    reports = manager.train(epochs)
+    assert _losses(reports) == oracle_losses(2, epochs)
+    assert manager.restarts == 1
+    [rec] = manager.recoveries
+    assert rec["machine"] == 1 and rec["epoch"] == 1
+    assert rec["replay_s"] is not None
+    assert manager.checkpoint["epoch"] == epochs - 1
+    backend.close()
+    _assert_fully_torn_down(backend)
+
+
 # ----------------------------------------------------------------------
 # checkpoint persistence
 # ----------------------------------------------------------------------
@@ -234,8 +270,6 @@ def _checkpoints_equal(a, b):
         for x, y in zip(a["adam"][key], b["adam"][key]):
             assert np.array_equal(np.asarray(x), np.asarray(y))
     assert list(a["samplers"]) == list(b["samplers"])
-    assert [list(s) for s in a["layer_rngs"]] \
-        == [list(s) for s in b["layer_rngs"]]
     assert a["cache_fp"] == b["cache_fp"]
 
 
@@ -246,6 +280,7 @@ def test_checkpoint_disk_round_trip(tmp_path):
     try:
         backend.run_epoch(0)
         ckpt = backend.capture_checkpoint(0)
+        assert set(ckpt) == {"epoch", "model", "adam", "samplers", "cache_fp"}
         fp = backend.fingerprint
         save_checkpoint(cache, fp, ckpt)
         assert load_checkpoint(cache, fp) is ckpt  # memory tier hit

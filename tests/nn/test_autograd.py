@@ -172,7 +172,6 @@ DTYPE_OPS = {
     "slice_rows": lambda t: t.slice_rows(1, 3),
     "segment_sum": lambda t: F.segment_sum(t, **SEGMENTS),
     "segment_mean": lambda t: F.segment_mean(t, **SEGMENTS),
-    "dropout": lambda t: F.dropout(t, 0.5, np.random.default_rng(0)),
     "log_softmax": lambda t: F.log_softmax(t),
     "cross_entropy": lambda t: F.cross_entropy(t, np.array([0, 1, 2, 0])),
 }

@@ -1,4 +1,4 @@
-"""Functional op tests: segment reductions, losses, dropout."""
+"""Functional op tests: segment reductions and losses."""
 
 import numpy as np
 import pytest
@@ -76,24 +76,6 @@ class TestSegmentOps:
     def test_ptr_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             F.segment_sum(Tensor(np.ones((3, 2))), np.array([0, 2]))
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = Tensor(np.ones((10, 10)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_training_scales(self, rng):
-        x = Tensor(np.ones((400, 50)))
-        out = F.dropout(x, 0.25, rng, training=True)
-        kept = out.data != 0
-        assert 0.70 < kept.mean() < 0.80
-        assert np.allclose(out.data[kept], 1.0 / 0.75)
-
-    def test_rejects_bad_p(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(2)), 1.0, rng)
 
 
 class TestLosses:

@@ -56,12 +56,13 @@ class TestLinearAndModule:
             a.load_state_dict(state)
 
     def test_train_eval_mode_propagates(self):
-        m = GraphSAGE(4, 8, 2, 2, dropout=0.5, seed=0)
+        m = GraphSAGE(4, 8, 2, 2, seed=0)
+        leaves = [c.lin_self for c in m.convs] + [c.lin_neigh for c in m.convs]
         m.eval()
         assert not m.training
-        assert not m.dropout.training
+        assert not any(mod.training for mod in m.convs + leaves)
         m.train()
-        assert m.dropout.training
+        assert all(mod.training for mod in m.convs + leaves)
 
 
 class TestConvolutions:

@@ -37,11 +37,11 @@ from repro.nn.autograd import Tensor
 from repro.sampling import NeighborSampler
 
 new = types.SimpleNamespace(
-    Tensor=Tensor, dropout=F.dropout,
+    Tensor=Tensor,
     log_softmax=F.log_softmax, cross_entropy=F.cross_entropy,
     segment_sum=F.segment_sum, segment_mean=F.segment_mean)
 old = types.SimpleNamespace(
-    Tensor=ref.Tensor, dropout=ref.dropout,
+    Tensor=ref.Tensor,
     log_softmax=ref.log_softmax, cross_entropy=ref.cross_entropy,
     # The oracle's spelling of an indexed segment sum, under today's API.
     segment_sum=lambda x, ptr, index=None: ref.segment_sum(
@@ -137,7 +137,6 @@ ELEMENTWISE = {
     "mean-cols": lambda ns, x: x.mean(axis=1, keepdims=True),
     "reshape-T": lambda ns, x: x.T.reshape(-1),
     "log_softmax": lambda ns, x: ns.log_softmax(x),
-    "dropout": lambda ns, x: ns.dropout(x, 0.4, np.random.default_rng(3)),
 }
 
 #: The ops that meet a Python scalar or a 0-d result.  On float32 data the

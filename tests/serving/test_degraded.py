@@ -8,11 +8,14 @@ availability ledger.  Nothing is ever silently wrong: a degraded answer is
 labeled, a shed request has no prediction at all.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import Planner, RunConfig, ServingConfig
 from repro.serving import Outage, poisson_requests
+from repro.serving.service import RETRY_LIMIT
 from repro.serving.workload import Request
 
 SLO_CLASSES = ("interactive", "standard", "batch")
@@ -47,6 +50,15 @@ def test_outage_validation(tiny_dataset):
         Outage(machine=0, start=-1.0).validate(2)
     with pytest.raises(ValueError, match="end"):
         Outage(machine=0, start=2.0, end=1.0).validate(2)
+    for start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="start"):
+            Outage(machine=0, start=start).validate(2)
+    for end in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="end"):
+            Outage(machine=0, start=0.02, end=end).validate(2)
+    with pytest.raises(ValueError, match="machine"):
+        Outage(machine=math.nan, start=0.0).validate(2)
+    assert Outage(machine=0, start=0.02).validate(2).end == math.inf
     svc = build_service(tiny_dataset)
     with pytest.raises(ValueError, match="machine"):
         svc.run(make_slo_requests(tiny_dataset, per_class=2),
@@ -99,7 +111,7 @@ class TestPermanentOutage:
             else:  # interactive: retry with backoff, then degrade
                 assert r.status in ("ok", "degraded")
                 if r.status == "degraded":
-                    assert r.retries == 3  # default retry_limit
+                    assert r.retries == RETRY_LIMIT
         retried = sum(r.retries for r in rep.records)
         assert rep.availability.retries == retried > 0
 

@@ -193,16 +193,11 @@ class TestIdTranslation:
 
 
 class TestRouting:
-    def test_owner_routing_sends_to_seed_owner(self, tiny_dataset):
-        svc = build_service(tiny_dataset, router="owner")
-        reqs = make_requests(tiny_dataset, n=30)
-        rep = svc.run(reqs)
+    def test_arrivals_route_round_robin(self, served):
+        _ds, svc, reqs, rep = served
         by_rid = {r.rid: r for r in rep.records}
-        rd = svc.store.reordered
-        for req in reqs:
-            owners = rd.owner_of(rd.new_of_old[req.seeds])
-            majority = np.bincount(owners, minlength=svc.num_machines).argmax()
-            assert by_rid[req.rid].machine == majority
+        for i, req in enumerate(sorted(reqs, key=lambda r: r.arrival)):
+            assert by_rid[req.rid].machine == i % svc.num_machines
 
 
 class TestPlannerIntegration:

@@ -1,5 +1,7 @@
 """Load-generator tests: arrival shapes, determinism, closed-loop protocol."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,10 @@ class TestPoissonRequests:
         assert all(x.arrival == y.arrival and np.array_equal(x.seeds, y.seeds)
                    for x, y in zip(a, b))
 
-    def test_rejects_bad_rate(self):
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_rate(self, rate):
         with pytest.raises(ValueError, match="rate_rps"):
-            poisson_requests(CAND, 10, 4, rate_rps=0.0)
+            poisson_requests(CAND, 10, 4, rate_rps=rate)
 
 
 class TestTraceRequests:
