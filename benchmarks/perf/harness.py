@@ -26,8 +26,10 @@ Tracked stages
 ``preprocess.partition / vip / reorder / cache_select / store_build``
     The §4.1–4.2 preprocessing pipeline on papers-mini, 8 partitions.
     ``preprocess.vip`` is the headline: active-set Proposition 1 with the
-    shared transition cache versus the dense per-partition recursions,
-    asserted bit-identical before timing is reported.
+    shared transition cache versus the dense per-partition recursions;
+    ``max_abs_diff`` between the two (summation order only: production
+    sums left to right, the oracle pairwise) is checked before timing is
+    reported.
 ``train.epoch_<engine>``
     One dry-run functional epoch per execution engine (sampling + gather +
     event emission; no model math), rows/s = gathered feature rows.
@@ -45,15 +47,16 @@ Tracked stages
     Wall time the vip-refresh score provider (request-VIP through
     Proposition 1) spends recomputing during a drifting serving run — the
     CACHE_REFRESH stage cost — with the dense-recursion equivalent timed on
-    the same observed traffic for the speedup.
+    the same observed traffic for the speedup, and their ``max_abs_diff``.
 ``vip.incremental_refresh``
     Streaming-graph VIP maintenance: per churn window (100-edge batches in
     communities away from the seed distribution, ~0.007% of the edge set),
     ``incremental_vip`` against the full consumer path — CSR rebuild via
-    ``materialize()`` plus ``vip_probabilities`` — asserted bit-identical
-    each window before the median walls are reported.  ``dense_wall_s``
-    includes the rebuild because that is what a snapshot-less consumer
-    pays to evaluate on the mutated graph.
+    ``materialize()`` plus ``vip_probabilities`` (the production full
+    evaluation) — asserted bit-identical each window before the median
+    walls are reported.  ``dense_wall_s`` includes the rebuild because
+    that is what a snapshot-less consumer pays to evaluate on the mutated
+    graph.
 ``recovery.mttr``
     Mean time-to-recovery for the standard chaos scenario: a worker killed
     mid-epoch on a real recoverable multiproc cluster, detected by the
@@ -151,9 +154,27 @@ def _entry(wall_s, rows=None, dense_wall_s=None, **extra):
     return entry
 
 
+#: How far production Proposition 1 may sit from the frozen dense oracle
+#: before a timing is not trusted.  The two sum each row of equation (3) in
+#: different orders (left to right vs numpy's pairwise ``reduceat``), which
+#: moves values in their last ulps: ~1e-15 measured on papers-mini.  The
+#: tests hold the per-hop bound (``tests/vip/vip_cases.oracle_slack``).
+ORACLE_TOLERANCE = 1e-12
+
+
+def _oracle_diff(got: np.ndarray, oracle: np.ndarray) -> float:
+    """``max |got - oracle|``, raising past :data:`ORACLE_TOLERANCE`."""
+    diff = float(np.max(np.abs(got - oracle), initial=0.0))
+    if not diff <= ORACLE_TOLERANCE:
+        raise AssertionError(
+            f"Proposition 1 diverged from the dense oracle by {diff:.3g}, "
+            f"more than summation order explains ({ORACLE_TOLERANCE:g})")
+    return diff
+
+
 # ----------------------------------------------------------------------
 def preprocessing_stages(stages: dict, *, dataset=None) -> None:
-    """partition -> vip (vs dense, bit-identical) -> reorder ->
+    """partition -> vip (vs dense, within summation order) -> reorder ->
     cache-select -> store build, on papers-mini with 8 partitions."""
     from repro.core import make_partition
     from repro.distributed import PartitionedFeatureStore
@@ -174,13 +195,9 @@ def preprocessing_stages(stages: dict, *, dataset=None) -> None:
         ds.graph, part, ds.train_idx, cfg.fanouts, cfg.batch_size), repeats=2)
     wall, vip = _best_of(lambda: partitionwise_vip(
         ds.graph, part, ds.train_idx, cfg.fanouts, cfg.batch_size), repeats=2)
-    if not np.array_equal(vip, vip_dense):
-        raise AssertionError(
-            "active-set partitionwise_vip diverged from the dense baseline"
-        )
-    stages["preprocess.vip"] = _entry(wall, rows=K * n,
-                                      dense_wall_s=dense_wall,
-                                      bit_identical=True)
+    stages["preprocess.vip"] = _entry(
+        wall, rows=K * n, dense_wall_s=dense_wall,
+        max_abs_diff=_oracle_diff(vip, vip_dense))
 
     score = np.zeros(n)
     for k in range(K):
@@ -446,8 +463,7 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
         lambda: vip_probabilities(graph, p0, service.fanouts))
     dense_wall, res_d = _best_of(
         lambda: vip_probabilities_dense(graph, p0, service.fanouts))
-    if not np.array_equal(res_a.access, res_d.access):
-        raise AssertionError("request-VIP refresh scores diverged from dense")
+    max_abs_diff = _oracle_diff(res_a.access, res_d.access)
     total_wall = sum(refresh_walls)
     # The speedup is measured per call on the same observed p0 (active vs
     # seed recursion); the reported dense wall scales the run's actual
@@ -458,6 +474,7 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
         refresh_calls=len(refresh_walls),
         per_call_wall_s=round(total_wall / len(refresh_walls), 6),
         per_call_dense_wall_s=round(dense_wall, 6),
+        max_abs_diff=max_abs_diff,
     )
 
 

@@ -6,7 +6,8 @@ cheap, high-signal subset inside the regular suite so a regression that
 erases the active-set / coalesce wins fails fast, with CI-safe floors
 (absolute walls vary by runner; the *ratios* are stable):
 
-* ``partitionwise_vip`` must stay bit-identical to the dense baseline and
+* ``partitionwise_vip`` must stay bit-identical to the production full
+  evaluation, within the summation-order bound of the dense baseline, and
   at least 2.5x faster on the papers-mini 8-partition config (measured
   locally at ~3.5-4x; the committed BENCH_PERF.json records the headline).
 * ``FetchPlan.coalesce`` at depth 16 must beat the seed bookkeeping.
@@ -19,6 +20,8 @@ import harness
 from repro.core import RunConfig
 from repro.graph.datasets import make_synthetic_dataset
 from repro.vip import partitionwise_vip
+from repro.vip.analytic import uniform_minibatch_probability
+from vip_cases import assert_within_oracle_bound, full_evaluation  # tests/vip
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,16 @@ def test_vip_active_set_speedup(benchmark, artifacts):
     benchmark.extra_info["dense_s"] = round(dense_wall, 4)
     benchmark.extra_info["active_s"] = round(wall, 4)
 
-    assert np.array_equal(vip, vip_dense)  # bit-identical, always
+    # Row k is the full evaluation seeded by partition k, bit for bit, and
+    # that is the dense oracle up to summation order (the per-hop bound).
+    owner = part.assignment[ds.train_idx]
+    for k in range(harness.K):
+        p0 = uniform_minibatch_probability(
+            ds.num_vertices, ds.train_idx[owner == k], cfg.batch_size)
+        full = full_evaluation(ds.graph, p0, cfg.fanouts)
+        assert np.array_equal(vip[k], full.access)
+        assert_within_oracle_bound(full, ds.graph, p0, cfg.fanouts)
+    assert np.max(np.abs(vip - vip_dense)) <= harness.ORACLE_TOLERANCE
     assert dense_wall / wall >= 2.5, (
         f"active-set VIP speedup collapsed: {dense_wall / wall:.2f}x "
         f"(dense {dense_wall:.3f}s vs active {wall:.3f}s)"

@@ -63,7 +63,8 @@ from repro.partition.registry import make_partition
 from repro.partition.reorder import ReorderedDataset, apply_reorder, reorder_dataset
 from repro.pipeline.costmodel import ModelDims
 from repro.utils.rng import derive_seed
-from repro.vip.analytic import partitionwise_vip, transition_table
+from repro.vip.analytic import (SUMMATION, partitionwise_vip,
+                                transition_table)
 from repro.vip.policies import (
     CacheContext,
     OraclePolicy,
@@ -96,6 +97,11 @@ STAGE_CONFIG_FIELDS: Dict[str, Tuple[str, ...]] = {
                 "seed", "engine", "pipeline_depth", "staleness"),
 }
 
+#: What a stage's artifact depends on beyond its inputs and config slice:
+#: the numerics it is computed under.  A VIP matrix summed in another order
+#: (e.g. one persisted before Proposition 1 became a CSR product) is then a
+#: cache miss, never a mixed-numerics hit.
+STAGE_NUMERICS: Dict[str, Tuple[str, ...]] = {"vip": ("summation", SUMMATION)}
 
 # ----------------------------------------------------------------------
 # Fingerprints.
@@ -387,7 +393,8 @@ class Planner:
                              np.asarray(vip_matrix))
             else:
                 dep_fps = tuple(stages[d].fingerprint for d in deps[name])
-                fp = _digest(name, ds_fp, dep_fps, slc)
+                fp = _digest(name, ds_fp, dep_fps, slc,
+                             *STAGE_NUMERICS.get(name, ()))
             stages[name] = StageNode(
                 name=name, fingerprint=fp, deps=deps[name],
                 config_slice=slc, enabled=enabled[name],
@@ -674,17 +681,16 @@ class Planner:
                             cost_model, vip)
         if config.cache_policy == "vip-refresh" and dynamic_spec is not None:
             # Prime the graph's shared TransitionTable for the configured
-            # fanouts — transitions, the structure memos (incoming
-            # adjacency, reduceat row segments), and the edge scratch — so
-            # every runtime refresh (training-set VIP here, or the
-            # request-VIP provider InferenceService swaps in) reuses cached
-            # state instead of paying the one-time O(N+M) passes on the
-            # serving/refresh critical path.
+            # fanouts — transitions, the incoming adjacency and the dense
+            # hop's whole-graph operator — so every runtime refresh
+            # (training-set VIP here, or the request-VIP provider
+            # InferenceService swaps in) reuses cached state instead of
+            # paying the one-time O(N+M) passes on the serving/refresh
+            # critical path.
             table = transition_table(reordered.dataset.graph)
             for fanout in config.fanouts:
                 table.vertex_transition(fanout)
             table.incoming()
-            table.all_row_segments()
-            table.edge_scratch()
+            table.all_rows()
             store.set_refresh_score_provider(system.training_vip_scores)
         return system

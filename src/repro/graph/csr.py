@@ -57,6 +57,34 @@ def rows_concat(graph, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         row_positions(graph.row_starts(rows), counts))
 
 
+def _check_index(index: np.ndarray, num_rows: int) -> None:
+    """Row indices must lie in ``[0, num_rows)``: numpy would wrap a
+    negative one silently, a compressed sparse product reads an unchecked
+    one out of bounds."""
+    if len(index) and (index.min() < 0 or index.max() >= num_rows):
+        bad = index.min() if index.min() < 0 else index.max()
+        raise ValueError(f"index {bad} is outside [0, {num_rows})")
+
+
+def edge_operator(ptr: np.ndarray, index: np.ndarray, num_cols: int,
+                  dtype) -> sp.csr_array:
+    """The 0/1 matrix with a one at ``(i, index[e])`` for every edge ``e`` in
+    ``[ptr[i], ptr[i+1])`` — an MFG block *is* this matrix, and so is a row
+    set of a graph (``ptr`` from the rows' degrees, ``index`` their
+    concatenated adjacency, :func:`rows_concat`).
+
+    ``A @ x`` sums the rows ``x[index[e]]`` of each segment left to right in
+    edge order, starting from ``+0.0``; ``A.T @ g`` scatter-adds ``g[i]`` to
+    row ``index[e]`` in the same order (the arrays are shared, not copied).
+    ``dtype`` must be the dtype of the rows being summed: a float64
+    operator would upcast a float32 sum.  ``index`` is checked against
+    ``num_cols``.
+    """
+    _check_index(index, num_cols)
+    return sp.csr_array((np.ones(len(index), dtype=dtype), index, ptr),
+                        shape=(len(ptr) - 1, num_cols))
+
+
 class CSRGraph:
     """A directed graph in CSR form (use :meth:`to_undirected` to symmetrize).
 

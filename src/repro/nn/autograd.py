@@ -9,8 +9,9 @@ per-element Python work anywhere.
 
 Every sum over indexed rows — a block's aggregation and its backward
 (``functional.segment_sum``) — is one sparse product with the 0/1 matrix
-:func:`edge_operator` builds, so no edge-by-feature intermediate is ever
-materialised and the summation order is left to right in edge order by
+:func:`repro.graph.csr.edge_operator` builds (a graph's row sets in
+Proposition 1 are the same matrix), so no edge-by-feature intermediate is
+ever materialised and the summation order is left to right in edge order by
 definition (``docs/architecture.md``, "The model step").
 
 Gradients are never written in place: ``_accumulate`` rebinds ``.grad``, the
@@ -29,32 +30,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-
-
-def _check_index(index: np.ndarray, num_rows: int) -> None:
-    """Row indices must lie in ``[0, num_rows)``: numpy would wrap a
-    negative one silently, a compressed sparse product reads an unchecked
-    one out of bounds."""
-    if len(index) and (index.min() < 0 or index.max() >= num_rows):
-        bad = index.min() if index.min() < 0 else index.max()
-        raise ValueError(f"index {bad} is outside [0, {num_rows})")
-
-
-def edge_operator(ptr: np.ndarray, index: np.ndarray, num_cols: int,
-                  dtype) -> sp.csr_array:
-    """The 0/1 matrix with a one at ``(i, index[e])`` for every edge ``e`` in
-    ``[ptr[i], ptr[i+1])`` — an MFG block *is* this matrix.
-
-    ``A @ x`` sums the rows ``x[index[e]]`` of each segment left to right in
-    edge order; ``A.T @ g`` scatter-adds ``g[i]`` to row ``index[e]`` in the
-    same order (the arrays are shared, not copied).  ``dtype`` must be the
-    dtype of the rows being summed: a float64 operator would upcast a
-    float32 sum.  ``index`` is checked against ``num_cols``.
-    """
-    _check_index(index, num_cols)
-    return sp.csr_array((np.ones(len(index), dtype=dtype), index, ptr),
-                        shape=(len(ptr) - 1, num_cols))
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -4,7 +4,7 @@ and the loss.
 Segment ops operate on CSR-style contiguous segments (an MFG block's
 ``dst_ptr``).  Every segment sum — plain, through a source index (a block's
 aggregation), forward and backward — is a product with the block's 0/1
-operator (:func:`~repro.nn.autograd.edge_operator`): ``A @ x`` and
+operator (:func:`~repro.graph.csr.edge_operator`): ``A @ x`` and
 ``A.T @ grad``.  The summation order is therefore left to right in edge
 order, in the dtype of the rows being summed.
 """
@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, edge_operator
+from repro.graph.csr import edge_operator
+from repro.nn.autograd import Tensor
 
 
 def segment_sum(x: Tensor, ptr: np.ndarray,

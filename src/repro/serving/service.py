@@ -633,7 +633,6 @@ class InferenceService:
             start = now_ns() if traced else 0
             mfg = sampler.sample(seeds)
             end = now_ns() if traced else 0
-            self._recent_seeds[machine].append(seeds)
             plan = self.store.plan_gather(machine, mfg.n_id)
             mask = None
             if degraded_mode:
@@ -643,20 +642,21 @@ class InferenceService:
                     # SLO class, then resample over what actually serves.
                     kept = self._apply_slo_actions(machine, group, now)
                     if not kept:
-                        self._recent_seeds[machine].pop()
                         continue
                     if len(kept) != len(group):
                         seeds = np.unique(
                             np.concatenate([r.seeds for r in kept]))
                         mfg = sampler.sample(seeds)
                         end = now_ns() if traced else 0
-                        self._recent_seeds[machine][-1] = seeds
                         plan = self.store.plan_gather(machine, mfg.n_id)
                         mask = self._unavailable_mask(plan)
                     group = kept
                     if mask.any():
                         for req in group:
                             flags[req.rid] = "degraded"
+            # Only a served group's final seed set enters the window: a
+            # group shed whole must not push out the oldest served one.
+            self._recent_seeds[machine].append(seeds)
             kept_groups.append(group)
             mfgs.append(mfg)
             plans.append(plan)

@@ -14,12 +14,14 @@ is
     p(u) = 1 - prod_{h=1..L} (1 - p[h](u)).                           (2)
 
 The formulas are written once each: :func:`vertex_transition_values` is
-``t``, :func:`hop_values` evaluates (3) for a *row set* (the rows' source
-lists concatenated, one ``np.add.reduceat`` over per-vertex log factors
-gathered along them) and :func:`accumulate_total` is (2)'s log product.
-Every evaluator is a choice of row set over that kernel:
+``t``, :func:`hop_values` evaluates (3) for a *row set* — one sparse
+product ``1 - exp(A @ log(max(1 - t * p[h-1], 0)))`` with the rows' 0/1
+operator ``A`` (:func:`row_set`, the matrix an MFG block is) — and
+:func:`accumulate_total` is (2)'s log product.  Every evaluator is a choice
+of row set over that kernel:
 
-* :func:`vip_probabilities`, dense hop — all rows (``graph.indices``);
+* :func:`vip_probabilities`, dense hop — all rows (the graph's cached
+  :meth:`TransitionTable.all_rows`);
 * :func:`vip_probabilities`, sparse hop — the rows containing a frontier
   vertex.  ``p[h-1]`` is nonzero only on the (h-1)-hop ball around the
   seeds, so while the frontier's incident edges stay under
@@ -27,14 +29,17 @@ Every evaluator is a choice of row set over that kernel:
 * :func:`repro.vip.incremental.incremental_vip` — the rows a churn batch
   or a seed drift can have changed, read through a ``MutableGraph``.
 
-A row is always summed over its *entire* source list in stored order
-(inactive sources contribute an exact ``log 1 = +0.0``), so every choice
-produces the same bits: numpy sums pairwise and only the segment's
-operands, order and length matter.  The seed implementation (per-edge
-transitions recomputed per hop, one O(M) pass per hop) is the frozen
-oracle ``tests/vip/reference_dense.py``; hypothesis suites hold every
-evaluator to it with ``==`` per element, and ``benchmarks/perf`` times the
-production path against it.
+The summation order is left to right in edge order, by definition: a CSR
+product sums each row sequentially from ``+0.0`` in stored order, and an
+inactive source contributes an exact ``log 1 = +0.0``, which changes no
+bit.  So a row's value depends only on its own source list, never on which
+other rows share the product, and every row-set choice produces the same
+bits.  The seed implementation (per-edge transitions recomputed per hop,
+one O(M) pass per hop, numpy's pairwise ``reduceat``) is the frozen oracle
+``tests/vip/reference_dense.py``; the suites hold every evaluator to it
+within the summation-order bound ``count * eps * sum|x|`` per hop, and to
+the production full evaluation with ``==``, and ``benchmarks/perf`` times
+the production path against it.
 
 Per-vertex transition arrays are cached per graph in a
 :class:`TransitionTable` (one entry per distinct fanout), shared by the K
@@ -47,14 +52,21 @@ ordering (paper §3.2, §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.graph.csr import CSRGraph, rows_concat
+from repro.graph.csr import CSRGraph, edge_operator, rows_concat
 from repro.graph.mutable import id_union
 from repro.partition.interface import Partition
 from repro.utils.validation import check_probability_vector
+
+#: How equation (3) sums a row: left to right in stored edge order, as one
+#: CSR product.  Part of the ``vip`` stage's artifact fingerprint
+#: (``core/planner.py``), so a VIP matrix computed under another order is
+#: never served from an artifact cache.
+SUMMATION = "csr-product-left-to-right"
 
 #: Fraction of the graph's directed edges the frontier's incident rows may
 #: cover before a hop falls back to the dense row sweep.  Below the cutoff
@@ -154,44 +166,36 @@ def _one_minus_exp(s: np.ndarray) -> np.ndarray:
     return np.clip(s, 0.0, 1.0, out=s)
 
 
-def row_segments(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(nonempty, starts)``: which rows of a row-major concatenation
-    holding ``counts[i]`` entries per row own a ``reduceat`` segment, and
-    where each begins (an empty row owns none)."""
-    nonempty = np.flatnonzero(counts)
-    return nonempty, np.cumsum(counts)[nonempty] - counts[nonempty]
+def row_set(graph, rows: np.ndarray) -> sp.csr_array:
+    """The 0/1 operator of ``rows`` of ``graph`` (a :class:`CSRGraph` or a
+    streaming overlay, read through :func:`rows_concat`): row ``i`` holds a
+    one at every source of ``rows[i]``, in stored order — the same matrix
+    an MFG block is (:func:`~repro.graph.csr.edge_operator`)."""
+    counts, flat = rows_concat(graph, rows)
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return edge_operator(ptr, flat, graph.num_vertices, np.float64)
 
 
-def hop_values(tv: np.ndarray, p_prev: np.ndarray, counts: np.ndarray,
-               flat: np.ndarray, *, active: Optional[np.ndarray] = None,
-               segments: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Equation (3) for a row set: ``p[h]`` of rows whose source lists,
-    concatenated row-major, are ``flat`` (``counts[i]`` entries for row
-    ``i``) — ``1 - exp`` of the per-row sum of the per-vertex log factors
-    ``log(max(1 - t(v) * p[h-1](v), 0))`` gathered along ``flat``.
+def hop_values(tv: np.ndarray, p_prev: np.ndarray, rows: sp.csr_array, *,
+               active: Optional[np.ndarray] = None) -> np.ndarray:
+    """Equation (3) for a row set: ``p[h]`` of the rows of the 0/1 operator
+    ``rows`` (:func:`row_set`, or a graph's cached
+    :meth:`TransitionTable.all_rows`) — ``1 - exp(rows @ g)`` with the
+    per-vertex log factors ``g(v) = log(max(1 - t(v) * p[h-1](v), 0))``.
 
-    ``active`` names the vertices whose factor is evaluated (all of them
-    by default) and must cover every source in ``flat`` with
+    Each row sums its sources left to right in stored order, starting from
+    ``+0.0``.  ``active`` names the vertices whose factor is evaluated (all
+    of them by default) and must cover every source of ``rows`` with
     ``p_prev != 0``; the rest keep the exact ``+0.0`` such a source's
-    ``log 1`` is.  ``segments`` (a memoized :func:`row_segments` of
-    ``counts``) and ``out`` (a ``len(flat)`` float64 gather scratch) let a
-    caller that evaluates the same row set every hop pay for them once.
+    ``log 1`` is, and adding ``+0.0`` changes no bit.
     """
     if active is None:
         gv = _log_complement(tv * p_prev)
     else:
         gv = np.zeros(len(p_prev), dtype=np.float64)
         gv[active] = _log_complement(tv[active] * p_prev[active])
-    values = np.zeros(len(counts), dtype=np.float64)
-    nonempty, starts = (row_segments(counts) if segments is None
-                        else segments)
-    if len(nonempty):
-        # mode="clip" skips np.take's bounds-check path (~2x faster);
-        # adjacency ids are validated in range when a graph is built.
-        edge_log = np.take(gv, flat, out=out, mode="clip")
-        values[nonempty] = _one_minus_exp(np.add.reduceat(edge_log, starts))
-    return values
+    return _one_minus_exp(rows @ gv)
 
 
 def accumulate_total(log_not_total: np.ndarray, p_h: np.ndarray,
@@ -210,7 +214,7 @@ def accumulate_total(log_not_total: np.ndarray, p_h: np.ndarray,
 # Per-graph transition cache.
 
 class TransitionTable:
-    """Per-graph cache of transition arrays and hot-path scratch.
+    """Per-graph cache of transition arrays and the dense hop's operator.
 
     One table is attached lazily to each :class:`CSRGraph` (see
     :func:`transition_table`); because graphs are immutable, every cached
@@ -220,9 +224,10 @@ class TransitionTable:
       graph's degrees, computed at most once per distinct fanout per graph.
       ``partitionwise_vip``'s K seeded recursions, the Planner's vip stage
       and every serving-time vip-refresh share these entries.
-    * the all-rows :func:`row_segments` and edge-sized gather scratch of
-      the dense hop, and the incoming adjacency used for frontier
-      expansion on directed graphs.
+    * the whole-graph :func:`row_set` the dense hop multiplies by (it
+      shares ``indptr`` / ``indices``; its ones array is the one edge-sized
+      buffer), and the incoming adjacency used for frontier expansion on
+      directed graphs.
 
     Cached arrays are handed out read-only; treat them as borrowed views.
     """
@@ -239,8 +244,7 @@ class TransitionTable:
         #: these).
         self.vertex_computes = 0
         self.vertex_hits = 0
-        self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._edge_scratch: Optional[np.ndarray] = None
+        self._all_rows: Optional[sp.csr_array] = None
         self._incoming: Optional[CSRGraph] = None
 
     def vertex_transition(self, fanout: int) -> np.ndarray:
@@ -256,18 +260,13 @@ class TransitionTable:
             self.vertex_hits += 1
         return t
 
-    def all_row_segments(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`row_segments` of the whole CSR (every row, in order)."""
-        if self._segments is None:
-            self._segments = row_segments(self.graph.degrees)
-        return self._segments
-
-    def edge_scratch(self) -> np.ndarray:
-        """Reusable ``(M,)`` float64 buffer for edge-level gathers."""
-        if self._edge_scratch is None:
-            self._edge_scratch = np.empty(self.graph.num_edges,
-                                          dtype=np.float64)
-        return self._edge_scratch
+    def all_rows(self) -> sp.csr_array:
+        """:func:`row_set` of every row, in CSR order."""
+        if self._all_rows is None:
+            g = self.graph
+            self._all_rows = edge_operator(g.indptr, g.indices,
+                                           g.num_vertices, np.float64)
+        return self._all_rows
 
     def incoming(self) -> CSRGraph:
         """Graph whose row ``v`` lists the rows of ``graph`` containing
@@ -311,10 +310,10 @@ def vip_probabilities(
     evaluates :func:`hop_values` on only the rows incident to it, switching
     to all rows once the frontier's incident edges exceed ``sparse_cutoff``
     of the edge set.  The output does not depend on the switch (bit for
-    bit; ``tests/vip/test_active_set.py`` holds both to the frozen dense
-    oracle), only the cost does — seed distributions confined to one
-    partition's training set (or a serving hot set) do not pay full-graph
-    cost per hop.
+    bit; ``tests/vip/test_active_set.py`` holds every cutoff to the
+    all-rows evaluation), only the cost does — seed distributions confined
+    to one partition's training set (or a serving hot set) do not pay
+    full-graph cost per hop.
 
     Parameters
     ----------
@@ -350,16 +349,14 @@ def vip_probabilities(
                 and int(deg[frontier].sum()) <= sparse_cutoff * m):
             # Row set: the rows containing a frontier vertex.
             rows = id_union(n, rows_concat(table.incoming(), frontier)[1])
-            counts, flat = rows_concat(graph, rows)
             p_h = np.zeros(n, dtype=np.float64)
-            p_h[rows] = hop_values(tv, p_prev, counts, flat, active=frontier)
+            p_h[rows] = hop_values(tv, p_prev, row_set(graph, rows),
+                                   active=frontier)
             frontier = rows[p_h[rows] > 0.0]
             accumulate_total(log_not_total, p_h, where=frontier)
         else:
             # Row set: every row, in CSR order.
-            p_h = hop_values(tv, p_prev, deg, graph.indices,
-                             segments=table.all_row_segments(),
-                             out=table.edge_scratch())
+            p_h = hop_values(tv, p_prev, table.all_rows())
             accumulate_total(log_not_total, p_h)
             # Recompute the frontier only while the support is small enough
             # that the next hop could plausibly take the sparse path.

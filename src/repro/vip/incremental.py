@@ -33,15 +33,15 @@ Bit-identity
 ------------
 The result is bit-identical to a full :func:`vip_probabilities` run on the
 materialized (compacted) graph: a recomputed row is one more row set handed
-to the same kernel (:func:`repro.vip.analytic.hop_values`, read through
-:func:`repro.graph.csr.rows_concat`), and every skipped scalar is carried
-over from a previous evaluation of that kernel:
+to the same kernel (:func:`repro.vip.analytic.hop_values` over the rows'
+0/1 operator, :func:`repro.vip.analytic.row_set`), and every skipped scalar
+is carried over from a previous evaluation of that kernel:
 
 * effective overlay rows are sorted and duplicate-free exactly like
-  compacted CSR rows, so the kernel's per-row ``np.add.reduceat`` segments
-  see the same operands in the same order and length (numpy sums pairwise,
-  so segment *shape* matters — which is why rows whose length changed are
-  always recomputed rather than reasoned about);
+  compacted CSR rows, and the kernel sums each row left to right from
+  ``+0.0`` in stored order, so a recomputed row sees the same operands in
+  the same order as the full evaluation's row — whichever other rows
+  share its product;
 * transition factors are patched per dirty row with the one formula
   (:func:`repro.vip.analytic.vertex_transition_values`; the snapshot
   carries the per-fanout vertex arrays forward — the "invalidate only
@@ -50,15 +50,17 @@ over from a previous evaluation of that kernel:
   rows where some hop value changed.
 
 The hypothesis differential suites (``tests/streaming/``,
-``tests/vip/test_active_set.py``) assert equality with the frozen dense
-oracle ``tests/vip/reference_dense.py`` with ``==`` per element across
-random churn on undirected graphs and ``-1`` fanouts.
+``tests/vip/test_active_set.py``) assert equality with the production full
+evaluation with ``==`` per element across random churn on undirected
+graphs and ``-1`` fanouts, and hold that evaluation to the frozen dense
+oracle ``tests/vip/reference_dense.py`` within the summation-order bound.
 
-Past a churn cutoff (cumulative touched edge volume as a fraction of the
-dense sweep's total, ``num_hops * num_edges``) the wave is no longer
-cheaper than a sweep and the refresh falls back to the full evaluation on
-the materialized graph (a fresh :func:`snapshot_vip`) — same output, full
-cost.
+Past a churn cutoff (touched edge volume so far, plus the current hop's
+volume for each hop still to come, as a fraction of the dense sweep's
+total ``num_hops * num_edges``) the wave is no longer cheaper than a sweep
+and the refresh falls back to the full evaluation on the materialized
+graph (a fresh :func:`snapshot_vip`) — same output, full cost, decided
+before the hop that trips is computed.
 """
 
 from __future__ import annotations
@@ -68,19 +70,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import rows_concat
 from repro.graph.mutable import MutableGraph, id_union
 from repro.utils.validation import check_probability_vector
 from repro.vip.analytic import (VIPResult, _normalize_fanout, _one_minus_exp,
-                                accumulate_total, hop_values,
+                                accumulate_total, hop_values, row_set,
                                 vertex_transition_values, vip_probabilities)
 
 #: Default fraction of the dense sweep's total edge volume
-#: (``num_hops * num_edges``) a refresh may touch, cumulatively across hops,
-#: before it falls back to a full recompute on the materialized graph.  The
-#: incremental path's per-edge cost is close to the dense sweep's, and the
-#: dense path additionally pays a CSR rebuild, so the crossover sits well
-#: past half the sweep volume; 0.5 is conservative.
+#: (``num_hops * num_edges``) a refresh may touch, cumulatively across hops
+#: and projected over the hops still to come, before it falls back to a
+#: full recompute on the materialized graph.  The incremental path's
+#: per-edge cost is close to the dense sweep's, and the dense path
+#: additionally pays a CSR rebuild, so the crossover sits well past half
+#: the sweep volume; 0.5 is conservative.
 CHURN_CUTOFF = 0.5
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -192,8 +194,9 @@ def incremental_vip(
     churn_cutoff:
         Fraction of the dense sweep's total edge volume
         (``num_hops * num_edges``) the refresh may touch, cumulatively
-        across hops, before falling back to the full evaluation
-        (``0`` forces full, ``1`` never falls back).
+        across hops and projected over the hops still to come, before
+        falling back to the full evaluation (``0`` forces full, ``1``
+        never falls back).
 
     Returns
     -------
@@ -243,15 +246,16 @@ def incremental_vip(
     p_prev = p0
     old_prev = p0_old
     for h, fanout in enumerate(fanouts):
-        # Dirty rows are recomputed at every hop: their length changed, and
-        # numpy's reductions sum pairwise, so even inserting an exact-zero
-        # log term can regroup the *other* operands and move low-order bits.
-        # Transition-stale vertices are different — the rows containing them
-        # kept their length and operand order, and a source with p = 0
-        # contributes 1 - t·0 = 1.0 → log = +0.0 bit-identically under the
-        # old and new factor alike — so they only need recomputing where the
-        # source is live under either hop array.  That filter is what keeps
-        # hub-degree churn far from the seed distribution's reach cheap.
+        # Dirty rows are recomputed at every hop: their source list
+        # changed, and an added or removed source may be live at any hop
+        # (a dead one adds an exact +0.0, so the row comes out identical
+        # and the bitwise filter stops it).  Transition-stale vertices are
+        # different — the rows containing them kept their sources, and a
+        # source with p = 0 contributes 1 - t·0 = 1.0 → log = +0.0 under
+        # the old and new factor alike — so they only need recomputing
+        # where the source is live under either hop array.  That filter is
+        # what keeps hub-degree churn far from the seed distribution's
+        # reach cheap.
         if len(deg_changed):
             t_active = deg_changed[(p_prev[deg_changed] != 0.0)
                                    | (old_prev[deg_changed] != 0.0)]
@@ -266,21 +270,27 @@ def incremental_vip(
             p_prev = old_h
             old_prev = old_h
             continue
+        hop_volume = int(mgraph.degrees[rows].sum())
         stats.rows_recomputed += len(rows)
-        stats.edges_touched += int(mgraph.degrees[rows].sum())
+        stats.edges_touched += hop_volume
         # Cumulative gate against the dense sweep's total volume, taken
-        # before the hop's rows are read: per-hop volume is bounded by m,
-        # so cutoff 1.0 can never trip and 0.0 trips on the first touched
-        # edge.
-        if stats.edges_touched > churn_cutoff * (len(fanouts) * m):
+        # before the hop's rows are read and projected over the hops still
+        # to come at this hop's volume each, so a refresh that will end
+        # full does not compute hops first (a training-set swap moves p[0]
+        # on every seed, and its hop 1 alone predicts the trip).  Per-hop
+        # volume is bounded by m, so cutoff 1.0 can never trip and 0.0
+        # trips on the first touched edge.
+        remaining = len(fanouts) - h - 1
+        if (stats.edges_touched + remaining * hop_volume
+                > churn_cutoff * (len(fanouts) * m)):
             stats.mode = "full"
             snapshot = snapshot_vip(mgraph, given, fanouts)
             snapshot.stats = stats
             return snapshot
         # Row set: R_h, read through the overlay.
-        counts, flat = rows_concat(mgraph, rows)
         values = hop_values(vtrans[_normalize_fanout(fanout)], p_prev,
-                            counts, flat, active=np.flatnonzero(p_prev))
+                            row_set(mgraph, rows),
+                            active=np.flatnonzero(p_prev))
         # Bitwise filter: only rows whose value actually moved propagate.
         moved = values != old_h[rows]
         changed = rows[moved]

@@ -94,6 +94,21 @@ class TestPlan:
             assert a.fingerprint(s) == c.fingerprint(s)
         assert a.fingerprint("cache-select") != c.fingerprint("cache-select")
 
+    def test_summation_rule_keys_the_vip_artifact(self, tiny_dataset, cfg,
+                                                  monkeypatch):
+        """A VIP matrix summed under another rule (one persisted before
+        equation (3) became a left-to-right product) is a cache miss for
+        ``vip`` and everything downstream; ``partition`` is untouched."""
+        from repro.core import planner
+
+        a = Planner().plan(tiny_dataset, cfg)
+        monkeypatch.setattr(planner, "STAGE_NUMERICS",
+                            {"vip": ("summation", "pairwise-reduceat")})
+        b = Planner().plan(tiny_dataset, cfg)
+        assert a.fingerprint("partition") == b.fingerprint("partition")
+        for s in ("vip", "reorder", "cache-select"):
+            assert a.fingerprint(s) != b.fingerprint(s)
+
     def test_describe_lists_stages(self, tiny_dataset, cfg):
         text = Planner().plan(tiny_dataset, cfg).describe()
         for s in ("partition", "vip", "reorder", "cache-select", "store",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, functional as F
-from repro.nn.autograd import edge_operator
+from repro.graph.csr import edge_operator
 
 
 def numgrad(f, x, eps=1e-6):

@@ -200,3 +200,30 @@ def test_overlapping_outages_compose(tiny_dataset):
         if 0.031 < by_rid[r.rid].arrival < 0.045:
             # Inside the outer span, after the inner one ended: still down.
             assert r.machine == 0
+
+
+def test_shed_group_leaves_the_request_window_alone(tiny_dataset):
+    """The request-VIP window holds the seed sets of the last served
+    micro-batches.  A micro-batch shed whole serves nothing, so it must not
+    push the oldest served seed set out of a full window; one served in
+    part enters it with the seeds actually served."""
+    svc = build_service(tiny_dataset)
+    svc.run(make_slo_requests(tiny_dataset, per_class=2))
+    store = svc.store.stores[1]
+    uncached = np.flatnonzero(
+        ~svc.store.stores[0].is_cached(np.arange(store.lo, store.hi)))
+    remote = store.lo + uncached  # machine 0 must fetch these from machine 1
+    window = svc._recent_seeds[0]
+    served = [np.array([i]) for i in range(window.maxlen)]
+    window.extend(served)
+    svc._down[1] = True
+
+    def group(slos):
+        return [Request(rid=10_000 + i, seeds=remote[2 * i:2 * i + 2],
+                        arrival=0.0, slo=slo) for i, slo in enumerate(slos)]
+
+    svc._serve_window(0, [group(["batch", "batch"])], now=1.0)
+    assert [s.tolist() for s in window] == [s.tolist() for s in served]
+    svc._serve_window(0, [group(["batch", "standard"])], now=1.0)
+    assert [s.tolist() for s in window] == (
+        [s.tolist() for s in served[1:]] + [remote[2:4].tolist()])

@@ -1,38 +1,41 @@
-"""Incremental VIP ≡ the frozen dense Proposition 1 on the compacted graph,
-bit for bit.
+"""Incremental VIP ≡ the production full Proposition 1 on the compacted
+graph, bit for bit, and that within the frozen oracle's summation-order
+bound.
 
 The whole point of :func:`incremental_vip` is that a dirty-frontier refresh
 is *indistinguishable* from throwing the snapshot away and evaluating
 Proposition 1 from scratch on ``materialize()`` — not approximately, not
-"to float tolerance": the arrays must match bit for bit.  Production
-``vip_probabilities`` cannot be the referee (it runs the same row kernel,
-so a kernel bug would cancel); the oracle is the seed implementation frozen
-in ``tests/vip/reference_dense.py``.  This file is the enforcement: a
+"to float tolerance": the arrays must match bit for bit.  Each row sums its
+sources left to right from ``+0.0``, so a recomputed row is the full
+evaluation's row by construction.  Production ``vip_probabilities`` alone
+cannot be the referee (it runs the same row kernel, so a kernel bug would
+cancel); the full evaluation is also held to the seed implementation
+frozen in ``tests/vip/reference_dense.py`` within ``count * eps * sum|x|``
+per hop (:func:`vip_cases.oracle_slack`).  This file is the enforcement: a
 hypothesis differential suite over the strategy shared with
 ``tests/vip/test_active_set.py`` (undirected graphs, full-expansion ``-1``
 fanouts, random insert/delete/mixed churn and emptied rows, drifting seed
 distributions, chained multi-round refreshes, compaction, and the churn
 cutoff at {0, default, 1}: 1.0 pins the incremental path, 0.0 pins the
-full-recompute fallback — all must agree with the oracle).  Plus
-``initial`` checked like the full path's, and the :class:`TransitionTable`
-version-token regression (stale transitions must not survive a graph
-mutation).
+full-recompute fallback — all must agree).  Plus ``initial`` checked like
+the full path's, and the :class:`TransitionTable` version-token regression
+(stale transitions must not survive a graph mutation).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from reference_dense import vip_probabilities_dense
 from vip_cases import (
-    assert_matches_oracle,
-    oracle_access,
+    assert_matches_full,
+    full_access,
     random_batch,
     sparse_p0,
     vip_case,
 )
 from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.mutable import EdgeBatch, MutableGraph
+from repro.vip import incremental
 from repro.vip import (
     VIPTracker,
     incremental_vip,
@@ -43,9 +46,9 @@ from repro.vip import (
 
 
 def assert_snapshot_matches_full(snap, mgraph):
-    """The snapshot must be bit-identical to the frozen dense evaluation on
-    the materialized (compacted) graph."""
-    assert_matches_oracle(snap.result, mgraph.materialize(), snap.initial,
+    """The snapshot must be bit-identical to the full evaluation on the
+    materialized (compacted) graph."""
+    assert_matches_full(snap.result, mgraph.materialize(), snap.initial,
                           snap.fanouts)
     assert np.array_equal(snap.access, snap.result.access)
 
@@ -90,7 +93,7 @@ class TestIncrementalParity:
         def assert_tracker_matches_full(consumer, p0):
             assert np.array_equal(
                 tracker.access(consumer, p0),
-                oracle_access(mg.materialize(), p0, case.fanouts))
+                full_access(mg.materialize(), p0, case.fanouts))
 
         assert_tracker_matches_full("a", p0)
         assert not tracker.snapshots  # static graph: nothing to carry
@@ -122,30 +125,28 @@ class TestIncrementalParity:
         assert_snapshot_matches_full(snap, mg)
 
 
-class TestPairwiseSumTreeShape:
-    def test_dead_source_insert_still_recomputed(self):
-        """Regression: inserting an edge from a source with ``p0 = 0`` adds
-        an exactly-zero log term, yet the row's value can still move by a
-        ULP — numpy sums pairwise, so changing the segment *length* regroups
-        the other operands.  A refresh that skips "dead" churn on that
-        argument silently diverges from the oracle; dirty rows must always
-        be recomputed.  This (graph, edge) pair is a found instance where
-        the hop value provably moves."""
+class TestDeadSourceInsert:
+    def test_row_unchanged_and_still_recomputed(self):
+        """Inserting an edge from a source with ``p0 = 0`` adds an exact
+        ``+0.0`` log term, and a left-to-right sum is unchanged by it: the
+        row's value keeps every bit.  The refresh still recomputes the dirty
+        rows (a changed source list may hold a live source at some hop),
+        finds them unchanged, and propagates nothing."""
         g = erdos_renyi(30, 6.0, seed=1)
         rng = np.random.default_rng(1)
         p0 = np.zeros(30)
         p0[rng.choice(30, 20, replace=False)] = rng.random(20)
         assert p0[2] == 0.0
-        before = vip_probabilities_dense(g, p0, [3])
+        before = vip_probabilities(g, p0, [3])
         mg = MutableGraph(g, compact_cutoff=None)
         snap = snapshot_vip(mg, p0, [3])
         mg.add_edges([2], [13])
         out = incremental_vip(mg, snap, churn_cutoff=1.0)
         assert out.stats.mode == "incremental"
-        # The zero term really does perturb the row's value...
-        ref = vip_probabilities_dense(mg.materialize(), p0, [3])
-        assert before.hopwise[0][13] != ref.hopwise[0][13]
-        # ...and the refresh tracks it bit for bit.
+        assert out.stats.rows_recomputed >= 2  # rows 2 and 13, both dirty
+        after = vip_probabilities(mg.materialize(), p0, [3])
+        assert before.hopwise[0][13] == after.hopwise[0][13]
+        assert out.stats.rows_changed == 0
         assert_snapshot_matches_full(out, mg)
 
 
@@ -177,6 +178,30 @@ class TestRefreshModes:
         out = incremental_vip(mg, snap, churn_cutoff=0.0)
         assert out.stats.mode == "full"
         assert_snapshot_matches_full(out, mg)
+
+    def test_gate_trips_before_a_hop_it_would_discard(self, monkeypatch):
+        """A seed swap (the training-set phase boundary) moves ``p[0]`` on
+        most vertices, so hop 1's rows already cover most of the graph;
+        projected over the hop still to come that passes the budget, and
+        the refresh goes full without evaluating a hop it would throw
+        away.  Cutoff 1.0 still never trips."""
+        mg, snap = self._setup()
+        evaluated = []
+        kernel = incremental.hop_values
+        monkeypatch.setattr(
+            incremental, "hop_values",
+            lambda *a, **k: evaluated.append(1) or kernel(*a, **k))
+        swapped = sparse_p0(80, 60, seed=5)
+        out = incremental_vip(mg, snap, swapped)
+        assert out.stats.mode == "full"
+        assert not evaluated
+        # One hop's volume was counted: under the budget on its own (the
+        # old cumulative gate would have computed it), over it projected.
+        assert 0.5 * mg.num_edges < out.stats.edges_touched <= mg.num_edges
+        assert_snapshot_matches_full(out, mg)
+        kept = incremental_vip(mg, snap, swapped, churn_cutoff=1.0)
+        assert kept.stats.mode == "incremental" and len(evaluated) == 2
+        assert_snapshot_matches_full(kept, mg)
 
     def test_cancelled_churn_is_noop(self):
         """A batch and its inverse cancel out: the exact frontier is empty,

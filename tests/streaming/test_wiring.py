@@ -18,7 +18,7 @@ from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.generators import edge_stream
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.vip.analytic import uniform_minibatch_probability
-from vip_cases import oracle_access  # the frozen dense Proposition 1
+from vip_cases import full_access  # full Proposition 1, held to the oracle
 
 
 class TestStreamingConfig:
@@ -134,7 +134,7 @@ class TestServingMutations:
     def test_wired_mode_scores_the_mutated_graph(self, planner, tiny_dataset):
         svc, _, calls, _ = self._run(build_system(planner, tiny_dataset))
         for _, sampled, p0, scores in calls:
-            ref = oracle_access(sampled, p0, svc.fanouts)
+            ref = full_access(sampled, p0, svc.fanouts)
             assert np.array_equal(scores, ref)
 
     def test_stale_mode_scores_the_prechurn_graph(self, planner, tiny_dataset):
@@ -142,12 +142,12 @@ class TestServingMutations:
             build_system(planner, tiny_dataset, refresh_on_mutation=False))
         assert isinstance(base, CSRGraph)
         for _, _, p0, scores in calls:
-            ref = oracle_access(base, p0, svc.fanouts)
+            ref = full_access(base, p0, svc.fanouts)
             assert np.array_equal(scores, ref)
         # ...which is not what the samplers read any more.
         assert any(
             not np.array_equal(
-                scores, oracle_access(sampled, p0, svc.fanouts))
+                scores, full_access(sampled, p0, svc.fanouts))
             for _, sampled, p0, scores in post_churn)
 
     def test_out_of_range_mutation_rejected(self, planner, tiny_dataset):
@@ -188,7 +188,7 @@ class TestTrainingMutations:
         for k, store in enumerate(system.store.stores):
             p0 = uniform_minibatch_probability(
                 mat.num_vertices, tr.local_train[k], tr.batch_size)
-            ref = oracle_access(mat, p0, tr.fanouts)
+            ref = full_access(mat, p0, tr.fanouts)
             ref[store.lo:store.hi] = 0.0  # the store blanks local vertices
             assert handed[k], f"machine {k} never refreshed"
             for scores in handed[k]:

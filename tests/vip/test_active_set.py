@@ -1,12 +1,17 @@
-"""Production Proposition 1 ≡ the frozen dense oracle, bit for bit.
+"""Production Proposition 1: every row set is the all-rows evaluation, bit
+for bit, and that is the frozen dense oracle up to summation order.
 
-:func:`vip_probabilities` (one row kernel over frontier rows or all rows,
-vertex-factored transitions, shared :class:`TransitionTable`) must
-reproduce the seed implementation in ``reference_dense.py`` exactly — not
-"close", *identical* — for every graph, seed distribution and fanout list
-(including full expansion), whichever row set each hop picks.  This file
-is the static-graph half of the enforcement (``tests/streaming/`` is the
-overlay half, over the same :func:`vip_cases.vip_case` strategy), plus the
+:func:`vip_probabilities` (one sparse product per hop over frontier rows or
+all rows, vertex-factored transitions, shared :class:`TransitionTable`)
+must return *identical* bits whichever row set each hop picks — a CSR
+product sums each row from ``+0.0`` in stored order, and an inactive
+source adds an exact ``+0.0`` — for every graph, seed distribution and
+fanout list (including full expansion).  The all-rows evaluation is held
+to the seed implementation in ``reference_dense.py`` (numpy's pairwise
+``reduceat``) within ``count * eps * sum|x|`` per hop
+(:func:`vip_cases.oracle_slack`).  This file is the static-graph half of
+the enforcement (``tests/streaming/`` is the overlay half, over the same
+:func:`vip_cases.vip_case` strategy), plus the kernel's order pin, the
 transition-dedup cases and the reference test for the vectorized
 :func:`expected_remote_volume`.
 """
@@ -15,13 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference_dense import (
-    _compute_edge_transition,
-    partitionwise_vip_dense,
-    vip_probabilities_dense,
-)
-from vip_cases import assert_matches_oracle, vip_case
+from reference_dense import _compute_edge_transition, vip_probabilities_dense
+from vip_cases import (assert_matches_full, assert_within_oracle_bound,
+                       full_evaluation, oracle_slack, vip_case)
 from repro.graph import erdos_renyi
+from repro.graph.csr import rows_concat
 from repro.partition import Partition, metis_like_partition
 from repro.vip import (
     VIPTracker,
@@ -32,7 +35,25 @@ from repro.vip import (
     vip_for_training_set,
     vip_probabilities,
 )
-from repro.vip.analytic import vertex_transition_values
+from repro.vip.analytic import hop_values, row_set, vertex_transition_values
+
+
+def _assert_partitionwise(graph, part, train, fanouts, batch_size):
+    """Row ``k`` of :func:`partitionwise_vip` is the full evaluation seeded
+    by partition ``k``'s training set, ``==``; that is within the oracle's
+    bound."""
+    got = partitionwise_vip(graph, part, train, fanouts, batch_size)
+    owner = part.assignment[train]
+    for k in range(part.num_parts):
+        local = train[owner == k]
+        if not len(local):
+            assert not got[k].any()
+            continue
+        p0 = uniform_minibatch_probability(graph.num_vertices, local,
+                                           batch_size)
+        full = full_evaluation(graph, p0, fanouts)
+        assert np.array_equal(got[k], full.access)
+        assert_within_oracle_bound(full, graph, p0, fanouts)
 
 
 class TestActiveSetParity:
@@ -43,7 +64,7 @@ class TestActiveSetParity:
         p0 = case.p0()
         active = vip_probabilities(case.graph, p0, case.fanouts,
                                    sparse_cutoff=case.sparse_cutoff)
-        assert_matches_oracle(active, case.graph, p0, case.fanouts)
+        assert_matches_full(active, case.graph, p0, case.fanouts)
         # The refresh path's static branch is the same evaluation.
         tracker = VIPTracker(case.graph, case.fanouts)
         assert np.array_equal(tracker.access("a", p0), active.access)
@@ -56,11 +77,8 @@ class TestActiveSetParity:
         rng = np.random.default_rng(case.churn_seed)
         part = Partition(rng.integers(0, num_parts, g.num_vertices),
                          num_parts)
-        train = np.flatnonzero(case.p0())
-        assert np.array_equal(
-            partitionwise_vip(g, part, train, case.fanouts, batch_size),
-            partitionwise_vip_dense(g, part, train, case.fanouts,
-                                    batch_size))
+        _assert_partitionwise(g, part, np.flatnonzero(case.p0()),
+                              case.fanouts, batch_size)
 
     @settings(max_examples=25, deadline=None)
     @given(vip_case())
@@ -73,7 +91,7 @@ class TestActiveSetParity:
         for cutoff in (0.0, 1.0):
             active = vip_probabilities(case.graph, p0, case.fanouts,
                                        sparse_cutoff=cutoff)
-            assert_matches_oracle(active, case.graph, p0, case.fanouts)
+            assert_matches_full(active, case.graph, p0, case.fanouts)
 
     def test_partition_restricted_p0(self, tiny_dataset, tiny_partition):
         """The production shape: p0 confined to one partition's training
@@ -87,23 +105,30 @@ class TestActiveSetParity:
             for cutoff in (0.0, 0.05, 1.0):
                 active = vip_probabilities(ds.graph, p0, (5, 4, 3),
                                            sparse_cutoff=cutoff)
-                assert_matches_oracle(active, ds.graph, p0, (5, 4, 3))
+                assert_matches_full(active, ds.graph, p0, (5, 4, 3))
 
     def test_partitionwise_matrix_bit_identical(self, tiny_dataset,
                                                 tiny_partition):
         ds = tiny_dataset
-        dense = partitionwise_vip_dense(ds.graph, tiny_partition, ds.train_idx,
-                                        (5, 5), 32)
-        active = partitionwise_vip(ds.graph, tiny_partition, ds.train_idx,
-                                   (5, 5), 32)
-        assert np.array_equal(dense, active)
+        _assert_partitionwise(ds.graph, tiny_partition, ds.train_idx,
+                              (5, 5), 32)
 
     def test_vip_for_training_set_uses_active_path(self, tiny_dataset):
         ds = tiny_dataset
         res = vip_for_training_set(ds.graph, ds.train_idx[:10], (3, 3), 8)
         p0 = uniform_minibatch_probability(ds.num_vertices,
                                            ds.train_idx[:10], 8)
-        assert_matches_oracle(res, ds.graph, p0, (3, 3))
+        assert_matches_full(res, ds.graph, p0, (3, 3))
+
+    def test_oracle_slack_is_stated(self, tiny_dataset):
+        """The measured slack: the largest deviation from the oracle, as a
+        fraction of the bound, is 0.11 here (0.06-0.08 on tiny,
+        products-mini and papers-mini at fanouts (15, 10, 5)) — nonzero,
+        since the orders do differ, and well inside the bound."""
+        ds = tiny_dataset
+        p0 = uniform_minibatch_probability(ds.num_vertices, ds.train_idx, 64)
+        full = full_evaluation(ds.graph, p0, (5, 4, 3))
+        assert 0.0 < oracle_slack(full, ds.graph, p0, (5, 4, 3)) < 0.25
 
     @settings(max_examples=20, deadline=None)
     @given(vip_case())
@@ -129,6 +154,58 @@ class TestActiveSetParity:
         p0[3] = np.nan
         with pytest.raises(ValueError, match="initial"):
             vip_probabilities(g, p0, (5, 5))
+
+
+class TestKernelOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(vip_case(), st.integers(0, 2**16))
+    def test_hop_values_is_a_left_to_right_loop(self, case, seed):
+        """Equation (3) of a row set ``==`` a plain Python loop that adds
+        each row's log factors left to right from ``+0.0``, in stored
+        order — the order is the definition, not an accident of numpy."""
+        g = case.graph
+        rng = np.random.default_rng(seed)
+        rows = np.unique(rng.integers(0, g.num_vertices, g.num_vertices))
+        p_prev = case.p0()
+        tv = vertex_transition_values(case.fanouts[0], g.degrees)
+        got = hop_values(tv, p_prev, row_set(g, rows))
+        # The factors and 1 - exp are elementwise (computed as the kernel
+        # does, so only the order of the sum is under test).
+        with np.errstate(divide="ignore"):
+            g_log = np.log(np.maximum(1.0 - tv * p_prev, 0.0))
+        counts, flat = rows_concat(g, rows)
+        sums, pos = [], 0
+        for count in counts:
+            s = 0.0
+            for v in flat[pos:pos + count]:
+                s += float(g_log[v])
+            pos += count
+            sums.append(s)
+        want = np.clip(1.0 - np.exp(np.array(sums)), 0.0, 1.0)
+        assert np.array_equal(got, want)
+
+    def test_inactive_sources_change_no_bit(self):
+        """``active`` leaves every other factor at ``+0.0``: the same row
+        set gives the same bits with the factors restricted to the
+        support of ``p[h-1]``."""
+        g = erdos_renyi(300, 8.0, seed=5)
+        p_prev = uniform_minibatch_probability(300, np.arange(0, 300, 7), 9)
+        tv = vertex_transition_values(3, g.degrees)
+        rows = row_set(g, np.arange(300))
+        assert np.array_equal(
+            hop_values(tv, p_prev, rows),
+            hop_values(tv, p_prev, rows, active=np.flatnonzero(p_prev)))
+
+    def test_all_rows_operator_shares_the_graph(self):
+        """The dense hop's cached operator is the graph's own CSR arrays
+        with a ones array beside them — no copy of the structure."""
+        g = erdos_renyi(100, 5.0, seed=3)
+        op = transition_table(g).all_rows()
+        assert op is transition_table(g).all_rows()
+        assert np.shares_memory(op.indptr, g.indptr)
+        assert np.shares_memory(op.indices, g.indices)
+        assert op.shape == (g.num_vertices, g.num_vertices)
+        assert np.array_equal(op.data, np.ones(g.num_edges))
 
 
 class TestTransitionCache:

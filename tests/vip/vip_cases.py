@@ -3,13 +3,15 @@
 ``tests/vip/test_active_set.py`` (static graphs) and ``tests/streaming/``
 (overlays under churn) draw the same :func:`vip_case` — ``-1`` fanouts,
 both cutoffs at {0, default, 1}, a chained churn + ``p[0]``-drift schedule
-— and compare against the same frozen oracle (``reference_dense.py``), so
-the one row kernel in ``repro.vip.analytic`` is held to a second
-implementation through every row-set choice (all rows, frontier rows,
-churned rows) on both graph classes.  Static cases are directed or
-undirected; ``vip_case(overlay=True)`` draws undirected graphs only, the
-one shape a ``MutableGraph`` takes.  ``tests/conftest.py`` puts this
-directory on ``sys.path``.
+— and hold every evaluator to the production full evaluation (all rows
+every hop) with ``==``, and that evaluation to the frozen oracle
+(``reference_dense.py``) within the summation-order bound of
+:func:`oracle_slack`, so the one row kernel in ``repro.vip.analytic`` is
+held to a second implementation through every row-set choice (all rows,
+frontier rows, churned rows) on both graph classes.  Static cases are
+directed or undirected; ``vip_case(overlay=True)`` draws undirected graphs
+only, the one shape a ``MutableGraph`` takes.  ``tests/conftest.py`` puts
+this directory on ``sys.path``.
 """
 
 from dataclasses import dataclass
@@ -18,10 +20,11 @@ from typing import Tuple
 import numpy as np
 from hypothesis import strategies as st
 
-from reference_dense import vip_probabilities_dense
+from reference_dense import _compute_edge_transition, vip_probabilities_dense
 from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.mutable import EdgeBatch
-from repro.vip.analytic import SPARSE_HOP_CUTOFF
+from repro.utils.validation import check_probability_vector
+from repro.vip.analytic import SPARSE_HOP_CUTOFF, vip_probabilities
 from repro.vip.incremental import CHURN_CUTOFF
 
 
@@ -89,11 +92,18 @@ def vip_case(draw, overlay=False):
     )
 
 
-def assert_matches_oracle(result, graph, p0, fanouts):
-    """``result`` (a ``VIPResult``) equals the frozen dense evaluation on
-    ``graph`` element for element: ``total``, every ``hopwise[h]``,
-    ``access``."""
-    ref = vip_probabilities_dense(graph, p0, fanouts)
+#: Double-precision machine epsilon (the spacing of floats at 1.0).
+EPS = np.finfo(np.float64).eps
+
+
+def full_evaluation(graph, p0, fanouts):
+    """The production full evaluation: every hop over all rows."""
+    return vip_probabilities(graph, p0, fanouts, sparse_cutoff=0.0)
+
+
+def assert_same_result(result, ref):
+    """``total``, every ``hopwise[h]``, ``initial`` and ``access`` of two
+    ``VIPResult`` objects equal element for element."""
     assert np.array_equal(result.total, ref.total)
     assert len(result.hopwise) == len(ref.hopwise)
     for a, b in zip(result.hopwise, ref.hopwise):
@@ -102,6 +112,69 @@ def assert_matches_oracle(result, graph, p0, fanouts):
     assert np.array_equal(result.access, ref.access)
 
 
-def oracle_access(graph, p0, fanouts):
-    """What ``VIPTracker.access`` must return on (materialized) ``graph``."""
-    return vip_probabilities_dense(graph, p0, fanouts).access
+def oracle_slack(result, graph, p0, fanouts):
+    """Largest ``|result - oracle| / bound`` over every hop (0 when equal).
+
+    Production sums each row of equation (3) left to right; the frozen
+    oracle sums the same terms ``x`` (bit-identical logs) with numpy's
+    pairwise ``reduceat``.  Two orders of ``count`` terms differ by at most
+    ``count * eps * sum|x|`` on the log-sum, and ``1 - exp`` carries that
+    as ``exp(S)`` times it, plus the rounding of ``exp`` and of the
+    subtraction on each side (``8 * eps``).  Each hop is compared with the
+    oracle re-seeded at ``result``'s previous hop, so the bound is one
+    hop's, not a compounded one.  A row with a ``-inf`` term (``t p = 1``)
+    is ``1.0`` in any order and must be equal.
+    """
+    src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    prev = check_probability_vector(p0, "initial")
+    worst = 0.0
+    for fanout, got in zip(fanouts, result.hopwise):
+        ref = vip_probabilities_dense(graph, prev, (fanout,)).hopwise[0]
+        t = _compute_edge_transition(graph, fanout)
+        with np.errstate(divide="ignore"):
+            x = np.log(np.maximum(1.0 - t * prev[graph.indices], 0.0))
+        dead = np.bincount(src, weights=np.isinf(x),
+                           minlength=graph.num_vertices) > 0
+        abs_sum = np.bincount(src, weights=np.where(np.isinf(x), 0.0, -x),
+                              minlength=graph.num_vertices)
+        bound = (graph.degrees * EPS * abs_sum * np.exp(-abs_sum)
+                 + 8 * EPS)
+        diff = np.abs(got - ref)
+        assert np.array_equal(got[dead], ref[dead])
+        assert np.all(diff <= bound), float(np.max(diff / bound))
+        worst = max(worst, float(np.max(diff / bound, initial=0.0)))
+        prev = got
+    return worst
+
+
+def assert_within_oracle_bound(result, graph, p0, fanouts):
+    """``result`` is Proposition 1 on ``graph`` up to summation order: each
+    hop within :func:`oracle_slack`'s bound of the frozen oracle, and
+    equation (2) of its own hops (the oracle's elementwise accumulator,
+    no reduction, so ``==``)."""
+    assert len(result.hopwise) == len(fanouts)
+    oracle_slack(result, graph, p0, fanouts)
+    log_not_total = np.zeros(graph.num_vertices)
+    for p_h in result.hopwise:
+        with np.errstate(divide="ignore"):
+            log_not_total += np.log(np.maximum(1.0 - p_h, 0.0))
+    total = np.clip(1.0 - np.exp(log_not_total), 0.0, 1.0)
+    assert np.array_equal(result.total, total)
+    assert np.array_equal(result.initial, np.asarray(p0, dtype=np.float64))
+
+
+def assert_matches_full(result, graph, p0, fanouts):
+    """``result`` (a ``VIPResult``) equals the production full evaluation
+    on ``graph`` element for element, and that evaluation is within the
+    summation-order bound of the frozen oracle."""
+    full = full_evaluation(graph, p0, fanouts)
+    assert_same_result(result, full)
+    assert_within_oracle_bound(full, graph, p0, fanouts)
+
+
+def full_access(graph, p0, fanouts):
+    """What ``VIPTracker.access`` must return on (materialized) ``graph``:
+    the production full evaluation's, held to the oracle's bound."""
+    full = full_evaluation(graph, p0, fanouts)
+    assert_within_oracle_bound(full, graph, p0, fanouts)
+    return full.access
