@@ -57,6 +57,13 @@ Tracked stages
     walls are reported.  ``dense_wall_s`` includes the rebuild because
     that is what a snapshot-less consumer pays to evaluate on the mutated
     graph.
+``vip.boundary_refresh``
+    A phase boundary's refresh round on mag240c-mini (K = 4, a churn batch
+    plus a training-set swap, the ``train_drift`` shape): one
+    ``VIPTracker`` round, its tripped consumers sharing one batched full
+    evaluation, against K single ``incremental_vip`` refreshes
+    (``dense_wall_s``), each tripping into its own full recursion; the K
+    score vectors are asserted ``==`` before the walls are reported.
 ``recovery.mttr``
     Mean time-to-recovery for the standard chaos scenario: a worker killed
     mid-epoch on a real recoverable multiproc cluster, detected by the
@@ -446,9 +453,9 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
     asked = []
     access = service.tracker.access
 
-    def recording_access(consumer, p0):
-        asked.append(p0)
-        return access(consumer, p0)
+    def recording_access(p0s):
+        asked.extend(p0s.values())
+        return access(p0s)
 
     service.tracker.access = recording_access
     service.run(requests)
@@ -536,6 +543,74 @@ def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
         dense_wall_s=float(np.median(dense_walls)),
         windows=num_windows, churn_edges=churned,
         edges_touched=edges_touched, bit_identical=True)
+
+
+# ----------------------------------------------------------------------
+def boundary_stages(stages: dict, *, num_machines=4, rounds=3) -> None:
+    """A phase boundary's refresh round on mag240c-mini: every machine's
+    training set swapped after one churn batch landed (the ``train_drift``
+    shape, K = 4 random partition), scored as one ``VIPTracker`` round —
+    the consumers whose wave trips the churn gate share one batched full
+    evaluation — against K single refreshes (``incremental_vip`` per
+    machine, each tripping into its own full recursion).  Each side starts
+    from fresh snapshots of the previous phase on a fresh overlay, so both
+    pay the one ``materialize()``; alternating rounds, best of
+    ``rounds``; the K score vectors are asserted ``==`` before the walls
+    are reported.
+    """
+    from repro.core import RunConfig
+    from repro.graph.generators import drifting_training_sets, edge_stream
+    from repro.graph.mutable import MutableGraph
+    from repro.partition import random_partition
+    from repro.vip import VIPTracker, incremental_vip
+    from repro.vip.analytic import uniform_minibatch_probability
+
+    ds = load_dataset("mag240c-mini")
+    cfg = RunConfig(num_machines=num_machines).resolve(ds)
+    n = ds.num_vertices
+    owner = random_partition(n, num_machines, seed=0).assignment
+    phases = drifting_training_sets(ds.train_idx, ds.community, 2,
+                                    active_fraction=0.3, seed=0)
+
+    def round_of(train):
+        return {k: uniform_minibatch_probability(
+                    n, train[owner[train] == k], cfg.batch_size)
+                for k in range(num_machines)}
+
+    before, after = round_of(phases[0]), round_of(phases[1])
+    (batch,) = edge_stream(MutableGraph(ds.graph, compact_cutoff=None),
+                           num_batches=1, batch_edges=400,
+                           delete_fraction=0.25, seed=3)
+
+    def boundary():
+        mgraph = MutableGraph(ds.graph, compact_cutoff=None)
+        tracker = VIPTracker(mgraph, cfg.fanouts)
+        tracker.access(before)
+        mgraph.apply(batch)
+        return mgraph, tracker
+
+    def batched(mgraph, tracker):
+        return tracker.access(after)
+
+    def single(mgraph, tracker):
+        return {k: incremental_vip(mgraph, tracker.snapshots[k], p0).access
+                for k, p0 in after.items()}
+
+    walls = {batched: [], single: []}
+    scores = {}
+    for _ in range(rounds):
+        for side in (batched, single):
+            state = boundary()
+            wall, scores[side] = _timed(lambda: side(*state))
+            walls[side].append(wall)
+    for k in range(num_machines):
+        if not np.array_equal(scores[batched][k], scores[single][k]):
+            raise AssertionError(
+                f"boundary round diverged from machine {k}'s own refresh")
+    stages["vip.boundary_refresh"] = _entry(
+        min(walls[batched]), rows=num_machines * n,
+        dense_wall_s=min(walls[single]), machines=num_machines,
+        bit_identical=True)
 
 
 # ----------------------------------------------------------------------
@@ -750,6 +825,7 @@ def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dic
     recovery_stages(stages)
     serving_stages(stages, num_requests=num_requests, dataset=dataset)
     streaming_stages(stages, dataset=dataset)
+    boundary_stages(stages)
     nn_stages(stages, dataset=dataset)
     sampling_stages(stages, dataset=dataset)
     gather_stages(stages, reordered=reordered)

@@ -217,11 +217,16 @@ class SalientPP:
     def training_vip_scores(self, machine: int) -> np.ndarray:
         """The ``vip-refresh`` score provider for training: Proposition 1
         seeded by ``machine``'s *current* training set (it may have drifted
-        via :meth:`update_training_set`) on the graph its sampler reads."""
-        p0 = uniform_minibatch_probability(
-            self.tracker.graph.num_vertices,
-            self.trainer.local_train[machine], self.trainer.batch_size)
-        return self.tracker.access(machine, p0)
+        via :meth:`update_training_set`) on the graph its sampler reads.
+
+        Asks :attr:`tracker` for all K machines at once: a phase boundary
+        refreshes every machine's cache, so the first provider call scores
+        the whole round in one batched pass and the other K - 1 get their
+        stored scores back (same graph version, same ``p[0]``)."""
+        n, trainer = self.tracker.graph.num_vertices, self.trainer
+        p0s = {k: uniform_minibatch_probability(n, ids, trainer.batch_size)
+               for k, ids in enumerate(trainer.local_train)}
+        return self.tracker.access(p0s)[machine]
 
     def apply_graph_updates(self, batch):
         """Apply a streaming edge batch to the training graph (continual

@@ -43,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.utils.registry import Registry
 
 #: Dynamic cache policy registry (``RunConfig.cache_policy``): each entry is
@@ -384,8 +385,8 @@ class RefreshPlan:
 class DynamicCache:
     """Fixed-capacity feature cache with O(1) membership and row lookup.
 
-    The lookup interface (:meth:`contains` / :meth:`rows_for` /
-    :attr:`ids` / ``nbytes``) matches :class:`StaticCache`, so
+    The lookup interface (:meth:`contains` / :meth:`slots` / :attr:`rows`
+    / :attr:`ids` / ``nbytes``) matches :class:`StaticCache`, so
     ``MachineStore`` treats both uniformly; the mutation interface
     (:meth:`note_hits`, :meth:`admit`, :meth:`end_batch`,
     :meth:`plan_refresh` + :meth:`commit_refresh`) is driven by
@@ -443,7 +444,7 @@ class DynamicCache:
         if len(warm_ids):
             if warm_rows is None or len(warm_rows) != len(warm_ids):
                 raise ValueError("warm_rows must align with warm_ids")
-            if len(np.unique(warm_ids)) != len(warm_ids):
+            if len(sorted_unique(warm_ids)) != len(warm_ids):
                 raise ValueError("duplicate cache ids")
             slots = self._place(warm_ids, warm_rows)
             if prior_scores is not None:
@@ -470,8 +471,15 @@ class DynamicCache:
     def contains(self, ids: np.ndarray) -> np.ndarray:
         return self._slot_of[ids] >= 0
 
-    def rows_for(self, ids: np.ndarray) -> np.ndarray:
-        return self._rows[self._slot_of[ids]]
+    @property
+    def rows(self) -> np.ndarray:
+        """Feature rows by slot (read-only by contract; free slots hold
+        stale bytes)."""
+        return self._rows
+
+    def slots(self, ids: np.ndarray) -> np.ndarray:
+        """Slot of each of the cached ``ids`` (``-1`` for an uncached id)."""
+        return self._slot_of[ids]
 
     # -- mutation interface --------------------------------------------
     def _place(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -502,10 +510,12 @@ class DynamicCache:
         """Current popularity estimate: VIP prior + aged observed accesses."""
         return self.prior[ids] + self.access_counts[ids]
 
-    def admit(self, ids: np.ndarray, rows: np.ndarray) -> int:
+    def admit(self, ids: np.ndarray, rows: Optional[np.ndarray]) -> int:
         """Insert missed rows (unique, non-local, not currently cached),
         evicting as needed; returns the number of insertions (0 for
         ``vip-refresh``, which only changes contents at refresh points).
+        Every miss is counted; ``rows`` is read only when the spec admits
+        on miss, so a caller may pass ``None`` otherwise.
 
         With ``admit_threshold > 0``, a miss is inserted only if (a) it was
         seen in earlier batches (doorkeeper) and (b) there is a free slot or
@@ -655,7 +665,7 @@ class DynamicCache:
         ids = self._id_of[occ]
         assert np.all(ids >= 0)
         assert np.array_equal(self._slot_of[ids], occ)
-        assert len(np.unique(ids)) == len(ids), "duplicate cached ids"
+        assert len(sorted_unique(ids)) == len(ids), "duplicate cached ids"
         assert (self._slot_of >= 0).sum() == len(occ)
         assert len(self._free) == self.capacity - len(occ)
 

@@ -39,6 +39,7 @@ from repro.distributed.dynamic_cache import (
     DynamicCache,
     DynamicCacheSpec,
 )
+from repro.graph.csr import sorted_unique, take_into
 from repro.obs import OBS
 from repro.partition.reorder import ReorderedDataset
 
@@ -280,30 +281,18 @@ def _is_run(pos: np.ndarray) -> bool:
     return n > 0 and int(pos[n - 1]) - int(pos[0]) == n - 1
 
 
-def _scatter_rows(out: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
-    """``out[pos] = rows``, as a plain slice store when ``pos`` is one
-    contiguous run — fancy-index scatter walks an index array per row."""
-    if len(pos) == 0:
-        return
-    if _is_run(pos):
-        lo = int(pos[0])
-        out[lo:lo + len(pos)] = rows
-    else:
-        out[pos] = rows
-
-
 def _rows_into(out: np.ndarray, pos: np.ndarray, src: np.ndarray,
                idx: np.ndarray) -> None:
-    """``out[pos] = src[idx]`` without materializing ``src[idx]`` when
-    ``pos`` is one contiguous run into a C-contiguous ``out`` — the
-    gather then lands directly in the destination rows (``np.take`` with
-    ``out=``), saving the intermediate row matrix the two-step spelling
-    allocates per call."""
+    """``out[pos] = src[idx]``, each row written once when ``pos`` is one
+    contiguous run into a C-contiguous ``out``: the rows then land straight
+    in the destination (:func:`~repro.graph.csr.take_into`), without the
+    intermediate ``src[idx]`` matrix the two-step spelling allocates.  An
+    out-of-range ``idx`` raises ``IndexError`` either way."""
     if len(pos) == 0:
         return
     if _is_run(pos) and out.flags.c_contiguous:
         lo = int(pos[0])
-        np.take(src, idx, axis=0, out=out[lo:lo + len(pos)])
+        take_into(src, idx, out[lo:lo + len(pos)])
     else:
         out[pos] = src[idx]
 
@@ -345,8 +334,9 @@ class GatherArena:
 class StaticCache:
     """The paper's static cache: contents selected once, never mutated.
 
-    Shares the lookup interface (``contains`` / ``rows_for`` / ``ids`` /
-    ``num_cached`` / ``nbytes``) with :class:`DynamicCache`.
+    Shares the lookup interface (``contains`` / ``slots`` / ``rows`` /
+    ``ids`` / ``num_cached`` / ``nbytes``) with :class:`DynamicCache`:
+    cached id ``v``'s feature row is ``rows[slots([v])[0]]``.
     """
 
     is_dynamic = False
@@ -364,7 +354,7 @@ class StaticCache:
         if len(ids) == 0:
             self._slot_of = None
             return
-        if len(np.unique(ids)) != len(ids):
+        if len(sorted_unique(ids)) != len(ids):
             raise ValueError("duplicate cache ids")
         self._slot_of = np.full(num_vertices, -1, dtype=np.int64)
         self._slot_of[ids] = np.arange(len(ids))
@@ -386,12 +376,18 @@ class StaticCache:
             return np.zeros(len(ids), dtype=bool)
         return self._slot_of[ids] >= 0
 
-    def rows_for(self, ids: np.ndarray) -> np.ndarray:
+    @property
+    def rows(self) -> np.ndarray:
+        """The cached feature rows, one per slot (read-only by contract)."""
+        return self._rows
+
+    def slots(self, ids: np.ndarray) -> np.ndarray:
+        """Row of :attr:`rows` holding each of the cached ``ids``."""
         if self._slot_of is None:
             if len(ids):
                 raise ValueError("empty cache cannot serve rows")
-            return self._rows[:0]
-        return self._rows[self._slot_of[ids]]
+            return np.empty(0, dtype=np.int64)
+        return self._slot_of[ids]
 
 
 class MachineStore:
@@ -460,8 +456,8 @@ class MachineStore:
         return self.local_features[ids - self.lo]
 
     def cached_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Feature rows for cached remote vertex ids."""
-        return self.cache.rows_for(ids)
+        """Feature rows for cached remote vertex ids (a copy)."""
+        return self.cache.rows[self.cache.slots(ids)]
 
     def feature_memory_bytes(self) -> int:
         return int(self.local_features.nbytes + self.cache.nbytes)
@@ -737,8 +733,8 @@ class PartitionedFeatureStore:
             out = self._output_for(plan, None if outs is None else outs[i])
             _rows_into(out, plan.local_pos, store.local_features,
                        plan.local_ids - store.lo)
-            _scatter_rows(out, plan.cached_pos,
-                          store.cached_rows(plan.cached_ids))
+            _rows_into(out, plan.cached_pos, store.cache.rows,
+                       store.cache.slots(plan.cached_ids))
             _rows_into(out, plan.remote_pos, pool_rows, slots)
 
             remote_rows = int(np.count_nonzero(fresh))
@@ -781,8 +777,12 @@ class PartitionedFeatureStore:
         cache.note_hits(plan.cached_ids[still_cached])
         now_cached = store.is_cached(plan.remote_ids)
         cache.note_hits(plan.remote_ids[now_cached])
+        missed = ~now_cached
+        # Only a cache that admits on miss reads the missed rows; a
+        # vip-refresh cache just counts them, so they are not copied for it.
         stats.cache_insertions += cache.admit(
-            plan.remote_ids[~now_cached], out[plan.remote_pos[~now_cached]]
+            plan.remote_ids[missed],
+            out[plan.remote_pos[missed]] if cache.spec.admit_on_miss else None,
         )
         if cache.end_batch(plan.nonlocal_ids):
             if self._refresh_score_fn is not None:
@@ -817,8 +817,8 @@ class PartitionedFeatureStore:
         for peer, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             if a < b:
                 peer_store = self.stores[peer]
-                np.take(peer_store.local_features, ids[a:b] - peer_store.lo,
-                        axis=0, out=rows[a:b])
+                take_into(peer_store.local_features,
+                          ids[a:b] - peer_store.lo, rows[a:b])
         return rows, np.diff(bounds)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.distributed.multiproc.segments import (
 )
 from repro.distributed.shm_plane import GradientPlane, SlabLayout
 from repro.distributed.wire import decode_dataclass
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.nn.models import GraphSAGE
 from repro.nn.optim import Adam
 from repro.obs import OBS, clock_anchor
@@ -113,7 +113,7 @@ class _WorkerRuntime:
         cache_rows = np.empty((len(cache_ids), dim), dtype=feat_dtype)
         if len(cache_ids):
             owners = part_map.owner_of(cache_ids)
-            for peer in np.unique(owners):
+            for peer in sorted_unique(owners):
                 sel = owners == peer
                 lo, _hi = part_map.part_range(int(peer))
                 cache_rows[sel] = views[f"feat{int(peer)}"][cache_ids[sel] - lo]

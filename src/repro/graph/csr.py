@@ -35,6 +35,36 @@ def sorted_edge_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.
     return keys
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for integer ids: one sort plus a neighbour
+    compare, the idiom :meth:`CSRGraph.from_edges`' dedup spells.  numpy
+    2.x sends a plain ``np.unique`` of integers through a hash set and then
+    sorts what it kept, several times slower on the id arrays this code
+    base deduplicates.  Same values, same dtype; the input is not modified."""
+    out = np.sort(np.asarray(values), axis=None)
+    if len(out) > 1:
+        keep = np.empty(len(out), dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
+def take_into(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = src[idx]`` along axis 0, written straight into ``out``.
+
+    ``np.take(..., out=)`` in its default ``mode="raise"`` fills a scratch
+    copy and then copies it over, so that a failed bounds check leaves
+    ``out`` untouched.  Here the range is checked once up front and the take
+    runs in ``mode="clip"``, which writes in place: an out-of-range index
+    still raises ``IndexError``, and nothing is ever clamped."""
+    if len(idx) and (idx.min() < 0 or idx.max() >= len(src)):
+        bad = idx.min() if idx.min() < 0 else idx.max()
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {len(src)}")
+    np.take(src, idx, axis=0, out=out, mode="clip")
+
+
 def row_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat edge-pool positions ``starts[i] + 0..counts[i]-1`` of rows that
     start at ``starts`` and hold ``counts`` entries each, row-major."""
@@ -288,7 +318,7 @@ class CSRGraph:
         Returns ``(subgraph, vertices)`` where subgraph vertex ``i``
         corresponds to global vertex ``vertices[i]``.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = sorted_unique(np.asarray(vertices, dtype=np.int64))
         local_of_global = np.full(self.num_vertices, -1, dtype=np.int64)
         local_of_global[vertices] = np.arange(len(vertices))
         src, dst = self.edges()

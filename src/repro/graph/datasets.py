@@ -31,7 +31,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.graph.generators import power_law_community_graph
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
@@ -78,7 +78,7 @@ class GraphDataset:
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ValueError(f"{nm} out of range")
         splits = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
-        if len(np.unique(splits)) != len(splits):
+        if len(sorted_unique(splits)) != len(splits):
             raise ValueError("train/val/test splits must be disjoint")
 
     @property

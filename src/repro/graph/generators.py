@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -210,7 +210,7 @@ def drifting_training_sets(
     rng = as_generator(seed)
     pool = np.asarray(train_pool, dtype=np.int64)
     comm = np.asarray(community)[pool]
-    comm_ids = np.unique(comm)
+    comm_ids = sorted_unique(comm)
     C = len(comm_ids)
     win = max(1, int(round(window_fraction * C)))
     size = max(1, int(round(active_fraction * len(pool))))
@@ -269,7 +269,7 @@ def streaming_request_stream(
     if drift_interval <= 0:
         raise ValueError(f"drift_interval must be positive, got {drift_interval}")
     cand = np.asarray(candidate_ids, dtype=np.int64)
-    if len(np.unique(cand)) != len(cand):
+    if len(sorted_unique(cand)) != len(cand):
         raise ValueError("candidate_ids must be distinct")
     if batch_size > len(cand):
         raise ValueError(
@@ -350,7 +350,7 @@ def edge_stream(
     if pool is None:
         pool = np.arange(graph.num_vertices, dtype=np.int64)
     else:
-        pool = np.unique(np.asarray(pool, dtype=np.int64))
+        pool = sorted_unique(np.asarray(pool, dtype=np.int64))
         if len(pool) < 2:
             raise ValueError("pool must contain at least two vertices")
         if pool[0] < 0 or pool[-1] >= graph.num_vertices:

@@ -58,7 +58,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, rows_concat, sorted_edge_keys
+from repro.graph.csr import (CSRGraph, rows_concat, sorted_edge_keys,
+                              sorted_unique)
 
 #: Default overlay-size cutoff (fraction of base directed edges) past which
 #: :meth:`MutableGraph.apply` compacts automatically.
@@ -175,8 +176,10 @@ class MutableGraph:
         #: touched since the last compact.
         self._rows: Dict[int, np.ndarray] = {}
         self.log: List[DeltaRecord] = []
-        # Per-version caches for the frozen read path / materialization.
+        # Per-version caches for the frozen read path / materialization,
+        # and the dirty sets per ``since_version`` (see :meth:`_dirty`).
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._dirty_since: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._csr: Optional[CSRGraph] = None
         self._csr_version = -1
 
@@ -241,6 +244,7 @@ class MutableGraph:
                           edges_added=added, edges_removed=removed)
         self.log.append(rec)
         self._frozen = None
+        self._dirty_since = {}
         if (self.compact_cutoff is not None
                 and self.overlay_entries
                 > self.compact_cutoff * max(self.base.num_edges, 1)):
@@ -268,10 +272,10 @@ class MutableGraph:
         starts = np.concatenate([[0], bounds, [len(src)]])
         for i in range(len(starts) - 1):
             v = int(src[starts[i]])
-            targets = np.unique(dst[starts[i]:starts[i + 1]])
+            targets = sorted_unique(dst[starts[i]:starts[i + 1]])
             row = self.neighbors(v)
             if insert:
-                new_row = np.union1d(row, targets)
+                new_row = sorted_unique(np.concatenate([row, targets]))
             else:
                 new_row = np.setdiff1d(row, targets, assume_unique=True)
             if len(new_row) == len(row):
@@ -305,27 +309,40 @@ class MutableGraph:
         """Vertices whose adjacency row content differs from what it was
         at ``since_version`` — *exactly*: rows whose mutations cancelled
         out inside the window are not reported.  O(churn since the
-        version)."""
-        if since_version < 0:
-            raise ValueError(
-                f"since_version must be non-negative, got {since_version}")
-        if since_version >= self.version:
-            return _EMPTY
-        candidates: set = set()
-        for rec in self.log[since_version:]:  # log[i] is version i + 1
-            candidates.update(rec.prior_rows)
-        then = self.rows_at(since_version, candidates)
-        dirty = [v for v in candidates
-                 if not np.array_equal(self.neighbors(v), then[v])]
-        return np.array(sorted(dirty), dtype=np.int64)
+        version); read-only."""
+        return self._dirty(since_version)[0]
 
     def degree_changed(self, since_version: int = 0) -> np.ndarray:
         """Subset of :meth:`dirty_frontier` whose row *length* changed —
         the rows whose uniform-sampling transition factor is stale."""
-        dirty = self.dirty_frontier(since_version)
-        then = self.rows_at(since_version, dirty)
-        keep = [v for v in dirty if len(then[int(v)]) != self._degrees[v]]
-        return np.array(keep, dtype=np.int64)
+        return self._dirty(since_version)[1]
+
+    def _dirty(self, since_version: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dirty_frontier, degree_changed)`` since ``since_version``,
+        from one walk of the log per ``(since_version, version)`` pair:
+        every consumer refreshed in one round asks at the same pair, and
+        the answer holds until the next batch lands."""
+        if since_version < 0:
+            raise ValueError(
+                f"since_version must be non-negative, got {since_version}")
+        if since_version >= self.version:
+            return _EMPTY, _EMPTY
+        hit = self._dirty_since.get(since_version)
+        if hit is None:
+            candidates: set = set()
+            for rec in self.log[since_version:]:  # log[i] is version i + 1
+                candidates.update(rec.prior_rows)
+            then = self.rows_at(since_version, candidates)
+            dirty = sorted(v for v in candidates
+                           if not np.array_equal(self.neighbors(v), then[v]))
+            hit = (np.array(dirty, dtype=np.int64),
+                   np.array([v for v in dirty
+                             if len(then[v]) != self._degrees[v]],
+                            dtype=np.int64))
+            for arr in hit:
+                arr.flags.writeable = False
+            self._dirty_since[since_version] = hit
+        return hit
 
     # ------------------------------------------------------------------
     # Read paths

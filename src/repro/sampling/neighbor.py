@@ -22,7 +22,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique, take_into
 from repro.sampling.mfg import MFG, MFGBlock
 from repro.utils.rng import SeedLike, as_generator, derive_seed
 
@@ -155,7 +155,7 @@ def sample_neighbors(
         # ramp + (starts - cand_starts)[seg]: one shift per segment.
         seg = _segment_ids(arena, cand_starts, cand_total)
         edge_pos = arena.i64("edge_pos", cand_total)
-        np.take(starts - cand_starts[:-1], seg, out=edge_pos)
+        take_into(starts - cand_starts[:-1], seg, edge_pos)
         np.add(edge_pos, arena.ramp(cand_total), out=edge_pos)
         return dst_ptr, graph.take_edges(edge_pos)
 
@@ -279,7 +279,7 @@ class NeighborSampler:
                                                    rng, arena=self._arena)
             # Register newly seen vertices (sorted for determinism).
             fresh_mask = stamp[src_global] != epoch
-            fresh = np.unique(src_global[fresh_mask])
+            fresh = sorted_unique(src_global[fresh_mask])
             stamp[fresh] = epoch
             local[fresh] = count + np.arange(len(fresh), dtype=np.int64)
             count += len(fresh)

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.serving.workload import Request
 from repro.utils.registry import Registry
 
@@ -61,11 +62,11 @@ def one_hop_union(graph: "CSRGraph", seeds: np.ndarray) -> np.ndarray:
     deg = graph.degrees[seeds]
     total = int(deg.sum())
     if total == 0:
-        return np.unique(seeds)
+        return sorted_unique(seeds)
     ends = np.cumsum(deg)
     rel = np.arange(total, dtype=np.int64) - np.repeat(ends - deg, deg)
     nbrs = graph.indices[np.repeat(graph.indptr[seeds], deg) + rel]
-    return np.unique(np.concatenate([seeds, nbrs]))
+    return sorted_unique(np.concatenate([seeds, nbrs]))
 
 
 class MicroBatcher:

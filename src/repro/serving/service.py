@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.distributed.engine import gather_window
 from repro.distributed.records import StepRecord, sage_forward_flops
+from repro.graph.csr import sorted_unique
 from repro.graph.mutable import land_batch
 from repro.obs import OBS
 from repro.obs.span import now_ns
@@ -253,7 +254,7 @@ class InferenceService:
         counts = np.zeros(self.graph.num_vertices, dtype=np.float64)
         for seeds in recent:  # seeds are unique within a micro-batch
             counts[seeds] += 1.0
-        return self.tracker.access(machine, counts / len(recent))
+        return self.tracker.access({machine: counts / len(recent)})[machine]
 
     @classmethod
     def from_system(cls, system: "SalientPP") -> "InferenceService":
@@ -629,7 +630,7 @@ class InferenceService:
         plans: List[FetchPlan] = []
         masks: List[Optional[np.ndarray]] = []
         for group in groups:
-            seeds = np.unique(np.concatenate([r.seeds for r in group]))
+            seeds = sorted_unique(np.concatenate([r.seeds for r in group]))
             start = now_ns() if traced else 0
             mfg = sampler.sample(seeds)
             end = now_ns() if traced else 0
@@ -644,7 +645,7 @@ class InferenceService:
                     if not kept:
                         continue
                     if len(kept) != len(group):
-                        seeds = np.unique(
+                        seeds = sorted_unique(
                             np.concatenate([r.seeds for r in kept]))
                         mfg = sampler.sample(seeds)
                         end = now_ns() if traced else 0

@@ -41,9 +41,15 @@ within the summation-order bound ``count * eps * sum|x|`` per hop, and to
 the production full evaluation with ``==``, and ``benchmarks/perf`` times
 the production path against it.
 
-Per-vertex transition arrays are cached per graph in a
-:class:`TransitionTable` (one entry per distinct fanout), shared by the K
-partition-wise recursions and every serving-time vip-refresh.
+Several starting distributions are evaluated at once by passing ``p[0]``
+as an ``(N, k)`` matrix, one column each: every hop is still the one
+product ``rows @ g``, now with ``k`` columns, and column ``j`` of the
+result is bit-for-bit the 1-D evaluation of column ``j`` (a row's sum
+reads only its own sources, column by column, in the same order).  A
+refresh round's consumers are one such call.  Per-vertex transition arrays
+are cached per graph in a :class:`TransitionTable` (one entry per distinct
+fanout), shared by the K partition-wise recursions, every evaluation on
+the graph and every serving-time vip-refresh.
 Partition-wise VIP vectors (one per machine, seeded by that machine's local
 training set) drive both the remote-feature cache and the local CPU/GPU
 ordering (paper §3.2, §4.1).
@@ -188,12 +194,15 @@ def hop_values(tv: np.ndarray, p_prev: np.ndarray, rows: sp.csr_array, *,
     ``+0.0``.  ``active`` names the vertices whose factor is evaluated (all
     of them by default) and must cover every source of ``rows`` with
     ``p_prev != 0``; the rest keep the exact ``+0.0`` such a source's
-    ``log 1`` is, and adding ``+0.0`` changes no bit.
+    ``log 1`` is, and adding ``+0.0`` changes no bit.  A 2-D ``p_prev``
+    (one distribution per column) gives one column of values each.
     """
+    if p_prev.ndim == 2:
+        tv = tv[:, np.newaxis]
     if active is None:
         gv = _log_complement(tv * p_prev)
     else:
-        gv = np.zeros(len(p_prev), dtype=np.float64)
+        gv = np.zeros(p_prev.shape, dtype=np.float64)
         gv[active] = _log_complement(tv[active] * p_prev[active])
     return _one_minus_exp(rows @ gv)
 
@@ -201,9 +210,10 @@ def hop_values(tv: np.ndarray, p_prev: np.ndarray, rows: sp.csr_array, *,
 def accumulate_total(log_not_total: np.ndarray, p_h: np.ndarray,
                      where: Optional[np.ndarray] = None) -> None:
     """Equation (2), one hop: ``log_not_total[where] += log(max(1 -
-    p_h[where], 0))`` (everywhere by default).  Vertices left out must
-    have ``p_h == 0``: their term is an exact ``+0.0``, so skipping it
-    changes no bit.  :func:`_one_minus_exp` of the sum is ``p(u)``."""
+    p_h[where], 0))`` (everywhere by default; ``where`` indexes rows).
+    Vertices left out must have ``p_h == 0``: their term is an exact
+    ``+0.0``, so skipping it changes no bit.  :func:`_one_minus_exp` of the
+    sum is ``p(u)``."""
     if where is None:
         log_not_total += _log_complement(p_h)
     else:
@@ -297,6 +307,18 @@ def transition_table(graph: CSRGraph) -> TransitionTable:
 # ----------------------------------------------------------------------
 # Proposition 1 on a static graph.
 
+def _live_rows(p: np.ndarray) -> np.ndarray:
+    """Per vertex: is any of its probabilities (one per column) nonzero.
+    Column by column: numpy's ``any(axis=1)`` over a few columns walks
+    each row separately and costs about twenty such passes."""
+    if p.ndim == 1:
+        return p != 0.0
+    live = p[:, 0] != 0.0
+    for j in range(1, p.shape[1]):
+        live |= p[:, j] != 0.0
+    return live
+
+
 def vip_probabilities(
     graph: CSRGraph,
     initial: np.ndarray,
@@ -304,7 +326,8 @@ def vip_probabilities(
     *,
     sparse_cutoff: float = SPARSE_HOP_CUTOFF,
 ) -> VIPResult:
-    """Evaluate Proposition 1 for one starting distribution.
+    """Evaluate Proposition 1 for one starting distribution, or for several
+    at once.
 
     Carries a frontier of vertices whose probability is nonzero and
     evaluates :func:`hop_values` on only the rows incident to it, switching
@@ -322,7 +345,13 @@ def vip_probabilities(
         directed graph pass the graph whose CSR row ``u`` lists the vertices
         ``v`` that can sample ``u`` (the reverse of the sampling direction).
     initial:
-        ``p[0]`` — per-vertex minibatch membership probabilities.
+        ``p[0]`` — per-vertex minibatch membership probabilities; an
+        ``(N, k)`` matrix evaluates ``k`` distributions in one pass, and
+        every array of the result then has one column per distribution,
+        column ``j`` ``==`` the evaluation of ``initial[:, j]`` alone.  The
+        frontier is then the union of the columns' supports; a row outside
+        one column's own frontier sums only that column's exact ``+0.0``
+        terms, so sharing the row set changes no bit.
     fanouts:
         Per-hop fanouts, hop 1 first; ``-1`` = full expansion.
     sparse_cutoff:
@@ -338,10 +367,10 @@ def vip_probabilities(
     deg = graph.degrees
 
     hopwise: List[np.ndarray] = []
-    log_not_total = np.zeros(n, dtype=np.float64)
+    log_not_total = np.zeros(p_prev.shape, dtype=np.float64)
     # ``frontier is None`` means "assume dense": skip frontier bookkeeping
     # once a hop's support has grown past any chance of a sparse follow-up.
-    frontier: Optional[np.ndarray] = np.flatnonzero(p_prev)
+    frontier: Optional[np.ndarray] = np.flatnonzero(_live_rows(p_prev))
 
     for fanout in fanouts:
         tv = table.vertex_transition(fanout)
@@ -349,10 +378,10 @@ def vip_probabilities(
                 and int(deg[frontier].sum()) <= sparse_cutoff * m):
             # Row set: the rows containing a frontier vertex.
             rows = id_union(n, rows_concat(table.incoming(), frontier)[1])
-            p_h = np.zeros(n, dtype=np.float64)
+            p_h = np.zeros(p_prev.shape, dtype=np.float64)
             p_h[rows] = hop_values(tv, p_prev, row_set(graph, rows),
                                    active=frontier)
-            frontier = rows[p_h[rows] > 0.0]
+            frontier = rows[_live_rows(p_h[rows])]
             accumulate_total(log_not_total, p_h, where=frontier)
         else:
             # Row set: every row, in CSR order.
@@ -360,8 +389,9 @@ def vip_probabilities(
             accumulate_total(log_not_total, p_h)
             # Recompute the frontier only while the support is small enough
             # that the next hop could plausibly take the sparse path.
-            frontier = (np.flatnonzero(p_h)
-                        if np.count_nonzero(p_h) <= sparse_cutoff * n
+            live = _live_rows(p_h)
+            frontier = (np.flatnonzero(live)
+                        if np.count_nonzero(live) <= sparse_cutoff * n
                         else None)
         hopwise.append(p_h)
         p_prev = p_h

@@ -66,7 +66,7 @@ before the hop that trips is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +137,55 @@ def _capture_transitions(mgraph: MutableGraph,
     return out
 
 
+def _column(result: VIPResult, j: int, initial: np.ndarray) -> VIPResult:
+    """Column ``j`` of a batched evaluation as its own contiguous
+    :class:`VIPResult` (``initial`` is that column's vector as given)."""
+    return VIPResult(
+        total=np.ascontiguousarray(result.total[:, j]),
+        hopwise=[np.ascontiguousarray(p_h[:, j]) for p_h in result.hopwise],
+        initial=initial)
+
+
+def _checked_initial(initial, n: int) -> np.ndarray:
+    """``initial`` checked and clipped as :func:`vip_probabilities` checks
+    it; a snapshot or refresh scores one distribution, a 1-D vector."""
+    p0 = check_probability_vector(initial, "initial")
+    if p0.shape != (n,):
+        raise ValueError(f"initial must have one probability per vertex "
+                         f"({n}), got shape {p0.shape}")
+    return p0
+
+
+def _evaluate(graph, initials: List[np.ndarray],
+              fanouts: Sequence[int]) -> List[VIPResult]:
+    """:func:`vip_probabilities` of each of ``initials`` from one batched
+    call (a lone distribution keeps the 1-D call)."""
+    if len(initials) == 1:
+        return [vip_probabilities(graph, initials[0], fanouts)]
+    batched = vip_probabilities(graph, np.column_stack(initials), fanouts)
+    return [_column(batched, j, p) for j, p in enumerate(initials)]
+
+
+def snapshot_vips(
+    mgraph: MutableGraph,
+    initials: Sequence[np.ndarray],
+    fanouts: Sequence[int],
+) -> List[VIPSnapshot]:
+    """Full Proposition-1 evaluations on the materialized graph, one
+    :class:`VIPSnapshot` per starting distribution, from one batched
+    :func:`vip_probabilities` call (snapshot ``j`` ``==`` the evaluation of
+    ``initials[j]`` alone).  The snapshots share one read-only set of
+    transition arrays; a refresh patches a copy."""
+    given = [np.asarray(p, dtype=np.float64) for p in initials]
+    checked = [_checked_initial(p, mgraph.num_vertices) for p in given]
+    results = _evaluate(mgraph.materialize(), given, fanouts)
+    vtrans = _capture_transitions(mgraph, fanouts)
+    fanouts = tuple(int(f) for f in fanouts)
+    return [VIPSnapshot(version=mgraph.version, initial=p0, fanouts=fanouts,
+                        result=result, vertex_transitions=vtrans)
+            for p0, result in zip(checked, results)]
+
+
 def snapshot_vip(
     mgraph: MutableGraph,
     initial: np.ndarray,
@@ -144,14 +193,7 @@ def snapshot_vip(
 ) -> VIPSnapshot:
     """Full Proposition-1 evaluation on the materialized graph, captured as
     the baseline :class:`VIPSnapshot` for later incremental refreshes."""
-    result = vip_probabilities(mgraph.materialize(), initial, fanouts)
-    return VIPSnapshot(
-        version=mgraph.version,
-        initial=check_probability_vector(initial, "initial"),
-        fanouts=tuple(int(f) for f in fanouts),
-        result=result,
-        vertex_transitions=_capture_transitions(mgraph, fanouts),
-    )
+    return snapshot_vips(mgraph, [initial], fanouts)[0]
 
 
 def _patch_transitions(snapshot: VIPSnapshot, mgraph: MutableGraph,
@@ -205,18 +247,28 @@ def incremental_vip(
         ``vip_probabilities(mgraph.materialize(), initial, fanouts)`` and
         ``.stats`` records which path ran and how much it touched.
     """
+    if initial is None:
+        initial = snapshot.result.initial
+    refreshed, stats = _refresh(mgraph, snapshot, initial, churn_cutoff)
+    if refreshed is None:  # the gate tripped: full evaluation instead
+        refreshed = snapshot_vip(mgraph, initial, snapshot.fanouts)
+        refreshed.stats = stats
+    return refreshed
+
+
+def _refresh(mgraph: MutableGraph, snapshot: VIPSnapshot, initial: np.ndarray,
+             churn_cutoff: float) -> Tuple[Optional[VIPSnapshot],
+                                           RefreshStats]:
+    """:func:`incremental_vip`'s wave.  Returns ``(None, stats)`` when the
+    churn gate trips — before the tripping hop is computed — so the caller
+    runs the full evaluation (alone, or batched with a round's other
+    consumers); ``stats`` then says ``"full"`` and what was touched."""
     if not 0.0 <= churn_cutoff <= 1.0:
         raise ValueError(f"churn_cutoff must be in [0, 1], got {churn_cutoff}")
     n = mgraph.num_vertices
     m = max(mgraph.num_edges, 1)
     fanouts = snapshot.fanouts
-    if initial is None:
-        initial = snapshot.result.initial
-    p0 = check_probability_vector(initial, "initial")
-    if len(p0) != n:
-        raise ValueError(
-            f"initial must have one probability per vertex ({n}), got {len(p0)}"
-        )
+    p0 = _checked_initial(initial, n)
     # What vip_probabilities reports as ``initial`` (and ``access`` reads):
     # the vector as given; the recursion runs on the clipped ``p0``.
     given = np.asarray(initial, dtype=np.float64)
@@ -238,7 +290,7 @@ def incremental_vip(
                              hopwise=list(snapshot.result.hopwise),
                              initial=given),
             vertex_transitions=vtrans, stats=stats,
-        )
+        ), stats
 
     hop_arrays: List[np.ndarray] = []
     changed_union = _EMPTY
@@ -284,9 +336,7 @@ def incremental_vip(
         if (stats.edges_touched + remaining * hop_volume
                 > churn_cutoff * (len(fanouts) * m)):
             stats.mode = "full"
-            snapshot = snapshot_vip(mgraph, given, fanouts)
-            snapshot.stats = stats
-            return snapshot
+            return None, stats
         # Row set: R_h, read through the overlay.
         values = hop_values(vtrans[_normalize_fanout(fanout)], p_prev,
                             row_set(mgraph, rows),
@@ -322,20 +372,45 @@ def incremental_vip(
         version=mgraph.version, initial=p0, fanouts=fanouts,
         result=VIPResult(total=total, hopwise=hop_arrays, initial=given),
         vertex_transitions=vtrans, stats=stats,
-    )
+    ), stats
+
+
+class _Scored:
+    """One consumer's scores and what they were computed at: the graph,
+    its version and ``p[0]`` — kept as its support and values, since a
+    ``p[0]`` is a training set's or a hot set's, a small part of N."""
+
+    def __init__(self, graph, p0: np.ndarray, access: np.ndarray):
+        self.graph, self.version, self.access = graph, graph.version, access
+        self.support = np.flatnonzero(p0)
+        self.values = p0[self.support]
+
+    def matches(self, graph, p0: np.ndarray) -> bool:
+        if self.graph is not graph or self.version != graph.version:
+            return False
+        support = np.flatnonzero(p0)
+        return (np.array_equal(support, self.support)
+                and np.array_equal(p0[support], self.values))
 
 
 class VIPTracker:
     """Proposition-1 access scores on the graph a live system samples —
     the one refresh path behind every ``vip-refresh`` score provider (a
-    provider builds its consumer's ``p[0]`` and asks :meth:`access`).
+    provider builds its consumers' ``p[0]`` and asks :meth:`access`).
 
-    The evaluation is chosen from the type of :attr:`graph`: a full
-    :func:`vip_probabilities` on a static ``CSRGraph``; on a
-    :class:`MutableGraph`, one :class:`VIPSnapshot` per consumer, taken at
-    its first refresh and carried forward by :func:`incremental_vip`.
-    Either way the result equals ``vip_probabilities(materialized graph,
-    p0, fanouts).access`` bit for bit.
+    One call scores a *round*: every consumer named in it.  A consumer of
+    the previous round whose graph version and ``p[0]`` both ``==`` the
+    ones it was scored at gets its stored scores back (O(N)), so the K
+    providers of one refresh round can each ask for all K consumers and
+    only the first call computes.
+    The rest are computed from the type of :attr:`graph`: on a static
+    ``CSRGraph``, one batched :func:`vip_probabilities` for all of them; on
+    a :class:`MutableGraph`, one :class:`VIPSnapshot` per consumer carried
+    forward by :func:`incremental_vip`'s wave, and every consumer whose
+    wave trips the churn gate (or that has no snapshot yet) shares one
+    batched full evaluation on the materialized graph.  Either way each
+    consumer's scores equal ``vip_probabilities(materialized graph, p0,
+    fanouts).access`` bit for bit — the same as scoring it alone.
     """
 
     def __init__(self, graph, fanouts: Sequence[int]):
@@ -346,15 +421,65 @@ class VIPTracker:
         #: Latest snapshot per consumer while following an overlay
         #: (``.stats.mode`` says how its last refresh was computed).
         self.snapshots: Dict[object, VIPSnapshot] = {}
+        # The last round's consumers and what they were scored at.
+        self._scored: Dict[object, _Scored] = {}
 
-    def access(self, consumer, p0: np.ndarray) -> np.ndarray:
-        """Per-vertex access probability under ``consumer``'s ``p0``."""
-        if not isinstance(self.graph, MutableGraph):
-            return vip_probabilities(self.graph, p0, self.fanouts).access
-        snap = self.snapshots.get(consumer)
-        if snap is None:
-            snap = snapshot_vip(self.graph, p0, self.fanouts)
-        else:
-            snap = incremental_vip(self.graph, snap, p0)
-        self.snapshots[consumer] = snap
-        return snap.access
+    def access(self, p0s: Mapping[object, np.ndarray]
+               ) -> Dict[object, np.ndarray]:
+        """Per-vertex access probability under each consumer's ``p0``
+        (``{consumer: p0}`` in, ``{consumer: access}`` out, same order)."""
+        graph = self.graph
+        kept: Dict[object, _Scored] = {}
+        todo: Dict[object, np.ndarray] = {}
+        for consumer, p0 in p0s.items():
+            p0 = np.asarray(p0, dtype=np.float64)
+            last = self._scored.get(consumer)
+            if last is not None and last.matches(graph, p0):
+                kept[consumer] = last
+            else:
+                todo[consumer] = p0
+        if todo:
+            scored = (self._refresh_round(todo)
+                      if isinstance(graph, MutableGraph)
+                      else self._full_round(todo))
+            for consumer, access in scored.items():
+                access.flags.writeable = False  # handed out again on a hit
+                kept[consumer] = _Scored(graph, todo[consumer], access)
+            # Only this round's consumers are kept: a round's later calls
+            # ask for the same ones, and a serving tracker, asked for one
+            # machine at a time, holds one machine's scores, not K.
+            self._scored = kept
+        return {consumer: kept[consumer].access for consumer in p0s}
+
+    def _full_round(self, p0s: Dict[object, np.ndarray]
+                    ) -> Dict[object, np.ndarray]:
+        """Static graph: one batched evaluation for every consumer."""
+        results = _evaluate(self.graph, list(p0s.values()), self.fanouts)
+        return {consumer: result.access
+                for consumer, result in zip(p0s, results)}
+
+    def _refresh_round(self, p0s: Dict[object, np.ndarray]
+                       ) -> Dict[object, np.ndarray]:
+        """Overlay: each consumer's incremental wave; the ones that trip
+        the gate or have no snapshot share one batched full evaluation."""
+        mgraph = self.graph
+        full: Dict[object, Optional[RefreshStats]] = {}
+        for consumer, p0 in p0s.items():
+            snap = self.snapshots.get(consumer)
+            if snap is None:
+                full[consumer] = None
+                continue
+            snap, stats = _refresh(mgraph, snap, p0, CHURN_CUTOFF)
+            if snap is None:
+                full[consumer] = stats
+            else:
+                self.snapshots[consumer] = snap
+        if full:
+            snaps = snapshot_vips(mgraph, [p0s[c] for c in full],
+                                  self.fanouts)
+            for (consumer, stats), snap in zip(full.items(), snaps):
+                if stats is not None:
+                    snap.stats = stats
+                self.snapshots[consumer] = snap
+        return {consumer: self.snapshots[consumer].access
+                for consumer in p0s}

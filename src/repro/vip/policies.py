@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.distributed.dynamic_cache import top_scored
-from repro.graph.csr import CSRGraph, rows_concat
+from repro.graph.csr import CSRGraph, rows_concat, sorted_unique
 from repro.partition.interface import Partition
 from repro.utils.registry import Registry
 from repro.utils.rng import SeedLike, derive_seed
@@ -132,7 +132,7 @@ def _reachable_within(graph: CSRGraph, sources: np.ndarray, hops: int) -> np.nda
         if len(frontier) == 0:
             break
         nbrs = rows_concat(graph, frontier)[1]
-        fresh = np.unique(nbrs[~mask[nbrs]])
+        fresh = sorted_unique(nbrs[~mask[nbrs]])
         mask[fresh] = True
         frontier = fresh
     return mask

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import PartitionedFeatureStore
+from repro.distributed.feature_store import _rows_into
+from repro.graph.csr import take_into
 from repro.vip import CacheContext, VIPAnalyticPolicy, build_caches
 
 
@@ -183,3 +185,99 @@ class TestReplicatedStore:
     def test_full_replication_memory_is_k(self, tiny_reordered):
         store = PartitionedFeatureStore.build_replicated(tiny_reordered)
         assert store.memory_multiple() == pytest.approx(store.num_machines)
+
+
+class TestRowsWrittenOnce:
+    """Rows land in the output with ``take_into`` (``mode="clip"`` after
+    one range check): an out-of-range index must still raise, never be
+    clamped to the last row."""
+
+    @pytest.mark.parametrize("bad", [-1, 7, 100])
+    def test_rows_into_refuses_out_of_range(self, bad):
+        src = np.arange(14.0).reshape(7, 2)
+        out = np.zeros((5, 2))
+        with pytest.raises(IndexError):
+            _rows_into(out, np.arange(1, 4), src, np.array([0, bad, 1]))
+        if bad >= 0:  # the scattered-positions spelling is plain indexing
+            with pytest.raises(IndexError):
+                _rows_into(out, np.array([0, 2, 4]), src,
+                           np.array([0, bad, 1]))
+
+    def test_rows_into_contiguous_run(self):
+        src = np.arange(14.0).reshape(7, 2)
+        out = np.zeros((5, 2))
+        _rows_into(out, np.arange(1, 4), src, np.array([6, 0, 3]))
+        assert np.array_equal(out[1:4], src[[6, 0, 3]])
+        assert not out[0].any() and not out[4].any()
+
+    @pytest.mark.parametrize("run", [1, 40])
+    def test_rows_into_several_runs(self, run, rng):
+        """Positions in several runs take the fancy-index copy: the rows
+        that land are the same, and nothing else is written."""
+        src = rng.random((500, 3))
+        pos = np.concatenate([np.arange(0, run), np.arange(run + 5, 2 * run + 5),
+                              np.arange(3 * run + 9, 4 * run + 9)])
+        idx = rng.integers(0, 500, len(pos))
+        out = np.full((4 * run + 9, 3), -1.0)
+        _rows_into(out, pos, src, idx)
+        assert np.array_equal(out[pos], src[idx])
+        rest = np.setdiff1d(np.arange(len(out)), pos)
+        assert (out[rest] == -1.0).all()
+        idx[-1] = 500
+        with pytest.raises(IndexError):
+            _rows_into(out, pos, src, idx)
+
+    def test_fetch_remote_rows_refuses_ids_past_the_owner(self, store_setup):
+        rd, store = store_setup
+        n = rd.dataset.num_vertices
+        lo, hi = rd.part_range(1)
+        rows, per_peer = store._fetch_remote_rows(0, np.arange(lo, hi))
+        assert np.array_equal(rows, rd.dataset.features[lo:hi])
+        assert per_peer[1] == hi - lo and per_peer.sum() == hi - lo
+        for ids in (np.array([lo, n]), np.array([-1, lo])):
+            with pytest.raises(IndexError):
+                store._fetch_remote_rows(0, ids)
+        # An id past its owner's rows (bounds that lie about the owner)
+        # must raise too, not read the owner's last row.
+        peer = store.stores[1]
+        with pytest.raises(IndexError):
+            take_into(peer.local_features, np.array([hi - lo]),
+                      np.empty((1, store.feature_dim),
+                               dtype=peer.local_features.dtype))
+
+
+class TestMissCopies:
+    """A miss is copied out of the gathered matrix only for a cache that
+    admits on miss; every miss is counted either way."""
+
+    @pytest.mark.parametrize("policy", ["vip-refresh", "lru", "lfu", "clock"])
+    def test_admit_reads_rows_only_when_admitting(self, tiny_reordered,
+                                                  policy, monkeypatch):
+        from repro.distributed import DynamicCacheSpec
+        from repro.distributed.dynamic_cache import DynamicCache
+
+        rd = tiny_reordered
+        spec = DynamicCacheSpec(policy=policy, capacity=40, admit_threshold=0,
+                                refresh_interval=50)
+        store = PartitionedFeatureStore.build(rd, dynamic=spec)
+        handed = []
+        admit = DynamicCache.admit
+        monkeypatch.setattr(
+            DynamicCache, "admit",
+            lambda self, ids, rows: handed.append((ids.copy(), rows))
+            or admit(self, ids, rows))
+        lo, hi = rd.part_range(1)
+        ids = np.arange(lo, min(hi, lo + 25))
+        feats, stats = store.execute(store.plan_gather(0, ids))
+        (missed, rows), = handed
+        assert np.array_equal(missed, ids)
+        churn = store.stores[0].cache.churn
+        assert churn.misses == len(ids)
+        if policy == "vip-refresh":
+            assert rows is None and stats.cache_insertions == 0
+        else:
+            assert np.array_equal(rows, rd.dataset.features[ids])
+            assert stats.cache_insertions == churn.insertions == len(ids)
+            cache = store.stores[0].cache
+            assert np.array_equal(cache.rows[cache.slots(ids)],
+                                  rd.dataset.features[ids])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import CSRGraph
-from repro.graph.csr import MAX_PACKED_VERTICES, sorted_edge_keys
+from repro.graph.csr import (MAX_PACKED_VERTICES, sorted_edge_keys,
+                             sorted_unique, take_into)
 from repro.graph.mutable import MutableGraph
 
 
@@ -164,3 +165,47 @@ def test_packed_key_overflow_is_rejected():
     assert MAX_PACKED_VERTICES ** 2 < 2 ** 63 <= (MAX_PACKED_VERTICES + 1) ** 2
     with pytest.raises(ValueError, match=str(MAX_PACKED_VERTICES)):
         CSRGraph.from_edges([0], [1], MAX_PACKED_VERTICES + 1)
+
+
+# ----------------------------------------------------------------------
+# Array idioms beside the CSR builder: sort-based unique, in-place take.
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-2**40, 2**40), max_size=60),
+       dtype=st.sampled_from([np.int64, np.int32, np.uint32, np.float64]))
+def test_sorted_unique_matches_np_unique(values, dtype):
+    arr = np.abs(np.array(values, dtype=np.int64)).astype(dtype)
+    before = arr.copy()
+    got = sorted_unique(arr)
+    want = np.unique(arr)
+    assert got.dtype == want.dtype == arr.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(arr, before)  # the input is not sorted in place
+
+
+def test_sorted_unique_empty_keeps_dtype():
+    for dtype in (np.int64, np.int32, np.float64):
+        got = sorted_unique(np.empty(0, dtype=dtype))
+        assert got.dtype == dtype and got.shape == (0,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 12), width=st.integers(1, 5),
+       idx=st.lists(st.integers(0, 11), max_size=20))
+def test_take_into_matches_fancy_index(rows, width, idx):
+    src = np.arange(rows * width, dtype=np.float32).reshape(rows, width)
+    idx = np.array([i % rows for i in idx], dtype=np.int64)
+    out = np.full((len(idx), width), -1.0, dtype=np.float32)
+    take_into(src, idx, out)
+    assert np.array_equal(out, src[idx])
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 6, -7])
+def test_take_into_refuses_out_of_range_instead_of_clamping(bad):
+    """``mode="clip"`` would silently clamp; the up-front check must raise,
+    for a negative index (which plain numpy would wrap) as well."""
+    src = np.arange(10.0).reshape(5, 2)
+    out = np.zeros((2, 2))
+    with pytest.raises(IndexError, match="out of bounds"):
+        take_into(src, np.array([0, bad]), out)
+    assert not out.any()  # nothing written before the refusal

@@ -217,7 +217,8 @@ class TestPlannerIntegration:
                         serving=ServingConfig(max_batch=4, max_wait_ms=5.0))
         svc = Planner().build_service(tiny_dataset, cfg)
         asked, access = [], svc.tracker.access
-        svc.tracker.access = lambda k, p0: asked.append(p0) or access(k, p0)
+        svc.tracker.access = (lambda p0s: asked.extend(p0s.values())
+                              or access(p0s))
         rep = svc.run(make_requests(tiny_dataset, n=40))
         churn = svc.store.cache_churn()
         assert sum(c.refreshes for c in churn) > 0

@@ -24,7 +24,7 @@ the full path's, and the :class:`TransitionTable` version-token regression
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from vip_cases import (
     assert_matches_full,
@@ -92,7 +92,7 @@ class TestIncrementalParity:
 
         def assert_tracker_matches_full(consumer, p0):
             assert np.array_equal(
-                tracker.access(consumer, p0),
+                tracker.access({consumer: p0})[consumer],
                 full_access(mg.materialize(), p0, case.fanouts))
 
         assert_tracker_matches_full("a", p0)
@@ -272,6 +272,17 @@ class TestInitialChecked:
                                                  "finite"):
                 incremental_vip(mg, snap, bad, churn_cutoff=churn_cutoff)
 
+    def test_matrix_p0_rejected(self):
+        """A snapshot or refresh scores one distribution: an ``(N, k)``
+        matrix, which ``vip_probabilities`` accepts, is refused here."""
+        mg, snap, p0 = self._setup()
+        two = np.column_stack([p0, p0])
+        with pytest.raises(ValueError, match="one probability per vertex"):
+            snapshot_vip(mg, two, (3, 3))
+        for churn_cutoff in (0.0, 1.0):
+            with pytest.raises(ValueError, match="one probability per vertex"):
+                incremental_vip(mg, snap, two, churn_cutoff=churn_cutoff)
+
 
 class TestTransitionTableVersion:
     """Satellite regression: the per-graph transition cache must notice
@@ -303,3 +314,99 @@ class TestTransitionTableVersion:
         stale = transition_table(g1).vertex_transition(1)
         fresh = transition_table(g2).vertex_transition(1)
         assert not np.array_equal(stale, fresh)
+
+
+class TestTrackerRound:
+    """``VIPTracker.access({consumer: p0, ...})`` scores a round: the same
+    scores and the same snapshots — ``stats`` and its ``mode`` included —
+    as asking for each consumer alone, with the consumers that need a full
+    evaluation sharing one batched pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=vip_case(overlay=True), k=st.integers(1, 4),
+           drifting=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_round_equals_per_consumer_calls(self, case, k, drifting):
+        rng = np.random.default_rng(case.churn_seed)
+        mg = MutableGraph(case.graph, compact_cutoff=None)
+        everyone = np.arange(mg.num_vertices)
+        together = VIPTracker(mg.base, case.fanouts)
+        alone = VIPTracker(mg.base, case.fanouts)
+
+        def p0s(i):
+            return {j: (case.p0(drift=16 * j + (i if drifting[j] else 0))
+                        if j else np.zeros(mg.num_vertices))
+                    for j in range(k)}
+
+        def assert_round_matches(i):
+            round_ = p0s(i)
+            got = together.access(round_)
+            assert list(got) == list(round_)
+            for consumer, p0 in round_.items():
+                want = alone.access({consumer: p0})[consumer]
+                assert np.array_equal(got[consumer], want)
+                assert np.array_equal(
+                    want, full_access(mg.materialize(), p0, case.fanouts))
+            assert together.snapshots.keys() == alone.snapshots.keys()
+            for consumer, snap in together.snapshots.items():
+                other = alone.snapshots[consumer]
+                assert snap.stats == other.stats  # .mode included
+                assert snap.version == other.version == mg.version
+                assert_snapshot_matches_full(snap, mg)
+
+        assert_round_matches(0)  # static base: nothing to carry
+        assert not together.snapshots
+        together.graph = alone.graph = mg
+        for i in range(case.rounds):
+            mg.apply(random_batch(rng, everyone, int(rng.integers(1, 6))))
+            assert_round_matches(i + 1)
+
+    def _tracker(self):
+        g = erdos_renyi(120, 5.0, seed=3)
+        mg = MutableGraph(g, compact_cutoff=None)
+        tracker = VIPTracker(mg, (3, 2))
+        round_ = {k: sparse_p0(120, 10, seed=k) for k in range(4)}
+        return mg, tracker, round_
+
+    def test_tripped_consumers_share_one_full_evaluation(self, monkeypatch):
+        """A seed swap trips every consumer's gate: the round runs one
+        batched evaluation on the materialized graph, not one per
+        consumer, and the consumers whose seeds stayed put refresh
+        incrementally beside it."""
+        mg, tracker, round_ = self._tracker()
+        tracker.access(round_)
+        calls = []
+        evaluate = incremental.vip_probabilities
+        monkeypatch.setattr(incremental, "vip_probabilities",
+                            lambda *a, **kw: calls.append(a[1].shape)
+                            or evaluate(*a, **kw))
+        mg.add_edges([0], [60])
+        swapped = {k: sparse_p0(120, 100, seed=50 + k) for k in (0, 1, 2)}
+        got = tracker.access({**round_, **swapped})
+        assert calls == [(120, 3)]
+        modes = [tracker.snapshots[k].stats.mode for k in range(4)]
+        assert modes[:3] == ["full"] * 3 and modes[3] != "full"
+        assert all(tracker.snapshots[k].stats.edges_touched for k in (0, 1, 2))
+        for k, p0 in {**round_, **swapped}.items():
+            assert np.array_equal(got[k],
+                                  full_access(mg.materialize(), p0, (3, 2)))
+
+    def test_repeated_round_returns_stored_scores(self, monkeypatch):
+        """The round's later provider calls (same version, same ``p[0]``)
+        get the stored arrays back without touching the graph; a new
+        version or a changed ``p[0]`` re-scores just that consumer."""
+        mg, tracker, round_ = self._tracker()
+        first = tracker.access(round_)
+        refreshed = []
+        refresh = incremental._refresh
+        monkeypatch.setattr(incremental, "_refresh",
+                            lambda *a: refreshed.append(1) or refresh(*a))
+        again = tracker.access({k: p0.copy() for k, p0 in round_.items()})
+        assert all(again[k] is first[k] for k in round_)
+        assert not refreshed
+        moved = dict(round_)
+        moved[2] = sparse_p0(120, 10, seed=99)
+        tracker.access(moved)
+        assert len(refreshed) == 1
+        mg.add_edges([1], [90])
+        tracker.access(round_)
+        assert len(refreshed) == 1 + len(round_)

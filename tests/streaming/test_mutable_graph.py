@@ -268,3 +268,39 @@ class TestSamplerParity:
         src, dst = sample_neighbors(mg, np.array([0]), -1,
                                     np.random.default_rng(0))
         assert 49 in dst
+
+
+class TestDirtyWalkOnce:
+    def test_log_walked_once_per_since_and_version(self, monkeypatch):
+        """K consumers refreshed in one round all ask for the dirty sets
+        since the same version: one walk of the delta log answers every
+        ``dirty_frontier`` and ``degree_changed`` call until the next batch
+        lands, and the answer is what a fresh walk gives."""
+        g = erdos_renyi(40, 4.0, seed=6)
+        mg = MutableGraph(g, compact_cutoff=None)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            mg.add_edges(rng.integers(0, 40, 6), rng.integers(0, 40, 6))
+        walks = []
+        rows_at = MutableGraph.rows_at
+        monkeypatch.setattr(MutableGraph, "rows_at",
+                            lambda self, *a: walks.append(a[0])
+                            or rows_at(self, *a))
+        for _ in range(4):  # a round of four consumers
+            dirty = mg.dirty_frontier(1)
+            stale = mg.degree_changed(1)
+        assert walks == [1]
+        assert not dirty.flags.writeable and not stale.flags.writeable
+        mg.dirty_frontier(0)
+        assert walks == [1, 0]
+        # A new batch invalidates the cached answers.
+        mg.remove_edges(rng.integers(0, 40, 6), rng.integers(0, 40, 6))
+        dirty_now = mg.dirty_frontier(1)
+        assert walks == [1, 0, 1]
+        then = rows_at(mg, 1, range(40))
+        want = [v for v in range(40)
+                if not np.array_equal(mg.neighbors(v), then[v])]
+        assert dirty_now.tolist() == want
+        assert mg.degree_changed(1).tolist() == [
+            v for v in want if len(then[v]) != mg.degrees[v]]
+        assert walks == [1, 0, 1]

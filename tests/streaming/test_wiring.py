@@ -112,11 +112,12 @@ class TestServingMutations:
         calls = []
         access = svc.tracker.access
 
-        def recording_access(consumer, p0):
-            scores = access(consumer, p0)
-            calls.append((svc.mutations_applied, sampled_csr(svc.graph),
-                          p0, scores))
-            return scores
+        def recording_access(p0s):
+            scored = access(p0s)
+            for consumer, p0 in p0s.items():
+                calls.append((svc.mutations_applied, sampled_csr(svc.graph),
+                              p0, scored[consumer]))
+            return scored
 
         svc.tracker.access = recording_access
         N = system.dataset.graph.num_vertices
@@ -195,6 +196,35 @@ class TestTrainingMutations:
                 assert np.array_equal(scores, ref)
         # The preprocessing artifact is not a live view.
         assert np.array_equal(system.vip_matrix, built_matrix)
+
+    def test_boundary_is_scored_in_one_round(self, tiny_dataset, monkeypatch):
+        """The K providers of a phase boundary share one batched
+        evaluation: the first call scores every machine, the others get
+        the stored scores back."""
+        from repro.vip import incremental
+
+        cfg = RunConfig(num_machines=4, replication_factor=0.2,
+                        batch_size=8, cache_policy="vip-refresh",
+                        refresh_interval=4)
+        system = Planner().build(tiny_dataset, cfg)
+        tr = system.trainer
+        N = system.reordered.dataset.graph.num_vertices
+        system.apply_graph_updates(random_batch(np.random.default_rng(3), N, 30))
+        calls = []
+        evaluate = incremental.vip_probabilities
+        monkeypatch.setattr(incremental, "vip_probabilities",
+                            lambda *a, **k: calls.append(np.shape(a[1]))
+                            or evaluate(*a, **k))
+        scores = [system.training_vip_scores(k) for k in range(4)]
+        assert calls == [(N, 4)]
+        mat = system.tracker.graph.materialize()
+        for k in range(4):
+            p0 = uniform_minibatch_probability(N, tr.local_train[k],
+                                               tr.batch_size)
+            assert np.array_equal(scores[k], full_access(mat, p0, tr.fanouts))
+        assert all(system.training_vip_scores(k) is scores[k]
+                   for k in range(4))
+        assert calls == [(N, 4)]
 
     def test_mutating_one_system_leaves_its_siblings_alone(self, tiny_dataset):
         planner = Planner()

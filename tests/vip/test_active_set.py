@@ -67,7 +67,7 @@ class TestActiveSetParity:
         assert_matches_full(active, case.graph, p0, case.fanouts)
         # The refresh path's static branch is the same evaluation.
         tracker = VIPTracker(case.graph, case.fanouts)
-        assert np.array_equal(tracker.access("a", p0), active.access)
+        assert np.array_equal(tracker.access({"a": p0})["a"], active.access)
         assert not tracker.snapshots  # static graph: nothing to carry
 
     @settings(max_examples=40, deadline=None)
