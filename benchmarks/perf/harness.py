@@ -36,8 +36,10 @@ Tracked stages
 ``train.epoch_bsp_multiproc``
     One *real* (weight-updating) bsp epoch through the multiproc cluster
     backend — 8 worker processes over shared-memory feature segments and
-    wire-format plans — against the identical real epoch in-process
-    (``dense_wall_s``), asserted loss-identical before timing is reported.
+    wire-format plans — against the identical real epoch in-process on one
+    core (``dense_wall_s``: one process sampling inline, the reference the
+    speedup floor was set against), asserted loss-identical before timing
+    is reported.
     Extra keys carry the one-time spawn/handshake wall time.
 ``serving.latency``
     An open-loop Poisson serving run (deadline batcher, static VIP cache),
@@ -269,8 +271,17 @@ def multiproc_stages(stages: dict, *, dataset=None) -> None:
     cfg = RunConfig(num_machines=K, replication_factor=0.1,
                     cache_policy="vip", engine="bsp", seed=0)
     ref = planner.build(ds, cfg)
-    dense_wall, ref_result = _timed(lambda: ref.train_epoch(0))
-    dense_wall2, ref_result2 = _timed(lambda: ref.train_epoch(1))
+    # The reference is one process on one core, as the in-process epoch
+    # was when the speedup floor was set: on a spare core the engine would
+    # sample in a second process, and the floor asserts what K workers'
+    # parallelism buys over one process, not over two.
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        dense_wall, ref_result = _timed(lambda: ref.train_epoch(0))
+        dense_wall2, ref_result2 = _timed(lambda: ref.train_epoch(1))
+    finally:
+        os.sched_setaffinity(0, affinity)
 
     mp_cfg = dataclasses.replace(cfg, backend="multiproc")
     mp = planner.build(ds, mp_cfg)

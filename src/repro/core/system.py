@@ -140,10 +140,10 @@ class SalientPP:
         return self._backend
 
     def shutdown(self) -> None:
-        """Release backend resources (worker processes, shared memory).
+        """Release backend resources (worker processes, shared memory; the
+        in-process engine's sampler process).
 
-        Idempotent; a no-op for the in-process backend.  Systems used as
-        context managers shut down on exit."""
+        Idempotent.  Systems used as context managers shut down on exit."""
         if self._backend is not None:
             self._backend.close()
 

@@ -36,17 +36,29 @@ preparation that depends on nothing a training step produces — neighbourhood
 sampling: per-machine seeded streams over a graph that is read-only within
 an epoch — is drawn by one generator (:meth:`ExecutionEngine._sample_windows`,
 a ``{machine: [MFG, ...]}`` per comm window).  On a host with a spare core
-(:func:`repro.utils.ahead.spare_core`: usable cores > the cluster's compute
-processes; never for ``dry_run``) the loop consumes it through
-:func:`repro.utils.ahead.run_ahead` — the same generator on one daemon
-thread, at most two windows beyond the one being trained, joined before
-``run_machines`` returns or raises — otherwise directly.  Planning,
-gathering, the collective, the registry mirror, training and the optimizer
-stay on the calling thread in one order, and each sampler is touched by
-exactly one thread for the length of an epoch, so the two paths are
-bit-identical by construction.  The gather deliberately does not run ahead
-(docs/architecture.md: it buys 3 more points on ``train_static`` for +8 %
-``peak_rss_mb`` on ``train_drift``).
+(:func:`repro.utils.ahead.spare_core`: a core for every compute process and
+one for each one's sampler; never for ``dry_run``) the engine runs that
+generator in its **sampler process** — one
+:class:`~repro.utils.ahead.AheadProcess` per engine, forked at the first
+trained epoch and inheriting the trainer's graph and samplers.  Per epoch
+the parent sends the epoch, the window tiling, every machine's sampler
+cursor (:meth:`~repro.sampling.neighbor.NeighborSampler.rng_state`) and
+training ids; the child streams each window back as one wire frame, at most
+two windows beyond the one being trained, then its cursors, which the parent
+restores — so the parent's samplers stay the authority (checkpoints,
+restored cursors, training-set swaps need no restart) and the draws are
+bit-identical to sampling inline.  The child is re-forked only when the
+graph its samplers read changes (identity or ``version``); a sampler over a
+:class:`~repro.graph.mutable.MutableGraph` samples inline (a drift epoch
+samples little, and re-forking a large process at every phase boundary
+costs more in copy-on-write faults than it hides), as does a process that
+cannot fork (:func:`~repro.utils.ahead.can_fork`).  Any exception out of
+:meth:`~ExecutionEngine.run_machines` closes the child: a stream abandoned
+half-way cannot be resumed.  Planning, gathering, the collective, the
+registry mirror, training and the optimizer stay in the calling process in
+one order.  The gather deliberately does not run ahead (docs/architecture.md:
+it buys 3 more points on ``train_static`` for +8 % ``peak_rss_mb`` on
+``train_drift``).
 
 The machine set and the collective
 ----------------------------------
@@ -110,6 +122,8 @@ from repro.distributed.records import (
     StepRecord,
     served_rows_matrix,
 )
+from repro.distributed.wire import decode_dataclass
+from repro.graph.mutable import MutableGraph
 from repro.nn.functional import cross_entropy
 from repro.obs import OBS
 from repro.obs.span import now_ns
@@ -121,7 +135,7 @@ from repro.pipeline.events import (
 )
 from repro.sampling.mfg import MFG
 from repro.sampling.neighbor import NeighborSampler
-from repro.utils.ahead import run_ahead
+from repro.utils.ahead import AheadProcess, can_fork
 from repro.utils.registry import Registry
 
 #: Execution engine registry (``RunConfig.engine``).  Entries are engine
@@ -203,35 +217,33 @@ class PrefetchIterator:
     any engine consuming the same windows sees the same batches as ``bsp``.
     The epoch loop pulls these windows through one generator
     (:meth:`ExecutionEngine._sample_windows`) that, on a host with a spare
-    core, runs up to two windows *ahead* of training on a background
-    thread — which is what makes this a look-ahead on the wall clock.
+    core, runs up to two windows *ahead* of training in the engine's
+    sampler process — which is what makes this a look-ahead on the wall
+    clock.
 
-    While tracing is on, every draw is recorded as a wall ``stage.sample``
-    span keyed ``(machine, step)`` — the measured twin of the simulated
-    placement :meth:`~repro.obs.span.Tracer.add_timeline` exports under the
-    same name and key; ``span_at`` (``machine``, ``parent_id``, ``lane``)
-    says whose draw it is and where the span goes.
+    Every draw is stamped ``(step, MFG, start_ns, end_ns)`` on
+    :func:`~repro.obs.span.now_ns` (``CLOCK_MONOTONIC``, one clock for a
+    process and its forked sampler), from which the loop records the wall
+    ``stage.sample`` span while tracing is on.
     """
 
-    def __init__(self, batches: Iterator[MFG], depth: int, **span_at):
+    def __init__(self, batches: Iterator[MFG], depth: int):
         if depth < 1:
             raise ValueError(f"prefetch depth must be >= 1, got {depth}")
         self._batches = enumerate(batches)  # (step of the epoch, MFG)
         self.depth = depth
-        self._span_at = span_at
 
-    def next_window(self, size: Optional[int] = None) -> List[MFG]:
-        """The next ``min(size, depth)`` batches (fewer at stream end)."""
+    def next_window(self, size: Optional[int] = None
+                    ) -> List[Tuple[int, MFG, int, int]]:
+        """The next ``min(size, depth)`` batches (fewer at stream end), each
+        stamped ``(step, MFG, start_ns, end_ns)``."""
         want = self.depth if size is None else min(size, self.depth)
-        traced = OBS.enabled
-        out: List[MFG] = []
-        start = now_ns() if traced else 0
+        out = []
+        start = now_ns()
         for step, mfg in islice(self._batches, want):
-            out.append(mfg)
-            if traced:
-                OBS.tracer.add_span("stage.sample", start, now_ns(),
-                                    step=step, **self._span_at)
-                start = now_ns()
+            end = now_ns()
+            out.append((step, mfg, start, end))
+            start = end
         return out
 
 
@@ -292,6 +304,11 @@ class ExecutionEngine:
         # gathers again, so the per-step feature-matrix allocation — the
         # hot path's largest — happens only at the high-water mark.
         self._gather_arena = GatherArena()
+        # The sampler process (forked at the first trained epoch on a host
+        # with a spare core) and the graphs it was forked over, with their
+        # versions: a change to either means a re-fork.
+        self._ahead: Optional[AheadProcess] = None
+        self._ahead_graphs: list = []
 
     @classmethod
     def _build(cls, trainer, **_knobs) -> "ExecutionEngine":
@@ -324,24 +341,91 @@ class ExecutionEngine:
         return feats, records
 
     def _sample_windows(self, epoch: int, machines: List[int],
-                        windows: Sequence[Tuple[int, int]], **span_at):
-        """Every machine's in-flight batches, one ``{machine: [MFG, ...]}``
-        per comm window — the part of an epoch that depends on nothing the
-        training step produces, and so the only part that may run ahead of
-        it.  Samplers are drawn in machine order within a window, exactly
-        as the loop used to draw them; ``span_at`` places the measured
-        ``stage.sample`` spans (see :class:`PrefetchIterator`)."""
+                        windows: Sequence[Tuple[int, int]]):
+        """Every machine's in-flight batches, one ``({machine: [MFG, ...]},
+        stamps)`` per comm window — the part of an epoch that depends on
+        nothing the training step produces, and so the only part that may
+        run ahead of it.  Samplers are drawn in machine order within a
+        window, exactly as the loop used to draw them; ``stamps`` holds one
+        ``(machine, step, start_ns, end_ns)`` per draw (see
+        :class:`PrefetchIterator`)."""
         streams = {k: PrefetchIterator(self.trainer.batches(k, epoch),
-                                       self.depth, machine=k, **span_at)
+                                       self.depth)
                    for k in machines}
         for w0, w1 in windows:
-            window = {k: streams[k].next_window(w1 - w0) for k in machines}
-            for k, mfgs in window.items():
-                if len(mfgs) != w1 - w0:
+            drawn = {k: streams[k].next_window(w1 - w0) for k in machines}
+            for k, batch in drawn.items():
+                if len(batch) != w1 - w0:
                     raise RuntimeError(
                         f"machine {k} batch stream ended early "
-                        f"({len(mfgs)}/{w1 - w0} batches in window {w0})")
-            yield window
+                        f"({len(batch)}/{w1 - w0} batches in window {w0})")
+            yield ({k: [mfg for _step, mfg, _t0, _t1 in batch]
+                    for k, batch in drawn.items()},
+                   [(k, step, t0, t1) for k, batch in drawn.items()
+                    for step, _mfg, t0, t1 in batch])
+
+    def _sampler_process(self, machines: List[int]) -> Optional[AheadProcess]:
+        """The sampler process to draw ``machines``' epoch in, forked on
+        first use and re-forked when a graph its samplers read was replaced
+        or bumped its ``version``; ``None`` where sampling stays inline (a
+        :class:`MutableGraph`, or a process that cannot fork)."""
+        graphs = [self.trainer.samplers[k].graph for k in machines]
+        key = [(g, g.version) for g in graphs]
+        if self._ahead is not None and not (
+                len(key) == len(self._ahead_graphs) and all(
+                    g is h and v == w for (g, v), (h, w)
+                    in zip(key, self._ahead_graphs))):
+            self.close_sampler()
+        if self._ahead is None and can_fork() and not any(
+                isinstance(g, MutableGraph) for g in graphs):
+            self._ahead = AheadProcess(self._draw_ahead, 2, owner=self)
+            self._ahead_graphs = key
+        return self._ahead
+
+    def close_sampler(self) -> None:
+        """Kill this engine's sampler process, if it has one (the next
+        trained epoch on a spare core forks a fresh one)."""
+        if self._ahead is not None:
+            self._ahead.close()
+            self._ahead, self._ahead_graphs = None, []
+
+    def _draw_ahead(self, request):
+        """The sampler process's side of an epoch (runs in the child):
+        take the parent's cursors and training ids, then stream
+        :meth:`_sample_windows`, each window as ``([[MFG, ...] per machine],
+        stamps)``; returns the cursors the draws left."""
+        tr, machines = self.trainer, request["machines"]
+        for k, cursor, ids in zip(machines, request["cursors"],
+                                  request["local_train"]):
+            if tr.samplers[k].rng_state() != cursor:
+                tr.samplers[k].set_rng_state(cursor)
+            tr.local_train[k] = ids
+        for window, stamps in self._sample_windows(
+                request["epoch"], machines, request["windows"]):
+            yield [window[k] for k in machines], stamps
+        return [tr.samplers[k].rng_state() for k in machines]
+
+    def _sample_ahead(self, proc: AheadProcess, epoch: int,
+                      machines: List[int],
+                      windows: Sequence[Tuple[int, int]]):
+        """:meth:`_sample_windows` drawn by ``proc``: the same windows,
+        yielded as ``(window, stamps, waited)`` — ``waited``: none was in
+        the pipe when asked.  The child's cursors are restored into this
+        process's samplers with the last window."""
+        tr = self.trainer
+        proc.request({
+            "epoch": epoch, "machines": machines, "windows": list(windows),
+            "cursors": [tr.samplers[k].rng_state() for k in machines],
+            "local_train": [tr.local_train[k] for k in machines],
+        })
+        for i in range(len(windows)):
+            (drawn, stamps), waited = proc.take()
+            window = {k: [decode_dataclass(MFG, mfg) for mfg in mfgs]
+                      for k, mfgs in zip(machines, drawn)}
+            if i == len(windows) - 1:
+                for k, cursor in zip(machines, proc.result()):
+                    tr.samplers[k].set_rng_state(cursor)
+            yield window, stamps, waited
 
     def run_machines(self, epoch: int, machines: Iterable[int], collective,
                      *, dry_run: bool = False) -> List[List[StepRecord]]:
@@ -353,42 +437,62 @@ class ExecutionEngine:
         ``dry_run``, the window's steps train in order, each sync step
         closed by ``collective.sync`` and the optimizer step.  On a host
         with a spare core (``trainer.spare_core``) the sampling of a
-        trained epoch runs up to two windows ahead on the
-        :func:`~repro.utils.ahead.run_ahead` thread, which is joined
-        before this method returns or raises; everything else stays on the
-        calling thread in this order, so the two paths are bit-identical.
-        While tracing is on, each :func:`train_batch` call is a wall
-        ``stage.train`` span keyed ``(machine, step)`` under its
-        ``engine.window`` — the measured twin of the simulated placement of
-        the same name and key (histogram ``engine.train_batch_s``).
-        Returns each machine's step records, in ``machines`` order —
-        machine-local output only; :func:`assemble_report` derives the rest.
+        trained epoch runs up to two windows ahead in the engine's sampler
+        process (:meth:`_sampler_process`), whose cursors come back with
+        the last window; any exception out of this method closes that
+        process.  Everything else runs in the calling process in this
+        order, so the two paths are bit-identical.  While tracing is on,
+        each draw is a wall ``stage.sample`` span (lane ``<lane>/sampler``
+        when the process drew it) and each :func:`train_batch` call a wall
+        ``stage.train`` span, both keyed ``(machine, step)`` — the measured
+        twins of the simulated placements of the same name and key
+        (histogram ``engine.train_batch_s``).  Returns each machine's step
+        records, in ``machines`` order — machine-local output only;
+        :func:`assemble_report` derives the rest.
         """
+        try:
+            return self._run_machines(epoch, list(machines), collective,
+                                      dry_run)
+        except BaseException:
+            self.close_sampler()
+            raise
+
+    def _run_machines(self, epoch: int, machines: List[int], collective,
+                      dry_run: bool) -> List[List[StepRecord]]:
         tr = self.trainer
-        machines = list(machines)
         steps = tr.steps_per_epoch()
         sched = self.schedule(steps)
         sync_at = set(sched.sync_steps)
-        ahead = tr.spare_core and not dry_run
+        proc = (self._sampler_process(machines)
+                if tr.spare_core and not dry_run else None)
         records: dict = {k: [] for k in machines}
         with OBS.span("engine.epoch", engine=self.name, epoch=epoch,
                       steps=steps, machines=len(machines),
                       depth=self.depth) as span:
-            windows = self._sample_windows(
-                epoch, machines, sched.windows, parent_id=span.span_id,
-                lane=f"{OBS.tracer.lane}/sampler" if ahead else None)
-            # (window, whether the loop had to wait for it): always, inline.
-            sampled = (run_ahead(windows, 2) if ahead
-                       else ((window, True) for window in windows))
+            lane = None if proc is None else f"{OBS.tracer.lane}/sampler"
+            # (window, stamps, whether the loop had to wait for it): always,
+            # inline.
+            sampled = (
+                ((window, stamps, True) for window, stamps
+                 in self._sample_windows(epoch, machines, sched.windows))
+                if proc is None else
+                self._sample_ahead(proc, epoch, machines, sched.windows))
             with closing(sampled):
                 for w0, w1 in sched.windows:
                     with OBS.span("engine.window", window=w0, steps=w1 - w0,
                                   hist="engine.window_wall_s"):
                         with OBS.span("engine.sample_wait",
                                       hist="engine.sample_wait_s"):
-                            drawn, waited = next(sampled)
-                        if waited and OBS.enabled:
-                            OBS.metrics.counter("engine.pipeline_stalls").inc()
+                            drawn, stamps, waited = next(sampled)
+                        if OBS.enabled:
+                            for k, step, t0, t1 in stamps:
+                                OBS.tracer.add_span(
+                                    "stage.sample", t0, t1, machine=k,
+                                    step=step, parent_id=span.span_id,
+                                    lane=lane)
+                            if waited:
+                                OBS.metrics.counter(
+                                    "engine.pipeline_stalls").inc()
                         gathered = {}
                         for k in machines:
                             gathered[k] = feats, recs = self._gather_window(

@@ -156,8 +156,9 @@ class DistributedTrainer:
 
     @property
     def spare_core(self) -> bool:
-        """Whether the epoch loop may sample ahead on a background thread:
-        all K machines train inside this one process."""
+        """Whether the epoch loop may sample ahead in a sampler process:
+        all K machines train inside this one process, so it takes one core
+        and its sampler another."""
         return ahead.spare_core(1)
 
     def gradient_nbytes(self) -> int:
@@ -236,3 +237,8 @@ class InProcessBackend(ClusterBackend):
     def evaluate(self, split: str, *,
                  fanouts: Optional[Sequence[int]] = None) -> float:
         return self.system.trainer.evaluate(split, fanouts=fanouts)
+
+    def close(self) -> None:
+        """Kill the engine's sampler process, if it forked one; the next
+        trained epoch forks a fresh one."""
+        self.system.trainer.engine.close_sampler()

@@ -28,10 +28,11 @@ from repro.distributed.wire import WireError, pack_message, unpack_message
 
 
 class ChannelError(RuntimeError):
-    """A peer failed on the wire; ``machine`` names it, ``why`` says how."""
+    """A peer failed on the wire; ``machine`` names it (``None``: a peer
+    that is no machine's worker), ``why`` says how."""
 
     def __init__(self, machine: Optional[int], why: str):
-        super().__init__(f"worker {machine}: {why}")
+        super().__init__(why if machine is None else f"worker {machine}: {why}")
         self.machine = machine
         self.why = why
 

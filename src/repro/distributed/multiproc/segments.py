@@ -74,9 +74,10 @@ class WorkerSpec:
     #: torn at an ``(epoch, step)`` point).  Excluded from the cluster
     #: fingerprint — faults are a property of one run, not of the workers.
     faults: Tuple[FaultSpec, ...] = ()
-    #: Whether this host has a core the K workers do not occupy
-    #: (:func:`repro.utils.ahead.spare_core`, judged once by the
-    #: coordinator): the worker's engine then samples ahead of training.
+    #: Whether this host has a core for each of the K workers and one for
+    #: each worker's sampler process (:func:`repro.utils.ahead.spare_core`,
+    #: judged once by the coordinator): the worker's engine then samples
+    #: ahead of training.
     #: A property of the host, not of the cluster — outside the fingerprint.
     spare_core: bool = False
 

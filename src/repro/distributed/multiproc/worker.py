@@ -68,8 +68,9 @@ class _PartMap:
 class _WorkerRuntime:
     """Machine ``k``'s trainer surface inside its worker process.
 
-    ``samplers`` / ``models`` / ``optimizers`` are machine-indexed like the
-    in-process trainer's, holding the single key ``k``; the store's K
+    ``samplers`` / ``models`` / ``optimizers`` / ``local_train`` are
+    machine-indexed like the in-process trainer's, holding the single key
+    ``k``; the store's K
     machine stores are views into the shared segments — so "remote" fetches
     really cross a process boundary in plan terms while the rows come from
     shared memory.
@@ -133,6 +134,7 @@ class _WorkerRuntime:
                                              feat_dtype.itemsize)
 
         self.samplers, self.models, self.optimizers = {}, {}, {}
+        self.local_train = {k: spec.local_train}
         self._init_training_state()
         self.spare_core = spec.spare_core  # the coordinator's reading
         self.batch_size = spec.batch_size
@@ -157,7 +159,7 @@ class _WorkerRuntime:
 
     def batches(self, machine: int, epoch: int):
         return self.samplers[machine].batches(
-            self.spec.local_train, self.spec.batch_size,
+            self.local_train[machine], self.spec.batch_size,
             drop_last=True, epoch=epoch, seed=self.spec.order_seed,
         )
 
@@ -209,6 +211,7 @@ class _WorkerRuntime:
         """Drop every view into shared memory and close the attachments —
         required before this process can be parked (the coordinator will
         unlink the segments) or rebound to a new cluster."""
+        self.engine.close_sampler()
         self.grad_plane.release()
         self.grad_plane = self.my_slab = self.avg_slab = None
         self.ds = self.store = self.engine = None

@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 #: This process's span clock, for call sites that time a region themselves
-#: and record it with :meth:`Tracer.add_span` — a region on another thread,
-#: which the tracer's implicit (single-threaded) span stack cannot hold.
+#: and record it with :meth:`Tracer.add_span` — a region the tracer's
+#: implicit span stack cannot hold, such as a draw in a forked sampler
+#: process (``CLOCK_MONOTONIC`` on Linux: one clock for parent and child).
 now_ns = time.perf_counter_ns
 
 #: Process-wide span-id source.  ``itertools.count`` is atomic under the
@@ -191,9 +192,9 @@ class Tracer:
     The span *stack* (implicit parents, :meth:`span`) is single-threaded by
     design: every instrumented layer in this repo runs its hot path on one
     thread per process, and the multiproc backend gives each worker process
-    its own tracer.  The one background thread (``utils/ahead.py``) records
-    through :meth:`add_span` only — an explicit parent, one atomic
-    ``list.append`` — and is joined before anyone drains the buffer.
+    its own tracer.  A forked sampler process (``utils/ahead.py``) records
+    nothing: it stamps its draws, and the epoch loop records them here
+    through :meth:`add_span` with an explicit parent.
     """
 
     def __init__(self, lane: str = "coordinator",

@@ -23,20 +23,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "vip"))
 
 
 @pytest.fixture(autouse=True)
-def no_run_ahead_thread_outlives_its_test():
-    """A sampler thread is joined before the epoch that started it returns
-    or raises; one still alive here was leaked by this test."""
+def no_sampler_process_outlives_its_engine():
+    """An engine's sampler process is closed with the engine at the latest
+    (its finalizer); one still open here after its engine was collected
+    was leaked."""
     yield
-    leaked = invariants.run_ahead_threads()
-    assert not leaked, f"run-ahead thread(s) still alive: {leaked}"
+    leaked = invariants.leaked_samplers()
+    assert not leaked, f"sampler process(es) outlived their engine: {leaked}"
 
 
 @pytest.fixture(params=[1, 64], ids=["one-core", "spare-core"])
 def either_side_of_the_spare_core_rule(request, monkeypatch):
     """Run a test on both sides of ``ahead.spare_core``: a one-core host
     (every epoch samples inline) and one with cores to spare (trained
-    epochs sample ahead on the thread — in-process, and inside multiproc
-    workers, which take the coordinator's reading from their spec)."""
+    epochs sample ahead in a sampler process — in-process, and inside
+    multiproc workers, which take the coordinator's reading from their
+    spec)."""
     monkeypatch.setattr(ahead, "usable_cores", lambda: request.param)
     return request.param
 

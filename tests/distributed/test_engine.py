@@ -8,8 +8,8 @@ the pre-refactor trainer's :class:`EpochReport` exactly — same losses, same
 volumes, same ledger bytes under the same seeds.
 """
 
-import sys
-import threading
+import os
+import signal
 import time
 
 import numpy as np
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.distributed.engine as engine_module
-from invariants import run_ahead_threads as helper_threads, trace_shape
+from invariants import trace_shape
 from repro.core import Planner, RunConfig
 from repro.distributed import (
     ENGINES,
@@ -30,6 +30,8 @@ from repro.distributed.comm import CommLedger, all_reduce_gradients
 from repro.distributed.dynamic_cache import DynamicCacheSpec
 from repro.distributed.engine import InProcessCollective, gather_window
 from repro.distributed.feature_store import GatherArena, GatherStats
+from repro.distributed.multiproc.channel import ChannelError
+from repro.graph import erdos_renyi
 from repro.graph.datasets import make_synthetic_dataset, make_tiny
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.nn.functional import cross_entropy
@@ -419,9 +421,9 @@ class TestEngineRegistry:
 # ----------------------------------------------------------------------
 # Sampling ahead of training (§4.3 on the wall clock): the engine draws an
 # epoch's windows through one generator and, on a host with a spare core,
-# iterates it on the run-ahead thread.  Which side of the rule runs is
-# forced by patching ``ahead.usable_cores``; everything observable must be
-# the same on both, and equal to the frozen seed loop.
+# runs it in the engine's forked sampler process.  Which side of the rule
+# runs is forced by patching ``ahead.usable_cores``; everything observable
+# must be the same on both, and equal to the frozen seed loop.
 
 @pytest.fixture()
 def cores(monkeypatch):
@@ -430,24 +432,22 @@ def cores(monkeypatch):
 
 
 @pytest.fixture()
-def run_ahead_calls(monkeypatch):
-    """One entry per ``run_ahead`` the engine starts: the number of windows
-    its producer has drawn so far (a one-element list, live)."""
+def forks(monkeypatch):
+    """Every sampler process an engine forks, in order (a live list)."""
     made = []
 
-    def spy(generator, slots):
-        drawn = [0]
-        made.append(drawn)
+    class Recorded(ahead.AheadProcess):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
 
-        def counted():
-            for window in generator:
-                drawn[0] += 1
-                yield window
-
-        return ahead.run_ahead(counted(), slots)
-
-    monkeypatch.setattr(engine_module, "run_ahead", spy)
+    monkeypatch.setattr(engine_module, "AheadProcess", Recorded)
     return made
+
+
+def closed(proc):
+    """The process was killed and reaped, and left the open set."""
+    return proc not in ahead.OPEN and proc.channel.proc.exitcode is not None
 
 
 @pytest.fixture(scope="module")
@@ -481,13 +481,17 @@ def build_system(planner, ds, schedule, cache, streaming):
                     **SCHEDULES[schedule], **CACHES[cache])
     system = planner.build(ds, cfg)
     if streaming:
-        gen = np.random.default_rng(1)
-        n, none = ds.num_vertices, np.empty(0, dtype=np.int64)
-        system.apply_graph_updates(EdgeBatch(
-            add_src=gen.integers(0, n, 60), add_dst=gen.integers(0, n, 60),
-            del_src=none, del_dst=none))
+        apply_edges(system, seed=1)
         assert isinstance(system.trainer.ds.graph, MutableGraph)
     return system
+
+
+def apply_edges(system, seed):
+    gen = np.random.default_rng(seed)
+    n, none = system.trainer.ds.num_vertices, np.empty(0, dtype=np.int64)
+    system.apply_graph_updates(EdgeBatch(
+        add_src=gen.integers(0, n, 60), add_dst=gen.integers(0, n, 60),
+        del_src=none, del_dst=none))
 
 
 def epoch_facts(system, report):
@@ -507,30 +511,38 @@ def epoch_facts(system, report):
              for m in system.trainer.models])
 
 
+def twin_epochs(forked, inline, epoch, cores):
+    """Epoch ``epoch`` of ``forked`` on a spare core and of ``inline`` on
+    one core; returns both reports after checking every fact equal."""
+    cores(2)
+    got = forked.trainer.train_epoch(epoch)
+    cores(1)
+    want = inline.trainer.train_epoch(epoch)
+    assert epoch_facts(forked, got) == epoch_facts(inline, want)
+    return got, want
+
+
 @pytest.mark.parametrize("streaming", [False, True], ids=["csr", "overlay"])
 @pytest.mark.parametrize("cache", list(CACHES))
 @pytest.mark.parametrize("schedule", list(SCHEDULES))
 def test_sampling_ahead_is_bit_identical_to_inline_and_to_the_seed_loop(
-        planner, ahead_dataset, cores, run_ahead_calls, check_invariants,
+        planner, ahead_dataset, cores, forks, check_invariants,
         schedule, cache, streaming):
-    threaded, inline, oracle = (
+    forked, inline, oracle = (
         build_system(planner, ahead_dataset, schedule, cache, streaming)
         for _ in range(3))
     for epoch in range(2):
-        cores(2)
-        got = threaded.trainer.train_epoch(epoch)
-        assert len(run_ahead_calls) == epoch + 1 and not helper_threads()
-        cores(1)
-        want = inline.trainer.train_epoch(epoch)
-        assert len(run_ahead_calls) == epoch + 1
-        assert epoch_facts(threaded, got) == epoch_facts(inline, want)
-        check_invariants(got, bytes_per_row=threaded.store.bytes_per_row)
+        got, _want = twin_epochs(forked, inline, epoch, cores)
+        # One process for the engine's life; none over a MutableGraph.
+        assert len(forks) == (0 if streaming else 1)
+        assert forked.trainer.engine._ahead is (forks[0] if forks else None)
+        check_invariants(got, bytes_per_row=forked.store.bytes_per_row)
 
         if schedule.startswith("async"):
             continue  # the seed loop all-reduces gradients every step
         losses, volumes, ledger = seed_trainer_epoch(oracle.trainer, epoch)
         assert [r.loss for r in got.records] == losses
-        assert [s.rng_state() for s in threaded.trainer.samplers] == \
+        assert [s.rng_state() for s in forked.trainer.samplers] == \
             [s.rng_state() for s in oracle.trainer.samplers]
         assert np.array_equal(got.ledger.gradient_bytes,
                               ledger.gradient_bytes)
@@ -543,32 +555,75 @@ def test_sampling_ahead_is_bit_identical_to_inline_and_to_the_seed_loop(
                                   ledger.request_bytes)
 
 
-def test_sampling_ahead_is_bit_identical_on_a_short_switch_interval(
-        planner, ahead_dataset, cores, run_ahead_calls):
-    """The two threads preempt each other every 10 µs instead of every
-    5 ms: if the sampler thread and the loop shared anything mutable — an
-    arena, a stamp table, an RNG — this is where a run would diverge."""
-    threaded, inline = (
-        build_system(planner, ahead_dataset, "pipelined-3", "vip-refresh",
-                     streaming=True) for _ in range(2))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for epoch in range(3):
-            cores(2)
-            got = threaded.trainer.train_epoch(epoch)
-            cores(1)
-            want = inline.trainer.train_epoch(epoch)
-            assert epoch_facts(threaded, got) == epoch_facts(inline, want)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(run_ahead_calls) == 3 and not helper_threads()
+def test_a_training_set_swap_reaches_the_same_child(
+        planner, ahead_dataset, cores, forks):
+    forked, inline = (build_system(planner, ahead_dataset, "pipelined-3",
+                                   "vip-refresh", False) for _ in range(2))
+    twin_epochs(forked, inline, 0, cores)
+    for system in (forked, inline):
+        system.update_training_set(np.concatenate(
+            [ids[::2] for ids in system.trainer.local_train]))
+    for epoch in (1, 2):
+        twin_epochs(forked, inline, epoch, cores)
+    assert len(forks) == 1 and not closed(forks[0])
 
 
-def test_registry_equals_report_on_a_threaded_epoch(
-        planner, ahead_dataset, cores, run_ahead_calls, check_registry):
+def test_a_restored_cursor_reaches_the_same_child(
+        planner, ahead_dataset, cores, forks):
+    forked, inline = (build_system(planner, ahead_dataset, "bsp", "static",
+                                   False) for _ in range(2))
+    twin_epochs(forked, inline, 0, cores)
+    cursors = [[s.rng_state() for s in system.trainer.samplers]
+               for system in (forked, inline)]
+    twin_epochs(forked, inline, 1, cores)
+    # Rewind both to the start of epoch 1 (a recovery's restore) and replay.
+    for system, saved in zip((forked, inline), cursors):
+        for sampler, cursor in zip(system.trainer.samplers, saved):
+            sampler.set_rng_state(cursor)
+    twin_epochs(forked, inline, 1, cores)
+    assert len(forks) == 1 and not closed(forks[0])
+
+
+def test_a_new_graph_restarts_the_child(planner, ahead_dataset, cores, forks):
+    forked, inline = (build_system(planner, ahead_dataset, "pipelined-3",
+                                   "lru", False) for _ in range(2))
+    twin_epochs(forked, inline, 0, cores)
+    n = ahead_dataset.num_vertices
+    # A different graph object: the child forked over the old one must go.
+    for system in (forked, inline):
+        graph = erdos_renyi(n, 6.0, seed=5)
+        for sampler in system.trainer.samplers:
+            sampler.graph = graph
+    twin_epochs(forked, inline, 1, cores)
+    assert len(forks) == 2 and closed(forks[0]) and not closed(forks[1])
+    # The same object changed in place, as ``bump_version`` declares.
+    other = erdos_renyi(n, 4.0, seed=6)
+    for system in (forked, inline):
+        graph = system.trainer.samplers[0].graph
+        graph.indptr, graph.indices = other.indptr, other.indices
+        graph.bump_version()
+    twin_epochs(forked, inline, 2, cores)
+    assert len(forks) == 3 and closed(forks[1]) and not closed(forks[2])
+
+
+def test_a_mutable_graph_samples_inline_and_closes_the_child(
+        planner, ahead_dataset, cores, forks):
+    forked, inline = (build_system(planner, ahead_dataset, "pipelined-3",
+                                   "vip-refresh", False) for _ in range(2))
+    twin_epochs(forked, inline, 0, cores)
+    assert len(forks) == 1
+    for system in (forked, inline):
+        apply_edges(system, seed=2)
+    for epoch in (1, 2):
+        twin_epochs(forked, inline, epoch, cores)
+    assert len(forks) == 1 and closed(forks[0])
+    assert forked.trainer.engine._ahead is None
+
+
+def test_registry_equals_report_on_a_forked_epoch(
+        planner, ahead_dataset, cores, forks, check_registry):
     system = build_system(planner, ahead_dataset, "pipelined-3",
-                          "vip-refresh", streaming=True)
+                          "vip-refresh", streaming=False)
     cores(2)
     OBS.disable()
     OBS.reset()
@@ -579,16 +634,54 @@ def test_registry_equals_report_on_a_threaded_epoch(
     finally:
         OBS.disable()
         OBS.reset()
-    assert len(run_ahead_calls) == 1
+    assert len(forks) == 1
 
 
-def test_dry_runs_and_one_core_hosts_never_start_a_thread(
-        planner, ahead_dataset, cores, monkeypatch):
-    started = []
-    real_start = threading.Thread.start
-    monkeypatch.setattr(
-        threading.Thread, "start",
-        lambda self: (started.append(self.name), real_start(self))[1])
+def test_traced_span_keys_equal_the_inline_runs(
+        planner, ahead_dataset, cores, forks):
+    """The child stamps its draws; the parent records them as the same
+    ``stage.sample`` spans an inline epoch records, on the sampler lane,
+    inside the epoch span (one clock for parent and child)."""
+    forked, inline = (build_system(planner, ahead_dataset, "pipelined-3",
+                                   "static", False) for _ in range(2))
+    traced = {}
+    for name, system, n_cores in (("forked", forked, 2), ("inline", inline, 1)):
+        cores(n_cores)
+        OBS.disable()
+        OBS.reset()
+        OBS.enable()
+        try:
+            report = system.trainer.train_epoch(0)
+            traced[name] = (list(OBS.tracer.spans), OBS.metrics.snapshot())
+        finally:
+            OBS.disable()
+            OBS.reset()
+    assert len(forks) == 1
+
+    def keys(spans):
+        return sorted((s.name, s.attrs.get("machine"), s.attrs.get("step"))
+                      for s in spans if s.name.startswith("stage."))
+
+    (got, got_snap), (want, want_snap) = traced["forked"], traced["inline"]
+    assert keys(got) == keys(want)
+    for spans, lane in ((got, "coordinator/sampler"), (want, "coordinator")):
+        epoch = next(s for s in spans if s.name == "engine.epoch")
+        samples = [s for s in spans if s.name == "stage.sample"]
+        assert sorted((s.attrs["machine"], s.attrs["step"]) for s in samples) \
+            == sorted((r.machine, r.step) for r in report.records)
+        assert {(s.lane, s.parent_id) for s in samples} == \
+            {(lane, epoch.span_id)}
+        assert all(epoch.start_ns <= s.start_ns <= s.end_ns <= epoch.end_ns
+                   for s in samples)
+    windows = want_snap["engine.sample_wait_s"]["count"]
+    assert got_snap["engine.sample_wait_s"]["count"] == windows
+    assert want_snap["engine.pipeline_stalls"]["value"] == windows
+    assert got_snap.get("engine.pipeline_stalls",
+                        {"value": 0})["value"] <= windows
+
+
+def test_dry_runs_and_one_core_hosts_never_fork(
+        planner, ahead_dataset, cores, forks):
     system = build_system(planner, ahead_dataset, "pipelined-3", "static",
                           streaming=False)
     cores(64)
@@ -596,18 +689,36 @@ def test_dry_runs_and_one_core_hosts_never_start_a_thread(
     cores(1)
     system.trainer.train_epoch(1)
     system.trainer.train_epoch(2, dry_run=True)
-    assert started == []
+    assert forks == []
     cores(2)
     system.trainer.train_epoch(3)
-    assert started == [ahead.THREAD_NAME]
+    assert len(forks) == 1 and forks[0].pid != os.getpid()
+
+
+def test_closing_the_backend_reaps_the_child_at_once(
+        planner, ahead_dataset, cores, forks):
+    """``backend.close()`` — and so ``SalientPP.shutdown`` and ``with`` —
+    kills and reaps the sampler process there and then, while the engine
+    is still alive: not whenever the cyclic collector reaches it."""
+    system = build_system(planner, ahead_dataset, "bsp", "static", False)
+    cores(2)
+    with system.backend() as backend:
+        backend.run_epoch(0)
+        assert len(forks) == 1 and not closed(forks[0])
+    assert closed(forks[0]) and system.trainer.engine._ahead is None
+    with system:
+        system.train_epoch(1)
+        assert len(forks) == 2 and not closed(forks[1])
+    assert closed(forks[1])
 
 
 @pytest.mark.parametrize("n_cores", [1, 2], ids=["inline", "ahead"])
 def test_a_short_sample_stream_raises_on_the_caller(
-        planner, ahead_dataset, cores, monkeypatch, n_cores):
+        planner, ahead_dataset, cores, forks, monkeypatch, n_cores):
     """The sampler-side failure — a stream shorter than the schedule —
-    surfaces from ``train_epoch`` as the same error on both paths, after
-    the windows before it trained."""
+    surfaces from ``train_epoch`` on both paths (from the child as a
+    ``ChannelError`` carrying its traceback), after the windows before it
+    trained; the child that failed is closed."""
     system = build_system(planner, ahead_dataset, "bsp", "static", False)
     tr = system.trainer
     steps = tr.steps_per_epoch()
@@ -617,38 +728,53 @@ def test_a_short_sample_stream_raises_on_the_caller(
             rf"machine 0 batch stream ended early \(0/1 batches in "
             rf"window {steps}\)")):
         tr.train_epoch(0)
-    assert not helper_threads()
+    assert len(forks) == n_cores - 1 and all(closed(p) for p in forks)
+    assert tr.engine._ahead is None
 
 
 class FaultAt(InProcessCollective):
     """Closes steps like the in-process collective until ``step``, where it
     raises the way a worker's collective does when the coordinator aborts
-    the epoch — optionally first waiting for the hand-off to fill."""
+    the epoch — or, with ``kill``, kills the engine's sampler process
+    there instead and carries on."""
 
     class Aborted(Exception):
         pass
 
-    def __init__(self, models, step, handoff=None):
+    def __init__(self, models, step, engine=None):
         super().__init__(models, all_reduce_gradients)
-        self.step, self.handoff = step, handoff
+        self.step, self.engine = step, engine
 
     def sync(self, step):
         if step == self.step:
-            if self.handoff is not None:
-                # bsp: step + 1 windows taken; full is two drawn beyond.
-                deadline = time.monotonic() + 5.0
-                while self.handoff[-1][0] < step + 3:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.001)
-            raise self.Aborted
+            if self.engine is None:
+                raise self.Aborted
+            os.kill(self.engine._ahead.pid, signal.SIGKILL)
         super().sync(step)
 
 
-@pytest.mark.parametrize("full_handoff", [False, True])
+def checkpoint(tr):
+    return ([m.state_dict() for m in tr.models],
+            [o.state_dict() for o in tr.optimizers],
+            [s.rng_state() for s in tr.samplers])
+
+
+def restore(tr, saved):
+    for k in range(tr.num_machines):
+        tr.models[k].load_state_dict(saved[0][k])
+        tr.optimizers[k].load_state_dict(saved[1][k])
+        tr.samplers[k].set_rng_state(saved[2][k])
+
+
+@pytest.mark.parametrize("kill", [False, True], ids=["abort", "kill"])
 @pytest.mark.parametrize("fault_step", [0, 3])
-def test_an_aborted_epoch_joins_its_thread_and_replays_bit_identically(
-        planner, ahead_dataset, cores, run_ahead_calls, fault_step,
-        full_handoff):
+def test_an_aborted_epoch_closes_its_child_and_replays_bit_identically(
+        planner, ahead_dataset, cores, forks, fault_step, kill):
+    """An epoch that ends in an exception — the collective's, or the
+    ``ChannelError`` of a sampler process killed mid-epoch, raised within
+    the window that needed it with the child's exit code — closes the
+    process; restored and re-run it equals the fault-free epoch, drawn by
+    a fresh child."""
     cores(2)
     clean = build_system(planner, ahead_dataset, "bsp", "static", False)
     clean.trainer.train_epoch(0)
@@ -657,21 +783,19 @@ def test_an_aborted_epoch_joins_its_thread_and_replays_bit_identically(
     system = build_system(planner, ahead_dataset, "bsp", "static", False)
     tr = system.trainer
     tr.train_epoch(0)
-    checkpoint = ([m.state_dict() for m in tr.models],
-                  [o.state_dict() for o in tr.optimizers],
-                  [s.rng_state() for s in tr.samplers])
+    saved = checkpoint(tr)
     assert tr.steps_per_epoch() > fault_step + 3
-    collective = FaultAt(tr.models, fault_step,
-                         run_ahead_calls if full_handoff else None)
-    made = len(run_ahead_calls)
-    with pytest.raises(FaultAt.Aborted):
+    collective = FaultAt(tr.models, fault_step, tr.engine if kill else None)
+    t0 = time.monotonic()
+    with pytest.raises(ChannelError if kill else FaultAt.Aborted) as err:
         tr.engine.run_machines(1, range(tr.num_machines), collective)
-    assert len(run_ahead_calls) == made + 1 and not helper_threads()
-    # The thread ran ahead of the fault: the cursors moved past it.
-    assert [s.rng_state() for s in tr.samplers] != checkpoint[2]
+    assert time.monotonic() - t0 < 5.0
+    if kill:
+        assert "exit code -9" in str(err.value)
+    assert len(forks) == 2 and closed(forks[1]) and tr.engine._ahead is None
+    # The cursors come back with an epoch's last window: none moved.
+    assert [s.rng_state() for s in tr.samplers] == saved[2]
 
-    for k in range(tr.num_machines):
-        tr.models[k].load_state_dict(checkpoint[0][k])
-        tr.optimizers[k].load_state_dict(checkpoint[1][k])
-        tr.samplers[k].set_rng_state(checkpoint[2][k])
+    restore(tr, saved)
     assert epoch_facts(system, tr.train_epoch(1)) == epoch_facts(clean, want)
+    assert len(forks) == 3 and not closed(forks[2])

@@ -47,7 +47,7 @@ order) — the parity suites' comparator; nothing in ``src/`` calls it.
 """
 
 import dataclasses
-import threading
+import gc
 
 import numpy as np
 
@@ -74,13 +74,16 @@ COUNTERS = {
 }
 
 
-def run_ahead_threads() -> list:
-    """The live sampler threads (``utils/ahead.run_ahead``).  The law: empty
-    whenever no epoch is running — the thread is joined before the epoch
-    that started it returns or raises (``tests/conftest.py`` checks it after
-    every test).  By name: ``threading.active_count()`` also moves with
-    ``multiprocessing``'s queue feeders and the worker pool's helpers."""
-    return [t for t in threading.enumerate() if t.name == ahead.THREAD_NAME]
+def leaked_samplers() -> list:
+    """Sampler processes (``utils/ahead.AheadProcess``) still open although
+    the engine that forked them is gone.  The law: empty after every test —
+    an engine's finalizer closes its process at the latest
+    (``tests/conftest.py`` checks it after every test).  Engines and their
+    trainers reference each other, so unreachable ones are collected first."""
+    if not ahead.OPEN:
+        return []
+    gc.collect()
+    return [proc.pid for proc in ahead.OPEN if proc.owner() is None]
 
 
 def check_registry(snapshot, report) -> None:

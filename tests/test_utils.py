@@ -1,14 +1,15 @@
 """Tests for shared utilities: RNG management, tables, validation."""
 
-import sys
+import gc
+import os
+import signal
 import threading
 import time
-from contextlib import closing
 
 import numpy as np
 import pytest
 
-from invariants import run_ahead_threads as helper_threads
+from repro.distributed.multiproc.channel import ChannelError
 from repro.utils import (
     Table,
     ahead,
@@ -158,142 +159,145 @@ def wait_until(cond, timeout_s=5.0):
         time.sleep(0.001)
 
 
-class TestRunAhead:
-    """The one background thread: ordered, bounded, joined on every exit."""
+class Owner:
+    """Something for an ``AheadProcess`` to belong to."""
 
-    def test_order_preserved_and_thread_joined_on_exhaustion(self):
-        it = ahead.run_ahead(iter_squares(50), 2)
-        assert not helper_threads()  # starts with the first next()
-        assert next(it)[0] == 0 and helper_threads()
-        assert [item for item, _waited in it] == [i * i for i in range(1, 50)]
-        assert not helper_threads()
-        assert list(it) == []  # exhausted stays exhausted
+
+def squares(request):
+    """``produce`` for the tests below: ``request["n"]`` squares, each
+    logged to ``request["log"]`` (if given) as the child draws it."""
+    for i in range(request["n"]):
+        if request.get("log"):
+            with open(request["log"], "a") as f:
+                f.write(f"{i}\n")
+        if i in request.get("sleep_before", ()):
+            time.sleep(0.3)
+        if i == request.get("fail_at"):
+            raise RuntimeError(f"stream ended early at {i}")
+        yield i * i
+    return f"{request['n']} drawn in {os.getpid()}"
+
+
+def drawn(log):
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+class TestAheadProcess:
+    """The one background worker: a forked child, ordered, bounded, closed
+    with its owner, its failures raised promptly in the parent."""
+
+    def test_requests_stream_in_order_and_return_the_generators_value(self):
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        try:
+            assert proc.pid != os.getpid() and proc in ahead.OPEN
+            for n in (5, 1, 0, 7):  # stale credits are skipped between them
+                proc.request({"n": n})
+                assert [proc.take()[0] for _ in range(n)] == \
+                    [i * i for i in range(n)]
+                assert proc.result() == f"{n} drawn in {proc.pid}"
+        finally:
+            proc.close()
+        assert proc not in ahead.OPEN and proc.channel.proc.exitcode == -9
+        proc.close()  # idempotent
 
     @pytest.mark.parametrize("slots", [1, 2, 5])
-    def test_producer_never_more_than_slots_ahead(self, slots):
-        produced = []
-
-        def gen():
-            for i in range(30):
-                produced.append(i)
-                yield i
-
-        with closing(ahead.run_ahead(gen(), slots)) as it:
-            assert next(it)[0] == 0
-            # Left alone, the producer fills its slots and stops there.
-            wait_until(lambda: len(produced) == 1 + slots)
-            time.sleep(0.02)
-            assert len(produced) == 1 + slots
-            for taken, (item, _waited) in enumerate(it, start=2):
-                assert item == taken - 1
-                assert len(produced) <= taken + slots
-        assert produced == list(range(30)) and not helper_threads()
-
-    def test_producer_exception_reaches_the_consumer_in_order(self):
-        def gen():
-            yield 1
-            yield 2
-            raise RuntimeError("stream ended early")
-
-        it = ahead.run_ahead(gen(), 2)
-        assert [next(it)[0], next(it)[0]] == [1, 2]
-        with pytest.raises(RuntimeError, match="stream ended early") as err:
-            next(it)
-        # The producer's own frame is in the traceback.
-        assert any(tb.name == "gen" for tb in err.traceback)
-        assert not helper_threads()
-        with pytest.raises(StopIteration):
-            next(it)
-
-    def test_close_is_idempotent_and_joins_a_full_handoff(self):
-        produced, finalized = [], []
-
-        def gen():
-            try:
-                for i in range(100):
-                    produced.append(i)
-                    yield i
-            finally:
-                finalized.append(True)
-
-        it = ahead.run_ahead(gen(), 2)
-        assert next(it)[0] == 0
-        wait_until(lambda: len(produced) == 3)  # producer parked on a slot
-        time.sleep(0.01)
-        it.close()
-        assert not helper_threads() and finalized == [True]
-        assert len(produced) == 3
-        it.close()
-        assert list(it) == []
-
-    def test_consumer_abandoning_midway_joins_the_thread(self):
-        with pytest.raises(KeyError):
-            with closing(ahead.run_ahead(iter_squares(1000), 2)) as it:
-                for item, _waited in it:
-                    if item == 9:
-                        raise KeyError("consumer failed")
-        assert not helper_threads()
-
-    def test_waited_marks_empty_handoffs_only(self):
-        produced, gate = [], threading.Event()
-
-        def gen():
-            for i in range(3):
-                if i == 2:
-                    gate.wait()
-                produced.append(i)
-                yield i
-
-        with closing(ahead.run_ahead(gen(), 2)) as it:
-            assert next(it)[0] == 0  # may or may not have been ready yet
-            wait_until(lambda: produced == [0, 1])
-            time.sleep(0.01)
-            assert next(it) == (1, False)
-            threading.Timer(0.02, gate.set).start()
-            assert next(it) == (2, True)
-
-
-    def test_stress_more_threads_than_cores_on_a_short_switch_interval(self):
-        """Six producers (this host has fewer cores) preempted every 10 µs:
-        every hand-off keeps its order, loses nothing, and stays within its
-        bound — what a lost update on the queue or the semaphore would break."""
-        slots, n, produced = 2, 3000, [0] * 6
-
-        def gen(i):
-            for item in range(n):
-                produced[i] += 1
-                yield item
-
-        its = [ahead.run_ahead(gen(i), slots) for i in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        deadline = time.monotonic() + 60.0
+    def test_the_child_never_draws_more_than_slots_ahead(self, slots,
+                                                         tmp_path):
+        log, owner = tmp_path / "drawn", Owner()
+        proc = ahead.AheadProcess(squares, slots, owner=owner)
         try:
-            for taken in range(1, n + 1):
-                for i, it in enumerate(its):
-                    assert next(it)[0] == taken - 1
-                    assert produced[i] <= taken + slots
-                assert time.monotonic() < deadline
-            for it in its:
-                assert list(it) == []
+            proc.request({"n": 20, "log": str(log)})
+            # Left alone, the child fills its slots and stops there.
+            wait_until(lambda: drawn(log) == slots)
+            time.sleep(0.05)
+            assert drawn(log) == slots
+            for taken in range(1, 21):
+                assert proc.take()[0] == (taken - 1) ** 2
+                assert drawn(log) <= taken + slots
+            proc.result()
         finally:
-            sys.setswitchinterval(interval)
-            for it in its:
-                it.close()
-        assert produced == [n] * 6 and not helper_threads()
+            proc.close()
+        assert drawn(log) == 20
 
+    def test_waited_marks_items_not_yet_in_the_pipe(self):
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        try:
+            proc.request({"n": 2, "sleep_before": (1,)})
+            assert proc.channel.conn.poll(5.0)
+            assert proc.take() == (0, False)
+            assert proc.take() == (1, True)  # drawn 0.3 s after the first
+            proc.result()
+        finally:
+            proc.close()
 
-def iter_squares(n):
-    for i in range(n):
-        yield i * i
+    def test_an_exception_in_the_child_reaches_the_parent_with_its_traceback(
+            self):
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        try:
+            proc.request({"n": 5, "fail_at": 2})
+            assert [proc.take()[0], proc.take()[0]] == [0, 1]
+            with pytest.raises(ChannelError, match="stream ended early at 2")\
+                    as err:
+                proc.take()
+            assert "in squares" in str(err.value)  # the child's own frame
+            proc.channel.proc.join(5.0)
+            assert proc.channel.proc.exitcode == 1
+        finally:
+            proc.close()
+
+    def test_a_killed_child_raises_promptly_with_its_exit_code(self):
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        try:
+            proc.request({"n": 10})
+            proc.take()
+            os.kill(proc.pid, signal.SIGKILL)
+            t0 = time.monotonic()
+            with pytest.raises(ChannelError, match=r"exit code -9"):
+                for _ in range(9):
+                    proc.take()
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            proc.close()
+
+    def test_the_child_exits_on_end_of_stream_from_its_parent(self):
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        proc.channel.close()
+        proc.channel.proc.join(5.0)
+        assert proc.channel.proc.exitcode == 0
+        proc.close()
+        assert proc not in ahead.OPEN
+
+    def test_collecting_the_owner_closes_the_child(self):
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        del owner
+        gc.collect()
+        assert proc not in ahead.OPEN and proc.channel.proc.exitcode == -9
+
+    def test_forking_needs_a_single_threaded_process(self):
+        assert ahead.can_fork()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not ahead.can_fork()
+        finally:
+            stop.set()
+            thread.join()
+        assert ahead.can_fork()
 
 
 class TestSpareCoreRule:
     def test_usable_cores_is_the_affinity_mask(self):
-        import os
         assert ahead.usable_cores() == len(os.sched_getaffinity(0)) >= 1
 
-    def test_spare_core_compares_cores_to_compute_processes(self, monkeypatch):
+    def test_spare_core_counts_a_sampler_beside_each_compute_process(
+            self, monkeypatch):
         monkeypatch.setattr(ahead, "usable_cores", lambda: 4)
-        assert [ahead.spare_core(n) for n in (1, 3, 4, 8)] == \
+        assert [ahead.spare_core(n) for n in (1, 2, 3, 4)] == \
             [True, True, False, False]
