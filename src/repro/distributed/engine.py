@@ -444,7 +444,9 @@ class ExecutionEngine:
         order, so the two paths are bit-identical.  While tracing is on,
         each draw is a wall ``stage.sample`` span (lane ``<lane>/sampler``
         when the process drew it) and each :func:`train_batch` call a wall
-        ``stage.train`` span, both keyed ``(machine, step)`` — the measured
+        ``stage.train`` span, both keyed ``(machine, step)``, and each sync
+        step's ``collective.sync`` with the optimizer steps it closes a
+        wall ``stage.allreduce`` span keyed ``(-1, step)`` — the measured
         twins of the simulated placements of the same name and key
         (histogram ``engine.train_batch_s``).  Returns each machine's step
         records, in ``machines`` order — machine-local output only;
@@ -512,10 +514,12 @@ class ExecutionEngine:
                                 if self.local_apply:
                                     tr.optimizers[k].step()
                             if step in sync_at:
-                                collective.sync(step)
-                                if not self.local_apply:
-                                    for k in machines:
-                                        tr.optimizers[k].step()
+                                with OBS.span("stage.allreduce", machine=-1,
+                                              step=step):
+                                    collective.sync(step)
+                                    if not self.local_apply:
+                                        for k in machines:
+                                            tr.optimizers[k].step()
             if OBS.enabled:
                 OBS.metrics.counter("engine.steps").inc(steps)
         return [records[k] for k in machines]

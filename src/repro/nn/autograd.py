@@ -1,28 +1,32 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-GraphSAGE needs a small, predictable op set — dense matmul, broadcast
-arithmetic, ReLU, row slices, and segment reductions — so this engine
-favors clarity over generality: a :class:`Tensor` wraps an ``ndarray``, ops
-record closures, and :meth:`Tensor.backward` replays them in reverse
-topological order.  All gradient math is vectorized numpy; there is no
-per-element Python work anywhere.
+A :class:`Tensor` wraps an ``ndarray``; an op records one closure, and
+:meth:`Tensor.backward` replays them in reverse topological order.  The
+tape is coarse: a GraphSAGE layer — aggregation, both projections, bias
+and ReLU — is one node (``functional.sage_conv``) and the loss another
+(``functional.cross_entropy``), so an L-layer training step records L + 1.
+The op set here is only what :class:`~repro.nn.layers.Linear` and the MLP
+baseline reach: matmul, broadcast add, ReLU and a row slice.  All gradient
+math is vectorized numpy; there is no per-element Python work anywhere.
 
-Every sum over indexed rows — a block's aggregation and its backward
-(``functional.segment_sum``) — is one sparse product with the 0/1 matrix
-:func:`repro.graph.csr.edge_operator` builds (a graph's row sets in
-Proposition 1 are the same matrix), so no edge-by-feature intermediate is
-ever materialised and the summation order is left to right in edge order by
-definition (``docs/architecture.md``, "The model step").
+Every sum over indexed rows — a block's aggregation and its backward — is
+one sparse product with the 0/1 matrix :func:`repro.graph.csr.edge_operator`
+builds (a graph's row sets in Proposition 1 are the same matrix), so no
+edge-by-feature intermediate is ever materialised and the summation order
+is left to right in edge order by definition (``docs/architecture.md``,
+"The model step").
 
 Gradients are never written in place: ``_accumulate`` rebinds ``.grad``, the
 optimizer and the collective only read it, so a gradient array may be
-shared between nodes, replicas and the caller of :meth:`Tensor.backward`
+shared between nodes, replicas and the caller of :meth:`Tensor.backward`.
+An op writes in place only into arrays it allocated itself
 (``tests/nn/test_grad_aliasing.py`` pins this).
 
 Gradient correctness for every op is pinned by numerical-difference tests in
-``tests/nn/test_autograd.py``; the arithmetic is held to the frozen
-pre-product engine ``tests/nn/reference_autograd.py`` by
-``tests/nn/test_reference_parity.py``.
+``tests/nn/test_autograd.py`` and ``tests/nn/test_functional.py``; the
+arithmetic is held to the frozen op-by-op step ``tests/nn/reference_chain.py``
+by ``tests/nn/test_reference_chain.py`` and to the frozen pre-product engine
+``tests/nn/reference_autograd.py`` by ``tests/nn/test_reference_parity.py``.
 """
 
 from __future__ import annotations
@@ -94,12 +98,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------
     # Autograd machinery
     # ------------------------------------------------------------------
@@ -159,7 +157,7 @@ class Tensor:
     def _operand(self, other) -> "Tensor":
         """``other`` as a Tensor; a scalar or array takes this tensor's dtype
         (a bare ``np.asarray(0.5)`` is a strong float64 under NEP 50 and
-        would upcast a float32 ``x * 0.5``)."""
+        would upcast a float32 ``x + 0.5``)."""
         return other if isinstance(other, Tensor) else Tensor(
             np.asarray(other, dtype=self.data.dtype))
 
@@ -179,47 +177,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward():
-            self._accumulate(-out.grad)
-
-        out = Tensor._make(-self.data, (self,), backward)
-        return out
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self._operand(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Tensor":
-        other = self._operand(other)
-        out_data = self.data * other.data
-
-        def backward():
-            g = out.grad
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        out = Tensor._make(out_data, (self, other), backward)
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        return self * self._operand(other).reciprocal()
-
-    def reciprocal(self) -> "Tensor":
-        out_data = 1.0 / self.data
-
-        def backward():
-            self._accumulate(-out.grad * out_data * out_data)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._operand(other)
         if self.ndim != 2 or other.ndim != 2:
@@ -234,42 +191,6 @@ class Tensor:
                 other._accumulate(self.data.T @ g)
 
         out = Tensor._make(out_data, (self, other), backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # Reductions and shape ops
-    # ------------------------------------------------------------------
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def reshape(self, *shape) -> "Tensor":
-        out_data = self.data.reshape(*shape)
-
-        def backward():
-            self._accumulate(out.grad.reshape(self.data.shape))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        def backward():
-            self._accumulate(out.grad.T)
-
-        out = Tensor._make(self.data.T, (self,), backward)
         return out
 
     # ------------------------------------------------------------------

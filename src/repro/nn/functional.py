@@ -1,92 +1,96 @@
-"""Functional ops on :class:`~repro.nn.autograd.Tensor`: segment reductions
-and the loss.
+"""Functional ops on :class:`~repro.nn.autograd.Tensor`: the GraphSAGE
+convolution and the loss, each one tape node.
 
-Segment ops operate on CSR-style contiguous segments (an MFG block's
-``dst_ptr``).  Every segment sum — plain, through a source index (a block's
-aggregation), forward and backward — is a product with the block's 0/1
-operator (:func:`~repro.graph.csr.edge_operator`): ``A @ x`` and
-``A.T @ grad``.  The summation order is therefore left to right in edge
-order, in the dtype of the rows being summed.
+:func:`sage_conv` is a whole ``SAGEConv`` layer — mean aggregation, both
+projections, the bias and (between layers) the ReLU — and
+:func:`cross_entropy` folds the log-softmax into the loss, so an L-layer
+training step records L + 1 nodes.  Each replays the float ops the
+op-by-op chain ran, in its order (``tests/nn/reference_chain.py``), so the
+fusion moves no bit of a loss or a gradient.
+
+A block's aggregation is one product with its 0/1 operator
+(:func:`~repro.graph.csr.edge_operator`): ``A @ x`` forward, ``A.T @ g``
+backward.  The summation order is therefore left to right in edge order,
+in the dtype of the rows being summed, and an empty segment sums to zero.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.graph.csr import edge_operator
 from repro.nn.autograd import Tensor
+from repro.sampling.mfg import MFGBlock
 
 
-def segment_sum(x: Tensor, ptr: np.ndarray,
-                index: Optional[np.ndarray] = None) -> Tensor:
-    """Sum rows of ``x`` within each contiguous segment ``[ptr[i], ptr[i+1])``
-    — of ``x`` itself, or of ``x[index]`` when ``index`` is given (the
-    gather is never materialised).
+def sage_conv(x: Tensor, block: MFGBlock, w_self: Tensor, bias: Tensor,
+              w_neigh: Tensor, *, relu: bool) -> Tensor:
+    """``x[:nd] @ W_self + b + mean_block(x) @ W_neigh``, then ReLU when
+    ``relu``, as one tape node.
 
-    Each segment is summed left to right, starting from zero, in
-    ``x.dtype``.  Empty segments produce zero rows (a vertex whose sampled
-    neighborhood is empty aggregates to zeros, matching PyG semantics).
-    ``index`` entries outside ``[0, len(x))`` raise ``ValueError``.
+    ``x`` has one row per block source, the destinations first; the mean
+    over a destination's sampled sources is their sum left to right in edge
+    order times ``1 / max(count, 1)`` in ``x``'s dtype (an empty segment
+    gives a zero row).  The bias is added before the neighbour term, and
+    ``max(·, 0)`` turns -0.0 into +0.0.  ``block.src_index`` entries
+    outside ``[0, len(x))`` raise ``ValueError``.
     """
-    ptr = np.asarray(ptr, dtype=np.int64)
-    if index is None:
-        index = np.arange(len(x.data))
-    index = np.asarray(index, dtype=np.int64)
+    ptr, index = block.dst_ptr, block.src_index
     if ptr[-1] != len(index):
         raise ValueError(f"ptr[-1] ({ptr[-1]}) must equal the number of "
                          f"summed rows ({len(index)})")
-    block = edge_operator(ptr, index, len(x.data), x.data.dtype)
+    xd, nd = x.data, len(ptr) - 1
+    a = edge_operator(ptr, index, len(xd), xd.dtype)
+    inv = (1.0 / np.maximum(np.diff(ptr), 1).astype(xd.dtype))[:, None]
+    agg = (a @ xd) * inv
+    out = xd[:nd] @ w_self.data
+    out += bias.data
+    out += agg @ w_neigh.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def backward():
-        x._accumulate(block.T @ out.grad)
+        # In place only into arrays allocated here: ``g`` may be shared.
+        g = node.grad
+        if relu:
+            g = g * (out > 0)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if w_self.requires_grad:
+            w_self._accumulate(xd[:nd].T @ g)
+        if w_neigh.requires_grad:
+            w_neigh._accumulate(agg.T @ g)
+        if x.requires_grad:
+            gx = a.T @ ((g @ w_neigh.data.T) * inv)
+            gx[:nd] += g @ w_self.data.T
+            x._accumulate(gx)
 
-    out = Tensor._make(block @ x.data, (x,), backward)
-    return out
-
-
-def segment_mean(x: Tensor, ptr: np.ndarray,
-                 index: Optional[np.ndarray] = None) -> Tensor:
-    """Mean over contiguous segments of ``x`` (of ``x[index]`` when given);
-    empty segments produce zeros."""
-    ptr = np.asarray(ptr, dtype=np.int64)
-    counts = np.maximum(np.diff(ptr), 1).astype(x.data.dtype)
-    total = segment_sum(x, ptr, index)
-    return total * Tensor((1.0 / counts)[:, None])
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log-softmax (stable)."""
-    shift = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shift)
-    logsumexp = np.log(e.sum(axis=1, keepdims=True))
-    out_data = shift - logsumexp
-    softmax = e / e.sum(axis=1, keepdims=True)
-
-    def backward():
-        g = out.grad
-        x._accumulate(g - softmax * g.sum(axis=1, keepdims=True))
-
-    out = Tensor._make(out_data, (x,), backward)
-    return out
+    node = Tensor._make(out, (x, w_self, bias, w_neigh), backward)
+    return node
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of row-wise logits against integer labels."""
+    """Mean cross-entropy of row-wise logits against integer labels, through
+    a stable log-softmax.  A label outside ``[0, C)`` raises ``ValueError``
+    (numpy would wrap a negative one silently)."""
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or len(labels) != logits.shape[0]:
         raise ValueError("logits must be (N, C) with one label per row")
-    n = logits.shape[0]
-    lsm = log_softmax(logits)
-    picked_data = lsm.data[np.arange(n), labels]
-    out_data = np.asarray(-picked_data.mean())
+    n, classes = logits.shape
+    if n and (labels.min() < 0 or labels.max() >= classes):
+        bad = labels.min() if labels.min() < 0 else labels.max()
+        raise ValueError(f"label {bad} is outside [0, {classes})")
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    lsm = shift - np.log(e.sum(axis=1, keepdims=True))
+    rows = np.arange(n)
+    out_data = np.asarray(-lsm[rows, labels].mean())
 
     def backward():
-        g = np.zeros_like(lsm.data)
-        g[np.arange(n), labels] = -out.grad / n
-        lsm._accumulate(g)
+        g = np.zeros_like(lsm)
+        g[rows, labels] = -out.grad / n
+        softmax = e / e.sum(axis=1, keepdims=True)
+        logits._accumulate(g - softmax * g.sum(axis=1, keepdims=True))
 
-    out = Tensor._make(out_data, (lsm,), backward)
+    out = Tensor._make(out_data, (logits,), backward)
     return out
-

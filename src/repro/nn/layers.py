@@ -46,7 +46,10 @@ class SAGEConv(Module):
     """GraphSAGE convolution with mean aggregation (Hamilton et al.).
 
     ``h_v = W_self h_v + W_neigh * mean({h_u : u sampled for v}) + b`` —
-    the PyG ``SAGEConv`` formulation the paper's models use.
+    the PyG ``SAGEConv`` formulation the paper's models use — computed by
+    :func:`~repro.nn.functional.sage_conv` as one tape node, the ReLU that
+    follows a hidden layer folded in.  ``lin_self`` / ``lin_neigh`` hold the
+    parameters (their names are the checkpoint keys).
     """
 
     def __init__(self, in_dim: int, out_dim: int, seed: SeedLike = None):
@@ -55,8 +58,7 @@ class SAGEConv(Module):
         self.lin_self = Linear(in_dim, out_dim, bias=True, seed=rng)
         self.lin_neigh = Linear(in_dim, out_dim, bias=False, seed=rng)
 
-    def forward(self, x: Tensor, block: MFGBlock) -> Tensor:
-        x_dst = x.slice_rows(0, block.num_dst)
-        agg = F.segment_mean(x, block.dst_ptr, index=block.src_index)
-        return self.lin_self(x_dst) + self.lin_neigh(agg)
-
+    def forward(self, x: Tensor, block: MFGBlock, *,
+                relu: bool = False) -> Tensor:
+        return F.sage_conv(x, block, self.lin_self.weight, self.lin_self.bias,
+                           self.lin_neigh.weight, relu=relu)

@@ -58,9 +58,8 @@ class GraphSAGE(Module):
         h = x
         # blocks[-1] is the outermost hop: it feeds the first conv layer.
         for layer, block in enumerate(reversed(mfg.blocks)):
-            h = self.convs[layer](h, block)
-            if layer < self.num_layers - 1:
-                h = h.relu()
+            h = self.convs[layer](h, block,
+                                  relu=layer < self.num_layers - 1)
         return h
 
 

@@ -14,9 +14,9 @@ explicit self-loop edges).
 
 Edges inside a block are grouped by destination, so a block *is* a CSR
 matrix: ``(dst_ptr, src_index)`` are the row offsets and column indices of
-the ``num_dst x num_src`` 0/1 operator ``A``.  Mean/sum aggregation is the
-product ``A @ X`` and its backward ``A.T @ G`` (``nn.functional.segment_sum``),
-summed left to right in edge order.
+the ``num_dst x num_src`` 0/1 operator ``A``.  Mean aggregation is the
+product ``A @ X`` and its backward ``A.T @ G`` inside the layer's one tape
+node (``nn.functional.sage_conv``), summed left to right in edge order.
 """
 
 from __future__ import annotations

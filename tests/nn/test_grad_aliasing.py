@@ -9,11 +9,14 @@ tests pin it from both sides — the bytes stay, and arrays frozen read-only
 are never written to.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import RunConfig, SalientPP
 from repro.distributed import all_reduce_gradients, broadcast_state
 from repro.nn import Adam, Linear, Tensor, cross_entropy
+from repro.nn import functional as F
+from repro.sampling.mfg import MFGBlock
 
 OPTIMIZERS = {
     "adam": lambda ps: Adam(ps, lr=0.01),
@@ -86,6 +89,46 @@ def test_backward_does_not_write_to_the_callers_gradient(rng):
     out.backward(upstream)
     out.backward(upstream)  # accumulates onto the first pass: rebinds
     assert upstream.tobytes() == before
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("x_tracked", [True, False], ids=["x-tracked", "x-leaf"])
+def test_a_layer_writes_only_into_arrays_it_allocated(relu, x_tracked, rng):
+    """``F.sage_conv`` forward and backward, twice, with its rows, weights
+    and the upstream gradient all read-only: the in-place ``+=`` and ReLU
+    land only on the layer's own output and the row gradient it builds."""
+    block = MFGBlock(np.array([0, 2, 2, 5]), np.array([0, 3, 3, 1, 4]), 5, 3)
+    x = Tensor(read_only(rng.normal(size=(5, 4))), requires_grad=x_tracked)
+    w_self, w_neigh = (Tensor(read_only(rng.normal(size=(4, 2))),
+                              requires_grad=True) for _ in range(2))
+    bias = Tensor(read_only(rng.normal(size=2)), requires_grad=True)
+    upstream = read_only(rng.normal(size=(3, 2)))
+    inputs = (x, w_self, bias, w_neigh)
+    before = [t.data.tobytes() for t in inputs] + [upstream.tobytes()]
+    for _ in range(2):
+        F.sage_conv(x, block, w_self, bias, w_neigh, relu=relu).backward(
+            upstream)
+        for t in inputs:
+            if t.grad is not None:
+                read_only(t.grad)
+    assert [t.data.tobytes() for t in inputs] + [upstream.tobytes()] == before
+    assert (x.grad is not None) == x_tracked
+
+
+def test_the_loss_writes_only_into_arrays_it_allocated(rng):
+    logits = Tensor(read_only(rng.normal(size=(4, 3))), requires_grad=True)
+    labels = read_only(np.array([0, 2, 1, 2]))
+    upstream = read_only(np.asarray(1.5))
+    before = (logits.data.tobytes(), labels.tobytes())
+    for _ in range(2):
+        cross_entropy(logits, labels).backward(upstream)
+        read_only(logits.grad)
+    assert (logits.data.tobytes(), labels.tobytes()) == before
 
 
 @pytest.mark.parametrize("engine", ["bsp", "pipelined", "async"])

@@ -5,14 +5,17 @@
 ``gather_rows`` -> ``np.add.reduceat`` and its backward ``np.repeat`` ->
 ``np.add.at``.  ``src/repro/nn`` now spells every such sum as one sparse
 product, which changed exactly one piece of arithmetic — the *order* in
-which a segment's rows are added going forward — and nothing else:
+which a segment's rows are added going forward — and nothing else; a layer
+is now one node (``F.sage_conv``) and the loss another (``F.cross_entropy``,
+log-softmax folded in), which changed no arithmetic at all:
 
 (a) every op whose arithmetic did not change is ``tobytes()``-equal to the
-    oracle, outputs and every ``.grad`` (the backward of ``segment_sum`` /
-    ``segment_mean`` included: a CSC product walks edges in storage order,
-    which is ``np.add.at``'s) — on float32 data only where the oracle kept
-    float32: it promotes through a Python scalar or a 0-d result, which the
-    engine no longer does (``test_autograd.py`` pins the dtypes);
+    oracle, outputs and every ``.grad`` — the loss included, and a layer's
+    backward into its rows, ``W_self`` and ``b`` (the segment backward: a
+    CSC product walks edges in storage order, which is ``np.add.at``'s) —
+    on float32 data only where the oracle kept float32: it promotes through
+    a Python scalar, which the engine no longer does (``test_autograd.py``
+    pins the dtypes);
 (b) the aggregation forward *is* the left-to-right loop written below,
     exactly, in the dtype of the rows it sums, and sits within
     ``count * eps * sum|x|`` of the oracle's ``reduceat`` (which adds
@@ -35,19 +38,22 @@ from repro.graph.datasets import make_papers_mini
 from repro.nn import GraphSAGE, functional as F
 from repro.nn.autograd import Tensor
 from repro.sampling import NeighborSampler
+from repro.sampling.mfg import MFGBlock
+
+
+def oracle_layer(x, block, w_self, bias, w_neigh):
+    """``SAGEConv.forward`` as the oracle spelled it: slice, gather, mean,
+    two projections, bias before the neighbour term."""
+    agg = ref.segment_mean(x.gather_rows(block.src_index), block.dst_ptr)
+    own = x.slice_rows(0, block.num_dst) @ w_self + bias
+    return own + agg @ w_neigh
+
 
 new = types.SimpleNamespace(
-    Tensor=Tensor,
-    log_softmax=F.log_softmax, cross_entropy=F.cross_entropy,
-    segment_sum=F.segment_sum, segment_mean=F.segment_mean)
+    Tensor=Tensor, cross_entropy=F.cross_entropy,
+    layer=lambda *args: F.sage_conv(*args, relu=False))
 old = types.SimpleNamespace(
-    Tensor=ref.Tensor,
-    log_softmax=ref.log_softmax, cross_entropy=ref.cross_entropy,
-    # The oracle's spelling of an indexed segment sum, under today's API.
-    segment_sum=lambda x, ptr, index=None: ref.segment_sum(
-        x if index is None else x.gather_rows(index), ptr),
-    segment_mean=lambda x, ptr, index=None: ref.segment_mean(
-        x if index is None else x.gather_rows(index), ptr))
+    Tensor=ref.Tensor, cross_entropy=ref.cross_entropy, layer=oracle_layer)
 
 #: (dtype of the rows, whether they are tracked): the two kinds of input a
 #: layer sees — float32 store rows (a leaf nothing differentiates) and
@@ -85,7 +91,8 @@ def blocks(draw):
     dtype, tracked = KINDS[kind]
     return types.SimpleNamespace(
         rng=rng, x=values(rng, (num_src, width), dtype), tracked=tracked,
-        ptr=ptr, index=index, num_dst=num_dst, width=width)
+        ptr=ptr, index=index, num_dst=num_dst, width=width,
+        block=MFGBlock(ptr, index, num_src, num_dst))
 
 
 def run(ns, build, case, *weights):
@@ -120,39 +127,23 @@ def assert_byte_equal(build, case, *weights, forward=True):
 # (a) unchanged arithmetic: byte for byte.
 
 ELEMENTWISE = {
-    "neg": lambda ns, x: -x,
     "add-self": lambda ns, x: x + x,
-    "mul-self-add": lambda ns, x: x * x + x,
-    "scalar": lambda ns, x: (2.5 - x) * 0.5 + 1.0,
-    "sub": lambda ns, x: x - x * 0.5,
-    "div-scalar": lambda ns, x: x / 3.0,
-    "div-tensor": lambda ns, x: x / (x * x + 1.0),
+    "add-scalar": lambda ns, x: 1.0 + x + 2.5,
     "relu": lambda ns, x: x.relu(),
-    "relu-twice-used": lambda ns, x: x.relu() * x + x.relu(),
-    "reciprocal": lambda ns, x: (x * x + 0.5).reciprocal(),
-    "sum-all": lambda ns, x: x.sum(),
-    "sum-rows": lambda ns, x: x.sum(axis=0),
-    "sum-cols-keepdims": lambda ns, x: x.sum(axis=1, keepdims=True),
-    "mean-all": lambda ns, x: x.mean(),
-    "mean-cols": lambda ns, x: x.mean(axis=1, keepdims=True),
-    "reshape-T": lambda ns, x: x.T.reshape(-1),
-    "log_softmax": lambda ns, x: ns.log_softmax(x),
+    "relu-twice-used": lambda ns, x: x.relu() + x + x.relu(),
 }
 
-#: The ops that meet a Python scalar or a 0-d result.  On float32 data the
-#: oracle promotes them to float64 — it wraps ``0.5`` as ``np.asarray(0.5)``,
-#: a strong float64 under NEP 50, and re-coerces numpy scalars — so it has
-#: no float32 answer to compare with; here they must stay float32.
-PROMOTED_BY_THE_ORACLE = {"scalar", "sub", "div-scalar", "div-tensor",
-                          "reciprocal", "sum-all", "mean-all", "mean-cols"}
+#: The ops that meet a Python scalar.  On float32 data the oracle promotes
+#: them to float64 — it wraps ``2.5`` as ``np.asarray(2.5)``, a strong
+#: float64 under NEP 50 — so it has no float32 answer to compare with; here
+#: they must stay float32.
+PROMOTED_BY_THE_ORACLE = {"add-scalar"}
 
 
 @pytest.mark.parametrize("op", sorted(ELEMENTWISE))
 @settings(max_examples=25, deadline=None)
 @given(case=blocks())
 def test_unchanged_ops_are_byte_equal(op, case):
-    if op in ("mean-all", "mean-cols", "log_softmax") and len(case.x) == 0:
-        return  # a max / mean over nothing: numpy raises or warns alike
     if op in PROMOTED_BY_THE_ORACLE and case.x.dtype == np.float32:
         out, grads = run(new, ELEMENTWISE[op], case)
         assert out.dtype == np.float32
@@ -165,16 +156,14 @@ def test_unchanged_ops_are_byte_equal(op, case):
 @given(case=blocks(), hidden=st.integers(1, 4))
 def test_affine_maps_are_byte_equal(case, hidden):
     """``x W + b`` with weights in the rows' dtype (float32 rows meet float32
-    weights, as in the model), broadcasting and ``_unbroadcast`` included."""
+    weights, as in the model), broadcasting and ``_unbroadcast`` on either
+    side of the ``+`` included."""
     w = values(case.rng, (case.width, hidden), case.x.dtype)
     b = values(case.rng, (hidden,), case.x.dtype)
+    v = values(case.rng, (hidden, case.width), case.x.dtype)
     assert_byte_equal(
-        lambda ns, x, w, b: ((x @ w + b).relu() @ w.T)
-        * (b * b).sum(axis=0, keepdims=True),
-        case, w, b)
-    assert_byte_equal(
-        lambda ns, x, w, b: x * b.sum(axis=0, keepdims=True) + w.sum(axis=1),
-        case, w, b)
+        lambda ns, x, w, b, v: (x @ w + b).relu() @ v + x, case, w, b, v)
+    assert_byte_equal(lambda ns, x, w, b: b + x @ w, case, w, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,6 +176,8 @@ def test_row_selection_is_byte_equal(case):
 @settings(max_examples=60, deadline=None)
 @given(case=blocks())
 def test_cross_entropy_is_byte_equal(case):
+    """The one loss node is the oracle's ``log_softmax`` -> ``cross_entropy``
+    chain, forward and backward, bit for bit."""
     if len(case.x) == 0:
         return
     labels = case.rng.integers(0, case.width, size=len(case.x))
@@ -194,20 +185,22 @@ def test_cross_entropy_is_byte_equal(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=blocks())
-def test_segment_backward_is_byte_equal(case):
-    """Given one upstream gradient, the gradient a segment sum / mean sends
-    to its rows is the oracle's ``np.repeat`` -> ``np.add.at``, bit for bit
-    (the forward is compared in (b): its order changed)."""
-    for op in ("segment_sum", "segment_mean"):
-        assert_byte_equal(
-            lambda ns, x: getattr(ns, op)(x, case.ptr, index=case.index),
-            case, forward=False)
-        edges = types.SimpleNamespace(
-            x=values(case.rng, (len(case.index), case.width), case.x.dtype),
-            tracked=case.tracked)
-        assert_byte_equal(lambda ns, x: getattr(ns, op)(x, case.ptr),
-                          edges, forward=False)
+@given(case=blocks(), hidden=st.integers(1, 4))
+def test_segment_backward_is_byte_equal(case, hidden):
+    """Given one upstream gradient, what a layer sends to its rows — through
+    the mean (``A.T @``, the oracle's ``np.repeat`` -> ``np.add.at``) and
+    through the destination prefix — and to ``W_self`` and ``b`` is the
+    oracle's, bit for bit.  (The forward, and so ``W_neigh``'s gradient
+    ``agg.T @ g``, is compared in (b): its order changed.)"""
+    w_self = values(case.rng, (case.width, hidden), case.x.dtype)
+    bias = values(case.rng, (hidden,), case.x.dtype)
+    w_neigh = values(case.rng, (case.width, hidden), case.x.dtype)
+    _, got = run(new, lambda ns, *a: ns.layer(a[0], case.block, *a[1:]),
+                 case, w_self, bias, w_neigh)
+    _, want = run(old, lambda ns, *a: ns.layer(a[0], case.block, *a[1:]),
+                  case, w_self, bias, w_neigh)
+    for g, w in zip(got[:3], want[:3]):  # x, W_self, b
+        assert same(g, w), (g, w)
 
 
 # ----------------------------------------------------------------------
@@ -225,26 +218,32 @@ def loop_segment_sum(x, ptr, index):
     return out
 
 
+def mean_only(x, block):
+    """A layer that outputs its mean aggregation exactly: ``W_self = 0``,
+    ``b = 0``, ``W_neigh = I`` (``+0.0 + agg @ I`` is ``agg`` bit for bit:
+    the sum starts from ``+0.0``, so it is never ``-0.0``)."""
+    width, dtype = x.shape[1], x.dtype
+    return F.sage_conv(
+        Tensor(x), block, Tensor(np.zeros((width, width), dtype)),
+        Tensor(np.zeros(width, dtype)), Tensor(np.eye(width, dtype=dtype)),
+        relu=False).data
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=blocks())
 def test_aggregation_forward_is_the_left_to_right_sum(case):
     x, ptr, index = case.x, case.ptr, case.index
     want = loop_segment_sum(x, ptr, index)
-    got = F.segment_sum(Tensor(x), ptr, index=index).data
-    assert same(got, want), (got, want)
-    # ... and the same kernel without an index, over the gathered rows.
-    assert same(F.segment_sum(Tensor(x[index]), ptr).data, want)
-
     counts = np.maximum(np.diff(ptr), 1).astype(x.dtype)
-    mean = F.segment_mean(Tensor(x), ptr, index=index).data
-    assert same(mean, want * (1.0 / counts)[:, None])
+    got = mean_only(x, case.block)
+    assert same(got, want * (1.0 / counts)[:, None]), (got, want)
 
     # The oracle's reduceat is a re-association of the same terms.
-    was = old.segment_sum(ref.Tensor(x), ptr, index=index).data
+    was = ref.segment_sum(ref.Tensor(x).gather_rows(index), ptr).data
     assert was.dtype == got.dtype
     magnitude = loop_segment_sum(np.abs(x.astype(np.float64)), ptr, index)
     bound = np.diff(ptr)[:, None] * np.finfo(x.dtype).eps * magnitude
-    assert np.all(np.abs(got.astype(np.float64) - was) <= bound)
+    assert np.all(np.abs(want.astype(np.float64) - was) <= bound)
 
 
 def test_the_order_the_oracle_summed_in():
@@ -253,7 +252,8 @@ def test_the_order_the_oracle_summed_in():
     x = np.array([[1.0], [1e-16], [1e-16]])
     ptr = np.array([0, 3])
     assert ref.segment_sum(ref.Tensor(x), ptr).data[0, 0] == 1.0 + (1e-16 + 1e-16)
-    assert F.segment_sum(Tensor(x), ptr).data[0, 0] == (1.0 + 1e-16) + 1e-16
+    got = mean_only(x, MFGBlock(ptr, np.arange(3), 3, 1))[0, 0]
+    assert got == ((1.0 + 1e-16) + 1e-16) * (1.0 / 3.0)
     assert 1.0 + (1e-16 + 1e-16) != (1.0 + 1e-16) + 1e-16
 
 

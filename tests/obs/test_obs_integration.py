@@ -246,6 +246,15 @@ def assert_train_twin(spans, snap):
     assert snap["engine.train_batch_s"]["count"] == len(trained)
 
 
+def assert_allreduce_twin(spans):
+    """One wall ``stage.allreduce`` per sync step, keyed ``(-1, step)``:
+    the simulated ``ALLREDUCE`` placements' key set."""
+    reduced = step_keys(measured_stage_spans(spans, "allreduce"))
+    assert len(set(reduced)) == len(reduced) > 0
+    assert set(reduced) == set(step_keys(
+        s for s in stage_spans(spans) if s.name == "stage.allreduce"))
+
+
 def assert_spans_are_the_timeline(spans, timeline):
     """One sim-clock ``stage.<value>`` span per placement, keyed by its
     ``machine`` / ``step`` attrs, on the placement's own interval."""
@@ -302,6 +311,7 @@ class TestMeasuredSampleSpans:
         assert set(keys) == set(step_keys(
             s for s in stage_spans(spans) if s.name == "stage.sample"))
         assert_train_twin(spans, snap)
+        assert_allreduce_twin(spans)
         epoch = next(s for s in spans if s.name == "engine.epoch")
         assert {s.parent_id for s in measured} == {epoch.span_id}
         assert {s.lane for s in measured} == \
