@@ -200,7 +200,10 @@ class CSRGraph:
         counts = np.bincount(src, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst, check=False)
+        graph = cls(indptr, dst, check=False)
+        if dedup:  # unique sorted keys: every row strictly ascending
+            graph._is_sorted = True
+        return graph
 
     @classmethod
     def from_scipy(cls, mat: sp.spmatrix) -> "CSRGraph":
@@ -357,11 +360,13 @@ class CSRGraph:
             if len(self.indices) <= 1:
                 self._is_sorted = True
             else:
-                d = np.diff(self.indices)
-                boundary = np.zeros(len(self.indices), dtype=bool)
+                # Boolean passes only: an int64 diff of the indices would
+                # be an edge-sized transient eight times larger.
+                ascending = self.indices[1:] > self.indices[:-1]
                 starts = self.indptr[1:-1]  # first slot of each later list
-                boundary[starts[starts < len(self.indices)]] = True
-                self._is_sorted = bool(np.all((d > 0) | boundary[1:]))
+                ascending[starts[(starts > 0)
+                                 & (starts < len(self.indices))] - 1] = True
+                self._is_sorted = bool(ascending.all())
         return self._is_sorted
 
     def __eq__(self, other) -> bool:

@@ -421,6 +421,8 @@ class MutableGraph:
             csr = CSRGraph.from_edges(np.concatenate(src),
                                       np.concatenate(dst),
                                       self._n, dedup=True)
+            # An undirected base with symmetrized batches stays undirected.
+            csr._is_undirected = True
         self._csr = csr
         self._csr_version = self.version
         return csr

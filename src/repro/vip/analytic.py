@@ -18,14 +18,17 @@ The formulas are written once each: :func:`vertex_transition_values` is
 product ``1 - exp(A @ log(max(1 - t * p[h-1], 0)))`` with the rows' 0/1
 operator ``A`` (:func:`row_set`, the matrix an MFG block is) — and
 :func:`accumulate_total` is (2)'s log product.  Every evaluator is a choice
-of row set over that kernel:
+of operator for that kernel:
 
 * :func:`vip_probabilities`, dense hop — all rows (the graph's cached
-  :meth:`TransitionTable.all_rows`);
-* :func:`vip_probabilities`, sparse hop — the rows containing a frontier
-  vertex.  ``p[h-1]`` is nonzero only on the (h-1)-hop ball around the
-  seeds, so while the frontier's incident edges stay under
-  ``SPARSE_HOP_CUTOFF`` of the edge set only those rows can be nonzero;
+  :meth:`TransitionTable.all_rows`), a pull over every edge;
+* :func:`vip_probabilities`, sparse hop — a push from the frontier.
+  ``p[h-1]`` is nonzero only on the (h-1)-hop ball around the seeds, so
+  while the frontier's own rows stay under ``SPARSE_HOP_CUTOFF`` of the
+  edge set the hop multiplies by the transpose of those rows of the
+  incoming graph (a slice of its cached ``all_rows()``): each
+  frontier source is added once to each row containing it, and the hop
+  costs the frontier's incident edges, not every row they reach;
 * :func:`repro.vip.incremental.incremental_vip` — the rows a churn batch
   or a seed drift can have changed, read through a ``MutableGraph``.
 
@@ -34,7 +37,11 @@ product sums each row sequentially from ``+0.0`` in stored order, and an
 inactive source contributes an exact ``log 1 = +0.0``, which changes no
 bit.  So a row's value depends only on its own source list, never on which
 other rows share the product, and every row-set choice produces the same
-bits.  The seed implementation (per-edge transitions recomputed per hop,
+bits.  The push adds a row's frontier sources in ascending source order
+(scipy's transposed product walks the frontier's rows in order), which is
+the stored order exactly when every row is stored ascending; a graph that
+fails :meth:`CSRGraph.has_sorted_neighbors` takes the dense sweep at every
+hop.  The seed implementation (per-edge transitions recomputed per hop,
 one O(M) pass per hop, numpy's pairwise ``reduceat``) is the frozen oracle
 ``tests/vip/reference_dense.py``; the suites hold every evaluator to it
 within the summation-order bound ``count * eps * sum|x|`` per hop, and to
@@ -64,7 +71,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph, edge_operator, rows_concat
-from repro.graph.mutable import id_union
 from repro.partition.interface import Partition
 from repro.utils.validation import check_probability_vector
 
@@ -74,11 +80,14 @@ from repro.utils.validation import check_probability_vector
 #: never served from an artifact cache.
 SUMMATION = "csr-product-left-to-right"
 
-#: Fraction of the graph's directed edges the frontier's incident rows may
-#: cover before a hop falls back to the dense row sweep.  Below the cutoff
-#: the sparse path (enumerate only rows adjacent to the frontier) is a
-#: clear win; above it the dense sweep's sequential memory access wins.
-SPARSE_HOP_CUTOFF = 0.05
+#: Fraction of the graph's directed edges the frontier's own rows may hold
+#: before a hop falls back to the dense row sweep.  A sparse hop pushes from
+#: the frontier, so its operator holds exactly ``deg[frontier].sum()``
+#: entries — the quantity tested — plus O(N) for the output; the dense
+#: sweep reads all M edges sequentially from the cached operator.  Swept on
+#: captured ``serve_ladder`` refreshes (docs/performance.md, "Proposition 1
+#: pushes from its frontier"); 0.4 was the fastest.
+SPARSE_HOP_CUTOFF = 0.4
 
 
 @dataclass
@@ -186,9 +195,11 @@ def row_set(graph, rows: np.ndarray) -> sp.csr_array:
 def hop_values(tv: np.ndarray, p_prev: np.ndarray, rows: sp.csr_array, *,
                active: Optional[np.ndarray] = None) -> np.ndarray:
     """Equation (3) for a row set: ``p[h]`` of the rows of the 0/1 operator
-    ``rows`` (:func:`row_set`, or a graph's cached
-    :meth:`TransitionTable.all_rows`) — ``1 - exp(rows @ g)`` with the
-    per-vertex log factors ``g(v) = log(max(1 - t(v) * p[h-1](v), 0))``.
+    ``rows`` (:func:`row_set`, a graph's cached
+    :meth:`TransitionTable.all_rows`, or the transpose of a frontier's push
+    rows with ``tv`` / ``p_prev`` taken at the frontier) — ``1 - exp(rows @
+    g)`` with the per-vertex log factors ``g(v) = log(max(1 - t(v) *
+    p[h-1](v), 0))``.
 
     Each row sums its sources left to right in stored order, starting from
     ``+0.0``.  ``active`` names the vertices whose factor is evaluated (all
@@ -236,8 +247,9 @@ class TransitionTable:
       and every serving-time vip-refresh share these entries.
     * the whole-graph :func:`row_set` the dense hop multiplies by (it
       shares ``indptr`` / ``indices``; its ones array is the one edge-sized
-      buffer), and the incoming adjacency used for frontier expansion on
-      directed graphs.
+      buffer), and the incoming adjacency, whose own table's ``all_rows()``
+      the sparse hop slices its push rows from (an undirected graph is its
+      own incoming graph, so that is this table's operator).
 
     Cached arrays are handed out read-only; treat them as borrowed views.
     """
@@ -280,7 +292,7 @@ class TransitionTable:
 
     def incoming(self) -> CSRGraph:
         """Graph whose row ``v`` lists the rows of ``graph`` containing
-        ``v`` — what frontier expansion needs.  The graph itself for
+        ``v`` — a frontier vertex's push row.  The graph itself for
         undirected graphs; the transpose (built once) otherwise."""
         if self._incoming is None:
             self._incoming = (self.graph if self.graph.is_undirected()
@@ -329,14 +341,16 @@ def vip_probabilities(
     """Evaluate Proposition 1 for one starting distribution, or for several
     at once.
 
-    Carries a frontier of vertices whose probability is nonzero and
-    evaluates :func:`hop_values` on only the rows incident to it, switching
-    to all rows once the frontier's incident edges exceed ``sparse_cutoff``
-    of the edge set.  The output does not depend on the switch (bit for
-    bit; ``tests/vip/test_active_set.py`` holds every cutoff to the
-    all-rows evaluation), only the cost does — seed distributions confined
-    to one partition's training set (or a serving hot set) do not pay
-    full-graph cost per hop.
+    Carries a frontier of vertices whose probability is nonzero and pushes
+    from it — :func:`hop_values` over the transpose of the frontier's own
+    rows of the incoming graph — switching to all rows once those rows
+    hold more than ``sparse_cutoff`` of the edge set.  The output does not
+    depend on the switch (bit for bit; ``tests/vip/test_active_set.py``
+    holds every cutoff to the all-rows evaluation), only the cost does —
+    seed distributions confined to one partition's training set (or a
+    serving hot set) do not pay full-graph cost per hop.  A graph whose
+    rows are not stored in ascending order takes the dense sweep at every
+    hop (the push sums in ascending source order).
 
     Parameters
     ----------
@@ -349,9 +363,10 @@ def vip_probabilities(
         ``(N, k)`` matrix evaluates ``k`` distributions in one pass, and
         every array of the result then has one column per distribution,
         column ``j`` ``==`` the evaluation of ``initial[:, j]`` alone.  The
-        frontier is then the union of the columns' supports; a row outside
-        one column's own frontier sums only that column's exact ``+0.0``
-        terms, so sharing the row set changes no bit.
+        frontier is then the union of the columns' supports; a source
+        outside one column's own frontier adds only that column's exact
+        ``+0.0``, so sharing the push changes no bit.  ``k`` must be at
+        least 1.
     fanouts:
         Per-hop fanouts, hop 1 first; ``-1`` = full expansion.
     sparse_cutoff:
@@ -362,26 +377,34 @@ def vip_probabilities(
     p_prev = check_probability_vector(initial, "initial")
     if len(p_prev) != graph.num_vertices:
         raise ValueError("initial must have one probability per vertex")
+    if p_prev.ndim == 2 and p_prev.shape[1] == 0:
+        raise ValueError("initial must hold at least one distribution (one "
+                         f"column each), got shape {p_prev.shape}")
     table = transition_table(graph)
     n, m = graph.num_vertices, graph.num_edges
-    deg = graph.degrees
 
     hopwise: List[np.ndarray] = []
     log_not_total = np.zeros(p_prev.shape, dtype=np.float64)
     # ``frontier is None`` means "assume dense": skip frontier bookkeeping
-    # once a hop's support has grown past any chance of a sparse follow-up.
-    frontier: Optional[np.ndarray] = np.flatnonzero(_live_rows(p_prev))
+    # once a hop's support has grown past any chance of a sparse follow-up,
+    # and at every hop on a graph whose rows are not stored in ascending
+    # source order (the push would sum them in another order).
+    pushable = graph.has_sorted_neighbors()
+    frontier: Optional[np.ndarray] = (
+        np.flatnonzero(_live_rows(p_prev)) if pushable else None)
 
     for fanout in fanouts:
         tv = table.vertex_transition(fanout)
         if (frontier is not None
-                and int(deg[frontier].sum()) <= sparse_cutoff * m):
-            # Row set: the rows containing a frontier vertex.
-            rows = id_union(n, rows_concat(table.incoming(), frontier)[1])
-            p_h = np.zeros(p_prev.shape, dtype=np.float64)
-            p_h[rows] = hop_values(tv, p_prev, row_set(graph, rows),
-                                   active=frontier)
-            frontier = rows[_live_rows(p_h[rows])]
+                and int(table.incoming().degrees[frontier].sum())
+                <= sparse_cutoff * m):
+            # Push: the frontier's own rows of the incoming graph,
+            # transposed, add each frontier source into the rows containing
+            # it in ascending source order — on ascending rows, the pull's
+            # operands in the pull's order.
+            push = transition_table(table.incoming()).all_rows()[frontier]
+            p_h = hop_values(tv[frontier], p_prev[frontier], push.T)
+            frontier = np.flatnonzero(_live_rows(p_h))
             accumulate_total(log_not_total, p_h, where=frontier)
         else:
             # Row set: every row, in CSR order.
@@ -389,10 +412,11 @@ def vip_probabilities(
             accumulate_total(log_not_total, p_h)
             # Recompute the frontier only while the support is small enough
             # that the next hop could plausibly take the sparse path.
-            live = _live_rows(p_h)
-            frontier = (np.flatnonzero(live)
-                        if np.count_nonzero(live) <= sparse_cutoff * n
-                        else None)
+            if pushable:
+                live = _live_rows(p_h)
+                frontier = (np.flatnonzero(live)
+                            if np.count_nonzero(live) <= sparse_cutoff * n
+                            else None)
         hopwise.append(p_h)
         p_prev = p_h
 

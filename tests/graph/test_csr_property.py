@@ -100,6 +100,9 @@ def test_from_edges_matches_lexsort_formulation(data, dedup, sort_neighbors,
                             sort_neighbors=sort_neighbors)
     assert_same_csr(g, lexsort_csr(src, dst, n, dedup=dedup,
                                    sort_neighbors=sort_neighbors))
+    # The sortedness a dedup build presets is what the check computes.
+    assert g.has_sorted_neighbors() == CSRGraph(
+        g.indptr, g.indices).has_sorted_neighbors()
 
 
 @given(edge_lists(), st.booleans())

@@ -133,6 +133,11 @@ class TestOracleParity:
         assert np.array_equal(mat.indptr, ref.indptr)
         assert np.array_equal(mat.indices, ref.indices)
         assert np.array_equal(mg.degrees, ref.degrees)
+        # The structure flags vip_probabilities reads, preset by
+        # materialize() and the dedup build, agree with a fresh copy's.
+        fresh = CSRGraph(mat.indptr, mat.indices)
+        assert mat.is_undirected() == fresh.is_undirected() is True
+        assert mat.has_sorted_neighbors() == fresh.has_sorted_neighbors() is True
         for v in range(mg.num_vertices):
             assert tuple(mg.neighbors(v).tolist()) == snaps[mg.version][v]
         # Exact dirty frontier at every historical version.

@@ -1,12 +1,14 @@
 """Production Proposition 1: every row set is the all-rows evaluation, bit
 for bit, and that is the frozen dense oracle up to summation order.
 
-:func:`vip_probabilities` (one sparse product per hop over frontier rows or
-all rows, vertex-factored transitions, shared :class:`TransitionTable`)
-must return *identical* bits whichever row set each hop picks — a CSR
-product sums each row from ``+0.0`` in stored order, and an inactive
-source adds an exact ``+0.0`` — for every graph, seed distribution and
-fanout list (including full expansion).  The all-rows evaluation is held
+:func:`vip_probabilities` (one sparse product per hop: a push from the
+frontier or a pull over all rows, vertex-factored transitions, shared
+:class:`TransitionTable`) must return *identical* bits whichever each hop
+picks — a CSR product sums each row from ``+0.0`` in stored order, the
+push adds a row's frontier sources in ascending order (the stored order
+on sorted rows; other graphs always pull), and an inactive source adds an
+exact ``+0.0`` — for every graph, seed distribution and fanout list
+(including full expansion).  The all-rows evaluation is held
 to the seed implementation in ``reference_dense.py`` (numpy's pairwise
 ``reduceat``) within ``count * eps * sum|x|`` per hop
 (:func:`vip_cases.oracle_slack`).  This file is the static-graph half of
@@ -22,7 +24,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reference_dense import _compute_edge_transition, vip_probabilities_dense
 from vip_cases import (assert_matches_full, assert_within_oracle_bound,
-                       full_evaluation, oracle_slack, vip_case)
+                       full_evaluation, oracle_slack, random_base,
+                       shuffle_rows, sparse_p0, vip_case)
 from repro.graph import erdos_renyi
 from repro.graph.csr import rows_concat
 from repro.partition import Partition, metis_like_partition
@@ -35,7 +38,9 @@ from repro.vip import (
     vip_for_training_set,
     vip_probabilities,
 )
-from repro.vip.analytic import hop_values, row_set, vertex_transition_values
+from repro.vip import analytic
+from repro.vip.analytic import (SPARSE_HOP_CUTOFF, hop_values, row_set,
+                                vertex_transition_values)
 
 
 def _assert_partitionwise(graph, part, train, fanouts, batch_size):
@@ -60,7 +65,8 @@ class TestActiveSetParity:
     @settings(max_examples=100, deadline=None)
     @given(vip_case())
     def test_matches_dense(self, case):
-        """Directed and undirected graphs, at the drawn cutoff."""
+        """Directed and undirected graphs, sorted and shuffled rows, at the
+        drawn cutoff."""
         p0 = case.p0()
         active = vip_probabilities(case.graph, p0, case.fanouts,
                                    sparse_cutoff=case.sparse_cutoff)
@@ -83,15 +89,48 @@ class TestActiveSetParity:
     @settings(max_examples=25, deadline=None)
     @given(vip_case())
     def test_matches_dense_directed(self, case):
-        """Directed graphs only, both cutoff extremes on every example:
-        frontier expansion must go through the reverse adjacency, not the
-        (asymmetric) forward rows."""
+        """Directed graphs only, every cutoff on every example: the push
+        must read the reverse adjacency's rows, not the (asymmetric)
+        forward rows."""
         assume(case.directed)
         p0 = case.p0()
-        for cutoff in (0.0, 1.0):
+        for cutoff in (0.0, SPARSE_HOP_CUTOFF, 1.0):
             active = vip_probabilities(case.graph, p0, case.fanouts,
                                        sparse_cutoff=cutoff)
             assert_matches_full(active, case.graph, p0, case.fanouts)
+
+    @pytest.mark.parametrize("cutoff", [SPARSE_HOP_CUTOFF, 1.0])
+    def test_shuffled_rows_take_the_dense_sweep(self, cutoff):
+        """A push sums each row's frontier sources in ascending order; on
+        rows stored in another order that differs from the pull in the
+        last ulp (2.2e-16 here without the row-order guard), so such a
+        graph must sweep every hop."""
+        g = shuffle_rows(erdos_renyi(400, 8.0, seed=11), seed=11)
+        assert not g.has_sorted_neighbors()
+        p0 = sparse_p0(400, 40, seed=3)
+        assert_matches_full(vip_probabilities(g, p0, (5, 4, 3),
+                                              sparse_cutoff=cutoff),
+                            g, p0, (5, 4, 3))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_push_reads_only_the_frontier_rows(self, monkeypatch, directed):
+        """A sparse hop's operator holds exactly the frontier's own rows of
+        the incoming graph, ``deg[frontier].sum()`` entries — the cost the
+        cutoff tests — not every row containing a frontier vertex."""
+        g = random_base(300, 4.0, directed, seed=7)
+        deg = transition_table(g).incoming().degrees
+        p0 = sparse_p0(300, 5, seed=1)
+        entries = []
+
+        def recording(tv, p_prev, rows, **kw):
+            entries.append(rows.nnz)
+            return hop_values(tv, p_prev, rows, **kw)
+
+        monkeypatch.setattr(analytic, "hop_values", recording)
+        result = vip_probabilities(g, p0, (3, 3, 3), sparse_cutoff=1.0)
+        previous = [p0, *result.hopwise[:-1]]
+        assert entries == [int(deg[np.flatnonzero(p)].sum())
+                           for p in previous]
 
     def test_partition_restricted_p0(self, tiny_dataset, tiny_partition):
         """The production shape: p0 confined to one partition's training
@@ -102,7 +141,7 @@ class TestActiveSetParity:
         for k in range(tiny_partition.num_parts):
             p0 = uniform_minibatch_probability(
                 ds.num_vertices, train[owner == k], 32)
-            for cutoff in (0.0, 0.05, 1.0):
+            for cutoff in (0.0, SPARSE_HOP_CUTOFF, 1.0):
                 active = vip_probabilities(ds.graph, p0, (5, 4, 3),
                                            sparse_cutoff=cutoff)
                 assert_matches_full(active, ds.graph, p0, (5, 4, 3))

@@ -2,10 +2,11 @@
 for bit.
 
 :func:`vip_probabilities` takes one distribution per column and runs every
-hop as the one product ``rows @ g`` with k columns; a sparse hop reads the
-union of the columns' frontiers.  Column ``j`` of every returned array must
-``==`` the 1-D evaluation of column ``j`` — at every sparse cutoff (0 pins
-all-rows hops, 1 pins frontier-row hops), with full-expansion ``-1``
+hop as the one product ``rows @ g`` with k columns; a sparse hop pushes
+from the union of the columns' frontiers.  Column ``j`` of every returned array must
+``==`` the 1-D evaluation of column ``j`` and the batched dense sweep — at
+every sparse cutoff (0 pins all-rows hops, 1 pins frontier pushes), on
+sorted and shuffled rows, directed and undirected, with full-expansion ``-1``
 fanouts, and with all-zero columns (a partition without training
 vertices) beside live ones.
 """
@@ -21,10 +22,16 @@ from repro.vip.analytic import SPARSE_HOP_CUTOFF
 
 
 def assert_columns_match(graph, columns, fanouts, sparse_cutoff):
-    batched = vip_probabilities(graph, np.column_stack(columns), fanouts,
+    initial = np.column_stack(columns)
+    batched = vip_probabilities(graph, initial, fanouts,
                                 sparse_cutoff=sparse_cutoff)
     assert batched.total.shape == (graph.num_vertices, len(columns))
     assert len(batched.hopwise) == len(fanouts)
+    # The same columns through the dense sweep at every hop.
+    swept = vip_probabilities(graph, initial, fanouts, sparse_cutoff=0.0)
+    assert np.array_equal(batched.total, swept.total)
+    for got, want in zip(batched.hopwise, swept.hopwise):
+        assert np.array_equal(got, want)
     for j, p0 in enumerate(columns):
         alone = vip_probabilities(graph, p0, fanouts,
                                   sparse_cutoff=sparse_cutoff)
@@ -70,4 +77,7 @@ class TestColumnsAreOneDEvaluations:
             vip_probabilities(g, np.full((20, 2), 1.5), (2,))
         with pytest.raises(ValueError, match="ndim"):
             vip_probabilities(g, np.zeros((20, 2, 1)), (2,))
+        # No columns at all: an IndexError from the frontier once.
+        with pytest.raises(ValueError, match=r"shape \(20, 0\)"):
+            vip_probabilities(g, np.zeros((20, 0)), (2,))
 

@@ -8,10 +8,12 @@ every hop) with ``==``, and that evaluation to the frozen oracle
 (``reference_dense.py``) within the summation-order bound of
 :func:`oracle_slack`, so the one row kernel in ``repro.vip.analytic`` is
 held to a second implementation through every row-set choice (all rows,
-frontier rows, churned rows) on both graph classes.  Static cases are
-directed or undirected; ``vip_case(overlay=True)`` draws undirected graphs
-only, the one shape a ``MutableGraph`` takes.  ``tests/conftest.py`` puts
-this directory on ``sys.path``.
+frontier pushes, churned rows) on both graph classes.  Static cases are
+directed or undirected, with rows in ascending order or shuffled (a
+frontier push sums in ascending source order, so a shuffled graph must
+take the dense sweep); ``vip_case(overlay=True)`` draws sorted undirected
+graphs only, the one shape a ``MutableGraph`` takes.  ``tests/conftest.py``
+puts this directory on ``sys.path``.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,14 @@ def random_base(n, avg_deg, directed, seed):
         return CSRGraph.from_edges(rng.integers(0, n, m),
                                    rng.integers(0, n, m), n, dedup=True)
     return erdos_renyi(n, avg_deg, seed=seed)
+
+
+def shuffle_rows(graph, seed):
+    """``graph`` with each row's sources in a random stored order."""
+    rng = np.random.default_rng(seed)
+    row = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    order = np.lexsort((rng.random(graph.num_edges), row))
+    return CSRGraph(graph.indptr, graph.indices[order])
 
 
 def sparse_p0(n, support, seed):
@@ -77,9 +87,13 @@ class VIPCase:
 def vip_case(draw, overlay=False):
     n = draw(st.integers(min_value=2, max_value=80))
     directed = False if overlay else draw(st.booleans())
+    avg_deg = draw(st.floats(0.0, 7.0))
+    graph_seed = draw(st.integers(0, 2**16))
+    graph = random_base(n, avg_deg, directed, graph_seed)
+    if not overlay and draw(st.booleans()):
+        graph = shuffle_rows(graph, graph_seed)
     return VIPCase(
-        graph=random_base(n, draw(st.floats(0.0, 7.0)), directed,
-                          draw(st.integers(0, 2**16))),
+        graph=graph,
         directed=directed,
         fanouts=tuple(draw(st.lists(st.sampled_from([-1, 1, 2, 3, 7, 17]),
                                     min_size=1, max_size=4))),
