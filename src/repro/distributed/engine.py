@@ -64,20 +64,29 @@ The machine set and the collective
 ----------------------------------
 The in-process backend runs the loop over all ``K`` machines; a multiproc
 worker runs the *same* loop over ``{k}``.  The loop reaches its peers only
-through a two-method **collective**:
+through a three-method **collective**:
 
 ``fetched(w0, w1, plans, first_request)``
     called once per machine after it gathered window ``[w0, w1)`` (the
     executed plans and their first-request masks);
-``sync(step)``
-    closes a training step: on return every replica in the machine set
-    holds the synchronized gradients (or parameters, for ``async``).
+``post(step)``
+    opens a sync step's exchange: the machine set's gradients (or
+    parameters, for ``async``) leave for their peers;
+``collect(step)``
+    closes it: on return every replica in the machine set holds the
+    synchronized gradients (or parameters).
 
-:class:`InProcessCollective` is the all-``K`` implementation (a no-op and
-:func:`all_reduce_gradients` / :func:`average_parameters`); the worker's
-(:mod:`repro.distributed.multiproc.worker`) audits its plans, fires
-scheduled faults and exchanges control tokens and gradient slabs with the
-coordinator.
+Between the two halves of the exchange that closes a comm window the loop
+draws the *next* window, so the wait for the peers hides the sampling it
+would otherwise be followed by (never past the epoch's last window).  The
+draws are the same draws in the same order on the same streams; only when
+they happen moves.
+
+:class:`InProcessCollective` is the all-``K`` implementation (a no-op, the
+reduce — :func:`all_reduce_gradients` / :func:`average_parameters` — and a
+no-op); the worker's (:mod:`repro.distributed.multiproc.worker`) audits its
+plans, fires scheduled faults, publishes its gradient slab with a ``step``
+token and waits for the coordinator's ``avg``.
 
 The loop produces only machine-local output — each machine's
 :class:`StepRecord`\\ s.  Everything cross-machine — ``(step, machine)``
@@ -261,9 +270,10 @@ class Schedule:
 
 class InProcessCollective:
     """The collective over all K replicas inside this interpreter: nothing
-    to tell anyone about a gather, and a step closes by reducing the model
-    replicas directly (``reduce`` is :func:`all_reduce_gradients`, or
-    :func:`average_parameters` for ``async``)."""
+    to tell anyone about a gather, and a step's exchange is the reduce of
+    the model replicas themselves, done at ``post`` (``reduce`` is
+    :func:`all_reduce_gradients`, or :func:`average_parameters` for
+    ``async``) — nothing is left to wait for at ``collect``."""
 
     def __init__(self, models, reduce):
         self._models = models
@@ -272,8 +282,11 @@ class InProcessCollective:
     def fetched(self, w0: int, w1: int, plans, first_request) -> None:
         pass
 
-    def sync(self, step: int) -> None:
+    def post(self, step: int) -> None:
         self._reduce(self._models)
+
+    def collect(self, step: int) -> None:
+        pass
 
 
 class ExecutionEngine:
@@ -293,8 +306,8 @@ class ExecutionEngine:
     name: str = "?"
     #: Batches each machine keeps in flight = steps per comm window.
     depth: int = 1
-    #: Apply each replica's own gradient every step; ``sync`` then averages
-    #: parameters instead of gradients.
+    #: Apply each replica's own gradient every step; a sync step's exchange
+    #: then averages parameters instead of gradients.
     local_apply: bool = False
 
     def __init__(self, trainer):
@@ -435,28 +448,45 @@ class ExecutionEngine:
         taken from :meth:`_sample_windows`, gathered (coalesced across the
         window) and reported to ``collective.fetched``; then, unless
         ``dry_run``, the window's steps train in order, each sync step
-        closed by ``collective.sync`` and the optimizer step.  On a host
-        with a spare core (``trainer.spare_core``) the sampling of a
-        trained epoch runs up to two windows ahead in the engine's sampler
-        process (:meth:`_sampler_process`), whose cursors come back with
-        the last window; any exception out of this method closes that
-        process.  Everything else runs in the calling process in this
-        order, so the two paths are bit-identical.  While tracing is on,
-        each draw is a wall ``stage.sample`` span (lane ``<lane>/sampler``
-        when the process drew it) and each :func:`train_batch` call a wall
-        ``stage.train`` span, both keyed ``(machine, step)``, and each sync
-        step's ``collective.sync`` with the optimizer steps it closes a
-        wall ``stage.allreduce`` span keyed ``(-1, step)`` — the measured
-        twins of the simulated placements of the same name and key
-        (histogram ``engine.train_batch_s``).  Returns each machine's step
-        records, in ``machines`` order — machine-local output only;
+        closed by ``collective.post``, ``collective.collect`` and the
+        optimizer step.  When the step that closes a window syncs and
+        another window follows, that window is drawn between ``post`` and
+        ``collect`` — while the peers' half of the exchange is in flight —
+        instead of at the top of its own window.  On a host with a spare
+        core (``trainer.spare_core``) the sampling of a trained epoch runs
+        up to two windows ahead in the engine's sampler process
+        (:meth:`_sampler_process`), whose cursors come back with the last
+        window.  Any exception out of this method closes that process and
+        puts every sampler's cursor back where the epoch began, so a
+        window drawn and then dropped by an aborted exchange leaves no
+        trace on either side of the spare-core rule.  Everything else runs
+        in the calling process in this order, so the two paths are
+        bit-identical.
+
+        While tracing is on, each draw is a wall ``stage.sample`` span
+        (lane ``<lane>/sampler`` when the process drew it) and each
+        :func:`train_batch` call a wall ``stage.train`` span, both keyed
+        ``(machine, step)``, and each sync step's exchange with the
+        optimizer steps it closes a wall ``stage.allreduce`` span keyed
+        ``(-1, step)`` — the measured twins of the simulated placements of
+        the same name and key (histogram ``engine.train_batch_s``).
+        Obtaining a window is an ``engine.sample_wait`` span: a child of
+        the ``engine.window`` it feeds, or of the ``stage.allreduce`` it
+        was drawn inside; only the former can count as an
+        ``engine.pipeline_stalls``.  Returns each machine's step records,
+        in ``machines`` order — machine-local output only;
         :func:`assemble_report` derives the rest.
         """
+        machines = list(machines)
+        samplers = self.trainer.samplers
+        cursors = [samplers[k].rng_state() for k in machines]
         try:
-            return self._run_machines(epoch, list(machines), collective,
-                                      dry_run)
+            return self._run_machines(epoch, machines, collective, dry_run)
         except BaseException:
             self.close_sampler()
+            for k, cursor in zip(machines, cursors):
+                if samplers[k].rng_state() != cursor:
+                    samplers[k].set_rng_state(cursor)
             raise
 
     def _run_machines(self, epoch: int, machines: List[int], collective,
@@ -479,22 +509,30 @@ class ExecutionEngine:
                  in self._sample_windows(epoch, machines, sched.windows))
                 if proc is None else
                 self._sample_ahead(proc, epoch, machines, sched.windows))
+
+            def draw(stall: bool):
+                """The next window's MFGs per machine; a wait for it counts
+                as a stall where ``stall`` (at the top of its window)."""
+                with OBS.span("engine.sample_wait",
+                              hist="engine.sample_wait_s"):
+                    drawn, stamps, waited = next(sampled)
+                if OBS.enabled:
+                    for k, step, t0, t1 in stamps:
+                        OBS.tracer.add_span(
+                            "stage.sample", t0, t1, machine=k, step=step,
+                            parent_id=span.span_id, lane=lane)
+                    if waited and stall:
+                        OBS.metrics.counter("engine.pipeline_stalls").inc()
+                return drawn
+
             with closing(sampled):
+                next_window = None  # when drawn inside an exchange
                 for w0, w1 in sched.windows:
                     with OBS.span("engine.window", window=w0, steps=w1 - w0,
                                   hist="engine.window_wall_s"):
-                        with OBS.span("engine.sample_wait",
-                                      hist="engine.sample_wait_s"):
-                            drawn, stamps, waited = next(sampled)
-                        if OBS.enabled:
-                            for k, step, t0, t1 in stamps:
-                                OBS.tracer.add_span(
-                                    "stage.sample", t0, t1, machine=k,
-                                    step=step, parent_id=span.span_id,
-                                    lane=lane)
-                            if waited:
-                                OBS.metrics.counter(
-                                    "engine.pipeline_stalls").inc()
+                        drawn = (draw(True) if next_window is None
+                                 else next_window)
+                        next_window = None
                         gathered = {}
                         for k in machines:
                             gathered[k] = feats, recs = self._gather_window(
@@ -516,7 +554,10 @@ class ExecutionEngine:
                             if step in sync_at:
                                 with OBS.span("stage.allreduce", machine=-1,
                                               step=step):
-                                    collective.sync(step)
+                                    collective.post(step)
+                                    if step == w1 - 1 and w1 < steps:
+                                        next_window = draw(False)
+                                    collective.collect(step)
                                     if not self.local_apply:
                                         for k in machines:
                                             tr.optimizers[k].step()

@@ -58,10 +58,12 @@ token       direction sent
 =========== ========= ====================================================
 ``run``     → worker  once per epoch (epoch, ``dry_run``, trace context)
 ``step``    ← worker  training epoch: per step, after the worker wrote its
-                      gradients into its slab (``sync``); it also proves
+                      gradients into its slab (``post``); it also proves
                       the step's comm window was gathered
 ``avg``     → worker  training epoch: per step, once the averaged slab is
-                      published — the barrier release
+                      published — the barrier release, which the worker
+                      reads (``collect``) after drawing its next window
+                      when the step closes one
 ``window``  ← worker  dry run only (nothing syncs): per comm window, after
                       the worker gathered it (``fetched``)
 ``done``    ← worker  once per epoch: records, digests, model state

@@ -9,7 +9,7 @@ machine set ``{k}``, and ships the resulting step records; an ``eval``
 is :meth:`~repro.distributed.engine.ExecutionEngine.score_machines` over
 the same ``{k}``, answered with one ``scored`` count.  Everything it
 says to its peers goes through :class:`_PipeCollective`, the worker-side
-implementation of the engine's two-method collective, over its one
+implementation of the engine's three-method collective, over its one
 :class:`~repro.distributed.multiproc.channel.Channel` to the coordinator.
 """
 
@@ -295,12 +295,15 @@ class _PipeCollective:
     the coordinator's pipe and the shared-memory gradient plane.
 
     ``fetched`` audits the window's plans into digests and fires any fault
-    scheduled inside the window; ``sync`` publishes this step's gradients
-    into the worker's slab, sends the ``step`` token, and waits for the
-    coordinator's ``avg`` before reading the averaged slab back as the
-    replica's gradients.  A training epoch's ``step`` tokens already prove
-    each window was gathered; a dry run never syncs, so there ``fetched``
-    reports the window itself (``window`` token).
+    scheduled inside the window; ``post`` publishes this step's gradients
+    into the worker's slab and sends the ``step`` token; ``collect`` waits
+    for the coordinator's ``avg`` (an ``abort`` instead unwinds the epoch)
+    and reads the averaged slab back as the replica's gradients.  Between
+    the two the engine draws its next window, so the sampling overlaps
+    the coordinator's wait for the other workers.  A training epoch's
+    ``step`` tokens already prove each window was gathered; a dry run never
+    syncs, so there ``fetched`` reports the window itself (``window``
+    token).
     """
 
     def __init__(self, runtime: _WorkerRuntime, epoch: int, dry_run: bool):
@@ -308,6 +311,8 @@ class _PipeCollective:
         self.epoch = epoch
         self.dry_run = dry_run
         self.digests = []
+        self.params = [p for _name, p in
+                       runtime.models[runtime.spec.machine].named_parameters()]
 
     def fetched(self, w0: int, w1: int, plans, first_request) -> None:
         rt = self.rt
@@ -319,11 +324,9 @@ class _PipeCollective:
         if self.dry_run:
             rt.channel.send("window", {"w0": w0})
 
-    def sync(self, step: int) -> None:
+    def post(self, step: int) -> None:
         rt = self.rt
-        params = [p for _name, p in
-                  rt.models[rt.spec.machine].named_parameters()]
-        rt.my_slab.write([p.grad for p in params], step)
+        rt.my_slab.write([p.grad for p in self.params], step)
         if step in rt.torn_steps:
             # "torn" fault: re-enter a write (seqlock odd) after the
             # publish, then report the step anyway — the coordinator's
@@ -331,6 +334,9 @@ class _PipeCollective:
             rt.torn_steps.discard(step)
             rt.my_slab.begin_write()
         rt.channel.send("step", {"step": step})
+
+    def collect(self, step: int) -> None:
+        rt = self.rt
         kind, payload = rt.channel.recv()
         if kind == "abort":
             raise _EpochAborted
@@ -340,7 +346,7 @@ class _PipeCollective:
             raise RuntimeError(
                 f"avg token for step {payload['step']}, expected {step}")
         rt.avg_slab.read_into(rt.avg_bufs, step)
-        for p, g in zip(params, rt.avg_bufs):
+        for p, g in zip(self.params, rt.avg_bufs):
             p.grad = g
 
 

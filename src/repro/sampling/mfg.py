@@ -54,6 +54,14 @@ class MFGBlock:
         self.src_index = np.asarray(self.src_index, dtype=np.int64)
         if len(self.dst_ptr) != self.num_dst + 1:
             raise ValueError("dst_ptr length must be num_dst + 1")
+        ptr = self.dst_ptr
+        if ptr[0] != 0:
+            raise ValueError(f"dst_ptr must start at 0, got dst_ptr[0] = {ptr[0]}")
+        if (ptr[1:] < ptr[:-1]).any():
+            i = int(np.flatnonzero(ptr[1:] < ptr[:-1])[0]) + 1
+            raise ValueError(
+                f"dst_ptr must be non-decreasing, got dst_ptr[{i}] = "
+                f"{ptr[i]} < dst_ptr[{i - 1}] = {ptr[i - 1]}")
         if self.dst_ptr[-1] != len(self.src_index):
             raise ValueError("dst_ptr[-1] must equal len(src_index)")
         if self.num_dst > self.num_src:

@@ -51,11 +51,16 @@ def spare_core(compute_processes: int) -> bool:
     ``compute_processes`` (1 in-process, ``K`` multiproc workers) gets a
     sampler process beside it, so the host needs a core for each of both.
 
-    The trade-off: with ``K`` multiproc workers on more than ``K`` but
-    fewer than ``2K`` cores, the workers sample inline, where a sampler
-    thread sharing the GIL would have overlapped some sampling (on the
-    in-process path one bought 7–13 %, docs/performance.md); that band is
-    unmeasured."""
+    The trade-off: with ``K`` multiproc workers on fewer than ``2K``
+    cores, the workers sample inline.  Inline is not all on a worker's
+    critical path: the epoch loop draws every window after the first
+    inside the gradient exchange that closes the window before it, while
+    the worker waits for the coordinator's average
+    (:meth:`~repro.distributed.engine.ExecutionEngine.run_machines`).  At
+    ``K = 2`` on 2 cores that saves about 7.5 % of a ``train_multiproc``
+    epoch (docs/performance.md, "The next window is drawn inside the
+    exchange").  What a sampler process per worker would add on ``K + 1``
+    … ``2K − 1`` cores is unmeasured."""
     return usable_cores() >= 2 * compute_processes
 
 

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core import Planner, RunConfig, SalientPP
+from repro.distributed.comm import all_reduce_gradients, average_parameters
 from repro.graph.datasets import make_tiny
+from repro.utils import ahead
 from invariants import trace_shape
 
 K = 4
@@ -25,17 +27,43 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 
 
 class RecordingCollective:
-    """Stands in for a machine's peers: remembers what the loop told it."""
+    """Stands in for a machine's peers: remembers what the loop told it,
+    and in ``log`` in what order (:func:`record_draws` adds the sampler's
+    draws to it).  ``post`` also calls ``reduce``, if given, as the
+    in-process collective calls its reduce."""
 
-    def __init__(self):
+    def __init__(self, reduce=None, log=None):
         self.windows, self.syncs = [], []
+        self.log = [] if log is None else log
+        self._reduce = reduce
 
     def fetched(self, w0, w1, plans, first_request):
         assert len(plans) == len(first_request) == w1 - w0
         self.windows.append((w0, w1))
+        self.log.append(("fetched", w0))
 
-    def sync(self, step):
+    def post(self, step):
         self.syncs.append(step)
+        self.log.append(("post", step))
+        if self._reduce is not None:
+            self._reduce()
+
+    def collect(self, step):
+        self.log.append(("collect", step))
+
+
+def record_draws(monkeypatch, trainer, log):
+    """Append ``("draw", machine, step)`` to ``log`` as each minibatch of
+    ``trainer``'s streams is drawn (the inline side of the spare-core
+    rule, where the draws happen in this process)."""
+    batches = trainer.batches
+
+    def recorded(k, epoch):
+        for step, mfg in enumerate(batches(k, epoch)):
+            log.append(("draw", k, step))
+            yield mfg
+
+    monkeypatch.setattr(trainer, "batches", recorded)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +94,7 @@ def _flat(rec):
 @pytest.mark.parametrize("engine,depth",
                          [("bsp", 1), ("pipelined", 1), ("pipelined", 4)])
 def test_per_machine_runs_assemble_to_the_all_machine_report(
-        dataset, planner, engine, depth):
+        dataset, planner, monkeypatch, engine, depth):
     cfg = _config(engine=engine, pipeline_depth=depth)
     ref = SalientPP.build(dataset, cfg, planner=planner) \
         .trainer.train_epoch(0, dry_run=True)
@@ -74,12 +102,19 @@ def test_per_machine_runs_assemble_to_the_all_machine_report(
     tr = SalientPP.build(dataset, cfg, planner=planner).trainer
     sched = tr.engine.schedule(tr.steps_per_epoch())
     assert sched.steps > 4  # several windows at depth 4
-    per_machine = []
+    per_machine, log = [], []
+    record_draws(monkeypatch, tr, log)
     for k in range(K):
-        collective = RecordingCollective()
+        log.clear()
+        collective = RecordingCollective(log=log)
         (records,) = tr.engine.run_machines(0, [k], collective, dry_run=True)
         assert collective.windows == list(sched.windows)
         assert collective.syncs == []  # a dry run never closes a step
+        # ... so each window is drawn at its own top (always inline).
+        assert log == [
+            e for w0, w1 in sched.windows
+            for e in [("draw", k, s) for s in range(w0, w1)]
+            + [("fetched", w0)]]
         assert [(r.machine, r.step) for r in records] == \
             [(k, s) for s in range(sched.steps)]
         per_machine.append(records)
@@ -96,6 +131,66 @@ def test_per_machine_runs_assemble_to_the_all_machine_report(
     assert trace_shape(report.events) == trace_shape(ref.events)
     assert (report.mean_loss, report.steps_per_machine) == \
         (ref.mean_loss, ref.steps_per_machine)
+
+
+# ----------------------------------------------------------------------
+# the next window is drawn inside the exchange that closes a window
+# ----------------------------------------------------------------------
+
+def expected_log(sched, machines):
+    """The loop's calls, in order: a window is drawn at the top of its own
+    window only when the step closing the window before it did not sync
+    (or it is the first); otherwise between that step's ``post`` and
+    ``collect``.  Nothing is drawn after the last window."""
+    sync_at, log, drawn = set(sched.sync_steps), [], False
+
+    def draws(w0, w1):
+        return [("draw", k, s) for k in machines for s in range(w0, w1)]
+
+    for i, (w0, w1) in enumerate(sched.windows):
+        if not drawn:
+            log += draws(w0, w1)
+        log += [("fetched", w0)] * len(machines)
+        drawn = False
+        for step in range(w0, w1):
+            if step in sync_at:
+                log.append(("post", step))
+                if step == w1 - 1 and i + 1 < len(sched.windows):
+                    log += draws(*sched.windows[i + 1])
+                    drawn = True
+                log.append(("collect", step))
+    return log
+
+
+@pytest.mark.parametrize("engine,knobs", [
+    ("bsp", {}), ("pipelined", dict(pipeline_depth=1)),
+    ("pipelined", dict(pipeline_depth=4)), ("async", dict(staleness=2)),
+], ids=["bsp", "pipelined-1", "pipelined-4", "async-2"])
+def test_the_next_window_is_drawn_between_post_and_collect(
+        dataset, planner, monkeypatch, engine, knobs):
+    monkeypatch.setattr(ahead, "usable_cores", lambda: 1)  # draws inline
+    cfg = _config(engine=engine, **knobs)
+    want = SalientPP.build(dataset, cfg, planner=planner).trainer
+    ref = want.train_epoch(0)
+
+    tr = SalientPP.build(dataset, cfg, planner=planner).trainer
+    reduce = average_parameters if engine == "async" else all_reduce_gradients
+    collective = RecordingCollective(lambda: reduce(tr.models))
+    record_draws(monkeypatch, tr, collective.log)
+    machines = list(range(K))
+    sched = tr.engine.schedule(tr.steps_per_epoch())
+    assert len(sched.windows) >= 2
+    per_machine = tr.engine.run_machines(0, machines, collective)
+
+    assert collective.log == expected_log(sched, machines)
+    draws = [e for e in collective.log if e[0] == "draw"]
+    assert len(draws) == len(set(draws)) == K * sched.steps
+    # Only the draws moved: the same epoch, bit for bit.
+    report = tr.engine.report(0, per_machine)
+    assert [_flat(r) for r in report.records] == \
+        [_flat(r) for r in ref.records]
+    assert [s.rng_state() for s in tr.samplers] == \
+        [s.rng_state() for s in want.samplers]
 
 
 # ----------------------------------------------------------------------

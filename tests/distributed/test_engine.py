@@ -675,9 +675,11 @@ def test_traced_span_keys_equal_the_inline_runs(
                    for s in samples)
     windows = want_snap["engine.sample_wait_s"]["count"]
     assert got_snap["engine.sample_wait_s"]["count"] == windows
-    assert want_snap["engine.pipeline_stalls"]["value"] == windows
-    assert got_snap.get("engine.pipeline_stalls",
-                        {"value": 0})["value"] <= windows
+    # Only a window obtained at the top of its own window can stall: the
+    # first one (every later one is drawn inside the exchange that closes
+    # the window before it).
+    assert want_snap["engine.pipeline_stalls"]["value"] == 1
+    assert got_snap.get("engine.pipeline_stalls", {"value": 0})["value"] <= 1
 
 
 def test_dry_runs_and_one_core_hosts_never_fork(
@@ -733,24 +735,31 @@ def test_a_short_sample_stream_raises_on_the_caller(
 
 
 class FaultAt(InProcessCollective):
-    """Closes steps like the in-process collective until ``step``, where it
-    raises the way a worker's collective does when the coordinator aborts
-    the epoch — or, with ``kill``, kills the engine's sampler process
-    there instead and carries on."""
+    """Closes steps like the in-process collective until ``step``, whose
+    exchange it breaks the way a worker's breaks: ``collect`` raises as a
+    worker's does when the coordinator aborts the epoch — after the loop
+    drew the next window inside the exchange — or, with ``kill``, ``post``
+    kills the engine's sampler process just before that draw and carries
+    on.  ``drawn`` is the sampler cursors ``collect`` saw."""
 
     class Aborted(Exception):
         pass
 
-    def __init__(self, models, step, engine=None):
-        super().__init__(models, all_reduce_gradients)
-        self.step, self.engine = step, engine
+    def __init__(self, trainer, step, kill=False):
+        super().__init__(trainer.models, all_reduce_gradients)
+        self.trainer, self.step, self.kill = trainer, step, kill
+        self.drawn = None
 
-    def sync(self, step):
-        if step == self.step:
-            if self.engine is None:
-                raise self.Aborted
-            os.kill(self.engine._ahead.pid, signal.SIGKILL)
-        super().sync(step)
+    def post(self, step):
+        super().post(step)
+        if step == self.step and self.kill:
+            os.kill(self.trainer.engine._ahead.pid, signal.SIGKILL)
+
+    def collect(self, step):
+        if step == self.step and not self.kill:
+            self.drawn = [s.rng_state() for s in self.trainer.samplers]
+            raise self.Aborted
+        super().collect(step)
 
 
 def checkpoint(tr):
@@ -766,16 +775,30 @@ def restore(tr, saved):
         tr.samplers[k].set_rng_state(saved[2][k])
 
 
-@pytest.mark.parametrize("kill", [False, True], ids=["abort", "kill"])
+def cursors_after(system, epoch, windows):
+    """The sampler cursors once ``epoch``'s first ``windows`` windows are
+    drawn, from where ``system``'s samplers stand."""
+    tr = system.trainer
+    machines = list(range(tr.num_machines))
+    sched = tr.engine.schedule(tr.steps_per_epoch())
+    for _ in tr.engine._sample_windows(epoch, machines,
+                                       sched.windows[:windows]):
+        pass
+    return [s.rng_state() for s in tr.samplers]
+
+
+@pytest.mark.parametrize("fault", ["abort-inline", "abort", "kill"])
 @pytest.mark.parametrize("fault_step", [0, 3])
 def test_an_aborted_epoch_closes_its_child_and_replays_bit_identically(
-        planner, ahead_dataset, cores, forks, fault_step, kill):
-    """An epoch that ends in an exception — the collective's, or the
-    ``ChannelError`` of a sampler process killed mid-epoch, raised within
-    the window that needed it with the child's exit code — closes the
-    process; restored and re-run it equals the fault-free epoch, drawn by
-    a fresh child."""
-    cores(2)
+        planner, ahead_dataset, cores, forks, fault_step, fault):
+    """An epoch whose exchange breaks at ``fault_step`` — the collective
+    aborts it after the next window was drawn inside it, or the sampler
+    process is killed just before that draw (a ``ChannelError`` with the
+    child's exit code, raised by the draw) — closes the process and leaves
+    every sampler cursor where the epoch began, the dropped window
+    included; restored and re-run it equals the fault-free epoch."""
+    inline = fault == "abort-inline"
+    cores(1 if inline else 2)
     clean = build_system(planner, ahead_dataset, "bsp", "static", False)
     clean.trainer.train_epoch(0)
     want = clean.trainer.train_epoch(1)
@@ -785,17 +808,25 @@ def test_an_aborted_epoch_closes_its_child_and_replays_bit_identically(
     tr.train_epoch(0)
     saved = checkpoint(tr)
     assert tr.steps_per_epoch() > fault_step + 3
-    collective = FaultAt(tr.models, fault_step, tr.engine if kill else None)
+    collective = FaultAt(tr, fault_step, kill=fault == "kill")
     t0 = time.monotonic()
-    with pytest.raises(ChannelError if kill else FaultAt.Aborted) as err:
+    with pytest.raises(FaultAt.Aborted if fault != "kill" else ChannelError) \
+            as err:
         tr.engine.run_machines(1, range(tr.num_machines), collective)
     assert time.monotonic() - t0 < 5.0
-    if kill:
+    if fault == "kill":
         assert "exit code -9" in str(err.value)
-    assert len(forks) == 2 and closed(forks[1]) and tr.engine._ahead is None
-    # The cursors come back with an epoch's last window: none moved.
+    assert len(forks) == (0 if inline else 2)
+    assert all(closed(p) for p in forks[1:]) and tr.engine._ahead is None
+    if inline:
+        # The abort reached a loop that had drawn windows 0 .. step + 1 ...
+        twin = build_system(planner, ahead_dataset, "bsp", "static", False)
+        twin.trainer.train_epoch(0)
+        assert collective.drawn == cursors_after(twin, 1, fault_step + 2)
+    # ... and the exception put every cursor back: none moved.
     assert [s.rng_state() for s in tr.samplers] == saved[2]
 
     restore(tr, saved)
     assert epoch_facts(system, tr.train_epoch(1)) == epoch_facts(clean, want)
-    assert len(forks) == 3 and not closed(forks[2])
+    assert len(forks) == (0 if inline else 3)
+    assert all(not closed(p) for p in forks[2:])

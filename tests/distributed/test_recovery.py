@@ -14,9 +14,13 @@ a full warm start from disk into a fresh cluster), and zero leaked
 processes or shared memory after any outcome.
 """
 
+import glob
 import math
+import multiprocessing
 import os
 import signal
+import subprocess
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -41,7 +45,7 @@ from repro.graph.datasets import make_tiny
 pytestmark = pytest.mark.usefixtures("either_side_of_the_spare_core_rule")
 
 
-def _build_system(num_machines=2):
+def _build_system(num_machines=2, **overrides):
     ds = make_tiny(seed=3, num_vertices=2000)
     cfg = RunConfig(
         num_machines=num_machines,
@@ -51,6 +55,7 @@ def _build_system(num_machines=2):
         replication_factor=0.05,
         gpu_fraction=0.5,
         seed=0,
+        **overrides,
     )
     return SalientPP.build(ds, cfg)
 
@@ -252,6 +257,66 @@ def test_worker_killed_during_capture_recovers_bit_identical(oracle_losses):
     assert manager.checkpoint["epoch"] == epochs - 1
     backend.close()
     _assert_fully_torn_down(backend)
+
+
+def _spawned_pids():
+    """Every live process started by a ``multiprocessing`` spawn — the
+    workers, and the sampler processes they fork (which inherit their
+    command line)."""
+    found = subprocess.run(
+        ["pgrep", "-f", "from multiprocessing.spawn import spawn_main"],
+        capture_output=True, text=True).stdout.split()
+    return {int(pid) for pid in found}
+
+
+@pytest.mark.parametrize("engine,depth,step", [
+    ("bsp", 1, 1), ("pipelined", 4, 3)], ids=["bsp", "pipelined-4"])
+def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
+                                                          step):
+    """Epoch 1's ``step`` closes a comm window, so each worker draws its
+    next window between posting the step and collecting its ``avg``.
+    Rank 0 is killed there — after its ``step`` token arrived, before the
+    coordinator averages — and rank 1, which never gets its ``avg``, is
+    aborted there.  The recovered run equals the fault-free one (the
+    in-process oracle, itself ``==`` a fault-free multiproc run), and
+    nothing is left running or mapped afterwards."""
+    epochs = 3
+    kw = dict(engine=engine, pipeline_depth=depth)
+    oracle = _build_system(**kw)
+    want = _losses([oracle.train_epoch(e).report for e in range(epochs)])
+    children = set(multiprocessing.active_children())
+    spawned, segments = _spawned_pids(), set(glob.glob("/dev/shm/rpmp*"))
+
+    backend = MultiprocBackend(_build_system(**kw), timeout_s=60.0,
+                               recoverable=True)
+    steps = backend.system.trainer.steps_per_epoch()
+    assert step % depth == depth - 1 and step + 1 < steps  # closes a window
+    average, calls = backend._average_step, []
+
+    def kill_then_average(s):
+        calls.append(s)
+        if len(calls) == steps + step + 1:  # epoch 1, first pass
+            victim = backend.processes[0]
+            assert victim.pid in _spawned_pids()  # what the last check reads
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10.0)
+            assert not victim.is_alive()
+        average(s)
+
+    backend._average_step = kill_then_average
+    manager = RecoveryManager(backend, _FAST, sleep=lambda _s: None)
+    reports = manager.train(epochs)
+    assert _losses(reports) == want
+    [rec] = manager.recoveries
+    assert (rec["machine"], rec["epoch"]) == (0, 1)
+    backend.close()
+    _assert_fully_torn_down(backend)
+    assert set(multiprocessing.active_children()) <= children
+    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    deadline = time.monotonic() + 10.0
+    while not _spawned_pids() <= spawned and time.monotonic() < deadline:
+        time.sleep(0.05)  # a worker's sampler exits once its worker has
+    assert _spawned_pids() <= spawned
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,34 @@ def assert_allreduce_twin(spans):
         s for s in stage_spans(spans) if s.name == "stage.allreduce"))
 
 
+def assert_draws_inside_the_exchange(spans, lane):
+    """On ``lane``, one ``engine.sample_wait`` per comm window (every sync
+    step here closes its window): the first window's a child of that
+    ``engine.window``, every later one a child of the wall
+    ``stage.allreduce`` of the step closing the window before it, inside
+    it — so the draw is that span's child, not its self time, and the
+    allreduce span keeps a non-negative self time.  Returns the waits."""
+    mine = [s for s in spans if s.lane == lane and s.sim_start is None]
+    windows = sorted((s for s in mine if s.name == "engine.window"),
+                     key=lambda s: s.attrs["window"])
+    closing = {s.attrs["step"]: s for s in mine
+               if s.name == "stage.allreduce"}
+    waits = [s for s in mine if s.name == "engine.sample_wait"]
+    assert len(waits) == len(windows) > 0
+    assert sorted(s.parent_id for s in waits) == sorted(
+        [windows[0].span_id]
+        + [closing[w.attrs["window"] - 1].span_id for w in windows[1:]])
+    by_id = {s.span_id: s for s in mine}
+    for wait in waits:
+        parent = by_id[wait.parent_id]
+        assert parent.start_ns <= wait.start_ns <= wait.end_ns \
+            <= parent.end_ns
+    for reduce in closing.values():
+        inside = [w for w in waits if w.parent_id == reduce.span_id]
+        assert reduce.duration_s >= sum(w.duration_s for w in inside)
+    return waits
+
+
 def assert_spans_are_the_timeline(spans, timeline):
     """One sim-clock ``stage.<value>`` span per placement, keyed by its
     ``machine`` / ``step`` attrs, on the placement's own interval."""
@@ -319,21 +347,24 @@ class TestMeasuredSampleSpans:
         assert all(epoch.start_ns <= s.start_ns <= s.end_ns <= epoch.end_ns
                    for s in measured)
 
-        # What the loop waited: one engine.sample_wait under every window,
-        # one observation each; a stall is a window it had to wait for.
-        waits = [s for s in spans if s.name == "engine.sample_wait"]
-        assert sorted(s.parent_id for s in waits) == \
-            sorted(s.span_id for s in windows)
+        # What the loop waited: one engine.sample_wait per window, one
+        # observation each, the later ones inside the exchanges.
+        waits = assert_draws_inside_the_exchange(spans, "coordinator")
         assert snap["engine.sample_wait_s"]["count"] == len(windows)
-        # (registered at the first stall: a run that never waited has none)
+        # A stall is a window the loop had to wait for at the top of its
+        # own window: only the first can be.  (Registered at the first
+        # stall: a run that never waited has none.)
         stalls = snap.get("engine.pipeline_stalls", {"value": 0})["value"]
         sampled_s = sum(s.duration_s for s in measured)
         if cores == 1:
-            assert stalls == len(windows)
-            # Inline, the wait *is* the sampling (plus loop overhead).
+            assert stalls == 1
+            # Inline, the wait *is* the sampling (plus loop overhead), and
+            # each draw lies inside the wait that obtained its window.
             assert snap["engine.sample_wait_s"]["sum"] >= sampled_s
+            assert all(any(w.start_ns <= s.start_ns <= s.end_ns <= w.end_ns
+                           for w in waits) for s in measured)
         else:
-            assert 0 <= stalls <= len(windows)
+            assert 0 <= stalls <= 1
         assert validate_chrome_trace(chrome_trace(spans, OBS.metrics)) == []
 
     def test_dry_run_samples_inline_whatever_the_host(self, papers_mini,
@@ -373,8 +404,9 @@ class TestMeasuredSampleSpans:
                    and s.end_ns <= mp_epoch.end_ns + ALIGN_SLACK_NS
                    for s in measured)
         assert snap["engine.sample_wait_s"]["count"] == K * steps
-        assert snap.get("engine.pipeline_stalls",
-                        {"value": 0})["value"] <= K * steps
+        for k in range(K):
+            assert_draws_inside_the_exchange(spans, f"worker-{k}")
+        assert snap.get("engine.pipeline_stalls", {"value": 0})["value"] <= K
 
 
 class TestSimulatedTimelineSpans:
