@@ -62,10 +62,10 @@ Tracked stages
 ``vip.boundary_refresh``
     A phase boundary's refresh round on mag240c-mini (K = 4, a churn batch
     plus a training-set swap, the ``train_drift`` shape): one
-    ``VIPTracker`` round, its tripped consumers sharing one batched full
-    evaluation, against K single ``incremental_vip`` refreshes
-    (``dense_wall_s``), each tripping into its own full recursion; the K
-    score vectors are asserted ``==`` before the walls are reported.
+    ``VIPTracker`` round, one batched ``(N, K)`` evaluation on the
+    overlay's ``materialize()``, against K single ``vip_probabilities``
+    calls on it (``dense_wall_s``); the K score vectors are asserted ``==``
+    before the walls are reported.
 ``recovery.mttr``
     Mean time-to-recovery for the standard chaos scenario: a worker killed
     mid-epoch on a real recoverable multiproc cluster, detected by the
@@ -561,11 +561,10 @@ def boundary_stages(stages: dict, *, num_machines=4, rounds=3) -> None:
     """A phase boundary's refresh round on mag240c-mini: every machine's
     training set swapped after one churn batch landed (the ``train_drift``
     shape, K = 4 random partition), scored as one ``VIPTracker`` round —
-    the consumers whose wave trips the churn gate share one batched full
-    evaluation — against K single refreshes (``incremental_vip`` per
-    machine, each tripping into its own full recursion).  Each side starts
-    from fresh snapshots of the previous phase on a fresh overlay, so both
-    pay the one ``materialize()``; alternating rounds, best of
+    one batched ``(N, K)`` evaluation on the overlay's ``materialize()`` —
+    against K single ``vip_probabilities`` calls on it.  Each side starts
+    from a tracker that scored the previous phase on a fresh overlay, so
+    both pay the one ``materialize()``; alternating rounds, best of
     ``rounds``; the K score vectors are asserted ``==`` before the walls
     are reported.
     """
@@ -573,7 +572,7 @@ def boundary_stages(stages: dict, *, num_machines=4, rounds=3) -> None:
     from repro.graph.generators import drifting_training_sets, edge_stream
     from repro.graph.mutable import MutableGraph
     from repro.partition import random_partition
-    from repro.vip import VIPTracker, incremental_vip
+    from repro.vip import VIPTracker
     from repro.vip.analytic import uniform_minibatch_probability
 
     ds = load_dataset("mag240c-mini")
@@ -604,7 +603,8 @@ def boundary_stages(stages: dict, *, num_machines=4, rounds=3) -> None:
         return tracker.access(after)
 
     def single(mgraph, tracker):
-        return {k: incremental_vip(mgraph, tracker.snapshots[k], p0).access
+        return {k: vip_probabilities(mgraph.materialize(), p0,
+                                     cfg.fanouts).access
                 for k, p0 in after.items()}
 
     walls = {batched: [], single: []}

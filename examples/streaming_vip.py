@@ -14,7 +14,8 @@ streaming extension that lifts that assumption:
 3. **Continual training** — push churn into a built ``vip-refresh`` system
    with :meth:`SalientPP.apply_graph_updates`; the next epoch samples the
    mutated topology and its caches re-rank on Proposition 1 evaluated on
-   that same overlay (``system.tracker``).
+   that same overlay (``system.tracker``: one batched full evaluation on
+   the overlay's ``materialize()`` per refresh round).
 4. **Serving under churn** — play the same mutation stream against an
    ``InferenceService`` between request windows.
 
@@ -101,13 +102,10 @@ def continual_training(ds):
     for epoch in range(3):
         result = system.train_epoch(epoch, dry_run=True)
         graph = system.tracker.graph
-        modes = sorted(snap.stats.mode
-                       for snap in system.tracker.snapshots.values())
         print(f"epoch {epoch}: comm rows {result.report.total_comm_rows()}, "
               f"{sum(c.refreshes for c in result.report.cache_churn)} cache "
               f"re-ranks scored on {type(graph).__name__} "
-              f"v{graph.version} ({graph.num_edges} edges)"
-              + (f", last refresh per machine: {modes}" if modes else ""))
+              f"v{graph.version} ({graph.num_edges} edges)")
         rec = system.apply_graph_updates(EdgeBatch(
             add_src=rng.integers(0, n, 300),
             add_dst=rng.integers(0, n, 300)))

@@ -90,8 +90,9 @@ class StreamingConfig:
 
     A live system mutates through :func:`repro.graph.mutable.land_batch`
     and scores ``vip-refresh`` through a
-    :class:`repro.vip.incremental.VIPTracker`; the compaction and churn
-    cutoffs are those modules' defaults, not configuration.  Like
+    :class:`repro.vip.incremental.VIPTracker`, one full evaluation of the
+    graph as sampled per refresh round; the overlay's compaction cutoff is
+    that module's default, not configuration.  Like
     :class:`ServingConfig`, no preprocessing stage fingerprints this slice.
 
     Attributes

@@ -514,13 +514,16 @@ class ExecutionEngine:
                 """The next window's MFGs per machine; a wait for it counts
                 as a stall where ``stall`` (at the top of its window)."""
                 with OBS.span("engine.sample_wait",
-                              hist="engine.sample_wait_s"):
+                              hist="engine.sample_wait_s") as wait:
                     drawn, stamps, waited = next(sampled)
                 if OBS.enabled:
+                    # Inline, the draws ran inside the wait; ahead, beside
+                    # the epoch, on the sampler's lane.
+                    parent = (wait if proc is None else span).span_id
                     for k, step, t0, t1 in stamps:
                         OBS.tracer.add_span(
                             "stage.sample", t0, t1, machine=k, step=step,
-                            parent_id=span.span_id, lane=lane)
+                            parent_id=parent, lane=lane)
                     if waited and stall:
                         OBS.metrics.counter("engine.pipeline_stalls").inc()
                 return drawn

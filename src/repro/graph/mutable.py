@@ -176,10 +176,8 @@ class MutableGraph:
         #: touched since the last compact.
         self._rows: Dict[int, np.ndarray] = {}
         self.log: List[DeltaRecord] = []
-        # Per-version caches for the frozen read path / materialization,
-        # and the dirty sets per ``since_version`` (see :meth:`_dirty`).
+        # Per-version caches for the frozen read path / materialization.
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._dirty_since: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._csr: Optional[CSRGraph] = None
         self._csr_version = -1
 
@@ -244,7 +242,6 @@ class MutableGraph:
                           edges_added=added, edges_removed=removed)
         self.log.append(rec)
         self._frozen = None
-        self._dirty_since = {}
         if (self.compact_cutoff is not None
                 and self.overlay_entries
                 > self.compact_cutoff * max(self.base.num_edges, 1)):
@@ -312,37 +309,25 @@ class MutableGraph:
         version); read-only."""
         return self._dirty(since_version)[0]
 
-    def degree_changed(self, since_version: int = 0) -> np.ndarray:
-        """Subset of :meth:`dirty_frontier` whose row *length* changed —
-        the rows whose uniform-sampling transition factor is stale."""
-        return self._dirty(since_version)[1]
-
     def _dirty(self, since_version: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(dirty_frontier, degree_changed)`` since ``since_version``,
-        from one walk of the log per ``(since_version, version)`` pair:
-        every consumer refreshed in one round asks at the same pair, and
-        the answer holds until the next batch lands."""
+        """``(dirty_frontier, rows whose length changed)`` since
+        ``since_version``, from one walk of the log.  The second set is
+        the rows whose uniform-sampling transition factor is stale."""
         if since_version < 0:
             raise ValueError(
                 f"since_version must be non-negative, got {since_version}")
         if since_version >= self.version:
             return _EMPTY, _EMPTY
-        hit = self._dirty_since.get(since_version)
-        if hit is None:
-            candidates: set = set()
-            for rec in self.log[since_version:]:  # log[i] is version i + 1
-                candidates.update(rec.prior_rows)
-            then = self.rows_at(since_version, candidates)
-            dirty = sorted(v for v in candidates
-                           if not np.array_equal(self.neighbors(v), then[v]))
-            hit = (np.array(dirty, dtype=np.int64),
-                   np.array([v for v in dirty
-                             if len(then[v]) != self._degrees[v]],
-                            dtype=np.int64))
-            for arr in hit:
-                arr.flags.writeable = False
-            self._dirty_since[since_version] = hit
-        return hit
+        candidates: set = set()
+        for rec in self.log[since_version:]:  # log[i] is version i + 1
+            candidates.update(rec.prior_rows)
+        then = self.rows_at(since_version, candidates)
+        dirty = sorted(v for v in candidates
+                       if not np.array_equal(self.neighbors(v), then[v]))
+        return (np.array(dirty, dtype=np.int64),
+                np.array([v for v in dirty
+                          if len(then[v]) != self._degrees[v]],
+                         dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Read paths

@@ -24,6 +24,7 @@ all other timing flows through spans.
 from __future__ import annotations
 
 import itertools
+import os
 import secrets
 import time
 from dataclasses import dataclass, field
@@ -44,10 +45,20 @@ __all__ = [
 #: process (``CLOCK_MONOTONIC`` on Linux: one clock for parent and child).
 now_ns = time.perf_counter_ns
 
-#: Process-wide span-id source.  ``itertools.count`` is atomic under the
-#: GIL; ids only need to be unique within one process (cross-process
-#: uniqueness comes from the lane recorded on every span).
-_next_span_id = itertools.count(1).__next__
+
+def _renumber() -> None:
+    """Start this process's span-id source.  Ids are unique per trace: a
+    process numbers from its pid times 2**31, so the workers merged into a
+    trace never reuse each other's ids, and a forked child renumbers at the
+    fork.  Pids are below 2**22, so ids stay below 2**53 for any JSON
+    reader.  ``itertools.count`` is atomic under the GIL."""
+    global _next_span_id
+    _next_span_id = itertools.count((os.getpid() << 31) + 1).__next__
+
+
+_renumber()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renumber)
 
 
 def new_trace_id() -> str:

@@ -367,7 +367,7 @@ class InferenceService:
         request seeds).  The first batch wraps the graph in a delta-CSR
         overlay (:class:`~repro.graph.mutable.MutableGraph`); samplers
         read through it immediately, and vip-refresh scores follow per
-        ``streaming.refresh_on_mutation`` (incremental refresh vs the
+        ``streaming.refresh_on_mutation`` (scored on the mutated graph vs the
         frozen stale baseline).  Refresh fetch traffic stays priced
         through the existing ``CACHE_REFRESH`` stage event.
 

@@ -1,4 +1,15 @@
-"""Incremental VIP refresh on a streaming graph (dirty-frontier recursion).
+"""VIP scores on a live graph (:class:`VIPTracker`), and the incremental
+refresh wave (dirty-frontier recursion).
+
+A live system scores ``vip-refresh`` through :class:`VIPTracker` only, and
+the tracker scores every round with one batched full evaluation on the
+graph as sampled, as the paper evaluates Proposition 1 (§3.2).  Measured,
+the wave below never paid on a live path: a training phase boundary trips
+its churn gate every time, and on the serving churn rung the full
+evaluation is cheaper.  The wave (:func:`snapshot_vip`,
+:func:`incremental_vip`) has no caller under ``src/``; it stays only
+because the end-to-end benchmark's streaming layer and the perf harness
+still call it.
 
 :func:`repro.vip.analytic.vip_probabilities` evaluates Proposition 1 from
 scratch: every hop touches every row the recursion's support reaches.  When
@@ -108,9 +119,8 @@ class VIPSnapshot:
     :class:`~repro.vip.analytic.VIPResult` (hopwise values are the
     recursion state) and the per-fanout vertex-transition arrays (the
     consumer's slice of the transition table, patched — not recomputed —
-    on refresh).  Snapshots are independent: any number of consumers
-    (serving machines, training partitions) can hold snapshots of the same
-    graph at different versions.
+    on refresh).  Snapshots are independent: any number of them can be
+    held on the same graph at different versions.
     """
 
     version: int
@@ -137,15 +147,6 @@ def _capture_transitions(mgraph: MutableGraph,
     return out
 
 
-def _column(result: VIPResult, j: int, initial: np.ndarray) -> VIPResult:
-    """Column ``j`` of a batched evaluation as its own contiguous
-    :class:`VIPResult` (``initial`` is that column's vector as given)."""
-    return VIPResult(
-        total=np.ascontiguousarray(result.total[:, j]),
-        hopwise=[np.ascontiguousarray(p_h[:, j]) for p_h in result.hopwise],
-        initial=initial)
-
-
 def _checked_initial(initial, n: int) -> np.ndarray:
     """``initial`` checked and clipped as :func:`vip_probabilities` checks
     it; a snapshot or refresh scores one distribution, a 1-D vector."""
@@ -156,36 +157,6 @@ def _checked_initial(initial, n: int) -> np.ndarray:
     return p0
 
 
-def _evaluate(graph, initials: List[np.ndarray],
-              fanouts: Sequence[int]) -> List[VIPResult]:
-    """:func:`vip_probabilities` of each of ``initials`` from one batched
-    call (a lone distribution keeps the 1-D call)."""
-    if len(initials) == 1:
-        return [vip_probabilities(graph, initials[0], fanouts)]
-    batched = vip_probabilities(graph, np.column_stack(initials), fanouts)
-    return [_column(batched, j, p) for j, p in enumerate(initials)]
-
-
-def snapshot_vips(
-    mgraph: MutableGraph,
-    initials: Sequence[np.ndarray],
-    fanouts: Sequence[int],
-) -> List[VIPSnapshot]:
-    """Full Proposition-1 evaluations on the materialized graph, one
-    :class:`VIPSnapshot` per starting distribution, from one batched
-    :func:`vip_probabilities` call (snapshot ``j`` ``==`` the evaluation of
-    ``initials[j]`` alone).  The snapshots share one read-only set of
-    transition arrays; a refresh patches a copy."""
-    given = [np.asarray(p, dtype=np.float64) for p in initials]
-    checked = [_checked_initial(p, mgraph.num_vertices) for p in given]
-    results = _evaluate(mgraph.materialize(), given, fanouts)
-    vtrans = _capture_transitions(mgraph, fanouts)
-    fanouts = tuple(int(f) for f in fanouts)
-    return [VIPSnapshot(version=mgraph.version, initial=p0, fanouts=fanouts,
-                        result=result, vertex_transitions=vtrans)
-            for p0, result in zip(checked, results)]
-
-
 def snapshot_vip(
     mgraph: MutableGraph,
     initial: np.ndarray,
@@ -193,7 +164,13 @@ def snapshot_vip(
 ) -> VIPSnapshot:
     """Full Proposition-1 evaluation on the materialized graph, captured as
     the baseline :class:`VIPSnapshot` for later incremental refreshes."""
-    return snapshot_vips(mgraph, [initial], fanouts)[0]
+    given = np.asarray(initial, dtype=np.float64)
+    p0 = _checked_initial(given, mgraph.num_vertices)
+    return VIPSnapshot(
+        version=mgraph.version, initial=p0,
+        fanouts=tuple(int(f) for f in fanouts),
+        result=vip_probabilities(mgraph.materialize(), given, fanouts),
+        vertex_transitions=_capture_transitions(mgraph, fanouts))
 
 
 def _patch_transitions(snapshot: VIPSnapshot, mgraph: MutableGraph,
@@ -230,8 +207,8 @@ def incremental_vip(
     initial:
         New ``p[0]``; defaults to the snapshot's.  Seed-distribution drift
         is handled the same way graph churn is — rows whose ``p[0]``
-        changed seed the hop-1 wave — so serving can refresh one call per
-        window even when both the graph and the hot set moved.  Checked
+        changed seed the hop-1 wave — so one call refreshes a window in
+        which both the graph and the hot set moved.  Checked
         and clipped exactly as :func:`vip_probabilities` checks it.
     churn_cutoff:
         Fraction of the dense sweep's total edge volume
@@ -249,20 +226,6 @@ def incremental_vip(
     """
     if initial is None:
         initial = snapshot.result.initial
-    refreshed, stats = _refresh(mgraph, snapshot, initial, churn_cutoff)
-    if refreshed is None:  # the gate tripped: full evaluation instead
-        refreshed = snapshot_vip(mgraph, initial, snapshot.fanouts)
-        refreshed.stats = stats
-    return refreshed
-
-
-def _refresh(mgraph: MutableGraph, snapshot: VIPSnapshot, initial: np.ndarray,
-             churn_cutoff: float) -> Tuple[Optional[VIPSnapshot],
-                                           RefreshStats]:
-    """:func:`incremental_vip`'s wave.  Returns ``(None, stats)`` when the
-    churn gate trips — before the tripping hop is computed — so the caller
-    runs the full evaluation (alone, or batched with a round's other
-    consumers); ``stats`` then says ``"full"`` and what was touched."""
     if not 0.0 <= churn_cutoff <= 1.0:
         raise ValueError(f"churn_cutoff must be in [0, 1], got {churn_cutoff}")
     n = mgraph.num_vertices
@@ -273,8 +236,8 @@ def _refresh(mgraph: MutableGraph, snapshot: VIPSnapshot, initial: np.ndarray,
     # the vector as given; the recursion runs on the clipped ``p0``.
     given = np.asarray(initial, dtype=np.float64)
 
-    dirty = mgraph.dirty_frontier(snapshot.version)
-    deg_changed = mgraph.degree_changed(snapshot.version)
+    # Both dirty sets (changed rows, changed degrees) from one log walk.
+    dirty, deg_changed = mgraph._dirty(snapshot.version)
     p0_old = snapshot.initial
     seed_changed = np.flatnonzero(p0 != p0_old)
     stats = RefreshStats(mode="incremental", dirty_rows=len(dirty))
@@ -289,8 +252,7 @@ def _refresh(mgraph: MutableGraph, snapshot: VIPSnapshot, initial: np.ndarray,
             result=VIPResult(total=snapshot.result.total,
                              hopwise=list(snapshot.result.hopwise),
                              initial=given),
-            vertex_transitions=vtrans, stats=stats,
-        ), stats
+            vertex_transitions=vtrans, stats=stats)
 
     hop_arrays: List[np.ndarray] = []
     changed_union = _EMPTY
@@ -336,7 +298,9 @@ def _refresh(mgraph: MutableGraph, snapshot: VIPSnapshot, initial: np.ndarray,
         if (stats.edges_touched + remaining * hop_volume
                 > churn_cutoff * (len(fanouts) * m)):
             stats.mode = "full"
-            return None, stats
+            refreshed = snapshot_vip(mgraph, initial, fanouts)
+            refreshed.stats = stats
+            return refreshed
         # Row set: R_h, read through the overlay.
         values = hop_values(vtrans[_normalize_fanout(fanout)], p_prev,
                             row_set(mgraph, rows),
@@ -371,8 +335,7 @@ def _refresh(mgraph: MutableGraph, snapshot: VIPSnapshot, initial: np.ndarray,
     return VIPSnapshot(
         version=mgraph.version, initial=p0, fanouts=fanouts,
         result=VIPResult(total=total, hopwise=hop_arrays, initial=given),
-        vertex_transitions=vtrans, stats=stats,
-    ), stats
+        vertex_transitions=vtrans, stats=stats)
 
 
 class _Scored:
@@ -402,15 +365,11 @@ class VIPTracker:
     the previous round whose graph version and ``p[0]`` both ``==`` the
     ones it was scored at gets its stored scores back (O(N)), so the K
     providers of one refresh round can each ask for all K consumers and
-    only the first call computes.
-    The rest are computed from the type of :attr:`graph`: on a static
-    ``CSRGraph``, one batched :func:`vip_probabilities` for all of them; on
-    a :class:`MutableGraph`, one :class:`VIPSnapshot` per consumer carried
-    forward by :func:`incremental_vip`'s wave, and every consumer whose
-    wave trips the churn gate (or that has no snapshot yet) shares one
-    batched full evaluation on the materialized graph.  Either way each
-    consumer's scores equal ``vip_probabilities(materialized graph, p0,
-    fanouts).access`` bit for bit — the same as scoring it alone.
+    only the first call computes.  The rest share one batched
+    :func:`vip_probabilities` on the graph as sampled: a ``CSRGraph`` as
+    it is, a :class:`MutableGraph` through its ``materialize()`` (cached
+    per version).  Each consumer's scores equal ``vip_probabilities`` of
+    its ``p0`` alone on that graph, ``.access``, bit for bit.
     """
 
     def __init__(self, graph, fanouts: Sequence[int]):
@@ -418,9 +377,6 @@ class VIPTracker:
         #: overlay; a tracker left untold keeps scoring the graph it has.
         self.graph = graph
         self.fanouts = tuple(int(f) for f in fanouts)
-        #: Latest snapshot per consumer while following an overlay
-        #: (``.stats.mode`` says how its last refresh was computed).
-        self.snapshots: Dict[object, VIPSnapshot] = {}
         # The last round's consumers and what they were scored at.
         self._scored: Dict[object, _Scored] = {}
 
@@ -439,47 +395,23 @@ class VIPTracker:
             else:
                 todo[consumer] = p0
         if todo:
-            scored = (self._refresh_round(todo)
-                      if isinstance(graph, MutableGraph)
-                      else self._full_round(todo))
-            for consumer, access in scored.items():
+            for (consumer, p0), access in zip(todo.items(),
+                                              self._score(list(todo.values()))):
                 access.flags.writeable = False  # handed out again on a hit
-                kept[consumer] = _Scored(graph, todo[consumer], access)
+                kept[consumer] = _Scored(graph, p0, access)
             # Only this round's consumers are kept: a round's later calls
             # ask for the same ones, and a serving tracker, asked for one
             # machine at a time, holds one machine's scores, not K.
             self._scored = kept
         return {consumer: kept[consumer].access for consumer in p0s}
 
-    def _full_round(self, p0s: Dict[object, np.ndarray]
-                    ) -> Dict[object, np.ndarray]:
-        """Static graph: one batched evaluation for every consumer."""
-        results = _evaluate(self.graph, list(p0s.values()), self.fanouts)
-        return {consumer: result.access
-                for consumer, result in zip(p0s, results)}
-
-    def _refresh_round(self, p0s: Dict[object, np.ndarray]
-                       ) -> Dict[object, np.ndarray]:
-        """Overlay: each consumer's incremental wave; the ones that trip
-        the gate or have no snapshot share one batched full evaluation."""
-        mgraph = self.graph
-        full: Dict[object, Optional[RefreshStats]] = {}
-        for consumer, p0 in p0s.items():
-            snap = self.snapshots.get(consumer)
-            if snap is None:
-                full[consumer] = None
-                continue
-            snap, stats = _refresh(mgraph, snap, p0, CHURN_CUTOFF)
-            if snap is None:
-                full[consumer] = stats
-            else:
-                self.snapshots[consumer] = snap
-        if full:
-            snaps = snapshot_vips(mgraph, [p0s[c] for c in full],
-                                  self.fanouts)
-            for (consumer, stats), snap in zip(full.items(), snaps):
-                if stats is not None:
-                    snap.stats = stats
-                self.snapshots[consumer] = snap
-        return {consumer: self.snapshots[consumer].access
-                for consumer in p0s}
+    def _score(self, p0s: List[np.ndarray]) -> List[np.ndarray]:
+        """Each ``p0``'s access scores from one evaluation: ``(N, K)``
+        for a round, the 1-D call for a lone consumer."""
+        graph = self.graph
+        if isinstance(graph, MutableGraph):
+            graph = graph.materialize()
+        if len(p0s) == 1:
+            return [vip_probabilities(graph, p0s[0], self.fanouts).access]
+        batched = vip_probabilities(graph, np.column_stack(p0s), self.fanouts)
+        return list(np.ascontiguousarray(batched.access.T))

@@ -641,7 +641,9 @@ def test_traced_span_keys_equal_the_inline_runs(
         planner, ahead_dataset, cores, forks):
     """The child stamps its draws; the parent records them as the same
     ``stage.sample`` spans an inline epoch records, on the sampler lane,
-    inside the epoch span (one clock for parent and child)."""
+    children of the epoch span and inside it (one clock for parent and
+    child).  Inline, each is a child of the ``engine.sample_wait`` that
+    drew it, inside that wait."""
     forked, inline = (build_system(planner, ahead_dataset, "pipelined-3",
                                    "static", False) for _ in range(2))
     traced = {}
@@ -664,13 +666,17 @@ def test_traced_span_keys_equal_the_inline_runs(
 
     (got, got_snap), (want, want_snap) = traced["forked"], traced["inline"]
     assert keys(got) == keys(want)
-    for spans, lane in ((got, "coordinator/sampler"), (want, "coordinator")):
+    for spans, lane, parent in ((got, "coordinator/sampler", "engine.epoch"),
+                                (want, "coordinator", "engine.sample_wait")):
         epoch = next(s for s in spans if s.name == "engine.epoch")
+        by_id = {s.span_id: s for s in spans}
         samples = [s for s in spans if s.name == "stage.sample"]
         assert sorted((s.attrs["machine"], s.attrs["step"]) for s in samples) \
             == sorted((r.machine, r.step) for r in report.records)
-        assert {(s.lane, s.parent_id) for s in samples} == \
-            {(lane, epoch.span_id)}
+        assert {(s.lane, by_id[s.parent_id].name) for s in samples} == \
+            {(lane, parent)}
+        assert all(by_id[s.parent_id].start_ns <= s.start_ns <= s.end_ns
+                   <= by_id[s.parent_id].end_ns for s in samples)
         assert all(epoch.start_ns <= s.start_ns <= s.end_ns <= epoch.end_ns
                    for s in samples)
     windows = want_snap["engine.sample_wait_s"]["count"]

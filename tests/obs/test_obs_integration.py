@@ -235,11 +235,10 @@ def assert_train_twin(spans, snap):
     assert len(set(keys)) == len(keys) > 0
     assert set(keys) == set(step_keys(
         s for s in stage_spans(spans) if s.name == "stage.train"))
-    # (span ids are unique per lane: each worker numbers its own)
-    windows = {(s.lane, s.span_id): s for s in spans
-               if s.name == "engine.window"}
+    windows = {s.span_id: s for s in spans if s.name == "engine.window"}
     for s in trained:
-        window = windows[s.lane, s.parent_id]
+        window = windows[s.parent_id]
+        assert window.lane == s.lane
         first = window.attrs["window"]
         assert first <= s.attrs["step"] < first + window.attrs["steps"]
         assert window.start_ns <= s.start_ns <= s.end_ns <= window.end_ns
@@ -324,12 +323,14 @@ class TestMeasuredSampleSpans:
     @pytest.mark.parametrize("cores", [1, 8], ids=["inline", "ahead"])
     @pytest.mark.parametrize("depth", [1, 3])
     def test_in_process_epoch(self, papers_mini, monkeypatch, cores, depth):
+        # Batch 16: enough steps per machine for two windows at depth 3, so
+        # a window is drawn inside an exchange at every depth.
         result, spans, snap = self.traced_epoch(
             papers_mini, monkeypatch, cores, engine="pipelined",
-            pipeline_depth=depth)
+            pipeline_depth=depth, batch_size=16)
         windows = [s for s in spans if s.name == "engine.window"]
         steps = result.report.steps_per_machine
-        assert len(windows) == -(-steps // depth)
+        assert len(windows) == -(-steps // depth) >= 2
 
         # One measured stage.sample per (machine, step): the simulated
         # placements' key set, so the two clocks join by equality.
@@ -341,7 +342,8 @@ class TestMeasuredSampleSpans:
         assert_train_twin(spans, snap)
         assert_allreduce_twin(spans)
         epoch = next(s for s in spans if s.name == "engine.epoch")
-        assert {s.parent_id for s in measured} == {epoch.span_id}
+        if cores > 1:
+            assert {s.parent_id for s in measured} == {epoch.span_id}
         assert {s.lane for s in measured} == \
             {"coordinator/sampler" if cores > 1 else "coordinator"}
         assert all(epoch.start_ns <= s.start_ns <= s.end_ns <= epoch.end_ns
@@ -359,10 +361,12 @@ class TestMeasuredSampleSpans:
         if cores == 1:
             assert stalls == 1
             # Inline, the wait *is* the sampling (plus loop overhead), and
-            # each draw lies inside the wait that obtained its window.
+            # each draw is a child of the wait that obtained its window,
+            # inside it.
             assert snap["engine.sample_wait_s"]["sum"] >= sampled_s
-            assert all(any(w.start_ns <= s.start_ns <= s.end_ns <= w.end_ns
-                           for w in waits) for s in measured)
+            by_id = {w.span_id: w for w in waits}
+            assert all(by_id[s.parent_id].start_ns <= s.start_ns <= s.end_ns
+                       <= by_id[s.parent_id].end_ns for s in measured)
         else:
             assert 0 <= stalls <= 1
         assert validate_chrome_trace(chrome_trace(spans, OBS.metrics)) == []
@@ -407,6 +411,42 @@ class TestMeasuredSampleSpans:
         for k in range(K):
             assert_draws_inside_the_exchange(spans, f"worker-{k}")
         assert snap.get("engine.pipeline_stalls", {"value": 0})["value"] <= K
+
+
+class TestSpanTree:
+    """A merged multiproc trace is one tree.  Span ids are unique per trace
+    (each process numbers its own range), so every ``parent_id`` names one
+    span and a worker's epoch hangs off the coordinator's ``mp.epoch``.
+    Every wall span's self time — its duration less its children's on its
+    own lane (a child on another lane runs beside it, not inside it) — is
+    non-negative."""
+
+    def test_multiproc_epoch(self, papers_mini):
+        OBS.enable(lane="coordinator")
+        system = SalientPP.build(
+            papers_mini, _config(num_machines=2, backend="multiproc"),
+            planner=Planner())
+        try:
+            system.train_epoch(0)
+        finally:
+            OBS.disable()
+            system.shutdown()
+        spans = list(OBS.tracer.spans)
+        by_id = {s.span_id: s for s in spans}
+        assert len(by_id) == len(spans)
+        assert all(s.parent_id in by_id for s in spans if s.parent_id)
+        mp_epoch = next(s for s in spans if s.name == "mp.epoch")
+        workers = [s for s in spans if s.name == "worker.epoch"]
+        assert {s.lane for s in workers} == {"worker-0", "worker-1"}
+        assert all(s.parent_id == mp_epoch.span_id for s in workers)
+        wall = [s for s in spans if s.sim_start is None]
+        own = {s.span_id: s.end_ns - s.start_ns for s in wall}
+        for s in wall:
+            parent = by_id.get(s.parent_id)
+            if parent is not None and parent.lane == s.lane:
+                own[parent.span_id] -= s.end_ns - s.start_ns
+        assert min(own.values()) >= 0, sorted(
+            (t, by_id[i].name, by_id[i].lane) for i, t in own.items())[:3]
 
 
 class TestSimulatedTimelineSpans:

@@ -1,10 +1,13 @@
-"""Tracer unit tests: no-op fast path, nesting, explicit parents, the
-wire codec, and cross-process clock rebasing."""
+"""Tracer unit tests: no-op fast path, nesting, explicit parents, ids
+unique per process, the wire codec, and cross-process clock rebasing."""
+
+import os
 
 import pytest
 
 from repro.distributed.wire import decode_dataclass, pack_obj, unpack_obj
 from repro.obs import OBS, ObsRuntime
+from repro.obs import span
 from repro.obs.span import (
     NULL_SPAN,
     SpanRecord,
@@ -91,6 +94,31 @@ class TestRecording:
         assert len(OBS.tracer.drain()) == 1
         assert OBS.tracer.drain() == []
 
+
+class TestSpanIds:
+    """Ids are unique per trace: each process numbers its own range, the
+    one its pid names, and a forked child moves to its own at the fork."""
+
+    def test_ids_are_numbered_from_the_pid(self):
+        OBS.enable()
+        with OBS.span("a") as a:
+            pass
+        assert a.span_id >> 31 == os.getpid()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_numbers_its_own_range(self):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report one fresh id and leave
+            os.close(read)
+            os.write(write, str(span._next_span_id()).encode())
+            os._exit(0)
+        os.close(write)
+        child = int(os.read(read, 64))
+        os.close(read)
+        os.waitpid(pid, 0)
+        assert child >> 31 == pid != os.getpid()
+        assert span._next_span_id() >> 31 == os.getpid()
 
 class TestWireCodec:
     def test_round_trip(self):
