@@ -295,7 +295,9 @@ class CSRGraph:
             src, dst = src[keep], dst[keep]
         all_src = np.concatenate([src, dst])
         all_dst = np.concatenate([dst, src])
-        return CSRGraph.from_edges(all_src, all_dst, self.num_vertices, dedup=True)
+        graph = CSRGraph.from_edges(all_src, all_dst, self.num_vertices, dedup=True)
+        graph._is_undirected = True  # both directions of every edge, once
+        return graph
 
     def remove_self_loops(self) -> "CSRGraph":
         src, dst = self.edges()
@@ -351,7 +353,9 @@ class CSRGraph:
         """True if the adjacency pattern is symmetric (cached: the O(E)
         check runs once per graph — graphs are immutable)."""
         if self._is_undirected is None:
-            a = self.to_scipy(dtype=np.int8)
+            # Parallel edges are counted: int64, as an int8 count of 256
+            # copies wraps to 0 and passes for no edge at all.
+            a = self.to_scipy(dtype=np.int64)
             self._is_undirected = bool((a != a.T).nnz == 0)
         return self._is_undirected
 

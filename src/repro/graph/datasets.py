@@ -134,13 +134,21 @@ def make_features(
     rng = as_generator(seed)
     n = graph.num_vertices
     centroids = rng.normal(0.0, class_separation, size=(num_classes, feature_dim))
-    x = centroids[labels] + rng.normal(0.0, noise, size=(n, feature_dim))
+    # Built in place: addition is commutative, so ``noise += centroid`` is
+    # bit for bit ``centroid + noise``, and at most two N x D float64 arrays
+    # are ever alive.
+    x = rng.normal(0.0, noise, size=(n, feature_dim))
+    x += centroids[labels]
     if smoothing > 0 and graph.num_edges:
         adj = graph.to_scipy(dtype=np.float32)
         inv_deg = 1.0 / np.maximum(graph.degrees, 1)
         norm_adj = sp.diags(inv_deg.astype(np.float32)) @ adj
-        x = (1.0 - smoothing) * x + smoothing * (norm_adj @ x)
-    return np.ascontiguousarray(x, dtype=np.float32)
+        smoothed = norm_adj @ x
+        smoothed *= smoothing
+        x *= 1.0 - smoothing
+        x += smoothed
+        del smoothed  # gone before the float32 copy below is made
+    return x.astype(np.float32)
 
 
 def make_splits(

@@ -65,6 +65,18 @@ def pareto_degree_weights(
     return w * (avg_degree / w.mean())
 
 
+def _draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``np.searchsorted(cdf, rng.random(size), side="right")``, with the
+    queries searched in ascending order and scattered back: a sorted query
+    stream walks ``cdf`` front to back instead of jumping across it, and
+    every query still gets its own index."""
+    draws = rng.random(size)
+    order = np.argsort(draws)
+    out = np.empty(size, dtype=np.int64)
+    out[order] = np.searchsorted(cdf, draws[order], side="right")
+    return out
+
+
 def chung_lu(
     weights: np.ndarray,
     seed: SeedLike = None,
@@ -83,8 +95,8 @@ def chung_lu(
     m = int(round(w.sum() / 2)) if num_edges is None else int(num_edges)
     p = w / w.sum()
     cdf = np.cumsum(p)
-    src = np.searchsorted(cdf, rng.random(m), side="right").astype(np.int64)
-    dst = np.searchsorted(cdf, rng.random(m), side="right").astype(np.int64)
+    src = _draw_from_cdf(cdf, rng, m)
+    dst = _draw_from_cdf(cdf, rng, m)
     keep = src != dst
     return CSRGraph.from_edges(src[keep], dst[keep], n, dedup=True).to_undirected()
 
@@ -141,15 +153,15 @@ def power_law_community_graph(
             continue
         pw = w[members]
         cdf = np.cumsum(pw / pw.sum())
-        s = members[np.searchsorted(cdf, rng.random(m_c), side="right")]
-        d = members[np.searchsorted(cdf, rng.random(m_c), side="right")]
+        s = members[_draw_from_cdf(cdf, rng, m_c)]
+        d = members[_draw_from_cdf(cdf, rng, m_c)]
         src_parts.append(s)
         dst_parts.append(d)
 
     if m_inter > 0:
         cdf = np.cumsum(w / w.sum())
-        src_parts.append(np.searchsorted(cdf, rng.random(m_inter), side="right").astype(np.int64))
-        dst_parts.append(np.searchsorted(cdf, rng.random(m_inter), side="right").astype(np.int64))
+        src_parts.append(_draw_from_cdf(cdf, rng, m_inter))
+        dst_parts.append(_draw_from_cdf(cdf, rng, m_inter))
 
     src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)

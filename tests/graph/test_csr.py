@@ -112,7 +112,8 @@ class TestTransforms:
     def test_to_undirected_symmetric(self):
         g = CSRGraph.from_edges([0, 1, 3], [1, 2, 0], 4)
         u = g.to_undirected()
-        assert u.is_undirected()
+        # to_undirected presets the flag; a fresh graph computes it.
+        assert u.is_undirected() and CSRGraph(u.indptr, u.indices).is_undirected()
         assert u.num_edges == 6  # three undirected edges, both directions
 
     def test_to_undirected_removes_self_loops_on_request(self):
@@ -159,3 +160,9 @@ class TestUndirectedCheck:
     def test_is_undirected(self):
         assert path_graph(4).is_undirected()
         assert not CSRGraph.from_edges([0], [1], 2).is_undirected()
+
+    def test_is_undirected_counts_parallel_edges(self):
+        assert CSRGraph.from_edges([0, 0, 1, 1], [1, 1, 0, 0], 2).is_undirected()
+        assert not CSRGraph.from_edges([0, 0, 1], [1, 1, 0], 2).is_undirected()
+        # 256 one-way copies: a count that wraps in 8 bits reads as none.
+        assert not CSRGraph.from_edges([0] * 256, [1] * 256, 2).is_undirected()

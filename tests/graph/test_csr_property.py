@@ -37,7 +37,8 @@ def test_from_edges_roundtrip(data):
 def test_to_undirected_is_symmetric_and_idempotent(data):
     n, src, dst = data
     u = CSRGraph.from_edges(src, dst, n).to_undirected()
-    assert u.is_undirected()
+    # to_undirected presets the flag; a fresh graph computes it.
+    assert u.is_undirected() and CSRGraph(u.indptr, u.indices).is_undirected()
     assert u.to_undirected() == u
 
 

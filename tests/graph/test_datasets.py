@@ -1,5 +1,7 @@
 """Dataset factory tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,23 @@ class TestSyntheticDataset:
         row = tiny_dataset.summary_row()
         assert row[0] == "tiny"
         assert row[1] == tiny_dataset.num_vertices
+
+
+# sha1 over indptr, indices, features, labels and the train / val / test
+# splits of load_dataset(name, seed=0): the bundled datasets are content,
+# and every exact number downstream (partition, comm rows, losses) reads it.
+DATASET_DIGESTS = {
+    "papers-mini": "dc686181224c9696bd90935ad9c0fa22b91aed2f",
+    "mag240c-mini": "d56ab32d1a6adcb7b6fd7a3749056fbdccd6d21a",
+    "products-mini": "a054df74ae4baffb79503eda4de983aefe89dd0e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_DIGESTS))
+def test_bundled_dataset_keeps_its_digest(name):
+    ds = load_dataset(name, seed=0)
+    digest = hashlib.sha1()
+    for array in (ds.graph.indptr, ds.graph.indices, ds.features, ds.labels,
+                  ds.train_idx, ds.val_idx, ds.test_idx):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == DATASET_DIGESTS[name]

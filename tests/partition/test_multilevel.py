@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import CSRGraph
 from repro.partition import (
     evaluate_partition,
     metis_like_partition,
@@ -71,6 +72,25 @@ class TestQuality:
         w = -np.ones((tiny_graph.num_vertices, 1))
         with pytest.raises(ValueError, match="non-negative"):
             metis_like_partition(tiny_graph, 2, vertex_weights=w)
+
+    def test_rejects_nan_weights(self, tiny_graph):
+        w = np.ones((tiny_graph.num_vertices, 1))
+        w[3] = np.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            metis_like_partition(tiny_graph, 2, vertex_weights=w)
+
+    def test_rejects_a_directed_graph(self):
+        # A path stored one way only: each edge lacks its reverse.
+        directed = CSRGraph.from_edges(np.arange(299), np.arange(1, 300), 300)
+        with pytest.raises(ValueError, match="undirected"):
+            metis_like_partition(directed, 2, seed=0)
+        # Both directions, but one edge twice in one direction only.
+        src = np.r_[np.arange(299), np.arange(1, 300), 0]
+        dst = np.r_[np.arange(1, 300), np.arange(299), 1]
+        with pytest.raises(ValueError, match="undirected"):
+            metis_like_partition(CSRGraph.from_edges(src, dst, 300), 2, seed=0)
+        assert metis_like_partition(directed.to_undirected(), 2,
+                                    seed=0).num_parts == 2
 
     def test_weight_shape_mismatch(self, tiny_graph):
         with pytest.raises(ValueError, match="rows"):
