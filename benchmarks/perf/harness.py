@@ -65,13 +65,6 @@ Tracked stages
     walls are reported.  ``dense_wall_s`` includes the rebuild because
     that is what a snapshot-less consumer pays to evaluate on the mutated
     graph.
-``vip.boundary_refresh``
-    A phase boundary's refresh round on mag240c-mini (K = 4, a churn batch
-    plus a training-set swap, the ``train_drift`` shape): one
-    ``VIPTracker`` round, one batched ``(N, K)`` evaluation on the
-    overlay's ``materialize()``, against K single ``vip_probabilities``
-    calls on it (``dense_wall_s``); the K score vectors are asserted ``==``
-    before the walls are reported.
 ``recovery.mttr``
     Mean time-to-recovery for the standard chaos scenario: a worker killed
     mid-epoch on a real recoverable multiproc cluster, detected by the
@@ -578,74 +571,6 @@ def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
 
 
 # ----------------------------------------------------------------------
-def boundary_stages(stages: dict, *, num_machines=4, rounds=3) -> None:
-    """A phase boundary's refresh round on mag240c-mini: every machine's
-    training set swapped after one churn batch landed (the ``train_drift``
-    shape, K = 4 random partition), scored as one ``VIPTracker`` round —
-    one batched ``(N, K)`` evaluation on the overlay's ``materialize()`` —
-    against K single ``vip_probabilities`` calls on it.  Each side starts
-    from a tracker that scored the previous phase on a fresh overlay, so
-    both pay the one ``materialize()``; alternating rounds, best of
-    ``rounds``; the K score vectors are asserted ``==`` before the walls
-    are reported.
-    """
-    from repro.core import RunConfig
-    from repro.graph.generators import drifting_training_sets, edge_stream
-    from repro.graph.mutable import MutableGraph
-    from repro.partition import random_partition
-    from repro.vip import VIPTracker
-    from repro.vip.analytic import uniform_minibatch_probability
-
-    ds = load_dataset("mag240c-mini")
-    cfg = RunConfig(num_machines=num_machines).resolve(ds)
-    n = ds.num_vertices
-    owner = random_partition(n, num_machines, seed=0).assignment
-    phases = drifting_training_sets(ds.train_idx, ds.community, 2,
-                                    active_fraction=0.3, seed=0)
-
-    def round_of(train):
-        return {k: uniform_minibatch_probability(
-                    n, train[owner[train] == k], cfg.batch_size)
-                for k in range(num_machines)}
-
-    before, after = round_of(phases[0]), round_of(phases[1])
-    (batch,) = edge_stream(MutableGraph(ds.graph, compact_cutoff=None),
-                           num_batches=1, batch_edges=400,
-                           delete_fraction=0.25, seed=3)
-
-    def boundary():
-        mgraph = MutableGraph(ds.graph, compact_cutoff=None)
-        tracker = VIPTracker(mgraph, cfg.fanouts)
-        tracker.access(before)
-        mgraph.apply(batch)
-        return mgraph, tracker
-
-    def batched(mgraph, tracker):
-        return tracker.access(after)
-
-    def single(mgraph, tracker):
-        return {k: vip_probabilities(mgraph.materialize(), p0,
-                                     cfg.fanouts).access
-                for k, p0 in after.items()}
-
-    walls = {batched: [], single: []}
-    scores = {}
-    for _ in range(rounds):
-        for side in (batched, single):
-            state = boundary()
-            wall, scores[side] = _timed(lambda: side(*state))
-            walls[side].append(wall)
-    for k in range(num_machines):
-        if not np.array_equal(scores[batched][k], scores[single][k]):
-            raise AssertionError(
-                f"boundary round diverged from machine {k}'s own refresh")
-    stages["vip.boundary_refresh"] = _entry(
-        min(walls[batched]), rows=num_machines * n,
-        dense_wall_s=min(walls[single]), machines=num_machines,
-        bit_identical=True)
-
-
-# ----------------------------------------------------------------------
 def nn_stages(stages: dict, *, dataset=None, batches=15, rounds=5) -> None:
     """``train_batch`` on ``repro.nn`` vs the same step on the frozen
     pre-SpMM engine: same MFGs, same float32 feature rows, same weights."""
@@ -857,7 +782,6 @@ def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dic
     recovery_stages(stages)
     serving_stages(stages, num_requests=num_requests, dataset=dataset)
     streaming_stages(stages, dataset=dataset)
-    boundary_stages(stages)
     nn_stages(stages, dataset=dataset)
     sampling_stages(stages, dataset=dataset)
     gather_stages(stages, reordered=reordered)

@@ -27,6 +27,7 @@ if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
 import harness  # noqa: E402  (sibling module; resolved via the path insert)
+import loc  # noqa: E402
 
 
 def check_against_baselines(doc: dict, baselines: dict) -> list:
@@ -78,9 +79,10 @@ def check_against_baselines(doc: dict, baselines: dict) -> list:
 def append_history(doc: dict, path: str) -> dict:
     """Append one compact trajectory entry for this run to ``path``.
 
-    One JSON line per run — git sha, UTC timestamp, and the per-stage
-    walls/speedups — so the BENCH trajectory over commits can be plotted
-    without re-running old checkouts.  Returns the appended entry.
+    One JSON line per run — git sha, UTC timestamp, ``src/repro``'s code
+    line count (:mod:`loc`) and the per-stage walls/speedups — so the BENCH
+    trajectory over commits can be plotted without re-running old
+    checkouts.  Returns the appended entry.
     """
     import datetime
     import subprocess
@@ -97,6 +99,7 @@ def append_history(doc: dict, path: str) -> dict:
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "dataset": doc.get("dataset"),
+        "src_code_lines": loc.src_code_lines(),
         "stages": {
             stage: {
                 key: val for key, val in e.items()
@@ -147,6 +150,7 @@ def main(argv=None) -> int:
         speedup = entry.get("speedup_vs_dense")
         speedup = f"  {speedup:>6.2f}x vs dense" if speedup else ""
         print(f"  {stage:<{width}}  {entry['wall_s']*1e3:>10.2f} ms{speedup}")
+    print(f"src_code_lines {loc.src_code_lines()}")
 
     if args.check:
         with open(args.check) as fh:

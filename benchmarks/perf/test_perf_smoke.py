@@ -132,6 +132,31 @@ def test_append_history_entries_are_jsonl(tmp_path):
         assert "mean_loss" not in mp  # compact trajectory, walls only
     assert first["stages"]["gather.into"] == {
         "wall_s": 0.2, "speedup_vs_dense": 1.4}
+    assert first["src_code_lines"] == run.loc.src_code_lines() > 0
+
+
+def test_loc_counts_code_lines_only():
+    """Blank lines, comments and docstrings are not code; a string that
+    is not a docstring, and every line of a multi-line statement, are."""
+    import loc
+
+    source = '''"""Module docstring,
+spanning two lines."""
+
+# a comment
+import os  # trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        x = "not a docstring"
+        return os.path.join(x,
+                            x)
+'''
+    assert loc.code_lines(source) == 6
 
 
 def test_committed_history_file_is_valid_jsonl():

@@ -10,12 +10,13 @@ streaming extension that lifts that assumption:
    once, then refresh it per churn window with
    :func:`~repro.vip.incremental.incremental_vip`, comparing wall time and
    verifying **bit-identity** against a full Proposition-1 sweep on the
-   rebuilt (materialized) graph every window.
+   rebuilt (materialized) graph every window.  No live path calls this
+   wave; it stays until the end-to-end benchmark stops importing it.
 3. **Continual training** — push churn into a built ``vip-refresh`` system
    with :meth:`SalientPP.apply_graph_updates`; the next epoch samples the
    mutated topology and its caches re-rank on Proposition 1 evaluated on
-   that same overlay (``system.tracker``: one batched full evaluation on
-   the overlay's ``materialize()`` per refresh round).
+   that same overlay (``system.tracker``: one full evaluation per machine
+   on the overlay's ``materialize()`` per refresh round).
 4. **Serving under churn** — play the same mutation stream against an
    ``InferenceService`` between request windows.
 

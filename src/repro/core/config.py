@@ -91,8 +91,8 @@ class StreamingConfig:
     A live system mutates through :func:`repro.graph.mutable.land_batch`
     and scores ``vip-refresh`` through a
     :class:`repro.vip.incremental.VIPTracker`, one full evaluation of the
-    graph as sampled per refresh round; the overlay's compaction cutoff is
-    that module's default, not configuration.  Like
+    graph as sampled per consumer it rescores; the overlay's compaction
+    cutoff is that module's default, not configuration.  Like
     :class:`ServingConfig`, no preprocessing stage fingerprints this slice.
 
     Attributes
@@ -161,7 +161,7 @@ class RunConfig:
     # does not enter any preprocessing-stage fingerprint).
     serving: ServingConfig = field(default_factory=ServingConfig)
 
-    # Streaming-graph mutation (delta-CSR overlay + incremental VIP; see
+    # Streaming-graph mutation (delta-CSR overlay, scored by VIPTracker; see
     # repro.graph.mutable / repro.vip.incremental).  Serving- and
     # continual-training-time only, so also outside stage fingerprints.
     streaming: StreamingConfig = field(default_factory=StreamingConfig)

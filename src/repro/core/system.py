@@ -221,8 +221,8 @@ class SalientPP:
 
         Asks :attr:`tracker` for all K machines at once: a phase boundary
         refreshes every machine's cache, so the first provider call scores
-        the whole round in one batched pass and the other K - 1 get their
-        stored scores back (same graph version, same ``p[0]``)."""
+        the whole round, one evaluation per machine, and the other K - 1
+        get their stored scores back (same graph version, same ``p[0]``)."""
         n, trainer = self.tracker.graph.num_vertices, self.trainer
         p0s = {k: uniform_minibatch_probability(n, ids, trainer.batch_size)
                for k, ids in enumerate(trainer.local_train)}

@@ -245,8 +245,9 @@ class InferenceService:
         scores are zero and the cost-aware swap planner keeps the
         warm-start contents.
 
-        :attr:`tracker` runs the recursion on the graph it follows —
-        O(churn + seed drift) once that is a mutating overlay.
+        :attr:`tracker` runs the recursion on the graph it follows, one
+        full evaluation whenever the graph version or ``p[0]`` moved (a
+        mutating overlay through its ``materialize()``).
         """
         recent = self._recent_seeds[machine]
         if not recent:

@@ -211,5 +211,7 @@ class AheadProcess:
         if self in OPEN:
             OPEN.discard(self)
             self._finalizer.detach()
-            self.channel.close()
+            # Kill before closing the pipe: a child that reads EOF first
+            # ends on its own, and the kill then only reaps it.
             self.channel.proc.kill()
+            self.channel.close()

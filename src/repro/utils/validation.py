@@ -50,11 +50,9 @@ def check_probability_vector(p, name: str, *, allow_improper: bool = True) -> np
 
     With ``allow_improper=True`` (the default) the vector need not sum to 1 —
     VIP vectors are per-vertex inclusion probabilities, not a distribution.
-    A 2-D ``p`` is a matrix whose columns are such vectors.
+    ``p`` must be 1-D: one vector, not a matrix of them.
     """
-    arr = check_array(p, name, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{name} must have ndim 1 or 2, got ndim={arr.ndim}")
+    arr = check_array(p, name, dtype=np.float64, ndim=1)
     if arr.size:
         lo, hi = np.min(arr), np.max(arr)  # one NaN makes both NaN
         if not (np.isfinite(lo) and np.isfinite(hi)):

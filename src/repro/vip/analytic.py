@@ -48,15 +48,11 @@ within the summation-order bound ``count * eps * sum|x|`` per hop, and to
 the production full evaluation with ``==``, and ``benchmarks/perf`` times
 the production path against it.
 
-Several starting distributions are evaluated at once by passing ``p[0]``
-as an ``(N, k)`` matrix, one column each: every hop is still the one
-product ``rows @ g``, now with ``k`` columns, and column ``j`` of the
-result is bit-for-bit the 1-D evaluation of column ``j`` (a row's sum
-reads only its own sources, column by column, in the same order).  A
-refresh round's consumers are one such call.  Per-vertex transition arrays
-are cached per graph in a :class:`TransitionTable` (one entry per distinct
-fanout), shared by the K partition-wise recursions, every evaluation on
-the graph and every serving-time vip-refresh.
+One call evaluates one starting distribution, as the paper does once per
+seed distribution (§3.2).  Per-vertex transition arrays are cached per
+graph in a :class:`TransitionTable` (one entry per distinct fanout),
+shared by the K partition-wise recursions, every evaluation on the graph
+and every serving-time vip-refresh.
 Partition-wise VIP vectors (one per machine, seeded by that machine's local
 training set) drive both the remote-feature cache and the local CPU/GPU
 ordering (paper §3.2, §4.1).
@@ -205,11 +201,8 @@ def hop_values(tv: np.ndarray, p_prev: np.ndarray, rows: sp.csr_array, *,
     ``+0.0``.  ``active`` names the vertices whose factor is evaluated (all
     of them by default) and must cover every source of ``rows`` with
     ``p_prev != 0``; the rest keep the exact ``+0.0`` such a source's
-    ``log 1`` is, and adding ``+0.0`` changes no bit.  A 2-D ``p_prev``
-    (one distribution per column) gives one column of values each.
+    ``log 1`` is, and adding ``+0.0`` changes no bit.
     """
-    if p_prev.ndim == 2:
-        tv = tv[:, np.newaxis]
     if active is None:
         gv = _log_complement(tv * p_prev)
     else:
@@ -319,18 +312,6 @@ def transition_table(graph: CSRGraph) -> TransitionTable:
 # ----------------------------------------------------------------------
 # Proposition 1 on a static graph.
 
-def _live_rows(p: np.ndarray) -> np.ndarray:
-    """Per vertex: is any of its probabilities (one per column) nonzero.
-    Column by column: numpy's ``any(axis=1)`` over a few columns walks
-    each row separately and costs about twenty such passes."""
-    if p.ndim == 1:
-        return p != 0.0
-    live = p[:, 0] != 0.0
-    for j in range(1, p.shape[1]):
-        live |= p[:, j] != 0.0
-    return live
-
-
 def vip_probabilities(
     graph: CSRGraph,
     initial: np.ndarray,
@@ -338,8 +319,7 @@ def vip_probabilities(
     *,
     sparse_cutoff: float = SPARSE_HOP_CUTOFF,
 ) -> VIPResult:
-    """Evaluate Proposition 1 for one starting distribution, or for several
-    at once.
+    """Evaluate Proposition 1 for one starting distribution.
 
     Carries a frontier of vertices whose probability is nonzero and pushes
     from it — :func:`hop_values` over the transpose of the frontier's own
@@ -359,14 +339,8 @@ def vip_probabilities(
         directed graph pass the graph whose CSR row ``u`` lists the vertices
         ``v`` that can sample ``u`` (the reverse of the sampling direction).
     initial:
-        ``p[0]`` — per-vertex minibatch membership probabilities; an
-        ``(N, k)`` matrix evaluates ``k`` distributions in one pass, and
-        every array of the result then has one column per distribution,
-        column ``j`` ``==`` the evaluation of ``initial[:, j]`` alone.  The
-        frontier is then the union of the columns' supports; a source
-        outside one column's own frontier adds only that column's exact
-        ``+0.0``, so sharing the push changes no bit.  ``k`` must be at
-        least 1.
+        ``p[0]`` — per-vertex minibatch membership probabilities, a 1-D
+        vector.
     fanouts:
         Per-hop fanouts, hop 1 first; ``-1`` = full expansion.
     sparse_cutoff:
@@ -377,9 +351,6 @@ def vip_probabilities(
     p_prev = check_probability_vector(initial, "initial")
     if len(p_prev) != graph.num_vertices:
         raise ValueError("initial must have one probability per vertex")
-    if p_prev.ndim == 2 and p_prev.shape[1] == 0:
-        raise ValueError("initial must hold at least one distribution (one "
-                         f"column each), got shape {p_prev.shape}")
     table = transition_table(graph)
     n, m = graph.num_vertices, graph.num_edges
 
@@ -391,7 +362,7 @@ def vip_probabilities(
     # source order (the push would sum them in another order).
     pushable = graph.has_sorted_neighbors()
     frontier: Optional[np.ndarray] = (
-        np.flatnonzero(_live_rows(p_prev)) if pushable else None)
+        np.flatnonzero(p_prev != 0.0) if pushable else None)
 
     for fanout in fanouts:
         tv = table.vertex_transition(fanout)
@@ -404,7 +375,7 @@ def vip_probabilities(
             # operands in the pull's order.
             push = transition_table(table.incoming()).all_rows()[frontier]
             p_h = hop_values(tv[frontier], p_prev[frontier], push.T)
-            frontier = np.flatnonzero(_live_rows(p_h))
+            frontier = np.flatnonzero(p_h != 0.0)
             accumulate_total(log_not_total, p_h, where=frontier)
         else:
             # Row set: every row, in CSR order.
@@ -413,7 +384,7 @@ def vip_probabilities(
             # Recompute the frontier only while the support is small enough
             # that the next hop could plausibly take the sparse path.
             if pushable:
-                live = _live_rows(p_h)
+                live = p_h != 0.0
                 frontier = (np.flatnonzero(live)
                             if np.count_nonzero(live) <= sparse_cutoff * n
                             else None)
@@ -508,7 +479,7 @@ def expected_remote_volume(
     steps = np.asarray(steps_per_epoch, dtype=np.float64)
     if steps.shape != (K,):
         raise ValueError(f"steps_per_epoch must have shape ({K},), got {steps.shape}")
-    local = owner[np.newaxis, :] == np.arange(K)[:, np.newaxis]  # one-hot pass
+    local = np.equal.outer(np.arange(K), owner)  # one-hot pass
     contrib = np.where(local, 0.0, vip_matrix)
     if cached is not None:
         if cached.shape != (K, N):

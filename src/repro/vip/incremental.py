@@ -2,8 +2,9 @@
 refresh wave (dirty-frontier recursion).
 
 A live system scores ``vip-refresh`` through :class:`VIPTracker` only, and
-the tracker scores every round with one batched full evaluation on the
-graph as sampled, as the paper evaluates Proposition 1 (§3.2).  Measured,
+the tracker scores each consumer it must rescore with one full evaluation
+on the graph as sampled, as the paper evaluates Proposition 1 once per seed
+distribution (§3.2).  Measured,
 the wave below never paid on a live path: a training phase boundary trips
 its churn gate every time, and on the serving churn rung the full
 evaluation is cheaper.  The wave (:func:`snapshot_vip`,
@@ -345,13 +346,14 @@ class _Scored:
 
     def __init__(self, graph, p0: np.ndarray, access: np.ndarray):
         self.graph, self.version, self.access = graph, graph.version, access
-        self.support = np.flatnonzero(p0)
+        # Through a mask: flatnonzero of a float64 vector is ~10x slower.
+        self.support = np.flatnonzero(p0 != 0.0)
         self.values = p0[self.support]
 
     def matches(self, graph, p0: np.ndarray) -> bool:
         if self.graph is not graph or self.version != graph.version:
             return False
-        support = np.flatnonzero(p0)
+        support = np.flatnonzero(p0 != 0.0)
         return (np.array_equal(support, self.support)
                 and np.array_equal(p0[support], self.values))
 
@@ -365,11 +367,10 @@ class VIPTracker:
     the previous round whose graph version and ``p[0]`` both ``==`` the
     ones it was scored at gets its stored scores back (O(N)), so the K
     providers of one refresh round can each ask for all K consumers and
-    only the first call computes.  The rest share one batched
-    :func:`vip_probabilities` on the graph as sampled: a ``CSRGraph`` as
-    it is, a :class:`MutableGraph` through its ``materialize()`` (cached
-    per version).  Each consumer's scores equal ``vip_probabilities`` of
-    its ``p0`` alone on that graph, ``.access``, bit for bit.
+    only the first call computes.  Each of the rest is one
+    :func:`vip_probabilities` of its ``p0`` on the graph as sampled (a
+    ``CSRGraph`` as it is, a :class:`MutableGraph` through its
+    ``materialize()``, cached per version), ``.access``.
     """
 
     def __init__(self, graph, fanouts: Sequence[int]):
@@ -385,33 +386,23 @@ class VIPTracker:
         """Per-vertex access probability under each consumer's ``p0``
         (``{consumer: p0}`` in, ``{consumer: access}`` out, same order)."""
         graph = self.graph
+        sampled = None  # the graph as sampled, materialized once per call
         kept: Dict[object, _Scored] = {}
-        todo: Dict[object, np.ndarray] = {}
         for consumer, p0 in p0s.items():
             p0 = np.asarray(p0, dtype=np.float64)
             last = self._scored.get(consumer)
             if last is not None and last.matches(graph, p0):
                 kept[consumer] = last
-            else:
-                todo[consumer] = p0
-        if todo:
-            for (consumer, p0), access in zip(todo.items(),
-                                              self._score(list(todo.values()))):
-                access.flags.writeable = False  # handed out again on a hit
-                kept[consumer] = _Scored(graph, p0, access)
+                continue
+            if sampled is None:
+                sampled = (graph.materialize()
+                           if isinstance(graph, MutableGraph) else graph)
+            access = vip_probabilities(sampled, p0, self.fanouts).access
+            access.flags.writeable = False  # handed out again on a hit
+            kept[consumer] = _Scored(graph, p0, access)
+        if sampled is not None:
             # Only this round's consumers are kept: a round's later calls
             # ask for the same ones, and a serving tracker, asked for one
             # machine at a time, holds one machine's scores, not K.
             self._scored = kept
         return {consumer: kept[consumer].access for consumer in p0s}
-
-    def _score(self, p0s: List[np.ndarray]) -> List[np.ndarray]:
-        """Each ``p0``'s access scores from one evaluation: ``(N, K)``
-        for a round, the 1-D call for a lone consumer."""
-        graph = self.graph
-        if isinstance(graph, MutableGraph):
-            graph = graph.materialize()
-        if len(p0s) == 1:
-            return [vip_probabilities(graph, p0s[0], self.fanouts).access]
-        batched = vip_probabilities(graph, np.column_stack(p0s), self.fanouts)
-        return list(np.ascontiguousarray(batched.access.T))

@@ -248,13 +248,13 @@ class TestInitialChecked:
 
     def test_matrix_p0_rejected(self):
         """A snapshot or refresh scores one distribution: an ``(N, k)``
-        matrix, which ``vip_probabilities`` accepts, is refused here."""
+        matrix is refused by its rank."""
         mg, snap, p0 = self._setup()
         two = np.column_stack([p0, p0])
-        with pytest.raises(ValueError, match="one probability per vertex"):
+        with pytest.raises(ValueError, match="ndim=1"):
             snapshot_vip(mg, two, (3, 3))
         for churn_cutoff in (0.0, 1.0):
-            with pytest.raises(ValueError, match="one probability per vertex"):
+            with pytest.raises(ValueError, match="ndim=1"):
                 incremental_vip(mg, snap, two, churn_cutoff=churn_cutoff)
 
 

@@ -1,5 +1,5 @@
-"""``VIPTracker`` scores a live graph one way: one batched Proposition-1
-evaluation per round on the graph as sampled, memoized per
+"""``VIPTracker`` scores a live graph one way: one Proposition-1
+evaluation per consumer on the graph as sampled, memoized per
 ``(graph, version, p0)``.
 
 A round's scores are ``==`` each consumer scored alone, and both are ``==``
@@ -7,8 +7,8 @@ A round's scores are ``==`` each consumer scored alone, and both are ``==``
 drift, compaction and the re-point from the static base to the overlay
 that landing the first batch does.  The memo hands back the stored array
 for an unchanged consumer and evaluates exactly what moved: one changed
-``p[0]`` is one 1-D evaluation, a new graph version one ``(N, K)``
-evaluation for the whole round.
+``p[0]`` is one 1-D evaluation, a new graph version one 1-D evaluation per
+consumer of the round.
 """
 
 import numpy as np
@@ -80,10 +80,10 @@ def _tracker(overlay):
 def test_unchanged_round_returns_the_stored_arrays(overlay, evaluations):
     _mg, tracker, round_ = _tracker(overlay)
     first = tracker.access(round_)
-    assert evaluations == [(120, 4)]
+    assert evaluations == [(120,)] * 4
     again = tracker.access({k: p0.copy() for k, p0 in round_.items()})
     assert all(again[k] is first[k] for k in round_)
-    assert evaluations == [(120, 4)]
+    assert evaluations == [(120,)] * 4
     assert not any(scores.flags.writeable for scores in first.values())
 
 
@@ -93,20 +93,20 @@ def test_one_changed_p0_is_one_evaluation(overlay, evaluations):
     first = tracker.access(round_)
     moved = {**round_, 2: sparse_p0(120, 10, seed=99)}
     got = tracker.access(moved)
-    assert evaluations == [(120, 4), (120,)]
+    assert evaluations == [(120,)] * 5
     assert all(got[k] is first[k] for k in (0, 1, 3))
     assert np.array_equal(got[2], full_access(mg.materialize(), moved[2],
                                               (3, 2)))
 
 
-def test_new_version_is_one_batched_evaluation(evaluations):
+def test_new_version_rescores_every_consumer(evaluations):
     mg, tracker, round_ = _tracker(overlay=False)
     tracker.access(round_)
     tracker.graph = mg  # re-pointed at the overlay: a new graph
     tracker.access(round_)
     mg.add_edges([1], [90])
     got = tracker.access(round_)
-    assert evaluations == [(120, 4)] * 3
+    assert evaluations == [(120,)] * 12
     mat = mg.materialize()
     for k, p0 in round_.items():
         assert np.array_equal(got[k], full_access(mat, p0, (3, 2)))

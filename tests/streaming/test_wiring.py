@@ -198,8 +198,8 @@ class TestTrainingMutations:
         assert np.array_equal(system.vip_matrix, built_matrix)
 
     def test_boundary_is_scored_in_one_round(self, tiny_dataset, monkeypatch):
-        """The K providers of a phase boundary share one batched
-        evaluation: the first call scores every machine, the others get
+        """The K providers of a phase boundary share one round: the first
+        call scores every machine, one evaluation each, and the others get
         the stored scores back."""
         from repro.vip import incremental
 
@@ -216,7 +216,7 @@ class TestTrainingMutations:
                             lambda *a, **k: calls.append(np.shape(a[1]))
                             or evaluate(*a, **k))
         scores = [system.training_vip_scores(k) for k in range(4)]
-        assert calls == [(N, 4)]
+        assert calls == [(N,)] * 4
         mat = system.tracker.graph.materialize()
         for k in range(4):
             p0 = uniform_minibatch_probability(N, tr.local_train[k],
@@ -224,7 +224,7 @@ class TestTrainingMutations:
             assert np.array_equal(scores[k], full_access(mat, p0, tr.fanouts))
         assert all(system.training_vip_scores(k) is scores[k]
                    for k in range(4))
-        assert calls == [(N, 4)]
+        assert calls == [(N,)] * 4
 
     def test_mutating_one_system_leaves_its_siblings_alone(self, tiny_dataset):
         planner = Planner()

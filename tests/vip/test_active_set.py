@@ -111,6 +111,31 @@ class TestActiveSetParity:
                                               sparse_cutoff=cutoff),
                             g, p0, (5, 4, 3))
 
+    @pytest.mark.parametrize("cutoff", [0.0, SPARSE_HOP_CUTOFF, 1.0])
+    def test_disjoint_local_seeds_full_expansion(self, cutoff):
+        """Seed groups far apart under full-expansion hops: most rows touch
+        no frontier vertex and sum only ``+0.0``, whichever way each hop
+        runs."""
+        g = erdos_renyi(300, 3.0, seed=2)
+        p0 = np.zeros(300)
+        for lo in (0, 100, 200):
+            p0[lo:lo + 3] = 0.5
+        assert_matches_full(vip_probabilities(g, p0, (-1, 2, -1),
+                                              sparse_cutoff=cutoff),
+                            g, p0, (-1, 2, -1))
+
+    def test_zero_distribution_reaches_nothing(self):
+        """A partition without training vertices seeds nothing: every hop
+        is all zeros at every cutoff."""
+        g = erdos_renyi(300, 3.0, seed=2)
+        p0 = np.zeros(300)
+        for cutoff in (0.0, SPARSE_HOP_CUTOFF, 1.0):
+            result = vip_probabilities(g, p0, (-1, 2, -1),
+                                       sparse_cutoff=cutoff)
+            assert not result.total.any()
+            assert not any(h.any() for h in result.hopwise)
+            assert_matches_full(result, g, p0, (-1, 2, -1))
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_push_reads_only_the_frontier_rows(self, monkeypatch, directed):
         """A sparse hop's operator holds exactly the frontier's own rows of

@@ -108,8 +108,19 @@ class TestRangesAndMonotonicity:
         g = small_er_graph
         with pytest.raises(ValueError, match="one probability per vertex"):
             vip_probabilities(g, np.zeros(3), (2,))
-        with pytest.raises(ValueError, match="entries must lie"):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             vip_probabilities(g, np.full(g.num_vertices, 1.5), (2,))
+        with pytest.raises(ValueError, match="ndim"):
+            vip_probabilities(g, np.float64(0.5), (2,))
+
+    def test_rejects_a_matrix_of_distributions(self, small_er_graph):
+        """One call evaluates one distribution: an ``(N, k)`` ``initial``
+        is refused by its rank, however many columns it has."""
+        g = small_er_graph
+        n = g.num_vertices
+        for shape in ((n, 2), (n, 1), (n, 0), (n, 2, 1)):
+            with pytest.raises(ValueError, match="ndim=1"):
+                vip_probabilities(g, np.zeros(shape), (2,))
 
 
 class TestPartitionwise:
