@@ -76,26 +76,40 @@ def check_against_baselines(doc: dict, baselines: dict) -> list:
     return failures
 
 
+def git_stamp(root: str = _REPO_ROOT) -> dict:
+    """The tree a run measured: ``git_sha``, the commit checked out, and
+    ``dirty``, whether the working tree differed from it (a changed,
+    staged or untracked, non-ignored file) — then the code that ran is
+    ``git_sha`` plus uncommitted changes, not ``git_sha``.  Both ``None``
+    outside a git checkout."""
+    import subprocess
+
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True,
+                              text=True, cwd=root, timeout=10)
+
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode:
+            return {"git_sha": None, "dirty": None}
+        return {"git_sha": head.stdout.strip(),
+                "dirty": bool(git("status", "--porcelain").stdout.strip())}
+    except (OSError, subprocess.SubprocessError):
+        return {"git_sha": None, "dirty": None}
+
+
 def append_history(doc: dict, path: str) -> dict:
     """Append one compact trajectory entry for this run to ``path``.
 
-    One JSON line per run — git sha, UTC timestamp, ``src/repro``'s code
-    line count (:mod:`loc`) and the per-stage walls/speedups — so the BENCH
-    trajectory over commits can be plotted without re-running old
-    checkouts.  Returns the appended entry.
+    One JSON line per run — the measured tree (:func:`git_stamp`), UTC
+    timestamp, ``src/repro``'s code line count (:mod:`loc`) and the
+    per-stage walls/speedups — so the BENCH trajectory over commits can be
+    plotted without re-running old checkouts.  Returns the appended entry.
     """
     import datetime
-    import subprocess
 
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            cwd=_REPO_ROOT, timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
     entry = {
-        "git_sha": sha,
+        **git_stamp(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "dataset": doc.get("dataset"),

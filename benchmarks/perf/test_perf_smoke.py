@@ -127,12 +127,42 @@ def test_append_history_entries_are_jsonl(tmp_path):
         entry = json.loads(line)
         assert entry["dataset"] == "papers-mini"
         assert "timestamp_utc" in entry and "git_sha" in entry
+        assert entry["dirty"] in (True, False, None)
         mp = entry["stages"]["train.epoch_bsp_multiproc"]
         assert mp["wall_s"] == 1.5 and mp["cores"] == 8
         assert "mean_loss" not in mp  # compact trajectory, walls only
     assert first["stages"]["gather.into"] == {
         "wall_s": 0.2, "speedup_vs_dense": 1.4}
     assert first["src_code_lines"] == run.loc.src_code_lines() > 0
+
+
+def test_history_stamps_the_tree_it_measured(tmp_path):
+    """``git_sha`` alone would name the parent of an uncommitted tree:
+    ``dirty`` says whether the measured tree was that commit."""
+    import subprocess
+
+    import run
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True,
+                       capture_output=True)
+
+    assert run.git_stamp(str(tmp_path)) == {"git_sha": None, "dirty": None}
+    git("init", "-q")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "one")
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path,
+                         capture_output=True, text=True).stdout.strip()
+    assert run.git_stamp(str(tmp_path)) == {"git_sha": sha, "dirty": False}
+    (tmp_path / "code.py").write_text("x = 2\n")
+    assert run.git_stamp(str(tmp_path)) == {"git_sha": sha, "dirty": True}
+    git("commit", "-q", "-am", "two")
+    stamp = run.git_stamp(str(tmp_path))
+    assert stamp["git_sha"] != sha and stamp["dirty"] is False
+    (tmp_path / "new.py").write_text("y = 1\n")
+    assert run.git_stamp(str(tmp_path))["dirty"] is True
 
 
 def test_loc_counts_code_lines_only():

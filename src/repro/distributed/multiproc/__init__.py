@@ -29,7 +29,8 @@ Modules
     The worker process: rebuild machine ``k``'s trainer surface from the
     spec over the shared segments, run the engine, ship the records.
 :mod:`~repro.distributed.multiproc.pool`
-    Worker processes as a resource: spawn, the one stop → join → terminate
+    Worker processes as a resource: a fork of the coordinator per worker
+    (named ``repro-mp-worker``), the one stop → join → terminate
     → kill ladder, and the pool of generic idle workers
     (:data:`WORKER_POOL`: ``park(workers)`` / ``take(n)``).
 :mod:`~repro.distributed.multiproc.coordinator`
@@ -44,8 +45,9 @@ graph's CSR arrays, and the labels into ``multiprocessing.shared_memory``
 segments, plus one ``grads`` segment holding the
 :class:`~repro.distributed.shm_plane.GradientPlane` — ``K + 1`` seqlock-
 guarded gradient slabs (one per worker plus the averaged result).  Workers
-attach with ``resource_tracker`` registration suppressed (the coordinator
-owns the lifecycle, so only its create/unlink pair is ever tracked); their
+are forked with an inert ``resource_tracker`` (:func:`repro.utils.ahead.fork`),
+so their attaches go untracked (the coordinator owns the lifecycle, so only
+its create/unlink pair is ever tracked); their
 feature store's K machine stores are views into the segments, so "remote"
 fetches cross a process boundary in plan terms while the rows come from
 shared memory.
@@ -95,7 +97,7 @@ backend's ``recoverable`` flag:
 * **recoverable**: a *mid-epoch* failure leaves the cluster standing in a
   faulted state; :meth:`MultiprocBackend.recover` reaps the failed ranks,
   quiesces the survivors (``abort``), resets the gradient plane, binds
-  replacements (parked workers from the pool first, then fresh spawns)
+  replacements (parked workers from the pool first, then fresh forks)
   with the fault schedule cleared, and restores a
   :meth:`~MultiprocBackend.capture_checkpoint` snapshot, after which the
   interrupted epoch replays bit-identically
@@ -105,8 +107,11 @@ backend's ``recoverable`` flag:
 Faults are injected declaratively (:class:`~repro.distributed.faults.FaultPlan`:
 kill / hang / corrupt / torn at an ``(epoch, step)``).  A
 ``weakref.finalize`` guard performs the teardown at interpreter exit if a
-caller forgets :meth:`MultiprocBackend.close`; faulted or fault-scheduled
-clusters are never parked into the warm pool.
+caller forgets :meth:`MultiprocBackend.close`.  A coordinator that dies
+without either (killed, ``os._exit``) leaves nothing running: each worker
+holds no pipe but its own, so it reads end-of-stream and exits, and the
+coordinator's resource tracker unlinks the segments.  Faulted or
+fault-scheduled clusters are never parked into the warm pool.
 
 Scope: ``bsp`` and ``pipelined`` engines, static caches, partitioned
 storage.  Dynamic caches mutate per gather (workers attach read-only) and

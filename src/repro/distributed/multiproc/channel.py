@@ -9,8 +9,9 @@ knows its process), a frame that fails its CRC, a frame of kind ``error``
 ``send`` into a pipe whose process has gone raises that process's last
 word the same way.  Liveness
 is part of the transport too: ``recv(deadline, watch=...)`` waits on its
-own pipe *and* the process sentinels of the ``watch``\\ ed peers, so a
-death anywhere ends the wait at once, attributed to the peer that died.
+own pipe *and* the process sentinels of the ``watch``\\ ed peers not yet
+reaped, so a death anywhere ends the wait at once, attributed to the peer
+that died.
 
 The coordinator holds one channel per rank, the worker holds one to the
 coordinator, and :func:`~repro.distributed.multiproc.pool.stop_workers`
@@ -90,8 +91,8 @@ class Channel:
         """The next frame, waiting until ``deadline`` (``time.monotonic``
         seconds; ``None`` blocks).  A ``watch``\\ ed peer whose process
         exits first raises that peer's failure instead."""
-        peers = {c.proc.sentinel: c for c in watch
-                 if c is not self and c.proc is not None}
+        peers = {c.proc.sentinel: c for c in watch if c is not self
+                 and c.proc is not None and c.proc.sentinel is not None}
         t0 = time.monotonic()
         timeout = None if deadline is None else max(deadline - t0, 0.0)
         ready = connection.wait([self.conn, *peers], timeout)

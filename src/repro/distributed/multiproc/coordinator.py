@@ -85,7 +85,7 @@ class MultiprocBackend(ClusterBackend):
     """Coordinator for K worker processes over shared-memory segments.
 
     Built lazily: the first :meth:`run_epoch` creates the segments and
-    spawns (or takes from :data:`WORKER_POOL`) the workers; they persist
+    forks (or takes from :data:`WORKER_POOL`) the workers; they persist
     across epochs (sampler and optimizer state live worker-side, exactly
     as the in-process trainer's persists across epochs).  :meth:`evaluate`
     is one more round: the workers score their own shards.  After a non-dry
@@ -104,7 +104,7 @@ class MultiprocBackend(ClusterBackend):
     keep_warm:
         Park the workers into the module-level :data:`WORKER_POOL` on clean
         close instead of stopping them, so the next backend — of any
-        configuration — skips the spawn cost.  Off by default — with it
+        configuration — skips the forks.  Off by default — with it
         off, ``close()`` leaves every worker process dead (the teardown
         contract the fault suite asserts).  Mutable attribute; fault-
         injected or mid-epoch clusters are never parked regardless.
@@ -187,7 +187,7 @@ class MultiprocBackend(ClusterBackend):
         #: inspectable so tests can assert the derived seed contract.
         self.worker_specs: List[WorkerSpec] = []
         #: True when start() bound parked workers from the warm pool (any
-        #: it lacked were spawned).
+        #: it lacked were forked).
         self.reused_pool = False
         #: kind -> [message_count, total_bytes] for each pipe direction.
         self.wire_sent: Dict[str, List[int]] = {}
@@ -206,11 +206,13 @@ class MultiprocBackend(ClusterBackend):
 
     @property
     def processes(self) -> List:
-        """The worker Process objects (test hook; empty before start)."""
+        """The workers' :class:`~repro.utils.ahead.ForkedChild` handles
+        (test hook; empty before start)."""
         return [ch.proc for ch in self._channels]
 
     def start(self) -> None:
-        """Create segments, spawn or take workers, bind their specs."""
+        """Create segments, fork or take workers, bind their specs.  Refused
+        (``RuntimeError``) while this process runs a second thread."""
         if self._started:
             return
         tr = self.system.trainer
@@ -288,7 +290,7 @@ class MultiprocBackend(ClusterBackend):
                     else "mp.warm_pool_misses").inc()
             fresh = list(range(len(taken), K))
             self._channels.extend(taken)
-            self._channels.extend(spawn_worker(k) for k in fresh)
+            self._channels.extend(spawn_worker() for _k in fresh)
             for k, ch in enumerate(self._channels):
                 self._adopt(k, ch)
 
@@ -315,7 +317,7 @@ class MultiprocBackend(ClusterBackend):
     def _bind(self, ranks: Iterable[int], fresh: Iterable[int],
               clear_faults: bool = False) -> None:
         """The bind handshake, shared by :meth:`start` and :meth:`recover`:
-        freshly spawned ranks first announce ``ready``; every rank in
+        freshly forked ranks first announce ``ready``; every rank in
         ``ranks`` is sent its :class:`WorkerSpec` and must answer ``bound``
         with its own machine id.  ``clear_faults`` binds an empty fault
         schedule (a replayed fault would re-fire identically and recovery
@@ -523,7 +525,7 @@ class MultiprocBackend(ClusterBackend):
         and drain their stale in-flight traffic; (3) reset the gradient
         plane's seqlock slabs; (4) bind a replacement for each failed rank
         — a parked worker from :data:`WORKER_POOL` while any is left, a
-        fresh spawn otherwise — with the fault schedule cleared (a replayed
+        fresh fork otherwise — with the fault schedule cleared (a replayed
         fault would re-fire identically and recovery would never
         converge); (5) restore every rank from ``checkpoint`` (``None``
         rewinds to epoch-0 initial state).
@@ -572,7 +574,7 @@ class MultiprocBackend(ClusterBackend):
                 for j, ch in zip(failed, spares):
                     self._adopt(j, ch)
                 for j in fresh:
-                    self._adopt(j, spawn_worker(j))
+                    self._adopt(j, spawn_worker())
                 self._bind(failed, fresh=fresh, clear_faults=True)
                 self._restore_all(checkpoint)
 

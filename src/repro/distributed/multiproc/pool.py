@@ -1,66 +1,56 @@
-"""Worker processes as a resource: spawning, stopping, and the warm pool.
+"""Worker processes as a resource: starting, stopping, and the warm pool.
 
-Spawning K interpreters and importing numpy in each costs seconds; binding
-a spec costs milliseconds.  A backend with ``keep_warm`` set **parks** its
-workers into :data:`WORKER_POOL` on clean close (they release every segment
-view and wait idle, holding no spec); the next backend — of any
-configuration — takes as many as it needs and binds them, amortizing the
-spawn cost across ``SalientPP`` runs.  :func:`stop_workers` is the one
-teardown ladder every owner of worker processes — a backend, the pool,
-recovery reaping a failed rank — goes through.
+A worker is forked from the coordinator (:func:`spawn_worker`), so it
+starts with the coordinator's imports in place: tens of milliseconds for
+K = 2, where a fresh interpreter importing numpy and scipy took about half
+a second each.  A backend with ``keep_warm`` set **parks** its workers into
+:data:`WORKER_POOL` on clean close (they release every segment view and
+wait idle, holding no spec); the next backend — of any configuration —
+takes as many as it needs and binds them, saving the forks.
+:func:`stop_workers` is the one teardown ladder every owner of worker
+processes — a backend, the pool, recovery reaping a failed rank — goes
+through.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
-import os
-import sys
+import ctypes
 import time
-from multiprocessing import get_context
 from typing import List
 
 from repro.distributed.multiproc.channel import Channel
 from repro.distributed.multiproc.worker import _worker_main
+from repro.obs import OBS
+from repro.utils.ahead import can_fork, fork
+
+_PR_SET_NAME = 15
 
 
-@contextlib.contextmanager
-def _spawn_safe_main():
-    """Make ``Process.start()`` safe when ``__main__`` has no real file.
-
-    The spawn context re-imports the parent's ``__main__`` in every child;
-    with code fed via stdin (``python -``, heredocs) the recorded path is
-    the pseudo-file ``"<stdin>"`` and the child dies in ``runpy`` before
-    reaching the worker target.  Our workers are self-contained (the target
-    is :func:`~repro.distributed.multiproc.worker._worker_main`, the state
-    a wire-encoded spec), so when the main module's file does not actually
-    exist we drop its ``__file__`` for the duration of the spawn —
-    ``get_preparation_data`` then skips the main-module fixup entirely.
-    """
-    main = sys.modules.get("__main__")
-    path = getattr(main, "__file__", None)
-    strip = (path is not None
-             and getattr(main, "__spec__", None) is None
-             and not os.path.exists(path))
-    if strip:
-        del main.__file__
-    try:
-        yield
-    finally:
-        if strip and not hasattr(main, "__file__"):
-            main.__file__ = path
+def _serve(channel: Channel) -> None:
+    """A forked worker's life: named ``repro-mp-worker`` (its sampler
+    process inherits the name — what the orphan probes match), with the
+    coordinator's telemetry dropped, then the generic worker loop."""
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = (ctypes.c_int, ctypes.c_char_p) + (ctypes.c_ulong,) * 3
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_NAME, b"repro-mp-worker", 0, 0, 0)
+    OBS.disable().reset()
+    _worker_main(channel)
 
 
-def spawn_worker(k: int) -> Channel:
-    """Spawn one generic worker; returns the coordinator's channel to it."""
-    ctx = get_context("spawn")
-    parent, child = ctx.Pipe(duplex=True)
-    proc = ctx.Process(target=_worker_main, args=(child,),
-                       daemon=True, name=f"repro-mp-worker-{k}")
-    with _spawn_safe_main():
-        proc.start()
-    child.close()
-    return Channel(parent, proc, machine=k)
+def spawn_worker() -> Channel:
+    """Fork one generic worker from this process
+    (:func:`repro.utils.ahead.fork`); returns the coordinator's channel to
+    it.  Refused while the process runs a second thread: a fork copies only
+    the calling thread, so a lock another thread holds would stay held in
+    the worker."""
+    if not can_fork():
+        raise RuntimeError(
+            "multiproc backend cannot start workers: they are forked from "
+            "this process, which runs more than one thread (or has no "
+            "os.fork)")
+    return fork(_serve)
 
 
 def stop_workers(channels: List[Channel], *, polite: bool = True) -> None:
@@ -105,8 +95,8 @@ def stop_workers(channels: List[Channel], *, polite: bool = True) -> None:
 
 class WorkerPool:
     """Parked warm workers: live, idle processes holding no spec and no
-    shared-memory attachment — just the imported interpreter (the
-    expensive part of a spawn).  Any worker can be bound as any rank of
+    shared-memory attachment — a started process with its imports in
+    place.  Any worker can be bound as any rank of
     any cluster, so the pool is one list.  Dead workers found at
     :meth:`take` time are disposed of; :meth:`clear` (also registered
     ``atexit``) stops everything politely, then escalates.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -126,28 +126,13 @@ def _create_segment(name: str, arr: np.ndarray):
     return shm, spec
 
 
-def _attach_shm(name: str):
-    """Attach an existing segment without resource-tracker registration.
-
-    On Python < 3.13 attaching registers the segment with the resource
-    tracker, which the coordinator's later ``unlink`` would then
-    double-unregister (the tracker keys by name, shared across the spawn
-    tree) — and a worker dying uncleanly would make the tracker unlink a
-    segment it does not own.  The coordinator created the segment and owns
-    its lifecycle, so the attach is made invisible to the tracker
-    (``track=False`` is the 3.13+ spelling of the same thing).
-    """
-    orig_register = resource_tracker.register
-    resource_tracker.register = lambda *a, **k: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = orig_register
-
-
 def _attach_segment(spec: SegmentSpec):
-    """Attach one segment read-only; returns ``(SharedMemory, view)``."""
-    shm = _attach_shm(spec.name)
+    """Attach one segment read-only; returns ``(SharedMemory, view)``.
+
+    Called in a forked worker, whose resource tracker is inert
+    (:func:`repro.utils.ahead.fork`): the coordinator created the segment,
+    and only its create/unlink pair is ever tracked."""
+    shm = shared_memory.SharedMemory(name=spec.name)
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
     view.flags.writeable = False
     return shm, view

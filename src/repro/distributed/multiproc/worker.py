@@ -19,6 +19,7 @@ import gc
 import os
 import time
 import traceback
+from multiprocessing import shared_memory
 from types import SimpleNamespace
 from typing import Tuple
 
@@ -31,7 +32,6 @@ from repro.distributed.multiproc.segments import (
     DIGEST_HEAD,
     WorkerSpec,
     _attach_segment,
-    _attach_shm,
     _plan_digest,
 )
 from repro.distributed.shm_plane import GradientPlane, SlabLayout
@@ -145,7 +145,7 @@ class _WorkerRuntime:
         # (read).  Both sides derive the layout from named_parameters()
         # order; the segment size check catches any disagreement.
         params = [p.data for _n, p in self.models[k].named_parameters()]
-        shm = _attach_shm(spec.segments["grads"].name)
+        shm = shared_memory.SharedMemory(name=spec.segments["grads"].name)
         self._shms.append(shm)
         self.grad_plane = GradientPlane(shm.buf, K,
                                         SlabLayout.from_templates(params))
@@ -350,14 +350,15 @@ class _PipeCollective:
             p.grad = g
 
 
-def _worker_main(conn) -> None:
-    """Worker process entry point (must be module-level for spawn).
+def _worker_main(channel: Channel) -> None:
+    """Worker process entry point, over its channel to the coordinator.
 
-    Generic: the process is spawned bare, announces ``ready``, and builds
-    its runtime only when the coordinator ``bind``\\ s a :class:`WorkerSpec`
-    over the pipe — which is also how a parked warm-pool worker is rebound
-    by a later backend.  ``park`` releases every shared-memory view and
-    returns the process to the idle loop.
+    Generic: the process is forked bare
+    (:func:`~repro.distributed.multiproc.pool.spawn_worker`), announces
+    ``ready``, and builds its runtime only when the coordinator ``bind``\\ s
+    a :class:`WorkerSpec` over the pipe — which is also how a parked
+    warm-pool worker is rebound by a later backend.  ``park`` releases
+    every shared-memory view and returns the process to the idle loop.
     """
     runtime = None
 
@@ -374,7 +375,6 @@ def _worker_main(conn) -> None:
             runtime.release()
             runtime = None
 
-    channel = Channel(conn)
     try:
         channel.send("ready", {"pid": os.getpid()})
         while True:
@@ -422,6 +422,6 @@ def _worker_main(conn) -> None:
             })
         except Exception:
             pass
-        os._exit(1)
+        raise
     finally:
         channel.close()

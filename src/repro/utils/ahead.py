@@ -19,7 +19,8 @@ descriptor but its end of the channel, ends with ``os._exit`` (no
 inherited ``atexit`` hook or finalizer runs in it — the multiproc
 backend's ``/dev/shm`` cleanup among them), and exits on end-of-stream
 from its parent.  The parent kills and reaps it from :meth:`close`, which
-a ``weakref.finalize`` on the owner also calls.
+a ``weakref.finalize`` on the owner also calls.  :func:`fork` is also how
+the multiproc backend starts its workers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 import time
 import traceback
 import weakref
-from multiprocessing import connection
+from multiprocessing import connection, resource_tracker
 from typing import Any, Callable, Iterator, Optional, Tuple
 
 #: Every :class:`AheadProcess` not yet closed — what ``tests/conftest.py``
@@ -73,18 +74,22 @@ def can_fork() -> bool:
 
 class ForkedChild:
     """The parent's handle on a forked child, with what a
-    :class:`~repro.distributed.multiproc.channel.Channel` reads off a
-    process: ``join(timeout)`` and ``exitcode`` (negative: the signal that
-    ended it).
+    :class:`~repro.distributed.multiproc.channel.Channel` and
+    :func:`~repro.distributed.multiproc.pool.stop_workers` read off a
+    process: ``sentinel`` (a pidfd, readable once the child has exited;
+    ``None`` once it is reaped, when the descriptor is closed),
+    ``join(timeout)``, ``is_alive()``, ``terminate()``, ``kill()`` and
+    ``exitcode`` (negative: the signal that ended it).
 
-    Not a ``multiprocessing`` fork ``Process``: the multiproc backend's
-    workers are daemonic, and ``Process.start`` refuses to start a child
-    from a daemonic process — yet a worker forks its sampler like any
-    engine."""
+    Not a ``multiprocessing`` fork ``Process``: ``Process.start`` refuses
+    to start a child from a daemonic process, and a fork ``Process``'s
+    sentinel is a pipe whose write end the child holds — the child closing
+    its inherited descriptors would close it too."""
 
     def __init__(self, pid: int):
         self.pid = pid
         self.exitcode: Optional[int] = None
+        self.sentinel: Optional[int] = os.pidfd_open(pid)
 
     def join(self, timeout: Optional[float] = None) -> None:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -93,16 +98,30 @@ class ForkedChild:
                 self.pid, 0 if deadline is None else os.WNOHANG)
             if pid:
                 self.exitcode = os.waitstatus_to_exitcode(status)
+                os.close(self.sentinel)
+                self.sentinel = None
             elif time.monotonic() >= deadline:
                 return
             else:
                 time.sleep(0.001)
+
+    def is_alive(self) -> bool:
+        self.join(0)
+        return self.exitcode is None
+
+    def terminate(self) -> None:
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGTERM)
 
     def kill(self) -> None:
         """End the child now (idempotent) and reap it."""
         if self.exitcode is None:
             os.kill(self.pid, signal.SIGKILL)  # a zombie takes it too
             self.join()
+
+
+def _untracked(*_args, **_kwargs) -> None:
+    """``resource_tracker``'s entry points in a forked child."""
 
 
 def fork(serve: Callable[[Any], None]):
@@ -124,6 +143,12 @@ def fork(serve: Callable[[Any], None]):
             os.closerange(3, fd)
             os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
             gc.freeze()  # the inherited heap is never collected here
+            # The parent's resource tracker pipe was closed above: a
+            # register would write to a dead (or reused) descriptor, then
+            # close it and start a tracker of the child's own.  Whatever the
+            # child maps, its parent created and tracks.
+            for name in ("ensure_running", "register", "unregister"):
+                setattr(resource_tracker, name, _untracked)
             serve(Channel(child_end))
             code = 0
         finally:

@@ -43,6 +43,24 @@ def either_side_of_the_spare_core_rule(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture
+def started_workers(monkeypatch):
+    """Every worker process a multiproc backend forks during the test (its
+    handle, in start order) — for ``invariants.unreaped`` once the backend
+    is closed."""
+    from repro.distributed.multiproc import coordinator
+
+    started, spawn = [], coordinator.spawn_worker
+
+    def recording():
+        channel = spawn()
+        started.append(channel.proc)
+        return channel
+
+    monkeypatch.setattr(coordinator, "spawn_worker", recording)
+    return started
+
+
 @pytest.fixture(scope="session")
 def check_invariants():
     """The shared accounting laws: ``check_invariants(report)`` for a

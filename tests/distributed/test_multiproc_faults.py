@@ -13,11 +13,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from multiprocessing import shared_memory
 
 import pytest
 
+import invariants
 from repro.core import RunConfig, SalientPP
 from repro.distributed import FaultPlan, MultiprocBackend, WorkerFailedError
 from repro.distributed.multiproc import WORKER_POOL
@@ -25,6 +27,9 @@ from repro.graph.datasets import make_tiny
 
 # Every test runs with the workers sampling inline and sampling ahead.
 pytestmark = pytest.mark.usefixtures("either_side_of_the_spare_core_rule")
+
+_REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def _build_system():
@@ -79,7 +84,8 @@ def test_external_kill_between_epochs():
 
 
 @pytest.mark.parametrize("victim", [0, 1])
-def test_worker_killed_before_evaluate_raises_and_tears_down(victim):
+def test_worker_killed_before_evaluate_raises_and_tears_down(
+        victim, started_workers):
     # The eval round is a round like any other: a rank that died after its
     # last epoch fails it at once, named and blamed on its death, and the
     # cluster is torn down without leaving a segment or a child behind.
@@ -96,6 +102,7 @@ def test_worker_killed_before_evaluate_raises_and_tears_down(victim):
     _assert_fully_torn_down(backend)
     assert set(glob.glob("/dev/shm/rpmp*")) <= segments
     assert set(multiprocessing.active_children()) <= children
+    assert not invariants.unreaped(started_workers + backend.processes)
 
 
 def test_evaluate_refused_like_run_epoch_on_a_closed_or_faulted_backend():
@@ -204,7 +211,8 @@ def test_timeout_s_must_be_positive_and_finite(timeout_s):
         MultiprocBackend(_build_system(), timeout_s=timeout_s)
 
 
-def test_replacement_dying_in_recover_escalates_at_once(monkeypatch):
+def test_replacement_dying_in_recover_escalates_at_once(monkeypatch,
+                                                        started_workers):
     # A replacement rank that dies while recover() binds it fails the
     # recovery at once, blamed on its death — not 120 s later on the ready
     # handshake's deadline, blamed on a timeout — and recovery escalates to
@@ -223,8 +231,8 @@ def test_replacement_dying_in_recover_escalates_at_once(monkeypatch):
 
     spawn, spawned = coordinator.spawn_worker, []
 
-    def dead_on_arrival(k):
-        channel = spawn(k)
+    def dead_on_arrival():
+        channel = spawn()
         channel.proc.kill()
         channel.proc.join()
         spawned.append(channel.proc)
@@ -241,6 +249,8 @@ def test_replacement_dying_in_recover_escalates_at_once(monkeypatch):
     _assert_fully_torn_down(backend)
     assert set(glob.glob("/dev/shm/rpmp*")) <= segments
     assert set(multiprocessing.active_children()) <= children
+    assert len(started_workers) == 3  # two at start, one in recover()
+    assert not invariants.unreaped(started_workers)
 
 
 # ----------------------------------------------------------------------
@@ -366,3 +376,179 @@ def test_no_resource_tracker_leak_warnings():
     assert "leaked" not in proc.stderr, proc.stderr
     assert "KeyError" not in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+# ----------------------------------------------------------------------
+# forked workers: what a fork inherits, and what it must not keep
+# ----------------------------------------------------------------------
+
+_DYING_COORDINATOR = """
+import os, sys, time
+from repro.core import RunConfig, SalientPP
+from repro.graph.datasets import make_tiny
+
+cfg = RunConfig(num_machines=2, fanouts=(4, 3), batch_size=16, hidden_dim=16,
+                replication_factor=0.05, gpu_fraction=0.5, seed=0,
+                backend="multiproc")
+system = SalientPP.build(make_tiny(seed=3, num_vertices=2000), cfg)
+backend = system.backend()
+backend.start()
+print(*(p.pid for p in backend.processes), flush=True)
+print(*backend.segment_names, flush=True)
+if sys.argv[1] == "killed-mid-epoch":
+    def stall(step):  # every worker has posted the step and waits for avg
+        print("mid-epoch", flush=True)
+        time.sleep(600)
+    backend._average_step = stall
+    system.train_epoch(0)
+system.train_epoch(0)
+print("trained", flush=True)
+if sys.argv[1] == "os-exit":
+    os._exit(0)  # no finalizer, no atexit: nothing of the backend's runs
+"""
+
+
+@pytest.mark.parametrize("death", ["killed-mid-epoch", "os-exit", "exit"])
+def test_a_dead_coordinator_leaves_no_worker_and_no_segment(death):
+    # Whatever way the coordinator goes without shutdown(), its workers read
+    # end-of-stream on their pipe (no sibling holds it: each fork closed
+    # every descriptor but its own) and exit, and its resource tracker
+    # unlinks the segments.
+    before = invariants.worker_pids()
+    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"))
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _DYING_COORDINATOR, death],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env, cwd=_REPO)
+    try:
+        workers = {int(pid) for pid in coordinator.stdout.readline().split()}
+        segments = coordinator.stdout.readline().split()
+        assert len(workers) == 2 and workers <= invariants.worker_pids()
+        assert segments and all(os.path.exists(f"/dev/shm/{name}")
+                                for name in segments)
+        last = "mid-epoch" if death == "killed-mid-epoch" else "trained"
+        assert coordinator.stdout.readline().strip() == last
+        if death == "killed-mid-epoch":
+            coordinator.kill()
+        coordinator.wait(60)
+    finally:
+        coordinator.kill()
+        coordinator.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and (
+            invariants.worker_pids() - before
+            or any(os.path.exists(f"/dev/shm/{n}") for n in segments)):
+        time.sleep(0.05)
+    assert not invariants.worker_pids() - before
+    assert not [n for n in segments if os.path.exists(f"/dev/shm/{n}")]
+
+
+def test_the_orphan_probe_sees_a_forked_worker():
+    # The name every forked worker (and the sampler it forks) carries is
+    # what CI's probe and invariants.worker_pids() match: a worker nobody
+    # stops is found, a stopped one is not.
+    from repro.distributed.multiproc.pool import spawn_worker, stop_workers
+
+    channel = spawn_worker()
+    try:
+        assert channel.recv(time.monotonic() + 30.0)[0] == "ready"
+        with open(f"/proc/{channel.proc.pid}/comm") as fh:
+            assert fh.read().strip() == "repro-mp-worker"
+        assert channel.proc.pid in invariants.worker_pids()
+    finally:
+        stop_workers([channel])
+    assert channel.proc.pid not in invariants.worker_pids()
+    assert not invariants.unreaped([channel.proc])
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_a_start_shutdown_cycle_closes_every_descriptor():
+    # Every worker is watched through a pidfd; reaping it closes the pidfd,
+    # and shutdown reaps every worker.
+    def cycle():
+        backend = MultiprocBackend(_build_system(), timeout_s=30.0)
+        backend.start()
+        assert all(p.sentinel is not None for p in backend.processes)
+        backend.close()
+        assert all(p.sentinel is None for p in backend.processes)
+
+    WORKER_POOL.clear()
+    cycle()  # opens what stays open for good: the resource tracker's pipe
+    fds = _open_fds()
+    cycle()
+    assert _open_fds() == fds
+
+
+def test_a_forked_worker_starts_no_resource_tracker():
+    # A forked worker closed its inherited resource-tracker pipe; attaching
+    # a segment registers it, which with a live tracker module would probe
+    # the dead descriptor and start a tracker of the worker's own.
+    backend = MultiprocBackend(_build_system(), timeout_s=30.0)
+    try:
+        backend.run_epoch(0)  # every worker has attached every segment
+        for proc in backend.processes:
+            children = subprocess.run(
+                ["pgrep", "-P", str(proc.pid)],
+                capture_output=True, text=True).stdout.split()
+            # A worker's one child is its sampler process, when it has one
+            # (a tracker would be a fresh interpreter, named python).
+            assert len(children) <= 1
+            for child in children:
+                with open(f"/proc/{child}/comm") as fh:
+                    assert fh.read().strip() == "repro-mp-worker"
+    finally:
+        backend.close()
+    _assert_fully_torn_down(backend)
+
+
+def test_a_traced_epoch_holds_no_coordinator_span_twice():
+    # The workers fork while the coordinator holds recorded and open spans;
+    # what a worker ships back is only its own.
+    from repro.obs import OBS
+
+    OBS.reset()
+    OBS.enable()
+    try:
+        with OBS.span("test.recorded"):
+            pass
+        with OBS.span("test.open"):
+            backend = MultiprocBackend(_build_system(), timeout_s=30.0)
+            try:
+                backend.run_epoch(0)
+            finally:
+                backend.close()
+        spans = list(OBS.tracer.spans)
+    finally:
+        OBS.disable()
+        OBS.reset()
+    ids = [s.span_id for s in spans]
+    assert len(ids) == len(set(ids))
+    lanes = {s.lane for s in spans}
+    assert {"worker-0", "worker-1"} <= lanes
+    coordinator = [s.name for s in spans if s.lane == "coordinator"]
+    assert coordinator.count("test.recorded") == 1
+    assert coordinator.count("test.open") == 1
+    assert not {s.name for s in spans if s.lane.startswith("worker")} \
+        & {"test.recorded", "test.open", "mp.epoch"}
+
+
+def test_start_refuses_while_a_second_thread_runs():
+    # A fork copies only the calling thread; a lock another thread holds
+    # would stay held in the worker.  So no worker is forked then.
+    WORKER_POOL.clear()
+    segments = set(glob.glob("/dev/shm/rpmp*"))
+    backend = MultiprocBackend(_build_system(), timeout_s=30.0)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with pytest.raises(RuntimeError, match="more than one thread"):
+            backend.start()
+    finally:
+        release.set()
+        other.join()
+    assert backend.processes == []
+    assert set(glob.glob("/dev/shm/rpmp*")) <= segments

@@ -19,13 +19,13 @@ import math
 import multiprocessing
 import os
 import signal
-import subprocess
 import time
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+import invariants
 from repro.core import RunConfig, SalientPP
 from repro.core.planner import ArtifactCache
 from repro.distributed import (
@@ -259,20 +259,11 @@ def test_worker_killed_during_capture_recovers_bit_identical(oracle_losses):
     _assert_fully_torn_down(backend)
 
 
-def _spawned_pids():
-    """Every live process started by a ``multiprocessing`` spawn — the
-    workers, and the sampler processes they fork (which inherit their
-    command line)."""
-    found = subprocess.run(
-        ["pgrep", "-f", "from multiprocessing.spawn import spawn_main"],
-        capture_output=True, text=True).stdout.split()
-    return {int(pid) for pid in found}
-
-
 @pytest.mark.parametrize("engine,depth,step", [
     ("bsp", 1, 1), ("pipelined", 4, 3)], ids=["bsp", "pipelined-4"])
 def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
-                                                          step):
+                                                          step,
+                                                          started_workers):
     """Epoch 1's ``step`` closes a comm window, so each worker draws its
     next window between posting the step and collecting its ``avg``.
     Rank 0 is killed there — after its ``step`` token arrived, before the
@@ -285,7 +276,8 @@ def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
     oracle = _build_system(**kw)
     want = _losses([oracle.train_epoch(e).report for e in range(epochs)])
     children = set(multiprocessing.active_children())
-    spawned, segments = _spawned_pids(), set(glob.glob("/dev/shm/rpmp*"))
+    spawned = invariants.worker_pids()
+    segments = set(glob.glob("/dev/shm/rpmp*"))
 
     backend = MultiprocBackend(_build_system(**kw), timeout_s=60.0,
                                recoverable=True)
@@ -297,7 +289,8 @@ def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
         calls.append(s)
         if len(calls) == steps + step + 1:  # epoch 1, first pass
             victim = backend.processes[0]
-            assert victim.pid in _spawned_pids()  # what the last check reads
+            # What the last check reads:
+            assert victim.pid in invariants.worker_pids()
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(10.0)
             assert not victim.is_alive()
@@ -312,11 +305,13 @@ def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
     backend.close()
     _assert_fully_torn_down(backend)
     assert set(multiprocessing.active_children()) <= children
+    assert not invariants.unreaped(started_workers + backend.processes)
     assert set(glob.glob("/dev/shm/rpmp*")) <= segments
     deadline = time.monotonic() + 10.0
-    while not _spawned_pids() <= spawned and time.monotonic() < deadline:
+    while not invariants.worker_pids() <= spawned \
+            and time.monotonic() < deadline:
         time.sleep(0.05)  # a worker's sampler exits once its worker has
-    assert _spawned_pids() <= spawned
+    assert invariants.worker_pids() <= spawned
 
 
 # ----------------------------------------------------------------------

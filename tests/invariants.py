@@ -48,6 +48,8 @@ order) — the parity suites' comparator; nothing in ``src/`` calls it.
 
 import dataclasses
 import gc
+import os
+import subprocess
 
 import numpy as np
 
@@ -84,6 +86,39 @@ def leaked_samplers() -> list:
         return []
     gc.collect()
     return [proc.pid for proc in ahead.OPEN if proc.owner() is None]
+
+
+def worker_pids() -> set:
+    """Every live process named ``repro-mp-worker`` — the multiproc
+    backend's forked workers and the sampler processes they fork, which
+    inherit the name: what CI's orphan probe (``pgrep -x``) matches.  A
+    zombie has ended and is left out (whoever reaps an orphan may be slow)."""
+    found = subprocess.run(["pgrep", "-x", "repro-mp-worker"],
+                           capture_output=True, text=True).stdout.split()
+    return {int(pid) for pid in found if _state(int(pid)) not in ("Z", "")}
+
+
+def _state(pid: int) -> str:
+    """A process's state letter (``""``: no such process)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return ""
+
+
+def unreaped(procs) -> list:
+    """Pids among ``procs`` (worker handles) that are still children of
+    this process — alive, or ended but never reaped.  The law: empty once
+    the backend that started them is closed."""
+    left = []
+    for proc in procs:
+        try:
+            os.waitpid(proc.pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # reaped
+        left.append(proc.pid)
+    return left
 
 
 def check_registry(snapshot, report) -> None:
