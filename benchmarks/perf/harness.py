@@ -90,6 +90,16 @@ Tracked stages
     5; a SHA-256 over every MFG array and every final cursor is asserted
     equal before the walls are reported.  rows/s = sampled edges;
     ``candidate_edges`` is what the reference argsorts.
+``sampling.window_handoff``
+    One epoch of bsp windows (papers-mini, K = 8, every machine's epoch-0
+    draws) sent by a forked ``AheadProcess`` the way the engine's sampler
+    process sends them — one ``pack_window`` frame per window, unpacked by
+    the parent into MFGs that are views into the received array — against
+    the same windows sent as lists of MFG dataclasses and rebuilt with
+    ``decode_dataclass`` (``dense_wall_s``, the encoding the sampler process
+    used before).  Alternating rounds, best of 5; every array and size is
+    asserted equal to the drawn MFGs before the walls are reported.
+    rows/s = MFG vertices.
 ``gather.into``
     Arena-backed ``execute(plan, out=)`` against the allocating
     ``execute(plan)`` on identical id streams.
@@ -103,6 +113,7 @@ and fails on > 2x wall-time regression of any stage versus
 ``benchmarks/perf/baselines.json``.
 """
 
+import hashlib
 import os
 import sys
 import time
@@ -616,6 +627,21 @@ def nn_stages(stages: dict, *, dataset=None, batches=15, rounds=5) -> None:
 
 
 # ----------------------------------------------------------------------
+def _mfg_digest(mfgs, cursors=()) -> str:
+    """SHA-256 over every array and size of ``mfgs``, then ``cursors``."""
+    h = hashlib.sha256()
+    for mfg in mfgs:
+        h.update(mfg.n_id.tobytes())
+        h.update(mfg.seeds.tobytes())
+        for block in mfg.blocks:
+            h.update(np.array([block.num_src, block.num_dst]).tobytes())
+            h.update(block.dst_ptr.tobytes())
+            h.update(block.src_index.tobytes())
+    for cursor in cursors:
+        h.update(cursor.encode())
+    return h.hexdigest()
+
+
 def sampling_stages(stages: dict, *, dataset=None, rounds=5) -> None:
     """Every machine's epoch-0 minibatch draws, machine by machine, through
     the production ``sample_neighbors`` vs the frozen full-argsort one: the
@@ -641,15 +667,7 @@ def sampling_stages(stages: dict, *, dataset=None, rounds=5) -> None:
             neighbor.sample_neighbors = production
 
     def digest(mfgs):
-        h = hashlib.sha256()
-        for machine, sampler in zip(mfgs, tr.samplers):
-            for mfg in machine:
-                h.update(mfg.n_id.tobytes())
-                for block in mfg.blocks:
-                    h.update(block.dst_ptr.tobytes())
-                    h.update(block.src_index.tobytes())
-            h.update(sampler.rng_state().encode())
-        return h.hexdigest()
+        return _mfg_digest(sum(mfgs, []), [s.rng_state() for s in tr.samplers])
 
     wall = dense_wall = float("inf")
     for _ in range(rounds):  # alternating, so machine drift hits both sides
@@ -668,6 +686,59 @@ def sampling_stages(stages: dict, *, dataset=None, rounds=5) -> None:
         dense_wall_s=dense_wall, batches=sum(map(len, mfgs)),
         candidate_edges=int(sum(degrees[targets].sum()
                                 for targets, _b in blocks)))
+
+
+# ----------------------------------------------------------------------
+def window_handoff_stages(stages: dict, *, dataset=None, rounds=5) -> None:
+    """One epoch's bsp windows (every machine's epoch-0 draws, a window one
+    MFG per machine) handed from a sampler process to its parent the way
+    the engine does: each window one packed frame through an
+    ``AheadProcess`` and its ``Channel``, unpacked into MFGs — against the
+    same windows sent as lists of MFG dataclasses and rebuilt with
+    ``decode_dataclass``.  Both children hold the drawn windows from the
+    fork; alternating rounds, best of ``rounds``, every array asserted
+    equal before the walls are reported."""
+    from repro.distributed.wire import decode_dataclass
+    from repro.sampling.mfg import MFG, pack_window, unpack_window
+    from repro.utils.ahead import AheadProcess
+
+    ds = dataset if dataset is not None else load_dataset(DATASET)
+    cfg = RunConfig(num_machines=K, replication_factor=0.1,
+                    cache_policy="vip", seed=0)
+    tr = Planner().build(ds, cfg).trainer
+    windows = [list(w) for w in zip(*(tr.batches(k, 0) for k in range(K)))]
+    sides = {
+        "packed": (AheadProcess(lambda _r: map(pack_window, windows), 2,
+                                owner=tr),
+                   lambda item: unpack_window(*item)),
+        "dense": (AheadProcess(lambda _r: iter(windows), 2, owner=tr),
+                  lambda item: [decode_dataclass(MFG, m) for m in item]),
+    }
+
+    def epoch(side):
+        proc, decode = sides[side]
+        proc.request(None)
+        got = [decode(proc.take()[0]) for _ in windows]
+        proc.result()
+        return got
+
+    walls = {side: float("inf") for side in sides}
+    want = _mfg_digest(sum(windows, []))
+    try:
+        for _ in range(rounds):  # alternating, so drift hits both sides
+            for side in sides:
+                t, got = _timed(lambda side=side: epoch(side))
+                walls[side] = min(walls[side], t)
+                if _mfg_digest(sum(got, [])) != want:
+                    raise AssertionError(f"{side} hand-off changed an MFG")
+    finally:
+        for proc, _decode in sides.values():
+            proc.close()
+    nbytes = sum(len(pack_window(w)[0]) * 8 for w in windows)
+    stages["sampling.window_handoff"] = _entry(
+        walls["packed"], rows=sum(m.num_vertices for w in windows for m in w),
+        dense_wall_s=walls["dense"], windows=len(windows),
+        mb_per_epoch=round(nbytes / 1e6, 2))
 
 
 # ----------------------------------------------------------------------
@@ -784,6 +855,7 @@ def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dic
     streaming_stages(stages, dataset=dataset)
     nn_stages(stages, dataset=dataset)
     sampling_stages(stages, dataset=dataset)
+    window_handoff_stages(stages, dataset=dataset)
     gather_stages(stages, reordered=reordered)
     coalesce_stages(stages, reordered=reordered)
     return {

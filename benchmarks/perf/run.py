@@ -6,6 +6,7 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/perf/run.py                 # full run
     PYTHONPATH=src python benchmarks/perf/run.py --check \\
         benchmarks/perf/baselines.json                           # CI gate
+    PYTHONPATH=src python benchmarks/perf/run.py --diff -2 -1    # last two runs
 
 Writes the machine-readable stage table (``stage -> {wall_s, rows_per_s,
 speedup_vs_dense}``) to ``BENCH_PERF.json`` at the repo root by default.
@@ -13,10 +14,15 @@ With ``--check``, every tracked stage's wall time is compared against the
 committed baseline and the process exits non-zero if any stage regressed by
 more than the baseline file's ``max_regression`` factor (generous, to ride
 out CI-runner variance) — or if a tracked speedup fell below its floor.
+With ``--diff A B``, nothing runs: two entries of the history file, each
+named by line index or ``git_sha`` prefix, are compared stage by stage
+(wall ratio B/A, the largest change first) and the stage that moved most
+is named.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -132,6 +138,54 @@ def append_history(doc: dict, path: str) -> dict:
     return entry
 
 
+def history_entry(path: str, ref: str) -> dict:
+    """The history entry ``ref`` names: a line index (``0`` the first,
+    ``-1`` the last) or a ``git_sha`` prefix (its latest entry)."""
+    with open(path) as fh:
+        entries = [json.loads(line) for line in fh if line.strip()]
+    try:
+        return entries[int(ref)]
+    except ValueError:
+        pass
+    except IndexError:
+        raise SystemExit(f"{path} has {len(entries)} entries, no line {ref}")
+    matches = [e for e in entries if (e.get("git_sha") or "").startswith(ref)]
+    if not matches:
+        raise SystemExit(f"no entry of {path} has a git_sha starting {ref!r}")
+    return matches[-1]
+
+
+def diff_entries(a: dict, b: dict) -> list:
+    """``(stage, wall_a, wall_b, ratio b/a)`` for every stage with a wall
+    in both entries, the largest change (either way) first."""
+    rows = [(stage, a["stages"][stage]["wall_s"], e["wall_s"],
+             e["wall_s"] / a["stages"][stage]["wall_s"])
+            for stage, e in b["stages"].items()
+            if e.get("wall_s") and a["stages"].get(stage, {}).get("wall_s")]
+    return sorted(rows, key=lambda row: -abs(math.log(row[3])))
+
+
+def print_diff(a: dict, b: dict) -> None:
+    def name(e):
+        dirty = "+dirty" if e.get("dirty") else ""
+        return f"{(e.get('git_sha') or '?')[:8]}{dirty} {e['timestamp_utc']}"
+
+    rows = diff_entries(a, b)
+    print(f"A {name(a)}\nB {name(b)}")
+    width = max([len(r[0]) for r in rows] + [5])
+    print(f"  {'stage':<{width}}  {'A ms':>10}  {'B ms':>10}  B/A")
+    for stage, wall_a, wall_b, ratio in rows:
+        print(f"  {stage:<{width}}  {wall_a * 1e3:>10.2f}  "
+              f"{wall_b * 1e3:>10.2f}  {ratio:.3f}")
+    for only, entry in (("A", a), ("B", b)):
+        other = b if only == "A" else a
+        for stage in sorted(set(entry["stages"]) - set(other["stages"])):
+            print(f"  {stage:<{width}}  only in {only}")
+    if rows:
+        stage, _a, _b, ratio = rows[0]
+        print(f"moved most: {stage} ({ratio:.3f}x)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=os.path.join(_REPO_ROOT,
@@ -148,7 +202,13 @@ def main(argv=None) -> int:
                         help="serving-stage request count")
     parser.add_argument("--engines", default="bsp,pipelined,async",
                         help="comma-separated engine list for epoch stages")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two --history entries (line index or "
+                             "git_sha prefix) stage by stage; runs nothing")
     args = parser.parse_args(argv)
+    if args.diff:
+        print_diff(*(history_entry(args.history, ref) for ref in args.diff))
+        return 0
 
     doc = harness.run_all(num_requests=args.requests,
                           engines=tuple(e for e in args.engines.split(",") if e))

@@ -85,6 +85,16 @@ def test_sampling_stage_matches_reference(small_dataset):
     assert entry["candidate_edges"] > entry["rows_per_s"] * entry["wall_s"]
 
 
+def test_window_handoff_stage_matches_the_drawn_windows(small_dataset):
+    """The stage asserts both hand-offs give back every drawn MFG before
+    reporting; the packed one sends one frame per window."""
+    stages = {}
+    harness.window_handoff_stages(stages, dataset=small_dataset, rounds=1)
+    entry = stages["sampling.window_handoff"]
+    assert entry["windows"] > 0 and entry["dense_wall_s"] > 0
+    assert entry["mb_per_epoch"] > 0
+
+
 def test_harness_entry_schema(small_dataset):
     """Every entry carries the documented keys with sane values."""
     stages = {}
@@ -238,3 +248,38 @@ def test_parallel_gates_conditional_on_cores():
     good = copy.deepcopy(_FAKE_DOC)
     good["stages"]["train.epoch_bsp_multiproc"]["cores"] = 8
     assert run.check_against_baselines(good, baselines) == []
+
+
+def test_diff_names_the_stage_that_moved_most(tmp_path, capsys):
+    """``run.py --diff A B``: entries by line index or sha prefix (the
+    latest of a sha), stages by size of change either way."""
+    import json
+    import re
+
+    import run
+
+    def entry(sha, **walls):
+        return {"git_sha": sha, "dirty": False, "timestamp_utc": "t",
+                "stages": {stage: {"wall_s": w} for stage, w in walls.items()}}
+
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in (
+        entry("aaa111", fast=1.0, slow=1.0, gone=1.0),
+        entry("bbb222", fast=0.9, slow=1.0, gone=1.0),
+        entry("bbb222", fast=0.5, slow=1.5, new=1.0))))
+    assert run.history_entry(str(path), "0")["stages"]["fast"]["wall_s"] == 1.0
+    assert run.history_entry(str(path), "-1") == \
+        run.history_entry(str(path), "bbb")  # the sha's latest entry
+    with pytest.raises(SystemExit, match="no line 7"):
+        run.history_entry(str(path), "7")
+    with pytest.raises(SystemExit, match="'ccc'"):
+        run.history_entry(str(path), "ccc")
+
+    a, b = (run.history_entry(str(path), ref) for ref in ("aaa", "-1"))
+    assert [(stage, ratio) for stage, _a, _b, ratio
+            in run.diff_entries(a, b)] == [("fast", 0.5), ("slow", 1.5)]
+    assert run.main(["--history", str(path), "--diff", "aaa", "-1"]) == 0
+    out = capsys.readouterr().out
+    assert "moved most: fast (0.500x)" in out
+    assert re.search(r"gone +only in A", out)
+    assert re.search(r"new +only in B", out)

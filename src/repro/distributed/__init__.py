@@ -26,7 +26,6 @@ from repro.distributed.engine import (
     BSPEngine,
     ExecutionEngine,
     PipelinedEngine,
-    PrefetchIterator,
     assemble_report,
     make_engine,
     train_batch,
@@ -107,7 +106,6 @@ __all__ = [
     "BSPEngine",
     "ExecutionEngine",
     "PipelinedEngine",
-    "PrefetchIterator",
     "assemble_report",
     "make_engine",
     "train_batch",

@@ -14,14 +14,14 @@ engines are parameter choices over that loop, not loops of their own:
 
 ``pipelined``
     §4.3 made *functional*: windows of ``depth`` steps per machine, drawn
-    ahead through a :class:`PrefetchIterator`.  Every window's
-    :class:`FetchPlan`\\ s are coalesced (:func:`gather_window`) — remote
-    vertex ids needed by several in-flight batches are fetched from peers
-    exactly once — so deep pipelines reduce real communication, not just
-    hide it; a window of one coalesces to itself, which is why depth is the
-    only difference from ``bsp``.  Training math is step-for-step identical
-    to ``bsp`` (same sample streams, same per-step all-reduce), so losses
-    match bit-for-bit while comm shrinks.
+    together.  Every window's :class:`FetchPlan`\\ s are coalesced
+    (:func:`gather_window`) — remote vertex ids needed by several in-flight
+    batches are fetched from peers exactly once — so deep pipelines reduce
+    real communication, not just hide it; a window of one coalesces to
+    itself, which is why depth is the only difference from ``bsp``.
+    Training math is step-for-step identical to ``bsp`` (same sample
+    streams, same per-step all-reduce), so losses match bit-for-bit while
+    comm shrinks.
 
 ``async``
     Bounded-staleness data parallelism: windows of one step, each replica
@@ -43,12 +43,20 @@ generator in its **sampler process** — one
 trained epoch and inheriting the trainer's graph and samplers.  Per epoch
 the parent sends the epoch, the window tiling, every machine's sampler
 cursor (:meth:`~repro.sampling.neighbor.NeighborSampler.rng_state`) and
-training ids; the child streams each window back as one wire frame, at most
-two windows beyond the one being trained, then its cursors, which the parent
-restores — so the parent's samplers stay the authority (checkpoints,
-restored cursors, training-set swaps need no restart) and the draws are
-bit-identical to sampling inline.  The child is re-forked only when the
-graph its samplers read changes (identity or ``version``); a sampler over a
+training ids; the child streams each window back as one wire frame — its
+MFGs as one :func:`~repro.sampling.mfg.pack_window` pair of int64 arrays,
+which the parent unpacks into views — at most two windows beyond the one
+being trained, then its cursors, which the parent restores — so the
+parent's samplers stay the authority (checkpoints, restored cursors,
+training-set swaps need no restart) and the draws are bit-identical to
+sampling inline.  Then the child guesses the next epoch's request (the
+same request, epoch + 1, from the cursors it returned:
+:meth:`~ExecutionEngine._next_epoch`) and draws up to two of its windows
+before it arrives; the next request is served from them only if its
+content hash is the guess's, and every epoch's draws start by setting
+each cursor and training set that differs, so a wrong guess leaves no
+trace.  The child is re-forked only when the graph its samplers read
+changes (identity or ``version``); a sampler over a
 :class:`~repro.graph.mutable.MutableGraph` samples inline (a drift epoch
 samples little, and re-forking a large process at every phase boundary
 costs more in copy-on-write faults than it hides), as does a process that
@@ -109,8 +117,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,7 +138,6 @@ from repro.distributed.records import (
     StepRecord,
     served_rows_matrix,
 )
-from repro.distributed.wire import decode_dataclass
 from repro.graph.mutable import MutableGraph
 from repro.nn.functional import cross_entropy
 from repro.obs import OBS
@@ -142,7 +148,7 @@ from repro.pipeline.events import (
     emit_step_events,
     emit_window_comm_events,
 )
-from repro.sampling.mfg import MFG
+from repro.sampling.mfg import MFG, pack_window, unpack_window
 from repro.sampling.neighbor import NeighborSampler
 from repro.utils.ahead import AheadProcess, can_fork
 from repro.utils.registry import Registry
@@ -214,46 +220,6 @@ def gather_window(store, arena: GatherArena, machine: int, step0: int,
         for i, (mfg, (_feats, stats)) in enumerate(zip(mfgs, results))
     ]
     return cplan.first_request, outs, records
-
-
-class PrefetchIterator:
-    """Depth-bounded lookahead over one machine's minibatch stream.
-
-    Wraps a :meth:`NeighborSampler.batches` iterator and serves windows of
-    up to ``depth`` consecutive MFGs — the sampler-side half of keeping
-    ``depth`` batches in flight.  Pulling a window advances the underlying
-    sampler RNG exactly as ``depth`` sequential ``next()`` calls would, so
-    any engine consuming the same windows sees the same batches as ``bsp``.
-    The epoch loop pulls these windows through one generator
-    (:meth:`ExecutionEngine._sample_windows`) that, on a host with a spare
-    core, runs up to two windows *ahead* of training in the engine's
-    sampler process — which is what makes this a look-ahead on the wall
-    clock.
-
-    Every draw is stamped ``(step, MFG, start_ns, end_ns)`` on
-    :func:`~repro.obs.span.now_ns` (``CLOCK_MONOTONIC``, one clock for a
-    process and its forked sampler), from which the loop records the wall
-    ``stage.sample`` span while tracing is on.
-    """
-
-    def __init__(self, batches: Iterator[MFG], depth: int):
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth}")
-        self._batches = enumerate(batches)  # (step of the epoch, MFG)
-        self.depth = depth
-
-    def next_window(self, size: Optional[int] = None
-                    ) -> List[Tuple[int, MFG, int, int]]:
-        """The next ``min(size, depth)`` batches (fewer at stream end), each
-        stamped ``(step, MFG, start_ns, end_ns)``."""
-        want = self.depth if size is None else min(size, self.depth)
-        out = []
-        start = now_ns()
-        for step, mfg in islice(self._batches, want):
-            end = now_ns()
-            out.append((step, mfg, start, end))
-            start = end
-        return out
 
 
 @dataclass(frozen=True)
@@ -359,23 +325,28 @@ class ExecutionEngine:
         stamps)`` per comm window — the part of an epoch that depends on
         nothing the training step produces, and so the only part that may
         run ahead of it.  Samplers are drawn in machine order within a
-        window, exactly as the loop used to draw them; ``stamps`` holds one
-        ``(machine, step, start_ns, end_ns)`` per draw (see
-        :class:`PrefetchIterator`)."""
-        streams = {k: PrefetchIterator(self.trainer.batches(k, epoch),
-                                       self.depth)
-                   for k in machines}
+        window, exactly as the loop used to draw them, each advancing as
+        that many sequential draws would, so every engine sees ``bsp``'s
+        batches.  ``stamps`` holds one ``(machine, step, start_ns,
+        end_ns)`` per draw on :func:`~repro.obs.span.now_ns`
+        (``CLOCK_MONOTONIC``, one clock for a process and its forked
+        sampler), from which the loop records the wall ``stage.sample``
+        span while tracing is on."""
+        streams = {k: self.trainer.batches(k, epoch) for k in machines}
         for w0, w1 in windows:
-            drawn = {k: streams[k].next_window(w1 - w0) for k in machines}
-            for k, batch in drawn.items():
-                if len(batch) != w1 - w0:
+            drawn, stamps = {}, []
+            for k in machines:
+                drawn[k], start = [], now_ns()
+                for step, mfg in zip(range(w0, w1), streams[k]):
+                    end = now_ns()
+                    drawn[k].append(mfg)
+                    stamps.append((k, step, start, end))
+                    start = end
+                if len(drawn[k]) != w1 - w0:
                     raise RuntimeError(
                         f"machine {k} batch stream ended early "
-                        f"({len(batch)}/{w1 - w0} batches in window {w0})")
-            yield ({k: [mfg for _step, mfg, _t0, _t1 in batch]
-                    for k, batch in drawn.items()},
-                   [(k, step, t0, t1) for k, batch in drawn.items()
-                    for step, _mfg, t0, t1 in batch])
+                        f"({len(drawn[k])}/{w1 - w0} batches in window {w0})")
+            yield drawn, stamps
 
     def _sampler_process(self, machines: List[int]) -> Optional[AheadProcess]:
         """The sampler process to draw ``machines``' epoch in, forked on
@@ -391,7 +362,8 @@ class ExecutionEngine:
             self.close_sampler()
         if self._ahead is None and can_fork() and not any(
                 isinstance(g, MutableGraph) for g in graphs):
-            self._ahead = AheadProcess(self._draw_ahead, 2, owner=self)
+            self._ahead = AheadProcess(self._draw_ahead, 2, owner=self,
+                                       follow=self._next_epoch)
             self._ahead_graphs = key
         return self._ahead
 
@@ -405,8 +377,9 @@ class ExecutionEngine:
     def _draw_ahead(self, request):
         """The sampler process's side of an epoch (runs in the child):
         take the parent's cursors and training ids, then stream
-        :meth:`_sample_windows`, each window as ``([[MFG, ...] per machine],
-        stamps)``; returns the cursors the draws left."""
+        :meth:`_sample_windows`, each window's MFGs, machine by machine, as
+        one :func:`~repro.sampling.mfg.pack_window` ``(flat, layout)`` with
+        its stamps; returns the cursors the draws left."""
         tr, machines = self.trainer, request["machines"]
         for k, cursor, ids in zip(machines, request["cursors"],
                                   request["local_train"]):
@@ -415,8 +388,16 @@ class ExecutionEngine:
             tr.local_train[k] = ids
         for window, stamps in self._sample_windows(
                 request["epoch"], machines, request["windows"]):
-            yield [window[k] for k in machines], stamps
+            yield (*pack_window([mfg for k in machines for mfg in window[k]]),
+                   stamps)
         return [tr.samplers[k].rng_state() for k in machines]
+
+    @staticmethod
+    def _next_epoch(request, cursors):
+        """The sampler process's guess at the request after ``request``:
+        the next epoch, from the cursors ``request``'s draws left, with
+        nothing else changed — what back-to-back trained epochs send."""
+        return {**request, "epoch": request["epoch"] + 1, "cursors": cursors}
 
     def _sample_ahead(self, proc: AheadProcess, epoch: int,
                       machines: List[int],
@@ -431,10 +412,11 @@ class ExecutionEngine:
             "cursors": [tr.samplers[k].rng_state() for k in machines],
             "local_train": [tr.local_train[k] for k in machines],
         })
-        for i in range(len(windows)):
-            (drawn, stamps), waited = proc.take()
-            window = {k: [decode_dataclass(MFG, mfg) for mfg in mfgs]
-                      for k, mfgs in zip(machines, drawn)}
+        for i, (w0, w1) in enumerate(windows):
+            (flat, layout, stamps), waited = proc.take()
+            mfgs, n = unpack_window(flat, layout), w1 - w0
+            window = {k: mfgs[j * n:(j + 1) * n]
+                      for j, k in enumerate(machines)}
             if i == len(windows) - 1:
                 for k, cursor in zip(machines, proc.result()):
                     tr.samplers[k].set_rng_state(cursor)
@@ -510,12 +492,16 @@ class ExecutionEngine:
                 if proc is None else
                 self._sample_ahead(proc, epoch, machines, sched.windows))
 
+            first_wait = None  # window 0's, told whether it was guessed
+
             def draw(stall: bool):
                 """The next window's MFGs per machine; a wait for it counts
                 as a stall where ``stall`` (at the top of its window)."""
+                nonlocal first_wait
                 with OBS.span("engine.sample_wait",
                               hist="engine.sample_wait_s") as wait:
                     drawn, stamps, waited = next(sampled)
+                first_wait = first_wait or wait
                 if OBS.enabled:
                     # Inline, the draws ran inside the wait; ahead, beside
                     # the epoch, on the sampler's lane.
@@ -566,6 +552,11 @@ class ExecutionEngine:
                                             tr.optimizers[k].step()
             if OBS.enabled:
                 OBS.metrics.counter("engine.steps").inc(steps)
+                if proc is not None and first_wait:
+                    OBS.metrics.counter(
+                        "engine.sample_guess_hits" if proc.guessed
+                        else "engine.sample_guess_misses").inc()
+                    first_wait.set(guessed=proc.guessed)
         return [records[k] for k in machines]
 
     def score_machines(self, shards: Mapping[int, Tuple[np.ndarray, int]],

@@ -17,12 +17,18 @@ matrix: ``(dst_ptr, src_index)`` are the row offsets and column indices of
 the ``num_dst x num_src`` 0/1 operator ``A``.  Mean aggregation is the
 product ``A @ X`` and its backward ``A.T @ G`` inside the layer's one tape
 node (``nn.functional.sage_conv``), summed left to right in edge order.
+
+A *window* of MFGs crosses a process boundary as two int64 arrays
+(:func:`pack_window`): ``flat``, every array of every MFG back to back, and
+``layout``, the sizes that cut it up again.  :func:`unpack_window` rebuilds
+the MFGs as views into ``flat`` through the same constructors, so every
+:class:`MFGBlock` check runs on what was received.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -135,3 +141,52 @@ class MFG:
             prev_dst = blk.num_src
         if self.blocks and self.blocks[-1].num_src != len(self.n_id):
             raise AssertionError("outermost block src set must equal n_id")
+
+
+def pack_window(mfgs: Sequence[MFG]) -> Tuple[np.ndarray, np.ndarray]:
+    """``mfgs`` as ``(flat, layout)``, two int64 arrays.  ``flat`` holds,
+    per MFG, ``n_id``, ``seeds`` and each block's ``dst_ptr`` and
+    ``src_index``; ``layout`` is ``[len(mfgs)]``, then per MFG ``[hops,
+    len(n_id), len(seeds)]`` followed by ``[num_src, num_dst, num_edges]``
+    per block."""
+    layout, parts = [len(mfgs)], [np.empty(0, dtype=np.int64)]
+    for mfg in mfgs:
+        layout += (mfg.num_hops, len(mfg.n_id), len(mfg.seeds))
+        parts += (mfg.n_id, mfg.seeds)
+        for block in mfg.blocks:
+            layout += (block.num_src, block.num_dst, block.num_edges)
+            parts += (block.dst_ptr, block.src_index)
+    return np.concatenate(parts), np.array(layout, dtype=np.int64)
+
+
+def unpack_window(flat: np.ndarray, layout: np.ndarray) -> List[MFG]:
+    """The MFGs :func:`pack_window` packed, their arrays views into
+    ``flat`` (the int64 array it returned, or a copy).  A ``layout`` that
+    does not add up to ``flat`` raises :class:`ValueError`, as does any
+    block its constructor rejects."""
+    sizes, end = iter(np.asarray(layout).tolist()), 0
+
+    def take(n: int) -> np.ndarray:
+        nonlocal end
+        if n < 0 or end + n > len(flat):
+            raise ValueError(f"window layout wants {n} values at offset "
+                             f"{end} of a {len(flat)}-value window")
+        end += n
+        return flat[end - n:end]
+
+    mfgs = []
+    try:
+        for _ in range(next(sizes)):
+            hops, vertices, batch = next(sizes), next(sizes), next(sizes)
+            n_id, seeds, blocks = take(vertices), take(batch), []
+            for _ in range(hops):
+                num_src, num_dst, edges = next(sizes), next(sizes), next(sizes)
+                blocks.append(MFGBlock(take(num_dst + 1), take(edges),
+                                       num_src, num_dst))
+            mfgs.append(MFG(n_id, blocks, seeds))
+    except StopIteration:
+        raise ValueError("window layout ends before its last block") from None
+    if next(sizes, None) is not None or end != len(flat):
+        raise ValueError(f"window layout does not add up: entries left over "
+                         f"or {end} of {len(flat)} values read")
+    return mfgs

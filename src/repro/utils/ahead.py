@@ -5,7 +5,10 @@ An :class:`AheadProcess` is a child forked from the consumer that answers
 each request by iterating ``produce(request)`` and streaming the items back
 over one :class:`~repro.distributed.multiproc.channel.Channel`, never more
 than ``slots`` beyond the last one the parent took, then the generator's
-return value.  Work that depends on nothing its consumer produces (an
+return value.  Between requests, a child given ``follow`` guesses the next
+one and draws ahead of it too — no more than ``slots`` items, stopping
+as soon as a request arrives — and serves the guess only if the request
+hashes the same.  Work that depends on nothing its consumer produces (an
 epoch's neighbourhood sampling, §4.3) so runs beside the consumer's own on
 another core — not on a thread that takes turns with it on the GIL.
 Whether to use it is decided by one observable property of the host,
@@ -26,6 +29,7 @@ the multiproc backend starts its workers.
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import signal
 import sys
@@ -38,6 +42,11 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 #: Every :class:`AheadProcess` not yet closed — what ``tests/conftest.py``
 #: reads after each test: none may outlive its owner.
 OPEN: "set[AheadProcess]" = set()
+
+#: Seconds an :class:`AheadProcess` call waits for the child's next frame
+#: before it raises: a child that is alive but stopped sending is a failure
+#: too, not a hang.
+TIMEOUT_S = 120.0
 
 
 def usable_cores() -> int:
@@ -157,35 +166,70 @@ def fork(serve: Callable[[Any], None]):
     return Channel(parent_end, ForkedChild(pid))
 
 
-def _serve(channel, produce: Callable[[Any], Iterator], slots: int) -> None:
+def _frames(items: Iterator) -> Iterator[Tuple[str, Any]]:
+    """``items`` as the frames that carry it: ``("item", x)`` per item,
+    then ``("done", its return value)``."""
+    while True:
+        try:
+            yield "item", next(items)
+        except StopIteration as end:
+            yield "done", end.value
+            return
+
+
+def _serve(channel, produce: Callable[[Any], Iterator], slots: int,
+           follow: Optional[Callable[[Any, Any], Any]]) -> None:
     """The child's loop: per ``request`` frame, iterate ``produce(request)``
     — taking a ``credit`` before every item beyond the first ``slots`` —
-    send each as an ``item`` frame and the return value as ``done``.
-    Credits sent for the end of the stream are skipped at the next
-    request.  Returns on end-of-stream; a failure of ``produce`` is sent
-    as an ``error`` frame (its traceback) and re-raised."""
+    send each as an ``item`` frame and the return value as ``done``, with
+    whether the stream was guessed.  With ``follow``, the child then
+    guesses that the next request is ``follow(request, value)`` and draws
+    up to ``slots`` of its frames, one at a time while no frame is waiting
+    (credits sent for the end of the stream before are skipped, and a
+    request waits for the frame in progress at most).  A request whose
+    :func:`~repro.distributed.wire.content_hash` is the guess's is served
+    the guess's frames, those drawn first; any other drops the guess and
+    is served afresh.  A guess whose ``produce`` raises is dropped: the
+    request it guessed, if it comes, fails afresh, where the parent hears
+    of it.  Returns on end-of-stream; a failure of ``produce`` on a request
+    is sent as an ``error`` frame (its traceback) and re-raised."""
     from repro.distributed.multiproc.channel import ChannelError
+    from repro.distributed.wire import content_hash
 
+    # The guessed request's content hash, its frames, those drawn so far.
+    key, guess, drawn = None, None, []
     while True:
+        try:
+            while guess and len(drawn) < slots and not channel.conn.poll():
+                drawn.append(next(guess))
+        except StopIteration:
+            pass  # the guessed stream has ended: its done frame is drawn
+        except Exception:
+            guess = None
         try:
             kind, request = channel.recv()
         except ChannelError:
             return  # the parent closed its end
         if kind == "credit":
             continue
-        items, credits = produce(request), slots
+        hit = guess is not None and key == content_hash(request)
+        frames = (itertools.chain(drawn, guess) if hit
+                  else _frames(produce(request)))
+        guess, drawn, credits = None, [], slots
         try:
             while True:
                 if not credits:
                     channel.recv()
                     credits = 1
-                try:
-                    item = next(items)
-                except StopIteration as end:
-                    channel.send("done", end.value)
+                kind, payload = next(frames)
+                if kind == "done":
                     break
-                channel.send("item", item)
+                channel.send("item", payload)
                 credits -= 1
+            channel.send("done", {"value": payload, "guessed": hit})
+            if follow is not None:
+                ahead = follow(request, payload)
+                key, guess = content_hash(ahead), _frames(produce(ahead))
         except ChannelError:
             return
         except BaseException:
@@ -198,9 +242,15 @@ class AheadProcess:
     the parent, never more than ``slots`` items beyond the last one taken.
 
     Per request the parent calls :meth:`request`, then :meth:`take` once per
-    item and :meth:`result` for the generator's return value.  A failure in
-    the child — an exception in ``produce`` (its traceback), its death (its
-    exit code) — is raised by the call that was waiting, as a
+    item and :meth:`result` for the generator's return value.  With
+    ``follow``, the child guesses each next request as ``follow(request,
+    value)`` and draws up to ``slots`` of its items before it arrives;
+    ``guessed`` says whether the last stream was served from such a guess.
+    A guess is checked by content hash before any of it is sent, so what a
+    request receives is the same whether or not it was guessed.  A failure
+    in the child — an exception in ``produce`` (its traceback), its death
+    (its exit code), its silence past :data:`TIMEOUT_S` — is raised by the
+    call that was waiting, as a
     :class:`~repro.distributed.multiproc.channel.ChannelError`.  A stream
     abandoned half-way cannot be resumed: :meth:`close` the process.  It is
     forked at construction, from ``owner``'s process, and closed at the
@@ -208,10 +258,12 @@ class AheadProcess:
     """
 
     def __init__(self, produce: Callable[[Any], Iterator], slots: int,
-                 owner):
-        self.channel = fork(lambda channel: _serve(channel, produce, slots))
+                 owner, follow: Optional[Callable[[Any, Any], Any]] = None):
+        self.channel = fork(lambda ch: _serve(ch, produce, slots, follow))
         self.pid = self.channel.proc.pid
         self.owner = weakref.ref(owner)
+        #: Whether the last stream :meth:`result` ended was a guess's.
+        self.guessed: Optional[bool] = None
         OPEN.add(self)
         self._finalizer = weakref.finalize(owner, self.close)
 
@@ -222,14 +274,15 @@ class AheadProcess:
         """The next item and whether the parent had to wait for it (none
         was in the pipe when asked); hands the child one credit."""
         waited = not self.channel.conn.poll()
-        _kind, item = self.channel.recv()
+        _kind, item = self.channel.recv(time.monotonic() + TIMEOUT_S)
         self.channel.send("credit", None)
         return item, waited
 
     def result(self):
         """The return value of the request's generator."""
-        _kind, value = self.channel.recv()
-        return value
+        _kind, done = self.channel.recv(time.monotonic() + TIMEOUT_S)
+        self.guessed = done["guessed"]
+        return done["value"]
 
     def close(self) -> None:
         """Kill and reap the child (idempotent)."""

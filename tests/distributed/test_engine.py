@@ -536,6 +536,8 @@ def test_sampling_ahead_is_bit_identical_to_inline_and_to_the_seed_loop(
         # One process for the engine's life; none over a MutableGraph.
         assert len(forks) == (0 if streaming else 1)
         assert forked.trainer.engine._ahead is (forks[0] if forks else None)
+        # Back to back, the child guessed the second epoch's request.
+        assert [p.guessed for p in forks] == ([] if streaming else [epoch > 0])
         check_invariants(got, bytes_per_row=forked.store.bytes_per_row)
 
         if schedule.startswith("async"):
@@ -563,8 +565,9 @@ def test_a_training_set_swap_reaches_the_same_child(
     for system in (forked, inline):
         system.update_training_set(np.concatenate(
             [ids[::2] for ids in system.trainer.local_train]))
-    for epoch in (1, 2):
+    for epoch, guessed in ((1, False), (2, True)):
         twin_epochs(forked, inline, epoch, cores)
+        assert forks[0].guessed is guessed
     assert len(forks) == 1 and not closed(forks[0])
 
 
@@ -576,12 +579,52 @@ def test_a_restored_cursor_reaches_the_same_child(
     cursors = [[s.rng_state() for s in system.trainer.samplers]
                for system in (forked, inline)]
     twin_epochs(forked, inline, 1, cores)
+    assert forks[0].guessed is True
     # Rewind both to the start of epoch 1 (a recovery's restore) and replay.
     for system, saved in zip((forked, inline), cursors):
         for sampler, cursor in zip(system.trainer.samplers, saved):
             sampler.set_rng_state(cursor)
     twin_epochs(forked, inline, 1, cores)
+    assert forks[0].guessed is False
+    twin_epochs(forked, inline, 2, cores)
+    assert forks[0].guessed is True
     assert len(forks) == 1 and not closed(forks[0])
+
+
+def test_a_skipped_epoch_number_is_not_guessed(
+        planner, ahead_dataset, cores, forks):
+    """The child guessed epoch 1; epoch 2 is drawn afresh, and equal."""
+    forked, inline = (build_system(planner, ahead_dataset, "pipelined-3",
+                                   "static", False) for _ in range(2))
+    for epoch, guessed in ((0, False), (2, False), (3, True)):
+        twin_epochs(forked, inline, epoch, cores)
+        assert forks[0].guessed is guessed
+    assert len(forks) == 1
+
+
+def test_window_zero_says_whether_it_was_guessed(
+        planner, ahead_dataset, cores, forks):
+    """``engine.sample_guess_hits`` / ``_misses`` count the trained epochs
+    the sampler process served from a guess or not, and window 0's
+    ``engine.sample_wait`` span carries ``guessed``."""
+    system = build_system(planner, ahead_dataset, "bsp", "static", False)
+    cores(2)
+    OBS.disable()
+    OBS.reset()
+    OBS.enable()
+    try:
+        for epoch in range(3):
+            system.trainer.train_epoch(epoch)
+        snap = OBS.metrics.snapshot()
+        waits = [s for s in OBS.tracer.spans
+                 if s.name == "engine.sample_wait" and "guessed" in s.attrs]
+    finally:
+        OBS.disable()
+        OBS.reset()
+    assert snap["engine.sample_guess_misses"]["value"] == 1
+    assert snap["engine.sample_guess_hits"]["value"] == 2
+    assert [s.attrs["guessed"] for s in waits] == [False, True, True]
+    assert len(forks) == 1
 
 
 def test_a_new_graph_restarts_the_child(planner, ahead_dataset, cores, forks):

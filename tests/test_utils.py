@@ -174,12 +174,23 @@ def squares(request):
             time.sleep(0.3)
         if i == request.get("fail_at"):
             raise RuntimeError(f"stream ended early at {i}")
+        if i == request.get("hang_at"):
+            time.sleep(60)
         yield i * i
     return f"{request['n']} drawn in {os.getpid()}"
 
 
+def one_more(request, _value):
+    """``follow`` for the guess tests: the next request asks for one more."""
+    return {**request, "n": request["n"] + 1}
+
+
+def logged(log):
+    return [int(line) for line in log.read_text().splitlines()]
+
+
 def drawn(log):
-    return len(log.read_text().splitlines()) if log.exists() else 0
+    return len(logged(log)) if log.exists() else 0
 
 
 class TestAheadProcess:
@@ -278,6 +289,140 @@ class TestAheadProcess:
         del owner
         gc.collect()
         assert proc not in ahead.OPEN and proc.channel.proc.exitcode == -9
+
+    # -- the guess: with ``follow``, the child draws the next request's
+    # items before it arrives, and serves them only to that request.
+
+    def test_a_matching_request_is_served_from_the_guess(self, tmp_path):
+        """The guessed items are drawn once: the stream the request gets
+        continues the guess's generator after them."""
+        log, owner = tmp_path / "drawn", Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner, follow=one_more)
+        try:
+            proc.request({"n": 3, "log": str(log)})
+            assert [proc.take()[0] for _ in range(3)] == [0, 1, 4]
+            proc.result()
+            assert proc.guessed is False
+            wait_until(lambda: drawn(log) == 3 + 2)  # the guess: n = 4
+            proc.request({"n": 4, "log": str(log)})
+            assert [proc.take()[0] for _ in range(4)] == [0, 1, 4, 9]
+            assert proc.result() == f"4 drawn in {proc.pid}"
+            assert proc.guessed is True
+            wait_until(lambda: drawn(log) == 3 + 4 + 2)  # the next: n = 5
+            assert logged(log) == [0, 1, 2, 0, 1, 2, 3, 0, 1]
+        finally:
+            proc.close()
+
+    def test_any_other_request_gets_the_fresh_stream(self, tmp_path):
+        log, owner = tmp_path / "drawn", Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner, follow=one_more)
+        try:
+            proc.request({"n": 3, "log": str(log)})
+            [proc.take() for _ in range(3)]
+            proc.result()
+            wait_until(lambda: drawn(log) == 3 + 2)
+            proc.request({"n": 6, "log": str(log)})  # not the guessed n = 4
+            assert [proc.take()[0] for _ in range(6)] == \
+                [i * i for i in range(6)]
+            assert proc.result() == f"6 drawn in {proc.pid}"
+            assert proc.guessed is False
+            assert logged(log)[:3 + 2 + 6] == [0, 1, 2, 0, 1, *range(6)]
+        finally:
+            proc.close()
+
+    @pytest.mark.parametrize("slots", [1, 2, 5])
+    def test_a_guess_never_draws_more_than_slots(self, slots, tmp_path):
+        log, owner = tmp_path / "drawn", Owner()
+        proc = ahead.AheadProcess(squares, slots, owner=owner,
+                                  follow=one_more)
+        try:
+            proc.request({"n": 10, "log": str(log)})
+            [proc.take() for _ in range(10)]
+            proc.result()
+            wait_until(lambda: drawn(log) == 10 + slots)
+            time.sleep(0.05)
+            assert drawn(log) == 10 + slots
+        finally:
+            proc.close()
+
+    def test_stale_credits_do_not_stop_a_guess(self, tmp_path):
+        """A stream of 20 leaves the credits for its last ``slots`` items
+        in the pipe: the guess drawn behind them still fills its slots and
+        is served."""
+        log, owner = tmp_path / "drawn", Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner, follow=one_more)
+        try:
+            proc.request({"n": 20, "log": str(log)})
+            [proc.take() for _ in range(20)]
+            proc.result()
+            wait_until(lambda: drawn(log) == 20 + 2)
+            proc.request({"n": 21, "log": str(log)})
+            assert [proc.take()[0] for _ in range(21)][-1] == 400
+            proc.result()
+            assert proc.guessed is True
+            assert logged(log)[:20 + 21] == [*range(20), *range(21)]
+        finally:
+            proc.close()
+
+    def test_a_request_waits_for_the_guessed_item_in_progress_at_most(
+            self, tmp_path):
+        """The guess's items each take 0.3 s: a different request arriving
+        during the first is served once that item is drawn, before the
+        guess draws another."""
+        log, owner = tmp_path / "guessed", Owner()
+        proc = ahead.AheadProcess(
+            squares, 3, owner=owner,
+            follow=lambda req, _value: (
+                {"n": 3, "sleep_before": (0, 1, 2), "log": str(log)}
+                if req.get("first") else {"n": 0}))
+        try:
+            proc.request({"n": 1, "first": True})
+            proc.take()
+            proc.result()
+            wait_until(lambda: drawn(log) == 1)  # inside the first item
+            proc.request({"n": 1})
+            assert proc.take()[0] == 0
+            proc.result()
+            assert proc.guessed is False
+            assert logged(log) == [0]
+        finally:
+            proc.close()
+
+    def test_a_silent_child_raises_after_the_timeout(self, monkeypatch):
+        """A child that is alive but sends nothing fails the waiting call
+        after ``TIMEOUT_S``; it does not hang it."""
+        monkeypatch.setattr(ahead, "TIMEOUT_S", 1.0)
+        owner = Owner()
+        proc = ahead.AheadProcess(squares, 2, owner=owner)
+        try:
+            proc.request({"n": 2, "hang_at": 1})
+            assert proc.take()[0] == 0
+            t0 = time.monotonic()
+            with pytest.raises(ChannelError, match="no message within 1s"):
+                proc.take()
+            assert 0.9 < time.monotonic() - t0 < 5.0
+            assert proc.channel.proc.is_alive()
+        finally:
+            proc.close()
+
+    def test_a_guess_that_raises_is_dropped(self):
+        """The failure is not the parent's until it asks for that stream:
+        then it is served afresh and raises where the parent waits."""
+        owner = Owner()
+        proc = ahead.AheadProcess(
+            squares, 2, owner=owner,
+            follow=lambda req, _value: {"n": 3, "fail_at": 0})
+        try:
+            for _ in range(2):  # a request the guess did not foresee
+                proc.request({"n": 2})
+                assert [proc.take()[0] for _ in range(2)] == [0, 1]
+                proc.result()
+                assert proc.guessed is False
+            proc.request({"n": 3, "fail_at": 0})
+            with pytest.raises(ChannelError, match="stream ended early at 0"):
+                proc.take()
+        finally:
+            proc.close()
 
     def test_forking_needs_a_single_threaded_process(self):
         assert ahead.can_fork()
