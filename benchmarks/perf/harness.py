@@ -91,15 +91,29 @@ Tracked stages
     equal before the walls are reported.  rows/s = sampled edges;
     ``candidate_edges`` is what the reference argsorts.
 ``sampling.window_handoff``
-    One epoch of bsp windows (papers-mini, K = 8, every machine's epoch-0
-    draws) sent by a forked ``AheadProcess`` the way the engine's sampler
-    process sends them — one ``pack_window`` frame per window, unpacked by
-    the parent into MFGs that are views into the received array — against
+    Three epochs of bsp windows (papers-mini, K = 8, every machine's
+    draws of epochs 0–2) sent by a forked ``AheadProcess`` the way the
+    engine's sampler process sends them — one ``pack_window`` frame per
+    window, unpacked by the parent into MFGs that are views into the
+    received array — against
     the same windows sent as lists of MFG dataclasses and rebuilt with
     ``decode_dataclass`` (``dense_wall_s``, the encoding the sampler process
-    used before).  Alternating rounds, best of 5; every array and size is
+    used before).  Alternating rounds, best of 9; every array and size is
     asserted equal to the drawn MFGs before the walls are reported.
-    rows/s = MFG vertices.
+    rows/s = MFG vertices.  Three epochs a round and nine rounds, not one
+    and five: on a 2-core host one ~25 ms epoch a round, best of 5, swung
+    the ratio 1.32–2.42x between runs, and this reads 1.65–1.85x.
+``train.sync_update``
+    One in-process sync step's reduce + update on the K = 4 mag240c-mini
+    replicas (``train_drift``'s model), the engine's path — the
+    ``InProcessCollective`` reduce over the replica table it built once,
+    the first machine's ``Adam`` stepped once, ``comm.bind_replicas`` —
+    against the K-step loop ``benchmarks/e2e/layers.py``'s replay spells
+    (``all_reduce_gradients`` walking the replicas, every optimizer
+    stepped; ``dense_wall_s``).  Both sides start from the same weights and
+    take the same recorded per-machine gradients, step after step;
+    alternating rounds, best of ``rounds``, every replica's weights
+    asserted ``==`` across the sides after each round.
 ``gather.into``
     Arena-backed ``execute(plan, out=)`` against the allocating
     ``execute(plan)`` on identical id streams.
@@ -143,6 +157,8 @@ import reference_multilevel  # noqa: E402
 
 DATASET = "papers-mini"
 K = 8
+DRIFT_DATASET = "mag240c-mini"
+DRIFT_K = 4
 SERVE_K = 4
 SERVE_ALPHA = 0.05
 SERVE_REFRESH_INTERVAL = 8
@@ -689,8 +705,9 @@ def sampling_stages(stages: dict, *, dataset=None, rounds=5) -> None:
 
 
 # ----------------------------------------------------------------------
-def window_handoff_stages(stages: dict, *, dataset=None, rounds=5) -> None:
-    """One epoch's bsp windows (every machine's epoch-0 draws, a window one
+def window_handoff_stages(stages: dict, *, dataset=None, rounds=9,
+                          epochs=3) -> None:
+    """``epochs`` epochs of bsp windows (every machine's draws, a window one
     MFG per machine) handed from a sampler process to its parent the way
     the engine does: each window one packed frame through an
     ``AheadProcess`` and its ``Channel``, unpacked into MFGs — against the
@@ -706,7 +723,8 @@ def window_handoff_stages(stages: dict, *, dataset=None, rounds=5) -> None:
     cfg = RunConfig(num_machines=K, replication_factor=0.1,
                     cache_policy="vip", seed=0)
     tr = Planner().build(ds, cfg).trainer
-    windows = [list(w) for w in zip(*(tr.batches(k, 0) for k in range(K)))]
+    windows = [list(w) for epoch in range(epochs)
+               for w in zip(*(tr.batches(k, epoch) for k in range(K)))]
     sides = {
         "packed": (AheadProcess(lambda _r: map(pack_window, windows), 2,
                                 owner=tr),
@@ -738,7 +756,74 @@ def window_handoff_stages(stages: dict, *, dataset=None, rounds=5) -> None:
     stages["sampling.window_handoff"] = _entry(
         walls["packed"], rows=sum(m.num_vertices for w in windows for m in w),
         dense_wall_s=walls["dense"], windows=len(windows),
-        mb_per_epoch=round(nbytes / 1e6, 2))
+        mb_per_epoch=round(nbytes / epochs / 1e6, 2))
+
+
+# ----------------------------------------------------------------------
+def sync_update_stages(stages: dict, *, dataset=None, steps=8,
+                       rounds=7) -> None:
+    """One sync step's reduce + update, the engine's way (one reduce over
+    a replica table built once, the lead's ``Adam`` stepped once, the other
+    replicas bound to its arrays) vs the replay's K-step loop, on the
+    ``train_drift`` model (mag240c-mini, K = 4).  ``steps`` recorded real
+    gradients per machine are fed to both sides in turn; weights asserted
+    ``==`` across the sides after every round."""
+    from repro.distributed import all_reduce_gradients, train_batch
+    from repro.distributed.comm import bind_replicas, replica_params
+    from repro.distributed.engine import InProcessCollective
+
+    ds = dataset if dataset is not None else load_dataset(DRIFT_DATASET)
+    cfg = RunConfig(num_machines=DRIFT_K, partitioner="random", seed=0)
+    planner = Planner()
+    engine_tr, dense_tr = (planner.build(ds, cfg).trainer for _ in range(2))
+    store, streams = engine_tr.store, [engine_tr.batches(k, 0)
+                                       for k in range(DRIFT_K)]
+    grads = []  # grads[step][machine]: that machine's gradient arrays
+    for _ in range(steps):
+        row = []
+        for k, model in enumerate(engine_tr.models):
+            mfg = next(streams[k])
+            feats, _stats = store.execute(store.plan_gather(k, mfg.n_id))
+            train_batch(model, feats, mfg, ds.labels[mfg.seeds])
+            row.append([p.grad for p in model.parameters()])
+        grads.append(row)
+    collective = InProcessCollective(engine_tr.models, all_reduce_gradients)
+    table = replica_params(engine_tr.models)  # the engine's, once an epoch
+
+    def engine_step(tr):
+        collective.post(0)
+        tr.optimizers[0].step()
+        bind_replicas(table)
+
+    def dense_step(tr):
+        all_reduce_gradients(tr.models)
+        for optimizer in tr.optimizers:
+            optimizer.step()
+
+    def run(tr, update):
+        wall = 0.0
+        for row in grads:
+            for model, machine_grads in zip(tr.models, row):
+                for p, g in zip(model.parameters(), machine_grads):
+                    p.grad = g
+            t0 = time.perf_counter()
+            update(tr)
+            wall += time.perf_counter() - t0
+        return wall
+
+    def weights(tr):
+        return [p.data.tobytes() for m in tr.models for p in m.parameters()]
+
+    wall = dense_wall = float("inf")
+    for _ in range(rounds):  # alternating, so machine drift hits both sides
+        wall = min(wall, run(engine_tr, engine_step))
+        dense_wall = min(dense_wall, run(dense_tr, dense_step))
+        if weights(engine_tr) != weights(dense_tr):
+            raise AssertionError("one bound update diverged from K steps")
+    params = sum(p.data.size for p in engine_tr.models[0].parameters())
+    stages["train.sync_update"] = _entry(
+        wall / steps, dense_wall_s=dense_wall / steps,
+        machines=DRIFT_K, steps=steps, parameters=int(params))
 
 
 # ----------------------------------------------------------------------
@@ -856,6 +941,7 @@ def run_all(*, num_requests=1_200, engines=("bsp", "pipelined", "async")) -> dic
     nn_stages(stages, dataset=dataset)
     sampling_stages(stages, dataset=dataset)
     window_handoff_stages(stages, dataset=dataset)
+    sync_update_stages(stages)
     gather_stages(stages, reordered=reordered)
     coalesce_stages(stages, reordered=reordered)
     return {

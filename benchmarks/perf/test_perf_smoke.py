@@ -95,6 +95,24 @@ def test_window_handoff_stage_matches_the_drawn_windows(small_dataset):
     assert entry["mb_per_epoch"] > 0
 
 
+def test_sync_update_stage_holds_the_bound_update_to_k_steps(
+        small_dataset, monkeypatch):
+    """The stage asserts every replica's weights ``==`` the K-step loop's
+    before reporting: an update that is stepped but not bound fails it."""
+    import repro.distributed.comm as comm
+
+    stages = {}
+    harness.sync_update_stages(stages, dataset=small_dataset, steps=2,
+                               rounds=1)
+    entry = stages["train.sync_update"]
+    assert entry["machines"] == 4 and entry["parameters"] > 0
+    assert entry["wall_s"] > 0 and entry["dense_wall_s"] > 0
+    monkeypatch.setattr(comm, "bind_replicas", lambda table: None)
+    with pytest.raises(AssertionError, match="diverged"):
+        harness.sync_update_stages({}, dataset=small_dataset, steps=2,
+                                   rounds=1)
+
+
 def test_harness_entry_schema(small_dataset):
     """Every entry carries the documented keys with sane values."""
     stages = {}

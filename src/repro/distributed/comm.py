@@ -92,8 +92,11 @@ def average_into(per_machine: List[List[np.ndarray]],
         acc /= k
 
 
-def _replica_params(models: List[Module]) -> List[List[Parameter]]:
-    """Each parameter's K replicas, in ``named_parameters()`` order."""
+def replica_params(models: List[Module]) -> List[List[Parameter]]:
+    """Each parameter's K replicas, in ``named_parameters()`` order: the
+    table a reduce walks.  A caller reducing the same replicas every step
+    builds it once and passes it as ``table=`` (the :class:`Parameter`
+    objects stay; what a step or a restore rebinds is their ``data``)."""
     if not models:
         raise ValueError("no model replicas")
     named = [dict(m.named_parameters()) for m in models]
@@ -106,6 +109,16 @@ def _replica_params(models: List[Module]) -> List[List[Parameter]]:
     return [[nd[key] for nd in named] for key in keys]
 
 
+def bind_replicas(table: List[List[Parameter]]) -> None:
+    """Rebind every replica's parameters to the first replica's arrays
+    (``table`` as :func:`replica_params` builds it): after a gradient
+    all-reduce and one optimizer step over the first replica, the update
+    every other replica would compute, without computing it."""
+    for params in table:
+        for p in params[1:]:
+            p.data = params[0].data
+
+
 def _record_ring(models: List[Module], ledger: Optional[CommLedger]) -> None:
     """Charge ``ledger`` one ring all-reduce of a model-sized payload."""
     if ledger is not None and len(models) > 1:
@@ -116,6 +129,8 @@ def _record_ring(models: List[Module], ledger: Optional[CommLedger]) -> None:
 def all_reduce_gradients(
     models: List[Module],
     ledger: Optional[CommLedger] = None,
+    *,
+    table: Optional[List[List[Parameter]]] = None,
 ) -> None:
     """Average gradients across per-machine model replicas, in place.
 
@@ -123,10 +138,12 @@ def all_reduce_gradients(
     machine's batch never touched them), matching DDP semantics.  After this
     call every replica holds identical averaged gradients — the *same*
     arrays, shared: nothing under ``src/repro`` writes a gradient in place
-    (``tests/nn/test_grad_aliasing.py``) — so identical optimizer states
-    yield identical weights, the invariant the test suite checks.
+    (``tests/nn/test_grad_aliasing.py``) — so one optimizer step over one
+    replica computes every replica's update: the epoch loop steps its
+    first machine's optimizer once and binds the other replicas to the
+    stepped weights (:meth:`~repro.distributed.engine.ExecutionEngine.run_machines`).
     """
-    for params in _replica_params(models):
+    for params in table or replica_params(models):
         grads = [p.grad for p in params]
         like = next((g for g in grads if g is not None), params[0].data)
         avg = np.empty_like(like)
@@ -140,6 +157,8 @@ def all_reduce_gradients(
 def average_parameters(
     models: List[Module],
     ledger: Optional[CommLedger] = None,
+    *,
+    table: Optional[List[List[Parameter]]] = None,
 ) -> None:
     """Average model *parameters* (not gradients) across replicas, in place.
 
@@ -149,7 +168,7 @@ def average_parameters(
     the same ring all-reduce as a gradient reduction (parameters and
     gradients have identical shapes), which the ledger records.
     """
-    for params in _replica_params(models):
+    for params in table or replica_params(models):
         avg = np.empty_like(params[0].data)
         average_into([[p.data] for p in params], [avg])
         for p in params:

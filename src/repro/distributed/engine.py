@@ -126,7 +126,9 @@ from repro.distributed.comm import (
     CommLedger,
     all_reduce_gradients,
     average_parameters,
+    bind_replicas,
     gradient_nbytes,
+    replica_params,
 )
 from repro.distributed.feature_store import (
     FetchPlan,
@@ -239,17 +241,20 @@ class InProcessCollective:
     to tell anyone about a gather, and a step's exchange is the reduce of
     the model replicas themselves, done at ``post`` (``reduce`` is
     :func:`all_reduce_gradients`, or :func:`average_parameters` for
-    ``async``) — nothing is left to wait for at ``collect``."""
+    ``async``) over the replica table built here, once — nothing is left
+    to wait for at ``collect``.  The update after a gradient reduce is
+    the loop's: one optimizer step, bound to every replica."""
 
     def __init__(self, models, reduce):
         self._models = models
+        self._table = replica_params(models)
         self._reduce = reduce
 
     def fetched(self, w0: int, w1: int, plans, first_request) -> None:
         pass
 
     def post(self, step: int) -> None:
-        self._reduce(self._models)
+        self._reduce(self._models, table=self._table)
 
     def collect(self, step: int) -> None:
         pass
@@ -431,25 +436,29 @@ class ExecutionEngine:
         window) and reported to ``collective.fetched``; then, unless
         ``dry_run``, the window's steps train in order, each sync step
         closed by ``collective.post``, ``collective.collect`` and the
-        optimizer step.  When the step that closes a window syncs and
-        another window follows, that window is drawn between ``post`` and
-        ``collect`` — while the peers' half of the exchange is in flight —
-        instead of at the top of its own window.  On a host with a spare
-        core (``trainer.spare_core``) the sampling of a trained epoch runs
-        up to two windows ahead in the engine's sampler process
-        (:meth:`_sampler_process`), whose cursors come back with the last
-        window.  Any exception out of this method closes that process and
-        puts every sampler's cursor back where the epoch began, so a
-        window drawn and then dropped by an aborted exchange leaves no
-        trace on either side of the spare-core rule.  Everything else runs
-        in the calling process in this order, so the two paths are
-        bit-identical.
+        update: for ``async`` every machine's optimizer already stepped on
+        its own gradient; otherwise the first machine's optimizer steps
+        once and every other replica's parameters are rebound to its
+        arrays (the reduced gradients are one shared array, so the K
+        updates would be the same bits).  When the step that closes a
+        window syncs and another window follows, that window is drawn
+        between ``post`` and ``collect`` — while the peers' half of the
+        exchange is in flight — instead of at the top of its own window.
+        On a host with a spare core (``trainer.spare_core``) the sampling
+        of a trained epoch runs up to two windows ahead in the engine's
+        sampler process (:meth:`_sampler_process`), whose cursors come
+        back with the last window.  Any exception out of this method
+        closes that process and puts every sampler's cursor back where the
+        epoch began, so a window drawn and then dropped by an aborted
+        exchange leaves no trace on either side of the spare-core rule.
+        Everything else runs in the calling process in this order, so the
+        two paths are bit-identical.
 
         While tracing is on, each draw is a wall ``stage.sample`` span
         (lane ``<lane>/sampler`` when the process drew it) and each
         :func:`train_batch` call a wall ``stage.train`` span, both keyed
         ``(machine, step)``, and each sync step's exchange with the
-        optimizer steps it closes a wall ``stage.allreduce`` span keyed
+        update it closes a wall ``stage.allreduce`` span keyed
         ``(-1, step)`` — the measured twins of the simulated placements of
         the same name and key (histogram ``engine.train_batch_s``).
         Obtaining a window is an ``engine.sample_wait`` span: a child of
@@ -477,6 +486,9 @@ class ExecutionEngine:
         steps = tr.steps_per_epoch()
         sched = self.schedule(steps)
         sync_at = set(sched.sync_steps)
+        # Binding the replicas to the lead's stepped arrays is safe because
+        # nothing writes a sync replica's weights in place (Adam rebinds).
+        replicas = replica_params([tr.models[k] for k in machines])
         proc = (self._sampler_process(machines)
                 if tr.spare_core and not dry_run else None)
         records: dict = {k: [] for k in machines}
@@ -548,8 +560,8 @@ class ExecutionEngine:
                                         next_window = draw(False)
                                     collective.collect(step)
                                     if not self.local_apply:
-                                        for k in machines:
-                                            tr.optimizers[k].step()
+                                        tr.optimizers[machines[0]].step()
+                                        bind_replicas(replicas)
             if OBS.enabled:
                 OBS.metrics.counter("engine.steps").inc(steps)
                 if proc is not None and first_wait:

@@ -56,8 +56,11 @@ class DistributedTrainer:
     fanouts / batch_size:
         Per-hop sampling fanouts and per-machine minibatch size.
     hidden_dim / lr:
-        Model and optimizer hyperparameters (one replica per machine, all
-        initialized identically).
+        Model and optimizer hyperparameters: one model replica and one
+        ``Adam`` per machine, all initialized identically.  ``async``
+        steps every optimizer on its replica's own gradient; ``bsp`` and
+        ``pipelined`` step ``optimizers[0]`` once per sync step and bind
+        the other replicas to its weights, so their optimizers stay idle.
     engine / pipeline_depth / staleness:
         The execution engine (a :data:`~repro.distributed.engine.ENGINES`
         name, default ``"bsp"``) and its knobs: in-flight batches per

@@ -8,9 +8,11 @@ the pre-refactor trainer's :class:`EpochReport` exactly — same losses, same
 volumes, same ledger bytes under the same seeds.
 """
 
+import dataclasses
 import os
 import signal
 import time
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.graph import erdos_renyi
 from repro.graph.datasets import make_synthetic_dataset, make_tiny
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.nn.functional import cross_entropy
+from repro.nn.optim import Adam
 from repro.partition import metis_like_partition, reorder_dataset
 from repro.obs import OBS
 from repro.pipeline.events import Stage
@@ -879,3 +882,127 @@ def test_an_aborted_epoch_closes_its_child_and_replays_bit_identically(
     assert epoch_facts(system, tr.train_epoch(1)) == epoch_facts(clean, want)
     assert len(forks) == (0 if inline else 3)
     assert all(not closed(p) for p in forks[2:])
+
+
+# ----------------------------------------------------------------------
+# One update per sync step: after the gradient all-reduce every replica
+# holds the same weights, the same gradient arrays and the same moments, so
+# bsp / pipelined step the first machine's optimizer once and rebind the
+# other replicas to its arrays.  async applies each replica's own gradient
+# and keeps K distinct arrays.  Everything stays == the frozen seed loop,
+# which steps all K optimizers.
+
+@pytest.fixture()
+def adam_steps(monkeypatch):
+    """Every ``Adam.step`` call's optimizer, in call order (a live list)."""
+    calls, step = [], Adam.step
+
+    def counted(self):
+        calls.append(self)
+        step(self)
+
+    monkeypatch.setattr(Adam, "step", counted)
+    return calls
+
+
+def replica_arrays(tr):
+    """Each replica's parameter arrays, in ``parameters()`` order."""
+    return [[p.data for p in m.parameters()] for m in tr.models]
+
+
+def weight_bytes(tr):
+    return [[a.tobytes() for a in arrays] for arrays in replica_arrays(tr)]
+
+
+def assert_bound_to_the_lead(tr):
+    lead, *rest = replica_arrays(tr)
+    for arrays in rest:
+        assert all(a is b for a, b in zip(arrays, lead))
+
+
+@pytest.mark.parametrize("engine,knobs", [
+    ("bsp", {}), ("pipelined", dict(pipeline_depth=4)),
+], ids=["bsp", "pipelined-4"])
+def test_a_sync_step_updates_the_weights_once(
+        multi_step_reordered, adam_steps, engine, knobs):
+    ref = make_trainer(multi_step_reordered, engine="bsp", seed=7)
+    new = make_trainer(multi_step_reordered, engine=engine, seed=7, **knobs)
+    sync_steps = new.engine.schedule(new.steps_per_epoch()).sync_steps
+    for epoch in range(2):
+        losses, _volumes, _ledger = seed_trainer_epoch(ref, epoch)
+        del adam_steps[:]
+        report = new.train_epoch(epoch)
+        assert len(adam_steps) == len(sync_steps) > 1
+        assert all(opt is new.optimizers[0] for opt in adam_steps)
+        assert_bound_to_the_lead(new)
+        assert [r.loss for r in report.records] == losses
+        assert weight_bytes(new) == weight_bytes(ref)
+    assert [opt._t for opt in new.optimizers] == \
+        [2 * len(sync_steps)] + [0] * (new.num_machines - 1)
+
+
+def test_async_steps_every_replica_and_keeps_its_arrays(
+        multi_step_reordered, adam_steps):
+    tr = make_trainer(multi_step_reordered, engine="async", staleness=2)
+    steps = tr.steps_per_epoch()
+    tr.train_epoch(0)
+    assert len(adam_steps) == tr.num_machines * steps
+    assert [sum(o is opt for o in adam_steps) for opt in tr.optimizers] == \
+        [steps] * tr.num_machines
+    lead, *rest = replica_arrays(tr)
+    for arrays in rest:
+        assert not any(a is b for a, b in zip(arrays, lead))
+    assert tr.models_in_sync()  # re-averaged at the epoch's end
+
+
+def test_a_per_replica_restore_then_an_epoch_stays_bit_identical(
+        multi_step_reordered):
+    """``load_state_dict`` gives each replica its own copies; the next
+    sync step binds them to the lead again, and the epoch is the one a
+    trainer that was never restored trains."""
+    want = make_trainer(multi_step_reordered, seed=3)
+    tr = make_trainer(multi_step_reordered, seed=3)
+    for trainer in (want, tr):
+        trainer.train_epoch(0)
+    saved = checkpoint(tr)
+    tr.train_epoch(1)  # moves every replica past the checkpoint
+    restore(tr, saved)
+    lead, *rest = replica_arrays(tr)
+    assert not any(a is b for arrays in rest for a, b in zip(arrays, lead))
+    assert weight_bytes(tr) == weight_bytes(want)
+    got, expected = tr.train_epoch(1), want.train_epoch(1)
+    assert [r.loss for r in got.records] == [r.loss for r in expected.records]
+    assert weight_bytes(tr) == weight_bytes(want)
+    assert_bound_to_the_lead(tr)
+
+
+@pytest.mark.parametrize("engine,knobs", [
+    ("bsp", {}), ("pipelined", dict(pipeline_depth=3)),
+], ids=["bsp", "pipelined-3"])
+def test_a_multiproc_worker_steps_its_optimizer_once_per_sync(
+        planner, ahead_dataset, engine, knobs):
+    """Each worker runs the machine set ``{k}``: one optimizer, one step per
+    sync step; its weights and moments are the in-process lead's."""
+    cfg = RunConfig(num_machines=2, fanouts=(4, 3), batch_size=12,
+                    hidden_dim=16, gpu_fraction=0.5, seed=0, engine=engine,
+                    **knobs)
+    ref = planner.build(ahead_dataset, cfg)
+    with planner.build(ahead_dataset, dataclasses.replace(
+            cfg, backend="multiproc")) as mp:
+        for epoch in range(2):
+            got = mp.train_epoch(epoch).report.records
+            want = ref.train_epoch(epoch).report.records
+            assert [(r.machine, r.step, r.loss) for r in got] == \
+                [(r.machine, r.step, r.loss) for r in want]
+        states = mp.backend()._round(range(2), "ckpt", repeat(None), "state")
+    tr = ref.trainer
+    syncs = len(tr.engine.schedule(tr.steps_per_epoch()).sync_steps)
+    lead = tr.optimizers[0].state_dict()
+    assert [opt._t for opt in tr.optimizers] == [2 * syncs, 0]
+    for state in states:
+        assert state["adam"]["t"] == 2 * syncs
+        assert {n: w.tobytes() for n, w in state["model"].items()} == \
+            {n: w.tobytes() for n, w in tr.models[0].state_dict().items()}
+        for got, want in zip(state["adam"]["m"] + state["adam"]["v"],
+                             lead["m"] + lead["v"]):
+            assert got.tobytes() == want.tobytes()
