@@ -2,8 +2,8 @@
 
 This benchmark evaluates the repo's extension *beyond* the paper (no figure
 corresponds to it): the static VIP cache of §4.2 against the dynamic cache
-subsystem — LRU / LFU / CLOCK replacement and periodic ``vip-refresh`` — on
-two workloads:
+subsystem — gated LRU replacement and periodic ``vip-refresh`` — on two
+workloads:
 
 * **Stationary** (the paper's setting): uniform minibatches from a fixed
   training set on products-mini.  Static analytic VIP is provably the right
@@ -18,7 +18,7 @@ two workloads:
   deployment — the realistic layout for online systems, and one where
   neighborhood expansion is remote-heavy on every machine.  The build-time
   VIP cache goes stale with each phase; dynamic policies must win.  The
-  assertion is the headline claim: ``vip-refresh`` and LFU achieve strictly
+  assertion is the headline claim: ``vip-refresh`` and LRU achieve strictly
   lower *total* communication (demand fetches + cache-update traffic) than
   static VIP at equal cache budget.
 
@@ -35,7 +35,7 @@ from repro.graph import drifting_training_sets
 from repro.graph.datasets import make_synthetic_dataset
 from repro.utils import Table
 
-POLICIES = ["vip", "lru", "lfu", "clock", "vip-refresh"]
+POLICIES = ["vip", "lru", "vip-refresh"]
 
 # --- stationary setting (products-mini defaults, Table-1-style cache). ---
 STAT_DATASET = "products-mini"
@@ -188,12 +188,9 @@ def test_dynamic_cache_drift(benchmark):
     # Headline: adaptive caching beats the stale static cache at equal
     # budget, counting its own update traffic.
     assert totals["vip-refresh"] < base, "vip-refresh must strictly win under drift"
-    assert totals["lfu"] < base, "lfu must strictly win under drift"
+    assert totals["lru"] < base, "lru must strictly win under drift"
     assert totals["vip-refresh"] < 0.8 * base, (
         f"vip-refresh should win decisively, got {totals['vip-refresh'] / base:.3f}x")
-    # Every replacement policy adapts at least somewhat.
-    for pol in ("lru", "clock"):
-        assert totals[pol] < base
 
     # The refresh mechanism really ran, and its demand saving is what pays.
     assert results["vip-refresh"]["refreshes"] > 0
@@ -201,4 +198,4 @@ def test_dynamic_cache_drift(benchmark):
 
     benchmark.extra_info["vip_refresh_vs_static"] = round(
         totals["vip-refresh"] / base, 4)
-    benchmark.extra_info["lfu_vs_static"] = round(totals["lfu"] / base, 4)
+    benchmark.extra_info["lru_vs_static"] = round(totals["lru"] / base, 4)

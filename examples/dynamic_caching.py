@@ -11,7 +11,7 @@ subsystem pays off:
    the fetch cost of swapping them in.
 
 2. **Streaming inference** — a request stream with a shifting popularity
-   hot set hits the feature store directly (no training at all); an LFU
+   hot set hits the feature store directly (no training at all); an LRU
    cache with TinyLFU-style gated admission tracks the hot set online,
    while the static training-time cache serves a workload it was never
    built for.
@@ -53,7 +53,7 @@ def drifting_training_demo(ds):
     table = Table(["policy", "demand rows", "refresh rows", "total", "vs static"],
                   title="Total communication over 12 epochs (cache a=0.10)")
     totals = {}
-    for pol in ("vip", "lfu", "vip-refresh"):
+    for pol in ("vip", "lru", "vip-refresh"):
         cfg = RunConfig(num_machines=4, replication_factor=0.10, cache_policy=pol,
                         refresh_interval=12, cache_aging_interval=20,
                         partitioner="random", fanouts=(4, 3), batch_size=32, seed=0)
@@ -112,10 +112,9 @@ def streaming_inference_demo(ds):
 
     static_store = PartitionedFeatureStore.build(rd, caches=warm)
     run(static_store, "static vip (training-time)")
-    for pol in ("lru", "lfu"):
-        spec = DynamicCacheSpec(policy=pol, capacity=budget, aging_interval=30)
-        store = PartitionedFeatureStore.build(rd, caches=warm, dynamic=spec)
-        run(store, f"dynamic {pol}")
+    spec = DynamicCacheSpec(policy="lru", capacity=budget, aging_interval=30)
+    store = PartitionedFeatureStore.build(rd, caches=warm, dynamic=spec)
+    run(store, "dynamic lru")
     print()
 
 

@@ -7,7 +7,7 @@ caching, and a simulated distributed multi-GPU training system (SALIENT++)
 with a deep minibatch-preparation pipeline — plus every substrate it needs
 (CSR graphs, a METIS-like partitioner, a node-wise neighborhood sampler, a
 numpy GNN stack, and a discrete-event performance model), and a dynamic
-cache subsystem (LRU/LFU/CLOCK + periodic VIP refresh) for non-stationary
+cache subsystem (gated LRU + periodic VIP refresh) for non-stationary
 workloads beyond the paper.
 
 Quickstart

@@ -131,9 +131,9 @@ class RunConfig:
     cache_policy: str = "vip"               # static or dynamic registry name
     gpu_fraction: float = 0.0               # β — local rows resident on GPU
     vip_reorder: bool = True                # §4.1 local ordering
-    # Dynamic caching (cache_policy in {"lru", "lfu", "clock", "vip-refresh"}):
-    # batches between vip-refresh cache swaps (ignored by other policies), and
-    # batches between frequency-aging steps of the replacement policies.
+    # Dynamic caching (cache_policy in {"lru", "vip-refresh"}): batches
+    # between vip-refresh cache swaps (ignored by lru), and batches between
+    # frequency-aging steps of lru's admission gate (ignored by vip-refresh).
     refresh_interval: int = 50
     cache_aging_interval: int = 64
 
@@ -306,7 +306,7 @@ class RunConfig:
             storage = f"partitioned + {self.cache_policy} cache (a={self.replication_factor:g})"
             if self.cache_policy == "vip-refresh":
                 storage += f" every {self.refresh_interval} batches"
-            elif is_dynamic_policy(self.cache_policy):  # replacement family
+            elif is_dynamic_policy(self.cache_policy):  # lru
                 if self.cache_aging_interval > 0:
                     storage += f", aging every {self.cache_aging_interval} batches"
                 else:

@@ -7,7 +7,7 @@ preprocessing + runtime does:
 2. compute partition-wise VIP vectors (Proposition 1);
 3. reorder vertices partition-contiguously, VIP-descending within partitions;
 4. select each machine's remote-feature cache with the configured policy
-   (static rankings, or a dynamic LRU/LFU/CLOCK/vip-refresh cache
+   (static rankings, or a dynamic lru/vip-refresh cache
    warm-started from the analytic-VIP selection);
 5. build the partitioned feature store (GPU prefix β, cache α);
 6. train with the bulk-synchronous distributed executor (functionally real

@@ -1,4 +1,4 @@
-"""Dynamic remote-feature caches: replacement policies + periodic VIP refresh.
+"""Dynamic remote-feature caches: LRU replacement + periodic VIP refresh.
 
 The paper's cache (§4.2) is *static*: VIP scores are computed once during
 preprocessing and the cache contents never change.  That is optimal when the
@@ -10,10 +10,12 @@ O(1) membership / row-lookup interface as the static cache (so
 :class:`~repro.distributed.feature_store.MachineStore` uses one gather path
 for both) while updating its contents in one of two ways:
 
-* **Replacement on miss** (``lru`` / ``lfu`` / ``clock``): every remote row
-  fetched from a peer is admitted into the cache, evicting victims chosen by
-  the replacement policy.  This is the classic OS-page-cache family; LFU is
-  the online analogue of frequency (empirical-VIP) caching.
+* **Replacement on miss** (``lru``): a remote row fetched from a peer is
+  considered for admission behind a TinyLFU-style gate (seen in an earlier
+  batch, and more popular than the entry it would displace); the
+  displaced entries are the least recently used.  The gate, not the victim
+  order, decides what stays: LFU and CLOCK victim orders behind the same
+  gate moved communication by under 1 %.
 * **Periodic refresh** (``vip-refresh``): contents are fixed between refresh
   points (GNNLab-style); every ``refresh_interval`` batches the cache is
   swapped to the current top-``capacity`` vertices under a score function —
@@ -26,10 +28,10 @@ for both) while updating its contents in one of two ways:
 
 Caches can be *warm-started* from a static policy's selection (the analytic
 VIP ranking in :class:`~repro.core.system.SalientPP`): the initial contents
-are the static cache, and the replacement metadata is primed so the static
+are the static cache, and the recency stamps are primed so the static
 ranking decides evictions until enough online evidence accumulates.  This
-keeps dynamic policies within a few percent of static VIP on stationary
-workloads while letting them adapt under drift.
+keeps ``lru`` within a few percent of static VIP on stationary workloads
+while letting it adapt under drift.
 
 All per-gather operations are vectorized: membership is an O(1) array
 lookup, admission/eviction touch O(misses + capacity) entries, and nothing
@@ -47,11 +49,15 @@ from repro.graph.csr import sorted_unique
 from repro.utils.registry import Registry
 
 #: Dynamic cache policy registry (``RunConfig.cache_policy``): each entry is
-#: the :class:`ReplacementPolicy` class keeping that policy's per-slot
-#: eviction metadata.  Shares the decorator registration API with
-#: ``PARTITIONERS`` and the static policy zoo; membership tests and
-#: iteration see the registered names.
+#: whether that policy admits rows on a miss (``lru``) rather than only at
+#: refresh points (``vip-refresh``).  Only ``lru`` reads the recency order:
+#: ``vip-refresh`` never asks for a victim (``admit`` returns first, and
+#: ``plan_refresh`` picks ``evict_ids`` by score).  Shares the decorator
+#: registration API with ``PARTITIONERS`` and the static policy zoo;
+#: membership tests and iteration see the registered names.
 DYNAMIC_CACHE_POLICIES = Registry("dynamic cache policy")
+DYNAMIC_CACHE_POLICIES.register("lru", True)
+DYNAMIC_CACHE_POLICIES.register("vip-refresh", False)
 
 
 #: Pseudo-count weight of the warm-start VIP scores: a score-1.0 vertex
@@ -59,6 +65,18 @@ DYNAMIC_CACHE_POLICIES = Registry("dynamic cache policy")
 #: the analytic selection until real evidence accumulates (and decays with
 #: aging).
 PRIOR_WEIGHT = 32.0
+
+#: Admission doorkeeper of ``lru``: a missed row is considered for
+#: admission only once it has been accessed in at least this many *earlier*
+#: batches.  Node-wise sampling is scan-heavy — most touched vertices are
+#: one-off tail vertices — so admitting every miss thrashes the cache.
+ADMIT_THRESHOLD = 1
+
+#: Cost-awareness of ``vip-refresh`` swaps: an entry is replaced only if the
+#: *expected accesses saved* until the next refresh exceed this many row
+#: fetches (each swap costs exactly one); see
+#: :meth:`DynamicCache.plan_refresh`.
+SWAP_MARGIN = 1.0
 
 
 def top_scored(scores: np.ndarray, budget: int) -> np.ndarray:
@@ -94,33 +112,15 @@ class DynamicCacheSpec:
         Cache slots per machine (the static budget ``alpha * N / K``).
         ``None`` falls back to the size of the warm-start cache.
     refresh_interval:
-        Batches between refreshes (``vip-refresh`` only; ignored by the
-        replacement policies).  ``0`` disables refreshing.
-    admit_threshold:
-        Admission doorkeeper (TinyLFU-style) for the replacement policies: a
-        missed row is considered for admission only once it has been
-        accessed in at least this many *earlier* batches, and it then
-        displaces a victim only if its frequency estimate (VIP prior +
-        observed accesses) strictly exceeds the victim's.  Node-wise
-        sampling is scan-heavy — most touched vertices are one-off tail
-        vertices — so admitting every miss thrashes the cache; the gate
-        keeps recurring (hot) vertices and rejects the scan.  ``0`` disables
-        both checks (classic unconditional admission; useful for textbook
-        LRU/LFU/CLOCK semantics in tests).
+        Batches between refreshes (``vip-refresh`` only; ignored by
+        ``lru``).  ``0`` disables refreshing.
     aging_interval:
-        Batches between frequency-aging steps for the replacement policies:
-        observed access counts and the VIP prior are halved every interval
-        (TinyLFU's reset), bounding how long stale popularity can outvote a
-        drifted workload.  ``0`` disables aging.
-    swap_margin:
-        Cost-awareness of ``vip-refresh`` swaps: an entry is replaced only
-        if the *expected accesses saved* until the next refresh —
-        ``(rate_new - rate_old) * horizon`` with per-batch access rates —
-        exceeds this many row fetches (each swap costs exactly one).  A full
-        content swap (GNNLab-style) is ``swap_margin=0``; the default prunes
-        tail swaps whose fetch cost exceeds their benefit.
+        Batches between frequency-aging steps of ``lru``: observed access
+        counts and the VIP prior are halved every interval (TinyLFU's
+        reset), bounding how long stale popularity can outvote a drifted
+        workload.  ``0`` disables aging.
     warm_scores:
-        Optional ``(K, N)`` score matrix used to prime replacement metadata
+        Optional ``(K, N)`` score matrix used to prime the recency order
         of warm-started contents and as the admission prior (row ``k`` for
         machine ``k``).
     """
@@ -128,9 +128,7 @@ class DynamicCacheSpec:
     policy: str
     capacity: Optional[int] = None
     refresh_interval: int = 0
-    admit_threshold: int = 1
     aging_interval: int = 64
-    swap_margin: float = 1.0
     warm_scores: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -145,10 +143,6 @@ class DynamicCacheSpec:
             raise ValueError(
                 f"refresh_interval must be non-negative, got {self.refresh_interval}"
             )
-        if self.admit_threshold < 0:
-            raise ValueError(
-                f"admit_threshold must be non-negative, got {self.admit_threshold}"
-            )
         if self.aging_interval < 0:
             raise ValueError(
                 f"aging_interval must be non-negative, got {self.aging_interval}"
@@ -156,7 +150,7 @@ class DynamicCacheSpec:
 
     @property
     def admit_on_miss(self) -> bool:
-        return self.policy != "vip-refresh"
+        return DYNAMIC_CACHE_POLICIES[self.policy]
 
 
 @dataclass
@@ -199,174 +193,6 @@ class CacheChurnStats:
             refreshes=self.refreshes + other.refreshes,
             refresh_fetch_rows=self.refresh_fetch_rows + other.refresh_fetch_rows,
         )
-
-
-# ----------------------------------------------------------------------
-# Replacement policies.  Each maintains per-slot metadata arrays of length
-# ``capacity`` and answers "which occupied slots should be evicted next".
-
-
-class ReplacementPolicy:
-    """Per-slot eviction bookkeeping shared by LRU / LFU / CLOCK."""
-
-    name = "abstract"
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-
-    def note_insert(self, slots: np.ndarray, tick: int,
-                    weights: Optional[np.ndarray] = None) -> None:
-        """Record insertions; ``weights`` are frequency estimates of the new
-        entries (used by LFU, ignored by recency-based policies)."""
-        raise NotImplementedError
-
-    def note_hit(self, slots: np.ndarray, tick: int) -> None:
-        raise NotImplementedError
-
-    def prime(self, slots: np.ndarray, scores: np.ndarray) -> None:
-        """Seed metadata for warm-started contents so the given static
-        ``scores`` (higher = keep longer) decide early evictions."""
-        raise NotImplementedError
-
-    def age(self) -> None:
-        """Halve frequency state (no-op for recency-based policies)."""
-
-    def victims(self, count: int, occupied: np.ndarray) -> np.ndarray:
-        """Slots (subset of ``occupied``) to evict, exactly ``count`` of
-        them, worst (evict-first) first.  Must be side-effect-free: the
-        admission gate calls it as a query and may evict none of them.
-        """
-        raise NotImplementedError
-
-    def note_evict(self, slots: np.ndarray) -> None:
-        """Record that ``slots`` were actually evicted (CLOCK advances its
-        hand here; recency/frequency policies need no bookkeeping)."""
-
-
-@DYNAMIC_CACHE_POLICIES.register("lru")
-class LRUPolicy(ReplacementPolicy):
-    """Evict the least-recently-used slot (batch-granular recency)."""
-
-    name = "lru"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        # Warm-started entries get negative stamps (see prime), so any real
-        # access outranks every primed entry.
-        self.last_used = np.full(capacity, -np.inf)
-
-    def note_insert(self, slots, tick, weights=None):
-        self.last_used[slots] = tick
-
-    def note_hit(self, slots, tick):
-        self.last_used[slots] = tick
-
-    def prime(self, slots, scores):
-        order = np.argsort(scores, kind="stable")  # ascending: worst first
-        self.last_used[slots[order]] = np.arange(len(slots)) - len(slots)
-
-    def victims(self, count, occupied):
-        occ = np.flatnonzero(occupied)
-        order = np.argsort(self.last_used[occ], kind="stable")
-        return occ[order[:count]]
-
-
-@DYNAMIC_CACHE_POLICIES.register("lfu")
-class LFUPolicy(ReplacementPolicy):
-    """Evict the least-frequently-used slot, recency as tie-break.
-
-    Frequency is seeded at insertion with the entry's current global
-    estimate (VIP prior + observed accesses), so a row that cycles out and
-    back does not restart from zero — the cache converges to the online
-    empirical-VIP top set.
-    """
-
-    name = "lfu"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self.freq = np.zeros(capacity, dtype=np.float64)
-        self.last_used = np.full(capacity, -np.inf)
-
-    def note_insert(self, slots, tick, weights=None):
-        self.freq[slots] = 1.0 if weights is None else np.maximum(weights, 1.0)
-        self.last_used[slots] = tick
-
-    def note_hit(self, slots, tick):
-        self.freq[slots] += 1
-        self.last_used[slots] = tick
-
-    def prime(self, slots, scores):
-        self.freq[slots] = np.maximum(np.asarray(scores, dtype=np.float64), 1.0)
-        order = np.argsort(scores, kind="stable")
-        self.last_used[slots[order]] = np.arange(len(slots)) - len(slots)
-
-    def age(self):
-        self.freq *= 0.5
-
-    def victims(self, count, occupied):
-        occ = np.flatnonzero(occupied)
-        # Least frequent first; least recent breaks ties.
-        order = np.lexsort((self.last_used[occ], self.freq[occ]))
-        return occ[order[:count]]
-
-
-@DYNAMIC_CACHE_POLICIES.register("clock")
-class ClockPolicy(ReplacementPolicy):
-    """Second-chance CLOCK: a reference bit per slot and a sweeping hand."""
-
-    name = "clock"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self.ref = np.zeros(capacity, dtype=bool)
-        self.hand = 0
-
-    def note_insert(self, slots, tick, weights=None):
-        self.ref[slots] = True
-
-    def note_hit(self, slots, tick):
-        self.ref[slots] = True
-
-    def prime(self, slots, scores):
-        self.ref[slots] = True
-
-    def victims(self, count, occupied):
-        # Sweep order starting at the hand, wrapping once.  Pure query: the
-        # hand moves and reference bits clear only in note_evict, when an
-        # eviction actually happens.
-        order = (np.arange(self.capacity) + self.hand) % self.capacity
-        order = order[occupied[order]]
-        cand = order[~self.ref[order]]
-        if len(cand) >= count:
-            return cand[:count]
-        # Not enough second-chance-expired slots in one sweep: a full sweep
-        # would clear every reference bit, and the second sweep evicts in
-        # ring order from the hand.
-        return np.concatenate([cand, order[self.ref[order]][:count - len(cand)]])
-
-    def note_evict(self, slots):
-        if len(slots) == 0:
-            return
-        slots = np.asarray(slots, dtype=np.int64)
-        pos = (slots - self.hand) % self.capacity
-        if np.any(self.ref[slots]):
-            # A still-referenced slot was evicted: the sweep went a full
-            # circle, spending every second chance.
-            self.ref[:] = False
-        else:
-            # Clear the bits of exactly the slots the hand passed over on
-            # its way to the furthest victim.
-            last = int(pos.max())
-            passed = (self.hand + np.arange(last + 1)) % self.capacity
-            self.ref[passed] = False
-        self.hand = int((slots[int(pos.argmax())] + 1) % self.capacity)
-
-
-# vip-refresh holds contents fixed between refreshes; LRU metadata is kept
-# only to order forced evictions (e.g. a refresh shrinking the desired set
-# below capacity).
-DYNAMIC_CACHE_POLICIES.register("vip-refresh", LRUPolicy)
 
 
 @dataclass
@@ -422,7 +248,10 @@ class DynamicCache:
         self._id_of = np.full(self.capacity, -1, dtype=np.int64)
         self._occupied = np.zeros(self.capacity, dtype=bool)
         self._free = list(range(self.capacity - 1, -1, -1))  # pop() -> slot 0 first
-        self._policy = DYNAMIC_CACHE_POLICIES[spec.policy](self.capacity)
+        # Batch of each slot's last use (insertion or hit), the LRU order.
+        # Warm-started entries get negative stamps (see below), so any real
+        # access outranks every primed entry.
+        self.last_used = np.full(self.capacity, -np.inf)
         self._tick = 0
         self._batches_since_refresh = 0
         # Batches actually observed since the last refresh — unlike
@@ -448,9 +277,9 @@ class DynamicCache:
                 raise ValueError("duplicate cache ids")
             slots = self._place(warm_ids, warm_rows)
             if prior_scores is not None:
-                self._policy.prime(slots, self.prior[warm_ids])
-            else:
-                self._policy.note_insert(slots, self._tick)
+                # The static ranking orders early evictions: worst oldest.
+                order = np.argsort(self.prior[warm_ids], kind="stable")
+                self.last_used[slots[order]] = np.arange(len(slots)) - len(slots)
             # Warm starting is preprocessing, not runtime churn.
             self.churn = CacheChurnStats()
 
@@ -490,10 +319,10 @@ class DynamicCache:
         self._id_of[slots] = ids
         self._occupied[slots] = True
         self._rows[slots] = rows
+        self.last_used[slots] = self._tick
         return slots
 
     def _evict_slots(self, slots: np.ndarray) -> None:
-        self._policy.note_evict(slots)
         self._slot_of[self._id_of[slots]] = -1
         self._id_of[slots] = -1
         self._occupied[slots] = False
@@ -501,9 +330,9 @@ class DynamicCache:
         self.churn.evictions += len(slots)
 
     def note_hits(self, ids: np.ndarray) -> None:
-        """Record cache hits (updates recency/frequency metadata)."""
+        """Record cache hits (refreshes their recency)."""
         if len(ids):
-            self._policy.note_hit(self._slot_of[ids], self._tick)
+            self.last_used[self._slot_of[ids]] = self._tick
         self.churn.hits += len(ids)
 
     def frequency_estimate(self, ids: np.ndarray) -> np.ndarray:
@@ -517,21 +346,18 @@ class DynamicCache:
         Every miss is counted; ``rows`` is read only when the spec admits
         on miss, so a caller may pass ``None`` otherwise.
 
-        With ``admit_threshold > 0``, a miss is inserted only if (a) it was
-        seen in earlier batches (doorkeeper) and (b) there is a free slot or
-        its frequency estimate strictly exceeds a victim's — TinyLFU-style
-        scan resistance.  With ``admit_threshold == 0`` every miss is
-        inserted unconditionally (classic replacement semantics).
+        A miss is inserted only if (a) it was seen in at least
+        :data:`ADMIT_THRESHOLD` earlier batches (doorkeeper) and (b) there
+        is a free slot or its frequency estimate strictly exceeds that of a
+        least-recently-used entry — TinyLFU-style scan resistance.
         """
         self.churn.misses += len(ids)
         if not self.spec.admit_on_miss or self.capacity == 0 or len(ids) == 0:
             return 0
-        gated = self.spec.admit_threshold > 0
-        if gated:
-            keep = self.access_counts[ids] >= self.spec.admit_threshold
-            ids, rows = ids[keep], rows[keep]
-            if len(ids) == 0:
-                return 0
+        keep = self.access_counts[ids] >= ADMIT_THRESHOLD
+        ids, rows = ids[keep], rows[keep]
+        if len(ids) == 0:
+            return 0
         if len(ids) > self.capacity:
             # More candidates than slots: keep the strongest `capacity`.
             order = np.argsort(-self.frequency_estimate(ids), kind="stable")
@@ -541,31 +367,25 @@ class DynamicCache:
         n_free = len(self._free)
         if len(ids) > n_free:
             # Strongest candidates take the free slots; the rest must win a
-            # pairwise frequency contest against the policy's eviction order.
+            # pairwise frequency contest against the least recently used.
             pri = self.frequency_estimate(ids)
             order = np.argsort(-pri, kind="stable")
             contenders = order[n_free:]
-            victims = self._policy.victims(len(contenders), self._occupied)
-            if gated:
-                vict_pri = self.frequency_estimate(self._id_of[victims])
-                vict_order = np.argsort(vict_pri, kind="stable")
-                # Strongest contender vs weakest victim, pairwise; both
-                # sequences are monotone, so wins form a prefix.
-                wins = pri[contenders] > vict_pri[vict_order]
-                n_win = int(wins.sum())
-                evict = victims[vict_order[:n_win]]
-                admit_idx = np.concatenate([order[:n_free], contenders[:n_win]])
-            else:
-                evict = victims
-                admit_idx = order
-            self._evict_slots(evict)
-            admit_idx = np.sort(admit_idx)
+            occ = np.flatnonzero(self._occupied)
+            lru = np.argsort(self.last_used[occ], kind="stable")
+            victims = occ[lru[:len(contenders)]]
+            vict_pri = self.frequency_estimate(self._id_of[victims])
+            vict_order = np.argsort(vict_pri, kind="stable")
+            # Strongest contender vs weakest victim, pairwise; both
+            # sequences are monotone, so wins form a prefix.
+            n_win = int((pri[contenders] > vict_pri[vict_order]).sum())
+            self._evict_slots(victims[vict_order[:n_win]])
+            admit_idx = np.sort(np.concatenate([order[:n_free],
+                                                contenders[:n_win]]))
             ids, rows = ids[admit_idx], rows[admit_idx]
         if len(ids) == 0:
             return 0
-        slots = self._place(ids, rows)
-        self._policy.note_insert(slots, self._tick,
-                                 weights=self.frequency_estimate(ids))
+        self._place(ids, rows)
         self.churn.insertions += len(ids)
         return len(ids)
 
@@ -589,7 +409,6 @@ class DynamicCache:
                 and self._tick % self.spec.aging_interval == 0):
             self.access_counts *= 0.5
             self.prior *= 0.5
-            self._policy.age()
         return (self.spec.policy == "vip-refresh"
                 and self.spec.refresh_interval > 0
                 and self._batches_since_refresh >= self.spec.refresh_interval)
@@ -605,10 +424,10 @@ class DynamicCache:
 
         ``scores`` are per-batch access rates (analytic VIP probabilities or
         observed counts normalized per batch) and must already exclude local
-        vertices (non-positive there).  With ``horizon > 0`` and a positive
-        ``swap_margin``, the swap is *cost-aware*: the strongest incoming
-        candidate displaces the weakest current entry only while
-        ``(rate_new - rate_old) * horizon > swap_margin``, i.e. while the
+        vertices (non-positive there).  With ``horizon > 0`` the swap is
+        *cost-aware*: the strongest incoming candidate displaces the weakest
+        current entry only while
+        ``(rate_new - rate_old) * horizon > SWAP_MARGIN``, i.e. while the
         expected demand fetches saved before the next refresh exceed the one
         fetch the swap itself costs.  ``horizon == 0`` swaps the full set.
 
@@ -626,16 +445,16 @@ class DynamicCache:
         outgoing = current[~keep[current]]        # weakest first below
         outgoing = outgoing[np.argsort(s[outgoing], kind="stable")]
 
-        if horizon > 0 and self.spec.swap_margin > 0:
+        if horizon > 0:
             n_free = self.capacity - int(self._occupied.sum())
             # Fills into free slots only need the candidate itself to pay off;
             # true swaps need the *gain over the displaced entry* to pay off.
             fills = incoming[:n_free]
-            fills = fills[s[fills] * horizon > self.spec.swap_margin]
+            fills = fills[s[fills] * horizon > SWAP_MARGIN]
             contenders = incoming[n_free:]
             m = min(len(contenders), len(outgoing))
             gain = (s[contenders[:m]] - s[outgoing[:m]]) * horizon
-            n_swap = int((gain > self.spec.swap_margin).sum())  # prefix-true
+            n_swap = int((gain > SWAP_MARGIN).sum())  # prefix-true
             new_ids = np.concatenate([fills, contenders[:n_swap]])
             evict_ids = outgoing[:n_swap]
         else:
@@ -649,8 +468,7 @@ class DynamicCache:
         if len(plan.evict_ids):
             self._evict_slots(self._slot_of[plan.evict_ids])
         if len(plan.new_ids):
-            slots = self._place(plan.new_ids, new_rows)
-            self._policy.note_insert(slots, self._tick)
+            self._place(plan.new_ids, new_rows)
         self.churn.insertions += len(plan.new_ids)
         self.churn.refreshes += 1
         self.churn.refresh_fetch_rows += len(plan.new_ids)

@@ -9,7 +9,7 @@ contiguous per partition, VIP-ordered within):
   remainder;
 * each machine holds a cache of remote rows — either the paper's *static*
   cache (contents fixed at build time by a caching policy) or a
-  :class:`~repro.distributed.dynamic_cache.DynamicCache` (LRU / LFU / CLOCK
+  :class:`~repro.distributed.dynamic_cache.DynamicCache` (gated LRU
   replacement, or periodic VIP refresh); either way, cache membership is one
   boolean-equivalent lookup (the paper uses a hash table; a per-vertex slot
   map is the numpy equivalent), so the gather path is identical for both;

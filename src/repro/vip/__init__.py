@@ -3,7 +3,7 @@
 The paper's core contribution: an analytical model (Proposition 1) of which
 vertices a machine's minibatches will touch during node-wise neighborhood
 sampling, and the maximum-likelihood static caching policy it induces.  The
-policy zoo also names the dynamic extensions (LRU / LFU / CLOCK and
+policy zoo also names the dynamic extensions (gated LRU replacement and
 periodic VIP refresh, :mod:`repro.distributed.dynamic_cache`) for
 non-stationary workloads the static analysis cannot serve.
 """

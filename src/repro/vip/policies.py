@@ -28,9 +28,8 @@ same budget but change contents at runtime — the extension for workloads the
 static analysis cannot serve (training-set drift, streaming inference):
 
 ===============  =============================================================
-``lru``          Evict the least-recently-used cached row on admission.
-``lfu``          Evict the least-frequently-used row (online empirical VIP).
-``clock``        Second-chance CLOCK approximation of LRU.
+``lru``          Admit a miss seen in an earlier batch if it out-scores the
+                 least-recently-used cached row it would evict.
 ``vip-refresh``  Contents fixed between refreshes; every ``refresh_interval``
                  batches, swap to the top analytic-VIP vertices for the
                  *current* training set (observed counts when no provider).

@@ -39,14 +39,18 @@ class TestRunConfig:
                         refresh_interval=25)
         assert "every 25 batches" in cfg.describe()
 
-    @pytest.mark.parametrize("policy", ["lru", "lfu", "clock"])
+    @pytest.mark.parametrize("policy", ["lru", "vip-refresh"])
     def test_describe_replacement_aging_interval(self, policy):
-        cfg = RunConfig(replication_factor=0.1, cache_policy=policy,
-                        cache_aging_interval=32)
-        assert "aging every 32 batches" in cfg.describe()
-        cfg = RunConfig(replication_factor=0.1, cache_policy=policy,
-                        cache_aging_interval=0)
-        assert "no aging" in cfg.describe()
+        """Only the admit-on-miss cache ages, so only it reports aging."""
+        aged = RunConfig(replication_factor=0.1, cache_policy=policy,
+                         cache_aging_interval=32).describe()
+        unaged = RunConfig(replication_factor=0.1, cache_policy=policy,
+                           cache_aging_interval=0).describe()
+        if policy == "lru":
+            assert "aging every 32 batches" in aged
+            assert "no aging" in unaged
+        else:
+            assert "aging" not in aged and "aging" not in unaged
 
 
 class TestEngineConfig:
@@ -104,6 +108,14 @@ class TestValidate:
         assert "unknown cache policy 'belady'" in msg
         assert str(sorted(STATIC_CACHE_POLICIES.names())) in msg
         assert str(sorted(DYNAMIC_CACHE_POLICIES.names())) in msg
+
+    @pytest.mark.parametrize("policy", ["lfu", "clock"])
+    def test_retired_replacement_orders_are_rejected(self, policy):
+        """LRU is the one replacement order: the error names what is left."""
+        with pytest.raises(ValueError) as exc:
+            RunConfig(cache_policy=policy).validate()
+        assert f"unknown cache policy {policy!r}" in str(exc.value)
+        assert "dynamic: ['lru', 'vip-refresh']" in str(exc.value)
 
     def test_resolve_validates(self, tiny_dataset):
         """Bad configs fail at construction, not deep inside a stage."""

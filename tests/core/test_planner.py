@@ -139,10 +139,10 @@ class TestLadderReuse:
         """Static 'vip' and every dynamic policy warm-start from the same
         analytic-VIP selection, so a policy sweep selects caches once."""
         p = Planner()
-        for pol in ("vip", "lru", "lfu", "clock", "vip-refresh"):
+        for pol in ("vip", "lru", "vip-refresh"):
             p.build(tiny_dataset, replace(cfg, cache_policy=pol))
         assert p.stats["cache-select"].computed == 1
-        assert p.stats["cache-select"].memory_hits == 4
+        assert p.stats["cache-select"].memory_hits == 2
         # A differently-scored policy still gets its own selection.
         p.build(tiny_dataset, replace(cfg, cache_policy="degree"))
         assert p.stats["cache-select"].computed == 2

@@ -6,20 +6,32 @@ import pytest
 
 from repro.core import RunConfig, SalientPP
 from repro.distributed import (
+    CacheChurnStats,
     DynamicCache,
     DynamicCacheSpec,
     PartitionedFeatureStore,
 )
+from repro.distributed.dynamic_cache import PRIOR_WEIGHT, is_dynamic_policy
 from repro.vip import CacheContext, VIPAnalyticPolicy, build_caches
 
-POLICIES = ["lru", "lfu", "clock", "vip-refresh"]
+POLICIES = ["lru", "vip-refresh"]
 
 
 def make_cache(capacity, policy="lru", num_vertices=50, feature_dim=4, **kw):
-    spec = DynamicCacheSpec(policy=policy, capacity=capacity,
-                            admit_threshold=kw.pop("admit_threshold", 0),
-                            **kw)
+    spec = DynamicCacheSpec(policy=policy, capacity=capacity, **kw)
     return DynamicCache(num_vertices, feature_dim, np.float32, spec)
+
+
+def make_primed(capacity, prior, warm=(), num_vertices=50, **kw):
+    """An ``lru`` cache with VIP prior scores ``{vertex: score}``,
+    warm-started with the ``warm`` ids."""
+    scores = np.zeros(num_vertices)
+    for v, score in prior.items():
+        scores[v] = score
+    spec = DynamicCacheSpec(policy="lru", capacity=capacity, **kw)
+    warm = np.asarray(warm, dtype=np.int64)
+    return DynamicCache(num_vertices, 4, np.float32, spec, warm_ids=warm,
+                        warm_rows=rows_for(warm), prior_scores=scores)
 
 
 def rows_for(ids, feature_dim=4):
@@ -38,57 +50,24 @@ def access(cache, ids):
 
 
 class TestReplacementSemantics:
-    """Textbook policy behavior (admit_threshold=0: unconditional)."""
+    """Replacement behind the admission gate: a miss enters once seen in an
+    earlier batch and only by out-scoring a least-recently-used entry."""
 
     def test_lru_evicts_least_recent(self):
-        c = make_cache(2, "lru")
+        """Between entries of equal frequency, the least recent one is
+        the one a newcomer must out-score."""
+        c = make_cache(2, "lru", aging_interval=0)
+        access(c, [1, 2])   # first sight: the doorkeeper rejects both
+        access(c, [1, 2])   # second sight: both take free slots
         access(c, [1])
-        access(c, [2])
-        access(c, [1])      # 2 is now least recent
-        access(c, [3])
-        assert set(c.ids) == {1, 3}
-
-    def test_lfu_evicts_least_frequent(self):
-        c = make_cache(2, "lfu")
-        access(c, [1])
-        access(c, [1])
-        access(c, [1])
-        access(c, [2])      # freq: 1 -> 3, 2 -> 1
-        access(c, [3])      # 2 displaced despite being most recent
-        assert set(c.ids) == {1, 3}
-
-    def test_clock_second_chance(self):
-        c = make_cache(2, "clock")
-        access(c, [1, 2])   # both referenced
-        access(c, [3])      # sweep clears both bits, evicts slot of 1
-        assert 3 in set(c.ids)
-        assert c.num_cached == 2
-
-    def test_clock_hand_only_clears_swept_refs(self):
-        from repro.distributed.dynamic_cache import ClockPolicy
-        p = ClockPolicy(4)
-        occupied = np.ones(4, dtype=bool)
-        p.ref[:] = [False, True, True, True]
-        v = p.victims(1, occupied)
-        assert list(v) == [0]
-        assert list(p.ref) == [False, True, True, True]  # query is pure
-        p.note_evict(v)
-        # The hand stopped right after slot 0: slots 1-3 keep their chance.
-        assert list(p.ref) == [False, True, True, True]
-        assert p.hand == 1
-
-    def test_clock_gated_rejection_leaves_state_untouched(self):
-        c = make_cache(2, "clock", admit_threshold=1)
-        access(c, [1, 2])                 # cache full, both referenced
-        for _ in range(3):
-            access(c, [1, 2])             # establish frequency
-        ref_before = c._policy.ref.copy()
-        hand_before = c._policy.hand
-        access(c, [30])                   # doorkeeper pass needs 2 sightings
-        access(c, [30])                   # contest: freq 1 < established, lose
+        access(c, [2])      # 1 is now least recent, at equal frequency
+        assert np.array_equal(c.frequency_estimate(np.array([1, 2])), [3, 3])
+        for _ in range(4):  # doorkeeper, then counts 1..3 lose to 3
+            access(c, [3])
         assert set(c.ids) == {1, 2}
-        assert np.array_equal(c._policy.ref, ref_before)
-        assert c._policy.hand == hand_before
+        access(c, [3])      # count 4 beats the least recent entry
+        assert set(c.ids) == {2, 3}
+        assert c.churn.evictions == 1
 
     def test_capacity_never_exceeded(self):
         c = make_cache(3, "lru")
@@ -99,14 +78,14 @@ class TestReplacementSemantics:
             c.check_invariants()
 
     def test_admission_doorkeeper_rejects_first_sight(self):
-        c = make_cache(4, "lru", admit_threshold=1)
+        c = make_cache(4, "lru")
         access(c, [1, 2])            # never seen before: rejected
         assert c.num_cached == 0
         access(c, [1, 2])            # second sighting: admitted
         assert set(c.ids) == {1, 2}
 
     def test_gated_admission_protects_hot_entries(self):
-        c = make_cache(1, "lfu", admit_threshold=1)
+        c = make_cache(1, "lru")
         for _ in range(5):
             access(c, [1])           # 1 becomes established
         access(c, [2])               # first sight: doorkeeper rejects
@@ -118,6 +97,106 @@ class TestReplacementSemantics:
         access(c, [1, 2, 3])
         assert c.num_cached == 0
         assert c.churn.misses == 3
+
+    def test_contest_is_against_the_least_recent_even_when_stronger(self):
+        """The victim is picked by recency alone: a weaker but more recent
+        entry is not the one a newcomer must beat."""
+        c = make_cache(2, "lru", aging_interval=0)
+        access(c, [1, 2])
+        access(c, [1, 2])   # both admitted
+        for _ in range(3):
+            access(c, [1])
+        access(c, [2])      # 1 is least recent at frequency 5; 2 has 3
+        for _ in range(6):  # doorkeeper, then counts 1..5 never beat 5
+            access(c, [3])
+        assert set(c.ids) == {1, 2}
+        access(c, [3])      # count 6 beats the least recent entry
+        assert set(c.ids) == {2, 3}
+
+    def test_more_candidates_than_capacity_keeps_the_strongest(self):
+        c = make_primed(2, {3: 0.5, 4: 0.25}, aging_interval=0)
+        access(c, [1, 2, 3, 4])      # first sight: all rejected
+        access(c, [1, 2, 3, 4])      # four candidates, two free slots
+        assert set(c.ids) == {3, 4}
+        assert c.churn.insertions == 2 and c.churn.evictions == 0
+
+    def test_doorkeeper_ignores_the_prior(self):
+        """A high VIP prior does not let a never-seen miss past the
+        doorkeeper: admission needs an access in an earlier batch."""
+        c = make_primed(2, {7: 1.0})
+        access(c, [7])
+        assert c.num_cached == 0
+        access(c, [7])
+        assert set(c.ids) == {7}
+
+
+class TestWarmStart:
+    def test_prior_orders_the_first_evictions(self):
+        """Warm entries are stamped by prior, worst oldest, so the weakest
+        static pick is the first one a newcomer contests."""
+        c = make_primed(3, {5: 0.9, 6: 0.1, 7: 0.5}, warm=[5, 6, 7],
+                        aging_interval=0)
+        assert np.array_equal(c.last_used[c.slots(np.array([6, 7, 5]))],
+                              [-3, -2, -1])
+        assert 3 < 0.1 * PRIOR_WEIGHT < 4
+        for _ in range(4):  # doorkeeper, then counts 1..3 lose to 3.2
+            access(c, [8])
+        assert set(c.ids) == {5, 6, 7}
+        access(c, [8])      # count 4 beats vertex 6's prior
+        assert set(c.ids) == {5, 7, 8}
+
+    def test_real_accesses_outrank_every_primed_entry(self):
+        c = make_primed(3, {5: 0.9, 6: 0.1}, warm=[5, 6])
+        access(c, [6])                    # hit in batch 0
+        access(c, [9])                    # miss, rejected; time moves on
+        assert c.last_used[c.slots(np.array([6]))[0]] == 0
+        assert c.last_used[c.slots(np.array([5]))[0]] < 0
+
+    def test_warm_start_is_not_churn(self):
+        c = make_primed(3, {5: 0.9, 6: 0.1}, warm=[5, 6])
+        assert set(c.ids) == {5, 6}
+        assert c.churn == CacheChurnStats()
+
+
+class TestAging:
+    def test_lru_halves_counts_and_prior_every_interval(self):
+        c = make_primed(2, {7: 1.0}, aging_interval=2)
+        c.end_batch(np.array([1]))
+        assert c.frequency_estimate(np.array([1, 7])).tolist() == [1, 32]
+        c.end_batch(np.array([1]))        # batch 2: aged
+        assert c.frequency_estimate(np.array([1, 7])).tolist() == [1, 16]
+        c.end_batch(np.array([1]))
+        c.end_batch(np.array([1]))        # batch 4: aged again
+        assert c.frequency_estimate(np.array([1, 7])).tolist() == [1.5, 8]
+
+    def test_zero_interval_never_ages(self):
+        c = make_primed(2, {7: 1.0}, aging_interval=0)
+        for _ in range(10):
+            c.end_batch(np.array([1]))
+        assert c.frequency_estimate(np.array([1, 7])).tolist() == [10, 32]
+
+    def test_vip_refresh_never_ages(self):
+        """Only admit-on-miss caches age: refresh scoring reads exact
+        per-batch rates whatever ``aging_interval`` says."""
+        c = make_cache(2, "vip-refresh", refresh_interval=100,
+                       aging_interval=2)
+        for _ in range(4):
+            c.end_batch(np.array([1]))
+        assert c.access_counts[1] == 4
+        assert c.observed_scores()[1] == pytest.approx(1.0)
+
+    def test_aging_lets_a_drifted_newcomer_in(self):
+        """Under drift, stale popularity stops outvoting the new hot
+        vertex once it has been aged; without aging it never does."""
+        caches = {interval: make_cache(1, "lru", aging_interval=interval)
+                  for interval in (0, 4)}
+        for c in caches.values():
+            for _ in range(20):
+                access(c, [1])
+            for _ in range(12):
+                access(c, [2])
+        assert set(caches[0].ids) == {1}
+        assert set(caches[4].ids) == {2}
 
 
 class TestRefresh:
@@ -133,7 +212,7 @@ class TestRefresh:
         assert c.churn.refresh_fetch_rows == 2
 
     def test_cost_aware_swap_prunes_low_gain(self):
-        c = make_cache(2, "vip-refresh", refresh_interval=2, swap_margin=1.0)
+        c = make_cache(2, "vip-refresh", refresh_interval=2)
         scores = np.zeros(50)
         scores[[7, 9]] = [0.5, 0.4]
         plan = c.plan_refresh(scores, horizon=0)
@@ -152,10 +231,30 @@ class TestRefresh:
         assert set(plan3.evict_ids) == {9}
 
     def test_fills_into_free_slots_must_pay_off(self):
-        c = make_cache(4, "vip-refresh", refresh_interval=2, swap_margin=1.0)
+        c = make_cache(4, "vip-refresh", refresh_interval=2)
         scores = np.zeros(50)
         scores[[7, 9]] = [0.5, 0.05]  # 0.05 * 10 = 0.5 expected < 1 fetch
         plan = c.plan_refresh(scores, horizon=10)
+        assert set(plan.new_ids) == {7}
+
+    def test_swap_saving_exactly_one_fetch_is_not_made(self):
+        c = make_cache(2, "vip-refresh", refresh_interval=2)
+        scores = np.zeros(50)
+        scores[[7, 9]] = [0.5, 0.25]
+        plan = c.plan_refresh(scores, horizon=0)
+        c.commit_refresh(plan, rows_for(plan.new_ids))
+        scores[11] = 0.5     # (0.5 - 0.25) * 4 saves exactly one fetch
+        plan = c.plan_refresh(scores, horizon=4)
+        assert len(plan.new_ids) == 0 and len(plan.evict_ids) == 0
+        scores[11] = 0.51    # a little more and the swap pays
+        plan = c.plan_refresh(scores, horizon=4)
+        assert set(plan.new_ids) == {11} and set(plan.evict_ids) == {9}
+
+    def test_fill_saving_exactly_one_fetch_is_not_made(self):
+        c = make_cache(4, "vip-refresh", refresh_interval=2)
+        scores = np.zeros(50)
+        scores[[7, 9]] = [0.26, 0.25]  # 1.04 and exactly 1 expected fetch
+        plan = c.plan_refresh(scores, horizon=4)
         assert set(plan.new_ids) == {7}
 
     def test_request_refresh_forces_due(self):
@@ -200,9 +299,9 @@ class TestGatherAcrossChurn:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_bit_identical_and_exact_stats(self, dynamic_setup, policy, rng):
         rd, warm = dynamic_setup
-        store = build_store(rd, warm, policy, refresh_interval=3,
-                            admit_threshold=(0 if policy != "vip-refresh" else 1))
+        store = build_store(rd, warm, policy, refresh_interval=3)
         n = rd.dataset.num_vertices
+        inserted = evicted = 0
         for step in range(12):
             ids = rng.choice(n, size=120, replace=False)
             for k in range(store.num_machines):
@@ -218,10 +317,13 @@ class TestGatherAcrossChurn:
                 assert stats.remote_per_peer.sum() == stats.remote_rows
                 assert stats.remote_per_peer[k] == 0
                 st.cache.check_invariants()
+                inserted += stats.cache_insertions
+                evicted += stats.cache_evictions
+        assert inserted > 0 and evicted > 0  # the cache did churn
 
     def test_insertion_and_eviction_counts_match_churn(self, dynamic_setup, rng):
         rd, warm = dynamic_setup
-        store = build_store(rd, warm, "lru", admit_threshold=0)
+        store = build_store(rd, warm, "lru")
         n = rd.dataset.num_vertices
         for _ in range(6):
             ids = rng.choice(n, size=100, replace=False)
@@ -232,19 +334,21 @@ class TestGatherAcrossChurn:
             assert stats.cache_evictions == delta.evictions
             assert delta.hits == stats.cached_rows
             assert delta.misses == stats.remote_rows
+        churn = store.stores[0].cache.churn
+        assert churn.insertions > 0 and churn.evictions > 0
 
     def test_refresh_fetch_reported_per_peer(self, dynamic_setup, rng):
         rd, warm = dynamic_setup
-        store = build_store(rd, warm, "vip-refresh", refresh_interval=2,
-                            swap_margin=0.0)
-        # Empirical fallback scoring: counts drive the swap.
-        n = rd.dataset.num_vertices
+        store = build_store(rd, warm, "vip-refresh", refresh_interval=2)
+        # Empirical fallback scoring: counts drive the swap.  Batches drawn
+        # from a fixed pool make its vertices hot enough to pay for a swap.
+        pool = rng.choice(rd.dataset.num_vertices, size=200, replace=False)
         saw_refresh = False
         for _ in range(6):
-            ids = rng.choice(n, size=150, replace=False)
+            ids = rng.choice(pool, size=150, replace=False)
             _, stats = store.execute(store.plan_gather(0, ids))
             if stats.refresh_fetch_per_peer is not None:
-                saw_refresh = True
+                saw_refresh = saw_refresh or stats.refresh_fetch_rows > 0
                 assert stats.refresh_fetch_per_peer[0] == 0  # never from self
                 assert stats.refresh_fetch_rows == stats.refresh_fetch_per_peer.sum()
                 assert stats.comm_rows() == stats.remote_rows + stats.refresh_fetch_rows
@@ -269,7 +373,7 @@ class TestExecutorIntegration:
     @pytest.fixture(scope="class")
     def system(self, tiny_dataset):
         cfg = RunConfig(num_machines=4, replication_factor=0.15,
-                        cache_policy="lfu", batch_size=16, fanouts=(5, 5),
+                        cache_policy="lru", batch_size=16, fanouts=(5, 5),
                         seed=0)
         return SalientPP.build(tiny_dataset, cfg)
 
@@ -321,8 +425,22 @@ class TestSpecValidation:
             DynamicCacheSpec(policy="lru", capacity=-1)
         with pytest.raises(ValueError, match="refresh_interval"):
             DynamicCacheSpec(policy="lru", refresh_interval=-1)
-        with pytest.raises(ValueError, match="admit_threshold"):
-            DynamicCacheSpec(policy="lru", admit_threshold=-1)
+
+    def test_rejects_negative_aging_interval(self):
+        with pytest.raises(ValueError, match="aging_interval"):
+            DynamicCacheSpec(policy="lru", aging_interval=-1)
+
+    @pytest.mark.parametrize("field", ["admit_threshold", "swap_margin"])
+    def test_gate_and_margin_are_not_spec_fields(self, field):
+        """The admission gate and the refresh margin are module constants."""
+        with pytest.raises(TypeError, match=field):
+            DynamicCacheSpec(policy="lru", **{field: 1})
+
+    @pytest.mark.parametrize("policy", ["lfu", "clock"])
+    def test_retired_replacement_orders_are_unknown(self, policy):
+        assert not is_dynamic_policy(policy)
+        with pytest.raises(ValueError, match=r"\['lru', 'vip-refresh'\]"):
+            DynamicCacheSpec(policy=policy)
 
     def test_warm_set_must_fit_capacity(self):
         spec = DynamicCacheSpec(policy="lru", capacity=1)

@@ -206,7 +206,7 @@ class TestPlanExecuteParity:
         """Planning moves no bytes and never mutates a dynamic cache."""
         rd = multi_step_reordered
         store = make_store(rd, alpha=0.1,
-                           dynamic=DynamicCacheSpec(policy="lfu", capacity=100))
+                           dynamic=DynamicCacheSpec(policy="lru", capacity=100))
         before = [s.cache_ids.copy() for s in store.stores]
         for machine in range(4):
             store.plan_gather(machine, np.arange(0, rd.dataset.num_vertices, 5))

@@ -250,14 +250,14 @@ class TestMissCopies:
     """A miss is copied out of the gathered matrix only for a cache that
     admits on miss; every miss is counted either way."""
 
-    @pytest.mark.parametrize("policy", ["vip-refresh", "lru", "lfu", "clock"])
+    @pytest.mark.parametrize("policy", ["vip-refresh", "lru"])
     def test_admit_reads_rows_only_when_admitting(self, tiny_reordered,
                                                   policy, monkeypatch):
         from repro.distributed import DynamicCacheSpec
         from repro.distributed.dynamic_cache import DynamicCache
 
         rd = tiny_reordered
-        spec = DynamicCacheSpec(policy=policy, capacity=40, admit_threshold=0,
+        spec = DynamicCacheSpec(policy=policy, capacity=40,
                                 refresh_interval=50)
         store = PartitionedFeatureStore.build(rd, dynamic=spec)
         handed = []
@@ -268,11 +268,13 @@ class TestMissCopies:
             or admit(self, ids, rows))
         lo, hi = rd.part_range(1)
         ids = np.arange(lo, min(hi, lo + 25))
-        feats, stats = store.execute(store.plan_gather(0, ids))
-        (missed, rows), = handed
+        for _ in range(2):  # lru admits a miss seen in an earlier batch
+            _, stats = store.execute(store.plan_gather(0, ids))
+        assert len(handed) == 2
+        missed, rows = handed[-1]
         assert np.array_equal(missed, ids)
         churn = store.stores[0].cache.churn
-        assert churn.misses == len(ids)
+        assert churn.misses == 2 * len(ids)
         if policy == "vip-refresh":
             assert rows is None and stats.cache_insertions == 0
         else:

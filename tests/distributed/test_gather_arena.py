@@ -77,15 +77,14 @@ def assert_same_gather(a, b):
 
 DYNAMIC_SPECS = [
     None,
-    DynamicCacheSpec(policy="lru", capacity=100, admit_threshold=0),
-    DynamicCacheSpec(policy="lfu", capacity=100, aging_interval=5),
+    DynamicCacheSpec(policy="lru", capacity=100, aging_interval=5),
     DynamicCacheSpec(policy="vip-refresh", capacity=100, refresh_interval=4),
 ]
 
 
 class TestGatherInto:
     @pytest.mark.parametrize("dynamic", DYNAMIC_SPECS,
-                             ids=["static", "lru", "lfu", "vip-refresh"])
+                             ids=["static", "lru", "vip-refresh"])
     def test_bit_identical_including_churn(self, reordered, dynamic):
         """Twin stores, same request stream: the arena store's features,
         stats, churn counters, and final cache contents all match the

@@ -29,10 +29,9 @@ MIXES = ("empty", "local", "cached", "remote", "duplicates", "every-peer")
 
 CACHE_KINDS = {
     "vip": None,
-    "lru": DynamicCacheSpec(policy="lru", capacity=60, admit_threshold=0),
-    "lru-gated": DynamicCacheSpec(policy="lru", capacity=30),
-    "lfu": DynamicCacheSpec(policy="lfu", capacity=30, admit_threshold=0),
-    "clock": DynamicCacheSpec(policy="clock", capacity=30, admit_threshold=0),
+    "lru": DynamicCacheSpec(policy="lru", capacity=30),
+    # Roomier, so misses often take free slots, and aged every two gathers.
+    "lru-aging": DynamicCacheSpec(policy="lru", capacity=60, aging_interval=2),
     "vip-refresh": DynamicCacheSpec(policy="vip-refresh", capacity=60,
                                     refresh_interval=2),
 }
