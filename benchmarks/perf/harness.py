@@ -65,6 +65,13 @@ Tracked stages
     walls are reported.  ``dense_wall_s`` includes the rebuild because
     that is what a snapshot-less consumer pays to evaluate on the mutated
     graph.
+``vip.overlay_refresh``
+    The same windows scored the way a live system scores them:
+    ``vip_probabilities`` read through the overlay, paying each version's
+    own set-up (the overlay's read layout, transition table and row-set
+    operator), against ``materialize()`` plus ``vip_probabilities`` on the
+    rebuilt CSR (``dense_wall_s``, the same timing as above) — asserted
+    ``==`` on ``total`` and every hop each window.
 ``recovery.mttr``
     Mean time-to-recovery for the standard chaos scenario: a worker killed
     mid-epoch on a real recoverable multiproc cluster, detected by the
@@ -540,9 +547,9 @@ def serving_stages(stages: dict, *, num_requests=1_200, dataset=None) -> None:
 # ----------------------------------------------------------------------
 def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
                      batch_edges=100) -> None:
-    """Incremental VIP refresh under streaming churn vs the full consumer
-    path (CSR rebuild + dense Proposition-1 sweep), bit-identical each
-    window.
+    """Incremental VIP refresh, and Proposition 1 read through the
+    overlay, under streaming churn vs the full consumer path (CSR rebuild +
+    dense Proposition-1 sweep), bit-identical each window.
 
     The scenario is the continual-training shape: the seed distribution is
     one partition's train set (the largest community), churn arrives in
@@ -566,7 +573,7 @@ def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
 
     mgraph = MutableGraph(graph, compact_cutoff=None)
     snap = snapshot_vip(mgraph, p0, fanouts)
-    inc_walls, dense_walls = [], []
+    inc_walls, dense_walls, overlay_walls = [], [], []
     edges_touched = rows_recomputed = churned = 0
     for batch in edge_stream(mgraph, num_batches=num_windows,
                              batch_edges=batch_edges, pool=remote,
@@ -590,11 +597,28 @@ def streaming_stages(stages: dict, *, dataset=None, num_windows=5,
                 "incremental_vip diverged from the full sweep on the "
                 "materialized graph"
             )
+        # Read through the overlay, as the tracker scores it: drop the
+        # per-version read layout and transition table so this window pays
+        # for them as a fresh version would.
+        mgraph._frozen = mgraph._transition_table = None
+        overlay_wall, got = _timed(
+            lambda: vip_probabilities(mgraph, p0, fanouts))
+        overlay_walls.append(overlay_wall)
+        if not (np.array_equal(got.total, ref.total)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(got.hopwise, ref.hopwise))):
+            raise AssertionError(
+                "Proposition 1 through the overlay diverged from the full "
+                "sweep on the materialized graph")
     stages["vip.incremental_refresh"] = _entry(
         float(np.median(inc_walls)), rows=rows_recomputed,
         dense_wall_s=float(np.median(dense_walls)),
         windows=num_windows, churn_edges=churned,
         edges_touched=edges_touched, bit_identical=True)
+    stages["vip.overlay_refresh"] = _entry(
+        float(np.median(overlay_walls)),
+        dense_wall_s=float(np.median(dense_walls)),
+        windows=num_windows, churn_edges=churned, bit_identical=True)
 
 
 # ----------------------------------------------------------------------

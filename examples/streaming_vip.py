@@ -16,7 +16,7 @@ streaming extension that lifts that assumption:
    with :meth:`SalientPP.apply_graph_updates`; the next epoch samples the
    mutated topology and its caches re-rank on Proposition 1 evaluated on
    that same overlay (``system.tracker``: one full evaluation per machine
-   on the overlay's ``materialize()`` per refresh round).
+   per refresh round, read through the overlay without rebuilding a CSR).
 4. **Serving under churn** — play the same mutation stream against an
    ``InferenceService`` between request windows.
 

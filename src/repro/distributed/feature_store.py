@@ -321,12 +321,9 @@ class GatherArena:
         buf = self._bufs.get(key)
         if (buf is None or buf.shape[0] < rows or buf.shape[1] != dim
                 or buf.dtype != dtype):
+            # Exact fit, unfilled: every gather writes each row it returns.
             cap = rows if buf is None else max(rows, buf.shape[0])
             buf = np.empty((cap, dim), dtype=dtype)
-            # Pre-touch: commit every page now, once, instead of paying
-            # minor faults spread across the first gathers that grow into
-            # the fresh allocation (np.empty maps lazily).
-            buf.fill(0)
             self._bufs[key] = buf
         return buf[:rows]
 

@@ -47,8 +47,11 @@ sample_neighbors` works on either class with identical RNG consumption.
 Incremental VIP (:mod:`repro.vip.incremental`) reads effective rows through
 the same protocol (:func:`repro.graph.csr.rows_concat`); on a symmetric
 graph the rows containing a vertex are its own row, which is all
-:meth:`in_rows_union` reads.  Consumers that need a plain CSR call
-:meth:`materialize` (cached per version; free when the overlay is empty).
+:meth:`in_rows_union` reads.  So does Proposition 1
+(:func:`repro.vip.analytic.vip_probabilities`: the base's rows, with
+:meth:`overlay_rows` re-summed over them).  :meth:`materialize` builds a
+plain CSR (cached per version; free when the overlay is empty) for
+:meth:`compact` and the incremental wave's snapshot.
 """
 
 from __future__ import annotations
@@ -176,8 +179,10 @@ class MutableGraph:
         #: touched since the last compact.
         self._rows: Dict[int, np.ndarray] = {}
         self.log: List[DeltaRecord] = []
-        # Per-version caches for the frozen read path / materialization.
+        # Per-version caches for the frozen read path / materialization,
+        # and the VIP transition table (repro.vip.analytic.transition_table).
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._transition_table = None
         self._csr: Optional[CSRGraph] = None
         self._csr_version = -1
 
@@ -203,6 +208,10 @@ class MutableGraph:
     def overlay_entries(self) -> int:
         """Directed adjacency entries held in overlay rows."""
         return sum(len(r) for r in self._rows.values())
+
+    def overlay_rows(self) -> np.ndarray:
+        """Rows read from the overlay rather than the base."""
+        return np.fromiter(self._rows, dtype=np.int64, count=len(self._rows))
 
     def neighbors(self, v: int) -> np.ndarray:
         """Effective neighbors of ``v`` (sorted; do not mutate)."""
@@ -391,8 +400,7 @@ class MutableGraph:
         else:
             bsrc, bdst = self.base.edges()
             keep = np.ones(self._n, dtype=bool)
-            keep[np.fromiter(self._rows, dtype=np.int64,
-                             count=len(self._rows))] = False
+            keep[self.overlay_rows()] = False
             mask = keep[bsrc]
             bsrc, bdst = bsrc[mask], bdst[mask]  # drop the full edge arrays
             src = [np.full(len(row), v, dtype=np.int64)

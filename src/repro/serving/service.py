@@ -109,6 +109,44 @@ RETRY_BACKOFF_MS = 5.0
 _RECENT_WINDOW = 50
 
 
+class RequestVIPScores:
+    """The serving ``vip-refresh`` score provider: Proposition-1 VIP over
+    each machine's *observed request traffic* — the paper's §3 machinery
+    pointed at inference.
+
+    A training-time refresh re-scores against the machine's training set; a
+    serving refresh must instead rank by the probability a vertex lands in
+    the sampled frontier of an *incoming micro-batch*.  The initial
+    distribution ``p[0](u)`` is therefore estimated empirically — the
+    fraction of the machine's recent micro-batches whose seed set contained
+    ``u`` — and fed through the same analytic recursion, so a hot seed
+    appearing in every batch (p0 ≈ 1) outranks a cold one-off (p0 =
+    1/window) and the whole sampled closure of the hot set is scored, hops
+    the cache never even saw yet included.  Before any traffic is observed
+    the scores are zero and the cost-aware swap planner keeps the
+    warm-start contents.
+
+    ``tracker`` runs the recursion on the graph it follows, one full
+    evaluation whenever the graph version or ``p[0]`` moved (a mutating
+    graph read through its overlay).  The provider holds the tracker and
+    the windows only: the store keeps it, and a provider that held its
+    service would keep every finished service alive until the cyclic GC
+    ran.
+    """
+
+    def __init__(self, tracker: VIPTracker, recent: List[deque]):
+        self.tracker, self.recent = tracker, recent
+
+    def __call__(self, machine: int) -> np.ndarray:
+        recent = self.recent[machine]
+        counts = np.zeros(self.tracker.graph.num_vertices, dtype=np.float64)
+        if not recent:
+            return counts
+        for seeds in recent:  # seeds are unique within a micro-batch
+            counts[seeds] += 1.0
+        return self.tracker.access({machine: counts / len(recent)})[machine]
+
+
 @dataclass(frozen=True)
 class Outage:
     """One machine's unavailability interval on the simulated clock.
@@ -209,7 +247,7 @@ class InferenceService:
         self._gather_arena = GatherArena()
         # Sliding window of recently served seed sets per machine — the
         # observed request distribution the vip-refresh score provider
-        # re-runs Proposition 1 against (see _request_vip_scores).  The
+        # re-runs Proposition 1 against (see RequestVIPScores).  The
         # window tracks the refresh cadence: scoring over much more history
         # than two refresh periods would blur a drifting hot set.
         window = _RECENT_WINDOW
@@ -218,44 +256,16 @@ class InferenceService:
                          if s.has_dynamic_cache)
             if spec0.refresh_interval > 0:
                 window = max(4, 2 * spec0.refresh_interval)
-            store.set_refresh_score_provider(self._request_vip_scores)
         self._recent_seeds: List[deque] = [
             deque(maxlen=window) for _ in range(self.num_machines)
         ]
         #: Scores refreshes rank on: Proposition 1 on the graph the samplers
         #: read (the pre-churn one with streaming.refresh_on_mutation off).
         self.tracker = VIPTracker(self.graph, self.fanouts)
+        if store.has_dynamic_caches:
+            store.set_refresh_score_provider(
+                RequestVIPScores(self.tracker, self._recent_seeds))
         self.mutations_applied = 0
-
-    # ------------------------------------------------------------------
-    def _request_vip_scores(self, machine: int) -> np.ndarray:
-        """Proposition-1 VIP over the machine's *observed request traffic* —
-        the paper's §3 machinery pointed at inference.
-
-        A training-time refresh re-scores against the machine's training
-        set; a serving refresh must instead rank by the probability a
-        vertex lands in the sampled frontier of an *incoming micro-batch*.
-        The initial distribution ``p[0](u)`` is therefore estimated
-        empirically — the fraction of the machine's recent micro-batches
-        whose seed set contained ``u`` — and fed through the same analytic
-        recursion (:func:`vip_probabilities`), so a hot seed appearing in
-        every batch (p0 ≈ 1) outranks a cold one-off (p0 = 1/window) and
-        the whole sampled closure of the hot set is scored, hops the cache
-        never even saw yet included.  Before any traffic is observed the
-        scores are zero and the cost-aware swap planner keeps the
-        warm-start contents.
-
-        :attr:`tracker` runs the recursion on the graph it follows, one
-        full evaluation whenever the graph version or ``p[0]`` moved (a
-        mutating overlay through its ``materialize()``).
-        """
-        recent = self._recent_seeds[machine]
-        if not recent:
-            return np.zeros(self.graph.num_vertices)
-        counts = np.zeros(self.graph.num_vertices, dtype=np.float64)
-        for seeds in recent:  # seeds are unique within a micro-batch
-            counts[seeds] += 1.0
-        return self.tracker.access({machine: counts / len(recent)})[machine]
 
     @classmethod
     def from_system(cls, system: "SalientPP") -> "InferenceService":
@@ -264,7 +274,7 @@ class InferenceService:
         With a dynamic ``vip-refresh`` cache, constructing the service
         rewires the store's refresh score provider from training-set VIP
         (which says nothing about a drifting request hot set) to
-        request-traffic VIP (:meth:`_request_vip_scores`).
+        request-traffic VIP (:class:`RequestVIPScores`).
         """
         config = system.config
         return cls(

@@ -21,16 +21,24 @@ operator ``A`` (:func:`row_set`, the matrix an MFG block is) — and
 of operator for that kernel:
 
 * :func:`vip_probabilities`, dense hop — all rows (the graph's cached
-  :meth:`TransitionTable.all_rows`), a pull over every edge;
+  :meth:`TransitionTable.all_rows`), a pull over every edge; on a streaming
+  :class:`~repro.graph.mutable.MutableGraph`, the base graph's rows with
+  the overlay's own rows (:meth:`TransitionTable.overlay`) re-summed from
+  their effective sources and written over them;
 * :func:`vip_probabilities`, sparse hop — a push from the frontier.
   ``p[h-1]`` is nonzero only on the (h-1)-hop ball around the seeds, so
   while the frontier's own rows stay under ``SPARSE_HOP_CUTOFF`` of the
   edge set the hop multiplies by the transpose of those rows of the
   incoming graph (a slice of its cached ``all_rows()``): each
   frontier source is added once to each row containing it, and the hop
-  costs the frontier's incident edges, not every row they reach;
+  costs the frontier's incident edges, not every row they reach (on an
+  overlay holding rows, the frontier's rows read through it);
 * :func:`repro.vip.incremental.incremental_vip` — the rows a churn batch
   or a seed drift can have changed, read through a ``MutableGraph``.
+
+An overlay is never materialized to be scored: its rows are stored sorted
+and duplicate-free, as the compacted CSR stores them, so each row sums the
+same sources in the same order either way and the results are ``==``.
 
 The summation order is left to right in edge order, by definition: a CSR
 product sums each row sequentially from ``+0.0`` in stored order, and an
@@ -67,6 +75,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph, edge_operator, rows_concat
+from repro.graph.mutable import MutableGraph
 from repro.partition.interface import Partition
 from repro.utils.validation import check_probability_vector
 
@@ -84,6 +93,8 @@ SUMMATION = "csr-product-left-to-right"
 #: captured ``serve_ladder`` refreshes (docs/performance.md, "Proposition 1
 #: pushes from its frontier"); 0.4 was the fastest.
 SPARSE_HOP_CUTOFF = 0.4
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -232,7 +243,9 @@ class TransitionTable:
 
     One table is attached lazily to each :class:`CSRGraph` (see
     :func:`transition_table`); because graphs are immutable, every cached
-    quantity stays valid for the graph's lifetime:
+    quantity stays valid for the graph's lifetime.  A streaming
+    :class:`~repro.graph.mutable.MutableGraph` gets one table per version
+    (its effective degrees, and its overlay's rows and their operator):
 
     * ``vertex_transition(f)`` — :func:`vertex_transition_values` on the
       graph's degrees, computed at most once per distinct fanout per graph.
@@ -261,6 +274,7 @@ class TransitionTable:
         self.vertex_hits = 0
         self._all_rows: Optional[sp.csr_array] = None
         self._incoming: Optional[CSRGraph] = None
+        self._overlay: Optional[tuple] = None
 
     def vertex_transition(self, fanout: int) -> np.ndarray:
         """Per-vertex ``t(v)``, cached per distinct fanout."""
@@ -282,6 +296,16 @@ class TransitionTable:
             self._all_rows = edge_operator(g.indptr, g.indices,
                                            g.num_vertices, np.float64)
         return self._all_rows
+
+    def overlay(self) -> tuple:
+        """A streaming overlay's own rows and their :func:`row_set`, which
+        the dense hop re-sums over its base's rows (no rows on a
+        :class:`CSRGraph`)."""
+        if self._overlay is None:
+            g = self.graph
+            rows = g.overlay_rows() if isinstance(g, MutableGraph) else _EMPTY
+            self._overlay = (rows, row_set(g, rows) if len(rows) else None)
+        return self._overlay
 
     def incoming(self) -> CSRGraph:
         """Graph whose row ``v`` lists the rows of ``graph`` containing
@@ -335,7 +359,10 @@ def vip_probabilities(
     Parameters
     ----------
     graph:
-        Graph being sampled (undirected in all paper experiments).  For a
+        Graph being sampled (undirected in all paper experiments), a
+        :class:`CSRGraph` or a streaming
+        :class:`~repro.graph.mutable.MutableGraph` (read through its
+        overlay, ``==`` the evaluation on its ``materialize()``).  For a
         directed graph pass the graph whose CSR row ``u`` lists the vertices
         ``v`` that can sample ``u`` (the reverse of the sampling direction).
     initial:
@@ -353,6 +380,12 @@ def vip_probabilities(
         raise ValueError("initial must have one probability per vertex")
     table = transition_table(graph)
     n, m = graph.num_vertices, graph.num_edges
+    # A streaming overlay is read as its base's rows with its own rows
+    # re-summed over them; while it holds rows it is its own (undirected)
+    # incoming graph.
+    base = graph.base if isinstance(graph, MutableGraph) else graph
+    overlay, overlay_op = table.overlay()
+    incoming = graph if len(overlay) else transition_table(base).incoming()
 
     hopwise: List[np.ndarray] = []
     log_not_total = np.zeros(p_prev.shape, dtype=np.float64)
@@ -360,26 +393,30 @@ def vip_probabilities(
     # once a hop's support has grown past any chance of a sparse follow-up,
     # and at every hop on a graph whose rows are not stored in ascending
     # source order (the push would sum them in another order).
-    pushable = graph.has_sorted_neighbors()
+    pushable = base.has_sorted_neighbors()  # overlay rows are kept sorted
     frontier: Optional[np.ndarray] = (
         np.flatnonzero(p_prev != 0.0) if pushable else None)
 
     for fanout in fanouts:
         tv = table.vertex_transition(fanout)
         if (frontier is not None
-                and int(table.incoming().degrees[frontier].sum())
+                and int(incoming.degrees[frontier].sum())
                 <= sparse_cutoff * m):
             # Push: the frontier's own rows of the incoming graph,
             # transposed, add each frontier source into the rows containing
             # it in ascending source order — on ascending rows, the pull's
             # operands in the pull's order.
-            push = transition_table(table.incoming()).all_rows()[frontier]
+            push = (row_set(incoming, frontier) if len(overlay) else
+                    transition_table(incoming).all_rows()[frontier])
             p_h = hop_values(tv[frontier], p_prev[frontier], push.T)
             frontier = np.flatnonzero(p_h != 0.0)
             accumulate_total(log_not_total, p_h, where=frontier)
         else:
-            # Row set: every row, in CSR order.
-            p_h = hop_values(tv, p_prev, table.all_rows())
+            # Row set: every row, in CSR order; an overlay's rows are then
+            # re-summed from their effective sources over the base's.
+            p_h = hop_values(tv, p_prev, transition_table(base).all_rows())
+            if len(overlay):
+                p_h[overlay] = hop_values(tv, p_prev, overlay_op)
             accumulate_total(log_not_total, p_h)
             # Recompute the frontier only while the support is small enough
             # that the next hop could plausibly take the sparse path.

@@ -369,8 +369,8 @@ class VIPTracker:
     providers of one refresh round can each ask for all K consumers and
     only the first call computes.  Each of the rest is one
     :func:`vip_probabilities` of its ``p0`` on the graph as sampled (a
-    ``CSRGraph`` as it is, a :class:`MutableGraph` through its
-    ``materialize()``, cached per version), ``.access``.
+    ``CSRGraph`` as it is, a :class:`MutableGraph` read through its
+    overlay, never materialized), ``.access``.
     """
 
     def __init__(self, graph, fanouts: Sequence[int]):
@@ -386,7 +386,7 @@ class VIPTracker:
         """Per-vertex access probability under each consumer's ``p0``
         (``{consumer: p0}`` in, ``{consumer: access}`` out, same order)."""
         graph = self.graph
-        sampled = None  # the graph as sampled, materialized once per call
+        computed = False
         kept: Dict[object, _Scored] = {}
         for consumer, p0 in p0s.items():
             p0 = np.asarray(p0, dtype=np.float64)
@@ -394,13 +394,11 @@ class VIPTracker:
             if last is not None and last.matches(graph, p0):
                 kept[consumer] = last
                 continue
-            if sampled is None:
-                sampled = (graph.materialize()
-                           if isinstance(graph, MutableGraph) else graph)
-            access = vip_probabilities(sampled, p0, self.fanouts).access
+            access = vip_probabilities(graph, p0, self.fanouts).access
             access.flags.writeable = False  # handed out again on a hit
             kept[consumer] = _Scored(graph, p0, access)
-        if sampled is not None:
+            computed = True
+        if computed:
             # Only this round's consumers are kept: a round's later calls
             # ask for the same ones, and a serving tracker, asked for one
             # machine at a time, holds one machine's scores, not K.

@@ -97,6 +97,7 @@ class TestGatherInto:
             ref = plain.execute(plain.plan_gather(machine, ids))
             out = arena.out(machine, len(ids), arena_store.feature_dim,
                             arena_store.stores[machine].local_features.dtype)
+            out.fill(np.nan)  # handed out unfilled: every row must be written
             got = arena_store.execute(
                 arena_store.plan_gather(machine, ids), out=out)
             assert got[0] is out  # filled in place, not reallocated
@@ -189,6 +190,8 @@ class TestCoalesceRewrite:
         dtype = arena_store.stores[1].local_features.dtype
         outs = [arena.out((1, j), len(p.ids), arena_store.feature_dim, dtype)
                 for j, p in enumerate(plans)]
+        for out in outs:
+            out.fill(np.nan)  # handed out unfilled: every row must be written
         got = arena_store.execute_coalesced(FetchPlan.coalesce(plans),
                                             outs=outs)
         assert len(ref) == len(got)

@@ -8,7 +8,6 @@ Normal shutdown must leave the same nothing behind — including no
 ``resource_tracker`` "leaked shared_memory" noise at interpreter exit.
 """
 
-import glob
 import multiprocessing
 import os
 import subprocess
@@ -90,7 +89,6 @@ def test_worker_killed_before_evaluate_raises_and_tears_down(
     # last epoch fails it at once, named and blamed on its death, and the
     # cluster is torn down without leaving a segment or a child behind.
     children = set(multiprocessing.active_children())
-    segments = set(glob.glob("/dev/shm/rpmp*"))
     backend = MultiprocBackend(_build_system(), timeout_s=30.0)
     backend.run_epoch(0)
     backend.processes[victim].kill()
@@ -100,7 +98,7 @@ def test_worker_killed_before_evaluate_raises_and_tears_down(
     assert excinfo.value.machine == victim
     assert f"worker {victim}" in str(excinfo.value)
     _assert_fully_torn_down(backend)
-    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    assert not invariants.leftover_segments(backend)
     assert set(multiprocessing.active_children()) <= children
     assert not invariants.unreaped(started_workers + backend.processes)
 
@@ -221,7 +219,6 @@ def test_replacement_dying_in_recover_escalates_at_once(monkeypatch,
 
     WORKER_POOL.clear()  # the replacement must be a fresh spawn
     children = set(multiprocessing.active_children())
-    segments = set(glob.glob("/dev/shm/rpmp*"))
     timeout_s = 5.0
     backend = MultiprocBackend(
         _build_system(), timeout_s=timeout_s, recoverable=True,
@@ -247,7 +244,7 @@ def test_replacement_dying_in_recover_escalates_at_once(monkeypatch,
     assert elapsed < timeout_s + 1.0, f"took {elapsed:.1f}s to surface"
     assert len(spawned) == 1
     _assert_fully_torn_down(backend)
-    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    assert not invariants.leftover_segments(backend)
     assert set(multiprocessing.active_children()) <= children
     assert len(started_workers) == 3  # two at start, one in recover()
     assert not invariants.unreaped(started_workers)
@@ -539,7 +536,6 @@ def test_start_refuses_while_a_second_thread_runs():
     # A fork copies only the calling thread; a lock another thread holds
     # would stay held in the worker.  So no worker is forked then.
     WORKER_POOL.clear()
-    segments = set(glob.glob("/dev/shm/rpmp*"))
     backend = MultiprocBackend(_build_system(), timeout_s=30.0)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -551,4 +547,4 @@ def test_start_refuses_while_a_second_thread_runs():
         release.set()
         other.join()
     assert backend.processes == []
-    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    assert not invariants.leftover_segments(backend)

@@ -14,7 +14,6 @@ a full warm start from disk into a fresh cluster), and zero leaked
 processes or shared memory after any outcome.
 """
 
-import glob
 import math
 import multiprocessing
 import os
@@ -277,7 +276,6 @@ def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
     want = _losses([oracle.train_epoch(e).report for e in range(epochs)])
     children = set(multiprocessing.active_children())
     spawned = invariants.worker_pids()
-    segments = set(glob.glob("/dev/shm/rpmp*"))
 
     backend = MultiprocBackend(_build_system(**kw), timeout_s=60.0,
                                recoverable=True)
@@ -306,7 +304,7 @@ def test_faults_inside_the_exchange_recover_bit_identical(engine, depth,
     _assert_fully_torn_down(backend)
     assert set(multiprocessing.active_children()) <= children
     assert not invariants.unreaped(started_workers + backend.processes)
-    assert set(glob.glob("/dev/shm/rpmp*")) <= segments
+    assert not invariants.leftover_segments(backend)
     deadline = time.monotonic() + 10.0
     while not invariants.worker_pids() <= spawned \
             and time.monotonic() < deadline:

@@ -48,6 +48,7 @@ order) — the parity suites' comparator; nothing in ``src/`` calls it.
 
 import dataclasses
 import gc
+import glob
 import os
 import subprocess
 
@@ -96,6 +97,17 @@ def worker_pids() -> set:
     found = subprocess.run(["pgrep", "-x", "repro-mp-worker"],
                            capture_output=True, text=True).stdout.split()
     return {int(pid) for pid in found if _state(int(pid)) not in ("Z", "")}
+
+
+def leftover_segments(backend) -> list:
+    """Shared-memory segments under ``backend``'s name prefix still in
+    ``/dev/shm``.  The law: empty once the backend is torn down.  Every
+    segment a backend creates is named ``rpmp`` + its own 8 random hex
+    digits + a key, so a segment it lost track of is found, and another
+    process's (a live multiproc run beside the suite) is not."""
+    prefix = backend.segment_names[0][:len("rpmp") + 8]
+    assert all(name.startswith(prefix) for name in backend.segment_names)
+    return glob.glob(f"/dev/shm/{prefix}*")
 
 
 def _state(pid: int) -> str:

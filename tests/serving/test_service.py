@@ -229,6 +229,38 @@ class TestPlannerIntegration:
         train = svc.store.reordered.dataset.train_idx
         assert any(p0.sum() > p0[train].sum() for p0 in asked)
 
+    def test_dropped_service_is_freed_without_the_cyclic_gc(self,
+                                                            tiny_dataset):
+        """The store keeps the refresh score provider, and the provider
+        keeps the tracker and the seed windows, not the service: a built,
+        run and dropped vip-refresh service is freed by reference counting
+        alone, as each warm-built serving rung drops the one before it."""
+        import gc
+        import weakref
+
+        from repro.graph.mutable import EdgeBatch
+
+        cfg = RunConfig(num_machines=2, replication_factor=0.1,
+                        cache_policy="vip-refresh", refresh_interval=5,
+                        serving=ServingConfig(max_batch=4, max_wait_ms=5.0))
+        planner = Planner()
+        gc.collect()
+        gc.disable()
+        try:
+            svc = planner.build_service(tiny_dataset, cfg)
+            rep = svc.run(make_requests(tiny_dataset, n=40),
+                          mutations=[(0.005, EdgeBatch(add_src=[0, 1],
+                                                       add_dst=[7, 9]))])
+            assert rep.num_requests == 40 and svc.mutations_applied == 1
+            assert sum(c.refreshes for c in svc.store.cache_churn()) > 0
+            provider = svc.store._refresh_score_fn
+            assert provider.tracker is svc.tracker
+            freed = weakref.ref(svc)
+            del svc, rep
+            assert freed() is None
+        finally:
+            gc.enable()
+
 
 class TestForwardFlops:
     def test_is_one_third_of_train_flops(self, tiny_dataset):

@@ -270,3 +270,58 @@ class TestTrainingMutations:
                     EdgeBatch(add_src=[0], add_dst=[1]))
         finally:
             system._backend = None
+
+
+@pytest.fixture
+def no_materialize_in_rounds(monkeypatch):
+    """Make ``MutableGraph.materialize`` raise inside every tracker round
+    (compaction outside a round may still call it).  Yields the list of
+    graphs the rounds scored, so a test can show it scored an overlay."""
+    from repro.vip.incremental import VIPTracker
+
+    def refuse(self):
+        raise AssertionError("a tracker round materialized the overlay")
+
+    access, scored = VIPTracker.access, []
+
+    def guarded(self, p0s):
+        scored.append(self.graph)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(MutableGraph, "materialize", refuse)
+            return access(self, p0s)
+
+    monkeypatch.setattr(VIPTracker, "access", guarded)
+    return scored
+
+
+class TestRoundsReadTheOverlay:
+    """A refresh round scores a mutated graph through its overlay: no
+    tracker round calls ``materialize()``, on training's
+    ``apply_graph_updates`` path or on a serving run that lands churn."""
+
+    def test_training_rounds(self, planner, tiny_dataset,
+                             no_materialize_in_rounds):
+        system = build_system(planner, tiny_dataset)
+        N = system.reordered.dataset.graph.num_vertices
+        rng = np.random.default_rng(5)
+        for epoch in range(2):
+            system.apply_graph_updates(random_batch(rng, N, 20, 5))
+            system.train_epoch(epoch, dry_run=True)
+        assert any(isinstance(g, MutableGraph)
+                   for g in no_materialize_in_rounds)
+
+    def test_serving_churn_rounds(self, planner, tiny_dataset,
+                                  no_materialize_in_rounds):
+        from repro.serving import InferenceService
+        from repro.serving.workload import poisson_requests
+
+        svc = InferenceService.from_system(build_system(planner,
+                                                        tiny_dataset))
+        N = svc.graph.num_vertices
+        rng = np.random.default_rng(0)
+        svc.run(poisson_requests(np.arange(N), 60, 4, rate_rps=50.0, seed=3),
+                mutations=[(0.1 + 0.2 * i, random_batch(rng, N, 60))
+                           for i in range(3)])
+        assert svc.mutations_applied == 3
+        assert any(isinstance(g, MutableGraph)
+                   for g in no_materialize_in_rounds)
